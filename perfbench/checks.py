@@ -35,7 +35,15 @@ MINIMISER_MAX_N = 20
 @dataclass(frozen=True)
 class Instance:
     """Raw data of a box-constrained quadratic, with the smallest eigenvalue
-    ``mu`` and the largest absolute eigenvalue ``lip`` of Q."""
+    ``mu`` and the largest absolute eigenvalue ``lip`` of Q.
+
+    The arrays are the problem's own, not copies.  Up to MINIMISER_MAX_N
+    the eigenvalues are computed here.  Beyond it they come from the
+    constants stored with the instance, because ``eigvalsh`` would hold
+    another copy of Q (8 MB at n=1000) while the run is measured; ``mu`` is
+    then minus the stored curvature, which is 0 for every convex instance,
+    and only its sign is used.
+    """
 
     Q: np.ndarray
     c: np.ndarray
@@ -45,13 +53,18 @@ class Instance:
     lip: float
 
     @classmethod
-    def from_arrays(cls, Q, c, lo, hi) -> "Instance":
-        Q = np.array(Q, dtype=np.float64)
-        eigs = np.linalg.eigvalsh(Q)
-        return cls(Q, np.array(c, dtype=np.float64),
-                   np.array(lo, dtype=np.float64),
-                   np.array(hi, dtype=np.float64),
-                   float(eigs[0]), float(np.max(np.abs(eigs))))
+    def from_problem(cls, problem) -> "Instance":
+        smooth, reg = problem.smooth, problem.regularizer
+        Q = np.asarray(smooth.Q, dtype=np.float64)
+        if Q.shape[0] <= MINIMISER_MAX_N:
+            eigs = np.linalg.eigvalsh(Q)
+            mu, lip = float(eigs[0]), float(np.max(np.abs(eigs)))
+        else:
+            mu = -float(smooth.audit_curvature)
+            lip = float(smooth.audit_lipschitz)
+        return cls(Q, np.asarray(smooth.c, dtype=np.float64),
+                   np.asarray(reg.lo, dtype=np.float64),
+                   np.asarray(reg.hi, dtype=np.float64), mu, lip)
 
     @property
     def convex(self) -> bool:
@@ -122,9 +135,7 @@ def reference_minimiser(inst: Instance, target: float,
 
 def prepare(problem, rho_hat: float):
     """(Instance, reference minimiser or None) for one operation's checks."""
-    reg = problem.regularizer
-    inst = Instance.from_arrays(problem.smooth.Q, problem.smooth.c, reg.lo,
-                                reg.hi)
+    inst = Instance.from_problem(problem)
     ref = None
     if problem.dimension <= MINIMISER_MAX_N and inst.mu > 0.0:
         ref = reference_minimiser(inst, 1e-3 * rho_hat / inst.mu)

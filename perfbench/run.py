@@ -1,6 +1,6 @@
 """Benchmark command: one workload, one seed, one run.
 
-    python3 perfbench/run.py --workload corpus-n20 --seed 1 --seconds 10 \\
+    python3 perfbench/run.py --workload corpus-n20 --seed 1 --seconds 20 \\
         --trace 0
 
 Run from the root of a checkout.  Each run starts its workload in fresh
@@ -30,14 +30,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("corpus-n20", "dense-n1000", "long-n20")
 DENSE_FILE = os.path.join(HERE, "generated", "dense-n1000.json")
-SETUP_PROBES = 5
+SETUP_PROBES = 10
 TIMEOUT_S = 170.0
 
 # metric names and units, end-to-end (untraced run) and per-layer (traced)
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
-    _SPEC = json.load(_fh)
-E2E_UNITS = {m["name"]: m["unit"] for m in _SPEC["end_to_end"]}
-LAYER_UNITS = {m["name"]: m["unit"] for m in _SPEC["per_layer"]}
+    SPEC = json.load(_fh)
+E2E_UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+LAYER_UNITS = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
 
 
 class BenchError(Exception):
@@ -86,7 +86,7 @@ def _worker(workload: str, seed: int, seconds: float, trace: int,
 def ensure_inputs(workload: str) -> None:
     """Write the dense instance file once per checkout (the build step)."""
     if workload == "dense-n1000" and not os.path.exists(DENSE_FILE):
-        _python([os.path.join(HERE, "workloads.py"), DENSE_FILE], 600.0)
+        _python([os.path.join(HERE, "workloads.py")], 600.0)
 
 
 def run(workload: str, seed: int, seconds: float, trace: int) -> dict:

@@ -1,22 +1,21 @@
 """Steadiness check: two sets of runs of the same code, compared.
 
-    python3 perfbench/steady.py --runs 10 --sets 2
+    python3 perfbench/steady.py
 
-Each set runs every workload once per seed (seeds FIRST .. FIRST+RUNS-1),
-untraced, then ``--traced-runs`` traced runs on the first seeds.  For each
-end-to-end metric on each workload it prints each set's median and
-quartiles, the quartile distance as a share of the median ("spread"), and
-whether the sets agree: every spread but that of ``setup_s`` within the
-metric's bound from BENCHMARK.json, and no set's median worse than the
-first set's by more than the bound.  ``iterations``, the failed share and
-every per-layer count must match exactly, seed by seed.  It also prints the
+Each set runs every workload once per seed (seeds 1-10), untraced, then
+traced runs on the first TRACED_RUNS seeds.  For each end-to-end metric on
+each workload it prints each set's median and quartiles, the quartile
+distance as a share of the median ("spread"), and whether the sets agree:
+every spread within the metric's bound from BENCHMARK.json, and the second
+set's median within the bound of the first set's, in either direction.
+Every run must be correct, and ``iterations``, the failed share and every
+per-layer count must match exactly, seed by seed.  It also prints the
 tracing overhead: traced against untraced ``solve_s`` on the same seeds.
 Raw results go to perfbench/results/.  Exits 1 when anything disagrees.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -25,8 +24,10 @@ import time
 
 import run as bench
 
-BOUNDS_FILE = os.path.join(bench.ROOT, "BENCHMARK.json")
 RESULTS_DIR = os.path.join(bench.HERE, "results")
+SETS = 2
+SEEDS = range(1, 11)
+TRACED_RUNS = 2
 
 
 def quartiles(values):
@@ -34,32 +35,21 @@ def quartiles(values):
     return q1, statistics.median(values), q3
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--sets", type=int, default=2)
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--traced-runs", type=int, default=2)
-    p.add_argument("--workloads", nargs="+", default=list(bench.WORKLOADS))
-    args = p.parse_args(argv)
-    with open(BOUNDS_FILE) as fh:
-        spec = json.load(fh)
-    seconds = spec["run_seconds"]
-    seeds = range(args.first_seed, args.first_seed + args.runs)
-
+def main() -> int:
+    seconds = bench.SPEC["run_seconds"]
     sets = []
-    for s in range(args.sets):
-        plain = {w: {} for w in args.workloads}
-        traced = {w: {} for w in args.workloads}
-        for seed in seeds:
-            for w in args.workloads:
+    for s in range(SETS):
+        plain = {w: {} for w in bench.WORKLOADS}
+        traced = {w: {} for w in bench.WORKLOADS}
+        for seed in SEEDS:
+            for w in bench.WORKLOADS:
                 plain[w][seed] = bench.run(w, seed, seconds, 0)
                 m = plain[w][seed]["metrics"]
                 print(f"set {s + 1} {w} seed {seed}: " + ", ".join(
                     f"{k} {v['value']:.5g}" for k, v in m.items()),
                     flush=True)
-        for seed in list(seeds)[:args.traced_runs]:
-            for w in args.workloads:
+        for seed in SEEDS[:TRACED_RUNS]:
+            for w in bench.WORKLOADS:
                 traced[w][seed] = bench.run(w, seed, seconds, 1)
         sets.append({"plain": plain, "traced": traced})
 
@@ -68,9 +58,9 @@ def main(argv=None) -> int:
                        time.strftime("steady-%Y%m%d-%H%M%S.json"))
     with open(out, "w") as fh:
         json.dump(sets, fh, indent=1)
-    print(f"\n{args.sets} sets x {args.runs} runs, run_seconds={seconds}; "
+    print(f"\n{SETS} sets x {len(SEEDS)} runs, run_seconds={seconds}; "
           f"raw results in {os.path.relpath(out, bench.ROOT)}")
-    ok = report(sets, spec)
+    ok = report(sets, bench.SPEC)
     print("\nsteady" if ok else "\nNOT steady")
     return 0 if ok else 1
 
@@ -92,13 +82,11 @@ def report(sets, spec) -> bool:
             fine = True
             for q1, med, q3 in stats:
                 spread = (q3 - q1) / med
-                worse = (med - base) / base if m["better"] == "lower" \
-                    else (base - med) / base
-                fine &= worse <= bound and (name == "setup_s"
-                                            or spread <= bound)
+                shift = (med - base) / base
+                fine &= abs(shift) <= bound and spread <= bound
                 wide = "" if spread <= bound / 3 else " (>1/3 bound)"
                 cells.append(f"median {med:.5g} [{q1:.5g}, {q3:.5g}] "
-                             f"spread {spread:.3f}{wide} worse {worse:+.3f}")
+                             f"spread {spread:.3f}{wide} shift {shift:+.3f}")
             ok &= fine
             print(f"  {name:12s} bound {bound:.2f} | " + " | ".join(cells)
                   + ("" if fine else "  DISAGREE"))
@@ -106,16 +94,19 @@ def report(sets, spec) -> bool:
             outcome = {(st["plain"][w][seed]["metrics"]["iterations"]
                         ["value"],
                         st["plain"][w][seed]["failed"]
-                        / st["plain"][w][seed]["attempted"],
-                        st["plain"][w][seed]["correct"]) for st in sets}
+                        / st["plain"][w][seed]["attempted"]) for st in sets}
             if len(outcome) != 1:
                 ok = False
-                print(f"  seed {seed}: iterations / failed share / correct "
+                print(f"  seed {seed}: iterations / failed share "
                       f"differ between sets: {sorted(outcome)}")
         shares = {r["failed"] / r["attempted"]
                   for st in sets for r in st["plain"][w].values()}
         ok &= len(shares) == 1
         print(f"  failed share of each run: {sorted(shares)}")
+        wrong = sum(not r["correct"] for st in sets for kind in st.values()
+                    for r in kind[w].values())
+        ok &= wrong == 0
+        print(f"  runs not correct: {wrong}")
         for seed in sets[0]["traced"][w]:
             layers = [st["traced"][w][seed]["metrics"] for st in sets]
             same = all(lay[k] == layers[0][k]

@@ -43,7 +43,7 @@ class Run:
 @pytest.fixture(scope="module")
 def corpus_runs():
     # instances alternate convex / indefinite
-    return [Run(op) for op in workloads.corpus_n20(0)[:6]]
+    return [Run(op) for op in workloads.corpus_n20()[:6]]
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,20 @@ def test_clean_dense_run_passes(tmp_path):
     run = Run(op)
     assert run.cert.iterations == 1681
     assert run.check() == []
+
+
+def test_checks_hold_the_problem_arrays_not_copies(corpus_runs):
+    run = corpus_runs[0]
+    assert run.inst.Q is run.op.problem.smooth.Q
+
+
+def test_seed_orders_the_operations_and_moves_nothing_else():
+    one, two = workloads.build("long-n20", 1), workloads.build("long-n20", 2)
+    assert [op.name for op in one] != [op.name for op in two]
+    assert sorted(op.name for op in one) == sorted(op.name for op in two)
+    same = {op.name: op for op in one}
+    for op in two:
+        assert op.y0.tobytes() == same[op.name].y0.tobytes()
 
 
 def test_tampered_v_hat_is_rejected(corpus_runs):

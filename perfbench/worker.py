@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import resource
+import signal
 import sys
 import time
 
@@ -40,6 +41,9 @@ def _require_checkout_package(root: str) -> None:
 
 def main() -> None:
     args = _args()
+    import pace
+    setup_pacer = pace.Pacer("interp")
+    setup_pacer.start(pace.SETUP_INTERVAL)
     tracer = restore = None
     if args.trace:
         import tracing
@@ -47,11 +51,10 @@ def main() -> None:
         restore = tracing.install(tracer)
     import workloads
     ops = workloads.build(args.workload, args.seed)
-    wall_setup_s = time.perf_counter() - args.launched
+    ready = time.perf_counter()
+    setup_pacer.stop()
+    wall_setup_s, setup_s = setup_pacer.paced(args.launched, ready)
     _require_checkout_package(os.path.dirname(workloads.HERE))
-    import pace
-    setup_s = wall_setup_s * pace.REFERENCE["python"] \
-        / pace.Pacer("python").now()
     if args.setup_only:
         print(json.dumps({"setup_s": setup_s, "wall_setup_s": wall_setup_s}))
         return
@@ -142,4 +145,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    finally:
+        # a run that raises must not be ended by the pacer's timer signal
+        signal.setitimer(signal.ITIMER_REAL, 0.0)

@@ -9,13 +9,12 @@ traced run's wrappers see every call.
 
 Run as a script to write the ``dense-n1000`` instance file again:
 
-    PYTHONPATH=src python3 perfbench/workloads.py [PATH]
+    PYTHONPATH=src python3 perfbench/workloads.py
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from typing import List
 
@@ -31,8 +30,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DENSE_FILE = os.path.join(HERE, "generated", "dense-n1000.json")
 
 # One audit corpus is 20 instances, and its iteration total varies by about
-# 19 % (quartile distance over median) from seed to seed.  A pass therefore
-# runs several disjoint corpora, which brings that spread near 6 %.
+# 19 % (quartile distance over median) from corpus seed to corpus seed.  A
+# pass therefore runs several disjoint corpora.  Even twelve of them still
+# varied by 2-7 % over ten seeds, and random start points alone by 3 %, so
+# the corpora and their starts are fixed and the seed only orders them.
 CORPORA_PER_PASS = 12
 CORPUS_SIZE = 20
 
@@ -47,16 +48,15 @@ class Operation:
     y0: np.ndarray
 
 
-def corpus_n20(seed: int) -> List[Operation]:
+def corpus_n20() -> List[Operation]:
     """Audit corpora as ``varfista audit`` builds them, with its start points.
 
-    Corpus j of the pass uses corpus seed ``base + 20 j``, so no instance
-    repeats within a pass; starts are drawn as ``run_audit_suite`` draws them.
+    Corpus j of the pass uses corpus seed ``20 j``, so no instance repeats
+    within a pass; starts are drawn as ``run_audit_suite`` draws them.
     """
-    base = (seed % 2 ** 32) * CORPUS_SIZE * CORPORA_PER_PASS
     ops = []
     for j in range(CORPORA_PER_PASS):
-        corpus_seed = base + CORPUS_SIZE * j
+        corpus_seed = CORPUS_SIZE * j
         problems = vf_audit.audit_corpus(CORPUS_SIZE, corpus_seed)
         rng = np.random.default_rng(corpus_seed ^ 0x5eed)
         config = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
@@ -113,15 +113,22 @@ def long_n20() -> List[Operation]:
 
 
 def build(workload: str, seed: int) -> List[Operation]:
-    """The operations of one pass; the seed only moves ``corpus-n20``."""
+    """The operations of one pass, in the order the seed shuffles them to.
+
+    The seed moves no instance and no start point, so every seed does the
+    same work and gives the same iteration count.
+    """
     if workload == "corpus-n20":
-        return corpus_n20(seed)
-    if workload == "dense-n1000":
-        return dense_n1000()
-    if workload == "long-n20":
-        return long_n20()
-    raise ValueError(f"unknown workload {workload!r}")
+        ops = corpus_n20()
+    elif workload == "dense-n1000":
+        ops = dense_n1000()
+    elif workload == "long-n20":
+        ops = long_n20()
+    else:
+        raise ValueError(f"unknown workload {workload!r}")
+    order = np.random.default_rng(seed % 2 ** 32).permutation(len(ops))
+    return [ops[i] for i in order]
 
 
 if __name__ == "__main__":
-    write_dense_instance(sys.argv[1] if len(sys.argv) > 1 else DENSE_FILE)
+    write_dense_instance()
