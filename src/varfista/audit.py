@@ -86,7 +86,14 @@ def _t1_excess(t1: float, u, f_u: float, x_rec, f_rec: float, g_rec,
 def audit_run(problem: CompositeProblem, config: SolverConfig,
               cert: Certificate, trace: IterationTrace,
               ledger: HistoryLedger, y0: Array) -> AuditReport:
-    """Audit one finished run; every check covers all accepted iterations."""
+    """Audit one finished run; every check covers all accepted iterations.
+
+    Cost for K iterations in dimension n: O(K n), plus O(k n) at each
+    iteration k whose best point differs from the previous one (the
+    lower-curvature replay), plus the O(K^2) history-inequality scan, which
+    stays exhaustive on purpose.  The replay reads only the committed
+    records and shares no state with the solver's gap cache.
+    """
     checks: List[CheckResult] = []
     lam = np.array(trace.lam)
     xi = np.array(trace.xi)
@@ -206,12 +213,16 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         if not bad.any() else f"first violation at k={first_bad(bad)}")
 
     # replay the lower-curvature recursion from the committed data and bound
-    # every contributing gap quotient by m plus its own roundoff envelope
-    f_ymins = np.array([problem.smooth.value(m) for m in trace.ymins])
+    # every contributing gap quotient by m plus its own roundoff envelope.
+    # While the best point keeps its bytes, every pair (k, i < k) was scored
+    # at k - 1 against the same point and value, so only record k is scanned
+    # and the row maxima carry over; np.max carries a NaN the way the full
+    # row's maximum would.  A changed best point gets a full scan.
     L_replay = np.empty(n_iter)
     L_prev = 0.0
     cap_excess = -math.inf
     cap_loc = (0, 0)
+    u_bytes = None
     for kk in range(1, n_iter + 1):
         y_prev = trace.ys[kk - 2] if kk >= 2 else y0
         f_y_prev = float(f_ys[kk - 2]) if kk >= 2 \
@@ -219,21 +230,34 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         t1 = float(ledger.linearization_gaps(kk, y_prev, f_y_prev, eps_cfg,
                                              start=kk - 1)[0])
         u = trace.ymins[kk - 1]
-        terms = ledger.linearization_gaps(kk, u, f_ymins[kk - 1], eps_cfg)
+        prev_bytes, u_bytes = u_bytes, u.tobytes()
+        carry = u_bytes == prev_bytes
+        start = kk - 1 if carry else 0
+        if not carry:
+            f_u = float(problem.smooth.value(u))
+        terms = ledger.linearization_gaps(kk, u, f_u, eps_cfg, start=start)
         t2 = float(np.max(terms))
-        L_replay[kk - 1] = max(t1, t2, L_prev, 0.0)
-        L_prev = L_replay[kk - 1]
 
-        d2 = u[None, :] - X[:kk]
+        d2 = u[None, :] - X[start:kk]
         den2 = np.einsum("ij,ij->i", d2, d2)
-        gd2 = np.einsum("ij,ij->i", G[:kk], d2)
+        gd2 = np.einsum("ij,ij->i", G[start:kk], d2)
         env2 = _NOISE_MULT * eps_mach * 2.0 * (
-            np.abs(F[:kk]) + abs(f_ymins[kk - 1]) + np.abs(gd2)) \
-            / np.maximum(den2, eps_cfg * (1.0 + xn2[:kk]))
+            np.abs(F[start:kk]) + abs(f_u) + np.abs(gd2)) \
+            / np.maximum(den2, eps_cfg * (1.0 + xn2[start:kk]))
         exc = np.where(terms != 0.0,
                        terms - env2 - bounds.m_under * (1.0 + slack), -np.inf)
         i2 = int(np.argmax(exc))
-        for cand, loc in ((float(exc[i2]), (kk, i2 + 1)),
+        row_excess = float(exc[i2])
+        if carry:
+            # the earlier part of the row already lost to cap_excess, so a
+            # row maximum above it can only come from record k
+            t2 = float(np.max((t2_prev, t2)))
+            row_excess = float(np.max((excess_prev, row_excess)))
+        t2_prev, excess_prev = t2, row_excess
+        L_replay[kk - 1] = max(t1, t2, L_prev, 0.0)
+        L_prev = L_replay[kk - 1]
+
+        for cand, loc in ((row_excess, (kk, start + i2 + 1)),
                           (_t1_excess(t1, y_prev, f_y_prev, X[kk - 1],
                                       F[kk - 1], G[kk - 1], xn2[kk - 1],
                                       bounds.m_under, slack, eps_cfg),

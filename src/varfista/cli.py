@@ -134,10 +134,9 @@ def _parse_genspec(text: str) -> Tuple[CompositeProblem, Optional[int]]:
         from .gallery import make_qp_problem
         lo, hi = problem.regularizer.domain_box
         sm = problem.smooth
-        relaxed = make_qp_problem(sm.Q, sm.c, lo, hi, l1_weight=l1)
-        relaxed.smooth.audit_lipschitz = sm.audit_lipschitz
-        relaxed.smooth.audit_curvature = sm.audit_curvature
-        problem = relaxed
+        problem = make_qp_problem(sm.Q, sm.c, lo, hi, l1_weight=l1,
+                                  audit_lipschitz=sm.audit_lipschitz,
+                                  audit_curvature=sm.audit_curvature)
     return problem, spec.seed
 
 

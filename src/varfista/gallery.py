@@ -110,13 +110,18 @@ def generate_qp(spec: QuadraticSpec) -> CompositeProblem:
 
 
 def make_qp_problem(Q: Array, c: Array, lo: Array, hi: Array,
-                    l1_weight: float = 0.0,
-                    omega=None) -> CompositeProblem:
-    """Direct construction from explicit data (tests, file loading)."""
+                    l1_weight: float = 0.0, omega=None,
+                    audit_lipschitz: Optional[float] = None,
+                    audit_curvature: Optional[float] = None
+                    ) -> CompositeProblem:
+    """Direct construction from explicit data (tests, file loading).
+
+    Audit constants left as None are computed from the spectrum of Q.
+    """
     Q = np.asarray(Q, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     n = c.shape[0]
-    oracle = QuadraticOracle(Q, c)
+    oracle = QuadraticOracle(Q, c, audit_lipschitz, audit_curvature)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if l1_weight > 0.0:
@@ -327,8 +332,7 @@ def load_instance(path: str) -> CompositeProblem:
     lo = np.array(doc["box_lo"], dtype=np.float64)
     hi = np.array(doc["box_hi"], dtype=np.float64)
     wl1 = float(doc.get("l1_weight", 0.0))
-    problem = make_qp_problem(Q, c, lo, hi, l1_weight=wl1)
     # keep the stored audit constants (they may be analytic, not recomputed)
-    problem.smooth.audit_lipschitz = float(doc["lipschitz"])
-    problem.smooth.audit_curvature = float(doc["curvature"])
-    return problem
+    return make_qp_problem(Q, c, lo, hi, l1_weight=wl1,
+                           audit_lipschitz=float(doc["lipschitz"]),
+                           audit_curvature=float(doc["curvature"]))

@@ -1,12 +1,14 @@
 """Invariant auditing of finished runs, and fault injection against it."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from varfista.audit import (AuditReport, CheckResult, audit_corpus, audit_run,
                             corrupt_gradient_oracle, run_audit_suite)
 from varfista.gallery import QuadraticSpec, default_start, generate_qp
-from varfista.solver import SolverConfig, solve
+from varfista.solver import HistoryLedger, SolverConfig, solve
 
 
 def _audited_run(spec, rho=1e-7, iters=5000, lambda0=1.0):
@@ -155,3 +157,99 @@ def test_audit_suite_names_first_failure_under_fault_injection():
     named = [ln for ln in lines if "FAILED first at:" in ln]
     assert len(named) == 2
     assert all("instance[" in ln for ln in named)
+
+
+# sha256 over the joined report lines of a clean corpus suite, a
+# gradient-fault suite and a convex run whose best point moves on almost
+# every iteration (its audit fails the curvature and escalation caps).  Any
+# change to a verdict or a detail string changes it.
+AUDIT_REPORT_SHA256 = \
+    "6d6f5b384640b29ef8ef961dd72e7157b85e5e50b0bfd23fbd906d2cb113a8fd"
+
+
+def test_audit_reports_match_golden_hash():
+    _, clean = run_audit_suite(20, 0)
+    _, faulty = run_audit_suite(
+        max_iterations=500,
+        problems=[corrupt_gradient_oracle(p) for p in audit_corpus(6, 0)])
+    prob = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,
+                                     box=(-1000.0, 1000.0), seed=0))
+    lo, hi = prob.regularizer.domain_box
+    y0 = lo + np.random.default_rng(0).random(20) * (hi - lo)
+    cfg = SolverConfig(rho_hat=1e-2, max_outer_iterations=2000)
+    cert, trace, ledger = solve(prob, cfg, y0)
+    report = audit_run(prob, cfg, cert, trace, ledger, y0)
+    assert not report.passed
+    text = "\n".join(clean + faulty + report.lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_REPORT_SHA256
+
+
+def _unchanged(trace, j):
+    """Whether ymin at 0-based index j has the bytes of the one before."""
+    return trace.ymins[j].tobytes() == trace.ymins[j - 1].tobytes()
+
+
+@pytest.fixture
+def gap_scans(monkeypatch):
+    """(count, start) of every ledger gap scan made while the test runs."""
+    calls = []
+    scan = HistoryLedger.linearization_gaps
+
+    def counted(self, count, u, f_u, denom_epsilon, start=0):
+        calls.append((count, start))
+        return scan(self, count, u, f_u, denom_epsilon, start=start)
+
+    monkeypatch.setattr(HistoryLedger, "linearization_gaps", counted)
+    return calls
+
+
+def test_replay_flags_one_ulp_of_L_where_the_best_point_is_unchanged():
+    prob, cfg, cert, trace, ledger, y0 = _audited_run(ROUGH)
+    j = next(j for j in range(len(trace) // 2, len(trace))
+             if _unchanged(trace, j))
+    trace.L[j] = float(np.nextafter(trace.L[j], np.inf))
+    report = audit_run(prob, cfg, cert, trace, ledger, y0)
+    replay = {c.name: c for c in report.checks}["lower-curvature-replay"]
+    assert not replay.passed
+    assert replay.detail == f"first mismatch at k={j + 1}"
+
+
+def test_replay_rescans_a_replaced_best_point_instead_of_carrying(gap_scans):
+    prob, cfg, cert, trace, ledger, y0 = _audited_run(ROUGH)
+    j = next(j for j in range(1, len(trace) - 1)
+             if _unchanged(trace, j) and _unchanged(trace, j + 1))
+    # the first record is the box midpoint; half-way from it to the box face
+    # along the most negative curvature direction, the gap quotient against
+    # it is |eig_lo| = 1, above every L the run recorded
+    lo, hi = prob.regularizer.domain_box
+    v = np.linalg.eigh(prob.smooth.Q)[1][:, 0]
+    x1 = ledger.record_arrays(1)[0][0]
+    tampered = x1 + 0.5 * v / np.max(np.abs(v))
+    assert np.all((lo <= tampered) & (tampered <= hi))
+    assert max(trace.L) < 0.9
+
+    gap_scans.clear()
+    audit_run(prob, cfg, cert, trace, ledger, y0)
+    assert (j + 1, 0) not in gap_scans and (j + 2, 0) not in gap_scans
+    gap_scans.clear()
+    trace.ymins[j] = tampered
+    report = audit_run(prob, cfg, cert, trace, ledger, y0)
+    assert (j + 1, 0) in gap_scans and (j + 2, 0) in gap_scans
+    replay = {c.name: c for c in report.checks}["lower-curvature-replay"]
+    assert not replay.passed
+    assert replay.detail == f"first mismatch at k={j + 1}"
+
+
+def test_replay_scans_records_in_proportion_to_best_point_changes(gap_scans):
+    prob = audit_corpus(1, 0)[0]
+    cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
+    y0 = default_start(prob)
+    cert, trace, ledger = solve(prob, cfg, y0)
+    gap_scans.clear()
+    assert audit_run(prob, cfg, cert, trace, ledger, y0).passed
+    K = len(trace)
+    changes = sum(not _unchanged(trace, j) for j in range(1, K))
+    scanned = sum(count - start for count, start in gap_scans)
+    assert scanned <= 2 * K + K * changes
+    # the full replay scanned K (K + 1) / 2 records for ymin plus K for y
+    assert scanned < (K * (K + 1) // 2 + K) / 2

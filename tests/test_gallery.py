@@ -188,6 +188,21 @@ def test_instance_file_round_trip(tmp_path):
     assert phi(back, u) == phi(prob, u)
 
 
+def test_instance_load_keeps_stored_constants_without_a_spectrum(
+        tmp_path, monkeypatch):
+    prob = generate_qp(QuadraticSpec(n=7, eig_lo=-1.0, eig_hi=10.0, seed=3))
+    path = tmp_path / "inst.json"
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    save_instance(prob, str(path))
+    back = load_instance(str(path))
+    assert back.smooth.audit_lipschitz == prob.smooth.audit_lipschitz
+    assert back.smooth.audit_curvature == prob.smooth.audit_curvature
+
+
 def test_instance_file_round_trip_with_l1(tmp_path):
     prob = make_qp_problem(np.array([[2.0]]), np.array([-1.0]),
                            np.array([-1.0]), np.array([1.0]), l1_weight=0.3)
