@@ -5,7 +5,6 @@ every invariant the method maintains, and reproduce its iteration-complexity
 trends on seeded quadratic instances.
 """
 
-from ._kernels import BACKEND, HAS_NUMBA
 from .audit import (AuditReport, CheckResult, audit_corpus, audit_run,
                     corrupt_gradient_oracle, run_audit_suite)
 from .baselines import BaselineConfig, run_fista_constant, run_prox_gradient
@@ -16,7 +15,7 @@ from .gallery import (QuadraticOracle, QuadraticSpec, active_set_stationary,
                       brute_force_stationary, default_start, generate_qp,
                       global_min_phi, load_instance, make_qp_problem,
                       save_instance)
-from .momentum import (A0_DEFAULT, Schedule, ScheduleBoundsReport, advance,
+from .momentum import (A0_DEFAULT, ScheduleBoundsReport, advance,
                        check_schedule_bounds, extrapolate)
 from .problems import (Certificate, CompositeProblem, Projector, SmoothOracle,
                        linearization, phi, verify_certificate)
@@ -24,15 +23,14 @@ from .prox import (BoxIndicator, L1PlusBox, ZeroRegularizer, ball_projector,
                    box_projector, clamp_box, identity_projector, project_ball,
                    soft_threshold)
 from .solver import (TRACE_HEADER, HistoryLedger, IterationTrace,
-                     LinearizationRecord, SolverConfig, SolverState,
-                     compute_candidate, compute_L, compute_U, compute_v,
-                     compute_x, history_inequality_violated, solve,
-                     step_k3_conditions, update_best, update_subroutine)
+                     LinearizationRecord, SolverConfig, compute_candidate,
+                     compute_L, compute_U, compute_v, compute_x,
+                     history_inequality_violated, solve, step_k3_conditions,
+                     update_best, update_subroutine)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "HAS_NUMBA",
     "AuditReport", "CheckResult", "audit_corpus", "audit_run",
     "corrupt_gradient_oracle", "run_audit_suite",
     "BaselineConfig", "run_fista_constant", "run_prox_gradient",
@@ -41,7 +39,7 @@ __all__ = [
     "QuadraticOracle", "QuadraticSpec", "active_set_stationary",
     "brute_force_stationary", "default_start", "generate_qp",
     "global_min_phi", "load_instance", "make_qp_problem", "save_instance",
-    "A0_DEFAULT", "Schedule", "ScheduleBoundsReport", "advance",
+    "A0_DEFAULT", "ScheduleBoundsReport", "advance",
     "check_schedule_bounds", "extrapolate",
     "Certificate", "CompositeProblem", "Projector", "SmoothOracle",
     "linearization", "phi", "verify_certificate",
@@ -49,7 +47,7 @@ __all__ = [
     "box_projector", "clamp_box", "identity_projector", "project_ball",
     "soft_threshold",
     "TRACE_HEADER", "HistoryLedger", "IterationTrace", "LinearizationRecord",
-    "SolverConfig", "SolverState", "compute_candidate", "compute_L",
+    "SolverConfig", "compute_candidate", "compute_L",
     "compute_U", "compute_v", "compute_x", "history_inequality_violated",
     "solve", "step_k3_conditions", "update_best", "update_subroutine",
     "__version__",

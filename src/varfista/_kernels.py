@@ -1,51 +1,16 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Numpy kernels for the grid oracles, the schedule scan and the audit's
+history-margin scan.
 
-Two interchangeable lanes exist for every kernel: a numba ``@njit`` build of
-an explicit-loop implementation, and a pure-numpy implementation (vectorized
-or chunked where a bare Python loop would be too slow).  The lane used by the
-library is chosen once at import time from the environment variable
-``VARFISTA_BACKEND``:
-
-* ``"numba"``  -- require numba; raise if it cannot be imported.
-* ``"numpy"``  -- force the pure-numpy lane.
-* unset/``"auto"`` -- numba when importable, numpy otherwise.
-
-Both lanes evaluate the same scalar expression trees so their outputs agree
-bit-for-bit; ``benchmarks/benchmark_backends.py`` times one against the other
-and the test suite asserts the agreement.
+The grid kernels are vectorized; the 2-D ones walk the first axis in blocks
+so that a dense scan holds at most about two million points at once.  The
+schedule scan is a plain Python loop, because its recursion is sequential.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAS_NUMBA = False
-
-
-def _resolve_backend() -> str:
-    choice = os.environ.get("VARFISTA_BACKEND", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise ImportError(
-                "VARFISTA_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"unrecognized VARFISTA_BACKEND value: {choice!r}")
-
-
-BACKEND = _resolve_backend()
 
 
 def grid_1d(lo: float, hi: float, resolution: float) -> np.ndarray:
@@ -65,7 +30,7 @@ def grid_1d(lo: float, hi: float, resolution: float) -> np.ndarray:
 # momentum-schedule scan
 # ---------------------------------------------------------------------------
 
-def _schedule_scan_loop(A0, k_max):
+def schedule_scan(A0, k_max):
     """Run the accumulation recursion a=(1+sqrt(1+4A))/2, A+=a for k_max steps.
 
     Tracks the worst-case margins of the growth bounds
@@ -128,29 +93,12 @@ def _schedule_scan_loop(A0, k_max):
 # history-inequality margin
 # ---------------------------------------------------------------------------
 
-def _history_margin_loop(lam_hist, tau_hist, L_arr, xi_arr):
+def history_margin(lam_hist, tau_hist, L_arr, xi_arr):
     """Worst margin of xi_k*lam_{i-1} - L_k*lam_i - tau_i over 1<=i<=k<=N.
 
     lam_hist has length N+1 (lam_0..lam_N); the other arrays have length N.
     Returns (min_margin, k_arg, i_arg) with 1-based k and i.
     """
-    n = tau_hist.shape[0]
-    best = math.inf
-    k_arg = 0
-    i_arg = 0
-    for k in range(1, n + 1):
-        xi = xi_arr[k - 1]
-        L = L_arr[k - 1]
-        for i in range(1, k + 1):
-            m = xi * lam_hist[i - 1] - L * lam_hist[i] - tau_hist[i - 1]
-            if m < best:
-                best = m
-                k_arg = k
-                i_arg = i
-    return best, k_arg, i_arg
-
-
-def _history_margin_numpy(lam_hist, tau_hist, L_arr, xi_arr):
     n = tau_hist.shape[0]
     best = math.inf
     k_arg = 0
@@ -180,32 +128,7 @@ def _history_margin_numpy(lam_hist, tau_hist, L_arr, xi_arr):
 # hide a genuine stationary point; box faces land on the grid exactly.
 
 def _interval_dist(mg, u, lo, hi, wl1, snap):
-    if wl1 > 0.0:
-        if u < -snap:
-            a = -wl1
-            b = -wl1
-        elif u > snap:
-            a = wl1
-            b = wl1
-        else:
-            a = -wl1
-            b = wl1
-    else:
-        a = 0.0
-        b = 0.0
-    if u <= lo + snap:
-        a = -math.inf
-    if u >= hi - snap:
-        b = math.inf
-    if mg < a:
-        return a - mg
-    if mg > b:
-        return mg - b
-    return 0.0
-
-
-def _interval_dist_vec(mg, u, lo, hi, wl1, snap):
-    """Vectorized twin of _interval_dist (lo, hi scalars, broadcasting u)."""
+    """Distance from mg to the interval at u (lo, hi scalars, broadcasting u)."""
     if wl1 > 0.0:
         on_kink = np.abs(u) <= snap
         sgn = np.where(u > snap, wl1, -wl1)
@@ -219,44 +142,11 @@ def _interval_dist_vec(mg, u, lo, hi, wl1, snap):
     return np.maximum(np.maximum(a - mg, mg - b), 0.0)
 
 
-def _qp_scan_1d_loop(q, c, lo, hi, wl1, step, n_pts, tol, snap, out, max_hits):
-    found = 0
-    for i in range(n_pts):
-        u = hi if i == n_pts - 1 else lo + i * step
-        mg = -(q * u + c)
-        d = _interval_dist(mg, u, lo, hi, wl1, snap)
-        if d <= tol:
-            if found < max_hits:
-                out[found] = u
-            found += 1
-    return found
-
-
-def _qp_scan_2d_loop(Q, c, lo, hi, wl1, step0, n0, step1, n1, tol, snap,
-                     out, max_hits):
-    found = 0
-    for i in range(n0):
-        u0 = hi[0] if i == n0 - 1 else lo[0] + i * step0
-        for j in range(n1):
-            u1 = hi[1] if j == n1 - 1 else lo[1] + j * step1
-            mg0 = -(Q[0, 0] * u0 + Q[0, 1] * u1 + c[0])
-            mg1 = -(Q[1, 0] * u0 + Q[1, 1] * u1 + c[1])
-            d0 = _interval_dist(mg0, u0, lo[0], hi[0], wl1, snap)
-            d1 = _interval_dist(mg1, u1, lo[1], hi[1], wl1, snap)
-            if math.sqrt(d0 * d0 + d1 * d1) <= tol:
-                if found < max_hits:
-                    out[found, 0] = u0
-                    out[found, 1] = u1
-                found += 1
-    return found
-
-
-def _qp_scan_1d_numpy(q, c, lo, hi, wl1, step, n_pts, tol, snap, out,
-                      max_hits):
+def qp_scan_1d(q, c, lo, hi, wl1, step, n_pts, tol, snap, out, max_hits):
     u = lo + step * np.arange(n_pts)
     u[-1] = hi
     mg = -(q * u + c)
-    d = _interval_dist_vec(mg, u, lo, hi, wl1, snap)
+    d = _interval_dist(mg, u, lo, hi, wl1, snap)
     hits = u[d <= tol]
     found = hits.shape[0]
     kept = min(found, max_hits)
@@ -264,8 +154,8 @@ def _qp_scan_1d_numpy(q, c, lo, hi, wl1, step, n_pts, tol, snap, out,
     return found
 
 
-def _qp_scan_2d_numpy(Q, c, lo, hi, wl1, step0, n0, step1, n1, tol, snap,
-                      out, max_hits):
+def qp_scan_2d(Q, c, lo, hi, wl1, step0, n0, step1, n1, tol, snap, out,
+               max_hits):
     u1 = lo[1] + step1 * np.arange(n1)
     u1[-1] = hi[1]
     found = 0
@@ -278,10 +168,10 @@ def _qp_scan_2d_numpy(Q, c, lo, hi, wl1, step0, n0, step1, n1, tol, snap,
         U0 = u0[:, None]
         mg0 = -(Q[0, 0] * U0 + Q[0, 1] * u1 + c[0])
         mg1 = -(Q[1, 0] * U0 + Q[1, 1] * u1 + c[1])
-        d0 = _interval_dist_vec(mg0, np.broadcast_to(U0, mg0.shape),
-                                lo[0], hi[0], wl1, snap)
-        d1 = _interval_dist_vec(mg1, np.broadcast_to(u1, mg1.shape),
-                                lo[1], hi[1], wl1, snap)
+        d0 = _interval_dist(mg0, np.broadcast_to(U0, mg0.shape),
+                            lo[0], hi[0], wl1, snap)
+        d1 = _interval_dist(mg1, np.broadcast_to(u1, mg1.shape),
+                            lo[1], hi[1], wl1, snap)
         mask = np.sqrt(d0 * d0 + d1 * d1) <= tol
         ii, jj = np.nonzero(mask)
         for r in range(ii.shape[0]):
@@ -296,37 +186,7 @@ def _qp_scan_2d_numpy(Q, c, lo, hi, wl1, step0, n0, step1, n1, tol, snap,
 # grid argmin of the composite objective for box/L1 quadratics
 # ---------------------------------------------------------------------------
 
-def _qp_phi_argmin_1d_loop(q, c, lo, hi, wl1, step, n_pts):
-    best = math.inf
-    arg = lo
-    for i in range(n_pts):
-        u = hi if i == n_pts - 1 else lo + i * step
-        v = 0.5 * q * u * u + c * u + wl1 * abs(u)
-        if v < best:
-            best = v
-            arg = u
-    return arg, best
-
-
-def _qp_phi_argmin_2d_loop(Q, c, lo, hi, wl1, step0, n0, step1, n1):
-    best = math.inf
-    a0 = lo[0]
-    a1 = lo[1]
-    for i in range(n0):
-        u0 = hi[0] if i == n0 - 1 else lo[0] + i * step0
-        for j in range(n1):
-            u1 = hi[1] if j == n1 - 1 else lo[1] + j * step1
-            v = (0.5 * (Q[0, 0] * u0 * u0 + (Q[0, 1] + Q[1, 0]) * u0 * u1
-                        + Q[1, 1] * u1 * u1)
-                 + c[0] * u0 + c[1] * u1 + wl1 * (abs(u0) + abs(u1)))
-            if v < best:
-                best = v
-                a0 = u0
-                a1 = u1
-    return a0, a1, best
-
-
-def _qp_phi_argmin_1d_numpy(q, c, lo, hi, wl1, step, n_pts):
+def qp_phi_argmin_1d(q, c, lo, hi, wl1, step, n_pts):
     u = lo + step * np.arange(n_pts)
     u[-1] = hi
     v = 0.5 * q * u * u + c * u + wl1 * np.abs(u)
@@ -334,7 +194,7 @@ def _qp_phi_argmin_1d_numpy(q, c, lo, hi, wl1, step, n_pts):
     return u[i], v[i]
 
 
-def _qp_phi_argmin_2d_numpy(Q, c, lo, hi, wl1, step0, n0, step1, n1):
+def qp_phi_argmin_2d(Q, c, lo, hi, wl1, step0, n0, step1, n1):
     u1 = lo[1] + step1 * np.arange(n1)
     u1[-1] = hi[1]
     best = math.inf
@@ -363,35 +223,7 @@ def _qp_phi_argmin_2d_numpy(Q, c, lo, hi, wl1, step0, n0, step1, n1):
 # grid argmin of an isotropic quadratic 0.5*kappa*||u||^2 + b.u on a rectangle
 # ---------------------------------------------------------------------------
 
-def _iso_quad_argmin_1d_loop(kappa, b, lo, hi, step, n_pts):
-    best = math.inf
-    arg = lo
-    for i in range(n_pts):
-        u = hi if i == n_pts - 1 else lo + i * step
-        v = 0.5 * kappa * u * u + b * u
-        if v < best:
-            best = v
-            arg = u
-    return arg, best
-
-
-def _iso_quad_argmin_2d_loop(kappa, b, lo, hi, step0, n0, step1, n1):
-    best = math.inf
-    a0 = lo[0]
-    a1 = lo[1]
-    for i in range(n0):
-        u0 = hi[0] if i == n0 - 1 else lo[0] + i * step0
-        for j in range(n1):
-            u1 = hi[1] if j == n1 - 1 else lo[1] + j * step1
-            v = 0.5 * kappa * (u0 * u0 + u1 * u1) + b[0] * u0 + b[1] * u1
-            if v < best:
-                best = v
-                a0 = u0
-                a1 = u1
-    return a0, a1, best
-
-
-def _iso_quad_argmin_1d_numpy(kappa, b, lo, hi, step, n_pts):
+def iso_quad_argmin_1d(kappa, b, lo, hi, step, n_pts):
     u = lo + step * np.arange(n_pts)
     u[-1] = hi
     v = 0.5 * kappa * u * u + b * u
@@ -399,7 +231,7 @@ def _iso_quad_argmin_1d_numpy(kappa, b, lo, hi, step, n_pts):
     return u[i], v[i]
 
 
-def _iso_quad_argmin_2d_numpy(kappa, b, lo, hi, step0, n0, step1, n1):
+def iso_quad_argmin_2d(kappa, b, lo, hi, step0, n0, step1, n1):
     u1 = lo[1] + step1 * np.arange(n1)
     u1[-1] = hi[1]
     best = math.inf
@@ -420,60 +252,3 @@ def _iso_quad_argmin_2d_numpy(kappa, b, lo, hi, step0, n0, step1, n1):
             a0 = float(u0[r])
             a1 = float(u1[s])
     return a0, a1, best
-
-
-# ---------------------------------------------------------------------------
-# lane binding
-# ---------------------------------------------------------------------------
-
-_PY_IMPLS = {
-    "schedule_scan": _schedule_scan_loop,
-    "history_margin": _history_margin_numpy,
-    "qp_scan_1d": _qp_scan_1d_numpy,
-    "qp_scan_2d": _qp_scan_2d_numpy,
-    "qp_phi_argmin_1d": _qp_phi_argmin_1d_numpy,
-    "qp_phi_argmin_2d": _qp_phi_argmin_2d_numpy,
-    "iso_quad_argmin_1d": _iso_quad_argmin_1d_numpy,
-    "iso_quad_argmin_2d": _iso_quad_argmin_2d_numpy,
-}
-
-if HAS_NUMBA:
-    # The scan loops call _interval_dist through the module global, so the
-    # global is rebound to its compiled form before those loops first compile.
-    # The numpy lane only ever uses _interval_dist_vec and is unaffected.
-    _interval_dist = njit(cache=True)(_interval_dist)
-    _NB_IMPLS = {
-        "schedule_scan": njit(cache=True)(_schedule_scan_loop),
-        "history_margin": njit(cache=True)(_history_margin_loop),
-        "qp_scan_1d": njit(cache=True)(_qp_scan_1d_loop),
-        "qp_scan_2d": njit(cache=True)(_qp_scan_2d_loop),
-        "qp_phi_argmin_1d": njit(cache=True)(_qp_phi_argmin_1d_loop),
-        "qp_phi_argmin_2d": njit(cache=True)(_qp_phi_argmin_2d_loop),
-        "iso_quad_argmin_1d": njit(cache=True)(_iso_quad_argmin_1d_loop),
-        "iso_quad_argmin_2d": njit(cache=True)(_iso_quad_argmin_2d_loop),
-    }
-else:  # pragma: no cover
-    _NB_IMPLS = None
-
-
-def get_impl(name: str, backend: str):
-    """Fetch a kernel by name for an explicit lane ("numba" or "numpy")."""
-    if backend == "numpy":
-        return _PY_IMPLS[name]
-    if backend == "numba":
-        if _NB_IMPLS is None:
-            raise ImportError("numba lane requested but numba is unavailable")
-        return _NB_IMPLS[name]
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-_ACTIVE = _PY_IMPLS if BACKEND == "numpy" else _NB_IMPLS
-
-schedule_scan = _ACTIVE["schedule_scan"]
-history_margin = _ACTIVE["history_margin"]
-qp_scan_1d = _ACTIVE["qp_scan_1d"]
-qp_scan_2d = _ACTIVE["qp_scan_2d"]
-qp_phi_argmin_1d = _ACTIVE["qp_phi_argmin_1d"]
-qp_phi_argmin_2d = _ACTIVE["qp_phi_argmin_2d"]
-iso_quad_argmin_1d = _ACTIVE["iso_quad_argmin_1d"]
-iso_quad_argmin_2d = _ACTIVE["iso_quad_argmin_2d"]

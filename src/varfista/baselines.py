@@ -3,9 +3,10 @@
 ``run_fista_constant`` is the constant-stepsize accelerated method: the same
 weight schedule, extrapolation, prox step, anchor update, and residual as the
 adaptive solver, with the stepsize frozen and the concavity weight at zero.
-It deliberately calls the adaptive solver's step functions so that, whenever
-the adaptive run never shrinks its stepsize and never escalates (convex
-input, small enough lambda0), the two iterate sequences agree bit-for-bit.
+It calls the same step functions as the adaptive ``solve`` (candidate prox
+step, U quotient, anchor update, residual), so whenever the adaptive run
+never shrinks its stepsize and never escalates (convex input, small enough
+lambda0), the two iterate sequences agree bit-for-bit.
 
 ``run_prox_gradient`` is plain forward-backward splitting, the unaccelerated
 floor for benchmark comparisons.
@@ -20,7 +21,8 @@ import numpy as np
 
 from .momentum import A0_DEFAULT, advance, extrapolate
 from .problems import Array, Certificate, CompositeProblem
-from .solver import IterationTrace, compute_candidate, compute_v, compute_x
+from .solver import (IterationTrace, SolverConfig, compute_candidate,
+                     compute_U, compute_v, compute_x)
 
 __all__ = ["BaselineConfig", "run_fista_constant", "run_prox_gradient"]
 
@@ -90,12 +92,8 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
 
         f_y = smooth.value(y_next)
         phi_y = f_y + reg.value(y_next)
-        d = y_next - x_tilde
-        den = float(d @ d)
-        U = 0.0
-        if den > 1e-12 * (1.0 + float(x_tilde @ x_tilde)):
-            lin = smooth.value(x_tilde) + float(g_xt @ d)
-            U = 2.0 * (f_y - lin) / den
+        U = compute_U(y_next, f_y, x_tilde, smooth.value(x_tilde), g_xt,
+                      float(x_tilde @ x_tilde), SolverConfig.denom_epsilon)
         if phi_y < phi_min:
             phi_min = phi_y
             y_best = y_next

@@ -29,22 +29,6 @@ def advance(A: float):
     return a, A + a
 
 
-@dataclass
-class Schedule:
-    """Stateful view of the weight recursion: A after k steps from A0."""
-
-    A: float = A0_DEFAULT
-    k: int = 0
-    A0: float = A0_DEFAULT
-
-    def step(self):
-        """Advance in place; returns (a, A_next)."""
-        a, A_next = advance(self.A)
-        self.A = A_next
-        self.k += 1
-        return a, A_next
-
-
 def extrapolate(A_prev: float, A_next: float, a: float, y_prev: Array,
                 x_prev: Array) -> Array:
     """Momentum point (A_prev * y_prev + a * x_prev) / A_next."""

@@ -27,7 +27,7 @@ certifies v_k in grad f(y_k) + sub-diff h(y_k); the run stops once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -36,8 +36,8 @@ from .momentum import A0_DEFAULT, advance, extrapolate
 from .problems import Array, Certificate, CompositeProblem, phi
 
 __all__ = [
-    "SolverConfig", "LinearizationRecord", "HistoryLedger", "SolverState",
-    "IterationTrace", "TRACE_HEADER", "solve", "compute_candidate",
+    "SolverConfig", "LinearizationRecord", "HistoryLedger", "IterationTrace",
+    "TRACE_HEADER", "solve", "compute_candidate",
     "compute_U", "update_best", "compute_L", "step_k3_conditions",
     "update_subroutine", "compute_x", "compute_v",
     "history_inequality_violated",
@@ -233,23 +233,6 @@ class HistoryLedger:
         return best
 
 
-@dataclass
-class SolverState:
-    """Mutable cross-iteration state (values cached to avoid re-evaluation)."""
-
-    k: int
-    A: float
-    y: Array
-    x: Array
-    ymin: Array
-    phi_ymin: float
-    lam: float
-    xi: float
-    L: float
-    f_y: float  # f at y (the t1 gap term reuses it next iteration)
-    f_ymin: float
-
-
 class IterationTrace:
     """Per accepted iteration scalars, plus the iterate vectors for audits."""
 
@@ -337,20 +320,17 @@ def _guarded_ratio(num: float, den: float, x_tilde_norm2: float,
     return num / den
 
 
-def compute_U(problem: CompositeProblem, y: Array,
-              record: LinearizationRecord, denom_epsilon: float,
-              f_y: Optional[float] = None) -> float:
+def compute_U(y: Array, f_y: float, x_tilde: Array, f_xt: float, g_xt: Array,
+              xn2: float, denom_epsilon: float) -> float:
     """Local upper-curvature estimate 2[f(y) - lin_f(y; x_tilde)]/||y-x_tilde||^2.
 
-    Returns 0 when y is too close to x_tilde for the ratio to be meaningful
-    (squared distance <= denom_epsilon * (1 + ||x_tilde||^2)).
+    ``f_xt`` and ``g_xt`` are f and grad f at x_tilde, ``xn2`` is
+    ||x_tilde||^2.  Returns 0 when y is too close to x_tilde for the ratio to
+    be meaningful (squared distance <= denom_epsilon * (1 + xn2)).
     """
-    if f_y is None:
-        f_y = problem.smooth.value(y)
-    d = y - record.x_tilde
+    d = y - x_tilde
     den = float(d @ d)
-    lin = record.f_at + float(record.grad_at @ d)
-    xn2 = float(record.x_tilde @ record.x_tilde)
+    lin = f_xt + float(g_xt @ d)
     return _guarded_ratio(2.0 * (f_y - lin), den, xn2, denom_epsilon)
 
 
@@ -369,7 +349,12 @@ def update_best(phi_cand: float, y_cand: Array, phi_best: float,
 def _gap_term(record_x: Array, record_f: float, record_g: Array,
               record_xn2: float, u: Array, f_u: float,
               denom_epsilon: float) -> float:
-    """2[lin_f(u; x_tilde_i) - f(u)]/||u - x_tilde_i||^2 with the usual guard."""
+    """2[lin_f(u; x_tilde_i) - f(u)]/||u - x_tilde_i||^2 with the usual guard.
+
+    The one-record shape of ``HistoryLedger._gap_terms``: the same expression
+    for a single record, which costs less than a one-row ``_gap_terms`` call
+    for the single t1 term of ``compute_L``.
+    """
     d = u - record_x
     den = float(np.einsum("i,i->", d, d))
     lin = record_f + float(np.einsum("i,i->", record_g, d))
@@ -386,8 +371,8 @@ def compute_L(ledger: HistoryLedger, y_prev: Array, f_y_prev: float,
     previous L, and 0.
     """
     k = ledger.n_records
-    cur = ledger.record(k)
-    t1 = _gap_term(cur.x_tilde, cur.f_at, cur.grad_at,
+    X, F, G = ledger.record_arrays(k)
+    t1 = _gap_term(X[k - 1], float(F[k - 1]), G[k - 1],
                    ledger.x_tilde_norm2(k), y_prev, f_y_prev, denom_epsilon)
     t2 = ledger.ymin_ratio_max(ymin, f_ymin, denom_epsilon)
     return max(t1, t2, L_prev, 0.0)
@@ -477,24 +462,31 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
 
     smooth = problem.smooth
     reg = problem.regularizer
-    f_y0 = smooth.value(y0)
 
     ledger = HistoryLedger(problem.dimension, config.lambda0)
     trace = IterationTrace()
-    state = SolverState(k=0, A=config.A0, y=y0, x=y0.copy(), ymin=y0,
-                        phi_ymin=phi0, lam=config.lambda0, xi=0.0, L=0.0,
-                        f_y=f_y0, f_ymin=f_y0)
     prox_calls = 0
     grad_calls = 0
 
+    # carried across outer iterations: the last accepted values
+    A = config.A0
     y = y0
+    x = y0.copy()
+    f_y = smooth.value(y0)
+    ymin = y0
+    phi_ymin = phi0
+    f_ymin = f_y
+    lam = config.lambda0
+    xi = 0.0
+    L = 0.0
+    k = 0
     v = np.zeros_like(y0)
     resid = math.inf
     converged = False
 
     for k in range(1, config.max_outer_iterations + 1):
-        a, A_next = advance(state.A)
-        x_tilde = extrapolate(state.A, A_next, a, state.y, state.x)
+        a, A_next = advance(A)
+        x_tilde = extrapolate(A, A_next, a, y, x)
         f_xt = smooth.value(x_tilde)
         g_xt = smooth.grad(x_tilde)
         grad_calls += 1
@@ -503,76 +495,55 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
 
         lam_hist = ledger.lam_history()
         tau_hist = ledger.tau_history()
-        lam_try = state.lam
-        xi_try = state.xi
-        ymin_run = state.ymin
-        phi_ymin_run = state.phi_ymin
-        f_ymin_run = state.f_ymin
+        y_prev = y
+        f_y_prev = f_y
         repeats = 0
 
         while True:
-            tau = 2.0 * xi_try * lam_try / a
-            s = lam_try / (1.0 + tau)
-            y = reg.prox(x_tilde - s * g_xt, s)
+            y, tau = compute_candidate(problem, x_tilde, lam, xi, a, g_xt)
             prox_calls += 1
             f_y = smooth.value(y)
             phi_y = f_y + reg.value(y)
+            U = compute_U(y, f_y, x_tilde, f_xt, g_xt, xn2,
+                          config.denom_epsilon)
 
-            d = y - x_tilde
-            den = float(d @ d)
-            lin_y = f_xt + float(g_xt @ d)
-            U = _guarded_ratio(2.0 * (f_y - lin_y), den, xn2,
+            phi_ymin, ymin, changed = update_best(phi_y, y, phi_ymin, ymin)
+            if changed:
+                f_ymin = f_y
+
+            L_cand = compute_L(ledger, y_prev, f_y_prev, ymin, f_ymin, L,
                                config.denom_epsilon)
 
-            phi_ymin_run, ymin_run, changed = update_best(
-                phi_y, y, phi_ymin_run, ymin_run)
-            if changed:
-                f_ymin_run = f_y
-
-            L_cand = compute_L(ledger, state.y, state.f_y, ymin_run,
-                               f_ymin_run, state.L, config.denom_epsilon)
-
-            if not step_k3_conditions(U, lam_try, xi_try, tau, L_cand,
-                                      lam_hist, tau_hist, config.gamma):
+            if not step_k3_conditions(U, lam, xi, tau, L_cand, lam_hist,
+                                      tau_hist, config.gamma):
                 break
             if repeats >= config.max_inner_repeats_per_iteration:
                 raise RuntimeError(
                     f"iteration {k}: inner repeat cap "
                     f"{config.max_inner_repeats_per_iteration} exhausted; "
                     "value/gradient oracles are likely inconsistent")
-            xi_try, lam_try = update_subroutine(
-                xi_try, lam_try, U, L_cand, tau, lam_hist, tau_hist,
-                config.theta, config.gamma)
+            xi, lam = update_subroutine(xi, lam, U, L_cand, tau, lam_hist,
+                                        tau_hist, config.theta, config.gamma)
             repeats += 1
 
         # commit the accepted iteration
-        ledger.commit(lam_try, tau)
-        x = compute_x(problem, state.A, A_next, a, tau, y, state.y)
+        ledger.commit(lam, tau)
+        x = compute_x(problem, A, A_next, a, tau, y, y_prev)
         g_y = smooth.grad(y)
         grad_calls += 1
-        v = compute_v(x_tilde, y, g_y, g_xt, lam_try, tau)
+        v = compute_v(x_tilde, y, g_y, g_xt, lam, tau)
         resid = float(np.linalg.norm(v))
 
-        trace.append(k, a, A_next, lam_try, xi_try, tau, U, L_cand, resid,
-                     phi_y, phi_ymin_run, repeats, x, y, ymin_run)
-
-        state.k = k
-        state.A = A_next
-        state.f_y = f_y
-        state.y = y
-        state.x = x
-        state.ymin = ymin_run
-        state.phi_ymin = phi_ymin_run
-        state.f_ymin = f_ymin_run
-        state.lam = lam_try
-        state.xi = xi_try
-        state.L = L_cand
+        trace.append(k, a, A_next, lam, xi, tau, U, L_cand, resid, phi_y,
+                     phi_ymin, repeats, x, y, ymin)
+        A = A_next
+        L = L_cand
 
         if resid <= config.rho_hat:
             converged = True
             break
 
     cert = Certificate(y_hat=y.copy(), v_hat=v.copy(), residual_norm=resid,
-                       iterations=state.k, prox_calls=prox_calls,
+                       iterations=k, prox_calls=prox_calls,
                        grad_calls=grad_calls, converged=converged)
     return cert, trace, ledger

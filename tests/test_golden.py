@@ -1,0 +1,57 @@
+"""Golden solve traces: one sha256 over the outputs of a fixed set of runs.
+
+Covers the adaptive solver on the clean audit corpus (starts drawn as
+``run_audit_suite`` draws them) and on four n=200 indefinite instances, plus
+both constant-step baselines on the first six corpus instances.  Each run
+contributes its trace CSV bytes, ``y_hat``, ``v_hat`` and the certificate
+counters.  A refactor that keeps every output bit for bit keeps the hash.
+"""
+
+import hashlib
+
+import numpy as np
+
+from varfista.audit import audit_corpus
+from varfista.baselines import (BaselineConfig, run_fista_constant,
+                                run_prox_gradient)
+from varfista.gallery import QuadraticSpec, default_start, generate_qp
+from varfista.solver import SolverConfig, solve
+
+SOLVE_TRACE_SHA256 = \
+    "9644f6d2000b76e55a4aff131fad8297747ce6cc8030de7dfc2727016026a4db"
+
+
+def _feed(h, path, cert, trace):
+    trace.write_csv(str(path))
+    h.update(path.read_bytes())
+    h.update(cert.y_hat.tobytes())
+    h.update(cert.v_hat.tobytes())
+    h.update(repr((cert.iterations, cert.prox_calls, cert.grad_calls,
+                   cert.converged)).encode())
+
+
+def test_solve_traces_match_golden_hash(tmp_path):
+    h = hashlib.sha256()
+    path = tmp_path / "trace.csv"
+    corpus = audit_corpus(20, 0)
+    rng = np.random.default_rng(0 ^ 0x5eed)
+    starts = []
+    for problem in corpus:
+        lo, hi = problem.regularizer.domain_box
+        starts.append(lo + rng.random(problem.dimension) * (hi - lo))
+    cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
+    for problem, y0 in zip(corpus, starts):
+        cert, trace, _ = solve(problem, cfg, y0)
+        _feed(h, path, cert, trace)
+    for seed in range(4):
+        problem = generate_qp(QuadraticSpec(n=200, eig_lo=-1.0,
+                                            eig_hi=100.0, seed=seed))
+        cert, trace, _ = solve(problem, SolverConfig(rho_hat=1e-6),
+                               default_start(problem))
+        _feed(h, path, cert, trace)
+    base = BaselineConfig(step=0.05, max_outer_iterations=3000)
+    for problem, y0 in zip(corpus[:6], starts[:6]):
+        for run in (run_fista_constant, run_prox_gradient):
+            cert, trace = run(problem, base, y0)
+            _feed(h, path, cert, trace)
+    assert h.hexdigest() == SOLVE_TRACE_SHA256

@@ -1,14 +1,12 @@
 """Momentum schedule recursion and its growth guarantees."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varfista.momentum import (A0_DEFAULT, Schedule, advance,
-                               check_schedule_bounds, extrapolate)
+from varfista.momentum import (A0_DEFAULT, advance, check_schedule_bounds,
+                               extrapolate)
 
 
 def test_first_step_is_exact():
@@ -35,17 +33,6 @@ def test_advance_root_property(A_prev):
     assert a > 1.0
     assert abs(a * a - a - A_prev) <= 1e-9 * max(1.0, A_prev)
     assert A_new == A_prev + a
-
-
-def test_schedule_step_tracks_state():
-    sched = Schedule(A=A0_DEFAULT)
-    a1, A1 = sched.step()
-    assert a1 == 4.0
-    assert A1 == 16.0 and sched.A == 16.0
-    assert sched.k == 1
-    a2, _ = sched.step()
-    assert a2 == pytest.approx((1.0 + math.sqrt(65.0)) / 2.0)
-    assert sched.k == 2
 
 
 def test_extrapolate_hand_value():
@@ -108,9 +95,9 @@ def test_check_schedule_bounds_rejects_bad_args():
 
 
 def test_schedule_monotone_growth():
-    sched = Schedule(A=A0_DEFAULT)
+    A = A0_DEFAULT
     prev_a = 0.0
     for _ in range(500):
-        a, _ = sched.step()
+        a, A = advance(A)
         assert a > prev_a
         prev_a = a

@@ -9,10 +9,10 @@ from varfista.gallery import generate_qp, QuadraticSpec, default_start
 from varfista.problems import CompositeProblem, SmoothOracle, phi
 from varfista.prox import BoxIndicator, ZeroRegularizer, identity_projector
 from varfista.solver import (TRACE_HEADER, HistoryLedger, IterationTrace,
-                             LinearizationRecord, SolverConfig,
-                             compute_candidate, compute_L, compute_U,
-                             compute_v, compute_x, history_inequality_violated,
-                             solve, step_k3_conditions, update_best,
+                             SolverConfig, compute_candidate, compute_L,
+                             compute_U, compute_v, compute_x,
+                             history_inequality_violated, solve,
+                             step_k3_conditions, update_best,
                              update_subroutine)
 
 EPS = 1e-12
@@ -81,10 +81,15 @@ def test_compute_U_quadratic_recovers_curvature():
         SmoothOracle(lambda u: float(u[0] ** 2),
                      lambda u: np.array([2.0 * u[0]])),
         ZeroRegularizer(1, bound=10.0), identity_projector(), 1)
-    rec = LinearizationRecord(np.array([0.0]), 0.0, np.array([0.0]), 1)
-    assert compute_U(prob, np.array([2.0]), rec, EPS) == 2.0
+    x_tilde = np.array([0.0])
+    f_xt = prob.smooth.value(x_tilde)
+    g_xt = prob.smooth.grad(x_tilde)
+    xn2 = float(x_tilde @ x_tilde)
+    y = np.array([2.0])
+    assert compute_U(y, prob.smooth.value(y), x_tilde, f_xt, g_xt, xn2,
+                     EPS) == 2.0
     # guard: candidate equal to the momentum point
-    assert compute_U(prob, np.array([0.0]), rec, EPS) == 0.0
+    assert compute_U(x_tilde, f_xt, x_tilde, f_xt, g_xt, xn2, EPS) == 0.0
 
 
 def test_update_best_tie_keeps_incumbent():
@@ -313,7 +318,10 @@ def test_solve_traces_match_op_recomputation():
     assert cert.converged
     for i in range(len(trace)):
         rec = ledger.record(i + 1)
-        U = compute_U(prob, trace.ys[i], rec, cfg.denom_epsilon)
+        y = trace.ys[i]
+        U = compute_U(y, prob.smooth.value(y), rec.x_tilde, rec.f_at,
+                      rec.grad_at, float(rec.x_tilde @ rec.x_tilde),
+                      cfg.denom_epsilon)
         assert U == trace.U[i]
 
 
