@@ -234,7 +234,10 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         carry = u_bytes == prev_bytes
         start = kk - 1 if carry else 0
         if not carry:
-            f_u = float(problem.smooth.value(u))
+            # an accepted y_k has its value in f_ys; a best point that is a
+            # rejected trial point needs its own
+            f_u = float(f_ys[kk - 1]) if u is trace.ys[kk - 1] \
+                else float(problem.smooth.value(u))
         terms = ledger.linearization_gaps(kk, u, f_u, eps_cfg, start=start)
         t2 = float(np.max(terms))
 

@@ -81,6 +81,7 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
         x_tilde = extrapolate(A, A_next, a, y, x)
         g_xt = smooth.grad(x_tilde)
         grad_calls += 1
+        f_xt = smooth.value(x_tilde)
         y_next, tau = compute_candidate(problem, x_tilde, step, 0.0, a,
                                         grad_x_tilde=g_xt)
         prox_calls += 1
@@ -92,7 +93,7 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
 
         f_y = smooth.value(y_next)
         phi_y = f_y + reg.value(y_next)
-        U = compute_U(y_next, f_y, x_tilde, smooth.value(x_tilde), g_xt,
+        U = compute_U(y_next, f_y, x_tilde, f_xt, g_xt,
                       float(x_tilde @ x_tilde), SolverConfig.denom_epsilon)
         if phi_y < phi_min:
             phi_min = phi_y

@@ -56,6 +56,16 @@ class QuadraticOracle:
 
     Exposing Q and c lets the dense-grid oracles evaluate millions of grid
     points without going through the scalar callables.
+
+    ``value`` and ``grad`` share a one-slot memo of the product Q @ u: a
+    call reuses the stored product when ``u`` is the very array object of
+    the previous call and its bytes are unchanged, and computes it afresh
+    otherwise.  A reused product therefore comes from the same memory as a
+    fresh one and equals it bit for bit, and a caller that mutates ``u`` in
+    place gets a fresh product.  So ``solve``, which asks for f and grad f
+    at the same momentum point and for grad f at the accepted trial point
+    it just evaluated, makes one product with Q per evaluated point.  The
+    memo is unguarded state: do not share one oracle across threads.
     """
 
     def __init__(self, Q: Array, c: Array,
@@ -77,15 +87,26 @@ class QuadraticOracle:
                 audit_curvature = float(max(0.0, -np.min(eigs)))
         self.audit_lipschitz = audit_lipschitz
         self.audit_curvature = audit_curvature
+        self._memo_u: Optional[Array] = None
+        self._memo_bytes = b""
+        self._memo_Qu: Optional[Array] = None
         # callable-field view of the oracle interface
         self.value_fn = self.value
         self.grad_fn = self.grad
 
+    def _Qu(self, u: Array) -> Array:
+        """Q @ u, reused when u is the previous call's array, unmutated."""
+        if u is self._memo_u and u.tobytes() == self._memo_bytes:
+            return self._memo_Qu
+        Qu = self.Q @ u
+        self._memo_u, self._memo_bytes, self._memo_Qu = u, u.tobytes(), Qu
+        return Qu
+
     def value(self, u: Array) -> float:
-        return float(0.5 * (u @ (self.Q @ u)) + self.c @ u)
+        return float(0.5 * (u @ self._Qu(u)) + self.c @ u)
 
     def grad(self, u: Array) -> Array:
-        return self.Q @ u + self.c
+        return self._Qu(u) + self.c
 
 
 def generate_qp(spec: QuadraticSpec) -> CompositeProblem:

@@ -378,37 +378,58 @@ def compute_L(ledger: HistoryLedger, y_prev: Array, f_y_prev: float,
     return max(t1, t2, L_prev, 0.0)
 
 
+def _committed_pairs_violated(xi: float, L: float, lam_hist: Array,
+                              tau_hist: Array) -> bool:
+    """True when xi * lam_{i-1} < L * lam_i + tau_i for a committed i."""
+    return bool(np.any(xi * lam_hist[:-1] < L * lam_hist[1:] + tau_hist))
+
+
 def history_inequality_violated(xi: float, lam: float, tau: float, L: float,
-                                lam_hist: Array, tau_hist: Array) -> bool:
+                                lam_hist: Array, tau_hist: Array,
+                                L_committed: float = math.nan) -> bool:
     """True when xi * lam_{i-1} < L * lam_i + tau_i fails somewhere.
 
     The current trial (lam, tau) plays the role of index k against the last
     committed stepsize; committed pairs cover i = 1..k-1.  Comparisons are
     strict, in exact floating point.
+
+    ``L_committed`` is the L every committed pair passed with, together with
+    an xi no larger than this one (in ``solve``: the last accepted L and xi,
+    since xi never decreases).  When L equals it, no committed pair can
+    fail: lam_{i-1} > 0 and rounding is monotone, so
+    fl(xi * lam_{i-1}) >= fl(xi_c * lam_{i-1}) >= fl(L * lam_i + tau_i), and
+    only the trial pair is checked, in O(1).  Any other L, and the default
+    NaN (no such certificate), scans every committed pair.
     """
     if xi * lam_hist[-1] < L * lam + tau:
         return True
-    if tau_hist.shape[0]:
-        return bool(np.any(xi * lam_hist[:-1] < L * lam_hist[1:] + tau_hist))
+    if tau_hist.shape[0] and L != L_committed:
+        return _committed_pairs_violated(xi, L, lam_hist, tau_hist)
     return False
 
 
 def step_k3_conditions(U: float, lam: float, xi: float, tau: float, L: float,
-                       lam_hist: Array, tau_hist: Array,
-                       gamma: float) -> bool:
-    """True when the candidate must be re-tried with updated (xi, lam)."""
+                       lam_hist: Array, tau_hist: Array, gamma: float,
+                       L_committed: float = math.nan) -> bool:
+    """True when the candidate must be re-tried with updated (xi, lam).
+
+    ``L_committed`` is passed on to ``history_inequality_violated``.
+    """
     if U * lam > gamma:
         return True
-    return history_inequality_violated(xi, lam, tau, L, lam_hist, tau_hist)
+    return history_inequality_violated(xi, lam, tau, L, lam_hist, tau_hist,
+                                       L_committed)
 
 
 def update_subroutine(xi: float, lam: float, U: float, L: float, tau: float,
                       lam_hist: Array, tau_hist: Array, theta: float,
-                      gamma: float) -> Tuple[float, float]:
+                      gamma: float, L_committed: float = math.nan
+                      ) -> Tuple[float, float]:
     """Shrink lam and/or escalate xi; returns (xi_new, lam_new).
 
     The stepsize is updated first; the escalation check then runs against
-    the updated stepsize but the passed-in tau.
+    the updated stepsize but the passed-in tau.  ``L_committed`` is passed
+    on to ``history_inequality_violated``.
     """
     lam_new = lam
     if U * lam > gamma:
@@ -416,7 +437,8 @@ def update_subroutine(xi: float, lam: float, U: float, L: float, tau: float,
         if not U > 0.0:
             raise RuntimeError("stepsize shrink requested with U <= 0")
         lam_new = min(lam / theta, gamma / U)
-    if history_inequality_violated(xi, lam_new, tau, L, lam_hist, tau_hist):
+    if history_inequality_violated(xi, lam_new, tau, L, lam_hist, tau_hist,
+                                   L_committed):
         xi = 1.0 if xi == 0.0 else 2.0 * xi
     return xi, lam_new
 
@@ -515,7 +537,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
                                config.denom_epsilon)
 
             if not step_k3_conditions(U, lam, xi, tau, L_cand, lam_hist,
-                                      tau_hist, config.gamma):
+                                      tau_hist, config.gamma, L):
                 break
             if repeats >= config.max_inner_repeats_per_iteration:
                 raise RuntimeError(
@@ -523,7 +545,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
                     f"{config.max_inner_repeats_per_iteration} exhausted; "
                     "value/gradient oracles are likely inconsistent")
             xi, lam = update_subroutine(xi, lam, U, L_cand, tau, lam_hist,
-                                        tau_hist, config.theta, config.gamma)
+                                        tau_hist, config.theta, config.gamma,
+                                        L)
             repeats += 1
 
         # commit the accepted iteration

@@ -7,8 +7,10 @@ from varfista.gallery import (QuadraticOracle, QuadraticSpec,
                               active_set_stationary, brute_force_stationary,
                               default_start, generate_qp, global_min_phi,
                               load_instance, make_qp_problem, save_instance)
+from varfista.audit import audit_corpus
 from varfista.problems import phi
 from varfista.prox import L1PlusBox
+from varfista.solver import SolverConfig, solve
 
 
 def test_generated_spectrum_is_reproduced():
@@ -218,3 +220,81 @@ def test_load_rejects_foreign_documents(tmp_path):
     path.write_text('{"format": "something-else"}\n')
     with pytest.raises(ValueError):
         load_instance(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the one-slot Q @ u memo of QuadraticOracle
+# ---------------------------------------------------------------------------
+
+class _CountingMatrix(np.ndarray):
+    """A view of Q that counts the products taken with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.asarray(self) @ other
+
+
+def _counted(oracle):
+    oracle.Q = oracle.Q.view(_CountingMatrix)
+    return oracle.Q
+
+
+def _oracle(n=300, seed=0):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    return QuadraticOracle(M + M.T, rng.standard_normal(n), 1.0, 0.0), rng
+
+
+def test_memo_recomputes_after_in_place_mutation():
+    oracle, rng = _oracle()
+    Q, c = oracle.Q.copy(), oracle.c
+    u = rng.standard_normal(Q.shape[0])
+    oracle.value(u)
+    u[3] += 1.0
+    assert np.array_equal(oracle.grad(u), Q @ u + c)
+    u[7] -= 2.0
+    assert oracle.value(u) == float(0.5 * (u @ (Q @ u)) + c @ u)
+
+
+def test_memo_keys_on_identity_not_on_bytes():
+    oracle, rng = _oracle()
+    Q = _counted(oracle)
+    u = rng.standard_normal(Q.shape[0])
+    oracle.value(u)
+    oracle.grad(u)
+    assert Q.products == 1
+    oracle.grad(u.copy())  # equal bytes, another array: a fresh product
+    assert Q.products == 2
+    oracle.value(u)  # the slot now holds the copy
+    assert Q.products == 3
+
+
+def test_memo_results_equal_a_memo_free_evaluation_bit_for_bit():
+    oracle, rng = _oracle()
+    Q, c = oracle.Q.copy(), oracle.c
+    points = [rng.standard_normal(Q.shape[0]) for _ in range(3)]
+    for u in points + points[::-1]:
+        for _ in range(2):  # a miss, then a hit
+            g = oracle.grad(u)
+            assert np.array_equal(g, Q @ u + c)
+            assert oracle.value(u) == float(0.5 * (u @ (Q @ u)) + c @ u)
+            assert oracle.grad(u) is not g  # the stored product stays inside
+
+
+@pytest.mark.parametrize("which", ["corpus", "n200"])
+def test_solve_takes_one_product_per_evaluated_point(which):
+    # the call sequence without the memo takes 2 + 3K + prox_calls products
+    if which == "corpus":
+        problem = audit_corpus(2, 0)[1]
+        cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
+    else:
+        problem = generate_qp(QuadraticSpec(n=200, eig_lo=-1.0, eig_hi=100.0,
+                                            seed=1))
+        cfg = SolverConfig(rho_hat=1e-6)
+    Q = _counted(problem.smooth)
+    cert, _, _ = solve(problem, cfg, default_start(problem))
+    assert cert.converged
+    assert cert.prox_calls > cert.iterations  # some trials were rejected
+    assert Q.products == 1 + cert.iterations + cert.prox_calls

@@ -2,9 +2,12 @@
 
 Covers the adaptive solver on the clean audit corpus (starts drawn as
 ``run_audit_suite`` draws them) and on four n=200 indefinite instances, plus
-both constant-step baselines on the first six corpus instances.  Each run
-contributes its trace CSV bytes, ``y_hat``, ``v_hat`` and the certificate
-counters.  A refactor that keeps every output bit for bit keeps the hash.
+both constant-step baselines on the first six corpus instances.  A second
+hash covers one run whose lower-curvature estimate L grows (from 0 at
+k=1162), the path on which the history check rescans committed pairs.  Each
+run contributes its trace CSV bytes, ``y_hat``, ``v_hat`` and the
+certificate counters.  A refactor that keeps every output bit for bit keeps
+the hashes.
 """
 
 import hashlib
@@ -19,6 +22,8 @@ from varfista.solver import SolverConfig, solve
 
 SOLVE_TRACE_SHA256 = \
     "9644f6d2000b76e55a4aff131fad8297747ce6cc8030de7dfc2727016026a4db"
+L_GROWTH_SHA256 = \
+    "6cbf26fad030c31659d0e181a1923f2bfdaf329120e849b4cc67a7bed24de20a"
 
 
 def _feed(h, path, cert, trace):
@@ -55,3 +60,17 @@ def test_solve_traces_match_golden_hash(tmp_path):
             cert, trace = run(problem, base, y0)
             _feed(h, path, cert, trace)
     assert h.hexdigest() == SOLVE_TRACE_SHA256
+
+
+def test_l_growth_trace_matches_golden_hash(tmp_path):
+    # strictly convex, but roundoff makes L positive at k=1162 and it then
+    # grows a few more times; each growth rescans the committed pairs
+    problem = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,
+                                        box=(-1000.0, 1000.0), seed=0))
+    cfg = SolverConfig(rho_hat=1e-2, max_outer_iterations=2000)
+    cert, trace, _ = solve(problem, cfg, default_start(problem))
+    assert trace.L[1160] == 0.0 < trace.L[1161]
+    assert len(set(trace.L)) > 2
+    h = hashlib.sha256()
+    _feed(h, tmp_path / "trace.csv", cert, trace)
+    assert h.hexdigest() == L_GROWTH_SHA256

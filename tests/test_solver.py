@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import varfista.solver as solver_mod
+from varfista.audit import audit_corpus
 from varfista.gallery import generate_qp, QuadraticSpec, default_start
 from varfista.problems import CompositeProblem, SmoothOracle, phi
 from varfista.prox import BoxIndicator, ZeroRegularizer, identity_projector
@@ -138,6 +142,92 @@ def test_history_inequality_strict_comparisons():
                                        tau_hist2)
     assert not history_inequality_violated(2.0, 0.5, 0.0, 1.0, lam_hist2,
                                            tau_hist2)
+
+
+def _full_scan(xi, lam, tau, L, lam_hist, tau_hist):
+    """The history inequality over every pair, written out directly."""
+    return bool(xi * lam_hist[-1] < L * lam + tau
+                or np.any(xi * lam_hist[:-1] < L * lam_hist[1:] + tau_hist))
+
+
+_pos = st.floats(1e-6, 1e3)
+_nonneg = st.floats(0.0, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), lams=st.lists(_pos, min_size=2, max_size=12),
+       L_c=st.one_of(st.just(0.0), _nonneg),
+       growth=st.one_of(st.just(0.0), st.just(0.0), _nonneg),
+       bump=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+       lam=_pos, tau=_nonneg)
+def test_history_shortcut_agrees_with_full_scan(data, lams, L_c, growth,
+                                                bump, lam, tau):
+    lam_hist = np.array(lams)
+    tau_hist = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), _nonneg), min_size=len(lams) - 1,
+        max_size=len(lams) - 1)))
+    # the least xi_c (up to a few ulps) at which every committed pair passes
+    xi_c = float(np.max((L_c * lam_hist[1:] + tau_hist) / lam_hist[:-1]))
+    while np.any(xi_c * lam_hist[:-1] < L_c * lam_hist[1:] + tau_hist):
+        xi_c = float(np.nextafter(xi_c, np.inf))
+    xi = xi_c * (1.0 + bump)
+    L = L_c + growth  # equal to L_c, or grown so committed pairs may fail
+    got = history_inequality_violated(xi, lam, tau, L, lam_hist, tau_hist,
+                                      L_c)
+    assert got == _full_scan(xi, lam, tau, L, lam_hist, tau_hist)
+    assert got == history_inequality_violated(xi, lam, tau, L, lam_hist,
+                                              tau_hist)
+
+
+def _shadow_solves():
+    """The golden-hash solves: a clean corpus and four n=200 indefinite."""
+    corpus = audit_corpus(20, 0)
+    rng = np.random.default_rng(0 ^ 0x5eed)
+    cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
+    for problem in corpus:
+        lo, hi = problem.regularizer.domain_box
+        yield problem, cfg, lo + rng.random(problem.dimension) * (hi - lo)
+    for seed in range(4):
+        problem = generate_qp(QuadraticSpec(n=200, eig_lo=-1.0,
+                                            eig_hi=100.0, seed=seed))
+        yield problem, SolverConfig(rho_hat=1e-6), default_start(problem)
+
+
+def test_history_shortcut_matches_full_scan_inside_solve(monkeypatch):
+    checked = history_inequality_violated
+    calls = {"all": 0, "shortcut": 0}
+
+    def shadow(xi, lam, tau, L, lam_hist, tau_hist, L_committed):
+        got = checked(xi, lam, tau, L, lam_hist, tau_hist, L_committed)
+        assert got == _full_scan(xi, lam, tau, L, lam_hist, tau_hist)
+        calls["all"] += 1
+        calls["shortcut"] += int(L == L_committed and tau_hist.shape[0] > 0)
+        return got
+
+    monkeypatch.setattr(solver_mod, "history_inequality_violated", shadow)
+    for problem, cfg, y0 in _shadow_solves():
+        solve(problem, cfg, y0)
+    assert calls["shortcut"] > 0.9 * calls["all"]
+
+
+def test_convex_runs_scan_no_committed_pair(monkeypatch):
+    scans = []
+    scan = solver_mod._committed_pairs_violated
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(solver_mod, "_committed_pairs_violated", counted)
+    corpus = audit_corpus(4, 0)  # convex, indefinite, convex, indefinite
+    cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
+    for problem in corpus[::2]:
+        cert, trace, _ = solve(problem, cfg, default_start(problem))
+        assert cert.converged and len(trace) > 10
+    assert scans == []
+    cert, trace, _ = solve(corpus[1], cfg, default_start(corpus[1]))
+    assert trace.L[-1] > 0.0
+    assert 0 < len(scans) < cert.prox_calls
 
 
 def test_step_k3_conditions_overshoot_triggers_retry():
