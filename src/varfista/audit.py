@@ -69,18 +69,16 @@ _REL = 1e-9  # relative slack for float comparisons against analytic constants
 _NOISE_MULT = 64.0
 
 
-def _t1_excess(t1: float, u, f_u: float, x_rec, f_rec: float, g_rec,
-               xn2: float, m_under: float, slack: float,
-               eps_cfg: float) -> float:
-    """Cap excess of the single previous-iterate gap quotient."""
-    if t1 == 0.0:
-        return -math.inf
-    d = u - x_rec
-    den = float(d @ d)
-    gd = abs(float(g_rec @ d))
-    env = _NOISE_MULT * float(np.finfo(np.float64).eps) * 2.0 \
-        * (abs(f_u) + abs(f_rec) + gd) / max(den, eps_cfg * (1.0 + xn2))
-    return t1 - env - m_under * (1.0 + slack)
+def _envelope(f_u, F, gd, den, xn2, eps_cfg: float):
+    """Roundoff allowance of the curvature quotients of u against records i.
+
+    64 eps 2 (|f(u)| + |F_i| + |g_i . d_i|) / max(||d_i||^2, eps_cfg (1 +
+    ||x_tilde_i||^2)) with d_i = u - x_tilde_i; F_i, g_i are f and grad f at
+    x_tilde_i.  Elementwise over numpy arrays.
+    """
+    return _NOISE_MULT * float(np.finfo(np.float64).eps) * 2.0 \
+        * (np.abs(f_u) + np.abs(F) + np.abs(gd)) \
+        / np.maximum(den, eps_cfg * (1.0 + xn2))
 
 
 def audit_run(problem: CompositeProblem, config: SolverConfig,
@@ -192,7 +190,6 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
 
     bounds = TheoreticalBounds.from_problem(problem, config)
     slack = _REL
-    eps_mach = float(np.finfo(np.float64).eps)
     eps_cfg = config.denom_epsilon
 
     # U_k against M, with a per-iteration roundoff envelope for the quotient
@@ -200,11 +197,8 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     xn2 = np.einsum("ij,ij->i", X, X)
     f_ys = np.array([problem.smooth.value(yk) for yk in trace.ys])
     D = np.stack(trace.ys) - X
-    dens = np.einsum("ij,ij->i", D, D)
-    gd = np.einsum("ij,ij->i", G, D)
-    floor_den = np.maximum(dens, eps_cfg * (1.0 + xn2))
-    env = _NOISE_MULT * eps_mach * 2.0 * (np.abs(f_ys) + np.abs(F)
-                                          + np.abs(gd)) / floor_den
+    env = _envelope(f_ys, F, np.einsum("ij,ij->i", G, D),
+                    np.einsum("ij,ij->i", D, D), xn2, eps_cfg)
     # U == 0 marks a guarded (degenerate-distance) quotient and always passes
     bad = (U > bounds.M_bar * (1.0 + slack) + env + 1e-12) & (U != 0.0)
     kU = int(np.argmax(U)) + 1
@@ -218,6 +212,15 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     # at k - 1 against the same point and value, so only record k is scanned
     # and the row maxima carry over; np.max carries a NaN the way the full
     # row's maximum would.  A changed best point gets a full scan.
+    def scan(u, f_u, start, stop):
+        """Gap quotients of u against records start+1..stop, cap excesses."""
+        q, den, gd = ledger.linearization_gaps(stop, u, f_u, eps_cfg,
+                                               start=start)
+        env = _envelope(f_u, F[start:stop], gd, den, xn2[start:stop],
+                        eps_cfg)
+        return q, np.where(q != 0.0,
+                           q - env - bounds.m_under * (1.0 + slack), -np.inf)
+
     L_replay = np.empty(n_iter)
     L_prev = 0.0
     cap_excess = -math.inf
@@ -227,8 +230,7 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         y_prev = trace.ys[kk - 2] if kk >= 2 else y0
         f_y_prev = float(f_ys[kk - 2]) if kk >= 2 \
             else float(problem.smooth.value(y0))
-        t1 = float(ledger.linearization_gaps(kk, y_prev, f_y_prev, eps_cfg,
-                                             start=kk - 1)[0])
+        q1, exc1 = scan(y_prev, f_y_prev, kk - 1, kk)
         u = trace.ymins[kk - 1]
         prev_bytes, u_bytes = u_bytes, u.tobytes()
         carry = u_bytes == prev_bytes
@@ -238,17 +240,8 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
             # rejected trial point needs its own
             f_u = float(f_ys[kk - 1]) if u is trace.ys[kk - 1] \
                 else float(problem.smooth.value(u))
-        terms = ledger.linearization_gaps(kk, u, f_u, eps_cfg, start=start)
+        terms, exc = scan(u, f_u, start, kk)
         t2 = float(np.max(terms))
-
-        d2 = u[None, :] - X[start:kk]
-        den2 = np.einsum("ij,ij->i", d2, d2)
-        gd2 = np.einsum("ij,ij->i", G[start:kk], d2)
-        env2 = _NOISE_MULT * eps_mach * 2.0 * (
-            np.abs(F[start:kk]) + abs(f_u) + np.abs(gd2)) \
-            / np.maximum(den2, eps_cfg * (1.0 + xn2[start:kk]))
-        exc = np.where(terms != 0.0,
-                       terms - env2 - bounds.m_under * (1.0 + slack), -np.inf)
         i2 = int(np.argmax(exc))
         row_excess = float(exc[i2])
         if carry:
@@ -257,14 +250,11 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
             t2 = float(np.max((t2_prev, t2)))
             row_excess = float(np.max((excess_prev, row_excess)))
         t2_prev, excess_prev = t2, row_excess
-        L_replay[kk - 1] = max(t1, t2, L_prev, 0.0)
+        L_replay[kk - 1] = max(float(q1[0]), t2, L_prev, 0.0)
         L_prev = L_replay[kk - 1]
 
         for cand, loc in ((row_excess, (kk, start + i2 + 1)),
-                          (_t1_excess(t1, y_prev, f_y_prev, X[kk - 1],
-                                      F[kk - 1], G[kk - 1], xn2[kk - 1],
-                                      bounds.m_under, slack, eps_cfg),
-                           (kk, kk))):
+                          (float(exc1[0]), (kk, kk))):
             if cand > cap_excess:
                 cap_excess = cand
                 cap_loc = loc
@@ -321,7 +311,7 @@ def corrupt_gradient_oracle(problem: CompositeProblem,
     """Fault-injection fixture: scale the gradient, keep values and metadata."""
     orig = problem.smooth
     bad = SmoothOracle(
-        value_fn=orig.value_fn if hasattr(orig, "value_fn") else orig.value,
+        value_fn=orig.value,
         grad_fn=lambda u: factor * np.asarray(orig.grad(u)),
         audit_lipschitz=orig.audit_lipschitz,
         audit_curvature=orig.audit_curvature)

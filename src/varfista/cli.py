@@ -25,7 +25,8 @@ import numpy as np
 from .audit import AuditReport, CheckResult, audit_run, \
     corrupt_gradient_oracle, run_audit_suite
 from .baselines import BaselineConfig, run_fista_constant, run_prox_gradient
-from .gallery import QuadraticSpec, default_start, generate_qp, load_instance
+from .gallery import (QuadraticSpec, _problem_from_document, default_start,
+                      generate_qp)
 from .problems import CompositeProblem, phi, verify_certificate
 from .solver import SolverConfig, solve
 
@@ -144,14 +145,9 @@ def _load_problem(text: str) -> Tuple[CompositeProblem, Optional[int]]:
     """Instance from a generator spec or a file; returns (problem, seed)."""
     if text.startswith("qp:"):
         return _parse_genspec(text)
-    problem = load_instance(text)
-    seed = None
-    try:
-        with open(text) as fh:
-            seed = json.load(fh).get("seed")
-    except (OSError, json.JSONDecodeError):
-        pass
-    return problem, seed
+    with open(text) as fh:
+        doc = json.load(fh)
+    return _problem_from_document(doc, text), doc.get("seed")
 
 
 def _start_point(problem: CompositeProblem, seed: Optional[int]):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .solver import LinearizationRecord, SolverConfig
 
 __all__ = [
     "ModelFunction", "TheoreticalBounds", "DriftReport",
-    "check_xk_optimality", "estimate_curvatures", "check_xk_drift",
+    "check_xk_optimality", "check_xk_drift",
 ]
 
 
@@ -66,19 +66,11 @@ class TheoreticalBounds:
     C: float
 
     @classmethod
-    def from_problem(cls, problem: CompositeProblem, config: SolverConfig,
-                     estimate_if_missing: bool = False,
-                     n_samples: int = 2000, seed: int = 0):
+    def from_problem(cls, problem: CompositeProblem, config: SolverConfig):
         M = problem.smooth.audit_lipschitz
         m = problem.smooth.audit_curvature
         if M is None or m is None:
-            if not estimate_if_missing:
-                raise ValueError(
-                    "problem carries no audit metadata; pass "
-                    "estimate_if_missing=True to sample curvature estimates")
-            M_est, m_est = estimate_curvatures(problem, n_samples, seed)
-            M = M_est if M is None else M
-            m = m_est if m is None else m
+            raise ValueError("problem carries no audit metadata")
         lam_floor = config.lambda0
         if M > 0.0:
             lam_floor = min(config.gamma / (config.theta * M), config.lambda0)
@@ -190,40 +182,6 @@ def check_xk_optimality(problem: CompositeProblem, model: ModelFunction,
             return bool(np.linalg.norm(u_next - x_k) <= tol)
         u = u_next
     return None
-
-
-def estimate_curvatures(problem: CompositeProblem, n_samples: int = 2000,
-                        seed: int = 0) -> Tuple[float, float]:
-    """Sampled lower bounds (M_est, m_est) on the curvature constants.
-
-    Draws point pairs uniformly from the domain box; M_est is the largest
-    gradient difference ratio, m_est the largest (positive part of the)
-    linearization overshoot ratio, scanned in both pair orders.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    lo, hi = problem.regularizer.domain_box
-    rng = np.random.default_rng(seed)
-    smooth = problem.smooth
-    M_est = 0.0
-    m_est = 0.0
-    for _ in range(n_samples):
-        u1 = lo + rng.random(problem.dimension) * (hi - lo)
-        u2 = lo + rng.random(problem.dimension) * (hi - lo)
-        d = u1 - u2
-        nd2 = float(d @ d)
-        if nd2 <= 1e-16:
-            continue
-        g1 = smooth.grad(u1)
-        g2 = smooth.grad(u2)
-        M_est = max(M_est, float(np.linalg.norm(g1 - g2)) / math.sqrt(nd2))
-        f1 = smooth.value(u1)
-        f2 = smooth.value(u2)
-        over = 2.0 * (f2 + float(g2 @ d) - f1) / nd2
-        m_est = max(m_est, over)
-        over = 2.0 * (f1 + float(g1 @ (-d)) - f2) / nd2
-        m_est = max(m_est, over)
-    return M_est, max(0.0, m_est)
 
 
 @dataclass(frozen=True)

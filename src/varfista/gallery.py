@@ -90,9 +90,6 @@ class QuadraticOracle:
         self._memo_u: Optional[Array] = None
         self._memo_bytes = b""
         self._memo_Qu: Optional[Array] = None
-        # callable-field view of the oracle interface
-        self.value_fn = self.value
-        self.grad_fn = self.grad
 
     def _Qu(self, u: Array) -> Array:
         """Q @ u, reused when u is the previous call's array, unmutated."""
@@ -345,6 +342,11 @@ def load_instance(path: str) -> CompositeProblem:
     """Read an instance document written by save_instance."""
     with open(path) as fh:
         doc = json.load(fh)
+    return _problem_from_document(doc, path)
+
+
+def _problem_from_document(doc: dict, path: str) -> CompositeProblem:
+    """The problem a parsed instance document describes (path for errors)."""
     if doc.get("format") != "varfista-qp-instance":
         raise ValueError(f"{path}: not a recognized instance document")
     n = int(doc["n"])

@@ -114,7 +114,6 @@ class HistoryLedger:
         self._XN2 = np.empty(cap)
         self._n_rec = 0
         self.cached_ymin: Optional[Array] = None
-        self._cached_f_ymin = 0.0
         self.cached_ymin_ratio_max = -math.inf
         self._cached_upto = 0
 
@@ -176,11 +175,15 @@ class HistoryLedger:
         return float(self._XN2[index - 1])
 
     def linearization_gaps(self, count: int, u: Array, f_u: float,
-                           denom_epsilon: float, start: int = 0) -> Array:
-        """Gap quotients of u against records start+1..count (audit replay).
+                           denom_epsilon: float, start: int = 0
+                           ) -> Tuple[Array, Array, Array]:
+        """Gap rows of u against records start+1..count (audit replay).
 
-        Evaluates the same guarded expression as the internal cache, so a
-        full-replay maximum matches the incrementally cached one bit for bit.
+        Returns ``(quotients, den, gd)`` with, per record i and
+        d = u - x_tilde_i: the guarded gap quotient, den = ||d||^2 and
+        gd = grad f(x_tilde_i) . d.  The quotients are the internal cache's
+        expression, so a full-replay maximum matches the cached one bit for
+        bit.
         """
         if not 0 <= start <= count <= self._n_rec:
             raise IndexError(f"ledger holds {self._n_rec} records")
@@ -195,16 +198,17 @@ class HistoryLedger:
     # -- lower-curvature gap cache ------------------------------------------
 
     def _gap_terms(self, start: int, stop: int, u: Array, f_u: float,
-                   denom_epsilon: float) -> Array:
+                   denom_epsilon: float) -> Tuple[Array, Array, Array]:
         X = self._X[start:stop]
         G = self._G[start:stop]
         F = self._F[start:stop]
         d = u[None, :] - X
-        num = 2.0 * (F + np.einsum("ij,ij->i", G, d) - f_u)
+        gd = np.einsum("ij,ij->i", G, d)
+        num = 2.0 * (F + gd - f_u)
         den = np.einsum("ij,ij->i", d, d)
         ok = den > denom_epsilon * (1.0 + self._XN2[start:stop])
         safe = np.where(ok, den, 1.0)
-        return np.where(ok, num / safe, 0.0)
+        return np.where(ok, num / safe, 0.0), den, gd
 
     def ymin_ratio_max(self, ymin: Array, f_ymin: float,
                        denom_epsilon: float) -> float:
@@ -222,12 +226,11 @@ class HistoryLedger:
             best = -math.inf
         if start < self._n_rec:
             terms = self._gap_terms(start, self._n_rec, ymin, f_ymin,
-                                    denom_epsilon)
+                                    denom_epsilon)[0]
             m = float(np.max(terms))
             if m > best:
                 best = m
         self.cached_ymin = ymin.copy()
-        self._cached_f_ymin = f_ymin
         self.cached_ymin_ratio_max = best
         self._cached_upto = self._n_rec
         return best

@@ -253,3 +253,74 @@ def test_replay_scans_records_in_proportion_to_best_point_changes(gap_scans):
     assert scanned <= 2 * K + K * changes
     # the full replay scanned K (K + 1) / 2 records for ymin plus K for y
     assert scanned < (K * (K + 1) // 2 + K) / 2
+
+
+def _quotients_and_envelopes(u, f_u, X, F, G, eps_cfg):
+    """Curvature quotients 2(F_i + g_i.d_i - f(u))/||d_i||^2, d_i = u - x_i
+    (0 where ||d_i||^2 <= eps_cfg (1 + ||x_i||^2)), and their roundoff
+    envelopes 64 eps 2 (|f(u)| + |F_i| + |g_i.d_i|) / max(the two).  u is
+    one point, or one point per record with f_u one value per record."""
+    d = u - X
+    den = np.sum(d * d, axis=1)
+    gd = np.sum(G * d, axis=1)
+    guard = eps_cfg * (1.0 + np.sum(X * X, axis=1))
+    q = np.where(den > guard, 2.0 * (F + gd - f_u) / np.maximum(den, guard),
+                 0.0)
+    env = 64.0 * np.finfo(np.float64).eps * 2.0 \
+        * (abs(f_u) + np.abs(F) + np.abs(gd)) / np.maximum(den, guard)
+    return q, env
+
+
+def test_upper_curvature_bound_fails_just_above_its_envelope():
+    prob, cfg, cert, trace, ledger, y0 = _audited_run(CONVEX)
+    X, F, G = ledger.record_arrays(len(trace))
+    # U_k is minus the quotient of y_k against record k
+    f_y = np.array([prob.smooth.value(y) for y in trace.ys])
+    q, env = _quotients_and_envelopes(np.stack(trace.ys), f_y, X, F, G,
+                                      cfg.denom_epsilon)
+    j = int(np.argmax(np.where(q != 0.0, env, 0.0)))
+    M = prob.smooth.audit_lipschitz
+    assert env[j] > 1e-9 * M  # wide enough to tell the envelope apart
+
+    def upper(U_j):
+        trace.U[j] = U_j
+        report = audit_run(prob, cfg, cert, trace, ledger, y0)
+        return {c.name: c for c in report.checks}["upper-curvature-bound"]
+
+    assert upper(M * (1.0 + 1e-9) + 0.5 * env[j]).passed
+    check = upper(M * (1.0 + 1e-9) + 2.0 * env[j])
+    assert not check.passed
+    assert check.detail == f"first violation at k={j + 1}"
+
+
+# indefinite corpus instances (audit_corpus(2, s)[1] has seed s + 1): the
+# largest excess is a best-point pair (k=9, i=2) at seed 1 and a
+# previous-iterate pair (k=6, i=6) at seed 9
+@pytest.mark.parametrize("seed", [1, 9])
+def test_lower_curvature_cap_reports_the_largest_excess_of_a_direct_scan(
+        seed):
+    prob, cfg, cert, trace, ledger, y0 = _audited_run(
+        QuadraticSpec(n=20, eig_lo=-1.0, eig_hi=10.0, seed=seed))
+    prob.smooth.audit_curvature = 0.0
+    K = len(trace)
+    X, F, G = ledger.record_arrays(K)
+    best, where = -np.inf, None
+    for k in range(1, K + 1):
+        # the best point against records 1..k, then the previous iterate
+        # against record k, in the order the audit scores them
+        y_prev = trace.ys[k - 2] if k >= 2 else y0
+        for u, lo in ((trace.ymins[k - 1], 0), (y_prev, k - 1)):
+            q, env = _quotients_and_envelopes(
+                u, prob.smooth.value(u), X[lo:k], F[lo:k], G[lo:k],
+                cfg.denom_epsilon)
+            excess = np.where(q != 0.0, q - env, -np.inf)
+            i = int(np.argmax(excess))
+            if excess[i] > best:
+                best, where = float(excess[i]), (k, lo + i + 1)
+    assert best > 0.0
+
+    report = audit_run(prob, cfg, cert, trace, ledger, y0)
+    cap = {c.name: c for c in report.checks}["lower-curvature-cap"]
+    assert not cap.passed
+    assert cap.detail == (f"gap quotient exceeds m by {best:.3e} at "
+                          f"k={where[0]}, i={where[1]}")

@@ -142,16 +142,27 @@ def test_solve_seeded_start_changes_run(capsys):
         (it_b, json.loads(out_b)["certificate"]["residual_norm"])
 
 
-def test_solve_from_instance_file(capsys, tmp_path):
+def test_solve_from_instance_file(capsys, tmp_path, monkeypatch):
     prob = generate_qp(QuadraticSpec(n=4, eig_lo=1.0, eig_hi=10.0, seed=5))
     path = tmp_path / "inst.json"
     save_instance(prob, str(path), seed=5)
+    loads = []
+    json_load = json.load
+    monkeypatch.setattr(json, "load",
+                        lambda fh: loads.append(fh.name) or json_load(fh))
     code, out, _ = _run(capsys, ["solve", "--instance", str(path),
-                                 "--rho", "1e-6"])
+                                 "--rho", "1e-6", "--audit"])
     assert code == 0
+    assert loads == [str(path)]  # the file is parsed once
     doc = json.loads(out)
     assert doc["instance"]["seed"] == 5
     assert doc["instance"]["n"] == 4
+    # the stored instance runs exactly as the spec it was generated from
+    _, out_spec, _ = _run(capsys, ["solve", "--instance",
+                                   "qp:n=4,eig_lo=1,eig_hi=10,seed=5",
+                                   "--rho", "1e-6", "--audit"])
+    doc["instance"]["id"] = "qp:n=4,eig_lo=1,eig_hi=10,seed=5"
+    assert doc == json.loads(out_spec)
 
 
 def test_solve_l1_genspec(capsys):

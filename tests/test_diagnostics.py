@@ -5,7 +5,7 @@ import pytest
 
 from varfista.diagnostics import (DriftReport, ModelFunction,
                                   TheoreticalBounds, check_xk_drift,
-                                  check_xk_optimality, estimate_curvatures)
+                                  check_xk_optimality)
 from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
 from varfista.problems import CompositeProblem, SmoothOracle
@@ -104,28 +104,6 @@ def test_bounds_require_metadata_or_estimation():
                             identity_projector(), 1)
     with pytest.raises(ValueError):
         TheoreticalBounds.from_problem(prob, SolverConfig())
-    b = TheoreticalBounds.from_problem(prob, SolverConfig(),
-                                       estimate_if_missing=True)
-    assert 0.0 < b.M_bar <= 2.0 + 1e-9
-
-
-def test_estimate_curvatures_bracket_analytic_values():
-    prob = generate_qp(QuadraticSpec(n=3, eig_lo=-1.0, eig_hi=10.0, seed=2))
-    M_est, m_est = estimate_curvatures(prob, n_samples=3000, seed=0)
-    assert M_est <= 10.0 * (1.0 + 1e-9)
-    assert m_est <= 1.0 * (1.0 + 1e-9)
-    # sampled estimates approach the analytic constants from below
-    assert M_est >= 0.5 * 10.0
-    assert m_est >= 0.5 * 1.0
-    with pytest.raises(ValueError):
-        estimate_curvatures(prob, n_samples=1)
-
-
-def test_estimates_grow_with_sample_count():
-    prob = generate_qp(QuadraticSpec(n=3, eig_lo=-1.0, eig_hi=10.0, seed=2))
-    M_small, m_small = estimate_curvatures(prob, n_samples=50, seed=1)
-    M_large, m_large = estimate_curvatures(prob, n_samples=5000, seed=1)
-    assert M_large >= M_small and m_large >= m_small
 
 
 # ---------------------------------------------------------------------------

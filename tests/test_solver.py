@@ -341,17 +341,17 @@ def test_ledger_gap_cache_matches_full_replay():
     f_u = -1.3
     add(2)
     got = ledger.ymin_ratio_max(u, f_u, EPS)
-    want = float(np.max(ledger.linearization_gaps(2, u, f_u, EPS)))
+    want = float(np.max(ledger.linearization_gaps(2, u, f_u, EPS)[0]))
     assert got == want
     # incremental fold-in of new records only
     add(3)
     got = ledger.ymin_ratio_max(u, f_u, EPS)
-    want = float(np.max(ledger.linearization_gaps(5, u, f_u, EPS)))
+    want = float(np.max(ledger.linearization_gaps(5, u, f_u, EPS)[0]))
     assert got == want
     # new best point triggers a full rescan
     u2 = rng.normal(size=dim)
     got = ledger.ymin_ratio_max(u2, 0.4, EPS)
-    want = float(np.max(ledger.linearization_gaps(5, u2, 0.4, EPS)))
+    want = float(np.max(ledger.linearization_gaps(5, u2, 0.4, EPS)[0]))
     assert got == want
 
 
