@@ -25,7 +25,8 @@ from .gallery import QuadraticSpec, generate_qp
 from .momentum import check_schedule_bounds
 from .problems import (Array, Certificate, CompositeProblem, SmoothOracle,
                        verify_certificate)
-from .solver import HistoryLedger, IterationTrace, SolverConfig, solve
+from .solver import (HistoryLedger, IterationTrace, NumericalFailure,
+                     SolverConfig, solve)
 
 __all__ = [
     "CheckResult", "AuditReport", "audit_run", "corrupt_gradient_oracle",
@@ -365,7 +366,7 @@ def run_audit_suite(n_instances: int = 20, seed: int = 0,
         tag = f"instance[{idx}]"
         try:
             cert, trace, ledger = solve(problem, config, y0)
-        except RuntimeError as exc:
+        except (RuntimeError, NumericalFailure) as exc:
             lines.append(f"{tag} run: FAIL  ({exc})")
             passed = False
             continue

@@ -10,7 +10,7 @@ Subcommands:
   invariant on every run, plus the schedule growth envelope.
 
 Exit codes: 0 success/converged, 1 usage or input error, 2 iteration cap
-exhausted, 3 audit violation.
+exhausted, 3 audit violation, 4 non-finite oracle value during a solve.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .baselines import BaselineConfig, run_fista_constant, run_prox_gradient
 from .gallery import (QuadraticSpec, _problem_from_document, default_start,
                       generate_qp)
 from .problems import CompositeProblem, phi, verify_certificate
-from .solver import SolverConfig, solve
+from .solver import NumericalFailure, SolverConfig, solve
 
 __all__ = ["main"]
 
@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_AUDIT = 3
+EXIT_NUMERIC = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -309,6 +310,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "slope":
             return _cmd_slope(args)
         return _cmd_audit(args)
+    except NumericalFailure as exc:
+        sys.stderr.write(f"varfista: numerical failure: {exc}\n")
+        return EXIT_NUMERIC
     except (ValueError, TypeError, OSError, KeyError,
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"varfista: error: {exc}\n")

@@ -69,13 +69,14 @@ class BoxIndicator:
 
     def value(self, u: Array) -> float:
         u = np.asarray(u, dtype=np.float64)
-        inside = np.all(u >= self.lo) and np.all(u <= self.hi)
+        inside = (u >= self.lo).all() and (u <= self.hi).all()
         return 0.0 if inside else np.inf
 
     def prox(self, z: Array, s: float) -> Array:
+        # __post_init__ validated lo <= hi, so clamp without clamp_box's check
         if not s > 0.0:
             raise ValueError("prox stepsize must be positive")
-        return clamp_box(z, self.lo, self.hi)
+        return np.minimum(np.maximum(z, self.lo), self.hi)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,8 @@ class L1PlusBox:
     def prox(self, z: Array, s: float) -> Array:
         if not s > 0.0:
             raise ValueError("prox stepsize must be positive")
-        return clamp_box(soft_threshold(z, s * self.weight), self.lo, self.hi)
+        return np.minimum(np.maximum(soft_threshold(z, s * self.weight),
+                                     self.lo), self.hi)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ from .momentum import A0_DEFAULT, advance, extrapolate
 from .problems import Array, Certificate, CompositeProblem, phi
 
 __all__ = [
-    "SolverConfig", "LinearizationRecord", "HistoryLedger", "IterationTrace",
+    "SolverConfig", "NumericalFailure", "LinearizationRecord",
+    "HistoryLedger", "IterationTrace",
     "TRACE_HEADER", "solve", "compute_candidate",
     "compute_U", "update_best", "compute_L", "step_k3_conditions",
     "update_subroutine", "compute_x", "compute_v",
@@ -78,6 +79,10 @@ class SolverConfig:
             raise ValueError("denom_epsilon must be non-negative")
 
 
+class NumericalFailure(FloatingPointError):
+    """The smooth oracle returned a non-finite value during ``solve``."""
+
+
 @dataclass(frozen=True)
 class LinearizationRecord:
     """Value and gradient of f frozen at one accepted momentum point."""
@@ -94,11 +99,13 @@ class HistoryLedger:
     Holds lam_0..lam_k, tau_1..tau_k, and one linearization record per outer
     iteration, in preallocated doubling buffers.  The expensive part of the
     lower-curvature recursion, max over i <= k of the linearization gap of
-    the incumbent best point against record i, is cached: while the best
-    point is unchanged only newly appended records are folded in, and a
-    change of best point triggers a full rescan.  Both paths evaluate the
-    same per-record expression, so cached and rescanned maxima agree
-    bit-for-bit.
+    the incumbent best point against record i, is cached.  The cache is keyed
+    like the oracle's Q @ u memo: it hits only when the best point is the
+    cached array itself (``is``, no copy kept) with unchanged ``tobytes()``.
+    On a hit only newly appended records are folded in; a single new record
+    costs O(n) through the one-record ``_gap_term``.  A miss rescans every
+    record with ``_gap_terms``.  Both forms evaluate the same per-record
+    expression, so cached and rescanned maxima agree bit-for-bit.
     """
 
     def __init__(self, dimension: int, lambda0: float):
@@ -114,6 +121,7 @@ class HistoryLedger:
         self._XN2 = np.empty(cap)
         self._n_rec = 0
         self.cached_ymin: Optional[Array] = None
+        self._cached_bytes = b""
         self.cached_ymin_ratio_max = -math.inf
         self._cached_upto = 0
 
@@ -210,29 +218,44 @@ class HistoryLedger:
         safe = np.where(ok, den, 1.0)
         return np.where(ok, num / safe, 0.0), den, gd
 
+    def _record_gap(self, index: int, u: Array, f_u: float,
+                    denom_epsilon: float) -> float:
+        """Gap quotient of u against 1-based record ``index``, in O(n)."""
+        i = index - 1
+        return _gap_term(self._X[i], float(self._F[i]), self._G[i],
+                         float(self._XN2[i]), u, f_u, denom_epsilon)
+
+    def _is_cached(self, ymin: Array) -> bool:
+        return (ymin is self.cached_ymin
+                and ymin.tobytes() == self._cached_bytes)
+
     def ymin_ratio_max(self, ymin: Array, f_ymin: float,
                        denom_epsilon: float) -> float:
         """Max linearization gap of ymin against every record so far."""
-        if self._n_rec == 0:
+        n = self._n_rec
+        if n == 0:
             return -math.inf
-        hit = (self.cached_ymin is not None
-               and self.cached_ymin.shape == ymin.shape
-               and bool(np.all(self.cached_ymin == ymin)))
-        if hit:
-            start = self._cached_upto
+        if self._is_cached(ymin):
             best = self.cached_ymin_ratio_max
+            start = self._cached_upto
+            if start == n - 1:
+                m = self._record_gap(n, ymin, f_ymin, denom_epsilon)
+                if m > best:
+                    best = m
+                start = n
         else:
-            start = 0
             best = -math.inf
-        if start < self._n_rec:
-            terms = self._gap_terms(start, self._n_rec, ymin, f_ymin,
+            start = 0
+            self.cached_ymin = ymin
+            self._cached_bytes = ymin.tobytes()
+        if start < n:
+            terms = self._gap_terms(start, n, ymin, f_ymin,
                                     denom_epsilon)[0]
             m = float(np.max(terms))
             if m > best:
                 best = m
-        self.cached_ymin = ymin.copy()
         self.cached_ymin_ratio_max = best
-        self._cached_upto = self._n_rec
+        self._cached_upto = n
         return best
 
 
@@ -355,8 +378,9 @@ def _gap_term(record_x: Array, record_f: float, record_g: Array,
     """2[lin_f(u; x_tilde_i) - f(u)]/||u - x_tilde_i||^2 with the usual guard.
 
     The one-record shape of ``HistoryLedger._gap_terms``: the same expression
-    for a single record, which costs less than a one-row ``_gap_terms`` call
-    for the single t1 term of ``compute_L``.
+    for a single record, equal bit for bit to a one-row ``_gap_terms`` call
+    and cheaper.  ``compute_L``'s t1 term and the ledger's one-record fold
+    use it.
     """
     d = u - record_x
     den = float(np.einsum("i,i->", d, d))
@@ -373,10 +397,8 @@ def compute_L(ledger: HistoryLedger, y_prev: Array, f_y_prev: float,
     cached max gap of the incumbent best point against all records, the
     previous L, and 0.
     """
-    k = ledger.n_records
-    X, F, G = ledger.record_arrays(k)
-    t1 = _gap_term(X[k - 1], float(F[k - 1]), G[k - 1],
-                   ledger.x_tilde_norm2(k), y_prev, f_y_prev, denom_epsilon)
+    t1 = ledger._record_gap(ledger.n_records, y_prev, f_y_prev,
+                            denom_epsilon)
     t2 = ledger.ymin_ratio_max(ymin, f_ymin, denom_epsilon)
     return max(t1, t2, L_prev, 0.0)
 
@@ -475,7 +497,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     Returns (certificate, trace, ledger); the ledger is the committed history
     consumed by post-run audits.  Raises ValueError for bad configuration or
     a y0 outside dom h, RuntimeError when the per-iteration repeat cap is
-    exhausted (in practice: inconsistent value/gradient oracles).
+    exhausted (in practice: inconsistent value/gradient oracles), and
+    NumericalFailure when f is non-finite at a momentum point or a trial
+    point (a NaN gradient reaches f(y) through the prox step).
     """
     config.validate()
     y0 = np.asarray(y0, dtype=np.float64)
@@ -513,6 +537,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         a, A_next = advance(A)
         x_tilde = extrapolate(A, A_next, a, y, x)
         f_xt = smooth.value(x_tilde)
+        if not math.isfinite(f_xt):
+            raise NumericalFailure(
+                f"iteration {k}: f(x_tilde) = {f_xt} at the momentum point")
         g_xt = smooth.grad(x_tilde)
         grad_calls += 1
         idx = ledger.append_linearization(x_tilde, f_xt, g_xt)
@@ -528,6 +555,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             y, tau = compute_candidate(problem, x_tilde, lam, xi, a, g_xt)
             prox_calls += 1
             f_y = smooth.value(y)
+            if not math.isfinite(f_y):
+                raise NumericalFailure(
+                    f"iteration {k}, trial {repeats}: f(y) = {f_y} at the "
+                    "prox step's candidate")
             phi_y = f_y + reg.value(y)
             U = compute_U(y, f_y, x_tilde, f_xt, g_xt, xn2,
                           config.denom_epsilon)
@@ -558,7 +589,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         g_y = smooth.grad(y)
         grad_calls += 1
         v = compute_v(x_tilde, y, g_y, g_xt, lam, tau)
-        resid = float(np.linalg.norm(v))
+        resid = math.sqrt(float(v @ v))
 
         trace.append(k, a, A_next, lam, xi, tau, U, L_cand, resid, phi_y,
                      phi_ymin, repeats, x, y, ymin)

@@ -118,6 +118,32 @@ def test_solve_audit_fault_exits_three(capsys):
     assert len(failed) >= 1
 
 
+def test_solve_nonfinite_oracle_value_exits_four(capsys, monkeypatch):
+    from varfista.gallery import QuadraticOracle
+    value = QuadraticOracle.value
+    calls = [0]
+
+    def spoiled(self, u):
+        calls[0] += 1
+        return np.nan if calls[0] == 50 else value(self, u)
+
+    monkeypatch.setattr(QuadraticOracle, "value", spoiled)
+    code, out, err = _run(capsys, ["solve", "--instance", ROUGH,
+                                   "--rho", "1e-6", "--audit"])
+    assert code == 4
+    assert out == ""
+    assert "numerical failure: iteration 22: f(x_tilde) = nan" in err
+
+
+def test_audit_suite_reports_a_nonfinite_run_as_failed(capsys):
+    # a NaN gradient factor makes every trial point NaN
+    code, out, _ = _run(capsys, ["audit", "--n-instances", "2",
+                                 "--iters", "50", "--rho", "1e-6",
+                                 "--inject-gradient-fault", "nan"])
+    assert code == 3
+    assert "instance[0] run: FAIL  (iteration 1, trial 0: f(y) = nan" in out
+
+
 def test_solve_trace_file_byte_identical_across_runs(capsys, tmp_path):
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (pa, pb):

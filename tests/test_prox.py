@@ -97,6 +97,33 @@ def test_box_indicator_rejects_bad_bounds():
         BoxIndicator(np.array([[0.0]]), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_box_proxes_match_clamp_box_bytes_on_nonfinite_inputs(seed):
+    # the regularizers clamp without clamp_box's per-call lo <= hi check;
+    # their bounds were validated at construction, so the bytes must equal
+    # the checked path's, NaN and infinite entries included
+    rng = np.random.default_rng(seed)
+    n = 64
+    lo = rng.normal(size=n) - 1.0
+    hi = lo + rng.random(n) * 2.0
+    hi[:4] = lo[:4]  # zero-width coordinates
+    lo[4], hi[5] = -np.inf, np.inf
+    z = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    special = rng.choice(n, size=12, replace=False)
+    z[special] = rng.choice([np.nan, np.inf, -np.inf], size=12)
+    s = float(rng.random()) + 0.1
+    w = float(rng.random())
+    box, l1 = BoxIndicator(lo, hi), L1PlusBox(w, lo, hi)
+    assert box.prox(z, s).tobytes() == clamp_box(z, lo, hi).tobytes()
+    assert l1.prox(z, s).tobytes() == \
+        clamp_box(soft_threshold(z, s * w), lo, hi).tobytes()
+    for bad in (0.0, -s, np.nan):
+        with pytest.raises(ValueError):
+            box.prox(z, bad)
+        with pytest.raises(ValueError):
+            l1.prox(z, bad)
+
+
 def test_l1_plus_box_value():
     reg = L1PlusBox.uniform(2, 0.5, -1.0, 1.0)
     assert reg.value(np.array([0.5, -0.5])) == pytest.approx(0.5)

@@ -355,6 +355,149 @@ def test_ledger_gap_cache_matches_full_replay():
     assert got == want
 
 
+def _scan_log(monkeypatch):
+    """Record the (start, stop) of every ``_gap_terms`` call."""
+    scans = []
+    original = HistoryLedger._gap_terms
+
+    def logged(self, start, stop, *rest):
+        scans.append((start, stop))
+        return original(self, start, stop, *rest)
+
+    monkeypatch.setattr(HistoryLedger, "_gap_terms", logged)
+    return scans
+
+
+def _filled_ledger(rng, dim, count):
+    ledger = HistoryLedger(dim, 1.0)
+    for _ in range(count):
+        ledger.append_linearization(rng.normal(size=dim), float(rng.normal()),
+                                    rng.normal(size=dim))
+    return ledger
+
+
+def test_ledger_cache_rescans_a_best_point_mutated_in_place(monkeypatch):
+    rng = np.random.default_rng(5)
+    ledger = _filled_ledger(rng, 4, 6)
+    u = rng.normal(size=4)
+    ledger.ymin_ratio_max(u, -0.7, EPS)
+    scans = _scan_log(monkeypatch)
+    u[2] += 0.25  # same array object, new bytes
+    got = ledger.ymin_ratio_max(u, -0.7, EPS)
+    assert scans[0] == (0, 6)
+    assert got == float(np.max(ledger.linearization_gaps(6, u, -0.7, EPS)[0]))
+
+
+def test_ledger_cache_distinct_equal_array_gives_same_maximum():
+    rng = np.random.default_rng(6)
+    ledger = _filled_ledger(rng, 4, 6)
+    u = rng.normal(size=4)
+    first = ledger.ymin_ratio_max(u, 0.2, EPS)
+    again = ledger.ymin_ratio_max(u.copy(), 0.2, EPS)
+    want = float(np.max(ledger.linearization_gaps(6, u, 0.2, EPS)[0]))
+    assert first == again == want
+
+
+def _as_bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+       guarded=st.booleans(), d_exp=st.integers(-8, 8),
+       eps=st.sampled_from([0.0, EPS, 1e-6]))
+def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
+                                                       d_exp, eps):
+    # the solver's one-record fold and t1 term use _gap_term, the audit's
+    # replay a one-row _gap_terms; both must give the same bits
+    rng = np.random.default_rng(seed)
+
+    def draw(size=None):
+        return rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
+
+    x, g, f_x, f_u = draw(n), draw(n), float(draw()), float(draw())
+    ledger = HistoryLedger(n, 1.0)
+    ledger.append_linearization(x, f_x, g)
+    xn2 = ledger.x_tilde_norm2(1)
+    d = draw(n) * 10.0 ** d_exp
+    if guarded:  # shrink d inside the guard radius
+        d *= rng.random() * math.sqrt(eps * (1.0 + xn2)) / (
+            math.sqrt(float(d @ d)) * 2.0)
+    u = x + d
+    want, den, _ = ledger.linearization_gaps(1, u, f_u, eps)
+    if den[0] <= eps * (1.0 + xn2):
+        assert want[0] == 0.0
+    else:
+        assert not guarded
+    got = solver_mod._gap_term(x, f_x, g, xn2, u, f_u, eps)
+    assert _as_bits(got) == want[0].tobytes()
+    assert _as_bits(ledger._record_gap(1, u, f_u, eps)) == want[0].tobytes()
+
+
+def _golden_corpus_runs():
+    """The clean audit corpus with the starts ``run_audit_suite`` draws."""
+    rng = np.random.default_rng(0 ^ 0x5eed)
+    for problem in audit_corpus(20, 0):
+        lo, hi = problem.regularizer.domain_box
+        yield problem, lo + rng.random(problem.dimension) * (hi - lo)
+
+
+GOLDEN_CFG = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
+
+
+def test_cache_key_decides_as_the_value_compare_inside_solve(monkeypatch):
+    # in solve a new best point is a new array with strictly smaller phi,
+    # so keying by identity + bytes hits exactly where comparing the values
+    # with a kept copy did; the rescan counts therefore stay the same
+    original = HistoryLedger.ymin_ratio_max
+    tally = {True: 0, False: 0}
+
+    def shadowed(self, ymin, f_ymin, denom_epsilon):
+        if self.n_records:
+            kept = getattr(self, "_shadow_copy", None)
+            by_value = (kept is not None and kept.shape == ymin.shape
+                        and bool(np.all(kept == ymin)))
+            assert self._is_cached(ymin) == by_value
+            tally[by_value] += 1
+            self._shadow_copy = ymin.copy()
+        return original(self, ymin, f_ymin, denom_epsilon)
+
+    monkeypatch.setattr(HistoryLedger, "ymin_ratio_max", shadowed)
+    for problem, y0 in _golden_corpus_runs():
+        solve(problem, GOLDEN_CFG, y0)
+    growth = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,
+                                       box=(-1000.0, 1000.0), seed=0))
+    solve(growth, SolverConfig(rho_hat=1e-2, max_outer_iterations=2000),
+          default_start(growth))
+    assert tally[True] > 0 and tally[False] > 0
+
+
+def test_gap_rows_scanned_only_on_cache_misses(monkeypatch):
+    # a hit folds its one new record in O(n) without _gap_terms; a miss
+    # scans records 1..k once, so rows scanned = sum of k over misses
+    scans = _scan_log(monkeypatch)
+    original = HistoryLedger.ymin_ratio_max
+    misses = []
+    folds = [0]
+
+    def watched(self, ymin, f_ymin, denom_epsilon):
+        hit = self._is_cached(ymin)
+        k = self.n_records
+        folds[0] += hit and self._cached_upto == k - 1
+        before = len(scans)
+        out = original(self, ymin, f_ymin, denom_epsilon)
+        assert scans[before:] == ([] if hit else [(0, k)])
+        if not hit:
+            misses.append(k)
+        return out
+
+    monkeypatch.setattr(HistoryLedger, "ymin_ratio_max", watched)
+    for problem, y0 in _golden_corpus_runs():
+        solve(problem, GOLDEN_CFG, y0)
+    assert sum(stop - start for start, stop in scans) == sum(misses)
+    assert folds[0] > len(misses) > 0
+
+
 def test_ledger_slice_queries_validate_bounds():
     ledger = HistoryLedger(1, 1.0)
     ledger.append_linearization(np.array([0.0]), 0.0, np.array([0.0]))
@@ -444,6 +587,45 @@ def test_solve_wrong_sign_gradient_is_absorbed_by_quotient_guard():
     cert, trace, _ = solve(prob, cfg, np.array([1.0]))
     assert trace.U[0] == 0.0
     assert trace.lam[0] < 1e-12
+
+
+def _nan_at_call(problem, call, which="value"):
+    """``problem`` whose value or grad returns NaN at its ``call``-th call."""
+    orig = problem.smooth
+    calls = [0]
+
+    def spoiled(fn):
+        def wrapped(u):
+            calls[0] += 1
+            out = fn(u)
+            return out * np.nan if calls[0] == call else out
+        return wrapped
+
+    value, grad = orig.value, orig.grad
+    if which == "value":
+        value = spoiled(value)
+    else:
+        grad = spoiled(grad)
+    bad = SmoothOracle(value, grad, orig.audit_lipschitz,
+                       orig.audit_curvature)
+    return CompositeProblem(bad, problem.regularizer, problem.omega,
+                            problem.dimension)
+
+
+@pytest.mark.parametrize("call,which,match", [
+    # value calls: phi(y0), f(y0), then f(x_tilde_1), f(y_1), ...
+    (3, "value", r"iteration 1: f\(x_tilde\) = nan"),
+    (4, "value", r"iteration 1, trial 0: f\(y\) = nan"),
+    (50, "value", r"iteration \d+, trial \d+: f\(y\) = nan"),
+    # a NaN gradient at x_tilde_5 reaches f(y) through the prox step
+    (9, "grad", r"iteration 5, trial 0: f\(y\) = nan"),
+])
+def test_solve_raises_numerical_failure_on_nonfinite_oracle(call, which,
+                                                            match):
+    problem = _nan_at_call(audit_corpus(2, 0)[0], call, which)
+    with pytest.raises(solver_mod.NumericalFailure, match=match) as info:
+        solve(problem, SolverConfig(), default_start(problem))
+    assert isinstance(info.value, FloatingPointError)
 
 
 def test_solve_hits_outer_cap_without_convergence():
