@@ -10,7 +10,7 @@ Subcommands:
   invariant on every run, plus the schedule growth envelope.
 
 Exit codes: 0 success/converged, 1 usage or input error, 2 iteration cap
-exhausted, 3 audit violation, 4 non-finite oracle value during a solve.
+exhausted, 3 audit violation, 4 non-finite oracle output during a solve.
 """
 
 from __future__ import annotations

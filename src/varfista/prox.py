@@ -26,7 +26,13 @@ def clamp_box(u: Array, lo: Array, hi: Array) -> Array:
     hi = np.asarray(hi, dtype=np.float64)
     if np.any(lo > hi):
         raise ValueError("box has lo > hi")
-    return np.minimum(np.maximum(np.asarray(u, dtype=np.float64), lo), hi)
+    return _clamp(np.asarray(u, dtype=np.float64), lo, hi)
+
+
+def _clamp(u: Array, lo: Array, hi: Array) -> Array:
+    # no lo <= hi check: the box regularizers validate their bounds once, at
+    # construction, and call this on every prox
+    return np.minimum(np.maximum(u, lo), hi)
 
 
 def project_ball(u: Array, center: Array, radius: float) -> Array:
@@ -73,10 +79,9 @@ class BoxIndicator:
         return 0.0 if inside else np.inf
 
     def prox(self, z: Array, s: float) -> Array:
-        # __post_init__ validated lo <= hi, so clamp without clamp_box's check
         if not s > 0.0:
             raise ValueError("prox stepsize must be positive")
-        return np.minimum(np.maximum(z, self.lo), self.hi)
+        return _clamp(z, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,7 @@ class L1PlusBox:
 
     def value(self, u: Array) -> float:
         u = np.asarray(u, dtype=np.float64)
-        inside = np.all(u >= self.lo) and np.all(u <= self.hi)
+        inside = (u >= self.lo).all() and (u <= self.hi).all()
         if not inside:
             return np.inf
         return self.weight * float(np.sum(np.abs(u)))
@@ -125,8 +130,7 @@ class L1PlusBox:
     def prox(self, z: Array, s: float) -> Array:
         if not s > 0.0:
             raise ValueError("prox stepsize must be positive")
-        return np.minimum(np.maximum(soft_threshold(z, s * self.weight),
-                                     self.lo), self.hi)
+        return _clamp(soft_threshold(z, s * self.weight), self.lo, self.hi)
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ class SolverConfig:
 
 
 class NumericalFailure(FloatingPointError):
-    """The smooth oracle returned a non-finite value during ``solve``."""
+    """The smooth oracle gave a non-finite value or gradient in ``solve``."""
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,10 @@ class HistoryLedger:
     the incumbent best point against record i, is cached.  The cache is keyed
     like the oracle's Q @ u memo: it hits only when the best point is the
     cached array itself (``is``, no copy kept) with unchanged ``tobytes()``.
-    On a hit only newly appended records are folded in; a single new record
-    costs O(n) through the one-record ``_gap_term``.  A miss rescans every
-    record with ``_gap_terms``.  Both forms evaluate the same per-record
-    expression, so cached and rescanned maxima agree bit-for-bit.
+    On a hit each newly appended record is folded in through the one-record
+    ``_gap_term``, at O(n) cost per record.  A miss rescans every record with
+    ``_gap_terms``.  Both forms evaluate the same per-record expression, so
+    cached and rescanned maxima agree bit-for-bit.
     """
 
     def __init__(self, dimension: int, lambda0: float):
@@ -237,23 +237,15 @@ class HistoryLedger:
             return -math.inf
         if self._is_cached(ymin):
             best = self.cached_ymin_ratio_max
-            start = self._cached_upto
-            if start == n - 1:
-                m = self._record_gap(n, ymin, f_ymin, denom_epsilon)
+            for i in range(self._cached_upto + 1, n + 1):
+                m = self._record_gap(i, ymin, f_ymin, denom_epsilon)
                 if m > best:
                     best = m
-                start = n
         else:
-            best = -math.inf
-            start = 0
+            best = float(np.max(self._gap_terms(0, n, ymin, f_ymin,
+                                                denom_epsilon)[0]))
             self.cached_ymin = ymin
             self._cached_bytes = ymin.tobytes()
-        if start < n:
-            terms = self._gap_terms(start, n, ymin, f_ymin,
-                                    denom_epsilon)[0]
-            m = float(np.max(terms))
-            if m > best:
-                best = m
         self.cached_ymin_ratio_max = best
         self._cached_upto = n
         return best
@@ -498,19 +490,26 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     consumed by post-run audits.  Raises ValueError for bad configuration or
     a y0 outside dom h, RuntimeError when the per-iteration repeat cap is
     exhausted (in practice: inconsistent value/gradient oracles), and
-    NumericalFailure when f is non-finite at a momentum point or a trial
-    point (a NaN gradient reaches f(y) through the prox step).
+    NumericalFailure when f is non-finite at the start point, a momentum
+    point or a trial point, or the curvature estimate U or L is non-finite
+    (a NaN gradient reaches f(y) through the prox step; an infinite one that
+    a box clamps back reaches U or L).
     """
     config.validate()
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (problem.dimension,):
         raise ValueError("y0 does not match problem dimension")
-    phi0 = phi(problem, y0)
-    if not math.isfinite(phi0):
-        raise ValueError("y0 lies outside dom h")
-
     smooth = problem.smooth
     reg = problem.regularizer
+    phi0 = phi(problem, y0)
+    if not math.isfinite(phi0):
+        # phi evaluates f only inside dom h; reg.value runs on failure only
+        if reg.value(y0) == math.inf:
+            raise ValueError("y0 lies outside dom h")
+        raise NumericalFailure(f"phi(y0) = {phi0} at the start point")
+    f_y = smooth.value(y0)
+    if not math.isfinite(f_y):
+        raise NumericalFailure(f"f(y0) = {f_y} at the start point")
 
     ledger = HistoryLedger(problem.dimension, config.lambda0)
     trace = IterationTrace()
@@ -521,7 +520,6 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     A = config.A0
     y = y0
     x = y0.copy()
-    f_y = smooth.value(y0)
     ymin = y0
     phi_ymin = phi0
     f_ymin = f_y
@@ -562,6 +560,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             phi_y = f_y + reg.value(y)
             U = compute_U(y, f_y, x_tilde, f_xt, g_xt, xn2,
                           config.denom_epsilon)
+            if not math.isfinite(U):
+                raise NumericalFailure(
+                    f"iteration {k}, trial {repeats}: U = {U}; grad f at "
+                    "the momentum point is non-finite")
 
             phi_ymin, ymin, changed = update_best(phi_y, y, phi_ymin, ymin)
             if changed:
@@ -569,6 +571,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
 
             L_cand = compute_L(ledger, y_prev, f_y_prev, ymin, f_ymin, L,
                                config.denom_epsilon)
+            if not math.isfinite(L_cand):
+                raise NumericalFailure(
+                    f"iteration {k}, trial {repeats}: L = {L_cand}; a "
+                    "recorded gradient is non-finite")
 
             if not step_k3_conditions(U, lam, xi, tau, L_cand, lam_hist,
                                       tau_hist, config.gamma, L):

@@ -445,44 +445,26 @@ def _golden_corpus_runs():
 GOLDEN_CFG = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
 
 
-def test_cache_key_decides_as_the_value_compare_inside_solve(monkeypatch):
+def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
+        monkeypatch):
     # in solve a new best point is a new array with strictly smaller phi,
     # so keying by identity + bytes hits exactly where comparing the values
-    # with a kept copy did; the rescan counts therefore stay the same
-    original = HistoryLedger.ymin_ratio_max
-    tally = {True: 0, False: 0}
-
-    def shadowed(self, ymin, f_ymin, denom_epsilon):
-        if self.n_records:
-            kept = getattr(self, "_shadow_copy", None)
-            by_value = (kept is not None and kept.shape == ymin.shape
-                        and bool(np.all(kept == ymin)))
-            assert self._is_cached(ymin) == by_value
-            tally[by_value] += 1
-            self._shadow_copy = ymin.copy()
-        return original(self, ymin, f_ymin, denom_epsilon)
-
-    monkeypatch.setattr(HistoryLedger, "ymin_ratio_max", shadowed)
-    for problem, y0 in _golden_corpus_runs():
-        solve(problem, GOLDEN_CFG, y0)
-    growth = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,
-                                       box=(-1000.0, 1000.0), seed=0))
-    solve(growth, SolverConfig(rho_hat=1e-2, max_outer_iterations=2000),
-          default_start(growth))
-    assert tally[True] > 0 and tally[False] > 0
-
-
-def test_gap_rows_scanned_only_on_cache_misses(monkeypatch):
-    # a hit folds its one new record in O(n) without _gap_terms; a miss
-    # scans records 1..k once, so rows scanned = sum of k over misses
+    # with a kept copy did, and the rescan counts stay the same.  A hit
+    # folds its new records in O(n) each without _gap_terms; a miss scans
+    # records 1..k once, so rows scanned = sum of k over misses
     scans = _scan_log(monkeypatch)
     original = HistoryLedger.ymin_ratio_max
     misses = []
     folds = [0]
 
     def watched(self, ymin, f_ymin, denom_epsilon):
-        hit = self._is_cached(ymin)
         k = self.n_records
+        hit = self._is_cached(ymin)
+        kept = getattr(self, "_shadow_copy", None)
+        by_value = (kept is not None and kept.shape == ymin.shape
+                    and bool(np.all(kept == ymin)))
+        assert hit == by_value
+        self._shadow_copy = ymin.copy()
         folds[0] += hit and self._cached_upto == k - 1
         before = len(scans)
         out = original(self, ymin, f_ymin, denom_epsilon)
@@ -494,8 +476,13 @@ def test_gap_rows_scanned_only_on_cache_misses(monkeypatch):
     monkeypatch.setattr(HistoryLedger, "ymin_ratio_max", watched)
     for problem, y0 in _golden_corpus_runs():
         solve(problem, GOLDEN_CFG, y0)
-    assert sum(stop - start for start, stop in scans) == sum(misses)
     assert folds[0] > len(misses) > 0
+    # this run changes best point on all but two of its 2003 calls
+    growth = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,
+                                       box=(-1000.0, 1000.0), seed=0))
+    solve(growth, SolverConfig(rho_hat=1e-2, max_outer_iterations=2000),
+          default_start(growth))
+    assert sum(stop - start for start, stop in scans) == sum(misses)
 
 
 def test_ledger_slice_queries_validate_bounds():
@@ -589,8 +576,9 @@ def test_solve_wrong_sign_gradient_is_absorbed_by_quotient_guard():
     assert trace.lam[0] < 1e-12
 
 
-def _nan_at_call(problem, call, which="value"):
-    """``problem`` whose value or grad returns NaN at its ``call``-th call."""
+def _fault_at_call(problem, call, which, fault):
+    """``problem`` whose ``call``-th value call returns ``fault``, or whose
+    ``call``-th gradient has ``fault`` in its first entry."""
     orig = problem.smooth
     calls = [0]
 
@@ -598,7 +586,13 @@ def _nan_at_call(problem, call, which="value"):
         def wrapped(u):
             calls[0] += 1
             out = fn(u)
-            return out * np.nan if calls[0] == call else out
+            if calls[0] != call:
+                return out
+            if which == "value":
+                return fault
+            out = out.copy()
+            out[0] = fault
+            return out
         return wrapped
 
     value, grad = orig.value, orig.grad
@@ -612,17 +606,23 @@ def _nan_at_call(problem, call, which="value"):
                             problem.dimension)
 
 
-@pytest.mark.parametrize("call,which,match", [
+@pytest.mark.parametrize("call,which,fault,match", [
     # value calls: phi(y0), f(y0), then f(x_tilde_1), f(y_1), ...
-    (3, "value", r"iteration 1: f\(x_tilde\) = nan"),
-    (4, "value", r"iteration 1, trial 0: f\(y\) = nan"),
-    (50, "value", r"iteration \d+, trial \d+: f\(y\) = nan"),
+    (1, "value", np.nan, r"phi\(y0\) = nan at the start point"),
+    (2, "value", np.nan, r"f\(y0\) = nan at the start point"),
+    (2, "value", np.inf, r"f\(y0\) = inf at the start point"),
+    (3, "value", np.nan, r"iteration 1: f\(x_tilde\) = nan"),
+    (4, "value", np.nan, r"iteration 1, trial 0: f\(y\) = nan"),
+    (50, "value", np.nan, r"iteration \d+, trial \d+: f\(y\) = nan"),
     # a NaN gradient at x_tilde_5 reaches f(y) through the prox step
-    (9, "grad", r"iteration 5, trial 0: f\(y\) = nan"),
+    (9, "grad", np.nan, r"iteration 5, trial 0: f\(y\) = nan"),
+    # the box clamps an infinite step back to a finite y; U sees the entry
+    (9, "grad", np.inf, r"iteration 5, trial 0: U = -?(inf|nan);"),
+    (9, "grad", -np.inf, r"iteration 5, trial 0: U = -?(inf|nan);"),
 ])
 def test_solve_raises_numerical_failure_on_nonfinite_oracle(call, which,
-                                                            match):
-    problem = _nan_at_call(audit_corpus(2, 0)[0], call, which)
+                                                            fault, match):
+    problem = _fault_at_call(audit_corpus(2, 0)[0], call, which, fault)
     with pytest.raises(solver_mod.NumericalFailure, match=match) as info:
         solve(problem, SolverConfig(), default_start(problem))
     assert isinstance(info.value, FloatingPointError)
