@@ -1,9 +1,11 @@
-"""Numpy kernels for the grid oracles, the schedule scan and the audit's
-history-margin scan.
+"""Numpy kernels for the dense-grid oracles, the schedule scan and the
+audit's history-margin scan.
 
-The grid kernels are vectorized; the 2-D ones walk the first axis in blocks
-so that a dense scan holds at most about two million points at once.  The
-schedule scan is a plain Python loop, because its recursion is sequential.
+The grid kernels share one blocked evaluator, ``grid_blocks``: it walks the
+grid over a box in blocks of about two million points and hands each block
+out as an open mesh, so a kernel's expression broadcasts over the block
+without materializing coordinates, in any dimension.  The schedule scan is a
+plain Python loop, because its recursion is sequential.
 """
 
 from __future__ import annotations
@@ -24,6 +26,25 @@ def grid_1d(lo: float, hi: float, resolution: float) -> np.ndarray:
         raise ValueError("grid resolution must be positive")
     n = int(math.ceil((hi - lo) / resolution)) + 1
     return np.linspace(lo, hi, n)
+
+
+_BLOCK_POINTS = 2_000_000
+
+
+def grid_blocks(lo, hi, resolution):
+    """Open-mesh blocks of the grid over the box [lo, hi].
+
+    Coordinate i runs over ``grid_1d(lo[i], hi[i], resolution)``, or over the
+    single point lo[i] when hi[i] == lo[i].  The first axis is cut so that a
+    block holds about two million points; each block is the ``np.ix_`` open
+    mesh of its axis pieces, in row-major grid order.
+    """
+    axes = [np.array([l]) if l == h else grid_1d(l, h, resolution)
+            for l, h in zip(map(float, lo), map(float, hi))]
+    rest = math.prod(len(ax) for ax in axes[1:])
+    block = max(1, _BLOCK_POINTS // rest)
+    for start in range(0, len(axes[0]), block):
+        yield np.ix_(axes[0][start:start + block], *axes[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -116,139 +137,79 @@ def history_margin(lam_hist, tau_hist, L_arr, xi_arr):
     return best, k_arg, i_arg
 
 
+
+
 # ---------------------------------------------------------------------------
-# stationarity residual scan for box/L1 quadratics
+# dense-grid kernels for box/L1 quadratics
 # ---------------------------------------------------------------------------
-# h(u) = wl1 * ||u||_1 + indicator of [lo, hi]^n.  A point u is stationary
-# when -grad f(u) lies in the subdifferential of h at u, which is an interval
-# per component: wl1 * [sub-gradient of |.|] plus the normal cone of the box.
-# The scan returns every grid point whose Euclidean distance from -grad to
-# that interval is <= tol.  Coordinates within `snap` of the L1 kink at 0 are
-# treated as sitting on the kink so float dust in grid construction cannot
-# hide a genuine stationary point; box faces land on the grid exactly.
+# phi(u) = 0.5 u'Qu + c'u + w ||u||_1 + indicator of the box [lo, hi].  Both
+# kernels walk the grid block by block (see grid_blocks) and evaluate their
+# expression on each block's open mesh, so any dimension takes the same code.
+#
+# A point u is stationary when -grad f(u) lies in the subdifferential of h at
+# u, which is an interval per component: w * [sub-gradient of |.|] plus the
+# normal cone of the box.  The scan keeps every grid point whose Euclidean
+# distance from -grad to that interval is <= tol.  Coordinates within
+# snap = resolution / 4 of the L1 kink at 0 are treated as sitting on the
+# kink so float dust in grid construction cannot hide a genuine stationary
+# point; box faces land on the grid exactly.
 
 def _interval_dist(mg, u, lo, hi, wl1, snap):
-    """Distance from mg to the interval at u (lo, hi scalars, broadcasting u)."""
+    """Distance from mg to the interval at u (u, lo, hi broadcast to mg)."""
     if wl1 > 0.0:
         on_kink = np.abs(u) <= snap
         sgn = np.where(u > snap, wl1, -wl1)
         a = np.where(on_kink, -wl1, sgn)
         b = np.where(on_kink, wl1, sgn)
     else:
-        a = np.zeros_like(mg)
-        b = np.zeros_like(mg)
+        a = b = 0.0
     a = np.where(u <= lo + snap, -np.inf, a)
     b = np.where(u >= hi - snap, np.inf, b)
     return np.maximum(np.maximum(a - mg, mg - b), 0.0)
 
 
-def qp_scan_1d(q, c, lo, hi, wl1, step, n_pts, tol, snap, out, max_hits):
-    u = lo + step * np.arange(n_pts)
-    u[-1] = hi
-    mg = -(q * u + c)
-    d = _interval_dist(mg, u, lo, hi, wl1, snap)
-    hits = u[d <= tol]
-    found = hits.shape[0]
-    kept = min(found, max_hits)
-    out[:kept] = hits[:kept]
-    return found
+def qp_grid_argmin(Q, c, w, lo, hi, resolution):
+    """Grid argmin of 0.5 u'Qu + c'u + w ||u||_1 over the box [lo, hi].
+
+    Returns (u, value); ties go to the first point in row-major grid order.
+    """
+    n = len(c)
+    best = math.inf
+    arg = np.array(lo, dtype=np.float64)
+    for u in grid_blocks(lo, hi, resolution):
+        v = 0.5 * sum((Q[i, i] if i == j else Q[i, j] + Q[j, i]) * u[i] * u[j]
+                      for i in range(n) for j in range(i, n))
+        for i in range(n):
+            v = v + c[i] * u[i]
+        v = v + w * sum(np.abs(ui) for ui in u)
+        at = np.unravel_index(np.argmin(v), v.shape)
+        if v[at] < best:
+            best = float(v[at])
+            arg = np.array([ui.ravel()[j] for ui, j in zip(u, at)])
+    return arg, best
 
 
-def qp_scan_2d(Q, c, lo, hi, wl1, step0, n0, step1, n1, tol, snap, out,
-               max_hits):
-    u1 = lo[1] + step1 * np.arange(n1)
-    u1[-1] = hi[1]
+def qp_stationary_scan(Q, c, w, lo, hi, resolution, tol, max_hits):
+    """Grid points whose stationarity residual is <= tol, as an (m, n) array.
+
+    Points come in row-major grid order.  Raises RuntimeError as soon as more
+    than max_hits points have passed.
+    """
+    n = len(c)
+    snap = 0.25 * resolution
+    hits = []
     found = 0
-    block = max(1, int(2e6) // n1)
-    for start in range(0, n0, block):
-        stop = min(start + block, n0)
-        u0 = lo[0] + step0 * np.arange(start, stop)
-        if stop == n0:
-            u0[-1] = hi[0]
-        U0 = u0[:, None]
-        mg0 = -(Q[0, 0] * U0 + Q[0, 1] * u1 + c[0])
-        mg1 = -(Q[1, 0] * U0 + Q[1, 1] * u1 + c[1])
-        d0 = _interval_dist(mg0, np.broadcast_to(U0, mg0.shape),
-                            lo[0], hi[0], wl1, snap)
-        d1 = _interval_dist(mg1, np.broadcast_to(u1, mg1.shape),
-                            lo[1], hi[1], wl1, snap)
-        mask = np.sqrt(d0 * d0 + d1 * d1) <= tol
-        ii, jj = np.nonzero(mask)
-        for r in range(ii.shape[0]):
-            if found < max_hits:
-                out[found, 0] = u0[ii[r]]
-                out[found, 1] = u1[jj[r]]
-            found += 1
-    return found
-
-
-# ---------------------------------------------------------------------------
-# grid argmin of the composite objective for box/L1 quadratics
-# ---------------------------------------------------------------------------
-
-def qp_phi_argmin_1d(q, c, lo, hi, wl1, step, n_pts):
-    u = lo + step * np.arange(n_pts)
-    u[-1] = hi
-    v = 0.5 * q * u * u + c * u + wl1 * np.abs(u)
-    i = int(np.argmin(v))
-    return u[i], v[i]
-
-
-def qp_phi_argmin_2d(Q, c, lo, hi, wl1, step0, n0, step1, n1):
-    u1 = lo[1] + step1 * np.arange(n1)
-    u1[-1] = hi[1]
-    best = math.inf
-    a0 = lo[0]
-    a1 = lo[1]
-    block = max(1, int(2e6) // n1)
-    for start in range(0, n0, block):
-        stop = min(start + block, n0)
-        u0 = lo[0] + step0 * np.arange(start, stop)
-        if stop == n0:
-            u0[-1] = hi[0]
-        U0 = u0[:, None]
-        v = (0.5 * (Q[0, 0] * U0 * U0 + (Q[0, 1] + Q[1, 0]) * U0 * u1
-                    + Q[1, 1] * u1 * u1)
-             + c[0] * U0 + c[1] * u1 + wl1 * (np.abs(U0) + np.abs(u1)))
-        i = int(np.argmin(v))
-        r, s = divmod(i, n1)
-        if v[r, s] < best:
-            best = float(v[r, s])
-            a0 = float(u0[r])
-            a1 = float(u1[s])
-    return a0, a1, best
-
-
-# ---------------------------------------------------------------------------
-# grid argmin of an isotropic quadratic 0.5*kappa*||u||^2 + b.u on a rectangle
-# ---------------------------------------------------------------------------
-
-def iso_quad_argmin_1d(kappa, b, lo, hi, step, n_pts):
-    u = lo + step * np.arange(n_pts)
-    u[-1] = hi
-    v = 0.5 * kappa * u * u + b * u
-    i = int(np.argmin(v))
-    return u[i], v[i]
-
-
-def iso_quad_argmin_2d(kappa, b, lo, hi, step0, n0, step1, n1):
-    u1 = lo[1] + step1 * np.arange(n1)
-    u1[-1] = hi[1]
-    best = math.inf
-    a0 = lo[0]
-    a1 = lo[1]
-    block = max(1, int(2e6) // n1)
-    for start in range(0, n0, block):
-        stop = min(start + block, n0)
-        u0 = lo[0] + step0 * np.arange(start, stop)
-        if stop == n0:
-            u0[-1] = hi[0]
-        U0 = u0[:, None]
-        v = 0.5 * kappa * (U0 * U0 + u1 * u1) + b[0] * U0 + b[1] * u1
-        i = int(np.argmin(v))
-        r, s = divmod(i, n1)
-        if v[r, s] < best:
-            best = float(v[r, s])
-            a0 = float(u0[r])
-            a1 = float(u1[s])
-    return a0, a1, best
+    for u in grid_blocks(lo, hi, resolution):
+        dd = 0.0
+        for i in range(n):
+            mg = -(sum(Q[i, j] * u[j] for j in range(n)) + c[i])
+            d = _interval_dist(mg, u[i], lo[i], hi[i], w, snap)
+            dd = dd + d * d
+        mask = np.sqrt(dd) <= tol
+        found += int(np.count_nonzero(mask))
+        if found > max_hits:
+            raise RuntimeError("stationarity scan exceeded the hit cap; "
+                               "the residual tolerance admits too many points")
+        hits.append(np.stack([np.broadcast_to(ui, mask.shape)[mask]
+                              for ui in u], axis=1))
+    return np.concatenate(hits)

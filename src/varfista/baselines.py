@@ -9,7 +9,8 @@ never shrinks its stepsize and never escalates (convex input, small enough
 lambda0), the two iterate sequences agree bit-for-bit.
 
 ``run_prox_gradient`` is plain forward-backward splitting, the unaccelerated
-floor for benchmark comparisons.
+floor for benchmark comparisons; its prox step and residual are the same
+``compute_candidate`` and ``compute_v`` with xi = 0 and tau = 0.
 """
 
 from __future__ import annotations
@@ -135,11 +136,12 @@ def run_prox_gradient(problem: CompositeProblem, config: BaselineConfig,
     k = 0
 
     for k in range(1, config.max_outer_iterations + 1):
-        u_next = reg.prox(u - step * g_u, step)
+        u_next, _ = compute_candidate(problem, u, step, 0.0, 1.0,
+                                      grad_x_tilde=g_u)
         prox_calls += 1
         g_next = smooth.grad(u_next)
         grad_calls += 1
-        v = (1.0 / step) * (u - u_next) + g_next - g_u
+        v = compute_v(u, u_next, g_next, g_u, step, 0.0)
         resid = float(np.linalg.norm(v))
         phi_u = smooth.value(u_next) + reg.value(u_next)
         if phi_u < phi_min:

@@ -101,30 +101,13 @@ def _grid_argmin(kappa: float, b: Array, lo: Array, hi: Array,
     Exact for the final grid because the objective is unimodal along each
     axis, so every refinement window brackets the coarse argmin.
     """
-    def _npts(width: float, res: float) -> int:
-        return max(2, int(math.ceil(width / res)) + 1)
-
-    n = b.shape[0]
+    Q = kappa * np.eye(b.shape[0])
     lo = lo.copy()
     hi = hi.copy()
     while True:
         span = float(np.max(hi - lo))
         res = max(span / 400.0, resolution)
-        if n == 1:
-            npts = _npts(hi[0] - lo[0], res)
-            step = (hi[0] - lo[0]) / (npts - 1)
-            arg, _ = _kernels.iso_quad_argmin_1d(kappa, float(b[0]),
-                                                 float(lo[0]), float(hi[0]),
-                                                 step, npts)
-            best = np.array([arg])
-        else:
-            n0 = _npts(hi[0] - lo[0], res)
-            n1 = _npts(hi[1] - lo[1], res)
-            step0 = (hi[0] - lo[0]) / (n0 - 1)
-            step1 = (hi[1] - lo[1]) / (n1 - 1)
-            a0, a1, _ = _kernels.iso_quad_argmin_2d(kappa, b, lo, hi,
-                                                    step0, n0, step1, n1)
-            best = np.array([a0, a1])
+        best, _ = _kernels.qp_grid_argmin(Q, b, 0.0, lo, hi, res)
         if res <= resolution:
             return best
         lo = np.maximum(lo, best - 3.0 * res)
@@ -194,13 +177,20 @@ class DriftReport:
 
 def check_xk_drift(trace_xs: List[Array], x0: Array,
                    bounds: TheoreticalBounds) -> DriftReport:
-    """Check ||x_k - x0|| <= C * k for every recorded anchor point."""
+    """Check ||x_k - x0|| <= C * k for every recorded anchor point.
+
+    C = 0 (a one-point domain) allows no drift: a zero drift passes with
+    ratio 0, any other fails with ratio inf.
+    """
     worst = 0.0
     worst_k = 0
     for i, xk in enumerate(trace_xs):
         k = i + 1
-        r = float(np.linalg.norm(xk - x0)) / (bounds.C * k) if bounds.C > 0 \
-            else math.inf
+        drift = float(np.linalg.norm(xk - x0))
+        if bounds.C > 0:
+            r = drift / (bounds.C * k)
+        else:
+            r = math.inf if drift > 0.0 else 0.0
         if r > worst:
             worst = r
             worst_k = k

@@ -5,9 +5,12 @@ the diagonal of chosen eigenvalues is conjugated by a product of random
 Householder reflections, so the curvature constants reported for auditing
 are exact by construction rather than estimated.  ``brute_force_stationary``
 and ``global_min_phi`` are the independent dense-grid oracles (dimension at
-most 2) that the test suite checks solver output against; for pure box
-instances the stationary-point oracle additionally enumerates all 3^n
-active-set sign patterns, which is exact up to linear-solve precision.
+most 2) that the test suite checks solver output against.  Both call one
+kernel each, ``_kernels.qp_stationary_scan`` and ``_kernels.qp_grid_argmin``,
+which evaluate the quadratic over ``_kernels.grid_blocks``; a zero-width
+box coordinate is the single grid point lo.  For pure box instances the
+stationary-point oracle additionally enumerates all 3^n active-set sign
+patterns, which is exact up to linear-solve precision.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from ._kernels import grid_1d
 from .problems import Array, CompositeProblem
 from .prox import BoxIndicator, L1PlusBox, identity_projector
 
@@ -187,36 +189,10 @@ def brute_force_stationary(problem: CompositeProblem,
     """
     smooth, reg, wl1 = _require_grid_problem(problem)
     lo, hi = reg.domain_box
-    n = problem.dimension
-    tol = (smooth.audit_lipschitz + 1.0) * grid_resolution * math.sqrt(n)
-    snap = 0.25 * grid_resolution
-    pts: List[Array] = []
-    if n == 1:
-        g = grid_1d(float(lo[0]), float(hi[0]), grid_resolution)
-        step = (float(hi[0]) - float(lo[0])) / (g.shape[0] - 1)
-        cap = min(g.shape[0], _SCAN_CAP)
-        out = np.empty(cap)
-        found = _kernels.qp_scan_1d(
-            float(smooth.Q[0, 0]), float(smooth.c[0]), float(lo[0]),
-            float(hi[0]), wl1, step, g.shape[0], tol, snap, out, cap)
-        if found > cap:
-            raise RuntimeError("stationarity scan exceeded the hit cap; "
-                               "the residual tolerance admits too many points")
-        pts = [np.array([out[i]]) for i in range(found)]
-    else:
-        g0 = grid_1d(float(lo[0]), float(hi[0]), grid_resolution)
-        g1 = grid_1d(float(lo[1]), float(hi[1]), grid_resolution)
-        step0 = (float(hi[0]) - float(lo[0])) / (g0.shape[0] - 1)
-        step1 = (float(hi[1]) - float(lo[1])) / (g1.shape[0] - 1)
-        cap = _SCAN_CAP
-        out = np.empty((cap, 2))
-        found = _kernels.qp_scan_2d(
-            smooth.Q, smooth.c, lo, hi, wl1, step0, g0.shape[0], step1,
-            g1.shape[0], tol, snap, out, cap)
-        if found > cap:
-            raise RuntimeError("stationarity scan exceeded the hit cap; "
-                               "the residual tolerance admits too many points")
-        pts = [out[i].copy() for i in range(found)]
+    tol = (smooth.audit_lipschitz + 1.0) * grid_resolution * math.sqrt(
+        problem.dimension)
+    pts: List[Array] = list(_kernels.qp_stationary_scan(
+        smooth.Q, smooth.c, wl1, lo, hi, grid_resolution, tol, _SCAN_CAP))
     if wl1 == 0.0:
         pts.extend(active_set_stationary(problem))
     return pts
@@ -284,21 +260,8 @@ def global_min_phi(problem: CompositeProblem,
     """Dense-grid minimizer of phi over dom h (dimension <= 2)."""
     smooth, reg, wl1 = _require_grid_problem(problem)
     lo, hi = reg.domain_box
-    if problem.dimension == 1:
-        g = grid_1d(float(lo[0]), float(hi[0]), grid_resolution)
-        step = (float(hi[0]) - float(lo[0])) / (g.shape[0] - 1)
-        arg, val = _kernels.qp_phi_argmin_1d(
-            float(smooth.Q[0, 0]), float(smooth.c[0]), float(lo[0]),
-            float(hi[0]), wl1, step, g.shape[0])
-        return np.array([arg]), float(val)
-    g0 = grid_1d(float(lo[0]), float(hi[0]), grid_resolution)
-    g1 = grid_1d(float(lo[1]), float(hi[1]), grid_resolution)
-    step0 = (float(hi[0]) - float(lo[0])) / (g0.shape[0] - 1)
-    step1 = (float(hi[1]) - float(lo[1])) / (g1.shape[0] - 1)
-    a0, a1, val = _kernels.qp_phi_argmin_2d(
-        smooth.Q, smooth.c, lo, hi, wl1, step0, g0.shape[0], step1,
-        g1.shape[0])
-    return np.array([a0, a1]), float(val)
+    return _kernels.qp_grid_argmin(smooth.Q, smooth.c, wl1, lo, hi,
+                                   grid_resolution)
 
 
 # ---------------------------------------------------------------------------

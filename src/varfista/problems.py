@@ -121,16 +121,6 @@ def phi(problem: CompositeProblem, u: Array) -> float:
     return problem.smooth.value(u) + hu
 
 
-def linearization(problem: CompositeProblem, u1: Array, u2: Array) -> float:
-    """First-order expansion of f around u2, evaluated at u1."""
-    u1 = np.asarray(u1, dtype=np.float64)
-    u2 = np.asarray(u2, dtype=np.float64)
-    if u1.shape != (problem.dimension,) or u2.shape != (problem.dimension,):
-        raise ValueError("points do not match problem dimension")
-    g = problem.smooth.grad(u2)
-    return problem.smooth.value(u2) + float(g @ (u1 - u2))
-
-
 def verify_certificate(problem: CompositeProblem, cert: Certificate,
                        s: float = 1.0, tol: float = 1e-8,
                        rho_hat: Optional[float] = None) -> bool:

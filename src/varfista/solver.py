@@ -104,8 +104,10 @@ class HistoryLedger:
     cached array itself (``is``, no copy kept) with unchanged ``tobytes()``.
     On a hit each newly appended record is folded in through the one-record
     ``_gap_term``, at O(n) cost per record.  A miss rescans every record with
-    ``_gap_terms``.  Both forms evaluate the same per-record expression, so
-    cached and rescanned maxima agree bit-for-bit.
+    ``_gap_terms``.  Both forms evaluate the same per-record expression and
+    guard, so their quotients agree bit-for-bit, NaN included, and so do
+    cached and rescanned maxima while no quotient is NaN (the fold's ``>``
+    skips a NaN that the rescan's ``np.max`` keeps).
     """
 
     def __init__(self, dimension: int, lambda0: float):
@@ -214,7 +216,7 @@ class HistoryLedger:
         gd = np.einsum("ij,ij->i", G, d)
         num = 2.0 * (F + gd - f_u)
         den = np.einsum("ij,ij->i", d, d)
-        ok = den > denom_epsilon * (1.0 + self._XN2[start:stop])
+        ok = ~(den <= denom_epsilon * (1.0 + self._XN2[start:stop]))
         safe = np.where(ok, den, 1.0)
         return np.where(ok, num / safe, 0.0), den, gd
 

@@ -7,7 +7,8 @@ import pytest
 
 from varfista.audit import (AuditReport, CheckResult, audit_corpus, audit_run,
                             corrupt_gradient_oracle, run_audit_suite)
-from varfista.gallery import QuadraticSpec, default_start, generate_qp
+from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
+                              make_qp_problem)
 from varfista.solver import HistoryLedger, SolverConfig, solve
 
 
@@ -54,6 +55,19 @@ def test_clean_nonconvex_run_passes_every_check():
     assert "convex-stays-zero" not in names
     assert "escalation-cap" in names
     assert "stepsize-floor" in names
+
+
+def test_one_point_box_audits_clean():
+    # lo == hi: a valid instance whose domain is one point (C = 0)
+    prob = make_qp_problem(np.array([[2.0, 0.3], [0.3, -1.0]]),
+                           np.array([0.1, -0.2]), [0.5, 0.5], [0.5, 0.5])
+    cfg = SolverConfig()
+    y0 = default_start(prob)
+    cert, trace, ledger = solve(prob, cfg, y0)
+    assert cert.converged and cert.iterations == 1
+    report = audit_run(prob, cfg, cert, trace, ledger, y0)
+    assert report.passed, "\n".join(c.line() for c in report.failures())
+    assert "anchor-drift" in [c.name for c in report.checks]
 
 
 def test_audit_without_metadata_skips_constant_checks():

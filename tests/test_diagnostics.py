@@ -1,5 +1,7 @@
 """Model functions, analytic run constants, anchor and drift rechecks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,18 @@ def test_drift_report_hand_case():
 
     bad = check_xk_drift([np.array([5.0])], x0, bounds)
     assert not bad.passed and bad.worst_k == 1 and bad.worst_ratio > 1.0
+
+
+def test_drift_with_zero_C_allows_only_zero_drift():
+    # a one-point domain gives C = 0: staying put passes, moving fails
+    bounds = TheoreticalBounds(M_bar=1.0, m_under=0.0, lambda_floor=0.1,
+                               xi_bar=0.0, D_h=0.0, C=0.0)
+    x0 = np.array([0.5, 0.5])
+    ok = check_xk_drift([x0.copy(), x0.copy()], x0, bounds)
+    assert ok.passed and ok.worst_ratio == 0.0
+    bad = check_xk_drift([x0.copy(), x0 + 1e-12], x0, bounds)
+    assert not bad.passed and bad.worst_ratio == math.inf
+    assert bad.worst_k == 2
 
 
 def test_drift_holds_on_solver_run():

@@ -127,6 +127,22 @@ def test_brute_force_2d_matches_active_set():
         assert min(np.linalg.norm(s - p) for s in exact) <= 2e-3 * 3.0
 
 
+def test_grid_oracles_on_a_zero_width_coordinate():
+    # u1 is pinned to 0.25; along u0, f = u0^2 + 0.175 u0 + const has its
+    # interior minimizer at -0.0875
+    prob = make_qp_problem(np.array([[2.0, 0.3], [0.3, -1.0]]),
+                           np.array([0.1, -0.2]), [-1.0, 0.25], [1.0, 0.25])
+    exact = active_set_stationary(prob)
+    assert len(exact) == 1
+    arg, val = global_min_phi(prob, grid_resolution=1e-3)
+    assert arg[1] == 0.25 and abs(arg[0] - exact[0][0]) <= 1e-3
+    assert val == pytest.approx(phi(prob, exact[0]), abs=1e-6)
+    pts = brute_force_stationary(prob, grid_resolution=1e-3)
+    assert all(p[1] == 0.25 for p in pts)
+    for p in pts:
+        assert np.linalg.norm(p - exact[0]) <= 2e-3 * 3.0
+
+
 def test_l1_instance_shrinks_minimizer():
     # min u^2 - u + 0.3|u| on [-1, 1]: minimizer (1 - 0.3)/2 = 0.35
     prob = make_qp_problem(np.array([[2.0]]), np.array([-1.0]),

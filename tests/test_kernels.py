@@ -7,6 +7,7 @@ bit; the grids are kept small enough for the loops to run quickly.
 recomputation from ``advance``.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -68,94 +69,57 @@ def _interval_dist(mg, u, lo, hi, wl1, snap):
     return 0.0
 
 
-def _qp_scan_1d_loop(q, c, lo, hi, wl1, step, n_pts, tol, snap, out, max_hits):
-    found = 0
-    for i in range(n_pts):
-        u = hi if i == n_pts - 1 else lo + i * step
-        mg = -(q * u + c)
-        d = _interval_dist(mg, u, lo, hi, wl1, snap)
-        if d <= tol:
-            if found < max_hits:
-                out[found] = u
-            found += 1
-    return found
+def _axis(lo, hi, res):
+    """Grid axis one point at a time: lo + j * step, the last point hi."""
+    if hi == lo:
+        return [lo]
+    m = int(math.ceil((hi - lo) / res)) + 1
+    step = (hi - lo) / (m - 1)
+    return [hi if j == m - 1 else lo + j * step for j in range(m)]
 
 
-def _qp_scan_2d_loop(Q, c, lo, hi, wl1, step0, n0, step1, n1, tol, snap,
-                     out, max_hits):
-    found = 0
-    for i in range(n0):
-        u0 = hi[0] if i == n0 - 1 else lo[0] + i * step0
-        for j in range(n1):
-            u1 = hi[1] if j == n1 - 1 else lo[1] + j * step1
-            mg0 = -(Q[0, 0] * u0 + Q[0, 1] * u1 + c[0])
-            mg1 = -(Q[1, 0] * u0 + Q[1, 1] * u1 + c[1])
-            d0 = _interval_dist(mg0, u0, lo[0], hi[0], wl1, snap)
-            d1 = _interval_dist(mg1, u1, lo[1], hi[1], wl1, snap)
-            if math.sqrt(d0 * d0 + d1 * d1) <= tol:
-                if found < max_hits:
-                    out[found, 0] = u0
-                    out[found, 1] = u1
-                found += 1
-    return found
+def _grid(lo, hi, res):
+    return itertools.product(*(_axis(l, h, res) for l, h in zip(lo, hi)))
 
 
-def _qp_phi_argmin_1d_loop(q, c, lo, hi, wl1, step, n_pts):
+def _qp_grid_argmin_loop(Q, c, w, lo, hi, res):
+    n = len(c)
     best = math.inf
-    arg = lo
-    for i in range(n_pts):
-        u = hi if i == n_pts - 1 else lo + i * step
-        v = 0.5 * q * u * u + c * u + wl1 * abs(u)
+    arg = list(lo)
+    for u in _grid(lo, hi, res):
+        quad = 0.0
+        for i in range(n):
+            for j in range(i, n):
+                q = Q[i][i] if i == j else Q[i][j] + Q[j][i]
+                quad = quad + q * u[i] * u[j]
+        v = 0.5 * quad
+        for i in range(n):
+            v = v + c[i] * u[i]
+        l1 = 0.0
+        for i in range(n):
+            l1 = l1 + abs(u[i])
+        v = v + w * l1
         if v < best:
             best = v
-            arg = u
+            arg = list(u)
     return arg, best
 
 
-def _qp_phi_argmin_2d_loop(Q, c, lo, hi, wl1, step0, n0, step1, n1):
-    best = math.inf
-    a0 = lo[0]
-    a1 = lo[1]
-    for i in range(n0):
-        u0 = hi[0] if i == n0 - 1 else lo[0] + i * step0
-        for j in range(n1):
-            u1 = hi[1] if j == n1 - 1 else lo[1] + j * step1
-            v = (0.5 * (Q[0, 0] * u0 * u0 + (Q[0, 1] + Q[1, 0]) * u0 * u1
-                        + Q[1, 1] * u1 * u1)
-                 + c[0] * u0 + c[1] * u1 + wl1 * (abs(u0) + abs(u1)))
-            if v < best:
-                best = v
-                a0 = u0
-                a1 = u1
-    return a0, a1, best
-
-
-def _iso_quad_argmin_1d_loop(kappa, b, lo, hi, step, n_pts):
-    best = math.inf
-    arg = lo
-    for i in range(n_pts):
-        u = hi if i == n_pts - 1 else lo + i * step
-        v = 0.5 * kappa * u * u + b * u
-        if v < best:
-            best = v
-            arg = u
-    return arg, best
-
-
-def _iso_quad_argmin_2d_loop(kappa, b, lo, hi, step0, n0, step1, n1):
-    best = math.inf
-    a0 = lo[0]
-    a1 = lo[1]
-    for i in range(n0):
-        u0 = hi[0] if i == n0 - 1 else lo[0] + i * step0
-        for j in range(n1):
-            u1 = hi[1] if j == n1 - 1 else lo[1] + j * step1
-            v = 0.5 * kappa * (u0 * u0 + u1 * u1) + b[0] * u0 + b[1] * u1
-            if v < best:
-                best = v
-                a0 = u0
-                a1 = u1
-    return a0, a1, best
+def _qp_stationary_scan_loop(Q, c, w, lo, hi, res, tol):
+    n = len(c)
+    snap = 0.25 * res
+    hits = []
+    for u in _grid(lo, hi, res):
+        dd = 0.0
+        for i in range(n):
+            s = 0.0
+            for j in range(n):
+                s = s + Q[i][j] * u[j]
+            d = _interval_dist(-(s + c[i]), u[i], lo[i], hi[i], w, snap)
+            dd = dd + d * d
+        if math.sqrt(dd) <= tol:
+            hits.append(u)
+    return np.array(hits).reshape(-1, n)
 
 
 def _schedule_scan_reference(A0, k_max):
@@ -238,74 +202,53 @@ def test_history_margin_matches_reference():
                 == _history_margin_loop(lam, tau, L, xi))
 
 
-@pytest.mark.parametrize("wl1", [0.0, 0.25])
-def test_qp_scan_1d_matches_reference(wl1):
-    g = grid_1d(-1.0, 1.0, 1e-3)
-    step = g[1] - g[0]
-    for q, c in ((-1.0, 0.0), (2.0, -0.6), (0.0, 0.0)):
-        out_a = np.zeros(len(g))
-        out_b = np.zeros(len(g))
-        fa = _qp_scan_1d_loop(q, c, -1.0, 1.0, wl1, step, len(g), 1e-4,
-                              step / 4, out_a, len(g))
-        fb = _kernels.qp_scan_1d(q, c, -1.0, 1.0, wl1, step, len(g), 1e-4,
-                                 step / 4, out_b, len(g))
-        assert fa == fb
-        assert np.array_equal(out_a, out_b)
+def _cases(n):
+    """(Q, c) cases as lists, and boxes with and without a zero-width side."""
+    rng = np.random.default_rng(3 + n)
+    M = rng.normal(size=(n, n))
+    Qs = [0.5 * (M + M.T), np.diag(np.linspace(2.0, -1.0, n)),
+          np.zeros((n, n))]
+    cs = [rng.normal(size=n), np.full(n, 0.7), np.zeros(n)]
+    boxes = [([-1.0, -0.5][:n], [1.0, 0.75][:n]),
+             ([0.3, -1.0][:n], [0.3, 1.0][:n])]
+    return [(Q.tolist(), c.tolist()) for Q, c in zip(Qs, cs)], boxes
 
 
-@pytest.mark.parametrize("wl1", [0.0, 0.25])
-def test_qp_scan_2d_matches_reference(wl1):
-    rng = np.random.default_rng(3)
-    M = rng.normal(size=(2, 2))
-    Q = 0.5 * (M + M.T)
-    c = rng.normal(size=2)
-    lo = np.array([-1.0, -1.0])
-    hi = np.array([1.0, 1.0])
-    g = grid_1d(-1.0, 1.0, 2e-2)
-    step = g[1] - g[0]
-    n = len(g)
-    out_a = np.zeros((n * 4, 2))
-    out_b = np.zeros((n * 4, 2))
-    tol = 2e-2
-    fa = _qp_scan_2d_loop(Q, c, lo, hi, wl1, step, n, step, n, tol, step / 4,
-                          out_a, n * 4)
-    fb = _kernels.qp_scan_2d(Q, c, lo, hi, wl1, step, n, step, n, tol,
-                             step / 4, out_b, n * 4)
-    assert fa == fb and fa > 0
-    kept = min(fa, n * 4)
-    assert np.array_equal(out_a[:kept], out_b[:kept])
+@pytest.mark.parametrize("w", [0.0, 0.25])
+@pytest.mark.parametrize("n", [1, 2])
+def test_qp_grid_argmin_matches_reference(n, w, monkeypatch):
+    # small blocks, so ties and minima are carried across block edges
+    monkeypatch.setattr(_kernels, "_BLOCK_POINTS", 37)
+    res = 1e-3 if n == 1 else 2e-2
+    qcs, boxes = _cases(n)
+    for (Q, c), (lo, hi) in itertools.product(qcs, boxes):
+        arg, val = _kernels.qp_grid_argmin(np.array(Q), np.array(c), w,
+                                           np.array(lo), np.array(hi), res)
+        want_arg, want_val = _qp_grid_argmin_loop(Q, c, w, lo, hi, res)
+        assert arg.tolist() == want_arg and val == want_val
 
 
-def test_argmin_kernels_match_reference():
-    g = grid_1d(-1.0, 1.0, 1e-2)
-    step = g[1] - g[0]
-    n = len(g)
-    for c in (-0.7, 0.7):  # minimizer on either side of the L1 kink
-        args = (2.0, c, -1.0, 1.0, 0.3, step, n)
-        assert (_kernels.qp_phi_argmin_1d(*args)
-                == _qp_phi_argmin_1d_loop(*args))
-    args = (1.7, 0.4, -1.0, 1.0, step, n)
-    assert (_kernels.iso_quad_argmin_1d(*args)
-            == _iso_quad_argmin_1d_loop(*args))
-    lo = np.array([-1.0, -1.0])
-    hi = np.array([1.0, 1.0])
-    Q = np.array([[2.0, 0.3], [0.3, -1.0]])
-    c = np.array([0.1, -0.2])
-    args2 = (Q, c, lo, hi, 0.2, step, n, step, n)
-    assert (_kernels.qp_phi_argmin_2d(*args2)
-            == _qp_phi_argmin_2d_loop(*args2))
-    b = np.array([0.5, -0.1])
-    args3 = (2.5, b, lo, hi, step, n, step, n)
-    assert (_kernels.iso_quad_argmin_2d(*args3)
-            == _iso_quad_argmin_2d_loop(*args3))
+@pytest.mark.parametrize("w", [0.0, 0.25])
+@pytest.mark.parametrize("n", [1, 2])
+def test_qp_stationary_scan_matches_reference(n, w, monkeypatch):
+    monkeypatch.setattr(_kernels, "_BLOCK_POINTS", 37)
+    res = 1e-3 if n == 1 else 2e-2
+    qcs, boxes = _cases(n)
+    found = 0
+    for (Q, c), (lo, hi) in itertools.product(qcs, boxes):
+        got = _kernels.qp_stationary_scan(np.array(Q), np.array(c), w,
+                                          np.array(lo), np.array(hi), res,
+                                          2e-2, 10 ** 6)
+        want = _qp_stationary_scan_loop(Q, c, w, lo, hi, res, 2e-2)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        found += len(got)
+    assert found > 0
 
 
-def test_qp_scan_overflow_reports_total_count():
-    # more hits than the buffer holds: found counts all, buffer keeps max_hits
-    g = grid_1d(-1.0, 1.0, 1e-2)
-    step = g[1] - g[0]
-    out = np.zeros(5)
-    found = _kernels.qp_scan_1d(0.0, 0.0, -1.0, 1.0, 0.0, step, len(g), 1e-9,
-                                step / 4, out, 5)
-    assert found == len(g)
-    assert np.array_equal(out, g[:5])
+def test_qp_stationary_scan_raises_past_max_hits():
+    # with f = 0 and no L1 term every one of the 201 grid points passes
+    args = (np.zeros((1, 1)), np.zeros(1), 0.0, np.array([-1.0]),
+            np.array([1.0]), 1e-2, 1e-9)
+    assert _kernels.qp_stationary_scan(*args, 201).shape == (201, 1)
+    with pytest.raises(RuntimeError, match="hit cap"):
+        _kernels.qp_stationary_scan(*args, 5)

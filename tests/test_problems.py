@@ -5,7 +5,7 @@ import pytest
 
 from varfista.gallery import generate_qp, QuadraticSpec
 from varfista.problems import (Certificate, CompositeProblem, SmoothOracle,
-                               linearization, phi, verify_certificate)
+                               phi, verify_certificate)
 from varfista.prox import (BoxIndicator, ball_projector, box_projector,
                            identity_projector)
 
@@ -58,15 +58,6 @@ def test_phi_values_and_infinity():
         phi(prob, np.array([1.0, 2.0]))
 
 
-def test_linearization_hand_value():
-    prob = _box_problem()
-    # f(u) = u^2 - 4u around u2 = 1: f(1) + (2 - 4)(u1 - 1) at u1 = 3 -> -7
-    val = linearization(prob, np.array([3.0]), np.array([1.0]))
-    assert val == pytest.approx(-7.0)
-    with pytest.raises(ValueError):
-        linearization(prob, np.array([1.0, 0.0]), np.array([1.0]))
-
-
 def test_linearization_bounded_by_curvature():
     prob = generate_qp(QuadraticSpec(n=8, eig_lo=1.0, eig_hi=10.0, seed=3))
     M = prob.smooth.audit_lipschitz
@@ -74,7 +65,8 @@ def test_linearization_bounded_by_curvature():
     for _ in range(200):
         u1 = rng.uniform(-1.0, 1.0, size=8)
         u2 = rng.uniform(-1.0, 1.0, size=8)
-        gap = prob.smooth.value(u1) - linearization(prob, u1, u2)
+        lin = prob.smooth.value(u2) + float(prob.smooth.grad(u2) @ (u1 - u2))
+        gap = prob.smooth.value(u1) - lin
         half = 0.5 * M * float((u1 - u2) @ (u1 - u2))
         assert gap <= half * (1.0 + 1e-9) + 1e-12
 

@@ -405,17 +405,23 @@ def _as_bits(value) -> bytes:
 @settings(max_examples=400, deadline=None)
 @given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
        guarded=st.booleans(), d_exp=st.integers(-8, 8),
-       eps=st.sampled_from([0.0, EPS, 1e-6]))
+       eps=st.sampled_from([0.0, EPS, 1e-6]),
+       nan_in=st.sampled_from([None, "u", "g", "f_u"]))
 def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
-                                                       d_exp, eps):
+                                                       d_exp, eps, nan_in):
     # the solver's one-record fold and t1 term use _gap_term, the audit's
-    # replay a one-row _gap_terms; both must give the same bits
+    # replay a one-row _gap_terms; both must give the same bits, also when
+    # a NaN in u, in the record's gradient or in f(u) reaches the quotient
     rng = np.random.default_rng(seed)
 
     def draw(size=None):
         return rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
 
     x, g, f_x, f_u = draw(n), draw(n), float(draw()), float(draw())
+    if nan_in == "g":
+        g[rng.integers(n)] = math.nan
+    if nan_in == "f_u":
+        f_u = math.nan
     ledger = HistoryLedger(n, 1.0)
     ledger.append_linearization(x, f_x, g)
     xn2 = ledger.x_tilde_norm2(1)
@@ -424,11 +430,14 @@ def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
         d *= rng.random() * math.sqrt(eps * (1.0 + xn2)) / (
             math.sqrt(float(d @ d)) * 2.0)
     u = x + d
+    if nan_in == "u":
+        u[rng.integers(n)] = math.nan
     want, den, _ = ledger.linearization_gaps(1, u, f_u, eps)
     if den[0] <= eps * (1.0 + xn2):
         assert want[0] == 0.0
     else:
-        assert not guarded
+        assert not guarded or nan_in == "u"
+        assert math.isnan(want[0]) == (nan_in is not None)
     got = solver_mod._gap_term(x, f_x, g, xn2, u, f_u, eps)
     assert _as_bits(got) == want[0].tobytes()
     assert _as_bits(ledger._record_gap(1, u, f_u, eps)) == want[0].tobytes()
