@@ -1,11 +1,10 @@
-"""Numpy kernels for the dense-grid oracles, the schedule scan and the
-audit's history-margin scan.
+"""Numpy kernels for the dense-grid oracles and the audit's history-margin
+scan.
 
 The grid kernels share one blocked evaluator, ``grid_blocks``: it walks the
 grid over a box in blocks of about two million points and hands each block
 out as an open mesh, so a kernel's expression broadcasts over the block
-without materializing coordinates, in any dimension.  The schedule scan is a
-plain Python loop, because its recursion is sequential.
+without materializing coordinates, in any dimension.
 """
 
 from __future__ import annotations
@@ -48,69 +47,6 @@ def grid_blocks(lo, hi, resolution):
 
 
 # ---------------------------------------------------------------------------
-# momentum-schedule scan
-# ---------------------------------------------------------------------------
-
-def schedule_scan(A0, k_max):
-    """Run the accumulation recursion a=(1+sqrt(1+4A))/2, A+=a for k_max steps.
-
-    Tracks the worst-case margins of the growth bounds
-        k/2 <= a_{k-1} <= 4k,
-        sum_{i<=k} A_i >= k^3/12,
-        (sum_{i<=k} a_{i-1}) / (sum_{i<=k} A_i) <= 4/k,
-    and the largest relative gap |A_k - a_{k-1}^2| / A_k.
-
-    Returns (min_lower, k_lower, min_upper, k_upper, min_sum, k_sum,
-             min_ratio, k_ratio, max_gap, k_gap, a_last, A_last).
-    """
-    A = A0
-    a = 0.0
-    sum_A = 0.0
-    sum_a = 0.0
-    min_lower = math.inf
-    min_upper = math.inf
-    min_sum = math.inf
-    min_ratio = math.inf
-    max_gap = 0.0
-    k_lower = 0
-    k_upper = 0
-    k_sum = 0
-    k_ratio = 0
-    k_gap = 0
-    for k in range(1, k_max + 1):
-        a = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * A))
-        A_next = A + a
-        sum_A += A_next
-        sum_a += a
-        m = a - 0.5 * k
-        if m < min_lower:
-            min_lower = m
-            k_lower = k
-        m = 4.0 * k - a
-        if m < min_upper:
-            min_upper = m
-            k_upper = k
-        m = sum_A - (k * k * k) / 12.0
-        if m < min_sum:
-            min_sum = m
-            k_sum = k
-        m = 4.0 / k - sum_a / sum_A
-        if m < min_ratio:
-            min_ratio = m
-            k_ratio = k
-        g = A_next - a * a
-        if g < 0.0:
-            g = -g
-        g = g / A_next
-        if g > max_gap:
-            max_gap = g
-            k_gap = k
-        A = A_next
-    return (min_lower, k_lower, min_upper, k_upper, min_sum, k_sum,
-            min_ratio, k_ratio, max_gap, k_gap, a, A)
-
-
-# ---------------------------------------------------------------------------
 # history-inequality margin
 # ---------------------------------------------------------------------------
 
@@ -135,8 +71,6 @@ def history_margin(lam_hist, tau_hist, L_arr, xi_arr):
             k_arg = k
             i_arg = i + 1
     return best, k_arg, i_arg
-
-
 
 
 # ---------------------------------------------------------------------------

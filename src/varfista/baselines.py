@@ -90,7 +90,7 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
         g_y = smooth.grad(y_next)
         grad_calls += 1
         v = compute_v(x_tilde, y_next, g_y, g_xt, step, tau)
-        resid = float(np.linalg.norm(v))
+        resid = math.sqrt(float(v @ v))
 
         f_y = smooth.value(y_next)
         phi_y = f_y + reg.value(y_next)
@@ -142,7 +142,7 @@ def run_prox_gradient(problem: CompositeProblem, config: BaselineConfig,
         g_next = smooth.grad(u_next)
         grad_calls += 1
         v = compute_v(u, u_next, g_next, g_u, step, 0.0)
-        resid = float(np.linalg.norm(v))
+        resid = math.sqrt(float(v @ v))
         phi_u = smooth.value(u_next) + reg.value(u_next)
         if phi_u < phi_min:
             phi_min = phi_u

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .problems import Array, CompositeProblem
-from .solver import LinearizationRecord, SolverConfig
+from .solver import SolverConfig
 
 __all__ = [
     "ModelFunction", "TheoreticalBounds", "DriftReport",
@@ -32,24 +32,28 @@ class ModelFunction:
     ``surrogate`` is the regularized linearization whose prox minimizer is
     y_k; ``minorant`` is its tangent expansion at y_k plus the same strong
     convexity term, so minorant <= surrogate everywhere with equality at y_k.
+    ``x_tilde``, ``f_at`` and ``grad_at`` are the iteration's linearization
+    record, as ``HistoryLedger.record_arrays`` returns it.
     """
 
-    record: LinearizationRecord
+    x_tilde: Array
+    f_at: float
+    grad_at: Array
     y_k: Array
     lam_k: float
     tau_k: float
     regularizer: object
 
     def surrogate(self, u: Array) -> float:
-        d = u - self.record.x_tilde
-        lin = self.record.f_at + float(self.record.grad_at @ d)
+        d = u - self.x_tilde
+        lin = self.f_at + float(self.grad_at @ d)
         quad = (self.tau_k / (2.0 * self.lam_k)) * float(d @ d)
         return lin + self.regularizer.value(u) + quad
 
     def minorant(self, u: Array) -> float:
         base = self.surrogate(self.y_k)
         d = u - self.y_k
-        inner = float((self.record.x_tilde - self.y_k) @ d) / self.lam_k
+        inner = float((self.x_tilde - self.y_k) @ d) / self.lam_k
         quad = (self.tau_k / (2.0 * self.lam_k)) * float(d @ d)
         return base + inner + quad
 
@@ -89,7 +93,7 @@ def _anchor_quadratic(model: ModelFunction, x_prev: Array, a: float):
     lam = model.lam_k
     tau = model.tau_k
     kappa = (a * tau + 1.0) / lam
-    b = ((a / lam) * (model.record.x_tilde - model.y_k)
+    b = ((a / lam) * (model.x_tilde - model.y_k)
          - (a * tau / lam) * model.y_k - x_prev / lam)
     return kappa, b
 
@@ -128,7 +132,7 @@ def check_xk_optimality(problem: CompositeProblem, model: ModelFunction,
     tol = max(grid_resolution, 1e-6)
     kind = problem.omega.kind
     if problem.dimension <= 2 and kind in ("identity", "box"):
-        pts = [x_prev, x_k, model.y_k, model.record.x_tilde, -b / kappa]
+        pts = [x_prev, x_k, model.y_k, model.x_tilde, -b / kappa]
         stack = np.stack(pts)
         margin = max(1.0, float(np.max(np.abs(stack)))) * 0.5
         w_lo = np.min(stack, axis=0) - margin
@@ -156,7 +160,7 @@ def check_xk_optimality(problem: CompositeProblem, model: ModelFunction,
             w_lo = w_lo - span
             w_hi = w_hi + span
         return None
-    # projected-gradient fallback for higher dimension or ball regions
+    # projected-gradient fallback for higher dimension or another region
     u = x_k.copy()
     eta = 1.0 / kappa
     for _ in range(100_000):

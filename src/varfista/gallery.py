@@ -159,20 +159,25 @@ def default_start(problem: CompositeProblem) -> Array:
     return 0.5 * (lo + hi)
 
 
+def _box_qp_parts(problem: CompositeProblem, use: str):
+    """(oracle, regularizer, l1 weight) of a box or L1-plus-box quadratic.
+
+    Raises TypeError, naming ``use``, for any other problem.
+    """
+    if not isinstance(problem.smooth, QuadraticOracle):
+        raise TypeError(f"{use} need a QuadraticOracle")
+    reg = problem.regularizer
+    if isinstance(reg, L1PlusBox):
+        return problem.smooth, reg, reg.weight
+    if isinstance(reg, BoxIndicator):
+        return problem.smooth, reg, 0.0
+    raise TypeError(f"{use} need a box or L1-plus-box regularizer")
+
+
 def _require_grid_problem(problem: CompositeProblem):
     if problem.dimension > 2:
         raise ValueError("dense-grid oracles support dimension <= 2 only")
-    if not isinstance(problem.smooth, QuadraticOracle):
-        raise TypeError("dense-grid oracles need a QuadraticOracle")
-    reg = problem.regularizer
-    if isinstance(reg, L1PlusBox):
-        wl1 = reg.weight
-    elif isinstance(reg, BoxIndicator):
-        wl1 = 0.0
-    else:
-        raise TypeError("dense-grid oracles need a box or L1-plus-box "
-                        "regularizer")
-    return problem.smooth, reg, wl1
+    return _box_qp_parts(problem, "dense-grid oracles")
 
 
 _SCAN_CAP = 6_000_000
@@ -271,7 +276,7 @@ def global_min_phi(problem: CompositeProblem,
 def save_instance(problem: CompositeProblem, path: str,
                   seed: Optional[int] = None) -> None:
     """Write a self-describing instance document (exact float round-trip)."""
-    smooth, reg, wl1 = _check_serializable(problem)
+    smooth, reg, wl1 = _box_qp_parts(problem, "instance files")
     lo, hi = reg.domain_box
     doc = {
         "format": "varfista-qp-instance",
@@ -288,17 +293,6 @@ def save_instance(problem: CompositeProblem, path: str,
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-def _check_serializable(problem: CompositeProblem):
-    if not isinstance(problem.smooth, QuadraticOracle):
-        raise TypeError("only quadratic instances serialize")
-    reg = problem.regularizer
-    if isinstance(reg, L1PlusBox):
-        return problem.smooth, reg, reg.weight
-    if isinstance(reg, BoxIndicator):
-        return problem.smooth, reg, 0.0
-    raise TypeError("only box / L1-plus-box regularizers serialize")
 
 
 def load_instance(path: str) -> CompositeProblem:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import schedule_scan
-
 A0_DEFAULT = 12.0
 
 Array = np.ndarray
@@ -65,21 +63,46 @@ class ScheduleBoundsReport:
 
 def check_schedule_bounds(k_max: int, A0: float = A0_DEFAULT,
                           identity_tol: float = 1e-9) -> ScheduleBoundsReport:
-    """Scan the recursion and check every growth bound up to k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    """Scan the recursion and check every growth bound up to k_max.
+
+    The bounds are  k/2 <= a_{k-1} <= 4k,  sum_{i<=k} A_i >= k^3/12  and
+    (sum_{i<=k} a_{i-1}) / (sum_{i<=k} A_i) <= 4/k, plus the identity
+    A_k = a_{k-1}^2 up to a relative gap of identity_tol.  k_max is at most
+    2_000_000, so that k^3 stays exact in int64.
+    """
+    if not 1 <= k_max <= 2_000_000:
+        raise ValueError("k_max must lie in [1, 2_000_000]")
     if not A0 > 0.0:
         raise ValueError("A0 must be positive")
-    (min_lo, k_lo, min_up, k_up, min_sum, k_sum, min_ratio, k_ratio,
-     max_gap, k_gap, a_last, A_last) = schedule_scan(float(A0), int(k_max))
-    passed = (min_lo >= 0.0 and min_up >= 0.0 and min_sum >= 0.0
-              and min_ratio >= 0.0 and max_gap <= identity_tol)
+    k_max = int(k_max)
+    a = np.empty(k_max)
+    A_next = np.empty(k_max)
+    A = float(A0)
+    for i in range(k_max):
+        a[i], A = advance(A)
+        A_next[i] = A
+    k = np.arange(1, k_max + 1)
+    sum_A = np.cumsum(A_next)  # cumsum adds in order, as a running sum does
+
+    def worst(margin):  # the smallest margin and its first 1-based k
+        i = int(np.argmin(margin))
+        return float(margin[i]), i + 1
+
+    lower, lower_k = worst(a - 0.5 * k)
+    upper, upper_k = worst(4.0 * k - a)
+    total, total_k = worst(sum_A - (k * k * k) / 12.0)
+    ratio, ratio_k = worst(4.0 / k - np.cumsum(a) / sum_A)
+    gap = np.abs(A_next - a * a) / A_next
+    gap_k = int(np.argmax(gap)) + 1 if gap.max() > 0.0 else 0
+    max_gap = float(gap[gap_k - 1]) if gap_k else 0.0
+    passed = (lower >= 0.0 and upper >= 0.0 and total >= 0.0
+              and ratio >= 0.0 and max_gap <= identity_tol)
     return ScheduleBoundsReport(
-        k_max=int(k_max), A0=float(A0),
-        lower_margin=float(min_lo), lower_argk=int(k_lo),
-        upper_margin=float(min_up), upper_argk=int(k_up),
-        sum_margin=float(min_sum), sum_argk=int(k_sum),
-        ratio_margin=float(min_ratio), ratio_argk=int(k_ratio),
-        max_rel_gap=float(max_gap), gap_argk=int(k_gap),
-        a_last=float(a_last), A_last=float(A_last),
+        k_max=k_max, A0=float(A0),
+        lower_margin=lower, lower_argk=lower_k,
+        upper_margin=upper, upper_argk=upper_k,
+        sum_margin=total, sum_argk=total_k,
+        ratio_margin=ratio, ratio_argk=ratio_k,
+        max_rel_gap=max_gap, gap_argk=gap_k,
+        a_last=float(a[-1]), A_last=A,
         identity_tol=float(identity_tol), passed=passed)

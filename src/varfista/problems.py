@@ -45,7 +45,7 @@ class SmoothOracle:
 class Projector:
     """Projection onto the optimization region Omega."""
 
-    kind: str  # "identity" | "box" | "euclidean-ball"
+    kind: str  # "identity" | "box"
     project_fn: Callable[[Array], Array]
 
     def project(self, u: Array) -> Array:

@@ -35,19 +35,6 @@ def _clamp(u: Array, lo: Array, hi: Array) -> Array:
     return np.minimum(np.maximum(u, lo), hi)
 
 
-def project_ball(u: Array, center: Array, radius: float) -> Array:
-    """Project u onto the Euclidean ball of given center and radius."""
-    if radius < 0.0:
-        raise ValueError("radius must be non-negative")
-    u = np.asarray(u, dtype=np.float64)
-    center = np.asarray(center, dtype=np.float64)
-    d = u - center
-    nd = np.linalg.norm(d)
-    if nd <= radius:
-        return u.copy()
-    return center + (radius / nd) * d
-
-
 @dataclass(frozen=True)
 class BoxIndicator:
     """h(u) = indicator of the box [lo, hi]; prox is the clamp."""
@@ -133,31 +120,6 @@ class L1PlusBox:
         return _clamp(soft_threshold(z, s * self.weight), self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class ZeroRegularizer:
-    """h identically zero; prox is the identity.
-
-    The domain is all of R^n; ``bound`` only sets the nominal working box
-    reported to diameter-based diagnostics.
-    """
-
-    dimension: int
-    bound: float = 1e8
-
-    @property
-    def domain_box(self) -> Tuple[Array, Array]:
-        return (np.full(self.dimension, -self.bound),
-                np.full(self.dimension, self.bound))
-
-    def value(self, u: Array) -> float:
-        return 0.0
-
-    def prox(self, z: Array, s: float) -> Array:
-        if not s > 0.0:
-            raise ValueError("prox stepsize must be positive")
-        return np.asarray(z, dtype=np.float64).copy()
-
-
 def identity_projector() -> Projector:
     """Projector for Omega = R^n."""
     return Projector("identity", lambda u: np.asarray(u, dtype=np.float64))
@@ -169,10 +131,3 @@ def box_projector(lo: Array, hi: Array) -> Projector:
     hi = np.asarray(hi, dtype=np.float64)
     return Projector("box", lambda u: clamp_box(u, lo, hi))
 
-
-def ball_projector(center: Array, radius: float) -> Projector:
-    """Projector for a Euclidean-ball Omega."""
-    center = np.asarray(center, dtype=np.float64)
-    radius = float(radius)
-    return Projector("euclidean-ball",
-                     lambda u: project_ball(u, center, radius))

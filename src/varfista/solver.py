@@ -36,12 +36,9 @@ from .momentum import A0_DEFAULT, advance, extrapolate
 from .problems import Array, Certificate, CompositeProblem, phi
 
 __all__ = [
-    "SolverConfig", "NumericalFailure", "LinearizationRecord",
-    "HistoryLedger", "IterationTrace",
-    "TRACE_HEADER", "solve", "compute_candidate",
-    "compute_U", "update_best", "compute_L", "step_k3_conditions",
-    "update_subroutine", "compute_x", "compute_v",
-    "history_inequality_violated",
+    "SolverConfig", "NumericalFailure", "HistoryLedger", "IterationTrace",
+    "TRACE_HEADER", "solve", "compute_candidate", "compute_U", "compute_x",
+    "compute_v", "history_inequality_violated",
 ]
 
 TRACE_HEADER = "k,lambda,xi,tau,U,L,residual,phi_y,phi_ymin,inner_repeats"
@@ -83,16 +80,6 @@ class NumericalFailure(FloatingPointError):
     """The smooth oracle gave a non-finite value or gradient in ``solve``."""
 
 
-@dataclass(frozen=True)
-class LinearizationRecord:
-    """Value and gradient of f frozen at one accepted momentum point."""
-
-    x_tilde: Array
-    f_at: float
-    grad_at: Array
-    index: int  # 1-based outer iteration that produced this record
-
-
 class HistoryLedger:
     """Append-only committed history of the run.
 
@@ -106,8 +93,7 @@ class HistoryLedger:
     ``_gap_term``, at O(n) cost per record.  A miss rescans every record with
     ``_gap_terms``.  Both forms evaluate the same per-record expression and
     guard, so their quotients agree bit-for-bit, NaN included, and so do
-    cached and rescanned maxima while no quotient is NaN (the fold's ``>``
-    skips a NaN that the rescan's ``np.max`` keeps).
+    cached and rescanned maxima: like ``np.max``, the fold carries a NaN.
     """
 
     def __init__(self, dimension: int, lambda0: float):
@@ -160,18 +146,6 @@ class HistoryLedger:
         self._lam[k] = lam
         self._tau[k - 1] = tau
         self._n_lam += 1
-
-    @property
-    def n_records(self) -> int:
-        return self._n_rec
-
-    def record(self, index: int) -> LinearizationRecord:
-        """Record for 1-based outer iteration ``index``."""
-        if not 1 <= index <= self._n_rec:
-            raise IndexError(f"no linearization record {index}")
-        i = index - 1
-        return LinearizationRecord(self._X[i].copy(), float(self._F[i]),
-                                   self._G[i].copy(), index)
 
     def lam_history(self) -> Array:
         """Committed lam_0..lam_k (read-only view)."""
@@ -241,7 +215,7 @@ class HistoryLedger:
             best = self.cached_ymin_ratio_max
             for i in range(self._cached_upto + 1, n + 1):
                 m = self._record_gap(i, ymin, f_ymin, denom_epsilon)
-                if m > best:
+                if m > best or m != m:  # a NaN carries, as in np.max
                     best = m
         else:
             best = float(np.max(self._gap_terms(0, n, ymin, f_ymin,
@@ -293,10 +267,6 @@ class IterationTrace:
 
     def __len__(self) -> int:
         return len(self.k)
-
-    @property
-    def total_inner_repeats(self) -> int:
-        return sum(self.inner_repeats)
 
     def write_csv(self, path: str) -> None:
         """Write the documented delimited trace; float repr keeps it
@@ -354,18 +324,6 @@ def compute_U(y: Array, f_y: float, x_tilde: Array, f_xt: float, g_xt: Array,
     return _guarded_ratio(2.0 * (f_y - lin), den, xn2, denom_epsilon)
 
 
-def update_best(phi_cand: float, y_cand: Array, phi_best: float,
-                y_best: Array) -> Tuple[float, Array, bool]:
-    """Keep the smaller-phi point; ties keep the incumbent.
-
-    Returns (phi, point, changed)."""
-    if math.isinf(phi_cand) and math.isinf(phi_best):
-        raise RuntimeError("both candidate and incumbent have infinite phi")
-    if phi_cand < phi_best:
-        return phi_cand, y_cand, True
-    return phi_best, y_best, False
-
-
 def _gap_term(record_x: Array, record_f: float, record_g: Array,
               record_xn2: float, u: Array, f_u: float,
               denom_epsilon: float) -> float:
@@ -373,28 +331,13 @@ def _gap_term(record_x: Array, record_f: float, record_g: Array,
 
     The one-record shape of ``HistoryLedger._gap_terms``: the same expression
     for a single record, equal bit for bit to a one-row ``_gap_terms`` call
-    and cheaper.  ``compute_L``'s t1 term and the ledger's one-record fold
-    use it.
+    and cheaper.  The t1 term of L in ``solve`` and the ledger's one-record
+    fold use it.
     """
     d = u - record_x
     den = float(np.einsum("i,i->", d, d))
     lin = record_f + float(np.einsum("i,i->", record_g, d))
     return _guarded_ratio(2.0 * (lin - f_u), den, record_xn2, denom_epsilon)
-
-
-def compute_L(ledger: HistoryLedger, y_prev: Array, f_y_prev: float,
-              ymin: Array, f_ymin: float, L_prev: float,
-              denom_epsilon: float) -> float:
-    """Lower-curvature recursion.
-
-    max of: the gap of the previous iterate against the current record, the
-    cached max gap of the incumbent best point against all records, the
-    previous L, and 0.
-    """
-    t1 = ledger._record_gap(ledger.n_records, y_prev, f_y_prev,
-                            denom_epsilon)
-    t2 = ledger.ymin_ratio_max(ymin, f_ymin, denom_epsilon)
-    return max(t1, t2, L_prev, 0.0)
 
 
 def _committed_pairs_violated(xi: float, L: float, lam_hist: Array,
@@ -405,7 +348,7 @@ def _committed_pairs_violated(xi: float, L: float, lam_hist: Array,
 
 def history_inequality_violated(xi: float, lam: float, tau: float, L: float,
                                 lam_hist: Array, tau_hist: Array,
-                                L_committed: float = math.nan) -> bool:
+                                L_committed: float) -> bool:
     """True when xi * lam_{i-1} < L * lam_i + tau_i fails somewhere.
 
     The current trial (lam, tau) plays the role of index k against the last
@@ -417,8 +360,8 @@ def history_inequality_violated(xi: float, lam: float, tau: float, L: float,
     since xi never decreases).  When L equals it, no committed pair can
     fail: lam_{i-1} > 0 and rounding is monotone, so
     fl(xi * lam_{i-1}) >= fl(xi_c * lam_{i-1}) >= fl(L * lam_i + tau_i), and
-    only the trial pair is checked, in O(1).  Any other L, and the default
-    NaN (no such certificate), scans every committed pair.
+    only the trial pair is checked, in O(1).  Any other L, NaN included (no
+    such certificate), scans every committed pair.
     """
     if xi * lam_hist[-1] < L * lam + tau:
         return True
@@ -427,39 +370,25 @@ def history_inequality_violated(xi: float, lam: float, tau: float, L: float,
     return False
 
 
-def step_k3_conditions(U: float, lam: float, xi: float, tau: float, L: float,
-                       lam_hist: Array, tau_hist: Array, gamma: float,
-                       L_committed: float = math.nan) -> bool:
-    """True when the candidate must be re-tried with updated (xi, lam).
+def _retry_step(U: float, lam: float, xi: float, tau: float, L: float,
+                lam_hist: Array, tau_hist: Array, L_committed: float,
+                theta: float, gamma: float) -> Optional[Tuple[float, float]]:
+    """None to accept the trial, else the (xi, lam) to retry it with.
 
-    ``L_committed`` is passed on to ``history_inequality_violated``.
+    U * lam > gamma shrinks lam to min(lam / theta, gamma / U); U > 0 there,
+    since gamma > 0.  The history inequality is then checked once, against
+    the shrunk (or kept) lam and the trial's tau, and a failure escalates
+    xi: 0 -> 1, then doubling.  A trial that needs neither is accepted.
     """
-    if U * lam > gamma:
-        return True
-    return history_inequality_violated(xi, lam, tau, L, lam_hist, tau_hist,
-                                       L_committed)
-
-
-def update_subroutine(xi: float, lam: float, U: float, L: float, tau: float,
-                      lam_hist: Array, tau_hist: Array, theta: float,
-                      gamma: float, L_committed: float = math.nan
-                      ) -> Tuple[float, float]:
-    """Shrink lam and/or escalate xi; returns (xi_new, lam_new).
-
-    The stepsize is updated first; the escalation check then runs against
-    the updated stepsize but the passed-in tau.  ``L_committed`` is passed
-    on to ``history_inequality_violated``.
-    """
-    lam_new = lam
-    if U * lam > gamma:
-        # gamma > 0 makes U > 0 here; guard the division anyway
-        if not U > 0.0:
-            raise RuntimeError("stepsize shrink requested with U <= 0")
-        lam_new = min(lam / theta, gamma / U)
-    if history_inequality_violated(xi, lam_new, tau, L, lam_hist, tau_hist,
+    shrink = U * lam > gamma
+    if shrink:
+        lam = min(lam / theta, gamma / U)
+    if history_inequality_violated(xi, lam, tau, L, lam_hist, tau_hist,
                                    L_committed):
         xi = 1.0 if xi == 0.0 else 2.0 * xi
-    return xi, lam_new
+    elif not shrink:
+        return None
+    return xi, lam
 
 
 def compute_x(problem: CompositeProblem, A_prev: float, A_next: float,
@@ -493,9 +422,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     a y0 outside dom h, RuntimeError when the per-iteration repeat cap is
     exhausted (in practice: inconsistent value/gradient oracles), and
     NumericalFailure when f is non-finite at the start point, a momentum
-    point or a trial point, or the curvature estimate U or L is non-finite
-    (a NaN gradient reaches f(y) through the prox step; an infinite one that
-    a box clamps back reaches U or L).
+    point or a trial point, when the curvature estimate U or L is
+    non-finite, or when the residual is.  Every gradient ``solve`` asks for,
+    at x_tilde_k or at the accepted y_k, enters v_k, so a non-finite one
+    surfaces in the iteration where it occurs.
     """
     config.validate()
     y0 = np.asarray(y0, dtype=np.float64)
@@ -567,28 +497,32 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
                     f"iteration {k}, trial {repeats}: U = {U}; grad f at "
                     "the momentum point is non-finite")
 
-            phi_ymin, ymin, changed = update_best(phi_y, y, phi_ymin, ymin)
-            if changed:
-                f_ymin = f_y
+            if phi_y < phi_ymin:  # ties keep the incumbent
+                phi_ymin, ymin, f_ymin = phi_y, y, f_y
 
-            L_cand = compute_L(ledger, y_prev, f_y_prev, ymin, f_ymin, L,
-                               config.denom_epsilon)
+            # lower-curvature recursion: the gap of the previous iterate
+            # against this record, the incumbent's max gap over all records,
+            # the previous L, and 0
+            L_cand = max(
+                ledger._record_gap(idx, y_prev, f_y_prev,
+                                   config.denom_epsilon),
+                ledger.ymin_ratio_max(ymin, f_ymin, config.denom_epsilon),
+                L, 0.0)
             if not math.isfinite(L_cand):
                 raise NumericalFailure(
                     f"iteration {k}, trial {repeats}: L = {L_cand}; a "
                     "recorded gradient is non-finite")
 
-            if not step_k3_conditions(U, lam, xi, tau, L_cand, lam_hist,
-                                      tau_hist, config.gamma, L):
+            retry = _retry_step(U, lam, xi, tau, L_cand, lam_hist, tau_hist,
+                                L, config.theta, config.gamma)
+            if retry is None:
                 break
             if repeats >= config.max_inner_repeats_per_iteration:
                 raise RuntimeError(
                     f"iteration {k}: inner repeat cap "
                     f"{config.max_inner_repeats_per_iteration} exhausted; "
                     "value/gradient oracles are likely inconsistent")
-            xi, lam = update_subroutine(xi, lam, U, L_cand, tau, lam_hist,
-                                        tau_hist, config.theta, config.gamma,
-                                        L)
+            xi, lam = retry
             repeats += 1
 
         # commit the accepted iteration
@@ -598,6 +532,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         grad_calls += 1
         v = compute_v(x_tilde, y, g_y, g_xt, lam, tau)
         resid = math.sqrt(float(v @ v))
+        if not math.isfinite(resid):
+            raise NumericalFailure(
+                f"iteration {k}: residual = {resid}; grad f at the momentum "
+                "point or the accepted trial point is non-finite")
 
         trace.append(k, a, A_next, lam, xi, tau, U, L_cand, resid, phi_y,
                      phi_ymin, repeats, x, y, ymin)

@@ -8,12 +8,12 @@ import pytest
 from varfista.diagnostics import (DriftReport, ModelFunction,
                                   TheoreticalBounds, check_xk_drift,
                                   check_xk_optimality)
+from varfista.audit import audit_run
 from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
 from varfista.problems import CompositeProblem, SmoothOracle
-from varfista.prox import BoxIndicator, identity_projector
-from varfista.solver import (LinearizationRecord, SolverConfig, compute_x,
-                             solve)
+from varfista.prox import BoxIndicator, box_projector, identity_projector
+from varfista.solver import SolverConfig, solve
 
 
 def _run(prob, iters=40, rho=1e-30, lambda0=1.0):
@@ -23,9 +23,10 @@ def _run(prob, iters=40, rho=1e-30, lambda0=1.0):
 
 
 def _model_at(trace, ledger, prob, i):
-    return ModelFunction(record=ledger.record(i + 1), y_k=trace.ys[i],
-                         lam_k=trace.lam[i], tau_k=trace.tau[i],
-                         regularizer=prob.regularizer)
+    X, F, G = ledger.record_arrays(i + 1)
+    return ModelFunction(x_tilde=X[i], f_at=float(F[i]), grad_at=G[i],
+                         y_k=trace.ys[i], lam_k=trace.lam[i],
+                         tau_k=trace.tau[i], regularizer=prob.regularizer)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,7 @@ def test_candidate_minimizes_surrogate_plus_prox_term():
     lo, hi = prob.regularizer.domain_box
     for i in range(0, len(trace), 5):
         model = _model_at(trace, ledger, prob, i)
-        xt = model.record.x_tilde
+        xt = model.x_tilde
         lam = model.lam_k
 
         def obj(u):
@@ -165,6 +166,41 @@ def test_anchor_check_projected_gradient_fallback():
                                  trace.a[i])
         assert ok is True
         x_prev = trace.xs[i]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_anchor_check_accepts_runs_whose_box_region_binds(seed):
+    # Omega = [-1.2, 1.2]^2 around dom h = [-1, 1]^2: the anchor update
+    # projects onto a face of Omega in the first iterations, so compute_x's
+    # projection, the box branch of check_xk_optimality and the audit's
+    # anchor-in-region check all run on a region that binds
+    base = generate_qp(QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0,
+                                     c_scale=3.0, seed=seed))
+    prob = CompositeProblem(base.smooth, base.regularizer,
+                            box_projector(np.full(2, -1.2), np.full(2, 1.2)),
+                            2)
+    cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
+    y0 = default_start(prob)
+    cert, trace, ledger = solve(prob, cfg, y0)
+    assert cert.converged
+    on_face = [i for i, x in enumerate(trace.xs) if np.any(np.abs(x) == 1.2)]
+    assert 1 <= len(on_face) <= 4
+    x_prev = y0
+    for i in range(len(trace)):
+        model = _model_at(trace, ledger, prob, i)
+        ok = check_xk_optimality(prob, model, trace.xs[i], x_prev,
+                                 trace.a[i])
+        assert ok is True, f"iteration {i + 1}"
+        x_prev = trace.xs[i]
+    i = on_face[0]
+    inward = trace.xs[i] - 0.05 * np.sign(trace.xs[i])
+    assert check_xk_optimality(prob, _model_at(trace, ledger, prob, i),
+                               inward, trace.xs[i - 1] if i else y0,
+                               trace.a[i]) is False
+    report = audit_run(prob, cfg, cert, trace, ledger, y0)
+    assert report.passed, report.lines()
+    assert any(line.startswith("anchor-in-region: PASS")
+               for line in report.lines())
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@
 The loop references below evaluate the same scalar expression trees one grid
 point at a time, so each vectorized kernel must match its reference bit for
 bit; the grids are kept small enough for the loops to run quickly.
-``schedule_scan``, itself a loop, is checked against a vectorized
-recomputation from ``advance``.
 """
 
 import itertools
@@ -15,7 +13,6 @@ import pytest
 
 from varfista import _kernels
 from varfista._kernels import grid_1d
-from varfista.momentum import advance
 
 
 # ---------------------------------------------------------------------------
@@ -122,28 +119,6 @@ def _qp_stationary_scan_loop(Q, c, w, lo, hi, res, tol):
     return np.array(hits).reshape(-1, n)
 
 
-def _schedule_scan_reference(A0, k_max):
-    """schedule_scan recomputed from ``advance`` with numpy reductions."""
-    a = np.empty(k_max)
-    A_next = np.empty(k_max)
-    A = A0
-    for i in range(k_max):
-        a[i], A = advance(A)
-        A_next[i] = A
-    k = np.arange(1, k_max + 1)
-    sum_A = np.cumsum(A_next)
-    sum_a = np.cumsum(a)
-    gap = np.abs(A_next - a * a) / A_next
-    out = []
-    for m in (a - 0.5 * k, 4.0 * k - a, sum_A - (k * k * k) / 12.0,
-              4.0 / k - sum_a / sum_A):
-        i = int(np.argmin(m))
-        out += [float(m[i]), i + 1]
-    i = int(np.argmax(gap))
-    out += [float(gap[i]), i + 1] if gap[i] > 0.0 else [0.0, 0]
-    return tuple(out + [float(a[-1]), float(A)])
-
-
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
@@ -183,12 +158,6 @@ def test_interval_dist_vec_matches_scalar():
         want = np.array([_interval_dist(m, x, -1.0, 1.0, wl1, 1e-9)
                          for m, x in zip(mg, u)])
         assert np.array_equal(got, want)
-
-
-def test_schedule_scan_matches_reference():
-    for k_max in (1, 7, 2000):
-        assert (_kernels.schedule_scan(12.0, k_max)
-                == _schedule_scan_reference(12.0, k_max))
 
 
 def test_history_margin_matches_reference():

@@ -20,3 +20,51 @@ def test_readme_sketch_runs_and_names_the_package_api():
     called = set(re.findall(r"`varfista\.(\w+)\(", README))
     assert sorted(varfista.__all__) == sorted(imported | called
                                               | {"__version__"})
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names that nothing in src/ or perfbench/ uses, kept on purpose.
+UNUSED_ALLOWED = {
+    "check_xk_optimality": "README-documented test oracle (anchor step)",
+    "ModelFunction.minorant": "README-documented test oracle (model bound)",
+    "brute_force_stationary": "README-documented test oracle (grid scan)",
+    "global_min_phi": "README-documented test oracle (grid minimum)",
+    "box_projector": "the Omega = box option of the anchor step",
+}
+
+
+def _trees(*globs):
+    return [ast.parse(path.read_text(), str(path))
+            for pattern in globs for path in sorted(ROOT.glob(pattern))]
+
+
+def _public_definitions(tree):
+    """Top-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a reference is a Name, an Attribute or an imported name anywhere in
+    # the package or in perfbench's modules; __all__ strings do not count
+    used = set()
+    for tree in _trees("src/varfista/*.py", "perfbench/*.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    unused = {label for tree in _trees("src/varfista/*.py")
+              for label, name in _public_definitions(tree)
+              if name not in used}
+    assert unused == set(UNUSED_ALLOWED)

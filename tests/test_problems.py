@@ -6,8 +6,7 @@ import pytest
 from varfista.gallery import generate_qp, QuadraticSpec
 from varfista.problems import (Certificate, CompositeProblem, SmoothOracle,
                                phi, verify_certificate)
-from varfista.prox import (BoxIndicator, ball_projector, box_projector,
-                           identity_projector)
+from varfista.prox import BoxIndicator, box_projector, identity_projector
 
 
 def _quad_1d():
@@ -34,10 +33,12 @@ def test_smooth_oracle_coerces_types():
 def test_domain_must_sit_inside_region():
     reg = BoxIndicator.uniform(2, -1.0, 1.0)
     f = SmoothOracle(lambda u: 0.0, lambda u: np.zeros(2))
-    # ball of radius 2 contains the unit box corners (norm sqrt(2))
-    CompositeProblem(f, reg, ball_projector(np.zeros(2), 2.0), 2)
+    # a wider box contains the domain; one that cuts a corner off does not
+    CompositeProblem(f, reg, box_projector(np.full(2, -2.0), np.full(2, 2.0)),
+                     2)
     with pytest.raises(ValueError):
-        CompositeProblem(f, reg, ball_projector(np.zeros(2), 1.0), 2)
+        CompositeProblem(f, reg, box_projector(np.array([-1.0, -1.0]),
+                                               np.array([1.0, 0.9])), 2)
     with pytest.raises(ValueError):
         CompositeProblem(f, reg, box_projector(np.zeros(2), np.ones(2)), 2)
 

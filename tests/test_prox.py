@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varfista.prox import (BoxIndicator, L1PlusBox, ZeroRegularizer,
-                           ball_projector, box_projector, clamp_box,
-                           identity_projector, project_ball, soft_threshold)
+from varfista.prox import (BoxIndicator, L1PlusBox, box_projector, clamp_box,
+                           identity_projector, soft_threshold)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
 # ---------------------------------------------------------------------------
-# soft threshold / clamp / ball projection
+# soft threshold / clamp
 # ---------------------------------------------------------------------------
 
 def test_soft_threshold_hand_values():
@@ -60,20 +59,6 @@ def test_clamp_box_hand_values():
 def test_clamp_box_rejects_crossed_bounds():
     with pytest.raises(ValueError):
         clamp_box(np.array([0.0]), np.array([1.0]), np.array([0.0]))
-
-
-def test_project_ball_inside_and_outside():
-    c = np.zeros(2)
-    u = np.array([3.0, 4.0])
-    out = project_ball(u, c, 1.0)
-    assert np.allclose(out, np.array([0.6, 0.8]))
-    inside = np.array([0.1, 0.2])
-    assert np.array_equal(project_ball(inside, c, 1.0), inside)
-
-
-def test_project_ball_negative_radius_rejected():
-    with pytest.raises(ValueError):
-        project_ball(np.zeros(2), np.zeros(2), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,26 +137,16 @@ def test_l1_plus_box_prox_matches_grid_oracle(z, s, w, lo, hi):
     assert abs(got - want) <= (hi - lo) / 200_000 + 1e-12
 
 
-def test_zero_regularizer():
-    reg = ZeroRegularizer(3)
-    u = np.array([1.0, -2.0, 0.5])
-    assert reg.value(u) == 0.0
-    assert np.array_equal(reg.prox(u, 1.0), u)
-    lo, hi = reg.domain_box
-    assert lo.shape == (3,) and np.all(hi > 0)
-
-
 # ---------------------------------------------------------------------------
 # variational inequality: prox(z, s) beats every feasible point
 # ---------------------------------------------------------------------------
 
 def _regs(dim):
     return [BoxIndicator.uniform(dim, -1.0, 1.0),
-            L1PlusBox.uniform(dim, 0.3, -1.0, 1.0),
-            ZeroRegularizer(dim, bound=2.0)]
+            L1PlusBox.uniform(dim, 0.3, -1.0, 1.0)]
 
 
-@given(st.integers(0, 2), st.integers(0, 10_000),
+@given(st.integers(0, 1), st.integers(0, 10_000),
        st.floats(min_value=0.05, max_value=10.0, **finite))
 @settings(max_examples=200, deadline=None)
 def test_prox_variational_inequality(reg_idx, seed, s):
@@ -180,7 +155,7 @@ def test_prox_variational_inequality(reg_idx, seed, s):
     reg = _regs(dim)[reg_idx]
     z = rng.normal(scale=2.0, size=dim)
     p = reg.prox(z, s)
-    u = rng.uniform(-1.0, 1.0, size=dim)  # in dom h for all three
+    u = rng.uniform(-1.0, 1.0, size=dim)  # in dom h for both
     lhs = reg.value(p) + float((p - z) @ (p - z)) / (2.0 * s)
     rhs = reg.value(u) + float((u - z) @ (u - z)) / (2.0 * s)
     assert lhs <= rhs + 1e-10
@@ -191,8 +166,7 @@ def test_prox_and_projector_nonexpansive_on_1000_pairs():
     dim = 5
     regs = _regs(dim)
     projs = [identity_projector(),
-             box_projector(np.full(dim, -1.0), np.full(dim, 1.0)),
-             ball_projector(np.zeros(dim), 1.5)]
+             box_projector(np.full(dim, -1.0), np.full(dim, 1.0))]
     for _ in range(1000):
         z1 = rng.normal(scale=3.0, size=dim)
         z2 = rng.normal(scale=3.0, size=dim)
@@ -209,4 +183,3 @@ def test_prox_and_projector_nonexpansive_on_1000_pairs():
 def test_projector_kinds():
     assert identity_projector().kind == "identity"
     assert box_projector(np.zeros(1), np.ones(1)).kind == "box"
-    assert ball_projector(np.zeros(1), 1.0).kind == "euclidean-ball"

@@ -1,5 +1,8 @@
 """Momentum schedule recursion and its growth guarantees."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,9 +90,56 @@ def test_check_schedule_bounds_report():
     assert 1 <= rep.gap_argk <= 10_000
 
 
+def _schedule_loop_reference(A0, k_max):
+    """The schedule check as one sequential loop, margin by margin.
+
+    Returns the report's fields from ``lower_margin`` to ``A_last``.
+    """
+    A = A0
+    a = 0.0
+    sum_A = 0.0
+    sum_a = 0.0
+    worst = [math.inf, 0, math.inf, 0, math.inf, 0, math.inf, 0]
+    max_gap = 0.0
+    k_gap = 0
+    for k in range(1, k_max + 1):
+        a = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * A))
+        A_next = A + a
+        sum_A += A_next
+        sum_a += a
+        for j, m in enumerate((a - 0.5 * k, 4.0 * k - a,
+                               sum_A - (k * k * k) / 12.0,
+                               4.0 / k - sum_a / sum_A)):
+            if m < worst[2 * j]:
+                worst[2 * j:2 * j + 2] = [m, k]
+        g = abs(A_next - a * a) / A_next
+        if g > max_gap:
+            max_gap = g
+            k_gap = k
+        A = A_next
+    return tuple(worst) + (max_gap, k_gap, a, A)
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
+
+
+def test_check_schedule_bounds_matches_loop_reference():
+    # every report field, bit for bit and type for type
+    for k_max in (1, 7, 2000):
+        rep = dataclasses.astuple(check_schedule_bounds(k_max))
+        want = (k_max, A0_DEFAULT) + _schedule_loop_reference(A0_DEFAULT,
+                                                             k_max)
+        assert [_bits(v) for v in rep[:-2]] == [_bits(v) for v in want]
+        assert [type(v) for v in rep[:-2]] == [type(v) for v in want]
+        assert rep[-2:] == (1e-9, True)
+
+
 def test_check_schedule_bounds_rejects_bad_args():
     with pytest.raises(ValueError):
         check_schedule_bounds(0)
+    with pytest.raises(ValueError):  # k^3 would leave int64's exact range
+        check_schedule_bounds(2_000_001)
     with pytest.raises(ValueError):
         check_schedule_bounds(100, A0=-1.0)
 

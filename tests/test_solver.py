@@ -11,13 +11,11 @@ import varfista.solver as solver_mod
 from varfista.audit import audit_corpus
 from varfista.gallery import generate_qp, QuadraticSpec, default_start
 from varfista.problems import CompositeProblem, SmoothOracle, phi
-from varfista.prox import BoxIndicator, ZeroRegularizer, identity_projector
+from varfista.prox import BoxIndicator, identity_projector
 from varfista.solver import (TRACE_HEADER, HistoryLedger, IterationTrace,
-                             SolverConfig, compute_candidate, compute_L,
+                             SolverConfig, _retry_step, compute_candidate,
                              compute_U, compute_v, compute_x,
-                             history_inequality_violated, solve,
-                             step_k3_conditions, update_best,
-                             update_subroutine)
+                             history_inequality_violated, solve)
 
 EPS = 1e-12
 
@@ -32,10 +30,11 @@ def _box_1d():
 
 
 def _free_1d():
-    # f(u) = ||u||^2 / 2 without constraints (nominal domain box)
+    # f(u) = ||u||^2 / 2 on a box wide enough never to bind here
     f = SmoothOracle(lambda u: 0.5 * float(u @ u), lambda u: u.copy(),
                      audit_lipschitz=1.0, audit_curvature=0.0)
-    return CompositeProblem(f, ZeroRegularizer(1), identity_projector(), 1)
+    return CompositeProblem(f, BoxIndicator.uniform(1, -1e8, 1e8),
+                            identity_projector(), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +83,7 @@ def test_compute_U_quadratic_recovers_curvature():
     prob = CompositeProblem(
         SmoothOracle(lambda u: float(u[0] ** 2),
                      lambda u: np.array([2.0 * u[0]])),
-        ZeroRegularizer(1, bound=10.0), identity_projector(), 1)
+        BoxIndicator.uniform(1, -10.0, 10.0), identity_projector(), 1)
     x_tilde = np.array([0.0])
     f_xt = prob.smooth.value(x_tilde)
     g_xt = prob.smooth.grad(x_tilde)
@@ -97,51 +96,81 @@ def test_compute_U_quadratic_recovers_curvature():
 
 
 def test_update_best_tie_keeps_incumbent():
-    inc = np.array([1.0])
-    cand = np.array([2.0])
-    p, pt, changed = update_best(5.0, cand, 5.0, inc)
-    assert pt is inc and not changed and p == 5.0
-    p, pt, changed = update_best(4.0, cand, 5.0, inc)
-    assert pt is cand and changed and p == 4.0
-    with pytest.raises(RuntimeError):
-        update_best(math.inf, cand, math.inf, inc)
+    # f(u) = -u on [0, 1] from y0 = 1: the prox step returns a new array
+    # equal to y0, so phi ties and the best point stays y0 itself
+    f = SmoothOracle(lambda u: -float(u[0]), lambda u: np.array([-1.0]))
+    prob = CompositeProblem(f, BoxIndicator.uniform(1, 0.0, 1.0),
+                            identity_projector(), 1)
+    y0 = np.array([1.0])
+    cert, trace, _ = solve(prob, SolverConfig(), y0)
+    assert cert.converged and cert.iterations == 1
+    assert trace.ys[0] is not y0 and np.array_equal(trace.ys[0], y0)
+    assert trace.ymins[0] is y0
+
+
+def _one_record_ledger(x, f_x, g):
+    ledger = HistoryLedger(1, 1.0)
+    ledger.append_linearization(np.array([x]), f_x, np.array([g]))
+    return ledger
+
+
+def _concave_1d():
+    # f(u) = -u^2 / 2 on [-1, 1]: every gap quotient is the curvature 1
+    f = SmoothOracle(lambda u: -0.5 * float(u @ u), lambda u: -u,
+                     audit_lipschitz=1.0, audit_curvature=1.0)
+    return CompositeProblem(f, BoxIndicator.uniform(1, -1.0, 1.0),
+                            identity_projector(), 1)
 
 
 def test_compute_L_gap_of_concave_function():
     # f(u) = -u^2/2: record at 0 (f=0, g=0); at u=2 the linearization
-    # overshoots by 2, so the gap quotient is 2*2/4 = 1
-    ledger = HistoryLedger(1, 1.0)
-    ledger.append_linearization(np.array([0.0]), 0.0, np.array([0.0]))
+    # overshoots by 2, so both terms of L, the previous iterate's gap
+    # against the record and the best point's max gap, are 2*2/4 = 1
+    ledger = _one_record_ledger(0.0, 0.0, 0.0)
     u = np.array([2.0])
-    L = compute_L(ledger, u, -2.0, u, -2.0, 0.0, EPS)
-    assert L == 1.0
-    # the previous L dominates when larger
-    assert compute_L(ledger, u, -2.0, u, -2.0, 5.0, EPS) == 5.0
+    assert ledger._record_gap(1, u, -2.0, EPS) == 1.0
+    assert ledger.ymin_ratio_max(u, -2.0, EPS) == 1.0
+    # inside solve, L picks the curvature up at the first moving step
+    _, trace, _ = solve(_concave_1d(), SolverConfig(max_outer_iterations=3),
+                        np.array([0.5]))
+    assert trace.L[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_compute_L_never_negative():
     # convex f: gaps are negative, so L clamps at 0
-    ledger = HistoryLedger(1, 1.0)
-    ledger.append_linearization(np.array([0.0]), 0.0, np.array([0.0]))
+    ledger = _one_record_ledger(0.0, 0.0, 0.0)
     u = np.array([2.0])
     # f(u) = u^2/2 -> f(2) = 2, gap = 2*(0 - 2)/4 = -1
-    assert compute_L(ledger, u, 2.0, u, 2.0, 0.0, EPS) == 0.0
+    assert ledger._record_gap(1, u, 2.0, EPS) == -1.0
+    assert ledger.ymin_ratio_max(u, 2.0, EPS) == -1.0
+    # inside solve, on f(u) = u^2/2 the best point's gaps are negative
+    prob = _free_1d()
+    _, trace, ledger = solve(prob, SolverConfig(max_outer_iterations=5),
+                             np.array([3.0]))
+    ymin = trace.ymins[-1]
+    gaps, _, _ = ledger.linearization_gaps(len(trace), ymin,
+                                           prob.smooth.value(ymin), EPS)
+    assert np.all(gaps < 0.0)
+    assert all(L == 0.0 for L in trace.L)
 
 
 def test_history_inequality_strict_comparisons():
     lam_hist = np.array([1.0])
     empty = np.array([])
     # 0 * 1 < 1 * 0.5 + 0 -> violated
-    assert history_inequality_violated(0.0, 0.5, 0.0, 1.0, lam_hist, empty)
+    assert history_inequality_violated(0.0, 0.5, 0.0, 1.0, lam_hist, empty,
+                                       math.nan)
     # equality is not a violation: 1 * 1 < 2 * 0.5 + 0 is false
-    assert not history_inequality_violated(1.0, 0.5, 0.0, 2.0, lam_hist, empty)
-    # committed pairs are rechecked against the trial L
+    assert not history_inequality_violated(1.0, 0.5, 0.0, 2.0, lam_hist,
+                                           empty, math.nan)
+    # committed pairs are rechecked against the trial L (NaN: no L they
+    # are known to pass with, so every committed pair is scanned)
     lam_hist2 = np.array([1.0, 0.5])
     tau_hist2 = np.array([0.2])
     assert history_inequality_violated(0.5, 0.5, 0.0, 1.0, lam_hist2,
-                                       tau_hist2)
+                                       tau_hist2, math.nan)
     assert not history_inequality_violated(2.0, 0.5, 0.0, 1.0, lam_hist2,
-                                           tau_hist2)
+                                           tau_hist2, math.nan)
 
 
 def _full_scan(xi, lam, tau, L, lam_hist, tau_hist):
@@ -176,7 +205,7 @@ def test_history_shortcut_agrees_with_full_scan(data, lams, L_c, growth,
                                       L_c)
     assert got == _full_scan(xi, lam, tau, L, lam_hist, tau_hist)
     assert got == history_inequality_violated(xi, lam, tau, L, lam_hist,
-                                              tau_hist)
+                                              tau_hist, math.nan)
 
 
 def _shadow_solves():
@@ -230,39 +259,68 @@ def test_convex_runs_scan_no_committed_pair(monkeypatch):
     assert 0 < len(scans) < cert.prox_calls
 
 
+def _retry(U, lam, xi, L, theta=2.0, gamma=0.99):
+    """``_retry_step`` on a first iteration (lam_0 = 1, no committed pair)."""
+    return _retry_step(U, lam, xi, 0.0, L, np.array([1.0]), np.array([]),
+                       math.nan, theta, gamma)
+
+
 def test_step_k3_conditions_overshoot_triggers_retry():
-    lam_hist = np.array([1.0])
-    empty = np.array([])
-    assert step_k3_conditions(2.0, 1.0, 0.0, 0.0, 0.0, lam_hist, empty, 0.99)
-    assert not step_k3_conditions(0.5, 1.0, 0.0, 0.0, 0.0, lam_hist, empty,
-                                  0.99)
+    # U * lam > gamma asks for a retry; with both conditions met, none
+    assert _retry(2.0, 1.0, 0.0, 0.0) is not None
+    assert _retry(0.5, 1.0, 0.0, 0.0) is None
 
 
 def test_update_subroutine_shrinks_stepsize():
-    lam_hist = np.array([1.0])
-    empty = np.array([])
-    xi, lam = update_subroutine(0.0, 1.0, 4.0, 0.0, 0.0, lam_hist, empty,
-                                theta=2.0, gamma=0.99)
+    xi, lam = _retry(4.0, 1.0, 0.0, 0.0)
     assert xi == 0.0
-    assert lam == pytest.approx(0.2475)  # min(1/2, 0.99/4)
+    assert lam == min(1.0 / 2.0, 0.99 / 4.0) == pytest.approx(0.2475)
     # theta bite: U barely over gamma -> halving wins
-    _, lam2 = update_subroutine(0.0, 1.0, 1.0, 0.0, 0.0, lam_hist, empty,
-                                theta=2.0, gamma=0.99)
-    assert lam2 == 0.5
+    assert _retry(1.0, 1.0, 0.0, 0.0) == (0.0, 0.5)
 
 
 def test_update_subroutine_escalates_geometrically():
-    # L * lam = 5 forces doubling until xi * lam_prev = 8 clears it
-    lam_hist = np.array([1.0])
-    empty = np.array([])
+    # L * lam = 5 forces doubling until xi * lam_prev = 8 clears it; the
+    # stepsize stays (U * lam <= gamma) and the cleared trial is accepted
     xi = 0.0
     seen = []
-    for _ in range(5):
-        xi, lam = update_subroutine(xi, 0.5, 0.0, 10.0, 0.0, lam_hist, empty,
-                                    theta=2.0, gamma=0.99)
+    while (retry := _retry(0.0, 0.5, xi, 10.0)) is not None:
+        xi, lam = retry
+        assert lam == 0.5
         seen.append(xi)
-        assert lam == 0.5  # U * lam <= gamma, stepsize untouched
-    assert seen == [1.0, 2.0, 4.0, 8.0, 8.0]
+    assert seen == [1.0, 2.0, 4.0, 8.0]
+
+
+def test_retry_step_checks_the_history_against_the_shrunk_stepsize():
+    # lam = 1 fails both conditions (0 * 1 < 3 * 1); the shrunk lam = 0.25
+    # still fails the history inequality, so one call shrinks and escalates
+    assert _retry(4.0, 1.0, 0.0, 3.0, gamma=1.0) == (1.0, 0.25)
+    # with L = 0 the shrunk trial passes the history inequality
+    assert _retry(4.0, 1.0, 0.0, 0.0, gamma=1.0) == (0.0, 0.25)
+
+
+def test_history_check_runs_at_most_once_per_trial(monkeypatch):
+    per_trial = []
+    prox_step = solver_mod.compute_candidate
+    checked = history_inequality_violated
+
+    def trial(*args):
+        per_trial.append(0)
+        return prox_step(*args)
+
+    def counted(*args):
+        per_trial[-1] += 1
+        return checked(*args)
+
+    monkeypatch.setattr(solver_mod, "compute_candidate", trial)
+    monkeypatch.setattr(solver_mod, "history_inequality_violated", counted)
+    retries = 0
+    for problem, y0 in list(_golden_corpus_runs())[:6]:
+        before = len(per_trial)
+        cert, trace, _ = solve(problem, GOLDEN_CFG, y0)
+        assert len(per_trial) - before == cert.prox_calls
+        retries += sum(trace.inner_repeats)
+    assert retries > 0 and max(per_trial) == 1
 
 
 def test_compute_x_hand_values():
@@ -293,15 +351,15 @@ def test_ledger_records_round_trip():
     x = np.array([1.0, 2.0])
     g = np.array([3.0, 4.0])
     idx = ledger.append_linearization(x, 5.0, g)
-    assert idx == 1 and ledger.n_records == 1
-    rec = ledger.record(1)
-    assert np.array_equal(rec.x_tilde, x) and rec.f_at == 5.0
-    assert np.array_equal(rec.grad_at, g) and rec.index == 1
+    assert idx == 1
+    X, F, G = ledger.record_arrays(1)
+    assert np.array_equal(X, [x]) and np.array_equal(F, [5.0])
+    assert np.array_equal(G, [g])
     assert ledger.x_tilde_norm2(1) == 5.0
     with pytest.raises(IndexError):
-        ledger.record(2)
+        ledger.record_arrays(2)
     with pytest.raises(IndexError):
-        ledger.record(0)
+        ledger.record_arrays(-1)
 
 
 def test_ledger_commit_tracks_histories():
@@ -320,8 +378,8 @@ def test_ledger_buffers_grow_past_initial_capacity():
         ledger.append_linearization(np.array([float(i)]), float(i),
                                     np.array([float(-i)]))
         ledger.commit(1.0 / (i + 1), 0.0)
-    assert ledger.n_records == 200
-    assert ledger.record(137).f_at == 136.0
+    X, F, G = ledger.record_arrays(200)
+    assert F[136] == 136.0 and X[136, 0] == 136.0 and G[136, 0] == -136.0
     assert ledger.lam_history().shape == (201,)
     assert ledger.lam_history()[137] == pytest.approx(1.0 / 137)
 
@@ -467,7 +525,7 @@ def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
     folds = [0]
 
     def watched(self, ymin, f_ymin, denom_epsilon):
-        k = self.n_records
+        k = self._n_rec
         hit = self._is_cached(ymin)
         kept = getattr(self, "_shadow_copy", None)
         by_value = (kept is not None and kept.shape == ymin.shape
@@ -492,6 +550,21 @@ def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
     solve(growth, SolverConfig(rho_hat=1e-2, max_outer_iterations=2000),
           default_start(growth))
     assert sum(stop - start for start, stop in scans) == sum(misses)
+
+
+def test_ledger_fold_carries_a_nan_quotient_like_a_rescan():
+    # the second record's gradient is NaN, so its quotient at ymin is NaN;
+    # the fold must carry it as np.max over a full rescan does, also past
+    # a later finite record
+    ledger = HistoryLedger(2, 1.0)
+    ymin = np.array([1.0, 1.0])
+    for k, g in enumerate(([0.0, 0.0], [math.nan, 0.0], [0.0, 0.0]), 1):
+        ledger.append_linearization(np.zeros(2), 0.0, np.array(g))
+        folded = ledger.ymin_ratio_max(ymin, -0.5, EPS)
+        rescan = np.max(ledger.linearization_gaps(k, ymin, -0.5, EPS)[0])
+        assert _as_bits(folded) == rescan.tobytes()
+        assert (folded == 0.5) if k == 1 else math.isnan(folded)
+    assert ledger.cached_ymin is ymin  # every call after the first folded
 
 
 def test_ledger_slice_queries_validate_bounds():
@@ -520,7 +593,7 @@ def test_solve_convex_box_instance():
     assert np.allclose(cert.y_hat, [1.0], atol=1e-6)
     assert cert.iterations == len(trace)
     assert cert.grad_calls == 2 * len(trace)
-    assert cert.prox_calls == len(trace) + trace.total_inner_repeats
+    assert cert.prox_calls == len(trace) + sum(trace.inner_repeats)
     # convex instance: no escalation, ever
     assert all(x == 0.0 for x in trace.xi)
     assert all(t == 0.0 for t in trace.tau)
@@ -545,12 +618,11 @@ def test_solve_traces_match_op_recomputation():
     cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=2000)
     cert, trace, ledger = solve(prob, cfg, default_start(prob))
     assert cert.converged
+    X, F, G = ledger.record_arrays(len(trace))
     for i in range(len(trace)):
-        rec = ledger.record(i + 1)
         y = trace.ys[i]
-        U = compute_U(y, prob.smooth.value(y), rec.x_tilde, rec.f_at,
-                      rec.grad_at, float(rec.x_tilde @ rec.x_tilde),
-                      cfg.denom_epsilon)
+        U = compute_U(y, prob.smooth.value(y), X[i], float(F[i]), G[i],
+                      float(X[i] @ X[i]), cfg.denom_epsilon)
         assert U == trace.U[i]
 
 
@@ -578,7 +650,8 @@ def test_solve_wrong_sign_gradient_is_absorbed_by_quotient_guard():
     # coincides with the momentum point bitwise; the guarded quotient then
     # reads 0 and the run proceeds instead of spinning in the inner loop
     f = SmoothOracle(lambda u: 0.5 * float(u @ u), lambda u: -u)
-    prob = CompositeProblem(f, ZeroRegularizer(1), identity_projector(), 1)
+    prob = CompositeProblem(f, BoxIndicator.uniform(1, -1e8, 1e8),
+                            identity_projector(), 1)
     cfg = SolverConfig(max_outer_iterations=3, denom_epsilon=0.0)
     cert, trace, _ = solve(prob, cfg, np.array([1.0]))
     assert trace.U[0] == 0.0
@@ -637,6 +710,35 @@ def test_solve_raises_numerical_failure_on_nonfinite_oracle(call, which,
     assert isinstance(info.value, FloatingPointError)
 
 
+def test_solve_raises_on_an_infinite_first_gradient():
+    # grad f(x_tilde_1) = (inf, 0): the box clamps the step back, U and L
+    # stay finite, and the residual of iteration 1 is the first place the
+    # entry shows
+    target = np.array([-1.0, 0.7])
+    calls = [0]
+
+    def grad(u):
+        calls[0] += 1
+        return np.array([np.inf, 0.0]) if calls[0] == 1 else u - target
+
+    f = SmoothOracle(lambda u: 0.5 * float((u - target) @ (u - target)),
+                     grad)
+    prob = CompositeProblem(f, BoxIndicator.uniform(2, 0.0, 1.0),
+                            identity_projector(), 2)
+    with pytest.raises(solver_mod.NumericalFailure,
+                       match=r"iteration 1: residual = (inf|nan);"):
+        solve(prob, SolverConfig(), np.array([0.0, 0.5]))
+
+
+def test_solve_raises_on_a_nan_gradient_at_the_accepted_point():
+    # the second gradient call is grad f(y_1); nothing but v_1 reads it
+    problem = _fault_at_call(generate_qp(QuadraticSpec(
+        n=4, eig_lo=1.0, eig_hi=10.0, seed=3)), 2, "grad", np.nan)
+    with pytest.raises(solver_mod.NumericalFailure,
+                       match=r"iteration 1: residual = nan;"):
+        solve(problem, SolverConfig(), default_start(problem))
+
+
 def test_solve_hits_outer_cap_without_convergence():
     # the 1-D box instance reaches residual exactly 0.0 (the clamp pins
     # y at the face), so an unreachable target needs a rougher instance
@@ -680,9 +782,9 @@ def test_trace_csv_byte_deterministic(tmp_path):
 
 def test_trace_append_and_totals():
     trace = IterationTrace()
-    assert len(trace) == 0 and trace.total_inner_repeats == 0
+    assert len(trace) == 0 and sum(trace.inner_repeats) == 0
     z = np.zeros(1)
     trace.append(1, 4.0, 16.0, 0.5, 0.0, 0.0, 2.0, 0.0, 1.0, -1.0, -1.0, 3,
                  z, z, z)
-    assert len(trace) == 1 and trace.total_inner_repeats == 3
+    assert len(trace) == 1 and sum(trace.inner_repeats) == 3
     assert trace.ymins[0] is z
