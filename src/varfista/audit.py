@@ -25,8 +25,8 @@ from .gallery import QuadraticSpec, generate_qp
 from .momentum import check_schedule_bounds
 from .problems import (Array, Certificate, CompositeProblem, SmoothOracle,
                        verify_certificate)
-from .solver import (HistoryLedger, IterationTrace, NumericalFailure,
-                     SolverConfig, solve)
+from .solver import (DENOM_EPSILON, HistoryLedger, IterationTrace,
+                     NumericalFailure, SolverConfig, solve)
 
 __all__ = [
     "CheckResult", "AuditReport", "audit_run", "corrupt_gradient_oracle",
@@ -70,16 +70,16 @@ _REL = 1e-9  # relative slack for float comparisons against analytic constants
 _NOISE_MULT = 64.0
 
 
-def _envelope(f_u, F, gd, den, xn2, eps_cfg: float):
+def _envelope(f_u, F, gd, den, xn2):
     """Roundoff allowance of the curvature quotients of u against records i.
 
-    64 eps 2 (|f(u)| + |F_i| + |g_i . d_i|) / max(||d_i||^2, eps_cfg (1 +
-    ||x_tilde_i||^2)) with d_i = u - x_tilde_i; F_i, g_i are f and grad f at
-    x_tilde_i.  Elementwise over numpy arrays.
+    64 eps 2 (|f(u)| + |F_i| + |g_i . d_i|) / max(||d_i||^2, e (1 +
+    ||x_tilde_i||^2)) with d_i = u - x_tilde_i and e = DENOM_EPSILON; F_i,
+    g_i are f and grad f at x_tilde_i.  Elementwise over numpy arrays.
     """
     return _NOISE_MULT * float(np.finfo(np.float64).eps) * 2.0 \
         * (np.abs(f_u) + np.abs(F) + np.abs(gd)) \
-        / np.maximum(den, eps_cfg * (1.0 + xn2))
+        / np.maximum(den, DENOM_EPSILON * (1.0 + xn2))
 
 
 def audit_run(problem: CompositeProblem, config: SolverConfig,
@@ -191,7 +191,6 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
 
     bounds = TheoreticalBounds.from_problem(problem, config)
     slack = _REL
-    eps_cfg = config.denom_epsilon
 
     # U_k against M, with a per-iteration roundoff envelope for the quotient
     X, F, G = ledger.record_arrays(n_iter)
@@ -199,7 +198,7 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     f_ys = np.array([problem.smooth.value(yk) for yk in trace.ys])
     D = np.stack(trace.ys) - X
     env = _envelope(f_ys, F, np.einsum("ij,ij->i", G, D),
-                    np.einsum("ij,ij->i", D, D), xn2, eps_cfg)
+                    np.einsum("ij,ij->i", D, D), xn2)
     # U == 0 marks a guarded (degenerate-distance) quotient and always passes
     bad = (U > bounds.M_bar * (1.0 + slack) + env + 1e-12) & (U != 0.0)
     kU = int(np.argmax(U)) + 1
@@ -215,10 +214,8 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     # row's maximum would.  A changed best point gets a full scan.
     def scan(u, f_u, start, stop):
         """Gap quotients of u against records start+1..stop, cap excesses."""
-        q, den, gd = ledger.linearization_gaps(stop, u, f_u, eps_cfg,
-                                               start=start)
-        env = _envelope(f_u, F[start:stop], gd, den, xn2[start:stop],
-                        eps_cfg)
+        q, den, gd = ledger.linearization_gaps(stop, u, f_u, start=start)
+        env = _envelope(f_u, F[start:stop], gd, den, xn2[start:stop])
         return q, np.where(q != 0.0,
                            q - env - bounds.m_under * (1.0 + slack), -np.inf)
 

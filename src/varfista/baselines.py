@@ -22,8 +22,8 @@ import numpy as np
 
 from .momentum import A0_DEFAULT, advance, extrapolate
 from .problems import Array, Certificate, CompositeProblem
-from .solver import (IterationTrace, SolverConfig, compute_candidate,
-                     compute_U, compute_v, compute_x)
+from .solver import (IterationTrace, compute_candidate, compute_U,
+                     compute_v, compute_x)
 
 __all__ = ["BaselineConfig", "run_fista_constant", "run_prox_gradient"]
 
@@ -32,7 +32,6 @@ __all__ = ["BaselineConfig", "run_fista_constant", "run_prox_gradient"]
 class BaselineConfig:
     step: float = 0.1
     rho_hat: float = 1e-6
-    A0: float = A0_DEFAULT
     max_outer_iterations: int = 100_000
 
     def validate(self) -> None:
@@ -40,8 +39,6 @@ class BaselineConfig:
             raise ValueError("step must be positive")
         if not self.rho_hat > 0.0:
             raise ValueError("rho_hat must be positive")
-        if not self.A0 > 0.0:
-            raise ValueError("A0 must be positive")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
 
@@ -64,7 +61,7 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
     reg = problem.regularizer
     step = config.step
 
-    A = config.A0
+    A = A0_DEFAULT
     y = y0
     x = y0.copy()
     phi_min = smooth.value(y0) + reg.value(y0)
@@ -95,13 +92,13 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
         f_y = smooth.value(y_next)
         phi_y = f_y + reg.value(y_next)
         U = compute_U(y_next, f_y, x_tilde, f_xt, g_xt,
-                      float(x_tilde @ x_tilde), SolverConfig.denom_epsilon)
+                      float(x_tilde @ x_tilde))
         if phi_y < phi_min:
             phi_min = phi_y
             y_best = y_next
 
-        trace.append(k, a, A_next, step, 0.0, tau, U, 0.0, resid, phi_y,
-                     phi_min, 0, x_next, y_next, y_best)
+        trace.append(a, step, 0.0, tau, U, 0.0, resid, phi_y, phi_min, 0,
+                     x_next, y_next, y_best)
         y = y_next
         x = x_next
         A = A_next
@@ -147,8 +144,8 @@ def run_prox_gradient(problem: CompositeProblem, config: BaselineConfig,
         if phi_u < phi_min:
             phi_min = phi_u
             u_best = u_next
-        trace.append(k, 0.0, 0.0, step, 0.0, 0.0, 0.0, 0.0, resid, phi_u,
-                     phi_min, 0, u_next, u_next, u_best)
+        trace.append(0.0, step, 0.0, 0.0, 0.0, 0.0, resid, phi_u, phi_min, 0,
+                     u_next, u_next, u_best)
         u = u_next
         g_u = g_next
         if resid <= config.rho_hat:

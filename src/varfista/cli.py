@@ -10,7 +10,8 @@ Subcommands:
   invariant on every run, plus the schedule growth envelope.
 
 Exit codes: 0 success/converged, 1 usage or input error, 2 iteration cap
-exhausted, 3 audit violation, 4 non-finite oracle output during a solve.
+exhausted, 3 audit violation, 4 non-finite oracle output during a solve,
+5 an iteration's inner repeat cap exhausted during a solve.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .baselines import BaselineConfig, run_fista_constant, run_prox_gradient
 from .gallery import (QuadraticSpec, _problem_from_document, default_start,
                       generate_qp)
 from .problems import CompositeProblem, phi, verify_certificate
-from .solver import NumericalFailure, SolverConfig, solve
+from .solver import (NumericalFailure, RepeatCapExhausted, SolverConfig,
+                     solve)
 
 __all__ = ["main"]
 
@@ -37,6 +39,7 @@ EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_AUDIT = 3
 EXIT_NUMERIC = 4
+EXIT_REPEAT_CAP = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,6 +316,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NumericalFailure as exc:
         sys.stderr.write(f"varfista: numerical failure: {exc}\n")
         return EXIT_NUMERIC
+    except RepeatCapExhausted as exc:
+        sys.stderr.write(f"varfista: repeat cap exhausted: {exc}\n")
+        return EXIT_REPEAT_CAP
     except (ValueError, TypeError, OSError, KeyError,
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"varfista: error: {exc}\n")

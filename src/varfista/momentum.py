@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 A0_DEFAULT = 12.0
+_IDENTITY_TOL = 1e-9  # relative gap allowed in A_k = a_{k-1}^2
 
 Array = np.ndarray
 
@@ -44,7 +45,6 @@ class ScheduleBoundsReport:
     """
 
     k_max: int
-    A0: float
     lower_margin: float
     lower_argk: int
     upper_margin: float
@@ -57,27 +57,23 @@ class ScheduleBoundsReport:
     gap_argk: int
     a_last: float
     A_last: float
-    identity_tol: float
     passed: bool
 
 
-def check_schedule_bounds(k_max: int, A0: float = A0_DEFAULT,
-                          identity_tol: float = 1e-9) -> ScheduleBoundsReport:
-    """Scan the recursion and check every growth bound up to k_max.
+def check_schedule_bounds(k_max: int) -> ScheduleBoundsReport:
+    """Scan the recursion from A0_DEFAULT and check every bound to k_max.
 
     The bounds are  k/2 <= a_{k-1} <= 4k,  sum_{i<=k} A_i >= k^3/12  and
     (sum_{i<=k} a_{i-1}) / (sum_{i<=k} A_i) <= 4/k, plus the identity
-    A_k = a_{k-1}^2 up to a relative gap of identity_tol.  k_max is at most
+    A_k = a_{k-1}^2 up to a relative gap of 1e-9.  k_max is at most
     2_000_000, so that k^3 stays exact in int64.
     """
     if not 1 <= k_max <= 2_000_000:
         raise ValueError("k_max must lie in [1, 2_000_000]")
-    if not A0 > 0.0:
-        raise ValueError("A0 must be positive")
     k_max = int(k_max)
     a = np.empty(k_max)
     A_next = np.empty(k_max)
-    A = float(A0)
+    A = A0_DEFAULT
     for i in range(k_max):
         a[i], A = advance(A)
         A_next[i] = A
@@ -96,13 +92,12 @@ def check_schedule_bounds(k_max: int, A0: float = A0_DEFAULT,
     gap_k = int(np.argmax(gap)) + 1 if gap.max() > 0.0 else 0
     max_gap = float(gap[gap_k - 1]) if gap_k else 0.0
     passed = (lower >= 0.0 and upper >= 0.0 and total >= 0.0
-              and ratio >= 0.0 and max_gap <= identity_tol)
+              and ratio >= 0.0 and max_gap <= _IDENTITY_TOL)
     return ScheduleBoundsReport(
-        k_max=k_max, A0=float(A0),
+        k_max=k_max,
         lower_margin=lower, lower_argk=lower_k,
         upper_margin=upper, upper_argk=upper_k,
         sum_margin=total, sum_argk=total_k,
         ratio_margin=ratio, ratio_argk=ratio_k,
         max_rel_gap=max_gap, gap_argk=gap_k,
-        a_last=float(a[-1]), A_last=A,
-        identity_tol=float(identity_tol), passed=passed)
+        a_last=float(a[-1]), A_last=A, passed=passed)

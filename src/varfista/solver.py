@@ -36,12 +36,18 @@ from .momentum import A0_DEFAULT, advance, extrapolate
 from .problems import Array, Certificate, CompositeProblem, phi
 
 __all__ = [
-    "SolverConfig", "NumericalFailure", "HistoryLedger", "IterationTrace",
-    "TRACE_HEADER", "solve", "compute_candidate", "compute_U", "compute_x",
-    "compute_v", "history_inequality_violated",
+    "SolverConfig", "NumericalFailure", "RepeatCapExhausted", "HistoryLedger",
+    "IterationTrace", "TRACE_HEADER", "DENOM_EPSILON", "solve",
+    "compute_candidate", "compute_U", "compute_x", "compute_v",
+    "history_inequality_violated",
 ]
 
 TRACE_HEADER = "k,lambda,xi,tau,U,L,residual,phi_y,phi_ymin,inner_repeats"
+
+# a curvature quotient over d = u - x_tilde reads 0 when
+# ||d||^2 <= DENOM_EPSILON * (1 + ||x_tilde||^2)
+DENOM_EPSILON = 1e-12
+_MAX_INNER_REPEATS = 1_000_000  # trials per outer iteration
 
 
 @dataclass
@@ -52,10 +58,7 @@ class SolverConfig:
     theta: float = 2.0
     gamma: float = 0.99
     rho_hat: float = 1e-6
-    A0: float = A0_DEFAULT
     max_outer_iterations: int = 100_000
-    max_inner_repeats_per_iteration: int = 1_000_000
-    denom_epsilon: float = 1e-12
 
     def validate(self) -> None:
         if not self.lambda0 > 0.0:
@@ -66,18 +69,16 @@ class SolverConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not self.rho_hat > 0.0:
             raise ValueError("rho_hat must be positive")
-        if not self.A0 > 0.0:
-            raise ValueError("A0 must be positive")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
-        if self.max_inner_repeats_per_iteration < 1:
-            raise ValueError("max_inner_repeats_per_iteration must be >= 1")
-        if self.denom_epsilon < 0.0:
-            raise ValueError("denom_epsilon must be non-negative")
 
 
 class NumericalFailure(FloatingPointError):
     """The smooth oracle gave a non-finite value or gradient in ``solve``."""
+
+
+class RepeatCapExhausted(RuntimeError):
+    """One outer iteration of ``solve`` retried its trial too many times."""
 
 
 class HistoryLedger:
@@ -159,8 +160,7 @@ class HistoryLedger:
         return float(self._XN2[index - 1])
 
     def linearization_gaps(self, count: int, u: Array, f_u: float,
-                           denom_epsilon: float, start: int = 0
-                           ) -> Tuple[Array, Array, Array]:
+                           start: int = 0) -> Tuple[Array, Array, Array]:
         """Gap rows of u against records start+1..count (audit replay).
 
         Returns ``(quotients, den, gd)`` with, per record i and
@@ -171,7 +171,7 @@ class HistoryLedger:
         """
         if not 0 <= start <= count <= self._n_rec:
             raise IndexError(f"ledger holds {self._n_rec} records")
-        return self._gap_terms(start, count, u, f_u, denom_epsilon)
+        return self._gap_terms(start, count, u, f_u)
 
     def record_arrays(self, count: int):
         """Read-only views (X, F, G) of records 1..count, for vectorized audits."""
@@ -181,8 +181,8 @@ class HistoryLedger:
 
     # -- lower-curvature gap cache ------------------------------------------
 
-    def _gap_terms(self, start: int, stop: int, u: Array, f_u: float,
-                   denom_epsilon: float) -> Tuple[Array, Array, Array]:
+    def _gap_terms(self, start: int, stop: int, u: Array, f_u: float
+                   ) -> Tuple[Array, Array, Array]:
         X = self._X[start:stop]
         G = self._G[start:stop]
         F = self._F[start:stop]
@@ -190,23 +190,21 @@ class HistoryLedger:
         gd = np.einsum("ij,ij->i", G, d)
         num = 2.0 * (F + gd - f_u)
         den = np.einsum("ij,ij->i", d, d)
-        ok = ~(den <= denom_epsilon * (1.0 + self._XN2[start:stop]))
+        ok = ~(den <= DENOM_EPSILON * (1.0 + self._XN2[start:stop]))
         safe = np.where(ok, den, 1.0)
         return np.where(ok, num / safe, 0.0), den, gd
 
-    def _record_gap(self, index: int, u: Array, f_u: float,
-                    denom_epsilon: float) -> float:
+    def _record_gap(self, index: int, u: Array, f_u: float) -> float:
         """Gap quotient of u against 1-based record ``index``, in O(n)."""
         i = index - 1
         return _gap_term(self._X[i], float(self._F[i]), self._G[i],
-                         float(self._XN2[i]), u, f_u, denom_epsilon)
+                         float(self._XN2[i]), u, f_u)
 
     def _is_cached(self, ymin: Array) -> bool:
         return (ymin is self.cached_ymin
                 and ymin.tobytes() == self._cached_bytes)
 
-    def ymin_ratio_max(self, ymin: Array, f_ymin: float,
-                       denom_epsilon: float) -> float:
+    def ymin_ratio_max(self, ymin: Array, f_ymin: float) -> float:
         """Max linearization gap of ymin against every record so far."""
         n = self._n_rec
         if n == 0:
@@ -214,12 +212,11 @@ class HistoryLedger:
         if self._is_cached(ymin):
             best = self.cached_ymin_ratio_max
             for i in range(self._cached_upto + 1, n + 1):
-                m = self._record_gap(i, ymin, f_ymin, denom_epsilon)
+                m = self._record_gap(i, ymin, f_ymin)
                 if m > best or m != m:  # a NaN carries, as in np.max
                     best = m
         else:
-            best = float(np.max(self._gap_terms(0, n, ymin, f_ymin,
-                                                denom_epsilon)[0]))
+            best = float(np.max(self._gap_terms(0, n, ymin, f_ymin)[0]))
             self.cached_ymin = ymin
             self._cached_bytes = ymin.tobytes()
         self.cached_ymin_ratio_max = best
@@ -231,9 +228,7 @@ class IterationTrace:
     """Per accepted iteration scalars, plus the iterate vectors for audits."""
 
     def __init__(self):
-        self.k: List[int] = []
         self.a: List[float] = []
-        self.A: List[float] = []
         self.lam: List[float] = []
         self.xi: List[float] = []
         self.tau: List[float] = []
@@ -247,11 +242,9 @@ class IterationTrace:
         self.ys: List[Array] = []
         self.ymins: List[Array] = []
 
-    def append(self, k, a, A, lam, xi, tau, U, L, residual, phi_y, phi_ymin,
+    def append(self, a, lam, xi, tau, U, L, residual, phi_y, phi_ymin,
                inner_repeats, x, y, ymin) -> None:
-        self.k.append(k)
         self.a.append(a)
-        self.A.append(A)
         self.lam.append(lam)
         self.xi.append(xi)
         self.tau.append(tau)
@@ -266,15 +259,15 @@ class IterationTrace:
         self.ymins.append(ymin)
 
     def __len__(self) -> int:
-        return len(self.k)
+        return len(self.lam)
 
     def write_csv(self, path: str) -> None:
-        """Write the documented delimited trace; float repr keeps it
-        byte-deterministic for identical runs."""
+        """Write the documented delimited trace, row i as iteration k = i + 1;
+        float repr keeps it byte-deterministic for identical runs."""
         with open(path, "w") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for i in range(len(self.k)):
-                row = [str(self.k[i])] + [repr(v) for v in (
+            for i in range(len(self.lam)):
+                row = [str(i + 1)] + [repr(v) for v in (
                     self.lam[i], self.xi[i], self.tau[i], self.U[i],
                     self.L[i], self.residual[i], self.phi_y[i],
                     self.phi_ymin[i])] + [str(self.inner_repeats[i])]
@@ -286,47 +279,40 @@ class IterationTrace:
 # ---------------------------------------------------------------------------
 
 def compute_candidate(problem: CompositeProblem, x_tilde: Array, lam: float,
-                      xi: float, a: float,
-                      grad_x_tilde: Optional[Array] = None
+                      xi: float, a: float, grad_x_tilde: Array
                       ) -> Tuple[Array, float]:
     """Prox step from the momentum point under the current (lam, xi).
 
     Minimizes  lin_f(u; x_tilde) + h(u) + ((1+tau)/(2 lam)) ||u - x_tilde||^2
     with tau = 2 xi lam / a, which collapses to one prox call at stepsize
-    s = lam / (1 + tau).  Returns (y, tau).
+    s = lam / (1 + tau), with ``grad_x_tilde`` = grad f(x_tilde).
+    Returns (y, tau).
     """
-    if grad_x_tilde is None:
-        grad_x_tilde = problem.smooth.grad(x_tilde)
     tau = 2.0 * xi * lam / a
     s = lam / (1.0 + tau)
     y = problem.regularizer.prox(x_tilde - s * grad_x_tilde, s)
     return y, tau
 
 
-def _guarded_ratio(num: float, den: float, x_tilde_norm2: float,
-                   denom_epsilon: float) -> float:
-    if den <= denom_epsilon * (1.0 + x_tilde_norm2):
-        return 0.0
-    return num / den
-
-
 def compute_U(y: Array, f_y: float, x_tilde: Array, f_xt: float, g_xt: Array,
-              xn2: float, denom_epsilon: float) -> float:
+              xn2: float) -> float:
     """Local upper-curvature estimate 2[f(y) - lin_f(y; x_tilde)]/||y-x_tilde||^2.
 
     ``f_xt`` and ``g_xt`` are f and grad f at x_tilde, ``xn2`` is
     ||x_tilde||^2.  Returns 0 when y is too close to x_tilde for the ratio to
-    be meaningful (squared distance <= denom_epsilon * (1 + xn2)).
+    be meaningful (squared distance <= DENOM_EPSILON * (1 + xn2)), before
+    the gradient enters, so a non-finite one cannot reach a guarded quotient.
     """
     d = y - x_tilde
     den = float(d @ d)
+    if den <= DENOM_EPSILON * (1.0 + xn2):
+        return 0.0
     lin = f_xt + float(g_xt @ d)
-    return _guarded_ratio(2.0 * (f_y - lin), den, xn2, denom_epsilon)
+    return 2.0 * (f_y - lin) / den
 
 
 def _gap_term(record_x: Array, record_f: float, record_g: Array,
-              record_xn2: float, u: Array, f_u: float,
-              denom_epsilon: float) -> float:
+              record_xn2: float, u: Array, f_u: float) -> float:
     """2[lin_f(u; x_tilde_i) - f(u)]/||u - x_tilde_i||^2 with the usual guard.
 
     The one-record shape of ``HistoryLedger._gap_terms``: the same expression
@@ -336,8 +322,10 @@ def _gap_term(record_x: Array, record_f: float, record_g: Array,
     """
     d = u - record_x
     den = float(np.einsum("i,i->", d, d))
+    if den <= DENOM_EPSILON * (1.0 + record_xn2):
+        return 0.0
     lin = record_f + float(np.einsum("i,i->", record_g, d))
-    return _guarded_ratio(2.0 * (lin - f_u), den, record_xn2, denom_epsilon)
+    return 2.0 * (lin - f_u) / den
 
 
 def _committed_pairs_violated(xi: float, L: float, lam_hist: Array,
@@ -419,13 +407,13 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
 
     Returns (certificate, trace, ledger); the ledger is the committed history
     consumed by post-run audits.  Raises ValueError for bad configuration or
-    a y0 outside dom h, RuntimeError when the per-iteration repeat cap is
-    exhausted (in practice: inconsistent value/gradient oracles), and
-    NumericalFailure when f is non-finite at the start point, a momentum
-    point or a trial point, when the curvature estimate U or L is
-    non-finite, or when the residual is.  Every gradient ``solve`` asks for,
-    at x_tilde_k or at the accepted y_k, enters v_k, so a non-finite one
-    surfaces in the iteration where it occurs.
+    a y0 outside dom h, RepeatCapExhausted when one iteration retries its
+    trial more than ``_MAX_INNER_REPEATS`` times (in practice: inconsistent
+    value/gradient oracles), and NumericalFailure when f is non-finite at
+    the start point, a momentum point or a trial point, when the curvature
+    estimate U or L is non-finite, or when the residual is.  Every gradient
+    ``solve`` asks for, at x_tilde_k or at the accepted y_k, enters v_k, so
+    a non-finite one surfaces in the iteration where it occurs.
     """
     config.validate()
     y0 = np.asarray(y0, dtype=np.float64)
@@ -449,7 +437,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     grad_calls = 0
 
     # carried across outer iterations: the last accepted values
-    A = config.A0
+    A = A0_DEFAULT
     y = y0
     x = y0.copy()
     ymin = y0
@@ -490,8 +478,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
                     f"iteration {k}, trial {repeats}: f(y) = {f_y} at the "
                     "prox step's candidate")
             phi_y = f_y + reg.value(y)
-            U = compute_U(y, f_y, x_tilde, f_xt, g_xt, xn2,
-                          config.denom_epsilon)
+            U = compute_U(y, f_y, x_tilde, f_xt, g_xt, xn2)
             if not math.isfinite(U):
                 raise NumericalFailure(
                     f"iteration {k}, trial {repeats}: U = {U}; grad f at "
@@ -504,9 +491,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             # against this record, the incumbent's max gap over all records,
             # the previous L, and 0
             L_cand = max(
-                ledger._record_gap(idx, y_prev, f_y_prev,
-                                   config.denom_epsilon),
-                ledger.ymin_ratio_max(ymin, f_ymin, config.denom_epsilon),
+                ledger._record_gap(idx, y_prev, f_y_prev),
+                ledger.ymin_ratio_max(ymin, f_ymin),
                 L, 0.0)
             if not math.isfinite(L_cand):
                 raise NumericalFailure(
@@ -517,10 +503,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
                                 L, config.theta, config.gamma)
             if retry is None:
                 break
-            if repeats >= config.max_inner_repeats_per_iteration:
-                raise RuntimeError(
+            if repeats >= _MAX_INNER_REPEATS:
+                raise RepeatCapExhausted(
                     f"iteration {k}: inner repeat cap "
-                    f"{config.max_inner_repeats_per_iteration} exhausted; "
+                    f"{_MAX_INNER_REPEATS} exhausted; "
                     "value/gradient oracles are likely inconsistent")
             xi, lam = retry
             repeats += 1
@@ -537,8 +523,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
                 f"iteration {k}: residual = {resid}; grad f at the momentum "
                 "point or the accepted trial point is non-finite")
 
-        trace.append(k, a, A_next, lam, xi, tau, U, L_cand, resid, phi_y,
-                     phi_ymin, repeats, x, y, ymin)
+        trace.append(a, lam, xi, tau, U, L_cand, resid, phi_y, phi_ymin,
+                     repeats, x, y, ymin)
         A = A_next
         L = L_cand
 

@@ -9,7 +9,7 @@ from varfista.audit import (AuditReport, CheckResult, audit_corpus, audit_run,
                             corrupt_gradient_oracle, run_audit_suite)
 from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
-from varfista.solver import HistoryLedger, SolverConfig, solve
+from varfista.solver import DENOM_EPSILON, HistoryLedger, SolverConfig, solve
 
 
 def _audited_run(spec, rho=1e-7, iters=5000, lambda0=1.0):
@@ -209,9 +209,9 @@ def gap_scans(monkeypatch):
     calls = []
     scan = HistoryLedger.linearization_gaps
 
-    def counted(self, count, u, f_u, denom_epsilon, start=0):
+    def counted(self, count, u, f_u, start=0):
         calls.append((count, start))
-        return scan(self, count, u, f_u, denom_epsilon, start=start)
+        return scan(self, count, u, f_u, start=start)
 
     monkeypatch.setattr(HistoryLedger, "linearization_gaps", counted)
     return calls
@@ -269,15 +269,15 @@ def test_replay_scans_records_in_proportion_to_best_point_changes(gap_scans):
     assert scanned < (K * (K + 1) // 2 + K) / 2
 
 
-def _quotients_and_envelopes(u, f_u, X, F, G, eps_cfg):
+def _quotients_and_envelopes(u, f_u, X, F, G):
     """Curvature quotients 2(F_i + g_i.d_i - f(u))/||d_i||^2, d_i = u - x_i
-    (0 where ||d_i||^2 <= eps_cfg (1 + ||x_i||^2)), and their roundoff
+    (0 where ||d_i||^2 <= DENOM_EPSILON (1 + ||x_i||^2)), and their roundoff
     envelopes 64 eps 2 (|f(u)| + |F_i| + |g_i.d_i|) / max(the two).  u is
     one point, or one point per record with f_u one value per record."""
     d = u - X
     den = np.sum(d * d, axis=1)
     gd = np.sum(G * d, axis=1)
-    guard = eps_cfg * (1.0 + np.sum(X * X, axis=1))
+    guard = DENOM_EPSILON * (1.0 + np.sum(X * X, axis=1))
     q = np.where(den > guard, 2.0 * (F + gd - f_u) / np.maximum(den, guard),
                  0.0)
     env = 64.0 * np.finfo(np.float64).eps * 2.0 \
@@ -290,8 +290,7 @@ def test_upper_curvature_bound_fails_just_above_its_envelope():
     X, F, G = ledger.record_arrays(len(trace))
     # U_k is minus the quotient of y_k against record k
     f_y = np.array([prob.smooth.value(y) for y in trace.ys])
-    q, env = _quotients_and_envelopes(np.stack(trace.ys), f_y, X, F, G,
-                                      cfg.denom_epsilon)
+    q, env = _quotients_and_envelopes(np.stack(trace.ys), f_y, X, F, G)
     j = int(np.argmax(np.where(q != 0.0, env, 0.0)))
     M = prob.smooth.audit_lipschitz
     assert env[j] > 1e-9 * M  # wide enough to tell the envelope apart
@@ -325,8 +324,7 @@ def test_lower_curvature_cap_reports_the_largest_excess_of_a_direct_scan(
         y_prev = trace.ys[k - 2] if k >= 2 else y0
         for u, lo in ((trace.ymins[k - 1], 0), (y_prev, k - 1)):
             q, env = _quotients_and_envelopes(
-                u, prob.smooth.value(u), X[lo:k], F[lo:k], G[lo:k],
-                cfg.denom_epsilon)
+                u, prob.smooth.value(u), X[lo:k], F[lo:k], G[lo:k])
             excess = np.where(q != 0.0, q - env, -np.inf)
             i = int(np.argmax(excess))
             if excess[i] > best:

@@ -15,7 +15,7 @@ def _convex_qp(n=6, seed=2):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("step", 0.0), ("rho_hat", 0.0), ("A0", 0.0), ("max_outer_iterations", 0),
+    ("step", 0.0), ("rho_hat", 0.0), ("max_outer_iterations", 0),
 ])
 def test_baseline_config_validation(field, value):
     cfg = BaselineConfig()

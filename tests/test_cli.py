@@ -135,6 +135,19 @@ def test_solve_nonfinite_oracle_value_exits_four(capsys, monkeypatch):
     assert "numerical failure: iteration 22: f(x_tilde) = nan" in err
 
 
+def test_solve_repeat_cap_exhausted_exits_five(capsys, monkeypatch):
+    # this instance's first iteration needs two repeats (stepsize shrink
+    # plus escalation), so a cap of one trips
+    import varfista.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "_MAX_INNER_REPEATS", 1)
+    code, out, err = _run(capsys, ["solve", "--instance",
+                                   "qp:n=4,eig_lo=-1,eig_hi=10,seed=7",
+                                   "--rho", "1e-6"])
+    assert code == 5
+    assert out == ""
+    assert "repeat cap exhausted: iteration 1: inner repeat cap 1" in err
+
+
 def test_audit_suite_reports_a_nonfinite_run_as_failed(capsys):
     # a NaN gradient factor makes every trial point NaN
     code, out, _ = _run(capsys, ["audit", "--n-instances", "2",

@@ -17,8 +17,6 @@ from varfista.solver import (TRACE_HEADER, HistoryLedger, IterationTrace,
                              compute_U, compute_v, compute_x,
                              history_inequality_violated, solve)
 
-EPS = 1e-12
-
 
 def _box_1d():
     # f(u) = u^2 - 4u over [0, 1]; unique stationary point at u = 1
@@ -43,8 +41,7 @@ def _free_1d():
 
 @pytest.mark.parametrize("field,value", [
     ("lambda0", 0.0), ("theta", 1.0), ("gamma", 0.0), ("gamma", 1.0),
-    ("rho_hat", 0.0), ("A0", 0.0), ("max_outer_iterations", 0),
-    ("max_inner_repeats_per_iteration", 0), ("denom_epsilon", -1.0),
+    ("rho_hat", 0.0), ("max_outer_iterations", 0),
 ])
 def test_config_validation(field, value):
     cfg = SolverConfig()
@@ -59,7 +56,9 @@ def test_config_validation(field, value):
 
 def test_compute_candidate_plain_prox_step():
     prob = _free_1d()
-    y, tau = compute_candidate(prob, np.array([2.0]), lam=1.0, xi=0.0, a=4.0)
+    x = np.array([2.0])
+    y, tau = compute_candidate(prob, x, lam=1.0, xi=0.0, a=4.0,
+                               grad_x_tilde=prob.smooth.grad(x))
     assert tau == 0.0
     assert np.allclose(y, [0.0])  # 2 - 1 * grad(2)
 
@@ -67,7 +66,9 @@ def test_compute_candidate_plain_prox_step():
 def test_compute_candidate_damped_by_escalation():
     prob = _free_1d()
     # tau = 2*1*1/4 = 0.5, s = 2/3, y = 2 - (2/3)*2 = 2/3
-    y, tau = compute_candidate(prob, np.array([2.0]), lam=1.0, xi=1.0, a=4.0)
+    x = np.array([2.0])
+    y, tau = compute_candidate(prob, x, lam=1.0, xi=1.0, a=4.0,
+                               grad_x_tilde=prob.smooth.grad(x))
     assert tau == 0.5
     assert np.allclose(y, [2.0 / 3.0])
 
@@ -75,7 +76,9 @@ def test_compute_candidate_damped_by_escalation():
 def test_compute_candidate_respects_box():
     prob = _box_1d()
     # z = 0.5 - 1 * (-3) = 3.5, clamped to 1
-    y, _ = compute_candidate(prob, np.array([0.5]), lam=1.0, xi=0.0, a=4.0)
+    x = np.array([0.5])
+    y, _ = compute_candidate(prob, x, lam=1.0, xi=0.0, a=4.0,
+                             grad_x_tilde=prob.smooth.grad(x))
     assert np.array_equal(y, [1.0])
 
 
@@ -89,10 +92,10 @@ def test_compute_U_quadratic_recovers_curvature():
     g_xt = prob.smooth.grad(x_tilde)
     xn2 = float(x_tilde @ x_tilde)
     y = np.array([2.0])
-    assert compute_U(y, prob.smooth.value(y), x_tilde, f_xt, g_xt, xn2,
-                     EPS) == 2.0
+    assert compute_U(y, prob.smooth.value(y), x_tilde, f_xt, g_xt,
+                     xn2) == 2.0
     # guard: candidate equal to the momentum point
-    assert compute_U(x_tilde, f_xt, x_tilde, f_xt, g_xt, xn2, EPS) == 0.0
+    assert compute_U(x_tilde, f_xt, x_tilde, f_xt, g_xt, xn2) == 0.0
 
 
 def test_update_best_tie_keeps_incumbent():
@@ -128,8 +131,8 @@ def test_compute_L_gap_of_concave_function():
     # against the record and the best point's max gap, are 2*2/4 = 1
     ledger = _one_record_ledger(0.0, 0.0, 0.0)
     u = np.array([2.0])
-    assert ledger._record_gap(1, u, -2.0, EPS) == 1.0
-    assert ledger.ymin_ratio_max(u, -2.0, EPS) == 1.0
+    assert ledger._record_gap(1, u, -2.0) == 1.0
+    assert ledger.ymin_ratio_max(u, -2.0) == 1.0
     # inside solve, L picks the curvature up at the first moving step
     _, trace, _ = solve(_concave_1d(), SolverConfig(max_outer_iterations=3),
                         np.array([0.5]))
@@ -141,15 +144,15 @@ def test_compute_L_never_negative():
     ledger = _one_record_ledger(0.0, 0.0, 0.0)
     u = np.array([2.0])
     # f(u) = u^2/2 -> f(2) = 2, gap = 2*(0 - 2)/4 = -1
-    assert ledger._record_gap(1, u, 2.0, EPS) == -1.0
-    assert ledger.ymin_ratio_max(u, 2.0, EPS) == -1.0
+    assert ledger._record_gap(1, u, 2.0) == -1.0
+    assert ledger.ymin_ratio_max(u, 2.0) == -1.0
     # inside solve, on f(u) = u^2/2 the best point's gaps are negative
     prob = _free_1d()
     _, trace, ledger = solve(prob, SolverConfig(max_outer_iterations=5),
                              np.array([3.0]))
     ymin = trace.ymins[-1]
     gaps, _, _ = ledger.linearization_gaps(len(trace), ymin,
-                                           prob.smooth.value(ymin), EPS)
+                                           prob.smooth.value(ymin))
     assert np.all(gaps < 0.0)
     assert all(L == 0.0 for L in trace.L)
 
@@ -398,18 +401,18 @@ def test_ledger_gap_cache_matches_full_replay():
     u = rng.normal(size=dim)
     f_u = -1.3
     add(2)
-    got = ledger.ymin_ratio_max(u, f_u, EPS)
-    want = float(np.max(ledger.linearization_gaps(2, u, f_u, EPS)[0]))
+    got = ledger.ymin_ratio_max(u, f_u)
+    want = float(np.max(ledger.linearization_gaps(2, u, f_u)[0]))
     assert got == want
     # incremental fold-in of new records only
     add(3)
-    got = ledger.ymin_ratio_max(u, f_u, EPS)
-    want = float(np.max(ledger.linearization_gaps(5, u, f_u, EPS)[0]))
+    got = ledger.ymin_ratio_max(u, f_u)
+    want = float(np.max(ledger.linearization_gaps(5, u, f_u)[0]))
     assert got == want
     # new best point triggers a full rescan
     u2 = rng.normal(size=dim)
-    got = ledger.ymin_ratio_max(u2, 0.4, EPS)
-    want = float(np.max(ledger.linearization_gaps(5, u2, 0.4, EPS)[0]))
+    got = ledger.ymin_ratio_max(u2, 0.4)
+    want = float(np.max(ledger.linearization_gaps(5, u2, 0.4)[0]))
     assert got == want
 
 
@@ -438,21 +441,21 @@ def test_ledger_cache_rescans_a_best_point_mutated_in_place(monkeypatch):
     rng = np.random.default_rng(5)
     ledger = _filled_ledger(rng, 4, 6)
     u = rng.normal(size=4)
-    ledger.ymin_ratio_max(u, -0.7, EPS)
+    ledger.ymin_ratio_max(u, -0.7)
     scans = _scan_log(monkeypatch)
     u[2] += 0.25  # same array object, new bytes
-    got = ledger.ymin_ratio_max(u, -0.7, EPS)
+    got = ledger.ymin_ratio_max(u, -0.7)
     assert scans[0] == (0, 6)
-    assert got == float(np.max(ledger.linearization_gaps(6, u, -0.7, EPS)[0]))
+    assert got == float(np.max(ledger.linearization_gaps(6, u, -0.7)[0]))
 
 
 def test_ledger_cache_distinct_equal_array_gives_same_maximum():
     rng = np.random.default_rng(6)
     ledger = _filled_ledger(rng, 4, 6)
     u = rng.normal(size=4)
-    first = ledger.ymin_ratio_max(u, 0.2, EPS)
-    again = ledger.ymin_ratio_max(u.copy(), 0.2, EPS)
-    want = float(np.max(ledger.linearization_gaps(6, u, 0.2, EPS)[0]))
+    first = ledger.ymin_ratio_max(u, 0.2)
+    again = ledger.ymin_ratio_max(u.copy(), 0.2)
+    want = float(np.max(ledger.linearization_gaps(6, u, 0.2)[0]))
     assert first == again == want
 
 
@@ -463,14 +466,14 @@ def _as_bits(value) -> bytes:
 @settings(max_examples=400, deadline=None)
 @given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
        guarded=st.booleans(), d_exp=st.integers(-8, 8),
-       eps=st.sampled_from([0.0, EPS, 1e-6]),
        nan_in=st.sampled_from([None, "u", "g", "f_u"]))
 def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
-                                                       d_exp, eps, nan_in):
+                                                       d_exp, nan_in):
     # the solver's one-record fold and t1 term use _gap_term, the audit's
     # replay a one-row _gap_terms; both must give the same bits, also when
     # a NaN in u, in the record's gradient or in f(u) reaches the quotient
     rng = np.random.default_rng(seed)
+    eps = solver_mod.DENOM_EPSILON
 
     def draw(size=None):
         return rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
@@ -490,15 +493,15 @@ def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
     u = x + d
     if nan_in == "u":
         u[rng.integers(n)] = math.nan
-    want, den, _ = ledger.linearization_gaps(1, u, f_u, eps)
+    want, den, _ = ledger.linearization_gaps(1, u, f_u)
     if den[0] <= eps * (1.0 + xn2):
         assert want[0] == 0.0
     else:
         assert not guarded or nan_in == "u"
         assert math.isnan(want[0]) == (nan_in is not None)
-    got = solver_mod._gap_term(x, f_x, g, xn2, u, f_u, eps)
+    got = solver_mod._gap_term(x, f_x, g, xn2, u, f_u)
     assert _as_bits(got) == want[0].tobytes()
-    assert _as_bits(ledger._record_gap(1, u, f_u, eps)) == want[0].tobytes()
+    assert _as_bits(ledger._record_gap(1, u, f_u)) == want[0].tobytes()
 
 
 def _golden_corpus_runs():
@@ -524,7 +527,7 @@ def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
     misses = []
     folds = [0]
 
-    def watched(self, ymin, f_ymin, denom_epsilon):
+    def watched(self, ymin, f_ymin):
         k = self._n_rec
         hit = self._is_cached(ymin)
         kept = getattr(self, "_shadow_copy", None)
@@ -534,7 +537,7 @@ def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
         self._shadow_copy = ymin.copy()
         folds[0] += hit and self._cached_upto == k - 1
         before = len(scans)
-        out = original(self, ymin, f_ymin, denom_epsilon)
+        out = original(self, ymin, f_ymin)
         assert scans[before:] == ([] if hit else [(0, k)])
         if not hit:
             misses.append(k)
@@ -560,8 +563,8 @@ def test_ledger_fold_carries_a_nan_quotient_like_a_rescan():
     ymin = np.array([1.0, 1.0])
     for k, g in enumerate(([0.0, 0.0], [math.nan, 0.0], [0.0, 0.0]), 1):
         ledger.append_linearization(np.zeros(2), 0.0, np.array(g))
-        folded = ledger.ymin_ratio_max(ymin, -0.5, EPS)
-        rescan = np.max(ledger.linearization_gaps(k, ymin, -0.5, EPS)[0])
+        folded = ledger.ymin_ratio_max(ymin, -0.5)
+        rescan = np.max(ledger.linearization_gaps(k, ymin, -0.5)[0])
         assert _as_bits(folded) == rescan.tobytes()
         assert (folded == 0.5) if k == 1 else math.isnan(folded)
     assert ledger.cached_ymin is ymin  # every call after the first folded
@@ -571,9 +574,9 @@ def test_ledger_slice_queries_validate_bounds():
     ledger = HistoryLedger(1, 1.0)
     ledger.append_linearization(np.array([0.0]), 0.0, np.array([0.0]))
     with pytest.raises(IndexError):
-        ledger.linearization_gaps(2, np.array([0.0]), 0.0, EPS)
+        ledger.linearization_gaps(2, np.array([0.0]), 0.0)
     with pytest.raises(IndexError):
-        ledger.linearization_gaps(1, np.array([0.0]), 0.0, EPS, start=2)
+        ledger.linearization_gaps(1, np.array([0.0]), 0.0, start=2)
     with pytest.raises(IndexError):
         ledger.record_arrays(5)
     X, F, G = ledger.record_arrays(1)
@@ -622,7 +625,7 @@ def test_solve_traces_match_op_recomputation():
     for i in range(len(trace)):
         y = trace.ys[i]
         U = compute_U(y, prob.smooth.value(y), X[i], float(F[i]), G[i],
-                      float(X[i] @ X[i]), cfg.denom_epsilon)
+                      float(X[i] @ X[i]))
         assert U == trace.U[i]
 
 
@@ -636,24 +639,27 @@ def test_solve_rejects_bad_start():
         solve(prob, SolverConfig(lambda0=-1.0), np.array([0.5]))
 
 
-def test_solve_exhausts_repeat_cap_when_set_too_tight():
+def test_solve_exhausts_repeat_cap_when_set_too_tight(monkeypatch):
     # this run needs two repeats in its first iteration (stepsize shrink
     # plus escalation), so a cap of one must abort with a clear error
     prob = generate_qp(QuadraticSpec(n=4, eig_lo=-1.0, eig_hi=10.0, seed=7))
-    cfg = SolverConfig(max_inner_repeats_per_iteration=1)
-    with pytest.raises(RuntimeError, match="repeat cap"):
-        solve(prob, cfg, default_start(prob))
+    monkeypatch.setattr(solver_mod, "_MAX_INNER_REPEATS", 1)
+    with pytest.raises(solver_mod.RepeatCapExhausted, match="repeat cap"):
+        solve(prob, SolverConfig(), default_start(prob))
 
 
-def test_solve_wrong_sign_gradient_is_absorbed_by_quotient_guard():
+def test_solve_wrong_sign_gradient_is_absorbed_by_quotient_guard(
+        monkeypatch):
     # a sign-flipped gradient drives the stepsize down until the candidate
     # coincides with the momentum point bitwise; the guarded quotient then
-    # reads 0 and the run proceeds instead of spinning in the inner loop
+    # reads 0 and the run proceeds instead of spinning in the inner loop.
+    # With a zero guard only that bitwise coincidence trips it
     f = SmoothOracle(lambda u: 0.5 * float(u @ u), lambda u: -u)
     prob = CompositeProblem(f, BoxIndicator.uniform(1, -1e8, 1e8),
                             identity_projector(), 1)
-    cfg = SolverConfig(max_outer_iterations=3, denom_epsilon=0.0)
-    cert, trace, _ = solve(prob, cfg, np.array([1.0]))
+    monkeypatch.setattr(solver_mod, "DENOM_EPSILON", 0.0)
+    cert, trace, _ = solve(prob, SolverConfig(max_outer_iterations=3),
+                           np.array([1.0]))
     assert trace.U[0] == 0.0
     assert trace.lam[0] < 1e-12
 
@@ -784,7 +790,6 @@ def test_trace_append_and_totals():
     trace = IterationTrace()
     assert len(trace) == 0 and sum(trace.inner_repeats) == 0
     z = np.zeros(1)
-    trace.append(1, 4.0, 16.0, 0.5, 0.0, 0.0, 2.0, 0.0, 1.0, -1.0, -1.0, 3,
-                 z, z, z)
+    trace.append(4.0, 0.5, 0.0, 0.0, 2.0, 0.0, 1.0, -1.0, -1.0, 3, z, z, z)
     assert len(trace) == 1 and sum(trace.inner_repeats) == 3
     assert trace.ymins[0] is z
