@@ -11,6 +11,9 @@ lambda0), the two iterate sequences agree bit-for-bit.
 ``run_prox_gradient`` is plain forward-backward splitting, the unaccelerated
 floor for benchmark comparisons; its prox step and residual are the same
 ``compute_candidate`` and ``compute_v`` with xi = 0 and tau = 0.
+
+Both raise ``NumericalFailure``, as ``solve`` does, when f(y0), f or phi at
+a step, or the residual is non-finite.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 
 from .momentum import A0_DEFAULT, advance, extrapolate
 from .problems import Array, Certificate, CompositeProblem
-from .solver import (IterationTrace, compute_candidate, compute_U,
-                     compute_v, compute_x)
+from .solver import (IterationTrace, NumericalFailure, compute_candidate,
+                     compute_U, compute_v, compute_x)
 
 __all__ = ["BaselineConfig", "run_fista_constant", "run_prox_gradient"]
 
@@ -43,20 +46,32 @@ class BaselineConfig:
             raise ValueError("max_outer_iterations must be at least 1")
 
 
-def _start(problem: CompositeProblem, config, y0: Array) -> Array:
+def _require_finite(where: str, *named: tuple[str, float]) -> None:
+    """Raise NumericalFailure on the first non-finite (name, value) pair."""
+    for name, value in named:
+        if not math.isfinite(value):
+            raise NumericalFailure(f"{where}: {name} = {value}")
+
+
+def _start(problem: CompositeProblem, config, y0: Array
+           ) -> tuple[Array, float]:
+    """Validated (y0, phi(y0))."""
     config.validate()
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (problem.dimension,):
         raise ValueError("y0 does not match problem dimension")
-    if not math.isfinite(problem.regularizer.value(y0)):
+    h0 = problem.regularizer.value(y0)
+    if not math.isfinite(h0):
         raise ValueError("y0 lies outside dom h")
-    return y0
+    f0 = problem.smooth.value(y0)
+    _require_finite("start point", ("f(y0)", f0))
+    return y0, f0 + h0
 
 
 def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
                        y0: Array):
     """Accelerated method with frozen stepsize; returns (certificate, trace)."""
-    y0 = _start(problem, config, y0)
+    y0, phi_min = _start(problem, config, y0)
     smooth = problem.smooth
     reg = problem.regularizer
     step = config.step
@@ -64,7 +79,6 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
     A = A0_DEFAULT
     y = y0
     x = y0.copy()
-    phi_min = smooth.value(y0) + reg.value(y0)
     y_best = y0
     trace = IterationTrace()
     prox_calls = 0
@@ -93,6 +107,8 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
         phi_y = f_y + reg.value(y_next)
         U = compute_U(y_next, f_y, x_tilde, f_xt, g_xt,
                       float(x_tilde @ x_tilde))
+        _require_finite(f"iteration {k}", ("f(x_tilde)", f_xt), ("f(y)", f_y),
+                        ("phi(y)", phi_y), ("residual", resid))
         if phi_y < phi_min:
             phi_min = phi_y
             y_best = y_next
@@ -115,7 +131,7 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
 def run_prox_gradient(problem: CompositeProblem, config: BaselineConfig,
                       y0: Array):
     """Forward-backward splitting; returns (certificate, trace)."""
-    y0 = _start(problem, config, y0)
+    y0, phi_min = _start(problem, config, y0)
     smooth = problem.smooth
     reg = problem.regularizer
     step = config.step
@@ -124,7 +140,6 @@ def run_prox_gradient(problem: CompositeProblem, config: BaselineConfig,
     g_u = smooth.grad(u)
     grad_calls = 1
     prox_calls = 0
-    phi_min = smooth.value(u) + reg.value(u)
     u_best = y0
     trace = IterationTrace()
     v = np.zeros_like(y0)
@@ -140,7 +155,10 @@ def run_prox_gradient(problem: CompositeProblem, config: BaselineConfig,
         grad_calls += 1
         v = compute_v(u, u_next, g_next, g_u, step, 0.0)
         resid = math.sqrt(float(v @ v))
-        phi_u = smooth.value(u_next) + reg.value(u_next)
+        f_u = smooth.value(u_next)
+        phi_u = f_u + reg.value(u_next)
+        _require_finite(f"iteration {k}", ("f(y)", f_u), ("phi(y)", phi_u),
+                        ("residual", resid))
         if phi_u < phi_min:
             phi_min = phi_u
             u_best = u_next

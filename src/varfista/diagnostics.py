@@ -106,8 +106,6 @@ def _grid_argmin(kappa: float, b: Array, lo: Array, hi: Array,
     axis, so every refinement window brackets the coarse argmin.
     """
     Q = kappa * np.eye(b.shape[0])
-    lo = lo.copy()
-    hi = hi.copy()
     while True:
         span = float(np.max(hi - lo))
         res = max(span / 400.0, resolution)
@@ -123,44 +121,37 @@ def check_xk_optimality(problem: CompositeProblem, model: ModelFunction,
                         grid_resolution: float = 1e-4) -> Optional[bool]:
     """Does x_k minimize the anchor subproblem over Omega?
 
-    Minimizes by dense grid (dimension <= 2, identity or box Omega) or by
-    projected gradient otherwise; True/False when the independent minimizer
-    lands within / outside max(grid_resolution, 1e-6) of x_k, None when the
-    search is inconclusive (argmin pinned to an artificial window edge).
+    Minimizes by dense grid over a search window clamped into the box Omega
+    (dimension <= 2) or by projected gradient otherwise; True/False when the
+    independent minimizer lands within / outside max(grid_resolution, 1e-6)
+    of x_k, None when the search is inconclusive (argmin pinned to an
+    artificial window edge).
     """
     kappa, b = _anchor_quadratic(model, x_prev, a)
     tol = max(grid_resolution, 1e-6)
-    kind = problem.omega.kind
-    if problem.dimension <= 2 and kind in ("identity", "box"):
+    if problem.dimension <= 2:
         pts = [x_prev, x_k, model.y_k, model.x_tilde, -b / kappa]
         stack = np.stack(pts)
         margin = max(1.0, float(np.max(np.abs(stack)))) * 0.5
         w_lo = np.min(stack, axis=0) - margin
         w_hi = np.max(stack, axis=0) + margin
         for _ in range(4):
-            lo = w_lo.copy()
-            hi = w_hi.copy()
-            clipped_lo = np.zeros(problem.dimension, dtype=bool)
-            clipped_hi = np.zeros(problem.dimension, dtype=bool)
-            if kind == "box":
-                # clamp the window into Omega; a face of Omega is a genuine
-                # boundary, an unclamped window face is artificial
-                lo = problem.omega.project(w_lo)
-                hi = problem.omega.project(w_hi)
-                clipped_lo = lo > w_lo
-                clipped_hi = hi < w_hi
+            # clamp the window into Omega; a face of Omega is a genuine
+            # boundary, an unclamped window face is artificial
+            lo = problem.omega.project(w_lo)
+            hi = problem.omega.project(w_hi)
             best = _grid_argmin(kappa, b, lo, hi, grid_resolution)
             on_artificial = (((best - lo < 2.0 * grid_resolution)
-                              & ~clipped_lo)
+                              & (lo == w_lo))
                              | ((hi - best < 2.0 * grid_resolution)
-                                & ~clipped_hi))
+                                & (hi == w_hi)))
             if not np.any(on_artificial):
                 return bool(np.linalg.norm(best - x_k) <= tol)
             span = w_hi - w_lo
             w_lo = w_lo - span
             w_hi = w_hi + span
         return None
-    # projected-gradient fallback for higher dimension or another region
+    # projected-gradient fallback for higher dimension
     u = x_k.copy()
     eta = 1.0 / kappa
     for _ in range(100_000):

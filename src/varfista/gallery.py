@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .problems import Array, CompositeProblem
-from .prox import BoxIndicator, L1PlusBox, identity_projector
+from .prox import BoxIndicator, L1PlusBox, Projector
 
 __all__ = [
     "QuadraticSpec", "QuadraticOracle", "generate_qp", "make_qp_problem",
@@ -126,15 +126,15 @@ def generate_qp(spec: QuadraticSpec) -> CompositeProblem:
         audit_curvature=float(max(0.0, -np.min(eigs))))
     lo, hi = spec.box
     reg = BoxIndicator.uniform(spec.n, lo, hi)
-    return CompositeProblem(oracle, reg, identity_projector(), spec.n)
+    return CompositeProblem(oracle, reg, Projector(), spec.n)
 
 
 def make_qp_problem(Q: Array, c: Array, lo: Array, hi: Array,
-                    l1_weight: float = 0.0, omega=None,
+                    l1_weight: float = 0.0,
                     audit_lipschitz: Optional[float] = None,
                     audit_curvature: Optional[float] = None
                     ) -> CompositeProblem:
-    """Direct construction from explicit data (tests, file loading).
+    """Box QP over Omega = R^n from explicit data (tests, file loading).
 
     Audit constants left as None are computed from the spectrum of Q.
     """
@@ -148,9 +148,7 @@ def make_qp_problem(Q: Array, c: Array, lo: Array, hi: Array,
         reg = L1PlusBox(float(l1_weight), lo, hi)
     else:
         reg = BoxIndicator(lo, hi)
-    if omega is None:
-        omega = identity_projector()
-    return CompositeProblem(oracle, reg, omega, n)
+    return CompositeProblem(oracle, reg, Projector(), n)
 
 
 def default_start(problem: CompositeProblem) -> Array:
@@ -275,8 +273,12 @@ def global_min_phi(problem: CompositeProblem,
 
 def save_instance(problem: CompositeProblem, path: str,
                   seed: Optional[int] = None) -> None:
-    """Write a self-describing instance document (exact float round-trip)."""
+    """Write a box or L1-plus-box QP over Omega = R^n as a self-describing
+    instance document (exact float round-trip); others raise TypeError."""
     smooth, reg, wl1 = _box_qp_parts(problem, "instance files")
+    omega = problem.omega
+    if not (np.all(omega.lo == -np.inf) and np.all(omega.hi == np.inf)):
+        raise TypeError("instance files need Omega = R^n")
     lo, hi = reg.domain_box
     doc = {
         "format": "varfista-qp-instance",

@@ -1,4 +1,4 @@
-"""Proximal operators, projections, and the regularizers built from them."""
+"""Proximal operators, the box projection, and the box regularizers."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-
-from .problems import Projector
 
 Array = np.ndarray
 
@@ -20,19 +18,34 @@ def soft_threshold(z: Array, t: float) -> Array:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
-def clamp_box(u: Array, lo: Array, hi: Array) -> Array:
-    """Project u componentwise onto [lo, hi]."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if np.any(lo > hi):
-        raise ValueError("box has lo > hi")
-    return _clamp(np.asarray(u, dtype=np.float64), lo, hi)
-
-
 def _clamp(u: Array, lo: Array, hi: Array) -> Array:
-    # no lo <= hi check: the box regularizers validate their bounds once, at
-    # construction, and call this on every prox
+    # no lo <= hi check: the projector and the box regularizers validate
+    # their bounds once, at construction, and call this on every use
     return np.minimum(np.maximum(u, lo), hi)
+
+
+@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
+class Projector:
+    """Projection onto the box region Omega = [lo, hi], the anchor region.
+
+    The bounds are scalars or arrays of the problem's dimension; the
+    defaults give Omega = R^n.  A clamp against -inf and +inf returns every
+    finite, signed-zero and infinite entry bit for bit, and keeps NaN.
+    """
+
+    lo: Array = -np.inf
+    hi: Array = np.inf
+
+    def __post_init__(self):
+        lo = np.asarray(self.lo, dtype=np.float64)
+        hi = np.asarray(self.hi, dtype=np.float64)
+        if not np.all(lo <= hi):
+            raise ValueError("box has lo > hi")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def project(self, u: Array) -> Array:
+        return _clamp(u, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -43,14 +56,11 @@ class BoxIndicator:
     hi: Array
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        if lo.shape != hi.shape or lo.ndim != 1:
+        box = Projector(self.lo, self.hi)  # float64 bounds, lo <= hi
+        if box.lo.shape != box.hi.shape or box.lo.ndim != 1:
             raise ValueError("lo and hi must be 1-D arrays of equal shape")
-        if np.any(lo > hi):
-            raise ValueError("box has lo > hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo", box.lo)
+        object.__setattr__(self, "hi", box.hi)
 
     @classmethod
     def uniform(cls, dimension: int, lo: float, hi: float) -> "BoxIndicator":
@@ -88,14 +98,11 @@ class L1PlusBox:
     def __post_init__(self):
         if self.weight < 0.0:
             raise ValueError("L1 weight must be non-negative")
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        if lo.shape != hi.shape or lo.ndim != 1:
+        box = Projector(self.lo, self.hi)  # float64 bounds, lo <= hi
+        if box.lo.shape != box.hi.shape or box.lo.ndim != 1:
             raise ValueError("lo and hi must be 1-D arrays of equal shape")
-        if np.any(lo > hi):
-            raise ValueError("box has lo > hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo", box.lo)
+        object.__setattr__(self, "hi", box.hi)
 
     @classmethod
     def uniform(cls, dimension: int, weight: float, lo: float,
@@ -118,16 +125,3 @@ class L1PlusBox:
         if not s > 0.0:
             raise ValueError("prox stepsize must be positive")
         return _clamp(soft_threshold(z, s * self.weight), self.lo, self.hi)
-
-
-def identity_projector() -> Projector:
-    """Projector for Omega = R^n."""
-    return Projector("identity", lambda u: np.asarray(u, dtype=np.float64))
-
-
-def box_projector(lo: Array, hi: Array) -> Projector:
-    """Projector for a box Omega."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    return Projector("box", lambda u: clamp_box(u, lo, hi))
-

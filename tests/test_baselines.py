@@ -1,13 +1,16 @@
 """Fixed-step reference solvers, and their agreement with the adaptive one."""
 
+import re
+
 import numpy as np
 import pytest
 
 from varfista.baselines import (BaselineConfig, run_fista_constant,
                                 run_prox_gradient)
-from varfista.gallery import generate_qp, QuadraticSpec, default_start
+from varfista.gallery import (QuadraticOracle, QuadraticSpec, default_start,
+                              generate_qp)
 from varfista.problems import phi, verify_certificate
-from varfista.solver import SolverConfig, solve
+from varfista.solver import NumericalFailure, SolverConfig, solve
 
 
 def _convex_qp(n=6, seed=2):
@@ -111,3 +114,35 @@ def test_baseline_trace_csv_has_zero_adaptive_columns(tmp_path):
         cols = row.split(",")
         assert float(cols[2]) == 0.0  # xi
         assert float(cols[3]) == 0.0  # tau
+
+
+def _spoil(monkeypatch, method, call, bad=np.nan):
+    """Make QuadraticOracle.<method> return ``bad`` at its ``call``-th call."""
+    original = getattr(QuadraticOracle, method)
+    calls = [0]
+
+    def spoiled(self, u):
+        calls[0] += 1
+        if calls[0] != call:
+            return original(self, u)
+        return bad if method == "value" else np.full_like(u, bad)
+
+    monkeypatch.setattr(QuadraticOracle, method, spoiled)
+
+
+@pytest.mark.parametrize("runner,method,call,message", [
+    # one NaN from value at call 5, which both used to end converged=True
+    (run_fista_constant, "value", 5, "iteration 2: f(y) = nan"),
+    (run_prox_gradient, "value", 5, "iteration 4: f(y) = nan"),
+    (run_fista_constant, "value", 1, "start point: f(y0) = nan"),
+    (run_prox_gradient, "value", 1, "start point: f(y0) = nan"),
+    (run_fista_constant, "grad", 2, "iteration 1: residual = nan"),
+    (run_prox_gradient, "grad", 3, "iteration 2: residual = nan"),
+])
+def test_baselines_raise_numerical_failure_on_nonfinite_oracle(
+        monkeypatch, runner, method, call, message):
+    prob = _convex_qp(n=4, seed=3)
+    _spoil(monkeypatch, method, call)
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        runner(prob, BaselineConfig(step=0.05, rho_hat=1e-6),
+               default_start(prob))

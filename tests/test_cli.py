@@ -135,6 +135,28 @@ def test_solve_nonfinite_oracle_value_exits_four(capsys, monkeypatch):
     assert "numerical failure: iteration 22: f(x_tilde) = nan" in err
 
 
+@pytest.mark.parametrize("solver,where", [("fista", "iteration 2"),
+                                          ("proxgrad", "iteration 4")])
+def test_baseline_nonfinite_oracle_value_exits_four(capsys, monkeypatch,
+                                                    solver, where):
+    from varfista.gallery import QuadraticOracle
+    value = QuadraticOracle.value
+    calls = [0]
+
+    def spoiled(self, u):
+        calls[0] += 1
+        return np.nan if calls[0] == 5 else value(self, u)
+
+    monkeypatch.setattr(QuadraticOracle, "value", spoiled)
+    code, out, err = _run(capsys, ["solve", "--instance",
+                                   "qp:n=4,eig_lo=1,eig_hi=10,seed=3",
+                                   "--solver", solver, "--rho", "1e-6",
+                                   "--lambda0", "0.05"])
+    assert code == 4
+    assert out == ""
+    assert f"numerical failure: {where}: f(y) = nan" in err
+
+
 def test_solve_repeat_cap_exhausted_exits_five(capsys, monkeypatch):
     # this instance's first iteration needs two repeats (stepsize shrink
     # plus escalation), so a cap of one trips

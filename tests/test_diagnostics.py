@@ -12,7 +12,7 @@ from varfista.audit import audit_run
 from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
 from varfista.problems import CompositeProblem, SmoothOracle
-from varfista.prox import BoxIndicator, box_projector, identity_projector
+from varfista.prox import BoxIndicator, Projector
 from varfista.solver import SolverConfig, solve
 
 
@@ -104,7 +104,7 @@ def test_bounds_require_metadata_or_estimation():
     f = SmoothOracle(lambda u: float(u[0] ** 2),
                      lambda u: np.array([2.0 * u[0]]))
     prob = CompositeProblem(f, BoxIndicator.uniform(1, -1.0, 1.0),
-                            identity_projector(), 1)
+                            Projector(), 1)
     with pytest.raises(ValueError):
         TheoreticalBounds.from_problem(prob, SolverConfig())
 
@@ -172,12 +172,12 @@ def test_anchor_check_projected_gradient_fallback():
 def test_anchor_check_accepts_runs_whose_box_region_binds(seed):
     # Omega = [-1.2, 1.2]^2 around dom h = [-1, 1]^2: the anchor update
     # projects onto a face of Omega in the first iterations, so compute_x's
-    # projection, the box branch of check_xk_optimality and the audit's
-    # anchor-in-region check all run on a region that binds
+    # projection, check_xk_optimality's clamped search window and the
+    # audit's anchor-in-region check all run on a region that binds
     base = generate_qp(QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0,
                                      c_scale=3.0, seed=seed))
     prob = CompositeProblem(base.smooth, base.regularizer,
-                            box_projector(np.full(2, -1.2), np.full(2, 1.2)),
+                            Projector(np.full(2, -1.2), np.full(2, 1.2)),
                             2)
     cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
     y0 = default_start(prob)

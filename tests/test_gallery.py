@@ -8,8 +8,8 @@ from varfista.gallery import (QuadraticOracle, QuadraticSpec,
                               default_start, generate_qp, global_min_phi,
                               load_instance, make_qp_problem, save_instance)
 from varfista.audit import audit_corpus
-from varfista.problems import phi
-from varfista.prox import L1PlusBox
+from varfista.problems import CompositeProblem, phi
+from varfista.prox import L1PlusBox, Projector
 from varfista.solver import SolverConfig, solve
 
 
@@ -177,12 +177,12 @@ def test_dense_grid_oracles_reject_bad_problems():
     with pytest.raises(ValueError):
         brute_force_stationary(generate_qp(
             QuadraticSpec(n=3, eig_lo=1.0, eig_hi=2.0)))
-    from varfista.problems import CompositeProblem, SmoothOracle
-    from varfista.prox import BoxIndicator, identity_projector
+    from varfista.problems import SmoothOracle
+    from varfista.prox import BoxIndicator
     nonquad = CompositeProblem(
         SmoothOracle(lambda u: float(np.cos(u[0])),
                      lambda u: np.array([-np.sin(u[0])])),
-        BoxIndicator.uniform(1, -1.0, 1.0), identity_projector(), 1)
+        BoxIndicator.uniform(1, -1.0, 1.0), Projector(), 1)
     with pytest.raises(TypeError):
         global_min_phi(nonquad)
     with pytest.raises(TypeError):
@@ -229,6 +229,22 @@ def test_instance_file_round_trip_with_l1(tmp_path):
     back = load_instance(str(path))
     assert isinstance(back.regularizer, L1PlusBox)
     assert back.regularizer.weight == 0.3
+
+
+def test_save_instance_refuses_a_box_region(tmp_path):
+    # the format has no Omega field: a box Omega would load back as R^n
+    base = generate_qp(QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0, seed=0))
+    path = tmp_path / "inst.json"
+    boxed = CompositeProblem(base.smooth, base.regularizer,
+                             Projector(-1.2, 1.2), 2)
+    with pytest.raises(TypeError, match=r"instance files need Omega = R\^n"):
+        save_instance(boxed, str(path))
+    assert not path.exists()
+    whole = CompositeProblem(base.smooth, base.regularizer,
+                             Projector(np.full(2, -np.inf),
+                                       np.full(2, np.inf)), 2)
+    save_instance(whole, str(path))
+    assert load_instance(str(path)).dimension == 2
 
 
 def test_load_rejects_foreign_documents(tmp_path):

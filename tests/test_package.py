@@ -30,7 +30,6 @@ UNUSED_ALLOWED = {
     "ModelFunction.minorant": "README-documented test oracle (model bound)",
     "brute_force_stationary": "README-documented test oracle (grid scan)",
     "global_min_phi": "README-documented test oracle (grid minimum)",
-    "box_projector": "the Omega = box option of the anchor step",
 }
 
 
@@ -68,3 +67,24 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               for label, name in _public_definitions(tree)
               if name not in used}
     assert unused == set(UNUSED_ALLOWED)
+
+
+def test_benchmark_tracer_wraps_the_package_and_restores_it(monkeypatch):
+    # perfbench/tracing.py wraps internals by name (solver.solve,
+    # prox.BoxIndicator.prox, HistoryLedger.ymin_ratio_max, ...); removing
+    # or renaming one in src/ fails here rather than in a benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    import varfista.prox as prox
+    import varfista.solver as solver
+
+    solve, box_prox = solver.solve, prox.BoxIndicator.prox
+    restore = tracing.install(tracing.Tracer())
+    try:
+        assert solver.solve is not solve
+        assert prox.BoxIndicator.prox is not box_prox
+    finally:
+        restore()
+    assert solver.solve is solve
+    assert prox.BoxIndicator.prox is box_prox

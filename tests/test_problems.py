@@ -6,7 +6,7 @@ import pytest
 from varfista.gallery import generate_qp, QuadraticSpec
 from varfista.problems import (Certificate, CompositeProblem, SmoothOracle,
                                phi, verify_certificate)
-from varfista.prox import BoxIndicator, box_projector, identity_projector
+from varfista.prox import BoxIndicator, Projector
 
 
 def _quad_1d():
@@ -19,7 +19,7 @@ def _quad_1d():
 
 def _box_problem():
     reg = BoxIndicator(np.array([0.0]), np.array([1.0]))
-    return CompositeProblem(_quad_1d(), reg, identity_projector(), 1)
+    return CompositeProblem(_quad_1d(), reg, Projector(), 1)
 
 
 def test_smooth_oracle_coerces_types():
@@ -34,20 +34,54 @@ def test_domain_must_sit_inside_region():
     reg = BoxIndicator.uniform(2, -1.0, 1.0)
     f = SmoothOracle(lambda u: 0.0, lambda u: np.zeros(2))
     # a wider box contains the domain; one that cuts a corner off does not
-    CompositeProblem(f, reg, box_projector(np.full(2, -2.0), np.full(2, 2.0)),
-                     2)
+    CompositeProblem(f, reg, Projector(np.full(2, -2.0), np.full(2, 2.0)), 2)
     with pytest.raises(ValueError):
-        CompositeProblem(f, reg, box_projector(np.array([-1.0, -1.0]),
-                                               np.array([1.0, 0.9])), 2)
+        CompositeProblem(f, reg, Projector(np.array([-1.0, -1.0]),
+                                           np.array([1.0, 0.9])), 2)
     with pytest.raises(ValueError):
-        CompositeProblem(f, reg, box_projector(np.zeros(2), np.ones(2)), 2)
+        CompositeProblem(f, reg, Projector(np.zeros(2), np.ones(2)), 2)
+    with pytest.raises(ValueError):
+        CompositeProblem(f, reg, Projector(np.full(3, -2.0), 2.0), 2)
+
+
+def test_domain_whose_faces_touch_the_region_faces_is_accepted():
+    n = 20
+    lo = np.linspace(-3.0, 0.0, n)
+    hi = lo + np.linspace(0.0, 2.0, n)  # coordinate 0 has zero width
+    lo[1], hi[2] = -np.inf, np.inf  # unbounded faces on unbounded faces
+    f = SmoothOracle(lambda u: 0.0, lambda u: np.zeros(n))
+    reg = BoxIndicator(lo, hi)
+    CompositeProblem(f, reg, Projector(lo, hi), n)
+    CompositeProblem(f, reg, Projector(lo, np.inf), n)
+    cut = hi.copy()
+    cut[2] = 9.0  # a bounded Omega cannot hold an unbounded face
+    with pytest.raises(ValueError, match="moved by inf"):
+        CompositeProblem(f, reg, Projector(lo, cut), n)
+
+
+def test_domain_sticking_out_only_at_a_mixed_vertex_is_rejected():
+    # every lower face of an even coordinate and every upper face of an odd
+    # one lies 0.23e-9 inside dom h: the corners lo and hi each move by
+    # sqrt(10) * 0.23e-9 = 0.73e-9, but the vertex taking lo on even and hi
+    # on odd coordinates moves by sqrt(20) * 0.23e-9 = 1.03e-9 > 1e-9
+    n = 20
+    reg = BoxIndicator.uniform(n, -1.0, 1.0)
+    f = SmoothOracle(lambda u: 0.0, lambda u: np.zeros(n))
+    even = np.arange(n) % 2 == 0
+    omega = Projector(np.where(even, -1.0 + 0.23e-9, -1.0),
+                      np.where(even, 1.0, 1.0 - 0.23e-9))
+    for corner in reg.domain_box:
+        moved = np.linalg.norm(omega.project(corner) - corner)
+        assert 0.72e-9 < moved < 0.74e-9
+    with pytest.raises(ValueError, match="vertex moved by 1.029e-09"):
+        CompositeProblem(f, reg, omega, n)
 
 
 def test_dimension_mismatch_rejected():
     reg = BoxIndicator.uniform(2, -1.0, 1.0)
     f = SmoothOracle(lambda u: 0.0, lambda u: np.zeros(2))
     with pytest.raises(ValueError):
-        CompositeProblem(f, reg, identity_projector(), 3)
+        CompositeProblem(f, reg, Projector(), 3)
 
 
 def test_phi_values_and_infinity():
@@ -110,4 +144,8 @@ def test_verify_certificate_stepsize_independent():
 
 
 def test_problem_repr_names_region():
-    assert "identity" in repr(_box_problem())
+    assert "omega=Projector(lo=array(-inf), hi=array(inf))" in \
+        repr(_box_problem())
+    wide = CompositeProblem(_quad_1d(), BoxIndicator.uniform(1, 0.0, 1.0),
+                            Projector(-2.0, 3.0), 1)
+    assert "omega=Projector(lo=array(-2.), hi=array(3.))" in repr(wide)

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varfista.prox import (BoxIndicator, L1PlusBox, box_projector, clamp_box,
-                           identity_projector, soft_threshold)
+from varfista.prox import BoxIndicator, L1PlusBox, Projector, soft_threshold
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
 # ---------------------------------------------------------------------------
-# soft threshold / clamp
+# soft threshold / box projection
 # ---------------------------------------------------------------------------
 
 def test_soft_threshold_hand_values():
@@ -47,18 +46,27 @@ def test_soft_threshold_is_prox_of_l1(z, t):
     assert t * abs(p) + 0.5 * (p - z) ** 2 <= obj.min() + 1e-9
 
 
-def test_clamp_box_hand_values():
-    lo = np.array([0.0, -1.0])
-    hi = np.array([1.0, 1.0])
-    assert np.array_equal(clamp_box(np.array([2.0, -3.0]), lo, hi),
+def test_projector_hand_values_on_a_box():
+    box = Projector(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
+    assert np.array_equal(box.project(np.array([2.0, -3.0])),
                           np.array([1.0, -1.0]))
-    assert np.array_equal(clamp_box(np.array([0.5, 0.0]), lo, hi),
+    assert np.array_equal(box.project(np.array([0.5, 0.0])),
                           np.array([0.5, 0.0]))
 
 
-def test_clamp_box_rejects_crossed_bounds():
+def test_projector_rejects_crossed_bounds():
     with pytest.raises(ValueError):
-        clamp_box(np.array([0.0]), np.array([1.0]), np.array([0.0]))
+        Projector(np.array([1.0]), np.array([0.0]))
+    with pytest.raises(ValueError):
+        Projector(hi=np.array([0.0, np.nan]))
+
+
+def test_default_projector_returns_every_entry_bit_for_bit():
+    u = np.array([-0.0, 0.0, np.inf, -np.inf, 1.5, -2.0e-310, 1e308,
+                  np.nan])
+    out = Projector().project(u)
+    assert out.tobytes() == u.tobytes()
+    assert np.signbit(out[0]) and not np.signbit(out[1])
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +88,17 @@ def test_box_indicator_rejects_bad_bounds():
         BoxIndicator(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         BoxIndicator(np.array([[0.0]]), np.array([[1.0]]))
+    # a NaN bound orders with nothing, so no point would lie in dom h
+    with pytest.raises(ValueError):
+        BoxIndicator(np.array([np.nan]), np.array([0.0]))
+    with pytest.raises(ValueError):
+        L1PlusBox(0.5, np.array([0.0]), np.array([np.nan]))
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_box_proxes_match_clamp_box_bytes_on_nonfinite_inputs(seed):
-    # the regularizers clamp without clamp_box's per-call lo <= hi check;
-    # their bounds were validated at construction, so the bytes must equal
-    # the checked path's, NaN and infinite entries included
+def test_box_proxes_match_the_projection_bytes_on_nonfinite_inputs(seed):
+    # a box prox is the projection onto its domain box, so its bytes must
+    # equal the projector's, NaN and infinite entries included
     rng = np.random.default_rng(seed)
     n = 64
     lo = rng.normal(size=n) - 1.0
@@ -98,10 +110,11 @@ def test_box_proxes_match_clamp_box_bytes_on_nonfinite_inputs(seed):
     z[special] = rng.choice([np.nan, np.inf, -np.inf], size=12)
     s = float(rng.random()) + 0.1
     w = float(rng.random())
-    box, l1 = BoxIndicator(lo, hi), L1PlusBox(w, lo, hi)
-    assert box.prox(z, s).tobytes() == clamp_box(z, lo, hi).tobytes()
+    box, l1, omega = BoxIndicator(lo, hi), L1PlusBox(w, lo, hi), \
+        Projector(lo, hi)
+    assert box.prox(z, s).tobytes() == omega.project(z).tobytes()
     assert l1.prox(z, s).tobytes() == \
-        clamp_box(soft_threshold(z, s * w), lo, hi).tobytes()
+        omega.project(soft_threshold(z, s * w)).tobytes()
     for bad in (0.0, -s, np.nan):
         with pytest.raises(ValueError):
             box.prox(z, bad)
@@ -165,8 +178,7 @@ def test_prox_and_projector_nonexpansive_on_1000_pairs():
     rng = np.random.default_rng(7)
     dim = 5
     regs = _regs(dim)
-    projs = [identity_projector(),
-             box_projector(np.full(dim, -1.0), np.full(dim, 1.0))]
+    projs = [Projector(), Projector(np.full(dim, -1.0), np.full(dim, 1.0))]
     for _ in range(1000):
         z1 = rng.normal(scale=3.0, size=dim)
         z2 = rng.normal(scale=3.0, size=dim)
@@ -181,5 +193,11 @@ def test_prox_and_projector_nonexpansive_on_1000_pairs():
 
 
 def test_projector_kinds():
-    assert identity_projector().kind == "identity"
-    assert box_projector(np.zeros(1), np.ones(1)).kind == "box"
+    # R^n is the default box; scalar bounds apply to every coordinate
+    whole = Projector()
+    assert whole.lo == -np.inf and whole.hi == np.inf
+    u = np.array([-3.0, 0.25, 3.0])
+    assert np.array_equal(Projector(0.0, 1.0).project(u),
+                          np.array([0.0, 0.25, 1.0]))
+    assert np.array_equal(Projector(np.zeros(3), np.ones(3)).project(u),
+                          Projector(0.0, 1.0).project(u))

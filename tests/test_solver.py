@@ -11,7 +11,7 @@ import varfista.solver as solver_mod
 from varfista.audit import audit_corpus
 from varfista.gallery import generate_qp, QuadraticSpec, default_start
 from varfista.problems import CompositeProblem, SmoothOracle, phi
-from varfista.prox import BoxIndicator, identity_projector
+from varfista.prox import BoxIndicator, Projector
 from varfista.solver import (TRACE_HEADER, HistoryLedger, IterationTrace,
                              SolverConfig, _retry_step, compute_candidate,
                              compute_U, compute_v, compute_x,
@@ -24,7 +24,7 @@ def _box_1d():
                      lambda u: np.array([2.0 * u[0] - 4.0]),
                      audit_lipschitz=2.0, audit_curvature=0.0)
     reg = BoxIndicator(np.array([0.0]), np.array([1.0]))
-    return CompositeProblem(f, reg, identity_projector(), 1)
+    return CompositeProblem(f, reg, Projector(), 1)
 
 
 def _free_1d():
@@ -32,7 +32,7 @@ def _free_1d():
     f = SmoothOracle(lambda u: 0.5 * float(u @ u), lambda u: u.copy(),
                      audit_lipschitz=1.0, audit_curvature=0.0)
     return CompositeProblem(f, BoxIndicator.uniform(1, -1e8, 1e8),
-                            identity_projector(), 1)
+                            Projector(), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_compute_U_quadratic_recovers_curvature():
     prob = CompositeProblem(
         SmoothOracle(lambda u: float(u[0] ** 2),
                      lambda u: np.array([2.0 * u[0]])),
-        BoxIndicator.uniform(1, -10.0, 10.0), identity_projector(), 1)
+        BoxIndicator.uniform(1, -10.0, 10.0), Projector(), 1)
     x_tilde = np.array([0.0])
     f_xt = prob.smooth.value(x_tilde)
     g_xt = prob.smooth.grad(x_tilde)
@@ -103,7 +103,7 @@ def test_update_best_tie_keeps_incumbent():
     # equal to y0, so phi ties and the best point stays y0 itself
     f = SmoothOracle(lambda u: -float(u[0]), lambda u: np.array([-1.0]))
     prob = CompositeProblem(f, BoxIndicator.uniform(1, 0.0, 1.0),
-                            identity_projector(), 1)
+                            Projector(), 1)
     y0 = np.array([1.0])
     cert, trace, _ = solve(prob, SolverConfig(), y0)
     assert cert.converged and cert.iterations == 1
@@ -122,7 +122,7 @@ def _concave_1d():
     f = SmoothOracle(lambda u: -0.5 * float(u @ u), lambda u: -u,
                      audit_lipschitz=1.0, audit_curvature=1.0)
     return CompositeProblem(f, BoxIndicator.uniform(1, -1.0, 1.0),
-                            identity_projector(), 1)
+                            Projector(), 1)
 
 
 def test_compute_L_gap_of_concave_function():
@@ -656,7 +656,7 @@ def test_solve_wrong_sign_gradient_is_absorbed_by_quotient_guard(
     # With a zero guard only that bitwise coincidence trips it
     f = SmoothOracle(lambda u: 0.5 * float(u @ u), lambda u: -u)
     prob = CompositeProblem(f, BoxIndicator.uniform(1, -1e8, 1e8),
-                            identity_projector(), 1)
+                            Projector(), 1)
     monkeypatch.setattr(solver_mod, "DENOM_EPSILON", 0.0)
     cert, trace, _ = solve(prob, SolverConfig(max_outer_iterations=3),
                            np.array([1.0]))
@@ -730,7 +730,7 @@ def test_solve_raises_on_an_infinite_first_gradient():
     f = SmoothOracle(lambda u: 0.5 * float((u - target) @ (u - target)),
                      grad)
     prob = CompositeProblem(f, BoxIndicator.uniform(2, 0.0, 1.0),
-                            identity_projector(), 2)
+                            Projector(), 2)
     with pytest.raises(solver_mod.NumericalFailure,
                        match=r"iteration 1: residual = (inf|nan);"):
         solve(prob, SolverConfig(), np.array([0.0, 0.5]))
