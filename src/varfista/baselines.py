@@ -12,69 +12,34 @@ lambda0), the two iterate sequences agree bit-for-bit.
 floor for benchmark comparisons; its prox step and residual are the same
 ``compute_candidate`` and ``compute_v`` with xi = 0 and tau = 0.
 
-Both raise ``NumericalFailure``, as ``solve`` does, when f(y0), f or phi at
-a step, or the residual is non-finite.
+Both keep ``solve``'s run contract.  They take a ``SolverConfig``, run at
+the fixed step ``config.lambda0`` and ignore ``theta`` and ``gamma``;
+``solver._start`` validates the start, and ``solver._require_finite``
+raises ``NumericalFailure`` as ``<where>: <name> = <value>`` when f(y0),
+f or phi at a step, or the residual is non-finite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .momentum import A0_DEFAULT, advance, extrapolate
 from .problems import Array, Certificate, CompositeProblem
-from .solver import (IterationTrace, NumericalFailure, compute_candidate,
-                     compute_U, compute_v, compute_x)
+from .solver import (IterationTrace, SolverConfig, _require_finite, _start,
+                     compute_candidate, compute_U, compute_v, compute_x)
 
-__all__ = ["BaselineConfig", "run_fista_constant", "run_prox_gradient"]
-
-
-@dataclass
-class BaselineConfig:
-    step: float = 0.1
-    rho_hat: float = 1e-6
-    max_outer_iterations: int = 100_000
-
-    def validate(self) -> None:
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-        if not self.rho_hat > 0.0:
-            raise ValueError("rho_hat must be positive")
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be at least 1")
+__all__ = ["run_fista_constant", "run_prox_gradient"]
 
 
-def _require_finite(where: str, *named: tuple[str, float]) -> None:
-    """Raise NumericalFailure on the first non-finite (name, value) pair."""
-    for name, value in named:
-        if not math.isfinite(value):
-            raise NumericalFailure(f"{where}: {name} = {value}")
-
-
-def _start(problem: CompositeProblem, config, y0: Array
-           ) -> tuple[Array, float]:
-    """Validated (y0, phi(y0))."""
-    config.validate()
-    y0 = np.asarray(y0, dtype=np.float64)
-    if y0.shape != (problem.dimension,):
-        raise ValueError("y0 does not match problem dimension")
-    h0 = problem.regularizer.value(y0)
-    if not math.isfinite(h0):
-        raise ValueError("y0 lies outside dom h")
-    f0 = problem.smooth.value(y0)
-    _require_finite("start point", ("f(y0)", f0))
-    return y0, f0 + h0
-
-
-def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
+def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
                        y0: Array):
     """Accelerated method with frozen stepsize; returns (certificate, trace)."""
-    y0, phi_min = _start(problem, config, y0)
+    y0, _, phi_min = _start(problem, config, y0)
     smooth = problem.smooth
     reg = problem.regularizer
-    step = config.step
+    step = config.lambda0
 
     A = A0_DEFAULT
     y = y0
@@ -107,7 +72,7 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
         phi_y = f_y + reg.value(y_next)
         U = compute_U(y_next, f_y, x_tilde, f_xt, g_xt,
                       float(x_tilde @ x_tilde))
-        _require_finite(f"iteration {k}", ("f(x_tilde)", f_xt), ("f(y)", f_y),
+        _require_finite(k, None, ("f(x_tilde)", f_xt), ("f(y)", f_y),
                         ("phi(y)", phi_y), ("residual", resid))
         if phi_y < phi_min:
             phi_min = phi_y
@@ -128,13 +93,13 @@ def run_fista_constant(problem: CompositeProblem, config: BaselineConfig,
     return cert, trace
 
 
-def run_prox_gradient(problem: CompositeProblem, config: BaselineConfig,
+def run_prox_gradient(problem: CompositeProblem, config: SolverConfig,
                       y0: Array):
     """Forward-backward splitting; returns (certificate, trace)."""
-    y0, phi_min = _start(problem, config, y0)
+    y0, _, phi_min = _start(problem, config, y0)
     smooth = problem.smooth
     reg = problem.regularizer
-    step = config.step
+    step = config.lambda0
 
     u = y0
     g_u = smooth.grad(u)
@@ -157,7 +122,7 @@ def run_prox_gradient(problem: CompositeProblem, config: BaselineConfig,
         resid = math.sqrt(float(v @ v))
         f_u = smooth.value(u_next)
         phi_u = f_u + reg.value(u_next)
-        _require_finite(f"iteration {k}", ("f(y)", f_u), ("phi(y)", phi_u),
+        _require_finite(k, None, ("f(y)", f_u), ("phi(y)", phi_u),
                         ("residual", resid))
         if phi_u < phi_min:
             phi_min = phi_u

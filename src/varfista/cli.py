@@ -25,7 +25,7 @@ import numpy as np
 
 from .audit import AuditReport, CheckResult, audit_run, \
     corrupt_gradient_oracle, run_audit_suite
-from .baselines import BaselineConfig, run_fista_constant, run_prox_gradient
+from .baselines import run_fista_constant, run_prox_gradient
 from .gallery import (QuadraticSpec, _problem_from_document, default_start,
                       generate_qp)
 from .problems import CompositeProblem, phi, verify_certificate
@@ -173,18 +173,16 @@ def _cmd_solve(args) -> int:
                                           args.inject_gradient_fault)
     y0 = _start_point(problem, args.seed)
 
+    config = SolverConfig(lambda0=args.lambda0, theta=args.theta,
+                          gamma=args.gamma, rho_hat=args.rho,
+                          max_outer_iterations=args.max_iter)
     audit_section = None
     if args.solver == "var-fista":
-        config = SolverConfig(lambda0=args.lambda0, theta=args.theta,
-                              gamma=args.gamma, rho_hat=args.rho,
-                              max_outer_iterations=args.max_iter)
         cert, trace, ledger = solve(problem, config, y0)
         if args.audit:
             audit_section = audit_run(problem, config, cert, trace, ledger,
                                       y0)
     else:
-        config = BaselineConfig(step=args.lambda0, rho_hat=args.rho,
-                                max_outer_iterations=args.max_iter)
         runner = run_fista_constant if args.solver == "fista" \
             else run_prox_gradient
         cert, trace = runner(problem, config, y0)

@@ -48,7 +48,7 @@ class Projector:
         return _clamp(u, self.lo, self.hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class BoxIndicator:
     """h(u) = indicator of the box [lo, hi]; prox is the clamp."""
 
@@ -81,7 +81,7 @@ class BoxIndicator:
         return _clamp(z, self.lo, self.hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class L1PlusBox:
     """h(u) = weight * ||u||_1 + indicator of [lo, hi].
 

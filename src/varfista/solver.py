@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .momentum import A0_DEFAULT, advance, extrapolate
-from .problems import Array, Certificate, CompositeProblem, phi
+from .problems import Array, Certificate, CompositeProblem
 
 __all__ = [
     "SolverConfig", "NumericalFailure", "RepeatCapExhausted", "HistoryLedger",
@@ -74,7 +74,10 @@ class SolverConfig:
 
 
 class NumericalFailure(FloatingPointError):
-    """The smooth oracle gave a non-finite value or gradient in ``solve``."""
+    """The smooth oracle gave a non-finite value or gradient during a run.
+
+    ``solve`` and both baselines raise it, through ``_require_finite`` only.
+    """
 
 
 class RepeatCapExhausted(RuntimeError):
@@ -307,7 +310,10 @@ def compute_U(y: Array, f_y: float, x_tilde: Array, f_xt: float, g_xt: Array,
     den = float(d @ d)
     if den <= DENOM_EPSILON * (1.0 + xn2):
         return 0.0
-    lin = f_xt + float(g_xt @ d)
+    # vdot, not @: an infinite gradient entry facing a zero entry of d (a
+    # coordinate the box pinned) gives NaN, and NaN reaches U without the
+    # RuntimeWarning that the matmul ufunc raises; the two agree bit for bit
+    lin = f_xt + float(np.vdot(g_xt, d))
     return 2.0 * (f_y - lin) / den
 
 
@@ -398,6 +404,49 @@ def compute_v(x_tilde: Array, y: Array, grad_y: Array, grad_x_tilde: Array,
 
 
 # ---------------------------------------------------------------------------
+# run contract, shared with the baselines
+# ---------------------------------------------------------------------------
+
+def _require_finite(k: int, trial: Optional[int], *named: tuple) -> None:
+    """Raise NumericalFailure on the first non-finite (name, value) pair.
+
+    The message reads ``<where>: <name> = <value>``, where ``<where>`` is
+    "start point" for k = 0, else "iteration k", plus ", trial <trial>"
+    when a trial is given.  A pair may carry a third item, a cause, which
+    follows after ``; ``.  This is the one place that raises
+    NumericalFailure.  It formats a message only on failure, since the
+    solve loop calls it on every trial.
+    """
+    for pair in named:
+        if not math.isfinite(pair[1]):
+            name, value, *cause = pair
+            where = "start point" if k == 0 else f"iteration {k}"
+            if trial is not None:
+                where += f", trial {trial}"
+            raise NumericalFailure(
+                "; ".join([f"{where}: {name} = {value}", *cause]))
+
+
+def _start(problem: CompositeProblem, config: SolverConfig, y0: Array
+           ) -> Tuple[Array, float, float]:
+    """Validated (y0, f(y0), phi(y0)), with one value call at y0.
+
+    Raises ValueError for a bad configuration or a y0 of the wrong shape or
+    outside dom h, and NumericalFailure when f(y0) is non-finite.
+    """
+    config.validate()
+    y0 = np.asarray(y0, dtype=np.float64)
+    if y0.shape != (problem.dimension,):
+        raise ValueError("y0 does not match problem dimension")
+    h0 = problem.regularizer.value(y0)
+    if not math.isfinite(h0):
+        raise ValueError("y0 lies outside dom h")
+    f0 = problem.smooth.value(y0)
+    _require_finite(0, None, ("f(y0)", f0))
+    return y0, f0, f0 + h0
+
+
+# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -406,30 +455,19 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     """Run the adaptive solver from y0.
 
     Returns (certificate, trace, ledger); the ledger is the committed history
-    consumed by post-run audits.  Raises ValueError for bad configuration or
-    a y0 outside dom h, RepeatCapExhausted when one iteration retries its
-    trial more than ``_MAX_INNER_REPEATS`` times (in practice: inconsistent
-    value/gradient oracles), and NumericalFailure when f is non-finite at
-    the start point, a momentum point or a trial point, when the curvature
-    estimate U or L is non-finite, or when the residual is.  Every gradient
-    ``solve`` asks for, at x_tilde_k or at the accepted y_k, enters v_k, so
-    a non-finite one surfaces in the iteration where it occurs.
+    consumed by post-run audits.  Raises ValueError, from ``_start`` as the
+    baselines do, for a bad configuration or a y0 of the wrong shape or
+    outside dom h; RepeatCapExhausted when one iteration retries its trial
+    more than ``_MAX_INNER_REPEATS`` times (in practice: inconsistent
+    value/gradient oracles); and NumericalFailure, from ``_require_finite``,
+    on the first non-finite one of f(y0), f(x_tilde_k), a trial's f(y), U
+    and L, and the residual.  Every gradient ``solve`` asks for, at
+    x_tilde_k or at the accepted y_k, enters v_k, so a non-finite one
+    surfaces in the iteration where it occurs.
     """
-    config.validate()
-    y0 = np.asarray(y0, dtype=np.float64)
-    if y0.shape != (problem.dimension,):
-        raise ValueError("y0 does not match problem dimension")
+    y0, f_y, phi0 = _start(problem, config, y0)
     smooth = problem.smooth
     reg = problem.regularizer
-    phi0 = phi(problem, y0)
-    if not math.isfinite(phi0):
-        # phi evaluates f only inside dom h; reg.value runs on failure only
-        if reg.value(y0) == math.inf:
-            raise ValueError("y0 lies outside dom h")
-        raise NumericalFailure(f"phi(y0) = {phi0} at the start point")
-    f_y = smooth.value(y0)
-    if not math.isfinite(f_y):
-        raise NumericalFailure(f"f(y0) = {f_y} at the start point")
 
     ledger = HistoryLedger(problem.dimension, config.lambda0)
     trace = IterationTrace()
@@ -455,9 +493,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         a, A_next = advance(A)
         x_tilde = extrapolate(A, A_next, a, y, x)
         f_xt = smooth.value(x_tilde)
-        if not math.isfinite(f_xt):
-            raise NumericalFailure(
-                f"iteration {k}: f(x_tilde) = {f_xt} at the momentum point")
+        _require_finite(k, None, ("f(x_tilde)", f_xt))
         g_xt = smooth.grad(x_tilde)
         grad_calls += 1
         idx = ledger.append_linearization(x_tilde, f_xt, g_xt)
@@ -473,16 +509,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             y, tau = compute_candidate(problem, x_tilde, lam, xi, a, g_xt)
             prox_calls += 1
             f_y = smooth.value(y)
-            if not math.isfinite(f_y):
-                raise NumericalFailure(
-                    f"iteration {k}, trial {repeats}: f(y) = {f_y} at the "
-                    "prox step's candidate")
             phi_y = f_y + reg.value(y)
             U = compute_U(y, f_y, x_tilde, f_xt, g_xt, xn2)
-            if not math.isfinite(U):
-                raise NumericalFailure(
-                    f"iteration {k}, trial {repeats}: U = {U}; grad f at "
-                    "the momentum point is non-finite")
 
             if phi_y < phi_ymin:  # ties keep the incumbent
                 phi_ymin, ymin, f_ymin = phi_y, y, f_y
@@ -494,10 +522,12 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
                 ledger._record_gap(idx, y_prev, f_y_prev),
                 ledger.ymin_ratio_max(ymin, f_ymin),
                 L, 0.0)
-            if not math.isfinite(L_cand):
-                raise NumericalFailure(
-                    f"iteration {k}, trial {repeats}: L = {L_cand}; a "
-                    "recorded gradient is non-finite")
+            # one check per trial; f(y) comes first, so a non-finite f(y)
+            # is named rather than the U or L it spoils
+            _require_finite(
+                k, repeats, ("f(y)", f_y),
+                ("U", U, "grad f at the momentum point is non-finite"),
+                ("L", L_cand, "a recorded gradient is non-finite"))
 
             retry = _retry_step(U, lam, xi, tau, L_cand, lam_hist, tau_hist,
                                 L, config.theta, config.gamma)
@@ -518,10 +548,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         grad_calls += 1
         v = compute_v(x_tilde, y, g_y, g_xt, lam, tau)
         resid = math.sqrt(float(v @ v))
-        if not math.isfinite(resid):
-            raise NumericalFailure(
-                f"iteration {k}: residual = {resid}; grad f at the momentum "
-                "point or the accepted trial point is non-finite")
+        _require_finite(k, None, (
+            "residual", resid, "grad f at the momentum point or the "
+            "accepted trial point is non-finite"))
 
         trace.append(a, lam, xi, tau, U, L_cand, resid, phi_y, phi_ymin,
                      repeats, x, y, ymin)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from varfista.audit import audit_corpus, audit_run
-from varfista.baselines import BaselineConfig, run_fista_constant
+from varfista.baselines import run_fista_constant
 from varfista.cli import fit_slope
 from varfista.diagnostics import (
     ModelFunction,
@@ -183,9 +183,7 @@ def test_criterion_06_constant_step_equivalence():
     lam0 = 0.99 / prob.smooth.audit_lipschitz
     cfg = SolverConfig(lambda0=lam0, rho_hat=1e-30, max_outer_iterations=500)
     _, tr_a, _ = solve(prob, cfg, y0)
-    _, tr_b = run_fista_constant(
-        prob, BaselineConfig(step=lam0, rho_hat=1e-30,
-                             max_outer_iterations=500), y0)
+    _, tr_b = run_fista_constant(prob, cfg, y0)
     n = min(len(tr_a), len(tr_b))
     dev = max(float(np.max(np.abs(tr_a.ys[i] - tr_b.ys[i])))
               for i in range(n))

@@ -4,12 +4,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varfista.baselines import (BaselineConfig, run_fista_constant,
-                                run_prox_gradient)
-from varfista.gallery import (QuadraticOracle, QuadraticSpec, default_start,
-                              generate_qp)
-from varfista.problems import phi, verify_certificate
+from varfista.audit import audit_corpus
+from varfista.baselines import run_fista_constant, run_prox_gradient
+from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
+                              make_qp_problem)
+from varfista.problems import (CompositeProblem, SmoothOracle, phi,
+                               verify_certificate)
 from varfista.solver import NumericalFailure, SolverConfig, solve
 
 
@@ -17,19 +20,9 @@ def _convex_qp(n=6, seed=2):
     return generate_qp(QuadraticSpec(n=n, eig_lo=1.0, eig_hi=10.0, seed=seed))
 
 
-@pytest.mark.parametrize("field,value", [
-    ("step", 0.0), ("rho_hat", 0.0), ("max_outer_iterations", 0),
-])
-def test_baseline_config_validation(field, value):
-    cfg = BaselineConfig()
-    setattr(cfg, field, value)
-    with pytest.raises(ValueError):
-        cfg.validate()
-
-
 def test_fista_constant_converges_on_convex_instance():
     prob = _convex_qp()
-    cfg = BaselineConfig(step=0.99 / 10.0, rho_hat=1e-7)
+    cfg = SolverConfig(lambda0=0.99 / 10.0, rho_hat=1e-7)
     cert, trace = run_fista_constant(prob, cfg, default_start(prob))
     assert cert.converged
     assert cert.residual_norm <= 1e-7
@@ -39,7 +32,7 @@ def test_fista_constant_converges_on_convex_instance():
 
 def test_fista_constant_oversized_step_fails_to_converge():
     prob = _convex_qp()
-    cfg = BaselineConfig(step=10.0, rho_hat=1e-7, max_outer_iterations=300)
+    cfg = SolverConfig(lambda0=10.0, rho_hat=1e-7, max_outer_iterations=300)
     cert, trace = run_fista_constant(prob, cfg, default_start(prob))
     assert not cert.converged
     # residuals blow up rather than settle
@@ -48,7 +41,7 @@ def test_fista_constant_oversized_step_fails_to_converge():
 
 def test_prox_gradient_converges_and_descends():
     prob = _convex_qp()
-    cfg = BaselineConfig(step=1.0 / 10.0, rho_hat=1e-7)
+    cfg = SolverConfig(lambda0=1.0 / 10.0, rho_hat=1e-7)
     cert, trace = run_prox_gradient(prob, cfg, default_start(prob))
     assert cert.converged
     assert verify_certificate(prob, cert, rho_hat=1e-7)
@@ -62,7 +55,7 @@ def test_prox_gradient_stationary_start_terminates_immediately():
     from varfista.gallery import make_qp_problem
     prob = make_qp_problem(np.array([[2.0]]), np.array([-4.0]),
                            np.array([0.0]), np.array([1.0]))
-    cert, trace = run_prox_gradient(prob, BaselineConfig(step=0.25),
+    cert, trace = run_prox_gradient(prob, SolverConfig(lambda0=0.25),
                                     np.array([1.0]))
     assert cert.converged and cert.iterations == 1
     assert cert.residual_norm == 0.0
@@ -71,14 +64,14 @@ def test_prox_gradient_stationary_start_terminates_immediately():
 def test_baselines_reject_bad_starts():
     prob = _convex_qp()
     with pytest.raises(ValueError):
-        run_fista_constant(prob, BaselineConfig(), np.zeros(3))
+        run_fista_constant(prob, SolverConfig(), np.zeros(3))
     with pytest.raises(ValueError):
-        run_prox_gradient(prob, BaselineConfig(), np.full(6, 9.0))
+        run_prox_gradient(prob, SolverConfig(), np.full(6, 9.0))
 
 
 def test_baseline_tracks_best_point():
     prob = generate_qp(QuadraticSpec(n=6, eig_lo=-1.0, eig_hi=10.0, seed=8))
-    cfg = BaselineConfig(step=0.05, rho_hat=1e-7, max_outer_iterations=2000)
+    cfg = SolverConfig(lambda0=0.05, rho_hat=1e-7, max_outer_iterations=2000)
     cert, trace = run_fista_constant(prob, cfg, default_start(prob))
     mins = np.minimum.accumulate(trace.phi_y)
     assert np.all(np.array(trace.phi_ymin) <= mins + 1e-12)
@@ -91,10 +84,9 @@ def test_adaptive_reduces_to_fista_when_stepsize_never_adapts():
     prob = _convex_qp(n=5, seed=4)
     y0 = default_start(prob)
     lam0 = 0.99 / (2.0 * 10.0)
-    a_cfg = SolverConfig(lambda0=lam0, rho_hat=1e-30, max_outer_iterations=50)
-    b_cfg = BaselineConfig(step=lam0, rho_hat=1e-30, max_outer_iterations=50)
-    _, tr_a, _ = solve(prob, a_cfg, y0)
-    cert_b, tr_b = run_fista_constant(prob, b_cfg, y0)
+    cfg = SolverConfig(lambda0=lam0, rho_hat=1e-30, max_outer_iterations=50)
+    _, tr_a, _ = solve(prob, cfg, y0)
+    cert_b, tr_b = run_fista_constant(prob, cfg, y0)
     assert len(tr_a) == len(tr_b) == 50
     for i in range(50):
         assert np.array_equal(tr_a.ys[i], tr_b.ys[i])
@@ -105,7 +97,7 @@ def test_adaptive_reduces_to_fista_when_stepsize_never_adapts():
 
 def test_baseline_trace_csv_has_zero_adaptive_columns(tmp_path):
     prob = _convex_qp()
-    cfg = BaselineConfig(step=0.05, rho_hat=1e-6)
+    cfg = SolverConfig(lambda0=0.05, rho_hat=1e-6)
     _, trace = run_fista_constant(prob, cfg, default_start(prob))
     p = tmp_path / "t.csv"
     trace.write_csv(str(p))
@@ -116,18 +108,35 @@ def test_baseline_trace_csv_has_zero_adaptive_columns(tmp_path):
         assert float(cols[3]) == 0.0  # tau
 
 
-def _spoil(monkeypatch, method, call, bad=np.nan):
-    """Make QuadraticOracle.<method> return ``bad`` at its ``call``-th call."""
-    original = getattr(QuadraticOracle, method)
-    calls = [0]
+def _faulty(problem, which, call, fault, entry=0):
+    """``(spoiled, fired)``: ``problem`` whose ``call``-th value call
+    returns ``fault``, or whose ``call``-th gradient has ``fault`` at
+    ``entry``; ``fired`` is non-empty once that call has come."""
+    orig = problem.smooth
+    fired = []
 
-    def spoiled(self, u):
-        calls[0] += 1
-        if calls[0] != call:
-            return original(self, u)
-        return bad if method == "value" else np.full_like(u, bad)
+    def spoiled(fn):
+        calls = [0]
 
-    monkeypatch.setattr(QuadraticOracle, method, spoiled)
+        def wrapped(u):
+            calls[0] += 1
+            out = fn(u)
+            if calls[0] != call:
+                return out
+            fired.append(call)
+            if which == "value":
+                return fault
+            out = out.copy()
+            out[entry % out.shape[0]] = fault
+            return out
+        return wrapped
+
+    value = spoiled(orig.value) if which == "value" else orig.value
+    grad = spoiled(orig.grad) if which == "grad" else orig.grad
+    bad = SmoothOracle(value, grad, orig.audit_lipschitz,
+                       orig.audit_curvature)
+    return CompositeProblem(bad, problem.regularizer, problem.omega,
+                            problem.dimension), fired
 
 
 @pytest.mark.parametrize("runner,method,call,message", [
@@ -140,9 +149,83 @@ def _spoil(monkeypatch, method, call, bad=np.nan):
     (run_prox_gradient, "grad", 3, "iteration 2: residual = nan"),
 ])
 def test_baselines_raise_numerical_failure_on_nonfinite_oracle(
-        monkeypatch, runner, method, call, message):
-    prob = _convex_qp(n=4, seed=3)
-    _spoil(monkeypatch, method, call)
+        runner, method, call, message):
+    prob, _ = _faulty(_convex_qp(n=4, seed=3), method, call, np.nan)
     with pytest.raises(NumericalFailure, match=re.escape(message)):
-        runner(prob, BaselineConfig(step=0.05, rho_hat=1e-6),
+        runner(prob, SolverConfig(lambda0=0.05, rho_hat=1e-6),
                default_start(prob))
+
+
+# ---------------------------------------------------------------------------
+# adversarial oracles: one run contract for all three methods
+# ---------------------------------------------------------------------------
+
+def _solve(problem, config, y0):
+    cert, trace, _ = solve(problem, config, y0)
+    return cert, trace
+
+
+METHODS = {"solve": _solve, "fista": run_fista_constant,
+           "proxgrad": run_prox_gradient}
+
+
+def _pinned_coordinate_qp():
+    # convex with eigenvalues down to 1e-9; coordinates 0-2 have lo == hi
+    base = generate_qp(QuadraticSpec(n=5, eig_lo=1e-9, eig_hi=1.0, seed=2))
+    lo, hi = base.regularizer.domain_box
+    lo, hi = lo.copy(), hi.copy()
+    lo[:3] = hi[:3] = 0.5
+    return make_qp_problem(base.smooth.Q, base.smooth.c, lo, hi)
+
+
+ADVERSARIAL_INSTANCES = [
+    audit_corpus(2, 0)[1],  # n = 20, indefinite, box [-1, 1]
+    generate_qp(QuadraticSpec(n=3, eig_lo=-1e3, eig_hi=1e-9,
+                              box=(-1e4, 1e4), seed=5)),
+    generate_qp(QuadraticSpec(n=4, eig_lo=1.0, eig_hi=1e8, seed=1)),
+    _pinned_coordinate_qp(),
+]
+ADVERSARIAL_CONFIG = SolverConfig(lambda0=0.05, rho_hat=1e-8,
+                                  max_outer_iterations=300)
+
+
+@settings(max_examples=400, deadline=None)
+@given(method=st.sampled_from(sorted(METHODS)),
+       instance=st.integers(0, len(ADVERSARIAL_INSTANCES) - 1),
+       which=st.sampled_from(["value", "grad"]),
+       fault=st.sampled_from([np.nan, np.inf, -np.inf]),
+       call=st.integers(1, 120), entry=st.integers(0, 19))
+def test_adversarial_oracle_raises_or_returns_a_finite_run(
+        method, instance, which, fault, call, entry):
+    # each run raises NumericalFailure exactly when the fault was served,
+    # and otherwise returns a finite trace and certificate; Tier-1 turns any
+    # RuntimeWarning on the way into an error
+    problem, fired = _faulty(ADVERSARIAL_INSTANCES[instance], which, call,
+                             fault, entry)
+    try:
+        cert, trace = METHODS[method](problem, ADVERSARIAL_CONFIG,
+                                      default_start(problem))
+    except NumericalFailure:
+        assert fired
+        return
+    assert not fired
+    for column in (trace.lam, trace.xi, trace.tau, trace.U, trace.L,
+                   trace.residual, trace.phi_y, trace.phi_ymin):
+        assert np.all(np.isfinite(column))
+    assert np.all(np.isfinite(cert.y_hat)) and np.all(np.isfinite(cert.v_hat))
+
+
+@pytest.mark.parametrize("method,instance,lambda0,call,entry,message", [
+    ("solve", 0, 1.0, 97, 17, "iteration 49, trial 0: U = nan"),
+    ("fista", 1, 0.05, 11, 2, "iteration 6: residual = inf"),
+])
+def test_infinite_gradient_on_a_pinned_coordinate_raises_without_warning(
+        method, instance, lambda0, call, entry, message):
+    # the box clamp pins y at this entry, so d = y - x_tilde is 0 there and
+    # -inf * 0 enters the U quotient's dot product: NaN, with no warning
+    problem, _ = _faulty(ADVERSARIAL_INSTANCES[instance], "grad", call,
+                         -np.inf, entry)
+    config = SolverConfig(lambda0=lambda0, rho_hat=1e-8,
+                          max_outer_iterations=300)
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        METHODS[method](problem, config, default_start(problem))

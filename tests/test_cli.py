@@ -125,7 +125,7 @@ def test_solve_nonfinite_oracle_value_exits_four(capsys, monkeypatch):
 
     def spoiled(self, u):
         calls[0] += 1
-        return np.nan if calls[0] == 50 else value(self, u)
+        return np.nan if calls[0] == 49 else value(self, u)
 
     monkeypatch.setattr(QuadraticOracle, "value", spoiled)
     code, out, err = _run(capsys, ["solve", "--instance", ROUGH,

@@ -15,8 +15,7 @@ import hashlib
 import numpy as np
 
 from varfista.audit import audit_corpus
-from varfista.baselines import (BaselineConfig, run_fista_constant,
-                                run_prox_gradient)
+from varfista.baselines import run_fista_constant, run_prox_gradient
 from varfista.gallery import QuadraticSpec, default_start, generate_qp
 from varfista.solver import SolverConfig, solve
 
@@ -54,7 +53,7 @@ def test_solve_traces_match_golden_hash(tmp_path):
         cert, trace, _ = solve(problem, SolverConfig(rho_hat=1e-6),
                                default_start(problem))
         _feed(h, path, cert, trace)
-    base = BaselineConfig(step=0.05, max_outer_iterations=3000)
+    base = SolverConfig(lambda0=0.05, max_outer_iterations=3000)
     for problem, y0 in zip(corpus[:6], starts[:6]):
         for run in (run_fista_constant, run_prox_gradient):
             cert, trace = run(problem, base, y0)

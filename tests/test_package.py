@@ -69,6 +69,26 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused == set(UNUSED_ALLOWED)
 
 
+def _numerical_failures_built(tree):
+    """Calls of NumericalFailure, and bare ``raise NumericalFailure``."""
+    def named(node):
+        return "NumericalFailure" in (getattr(node, "id", None),
+                                      getattr(node, "attr", None))
+    return sum((isinstance(node, ast.Call) and named(node.func))
+               or (isinstance(node, ast.Raise) and named(node.exc))
+               for node in ast.walk(tree))
+
+
+def test_only_the_finiteness_helper_constructs_numerical_failure():
+    # one non-finite rule for solve and both baselines: any other place in
+    # src/ that builds the error would be a second copy of the rule
+    helper, = [node for tree in _trees("src/varfista/solver.py")
+               for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "_require_finite"]
+    total = sum(map(_numerical_failures_built, _trees("src/varfista/*.py")))
+    assert total == _numerical_failures_built(helper) == 1
+
+
 def test_benchmark_tracer_wraps_the_package_and_restores_it(monkeypatch):
     # perfbench/tracing.py wraps internals by name (solver.solve,
     # prox.BoxIndicator.prox, HistoryLedger.ymin_ratio_max, ...); removing

@@ -95,6 +95,19 @@ def test_box_indicator_rejects_bad_bounds():
         L1PlusBox(0.5, np.array([0.0]), np.array([np.nan]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: BoxIndicator.uniform(2, -1.0, 1.0),
+    lambda: L1PlusBox.uniform(2, 0.5, -1.0, 1.0),
+    lambda: Projector(np.zeros(2), np.ones(2)),
+], ids=["BoxIndicator", "L1PlusBox", "Projector"])
+def test_box_classes_compare_and_hash_by_identity(make):
+    # generated __eq__ over array fields would raise "truth value of an
+    # array ... is ambiguous", and a generated __hash__ would raise TypeError
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_box_proxes_match_the_projection_bytes_on_nonfinite_inputs(seed):
     # a box prox is the projection onto its domain box, so its bytes must

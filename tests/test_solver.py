@@ -695,13 +695,12 @@ def _fault_at_call(problem, call, which, fault):
 
 
 @pytest.mark.parametrize("call,which,fault,match", [
-    # value calls: phi(y0), f(y0), then f(x_tilde_1), f(y_1), ...
-    (1, "value", np.nan, r"phi\(y0\) = nan at the start point"),
-    (2, "value", np.nan, r"f\(y0\) = nan at the start point"),
-    (2, "value", np.inf, r"f\(y0\) = inf at the start point"),
-    (3, "value", np.nan, r"iteration 1: f\(x_tilde\) = nan"),
-    (4, "value", np.nan, r"iteration 1, trial 0: f\(y\) = nan"),
-    (50, "value", np.nan, r"iteration \d+, trial \d+: f\(y\) = nan"),
+    # value calls: f(y0), then f(x_tilde_1), f(y_1), ...
+    (1, "value", np.nan, r"start point: f\(y0\) = nan"),
+    (1, "value", np.inf, r"start point: f\(y0\) = inf"),
+    (2, "value", np.nan, r"iteration 1: f\(x_tilde\) = nan"),
+    (3, "value", np.nan, r"iteration 1, trial 0: f\(y\) = nan"),
+    (49, "value", np.nan, r"iteration \d+, trial \d+: f\(y\) = nan"),
     # a NaN gradient at x_tilde_5 reaches f(y) through the prox step
     (9, "grad", np.nan, r"iteration 5, trial 0: f\(y\) = nan"),
     # the box clamps an infinite step back to a finite y; U sees the entry
