@@ -26,7 +26,7 @@ from .momentum import check_schedule_bounds
 from .problems import (Array, Certificate, CompositeProblem, SmoothOracle,
                        verify_certificate)
 from .solver import (DENOM_EPSILON, HistoryLedger, IterationTrace,
-                     NumericalFailure, SolverConfig, solve)
+                     NumericalFailure, SolverConfig, replay_anchors, solve)
 
 __all__ = [
     "CheckResult", "AuditReport", "audit_run", "corrupt_gradient_oracle",
@@ -91,78 +91,68 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     iteration k whose best point differs from the previous one (the
     lower-curvature replay), plus the O(K^2) history-inequality scan, which
     stays exhaustive on purpose.  The replay reads only the committed
-    records and shares no state with the solver's gap cache.
+    records and shares no state with the solver's gap cache.  The checks
+    read trace columns as views, and ``replay_anchors`` rebuilds a_k and
+    x_k.  Beside the run's trace and ledger, the audit holds one K x n
+    array at a time: the anchors, then the differences y_k - x_tilde_k.
     """
     checks: List[CheckResult] = []
-    lam = np.array(trace.lam)
-    xi = np.array(trace.xi)
-    tau = np.array(trace.tau)
-    U = np.array(trace.U)
-    L = np.array(trace.L)
-    a = np.array(trace.a)
-    phi_y = np.array(trace.phi_y)
-    phi_ymin = np.array(trace.phi_ymin)
+    lam, xi, tau, U, L = trace.lam, trace.xi, trace.tau, trace.U, trace.L
+    phi_y, phi_ymin = trace.phi_y, trace.phi_ymin
     n_iter = len(trace)
 
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append(CheckResult(name, bool(passed), detail))
 
-    def first_bad(mask: np.ndarray) -> int:
-        """1-based iteration index of the first violation in a bool mask."""
-        idx = np.flatnonzero(mask)
-        return int(idx[0]) + 1 if idx.size else 0
+    def add_unless(name: str, bad: np.ndarray, detail: str,
+                   what: str = "violation") -> None:
+        """Pass with ``detail``, or fail at the first iteration in ``bad``."""
+        idx = np.flatnonzero(bad)
+        add(name, not idx.size,
+            f"first {what} at k={idx[0] + 1}" if idx.size else detail)
 
     if n_iter == 0:
         add("non-empty-run", False, "no accepted iterations to audit")
         return AuditReport(checks)
 
     # ordering invariants
-    bad = np.concatenate(([lam[0] <= 0.0 or lam[0] > config.lambda0],
-                          (np.diff(lam) > 0.0) | (lam[1:] <= 0.0)))
-    add("stepsize-positive-nonincreasing", not bad.any(),
-        f"lam in [{lam.min():.3e}, {lam.max():.3e}]" if not bad.any()
-        else f"first violation at k={first_bad(bad)}")
-    bad = np.concatenate(([xi[0] < 0.0], (np.diff(xi) < 0.0)))
-    add("escalation-nonnegative-nondecreasing", not bad.any(),
-        f"final xi = {xi[-1]:g}" if not bad.any()
-        else f"first violation at k={first_bad(bad)}")
-    bad = np.concatenate(([L[0] < 0.0], (np.diff(L) < 0.0)))
-    add("lower-curvature-nonnegative-nondecreasing", not bad.any(),
-        f"final L = {L[-1]:.6g}" if not bad.any()
-        else f"first violation at k={first_bad(bad)}")
+    add_unless("stepsize-positive-nonincreasing", np.concatenate((
+        [lam[0] <= 0.0 or lam[0] > config.lambda0],
+        (np.diff(lam) > 0.0) | (lam[1:] <= 0.0))),
+        f"lam in [{lam.min():.3e}, {lam.max():.3e}]")
+    add_unless("escalation-nonnegative-nondecreasing",
+               np.concatenate(([xi[0] < 0.0], np.diff(xi) < 0.0)),
+               f"final xi = {xi[-1]:g}")
+    add_unless("lower-curvature-nonnegative-nondecreasing",
+               np.concatenate(([L[0] < 0.0], np.diff(L) < 0.0)),
+               f"final L = {L[-1]:.6g}")
 
     # acceptance conditions, re-stated on the committed columns
+    a, anchors = replay_anchors(problem, trace)
     prod = U * lam
     worst_k = int(np.argmax(prod)) + 1
     worst = float(prod[worst_k - 1])
     add("stepsize-curvature-product", worst <= config.gamma,
         f"max U*lam = {worst:.6g} at k={worst_k} vs gamma = {config.gamma}")
 
-    bad = tau != 2.0 * xi * lam / a
-    add("momentum-offset-identity", not bad.any(),
-        "tau == 2*xi*lam/a at every iteration" if not bad.any()
-        else f"first violation at k={first_bad(bad)}")
+    add_unless("momentum-offset-identity", tau != 2.0 * xi * lam / a,
+               "tau == 2*xi*lam/a at every iteration")
 
-    lam_hist = ledger.lam_history()
-    margin, k_arg, i_arg = _kernels.history_margin(
-        lam_hist, np.array(ledger.tau_history()), L, xi)
+    margin, k_arg, i_arg = _kernels.history_margin(trace.stepsizes, tau, L,
+                                                   xi)
     add("history-inequality", margin >= 0.0,
         f"min margin {margin:.3e} at k={k_arg}, i={i_arg}")
 
-    bad = np.concatenate(([False], np.diff(phi_ymin) > 0.0)) \
-        | (phi_ymin > np.minimum.accumulate(phi_y))
-    add("best-point-monotone", not bad.any(),
-        "phi(best) non-increasing and <= every accepted phi(y)"
-        if not bad.any() else f"first violation at k={first_bad(bad)}")
-
-    bad = ~np.isfinite(phi_y)
-    add("iterates-in-domain", not bad.any(),
-        "phi(y_k) finite for all k" if not bad.any()
-        else f"first violation at k={first_bad(bad)}")
+    add_unless("best-point-monotone",
+               np.concatenate(([False], np.diff(phi_ymin) > 0.0))
+               | (phi_ymin > np.minimum.accumulate(phi_y)),
+               "phi(best) non-increasing and <= every accepted phi(y)")
+    add_unless("iterates-in-domain", ~np.isfinite(phi_y),
+               "phi(y_k) finite for all k")
 
     drift_anchor = 0.0
     anchor_k = 0
-    for i, xk in enumerate(trace.xs):
+    for i, xk in enumerate(anchors):
         moved = float(np.linalg.norm(problem.omega.project(xk) - xk))
         if moved > drift_anchor:
             drift_anchor = moved
@@ -191,24 +181,27 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
 
     bounds = TheoreticalBounds.from_problem(problem, config)
     slack = _REL
+    drift = check_xk_drift(anchors, y0, bounds)  # reported last
+    del anchors, xk  # xk views the last anchor, so it keeps them all alive
 
     # U_k against M, with a per-iteration roundoff envelope for the quotient
     X, F, G = ledger.record_arrays(n_iter)
     xn2 = np.einsum("ij,ij->i", X, X)
-    f_ys = np.array([problem.smooth.value(yk) for yk in trace.ys])
-    D = np.stack(trace.ys) - X
-    env = _envelope(f_ys, F, np.einsum("ij,ij->i", G, D),
+    Y = trace.Y
+    f_ys = np.array([problem.smooth.value(yk) for yk in Y])  # y_0..y_K
+    D = Y[1:] - X
+    env = _envelope(f_ys[1:], F, np.einsum("ij,ij->i", G, D),
                     np.einsum("ij,ij->i", D, D), xn2)
+    del D
     # U == 0 marks a guarded (degenerate-distance) quotient and always passes
-    bad = (U > bounds.M_bar * (1.0 + slack) + env + 1e-12) & (U != 0.0)
     kU = int(np.argmax(U)) + 1
-    add("upper-curvature-bound", not bad.any(),
-        f"max U = {U[kU - 1]:.6g} at k={kU} vs M = {bounds.M_bar:g}"
-        if not bad.any() else f"first violation at k={first_bad(bad)}")
+    add_unless("upper-curvature-bound",
+               (U > bounds.M_bar * (1.0 + slack) + env + 1e-12) & (U != 0.0),
+               f"max U = {U[kU - 1]:.6g} at k={kU} vs M = {bounds.M_bar:g}")
 
     # replay the lower-curvature recursion from the committed data and bound
     # every contributing gap quotient by m plus its own roundoff envelope.
-    # While the best point keeps its bytes, every pair (k, i < k) was scored
+    # While the best point keeps its row, every pair (k, i < k) was scored
     # at k - 1 against the same point and value, so only record k is scanned
     # and the row maxima carry over; np.max carries a NaN the way the full
     # row's maximum would.  A changed best point gets a full scan.
@@ -223,20 +216,17 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     L_prev = 0.0
     cap_excess = -math.inf
     cap_loc = (0, 0)
-    u_bytes = None
+    rows = trace.ymin_rows
     for kk in range(1, n_iter + 1):
-        y_prev = trace.ys[kk - 2] if kk >= 2 else y0
-        f_y_prev = float(f_ys[kk - 2]) if kk >= 2 \
-            else float(problem.smooth.value(y0))
-        q1, exc1 = scan(y_prev, f_y_prev, kk - 1, kk)
-        u = trace.ymins[kk - 1]
-        prev_bytes, u_bytes = u_bytes, u.tobytes()
-        carry = u_bytes == prev_bytes
+        q1, exc1 = scan(Y[kk - 1], float(f_ys[kk - 1]), kk - 1, kk)
+        r = int(rows[kk - 1])
+        carry = kk > 1 and r == rows[kk - 2]
         start = kk - 1 if carry else 0
         if not carry:
-            # an accepted y_k has its value in f_ys; a best point that is a
+            # a row of Y has its value in f_ys; a best point that is a
             # rejected trial point needs its own
-            f_u = float(f_ys[kk - 1]) if u is trace.ys[kk - 1] \
+            u = trace.point(r)
+            f_u = float(f_ys[r]) if r >= 0 \
                 else float(problem.smooth.value(u))
         terms, exc = scan(u, f_u, start, kk)
         t2 = float(np.max(terms))
@@ -248,8 +238,7 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
             t2 = float(np.max((t2_prev, t2)))
             row_excess = float(np.max((excess_prev, row_excess)))
         t2_prev, excess_prev = t2, row_excess
-        L_replay[kk - 1] = max(float(q1[0]), t2, L_prev, 0.0)
-        L_prev = L_replay[kk - 1]
+        L_prev = L_replay[kk - 1] = max(float(q1[0]), t2, L_prev, 0.0)
 
         for cand, loc in ((row_excess, (kk, start + i2 + 1)),
                           (float(exc1[0]), (kk, kk))):
@@ -257,11 +246,9 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
                 cap_excess = cand
                 cap_loc = loc
 
-    add("lower-curvature-replay", bool(np.array_equal(L_replay, L)),
-        "recorded L matches a full recomputation bit for bit"
-        if np.array_equal(L_replay, L)
-        else f"first mismatch at k="
-             f"{first_bad(L_replay != L)}")
+    add_unless("lower-curvature-replay", L_replay != L,
+               "recorded L matches a full recomputation bit for bit",
+               "mismatch")
     kL = int(np.argmax(L)) + 1
     add("lower-curvature-cap", cap_excess <= 1e-12,
         f"max L = {L[kL - 1]:.6g} at k={kL} vs m = {bounds.m_under:g}"
@@ -279,10 +266,8 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         f"max xi = {xi[kxi - 1]:g} at k={kxi} vs cap = {bounds.xi_bar:g}")
 
     if bounds.m_under == 0.0:
-        bad = (xi != 0.0) | (tau != 0.0)
-        add("convex-stays-zero", not bad.any(),
-            "xi and tau identically zero on a convex instance"
-            if not bad.any() else f"first violation at k={first_bad(bad)}")
+        add_unless("convex-stays-zero", (xi != 0.0) | (tau != 0.0),
+                   "xi and tau identically zero on a convex instance")
 
     distinct = len(set(xi.tolist()))
     allowed = math.ceil(math.log2(max(4.0 * bounds.m_under, 1.0))) + 2
@@ -296,7 +281,6 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     add("inner-repeat-budget", cert.prox_calls <= budget,
         f"{cert.prox_calls} prox calls vs budget {budget:.2f}")
 
-    drift = check_xk_drift(trace.xs, y0, bounds)
     add("anchor-drift", drift.passed,
         f"worst ||x_k - x_0||/(C k) = {drift.worst_ratio:.3e} "
         f"at k={drift.worst_k} (C = {drift.C:.3g})")

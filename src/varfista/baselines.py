@@ -45,26 +45,20 @@ def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
     y = y0
     x = y0.copy()
     y_best = y0
-    trace = IterationTrace()
-    prox_calls = 0
-    grad_calls = 0
+    trace = IterationTrace(y0, step)
     v = np.zeros_like(y0)
     resid = math.inf
-    converged = False
     k = 0
 
     for k in range(1, config.max_outer_iterations + 1):
         a, A_next = advance(A)
         x_tilde = extrapolate(A, A_next, a, y, x)
         g_xt = smooth.grad(x_tilde)
-        grad_calls += 1
         f_xt = smooth.value(x_tilde)
         y_next, tau = compute_candidate(problem, x_tilde, step, 0.0, a,
                                         grad_x_tilde=g_xt)
-        prox_calls += 1
         x_next = compute_x(problem, A, A_next, a, tau, y_next, y)
         g_y = smooth.grad(y_next)
-        grad_calls += 1
         v = compute_v(x_tilde, y_next, g_y, g_xt, step, tau)
         resid = math.sqrt(float(v @ v))
 
@@ -78,18 +72,18 @@ def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
             phi_min = phi_y
             y_best = y_next
 
-        trace.append(a, step, 0.0, tau, U, 0.0, resid, phi_y, phi_min, 0,
-                     x_next, y_next, y_best)
+        trace.append(step, 0.0, tau, U, 0.0, resid, phi_y, phi_min, 0,
+                     y_next, y_best)
         y = y_next
         x = x_next
         A = A_next
         if resid <= config.rho_hat:
-            converged = True
             break
 
+    # per iteration: one prox step, gradients at x_tilde_k and at y_k
     cert = Certificate(y_hat=y.copy(), v_hat=v.copy(), residual_norm=resid,
-                       iterations=k, prox_calls=prox_calls,
-                       grad_calls=grad_calls, converged=converged)
+                       iterations=k, prox_calls=k, grad_calls=2 * k,
+                       converged=resid <= config.rho_hat)
     return cert, trace
 
 
@@ -103,21 +97,16 @@ def run_prox_gradient(problem: CompositeProblem, config: SolverConfig,
 
     u = y0
     g_u = smooth.grad(u)
-    grad_calls = 1
-    prox_calls = 0
     u_best = y0
-    trace = IterationTrace()
+    trace = IterationTrace(y0, step)
     v = np.zeros_like(y0)
     resid = math.inf
-    converged = False
     k = 0
 
     for k in range(1, config.max_outer_iterations + 1):
         u_next, _ = compute_candidate(problem, u, step, 0.0, 1.0,
                                       grad_x_tilde=g_u)
-        prox_calls += 1
         g_next = smooth.grad(u_next)
-        grad_calls += 1
         v = compute_v(u, u_next, g_next, g_u, step, 0.0)
         resid = math.sqrt(float(v @ v))
         f_u = smooth.value(u_next)
@@ -127,15 +116,15 @@ def run_prox_gradient(problem: CompositeProblem, config: SolverConfig,
         if phi_u < phi_min:
             phi_min = phi_u
             u_best = u_next
-        trace.append(0.0, step, 0.0, 0.0, 0.0, 0.0, resid, phi_u, phi_min, 0,
-                     u_next, u_next, u_best)
+        trace.append(step, 0.0, 0.0, 0.0, 0.0, resid, phi_u, phi_min, 0,
+                     u_next, u_best)
         u = u_next
         g_u = g_next
         if resid <= config.rho_hat:
-            converged = True
             break
 
+    # one prox step and one gradient per iteration, plus grad f(y0)
     cert = Certificate(y_hat=u.copy(), v_hat=v.copy(), residual_norm=resid,
-                       iterations=k, prox_calls=prox_calls,
-                       grad_calls=grad_calls, converged=converged)
+                       iterations=k, prox_calls=k, grad_calls=k + 1,
+                       converged=resid <= config.rho_hat)
     return cert, trace

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -170,16 +170,16 @@ class DriftReport:
     C: float
 
 
-def check_xk_drift(trace_xs: List[Array], x0: Array,
+def check_xk_drift(xs: Array, x0: Array,
                    bounds: TheoreticalBounds) -> DriftReport:
-    """Check ||x_k - x0|| <= C * k for every recorded anchor point.
+    """Check ||x_k - x0|| <= C * k for the anchors x_1..x_K, one per row.
 
     C = 0 (a one-point domain) allows no drift: a zero drift passes with
     ratio 0, any other fails with ratio inf.
     """
     worst = 0.0
     worst_k = 0
-    for i, xk in enumerate(trace_xs):
+    for i, xk in enumerate(xs):
         k = i + 1
         drift = float(np.linalg.norm(xk - x0))
         if bounds.C > 0:

@@ -28,6 +28,18 @@ def advance(A: float):
     return a, A + a
 
 
+def schedule(count: int):
+    """Arrays of a_1, a_2, ... and A_1, A_2, ...: ``count`` steps of
+    ``advance`` from A0_DEFAULT, bit for bit the values a run uses."""
+    a = np.empty(count)
+    A_next = np.empty(count)
+    A = A0_DEFAULT
+    for i in range(count):
+        a[i], A = advance(A)
+        A_next[i] = A
+    return a, A_next
+
+
 def extrapolate(A_prev: float, A_next: float, a: float, y_prev: Array,
                 x_prev: Array) -> Array:
     """Momentum point (A_prev * y_prev + a * x_prev) / A_next."""
@@ -71,12 +83,7 @@ def check_schedule_bounds(k_max: int) -> ScheduleBoundsReport:
     if not 1 <= k_max <= 2_000_000:
         raise ValueError("k_max must lie in [1, 2_000_000]")
     k_max = int(k_max)
-    a = np.empty(k_max)
-    A_next = np.empty(k_max)
-    A = A0_DEFAULT
-    for i in range(k_max):
-        a[i], A = advance(A)
-        A_next[i] = A
+    a, A_next = schedule(k_max)
     k = np.arange(1, k_max + 1)
     sum_A = np.cumsum(A_next)  # cumsum adds in order, as a running sum does
 
@@ -100,4 +107,4 @@ def check_schedule_bounds(k_max: int) -> ScheduleBoundsReport:
         sum_margin=total, sum_argk=total_k,
         ratio_margin=ratio, ratio_argk=ratio_k,
         max_rel_gap=max_gap, gap_argk=gap_k,
-        a_last=float(a[-1]), A_last=A, passed=passed)
+        a_last=float(a[-1]), A_last=float(A_next[-1]), passed=passed)

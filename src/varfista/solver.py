@@ -32,14 +32,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .momentum import A0_DEFAULT, advance, extrapolate
+from .momentum import A0_DEFAULT, advance, extrapolate, schedule
 from .problems import Array, Certificate, CompositeProblem
 
 __all__ = [
     "SolverConfig", "NumericalFailure", "RepeatCapExhausted", "HistoryLedger",
     "IterationTrace", "TRACE_HEADER", "DENOM_EPSILON", "solve",
-    "compute_candidate", "compute_U", "compute_x", "compute_v",
-    "history_inequality_violated",
+    "compute_candidate", "compute_U", "compute_x", "replay_anchors",
+    "compute_v", "history_inequality_violated",
 ]
 
 TRACE_HEADER = "k,lambda,xi,tau,U,L,residual,phi_y,phi_ymin,inner_repeats"
@@ -48,6 +48,8 @@ TRACE_HEADER = "k,lambda,xi,tau,U,L,residual,phi_y,phi_ymin,inner_repeats"
 # ||d||^2 <= DENOM_EPSILON * (1 + ||x_tilde||^2)
 DENOM_EPSILON = 1e-12
 _MAX_INNER_REPEATS = 1_000_000  # trials per outer iteration
+_CAPACITY = 64  # initial rows of the history buffers; they double when full
+_BLOCK_ROWS = 256  # rows per block of replay_anchors' temporaries
 
 
 @dataclass
@@ -84,33 +86,38 @@ class RepeatCapExhausted(RuntimeError):
     """One outer iteration of ``solve`` retried its trial too many times."""
 
 
-class HistoryLedger:
-    """Append-only committed history of the run.
+def _double(owner, names) -> None:
+    """Double the rows of ``owner``'s named buffers, keeping their data."""
+    for name in names:
+        old = getattr(owner, name)
+        new = np.empty_like(old, shape=(2 * old.shape[0],) + old.shape[1:])
+        new[:old.shape[0]] = old
+        setattr(owner, name, new)
 
-    Holds lam_0..lam_k, tau_1..tau_k, and one linearization record per outer
-    iteration, in preallocated doubling buffers.  The expensive part of the
-    lower-curvature recursion, max over i <= k of the linearization gap of
-    the incumbent best point against record i, is cached.  The cache is keyed
-    like the oracle's Q @ u memo: it hits only when the best point is the
-    cached array itself (``is``, no copy kept) with unchanged ``tobytes()``.
-    On a hit each newly appended record is folded in through the one-record
-    ``_gap_term``, at O(n) cost per record.  A miss rescans every record with
-    ``_gap_terms``.  Both forms evaluate the same per-record expression and
-    guard, so their quotients agree bit-for-bit, NaN included, and so do
+
+class HistoryLedger:
+    """Append-only linearization records of the run, one per iteration.
+
+    Record i holds x_tilde_i, f and grad f there, and ||x_tilde_i||^2, in
+    doubling buffers.  The expensive part of the lower-curvature recursion,
+    max over i <= k of the linearization gap of the incumbent best point
+    against record i, is cached.  The cache is keyed like the oracle's
+    Q @ u memo: it hits only when the best point is the cached array itself
+    (``is``, no copy kept) with unchanged ``tobytes()``.  On a hit each
+    newly appended record is folded in through the one-record
+    ``_gap_term``, at O(n) cost per record.  A miss rescans every record
+    with ``_gap_terms``.  Both forms evaluate the same per-record expression
+    and guard, so their quotients agree bit-for-bit, NaN included, and so do
     cached and rescanned maxima: like ``np.max``, the fold carries a NaN.
     """
 
-    def __init__(self, dimension: int, lambda0: float):
-        self.dimension = dimension
-        cap = 64
-        self._lam = np.empty(cap + 1)
-        self._lam[0] = lambda0
-        self._n_lam = 1
-        self._tau = np.empty(cap)
-        self._X = np.empty((cap, dimension))
-        self._F = np.empty(cap)
-        self._G = np.empty((cap, dimension))
-        self._XN2 = np.empty(cap)
+    _BUFFERS = ("_X", "_F", "_G", "_XN2")
+
+    def __init__(self, dimension: int):
+        self._X = np.empty((_CAPACITY, dimension))
+        self._F = np.empty(_CAPACITY)
+        self._G = np.empty((_CAPACITY, dimension))
+        self._XN2 = np.empty(_CAPACITY)
         self._n_rec = 0
         self.cached_ymin: Optional[Array] = None
         self._cached_bytes = b""
@@ -119,23 +126,10 @@ class HistoryLedger:
 
     # -- storage ------------------------------------------------------------
 
-    def _grow(self) -> None:
-        cap = self._F.shape[0] * 2
-        for name in ("_lam", "_tau", "_F", "_XN2"):
-            buf = getattr(self, name)
-            new = np.empty(cap + 1 if name == "_lam" else cap)
-            new[:buf.shape[0]] = buf
-            setattr(self, name, new)
-        for name in ("_X", "_G"):
-            buf = getattr(self, name)
-            new = np.empty((cap, self.dimension))
-            new[:buf.shape[0]] = buf
-            setattr(self, name, new)
-
     def append_linearization(self, x_tilde: Array, f_at: float,
                              grad_at: Array) -> int:
         if self._n_rec == self._F.shape[0]:
-            self._grow()
+            _double(self, self._BUFFERS)
         i = self._n_rec
         self._X[i] = x_tilde
         self._F[i] = f_at
@@ -143,21 +137,6 @@ class HistoryLedger:
         self._XN2[i] = float(np.einsum("i,i->", x_tilde, x_tilde))
         self._n_rec += 1
         return i + 1
-
-    def commit(self, lam: float, tau: float) -> None:
-        """Record the accepted lam_k and tau_k for the just-closed iteration."""
-        k = self._n_lam
-        self._lam[k] = lam
-        self._tau[k - 1] = tau
-        self._n_lam += 1
-
-    def lam_history(self) -> Array:
-        """Committed lam_0..lam_k (read-only view)."""
-        return self._lam[:self._n_lam]
-
-    def tau_history(self) -> Array:
-        """Committed tau_1..tau_k (read-only view)."""
-        return self._tau[:self._n_lam - 1]
 
     def x_tilde_norm2(self, index: int) -> float:
         return float(self._XN2[index - 1])
@@ -227,54 +206,75 @@ class HistoryLedger:
         return best
 
 
+def _rows(block: str, j=slice(None), first: int = 1) -> property:
+    """Column j of a trace buffer, read as a view of rows first..K."""
+    return property(lambda t: getattr(t, block)[first:t._n + 1, j])
+
+
 class IterationTrace:
-    """Per accepted iteration scalars, plus the iterate vectors for audits."""
+    """Columnar record of one run: row k holds iteration k, row 0 the start.
 
-    def __init__(self):
-        self.a: List[float] = []
-        self.lam: List[float] = []
-        self.xi: List[float] = []
-        self.tau: List[float] = []
-        self.U: List[float] = []
-        self.L: List[float] = []
-        self.residual: List[float] = []
-        self.phi_y: List[float] = []
-        self.phi_ymin: List[float] = []
-        self.inner_repeats: List[int] = []
-        self.xs: List[Array] = []
-        self.ys: List[Array] = []
-        self.ymins: List[Array] = []
+    Each quantity is stored once, in doubling numpy buffers, and read as a
+    view of rows 1..K: ``lam``, ``xi``, ``tau``, ``U``, ``L``,
+    ``residual``, ``phi_y``, ``phi_ymin``, ``inner_repeats`` and
+    ``ymin_rows``, or of rows 0..K: ``stepsizes``, lam_0..lam_K, and ``Y``,
+    the points y_0..y_K.  ``append`` takes the best point ``ymin`` as an
+    array and stores its row: y itself, the previous best point (by
+    identity, y0 at first), or else a rejected trial point, copied to
+    ``side_rows``; a row r < 0 names ``side_rows[~r]``.  The anchors x_k
+    and the weights a_k are not stored; ``replay_anchors`` rebuilds them.
+    """
 
-    def append(self, a, lam, xi, tau, U, L, residual, phi_y, phi_ymin,
-               inner_repeats, x, y, ymin) -> None:
-        self.a.append(a)
-        self.lam.append(lam)
-        self.xi.append(xi)
-        self.tau.append(tau)
-        self.U.append(U)
-        self.L.append(L)
-        self.residual.append(residual)
-        self.phi_y.append(phi_y)
-        self.phi_ymin.append(phi_ymin)
-        self.inner_repeats.append(inner_repeats)
-        self.xs.append(x)
-        self.ys.append(y)
-        self.ymins.append(ymin)
+    lam, xi, tau, U, L, residual, phi_y, phi_ymin = (
+        _rows("_S", j) for j in range(8))
+    inner_repeats, ymin_rows = (_rows("_I", j) for j in range(2))
+    stepsizes, Y = _rows("_S", 0, first=0), _rows("_Y", first=0)
+    _BUFFERS = ("_S", "_I", "_Y")
+
+    def __init__(self, y0: Array, lambda0: float):
+        # column-major blocks, so that every column view is contiguous
+        self._S = np.empty((_CAPACITY, 8), order="F")
+        self._S[0, 0] = lambda0
+        self._I = np.zeros((_CAPACITY, 2), dtype=np.int64, order="F")
+        self._Y = np.empty((_CAPACITY, y0.shape[0]))
+        self._Y[0] = y0
+        self.side_rows: List[Array] = []
+        self._ymin = y0  # the last best point, as passed in
+        self._n = 0
+
+    def append(self, lam, xi, tau, U, L, residual, phi_y, phi_ymin,
+               inner_repeats, y, ymin) -> None:
+        k = self._n + 1
+        if k == self._S.shape[0]:
+            _double(self, self._BUFFERS)
+        self._S[k] = (lam, xi, tau, U, L, residual, phi_y, phi_ymin)
+        self._Y[k] = y
+        if ymin is y:
+            row = k
+        elif ymin is self._ymin:
+            row = self._I[k - 1, 1]
+        else:
+            row = ~len(self.side_rows)
+            self.side_rows.append(ymin.copy())
+        self._I[k] = (inner_repeats, row)
+        self._ymin = ymin
+        self._n = k
 
     def __len__(self) -> int:
-        return len(self.lam)
+        return self._n
+
+    def point(self, row: int) -> Array:
+        """The point a ``ymin_rows`` entry names."""
+        return self._Y[row] if row >= 0 else self.side_rows[~row]
 
     def write_csv(self, path: str) -> None:
         """Write the documented delimited trace, row i as iteration k = i + 1;
         float repr keeps it byte-deterministic for identical runs."""
         with open(path, "w") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for i in range(len(self.lam)):
-                row = [str(i + 1)] + [repr(v) for v in (
-                    self.lam[i], self.xi[i], self.tau[i], self.U[i],
-                    self.L[i], self.residual[i], self.phi_y[i],
-                    self.phi_ymin[i])] + [str(self.inner_repeats[i])]
-                fh.write(",".join(row) + "\n")
+            for k in range(1, self._n + 1):
+                fh.write(",".join([str(k), *map(repr, self._S[k].tolist()),
+                                   str(self._I[k, 0])]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +390,32 @@ def compute_x(problem: CompositeProblem, A_prev: float, A_next: float,
     """Projected anchor update; the unique minimizer of the anchor subproblem.
 
     x = P_Omega( ((1+tau) A_next)/(a (tau a + 1)) * y
-                 - A_prev/(a (tau a + 1)) * y_prev ).
+                 - A_prev/(a (tau a + 1)) * y_prev ).  The scalars may also be
+    column vectors, one row per iteration, with y and y_prev as rows.
     """
     denom = a * (tau * a + 1.0)
     z = ((1.0 + tau) * A_next / denom) * y - (A_prev / denom) * y_prev
     return problem.omega.project(z)
+
+
+def replay_anchors(problem: CompositeProblem, trace: IterationTrace
+                   ) -> Tuple[Array, Array]:
+    """(a, X): the weights a_1..a_K and the anchors x_1..x_K of a run from
+    ``solve`` or ``run_fista_constant``, equal to the run's own bit for bit.
+
+    ``schedule`` replays a_k; ``compute_x`` on column vectors rebuilds x_k,
+    one block of iterations at a time, so only X outgrows O(K) memory.
+    """
+    K = len(trace)
+    a, A_next = schedule(K)
+    a, A = a[:, None], np.r_[A0_DEFAULT, A_next][:, None]
+    tau, Y = trace.tau[:, None], trace.Y
+    X = np.empty((K, Y.shape[1]))
+    for s in range(0, K, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, K)
+        X[s:e] = compute_x(problem, A[s:e], A[s + 1:e + 1], a[s:e], tau[s:e],
+                           Y[s + 1:e + 1], Y[s:e])
+    return a[:, 0], X
 
 
 def compute_v(x_tilde: Array, y: Array, grad_y: Array, grad_x_tilde: Array,
@@ -431,13 +452,16 @@ def _start(problem: CompositeProblem, config: SolverConfig, y0: Array
            ) -> Tuple[Array, float, float]:
     """Validated (y0, f(y0), phi(y0)), with one value call at y0.
 
-    Raises ValueError for a bad configuration or a y0 of the wrong shape or
-    outside dom h, and NumericalFailure when f(y0) is non-finite.
+    Raises ValueError for a bad configuration or a y0 of the wrong shape,
+    with a non-finite entry or outside dom h, before any oracle call, and
+    NumericalFailure when f(y0) is non-finite.
     """
     config.validate()
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (problem.dimension,):
         raise ValueError("y0 does not match problem dimension")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("y0 has a non-finite entry")
     h0 = problem.regularizer.value(y0)
     if not math.isfinite(h0):
         raise ValueError("y0 lies outside dom h")
@@ -454,25 +478,25 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
           ) -> Tuple[Certificate, IterationTrace, HistoryLedger]:
     """Run the adaptive solver from y0.
 
-    Returns (certificate, trace, ledger); the ledger is the committed history
-    consumed by post-run audits.  Raises ValueError, from ``_start`` as the
-    baselines do, for a bad configuration or a y0 of the wrong shape or
-    outside dom h; RepeatCapExhausted when one iteration retries its trial
-    more than ``_MAX_INNER_REPEATS`` times (in practice: inconsistent
-    value/gradient oracles); and NumericalFailure, from ``_require_finite``,
-    on the first non-finite one of f(y0), f(x_tilde_k), a trial's f(y), U
-    and L, and the residual.  Every gradient ``solve`` asks for, at
-    x_tilde_k or at the accepted y_k, enters v_k, so a non-finite one
-    surfaces in the iteration where it occurs.
+    Returns (certificate, trace, ledger): the trace records each accepted
+    iteration's scalars and y_k once, the ledger its linearization record;
+    ``replay_anchors`` rebuilds the anchors x_k.  Raises ValueError, from
+    ``_start`` as the baselines do, for a bad configuration or a y0 of the
+    wrong shape, with a non-finite entry or outside dom h;
+    RepeatCapExhausted when one iteration retries its trial more than
+    ``_MAX_INNER_REPEATS`` times (in practice: inconsistent value/gradient
+    oracles); and NumericalFailure, from ``_require_finite``, on the first
+    non-finite one of f(y0), f(x_tilde_k), a trial's f(y), U and L, and the
+    residual.  Every gradient ``solve`` asks for, at x_tilde_k or at the
+    accepted y_k, enters v_k, so a non-finite one surfaces in the iteration
+    where it occurs.
     """
     y0, f_y, phi0 = _start(problem, config, y0)
     smooth = problem.smooth
     reg = problem.regularizer
 
-    ledger = HistoryLedger(problem.dimension, config.lambda0)
-    trace = IterationTrace()
-    prox_calls = 0
-    grad_calls = 0
+    ledger = HistoryLedger(problem.dimension)
+    trace = IterationTrace(y0, config.lambda0)
 
     # carried across outer iterations: the last accepted values
     A = A0_DEFAULT
@@ -487,7 +511,6 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     k = 0
     v = np.zeros_like(y0)
     resid = math.inf
-    converged = False
 
     for k in range(1, config.max_outer_iterations + 1):
         a, A_next = advance(A)
@@ -495,19 +518,16 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         f_xt = smooth.value(x_tilde)
         _require_finite(k, None, ("f(x_tilde)", f_xt))
         g_xt = smooth.grad(x_tilde)
-        grad_calls += 1
         idx = ledger.append_linearization(x_tilde, f_xt, g_xt)
         xn2 = ledger.x_tilde_norm2(idx)
 
-        lam_hist = ledger.lam_history()
-        tau_hist = ledger.tau_history()
+        lam_hist, tau_hist = trace.stepsizes, trace.tau
         y_prev = y
         f_y_prev = f_y
         repeats = 0
 
         while True:
             y, tau = compute_candidate(problem, x_tilde, lam, xi, a, g_xt)
-            prox_calls += 1
             f_y = smooth.value(y)
             phi_y = f_y + reg.value(y)
             U = compute_U(y, f_y, x_tilde, f_xt, g_xt, xn2)
@@ -542,26 +562,25 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             repeats += 1
 
         # commit the accepted iteration
-        ledger.commit(lam, tau)
         x = compute_x(problem, A, A_next, a, tau, y, y_prev)
         g_y = smooth.grad(y)
-        grad_calls += 1
         v = compute_v(x_tilde, y, g_y, g_xt, lam, tau)
         resid = math.sqrt(float(v @ v))
         _require_finite(k, None, (
             "residual", resid, "grad f at the momentum point or the "
             "accepted trial point is non-finite"))
 
-        trace.append(a, lam, xi, tau, U, L_cand, resid, phi_y, phi_ymin,
-                     repeats, x, y, ymin)
+        trace.append(lam, xi, tau, U, L_cand, resid, phi_y, phi_ymin,
+                     repeats, y, ymin)
         A = A_next
         L = L_cand
 
         if resid <= config.rho_hat:
-            converged = True
             break
 
+    # one prox step per trial; one gradient at x_tilde_k and one at y_k
     cert = Certificate(y_hat=y.copy(), v_hat=v.copy(), residual_norm=resid,
-                       iterations=k, prox_calls=prox_calls,
-                       grad_calls=grad_calls, converged=converged)
+                       iterations=k,
+                       prox_calls=k + int(trace.inner_repeats.sum()),
+                       grad_calls=2 * k, converged=resid <= config.rho_hat)
     return cert, trace, ledger

@@ -36,7 +36,7 @@ from varfista.gallery import (
 )
 from varfista.momentum import check_schedule_bounds
 from varfista.problems import verify_certificate
-from varfista.solver import SolverConfig, solve
+from varfista.solver import SolverConfig, replay_anchors, solve
 
 CORPUS_CONFIG = SolverConfig(rho_hat=1e-6, max_outer_iterations=10_000)
 
@@ -109,8 +109,7 @@ def test_criterion_03_convex_runs_stay_unescalated(corpus_runs):
     convex = [r for r in runs if r.problem.smooth.audit_curvature == 0.0]
     assert len(convex) == 10
     clean = sum(
-        bool(np.all(np.asarray(r.trace.xi) == 0.0)
-             and np.all(np.asarray(r.trace.tau) == 0.0))
+        bool(np.all(r.trace.xi == 0.0) and np.all(r.trace.tau == 0.0))
         for r in convex)
     _report(3, "convex-runs-stay-unescalated", clean == 10,
             f"clean={clean}/10 convex runs with xi=tau=0 throughout")
@@ -185,8 +184,7 @@ def test_criterion_06_constant_step_equivalence():
     _, tr_a, _ = solve(prob, cfg, y0)
     _, tr_b = run_fista_constant(prob, cfg, y0)
     n = min(len(tr_a), len(tr_b))
-    dev = max(float(np.max(np.abs(tr_a.ys[i] - tr_b.ys[i])))
-              for i in range(n))
+    dev = float(np.max(np.abs(tr_a.Y[:n + 1] - tr_b.Y[:n + 1])))
     ok = len(tr_a) == 500 and len(tr_b) == 500 and dev <= 1e-10
     _report(6, "constant-step-equivalence", ok,
             f"iterations={n} max_deviation={dev:.2e}")
@@ -250,18 +248,18 @@ def test_criterion_09_anchor_subproblem_optimality():
     for prob in probes:
         y0 = default_start(prob)
         _, trace, ledger = solve(prob, cfg, y0)
+        a, xs = replay_anchors(prob, trace)
         x_prev = y0
         X, F, G = ledger.record_arrays(len(trace))
         for i in range(len(trace)):
             model = ModelFunction(x_tilde=X[i], f_at=float(F[i]),
-                                  grad_at=G[i], y_k=trace.ys[i],
+                                  grad_at=G[i], y_k=trace.Y[i + 1],
                                   lam_k=trace.lam[i], tau_k=trace.tau[i],
                                   regularizer=prob.regularizer)
-            verdict = check_xk_optimality(prob, model, trace.xs[i],
-                                          x_prev, trace.a[i])
+            verdict = check_xk_optimality(prob, model, xs[i], x_prev, a[i])
             checked += 1
             confirmed += verdict is True
-            x_prev = trace.xs[i]
+            x_prev = xs[i]
     _report(9, "anchor-subproblem-optimality", confirmed == checked,
             f"confirmed={confirmed}/{checked} iterations across "
             f"{len(probes)} runs")
@@ -273,7 +271,8 @@ def test_criterion_10_iterate_drift_bound(corpus_runs):
     worst = 0.0
     for r in runs:
         bounds = TheoreticalBounds.from_problem(r.problem, CORPUS_CONFIG)
-        drift = check_xk_drift(r.trace.xs, r.y0, bounds)
+        drift = check_xk_drift(replay_anchors(r.problem, r.trace)[1], r.y0,
+                               bounds)
         bounded += bool(drift.passed)
         worst = max(worst, drift.worst_ratio)
     _report(10, "iterate-drift-bound", bounded == 20,

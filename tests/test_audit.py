@@ -9,7 +9,8 @@ from varfista.audit import (AuditReport, CheckResult, audit_corpus, audit_run,
                             corrupt_gradient_oracle, run_audit_suite)
 from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
-from varfista.solver import DENOM_EPSILON, HistoryLedger, SolverConfig, solve
+from varfista.solver import (DENOM_EPSILON, HistoryLedger, IterationTrace,
+                             SolverConfig, solve)
 
 
 def _audited_run(spec, rho=1e-7, iters=5000, lambda0=1.0):
@@ -84,8 +85,8 @@ def test_audit_without_metadata_skips_constant_checks():
 
 def test_audit_rejects_empty_run():
     prob, cfg, cert, trace, ledger, y0 = _audited_run(CONVEX)
-    from varfista.solver import IterationTrace
-    report = audit_run(prob, cfg, cert, IterationTrace(), ledger, y0)
+    report = audit_run(prob, cfg, cert, IterationTrace(y0, cfg.lambda0),
+                       ledger, y0)
     assert not report.passed
 
 
@@ -199,8 +200,8 @@ def test_audit_reports_match_golden_hash():
 
 
 def _unchanged(trace, j):
-    """Whether ymin at 0-based index j has the bytes of the one before."""
-    return trace.ymins[j].tobytes() == trace.ymins[j - 1].tobytes()
+    """Whether ymin at 0-based index j is the point of the one before."""
+    return trace.ymin_rows[j] == trace.ymin_rows[j - 1]
 
 
 @pytest.fixture
@@ -246,7 +247,8 @@ def test_replay_rescans_a_replaced_best_point_instead_of_carrying(gap_scans):
     audit_run(prob, cfg, cert, trace, ledger, y0)
     assert (j + 1, 0) not in gap_scans and (j + 2, 0) not in gap_scans
     gap_scans.clear()
-    trace.ymins[j] = tampered
+    trace.side_rows.append(tampered)
+    trace.ymin_rows[j] = ~(len(trace.side_rows) - 1)
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
     assert (j + 1, 0) in gap_scans and (j + 2, 0) in gap_scans
     replay = {c.name: c for c in report.checks}["lower-curvature-replay"]
@@ -289,8 +291,8 @@ def test_upper_curvature_bound_fails_just_above_its_envelope():
     prob, cfg, cert, trace, ledger, y0 = _audited_run(CONVEX)
     X, F, G = ledger.record_arrays(len(trace))
     # U_k is minus the quotient of y_k against record k
-    f_y = np.array([prob.smooth.value(y) for y in trace.ys])
-    q, env = _quotients_and_envelopes(np.stack(trace.ys), f_y, X, F, G)
+    f_y = np.array([prob.smooth.value(y) for y in trace.Y[1:]])
+    q, env = _quotients_and_envelopes(trace.Y[1:], f_y, X, F, G)
     j = int(np.argmax(np.where(q != 0.0, env, 0.0)))
     M = prob.smooth.audit_lipschitz
     assert env[j] > 1e-9 * M  # wide enough to tell the envelope apart
@@ -321,8 +323,8 @@ def test_lower_curvature_cap_reports_the_largest_excess_of_a_direct_scan(
     for k in range(1, K + 1):
         # the best point against records 1..k, then the previous iterate
         # against record k, in the order the audit scores them
-        y_prev = trace.ys[k - 2] if k >= 2 else y0
-        for u, lo in ((trace.ymins[k - 1], 0), (y_prev, k - 1)):
+        ymin = trace.point(trace.ymin_rows[k - 1])
+        for u, lo in ((ymin, 0), (trace.Y[k - 1], k - 1)):
             q, env = _quotients_and_envelopes(
                 u, prob.smooth.value(u), X[lo:k], F[lo:k], G[lo:k])
             excess = np.where(q != 0.0, q - env, -np.inf)

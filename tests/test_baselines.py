@@ -1,19 +1,23 @@
 """Fixed-step reference solvers, and their agreement with the adaptive one."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varfista.baselines as baselines_mod
 from varfista.audit import audit_corpus
 from varfista.baselines import run_fista_constant, run_prox_gradient
 from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
-from varfista.problems import (CompositeProblem, SmoothOracle, phi,
+from varfista.problems import (CompositeProblem, SmoothOracle,
                                verify_certificate)
-from varfista.solver import NumericalFailure, SolverConfig, solve
+from varfista.solver import (NumericalFailure, SolverConfig, replay_anchors,
+                             solve)
+from oracle_faults import faulty
 
 
 def _convex_qp(n=6, seed=2):
@@ -46,8 +50,7 @@ def test_prox_gradient_converges_and_descends():
     assert cert.converged
     assert verify_certificate(prob, cert, rho_hat=1e-7)
     # with step <= 1/M the composite objective never increases
-    vals = np.array(trace.phi_y)
-    assert np.all(np.diff(vals) <= 1e-12)
+    assert np.all(np.diff(trace.phi_y) <= 1e-12)
 
 
 def test_prox_gradient_stationary_start_terminates_immediately():
@@ -59,6 +62,33 @@ def test_prox_gradient_stationary_start_terminates_immediately():
                                     np.array([1.0]))
     assert cert.converged and cert.iterations == 1
     assert cert.residual_norm == 0.0
+
+
+@pytest.mark.parametrize("runner,step", [(run_fista_constant, 0.05),
+                                         (run_prox_gradient, 0.1)])
+def test_baseline_certificate_counts_every_oracle_and_prox_call(
+        monkeypatch, runner, step):
+    # the counts are derived from the iteration count; tally the calls
+    calls = {"grad": 0, "prox": 0}
+    prox_step = baselines_mod.compute_candidate
+    prob = _convex_qp()
+
+    def grad(u):
+        calls["grad"] += 1
+        return prob.smooth.grad(u)
+
+    def trial(*args, **kwargs):
+        calls["prox"] += 1
+        return prox_step(*args, **kwargs)
+
+    monkeypatch.setattr(baselines_mod, "compute_candidate", trial)
+    counted = CompositeProblem(SmoothOracle(prob.smooth.value, grad),
+                               prob.regularizer, prob.omega, prob.dimension)
+    cert, _ = runner(counted, SolverConfig(lambda0=step, rho_hat=1e-7),
+                     default_start(prob))
+    assert cert.converged
+    assert cert.prox_calls == calls["prox"] == cert.iterations
+    assert cert.grad_calls == calls["grad"]
 
 
 def test_baselines_reject_bad_starts():
@@ -74,7 +104,7 @@ def test_baseline_tracks_best_point():
     cfg = SolverConfig(lambda0=0.05, rho_hat=1e-7, max_outer_iterations=2000)
     cert, trace = run_fista_constant(prob, cfg, default_start(prob))
     mins = np.minimum.accumulate(trace.phi_y)
-    assert np.all(np.array(trace.phi_ymin) <= mins + 1e-12)
+    assert np.all(trace.phi_ymin <= mins + 1e-12)
     assert np.all(np.diff(trace.phi_ymin) <= 0.0)
 
 
@@ -88,10 +118,10 @@ def test_adaptive_reduces_to_fista_when_stepsize_never_adapts():
     _, tr_a, _ = solve(prob, cfg, y0)
     cert_b, tr_b = run_fista_constant(prob, cfg, y0)
     assert len(tr_a) == len(tr_b) == 50
-    for i in range(50):
-        assert np.array_equal(tr_a.ys[i], tr_b.ys[i])
-        assert np.array_equal(tr_a.xs[i], tr_b.xs[i])
-        assert tr_a.residual[i] == tr_b.residual[i]
+    assert np.array_equal(tr_a.Y, tr_b.Y)
+    assert np.array_equal(replay_anchors(prob, tr_a)[1],
+                          replay_anchors(prob, tr_b)[1])
+    assert np.array_equal(tr_a.residual, tr_b.residual)
     assert all(x == 0.0 for x in tr_a.xi)
 
 
@@ -108,37 +138,6 @@ def test_baseline_trace_csv_has_zero_adaptive_columns(tmp_path):
         assert float(cols[3]) == 0.0  # tau
 
 
-def _faulty(problem, which, call, fault, entry=0):
-    """``(spoiled, fired)``: ``problem`` whose ``call``-th value call
-    returns ``fault``, or whose ``call``-th gradient has ``fault`` at
-    ``entry``; ``fired`` is non-empty once that call has come."""
-    orig = problem.smooth
-    fired = []
-
-    def spoiled(fn):
-        calls = [0]
-
-        def wrapped(u):
-            calls[0] += 1
-            out = fn(u)
-            if calls[0] != call:
-                return out
-            fired.append(call)
-            if which == "value":
-                return fault
-            out = out.copy()
-            out[entry % out.shape[0]] = fault
-            return out
-        return wrapped
-
-    value = spoiled(orig.value) if which == "value" else orig.value
-    grad = spoiled(orig.grad) if which == "grad" else orig.grad
-    bad = SmoothOracle(value, grad, orig.audit_lipschitz,
-                       orig.audit_curvature)
-    return CompositeProblem(bad, problem.regularizer, problem.omega,
-                            problem.dimension), fired
-
-
 @pytest.mark.parametrize("runner,method,call,message", [
     # one NaN from value at call 5, which both used to end converged=True
     (run_fista_constant, "value", 5, "iteration 2: f(y) = nan"),
@@ -150,7 +149,7 @@ def _faulty(problem, which, call, fault, entry=0):
 ])
 def test_baselines_raise_numerical_failure_on_nonfinite_oracle(
         runner, method, call, message):
-    prob, _ = _faulty(_convex_qp(n=4, seed=3), method, call, np.nan)
+    prob, _ = faulty(_convex_qp(n=4, seed=3), method, call, np.nan)
     with pytest.raises(NumericalFailure, match=re.escape(message)):
         runner(prob, SolverConfig(lambda0=0.05, rho_hat=1e-6),
                default_start(prob))
@@ -200,7 +199,7 @@ def test_adversarial_oracle_raises_or_returns_a_finite_run(
     # each run raises NumericalFailure exactly when the fault was served,
     # and otherwise returns a finite trace and certificate; Tier-1 turns any
     # RuntimeWarning on the way into an error
-    problem, fired = _faulty(ADVERSARIAL_INSTANCES[instance], which, call,
+    problem, fired = faulty(ADVERSARIAL_INSTANCES[instance], which, call,
                              fault, entry)
     try:
         cert, trace = METHODS[method](problem, ADVERSARIAL_CONFIG,
@@ -223,9 +222,23 @@ def test_infinite_gradient_on_a_pinned_coordinate_raises_without_warning(
         method, instance, lambda0, call, entry, message):
     # the box clamp pins y at this entry, so d = y - x_tilde is 0 there and
     # -inf * 0 enters the U quotient's dot product: NaN, with no warning
-    problem, _ = _faulty(ADVERSARIAL_INSTANCES[instance], "grad", call,
+    problem, _ = faulty(ADVERSARIAL_INSTANCES[instance], "grad", call,
                          -np.inf, entry)
     config = SolverConfig(lambda0=lambda0, rho_hat=1e-8,
                           max_outer_iterations=300)
     with pytest.raises(NumericalFailure, match=re.escape(message)):
         METHODS[method](problem, config, default_start(problem))
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_nonfinite_start_is_rejected_before_any_oracle_call(method):
+    # dom h is all of R^2, so the box check alone would let (inf, 0) in
+    inf = np.inf
+    problem, called = faulty(make_qp_problem(
+        np.diag([2.0, 1.0]), np.zeros(2), [-inf, -inf], [inf, inf]),
+        "value", 1, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="y0 has a non-finite entry"):
+            METHODS[method](problem, SolverConfig(), np.array([inf, 0.0]))
+    assert called == []

@@ -13,7 +13,7 @@ from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
 from varfista.problems import CompositeProblem, SmoothOracle
 from varfista.prox import BoxIndicator, Projector
-from varfista.solver import SolverConfig, solve
+from varfista.solver import SolverConfig, replay_anchors, solve
 
 
 def _run(prob, iters=40, rho=1e-30, lambda0=1.0):
@@ -25,7 +25,7 @@ def _run(prob, iters=40, rho=1e-30, lambda0=1.0):
 def _model_at(trace, ledger, prob, i):
     X, F, G = ledger.record_arrays(i + 1)
     return ModelFunction(x_tilde=X[i], f_at=float(F[i]), grad_at=G[i],
-                         y_k=trace.ys[i], lam_k=trace.lam[i],
+                         y_k=trace.Y[i + 1], lam_k=trace.lam[i],
                          tau_k=trace.tau[i], regularizer=prob.regularizer)
 
 
@@ -41,7 +41,8 @@ def test_minorant_supports_surrogate():
     for i in range(len(trace)):
         model = _model_at(trace, ledger, prob, i)
         # tangency at y_k is exact by construction
-        assert model.minorant(trace.ys[i]) == model.surrogate(trace.ys[i])
+        y = trace.Y[i + 1]
+        assert model.minorant(y) == model.surrogate(y)
         for _ in range(20):
             u = lo + rng.random(2) * (hi - lo)
             s = model.surrogate(u)
@@ -65,7 +66,7 @@ def test_candidate_minimizes_surrogate_plus_prox_term():
             d = u - xt
             return model.surrogate(u) + float(d @ d) / (2.0 * lam)
 
-        best = obj(trace.ys[i])
+        best = obj(trace.Y[i + 1])
         for _ in range(50):
             u = lo + rng.random(2) * (hi - lo)
             assert best <= obj(u) + 1e-9
@@ -120,14 +121,15 @@ def test_anchor_formula_matches_subproblem_argmin_unconstrained():
     from varfista.diagnostics import _anchor_quadratic
     prob = generate_qp(QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0, seed=6))
     _, (cert, trace, ledger) = _run(prob, iters=40)
+    a, xs = replay_anchors(prob, trace)
     x_prev = default_start(prob)
     for i in range(len(trace)):
         model = _model_at(trace, ledger, prob, i)
-        kappa, b = _anchor_quadratic(model, x_prev, trace.a[i])
+        kappa, b = _anchor_quadratic(model, x_prev, a[i])
         closed = -b / kappa
-        assert np.linalg.norm(closed - trace.xs[i]) <= 1e-9 * (
-            1.0 + np.linalg.norm(trace.xs[i]))
-        x_prev = trace.xs[i]
+        assert np.linalg.norm(closed - xs[i]) <= 1e-9 * (
+            1.0 + np.linalg.norm(xs[i]))
+        x_prev = xs[i]
 
 
 def test_anchor_check_accepts_solver_runs():
@@ -135,37 +137,37 @@ def test_anchor_check_accepts_solver_runs():
                  QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0, seed=6)):
         prob = generate_qp(spec)
         _, (cert, trace, ledger) = _run(prob, iters=30)
+        a, xs = replay_anchors(prob, trace)
         x_prev = default_start(prob)
         for i in range(len(trace)):
             model = _model_at(trace, ledger, prob, i)
-            ok = check_xk_optimality(prob, model, trace.xs[i], x_prev,
-                                     trace.a[i])
+            ok = check_xk_optimality(prob, model, xs[i], x_prev, a[i])
             assert ok is True, f"iteration {i + 1}"
-            x_prev = trace.xs[i]
+            x_prev = xs[i]
 
 
 def test_anchor_check_flags_wrong_point():
     prob = generate_qp(QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0, seed=6))
     _, (cert, trace, ledger) = _run(prob, iters=10)
+    a, xs = replay_anchors(prob, trace)
     i = len(trace) - 1
     model = _model_at(trace, ledger, prob, i)
-    x_prev = trace.xs[i - 1]
-    wrong = trace.xs[i] + 0.05
-    assert check_xk_optimality(prob, model, wrong, x_prev,
-                               trace.a[i]) is False
+    x_prev = xs[i - 1]
+    wrong = xs[i] + 0.05
+    assert check_xk_optimality(prob, model, wrong, x_prev, a[i]) is False
 
 
 def test_anchor_check_projected_gradient_fallback():
     # dimension 3 forces the iterative route
     prob = generate_qp(QuadraticSpec(n=3, eig_lo=1.0, eig_hi=5.0, seed=1))
     _, (cert, trace, ledger) = _run(prob, iters=15)
+    a, xs = replay_anchors(prob, trace)
     x_prev = default_start(prob)
     for i in range(len(trace)):
         model = _model_at(trace, ledger, prob, i)
-        ok = check_xk_optimality(prob, model, trace.xs[i], x_prev,
-                                 trace.a[i])
+        ok = check_xk_optimality(prob, model, xs[i], x_prev, a[i])
         assert ok is True
-        x_prev = trace.xs[i]
+        x_prev = xs[i]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -183,20 +185,20 @@ def test_anchor_check_accepts_runs_whose_box_region_binds(seed):
     y0 = default_start(prob)
     cert, trace, ledger = solve(prob, cfg, y0)
     assert cert.converged
-    on_face = [i for i, x in enumerate(trace.xs) if np.any(np.abs(x) == 1.2)]
+    a, xs = replay_anchors(prob, trace)
+    on_face = [i for i, x in enumerate(xs) if np.any(np.abs(x) == 1.2)]
     assert 1 <= len(on_face) <= 4
     x_prev = y0
     for i in range(len(trace)):
         model = _model_at(trace, ledger, prob, i)
-        ok = check_xk_optimality(prob, model, trace.xs[i], x_prev,
-                                 trace.a[i])
+        ok = check_xk_optimality(prob, model, xs[i], x_prev, a[i])
         assert ok is True, f"iteration {i + 1}"
-        x_prev = trace.xs[i]
+        x_prev = xs[i]
     i = on_face[0]
-    inward = trace.xs[i] - 0.05 * np.sign(trace.xs[i])
+    inward = xs[i] - 0.05 * np.sign(xs[i])
     assert check_xk_optimality(prob, _model_at(trace, ledger, prob, i),
-                               inward, trace.xs[i - 1] if i else y0,
-                               trace.a[i]) is False
+                               inward, xs[i - 1] if i else y0,
+                               a[i]) is False
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
     assert report.passed, report.lines()
     assert any(line.startswith("anchor-in-region: PASS")
@@ -236,6 +238,7 @@ def test_drift_holds_on_solver_run():
     prob = generate_qp(QuadraticSpec(n=4, eig_lo=-1.0, eig_hi=10.0, seed=5))
     cfg, (cert, trace, ledger) = _run(prob, iters=60)
     bounds = TheoreticalBounds.from_problem(prob, cfg)
-    rep = check_xk_drift(trace.xs, default_start(prob), bounds)
+    rep = check_xk_drift(replay_anchors(prob, trace)[1], default_start(prob),
+                         bounds)
     assert rep.passed
     assert isinstance(rep, DriftReport)

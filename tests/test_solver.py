@@ -12,10 +12,13 @@ from varfista.audit import audit_corpus
 from varfista.gallery import generate_qp, QuadraticSpec, default_start
 from varfista.problems import CompositeProblem, SmoothOracle, phi
 from varfista.prox import BoxIndicator, Projector
+from varfista.momentum import A0_DEFAULT, advance, extrapolate
 from varfista.solver import (TRACE_HEADER, HistoryLedger, IterationTrace,
                              SolverConfig, _retry_step, compute_candidate,
                              compute_U, compute_v, compute_x,
-                             history_inequality_violated, solve)
+                             history_inequality_violated, replay_anchors,
+                             solve)
+from oracle_faults import faulty
 
 
 def _box_1d():
@@ -107,12 +110,12 @@ def test_update_best_tie_keeps_incumbent():
     y0 = np.array([1.0])
     cert, trace, _ = solve(prob, SolverConfig(), y0)
     assert cert.converged and cert.iterations == 1
-    assert trace.ys[0] is not y0 and np.array_equal(trace.ys[0], y0)
-    assert trace.ymins[0] is y0
+    assert np.array_equal(trace.Y[1], y0)
+    assert trace.ymin_rows[0] == 0 and trace.side_rows == []
 
 
 def _one_record_ledger(x, f_x, g):
-    ledger = HistoryLedger(1, 1.0)
+    ledger = HistoryLedger(1)
     ledger.append_linearization(np.array([x]), f_x, np.array([g]))
     return ledger
 
@@ -150,11 +153,11 @@ def test_compute_L_never_negative():
     prob = _free_1d()
     _, trace, ledger = solve(prob, SolverConfig(max_outer_iterations=5),
                              np.array([3.0]))
-    ymin = trace.ymins[-1]
+    ymin = trace.point(trace.ymin_rows[-1])
     gaps, _, _ = ledger.linearization_gaps(len(trace), ymin,
                                            prob.smooth.value(ymin))
     assert np.all(gaps < 0.0)
-    assert all(L == 0.0 for L in trace.L)
+    assert np.all(trace.L == 0.0)
 
 
 def test_history_inequality_strict_comparisons():
@@ -322,7 +325,7 @@ def test_history_check_runs_at_most_once_per_trial(monkeypatch):
         before = len(per_trial)
         cert, trace, _ = solve(problem, GOLDEN_CFG, y0)
         assert len(per_trial) - before == cert.prox_calls
-        retries += sum(trace.inner_repeats)
+        retries += trace.inner_repeats.sum()
     assert retries > 0 and max(per_trial) == 1
 
 
@@ -350,7 +353,7 @@ def test_compute_v_hand_value():
 # ---------------------------------------------------------------------------
 
 def test_ledger_records_round_trip():
-    ledger = HistoryLedger(2, 0.7)
+    ledger = HistoryLedger(2)
     x = np.array([1.0, 2.0])
     g = np.array([3.0, 4.0])
     idx = ledger.append_linearization(x, 5.0, g)
@@ -365,32 +368,42 @@ def test_ledger_records_round_trip():
         ledger.record_arrays(-1)
 
 
-def test_ledger_commit_tracks_histories():
-    ledger = HistoryLedger(1, 0.7)
-    assert np.array_equal(ledger.lam_history(), [0.7])
-    assert ledger.tau_history().shape == (0,)
-    ledger.commit(0.35, 0.1)
-    ledger.commit(0.2, 0.05)
-    assert np.array_equal(ledger.lam_history(), [0.7, 0.35, 0.2])
-    assert np.array_equal(ledger.tau_history(), [0.1, 0.05])
+def _append(trace, lam, tau, y, ymin):
+    trace.append(lam, 0.0, tau, 0.0, 0.0, 1.0, -1.0, -1.0, 0, y, ymin)
+
+
+def test_trace_records_the_stepsize_and_tau_histories():
+    trace = IterationTrace(np.zeros(1), 0.7)
+    assert np.array_equal(trace.stepsizes, [0.7])
+    assert trace.tau.shape == (0,) and trace.lam.shape == (0,)
+    for lam, tau in ((0.35, 0.1), (0.2, 0.05)):
+        y = np.array([lam])
+        _append(trace, lam, tau, y, y)
+    assert np.array_equal(trace.stepsizes, [0.7, 0.35, 0.2])
+    assert np.array_equal(trace.lam, [0.35, 0.2])
+    assert np.array_equal(trace.tau, [0.1, 0.05])
 
 
 def test_ledger_buffers_grow_past_initial_capacity():
-    ledger = HistoryLedger(1, 1.0)
+    ledger = HistoryLedger(1)
+    trace = IterationTrace(np.array([-1.0]), 1.0)
     for i in range(200):
         ledger.append_linearization(np.array([float(i)]), float(i),
                                     np.array([float(-i)]))
-        ledger.commit(1.0 / (i + 1), 0.0)
+        y = np.array([float(i)])
+        _append(trace, 1.0 / (i + 1), 0.0, y, y)
     X, F, G = ledger.record_arrays(200)
     assert F[136] == 136.0 and X[136, 0] == 136.0 and G[136, 0] == -136.0
-    assert ledger.lam_history().shape == (201,)
-    assert ledger.lam_history()[137] == pytest.approx(1.0 / 137)
+    assert trace.stepsizes.shape == (201,) and trace.Y.shape == (201, 1)
+    assert trace.stepsizes[137] == 1.0 / 137 and trace.Y[137, 0] == 136.0
+    assert trace.Y[0, 0] == -1.0 and np.array_equal(trace.ymin_rows,
+                                                    np.arange(1, 201))
 
 
 def test_ledger_gap_cache_matches_full_replay():
     rng = np.random.default_rng(2)
     dim = 3
-    ledger = HistoryLedger(dim, 1.0)
+    ledger = HistoryLedger(dim)
 
     def add(n):
         for _ in range(n):
@@ -430,7 +443,7 @@ def _scan_log(monkeypatch):
 
 
 def _filled_ledger(rng, dim, count):
-    ledger = HistoryLedger(dim, 1.0)
+    ledger = HistoryLedger(dim)
     for _ in range(count):
         ledger.append_linearization(rng.normal(size=dim), float(rng.normal()),
                                     rng.normal(size=dim))
@@ -483,7 +496,7 @@ def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
         g[rng.integers(n)] = math.nan
     if nan_in == "f_u":
         f_u = math.nan
-    ledger = HistoryLedger(n, 1.0)
+    ledger = HistoryLedger(n)
     ledger.append_linearization(x, f_x, g)
     xn2 = ledger.x_tilde_norm2(1)
     d = draw(n) * 10.0 ** d_exp
@@ -559,7 +572,7 @@ def test_ledger_fold_carries_a_nan_quotient_like_a_rescan():
     # the second record's gradient is NaN, so its quotient at ymin is NaN;
     # the fold must carry it as np.max over a full rescan does, also past
     # a later finite record
-    ledger = HistoryLedger(2, 1.0)
+    ledger = HistoryLedger(2)
     ymin = np.array([1.0, 1.0])
     for k, g in enumerate(([0.0, 0.0], [math.nan, 0.0], [0.0, 0.0]), 1):
         ledger.append_linearization(np.zeros(2), 0.0, np.array(g))
@@ -571,7 +584,7 @@ def test_ledger_fold_carries_a_nan_quotient_like_a_rescan():
 
 
 def test_ledger_slice_queries_validate_bounds():
-    ledger = HistoryLedger(1, 1.0)
+    ledger = HistoryLedger(1)
     ledger.append_linearization(np.array([0.0]), 0.0, np.array([0.0]))
     with pytest.raises(IndexError):
         ledger.linearization_gaps(2, np.array([0.0]), 0.0)
@@ -587,24 +600,37 @@ def test_ledger_slice_queries_validate_bounds():
 # driver
 # ---------------------------------------------------------------------------
 
-def test_solve_convex_box_instance():
-    prob = _box_1d()
+def test_solve_convex_box_instance(monkeypatch):
+    # the certificate's call counts come from the trace; count the calls
+    calls = {"grad": 0, "prox": 0}
+    f = _box_1d().smooth
+    prox_step = solver_mod.compute_candidate
+
+    def grad(u):
+        calls["grad"] += 1
+        return f.grad_fn(u)
+
+    def trial(*args):
+        calls["prox"] += 1
+        return prox_step(*args)
+
+    monkeypatch.setattr(solver_mod, "compute_candidate", trial)
+    prob = CompositeProblem(SmoothOracle(f.value_fn, grad),
+                            _box_1d().regularizer, Projector(), 1)
     cfg = SolverConfig(rho_hat=1e-8)
     cert, trace, ledger = solve(prob, cfg, np.array([0.25]))
     assert cert.converged
     assert cert.residual_norm <= 1e-8
     assert np.allclose(cert.y_hat, [1.0], atol=1e-6)
     assert cert.iterations == len(trace)
-    assert cert.grad_calls == 2 * len(trace)
-    assert cert.prox_calls == len(trace) + sum(trace.inner_repeats)
+    assert cert.grad_calls == calls["grad"] == 2 * len(trace)
+    assert cert.prox_calls == calls["prox"] > len(trace)
     # convex instance: no escalation, ever
-    assert all(x == 0.0 for x in trace.xi)
-    assert all(t == 0.0 for t in trace.tau)
-    assert all(L == 0.0 for L in trace.L)
-    # stepsize trajectory is committed faithfully
-    assert np.array_equal(ledger.lam_history()[1:], trace.lam)
-    assert np.array_equal(ledger.tau_history(), trace.tau)
-    assert np.all(np.diff(trace.lam) <= 0)
+    assert np.all(trace.xi == 0.0) and np.all(trace.tau == 0.0)
+    assert np.all(trace.L == 0.0)
+    # stepsize trajectory is committed faithfully, from lambda0 on
+    assert np.array_equal(trace.stepsizes, np.r_[cfg.lambda0, trace.lam])
+    assert np.all(np.diff(trace.stepsizes) <= 0)
 
 
 def test_solve_first_iteration_shrinks_oversized_stepsize():
@@ -623,7 +649,7 @@ def test_solve_traces_match_op_recomputation():
     assert cert.converged
     X, F, G = ledger.record_arrays(len(trace))
     for i in range(len(trace)):
-        y = trace.ys[i]
+        y = trace.Y[i + 1]
         U = compute_U(y, prob.smooth.value(y), X[i], float(F[i]), G[i],
                       float(X[i] @ X[i]))
         assert U == trace.U[i]
@@ -664,36 +690,6 @@ def test_solve_wrong_sign_gradient_is_absorbed_by_quotient_guard(
     assert trace.lam[0] < 1e-12
 
 
-def _fault_at_call(problem, call, which, fault):
-    """``problem`` whose ``call``-th value call returns ``fault``, or whose
-    ``call``-th gradient has ``fault`` in its first entry."""
-    orig = problem.smooth
-    calls = [0]
-
-    def spoiled(fn):
-        def wrapped(u):
-            calls[0] += 1
-            out = fn(u)
-            if calls[0] != call:
-                return out
-            if which == "value":
-                return fault
-            out = out.copy()
-            out[0] = fault
-            return out
-        return wrapped
-
-    value, grad = orig.value, orig.grad
-    if which == "value":
-        value = spoiled(value)
-    else:
-        grad = spoiled(grad)
-    bad = SmoothOracle(value, grad, orig.audit_lipschitz,
-                       orig.audit_curvature)
-    return CompositeProblem(bad, problem.regularizer, problem.omega,
-                            problem.dimension)
-
-
 @pytest.mark.parametrize("call,which,fault,match", [
     # value calls: f(y0), then f(x_tilde_1), f(y_1), ...
     (1, "value", np.nan, r"start point: f\(y0\) = nan"),
@@ -709,7 +705,7 @@ def _fault_at_call(problem, call, which, fault):
 ])
 def test_solve_raises_numerical_failure_on_nonfinite_oracle(call, which,
                                                             fault, match):
-    problem = _fault_at_call(audit_corpus(2, 0)[0], call, which, fault)
+    problem, _ = faulty(audit_corpus(2, 0)[0], which, call, fault)
     with pytest.raises(solver_mod.NumericalFailure, match=match) as info:
         solve(problem, SolverConfig(), default_start(problem))
     assert isinstance(info.value, FloatingPointError)
@@ -737,8 +733,8 @@ def test_solve_raises_on_an_infinite_first_gradient():
 
 def test_solve_raises_on_a_nan_gradient_at_the_accepted_point():
     # the second gradient call is grad f(y_1); nothing but v_1 reads it
-    problem = _fault_at_call(generate_qp(QuadraticSpec(
-        n=4, eig_lo=1.0, eig_hi=10.0, seed=3)), 2, "grad", np.nan)
+    problem, _ = faulty(generate_qp(QuadraticSpec(
+        n=4, eig_lo=1.0, eig_hi=10.0, seed=3)), "grad", 2, np.nan)
     with pytest.raises(solver_mod.NumericalFailure,
                        match=r"iteration 1: residual = nan;"):
         solve(problem, SolverConfig(), default_start(problem))
@@ -752,6 +748,67 @@ def test_solve_hits_outer_cap_without_convergence():
     cert, trace, _ = solve(prob, cfg, default_start(prob))
     assert not cert.converged
     assert cert.iterations == 20 and len(trace) == 20
+
+
+def test_replayed_anchors_rebuild_every_recorded_momentum_point():
+    # x_k is not stored: the anchors replay_anchors rebuilds must give the
+    # run's own momentum points x_tilde_{k+1} = extrapolate(A_k, A_{k+1},
+    # a_{k+1}, y_k, x_k) bit for bit, and its a_k must give tau exactly
+    runs = [(p, GOLDEN_CFG, y0) for p, y0 in _golden_corpus_runs()]
+    big = generate_qp(QuadraticSpec(n=200, eig_lo=-1.0, eig_hi=100.0,
+                                    seed=0))
+    runs.append((big, SolverConfig(rho_hat=1e-6), default_start(big)))
+    for problem, cfg, y0 in runs:
+        _, trace, ledger = solve(problem, cfg, y0)
+        a, xs = replay_anchors(problem, trace)
+        K = len(trace)
+        assert xs.shape == (K, problem.dimension)
+        x_tilde = ledger.record_arrays(K)[0]
+        A, x = A0_DEFAULT, y0
+        for k in range(K):
+            a_next, A_next = advance(A)
+            assert a_next == a[k]
+            assert np.array_equal(
+                extrapolate(A, A_next, a_next, trace.Y[k], x), x_tilde[k])
+            # the scalar form, one iteration at a time, is the reference
+            assert np.array_equal(xs[k], compute_x(
+                problem, A, A_next, a_next, float(trace.tau[k]),
+                trace.Y[k + 1], trace.Y[k]))
+            A, x = A_next, xs[k]
+        assert np.array_equal(trace.tau, 2.0 * trace.xi * trace.lam / a)
+
+
+def _held_bytes(*owners):
+    """Bytes of the distinct arrays (and bytes objects) the owners hold,
+    directly or in a list; a view counts as the array it views."""
+    held = {}
+    for owner in owners:
+        for value in vars(owner).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, np.ndarray):
+                    while isinstance(item.base, np.ndarray):
+                        item = item.base
+                    held[id(item)] = item.nbytes
+                elif isinstance(item, bytes):
+                    held[id(item)] = len(item)
+    return sum(held.values())
+
+
+def test_trace_and_ledger_hold_three_n_vectors_per_buffer_row():
+    # ledger: x_tilde and grad f rows; trace: y rows; plus at most 16
+    # scalars per row and the side rows.  A stored K x n column such as
+    # the anchors x_k would not fit
+    problem = generate_qp(QuadraticSpec(n=200, eig_lo=-1.0, eig_hi=100.0,
+                                        seed=1))
+    n = problem.dimension
+    _, trace, ledger = solve(problem, SolverConfig(rho_hat=1e-6),
+                             default_start(problem))
+    cap = max(getattr(owner, name).shape[0] for owner in (trace, ledger)
+              for name in owner._BUFFERS)
+    assert len(trace) < cap
+    bound = 8 * cap * (3 * n + 16) + 8 * n * len(trace.side_rows)
+    held = _held_bytes(trace, ledger)
+    assert held <= bound < held + 8 * len(trace) * n
 
 
 # ---------------------------------------------------------------------------
@@ -786,9 +843,28 @@ def test_trace_csv_byte_deterministic(tmp_path):
 
 
 def test_trace_append_and_totals():
-    trace = IterationTrace()
-    assert len(trace) == 0 and sum(trace.inner_repeats) == 0
-    z = np.zeros(1)
-    trace.append(4.0, 0.5, 0.0, 0.0, 2.0, 0.0, 1.0, -1.0, -1.0, 3, z, z, z)
-    assert len(trace) == 1 and sum(trace.inner_repeats) == 3
-    assert trace.ymins[0] is z
+    y0 = np.zeros(1)
+    trace = IterationTrace(y0, 0.5)
+    assert len(trace) == 0 and trace.inner_repeats.sum() == 0
+    z = np.ones(1)
+    trace.append(0.5, 0.0, 0.0, 2.0, 0.0, 1.0, -1.0, -1.0, 3, z, y0)
+    assert len(trace) == 1 and trace.inner_repeats.sum() == 3
+    assert trace.ymin_rows[0] == 0  # the start point is row 0
+
+
+def test_trace_names_each_best_point_by_row_or_side_copy():
+    # the best point is y itself (its new row), the previous best point
+    # (same row), or a rejected trial point (copied to a side row)
+    y0 = np.zeros(1)
+    trace = IterationTrace(y0, 1.0)
+    y1, y2, y3, trial = (np.array([v]) for v in (1.0, 2.0, 3.0, 9.0))
+    _append(trace, 1.0, 0.0, y1, y0)
+    _append(trace, 1.0, 0.0, y2, y2)
+    _append(trace, 1.0, 0.0, y3, trial)
+    trial[0] = -9.0  # the side row is a copy
+    _append(trace, 1.0, 0.0, y3.copy(), trial)
+    assert trace.ymin_rows.tolist() == [0, 2, ~0, ~0]
+    assert [trace.point(r)[0] for r in trace.ymin_rows] == [0.0, 2.0, 9.0,
+                                                            9.0]
+    assert len(trace.side_rows) == 1
+    assert np.array_equal(trace.Y, [[0.0], [1.0], [2.0], [3.0], [3.0]])
