@@ -1,5 +1,4 @@
-"""Numpy kernels for the dense-grid oracles and the audit's history-margin
-scan.
+"""Numpy kernels for the dense-grid oracles and the audit's blocked scans.
 
 The grid kernels share one blocked evaluator, ``grid_blocks``: it walks the
 grid over a box in blocks of about two million points and hands each block
@@ -47,14 +46,44 @@ def grid_blocks(lo, hi, resolution):
 
 
 # ---------------------------------------------------------------------------
-# history-inequality margin
+# blocked scans of the audit
 # ---------------------------------------------------------------------------
+# The audit's scans over rows of the history run in blocks of at most
+# _ROW_BLOCK elements (one row when a row is longer), so they cost a few
+# numpy calls per block rather than per row and hold a small temporary.
+
+_ROW_BLOCK = 8192
+
+
+def row_blocks(rows, width):
+    """(start, stop) of consecutive blocks of rows of the given width."""
+    step = max(1, _ROW_BLOCK // max(width, 1))
+    return ((s, min(s + step, rows)) for s in range(0, rows, step))
+
+
+def row_norms(P):
+    """Euclidean norm of each row of P, equal bit for bit to
+    ``np.linalg.norm(row)``: both take one dot product per row, where
+    ``np.linalg.norm(P, axis=1)`` and einsum sum in other orders."""
+    return np.sqrt(np.matmul(P[:, None, :], P[:, :, None])[:, 0, 0])
+
+
+def first_max(values, floor):
+    """Index of the first largest entry of values if it exceeds floor, else
+    -1; NaN never wins, as in a loop of ``if v > best: best = v``."""
+    v = np.where(np.isnan(values), -np.inf, values)
+    i = int(np.argmax(v))
+    return i if v[i] > floor else -1
+
 
 def history_margin(lam_hist, tau_hist, L_arr, xi_arr):
     """Worst margin of xi_k*lam_{i-1} - L_k*lam_i - tau_i over 1<=i<=k<=N.
 
     lam_hist has length N+1 (lam_0..lam_N); the other arrays have length N.
-    Returns (min_margin, k_arg, i_arg) with 1-based k and i.
+    Returns (min_margin, k_arg, i_arg) with 1-based k and i: the first
+    strict minimum in row-major order, where a row k holding a NaN margin
+    loses whole.  Rows are evaluated in lower-triangular blocks of at most
+    _ROW_BLOCK elements (one row when a row is longer).
     """
     n = tau_hist.shape[0]
     best = math.inf
@@ -62,14 +91,22 @@ def history_margin(lam_hist, tau_hist, L_arr, xi_arr):
     i_arg = 0
     prev = lam_hist[:-1]
     curr = lam_hist[1:]
-    for k in range(1, n + 1):
-        margins = (xi_arr[k - 1] * prev[:k] - L_arr[k - 1] * curr[:k]
-                   - tau_hist[:k])
-        i = int(np.argmin(margins))
-        if margins[i] < best:
-            best = float(margins[i])
-            k_arg = k
-            i_arg = i + 1
+    k0 = 0
+    while k0 < n:
+        # the most rows r with r (k0 + r) <= _ROW_BLOCK
+        r = (math.isqrt(k0 * k0 + 4 * _ROW_BLOCK) - k0) // 2
+        k1 = min(n, k0 + max(1, r))
+        margins = (xi_arr[k0:k1, None] * prev[:k1]
+                   - L_arr[k0:k1, None] * curr[:k1] - tau_hist[:k1])
+        margins[np.arange(k1) > np.arange(k0, k1)[:, None]] = np.inf  # i > k
+        cols = np.argmin(margins, axis=1)  # a row's first NaN, if it has one
+        mins = margins[np.arange(k1 - k0), cols]
+        row = int(np.argmin(np.where(np.isnan(mins), np.inf, mins)))
+        if mins[row] < best:
+            best = float(mins[row])
+            k_arg = k0 + row + 1
+            i_arg = int(cols[row]) + 1
+        k0 = k1
     return best, k_arg, i_arg
 
 

@@ -87,14 +87,17 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
               ledger: HistoryLedger, y0: Array) -> AuditReport:
     """Audit one finished run; every check covers all accepted iterations.
 
-    Cost for K iterations in dimension n: O(K n), plus O(k n) at each
-    iteration k whose best point differs from the previous one (the
-    lower-curvature replay), plus the O(K^2) history-inequality scan, which
-    stays exhaustive on purpose.  The replay reads only the committed
-    records and shares no state with the solver's gap cache.  The checks
-    read trace columns as views, and ``replay_anchors`` rebuilds a_k and
-    x_k.  Beside the run's trace and ledger, the audit holds one K x n
-    array at a time: the anchors, then the differences y_k - x_tilde_k.
+    Cost for K iterations in dimension n: O(K n) work in O(S) numpy calls,
+    where S counts the segments (maximal runs of iterations with the same
+    best point), plus O(k n) per segment that ends at iteration k (the
+    lower-curvature replay scans its best point once), plus the O(K^2)
+    history-inequality scan, which stays exhaustive on purpose and runs in
+    blocks.  The replay reads only the committed records and shares no
+    state with the solver's gap cache.  The checks read trace columns as
+    views, and ``replay_anchors`` rebuilds a_k and x_k.  Beside the run's
+    trace and ledger, the audit holds one K x n temporary at a time: the
+    anchors, then the differences of y_k, y_{k-1} or one best point with
+    the records.
     """
     checks: List[CheckResult] = []
     lam, xi, tau, U, L = trace.lam, trace.xi, trace.tau, trace.U, trace.L
@@ -152,11 +155,13 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
 
     drift_anchor = 0.0
     anchor_k = 0
-    for i, xk in enumerate(anchors):
-        moved = float(np.linalg.norm(problem.omega.project(xk) - xk))
-        if moved > drift_anchor:
-            drift_anchor = moved
-            anchor_k = i + 1
+    for s, e in _kernels.row_blocks(n_iter, problem.dimension):
+        B = anchors[s:e]
+        moved = _kernels.row_norms(problem.omega.project(B) - B)
+        i = _kernels.first_max(moved, drift_anchor)
+        if i >= 0:
+            drift_anchor = float(moved[i])
+            anchor_k = s + i + 1
     add("anchor-in-region", drift_anchor <= 1e-9,
         f"max projection displacement {drift_anchor:.3e}"
         + (f" at k={anchor_k}" if anchor_k else ""))
@@ -182,11 +187,10 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     bounds = TheoreticalBounds.from_problem(problem, config)
     slack = _REL
     drift = check_xk_drift(anchors, y0, bounds)  # reported last
-    del anchors, xk  # xk views the last anchor, so it keeps them all alive
+    del anchors, B  # B views the last block, so it keeps them all alive
 
     # U_k against M, with a per-iteration roundoff envelope for the quotient
-    X, F, G = ledger.record_arrays(n_iter)
-    xn2 = np.einsum("ij,ij->i", X, X)
+    X, F, G, xn2 = ledger.record_arrays(n_iter)
     Y = trace.Y
     f_ys = np.array([problem.smooth.value(yk) for yk in Y])  # y_0..y_K
     D = Y[1:] - X
@@ -200,53 +204,59 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
                f"max U = {U[kU - 1]:.6g} at k={kU} vs M = {bounds.M_bar:g}")
 
     # replay the lower-curvature recursion from the committed data and bound
-    # every contributing gap quotient by m plus its own roundoff envelope.
-    # While the best point keeps its row, every pair (k, i < k) was scored
-    # at k - 1 against the same point and value, so only record k is scanned
-    # and the row maxima carry over; np.max carries a NaN the way the full
-    # row's maximum would.  A changed best point gets a full scan.
-    def scan(u, f_u, start, stop):
-        """Gap quotients of u against records start+1..stop, cap excesses."""
-        q, den, gd = ledger.linearization_gaps(stop, u, f_u, start=start)
-        env = _envelope(f_u, F[start:stop], gd, den, xn2[start:stop])
-        return q, np.where(q != 0.0,
-                           q - env - bounds.m_under * (1.0 + slack), -np.inf)
+    # every contributing gap quotient by m plus its own roundoff envelope:
+    # L_k = max(q_k, max_{i<=k} g_i(ymin_k), L_{k-1}, 0), where q_k is the
+    # quotient of y_{k-1} against record k and g_i(u) that of u against
+    # record i.  All q_k come from one paired scan.  Within a segment of
+    # iterations s+1..e with the same best point, the row maxima over
+    # records 1..k are running maxima of one scan of that point against
+    # records 1..e; np.maximum.accumulate carries a NaN as np.max would.
+    cap = bounds.m_under * (1.0 + slack)
 
-    L_replay = np.empty(n_iter)
-    L_prev = 0.0
-    cap_excess = -math.inf
-    cap_loc = (0, 0)
+    def scan(count, u, f_u):
+        """Gap quotients of u against records 1..count, and cap excesses."""
+        q, den, gd = ledger.linearization_gaps(count, u, f_u)
+        env = _envelope(f_u, F[:count], gd, den, xn2[:count])
+        return q, np.where(q != 0.0, q - env - cap, -np.inf)
+
+    q1, exc1 = scan(n_iter, Y[:-1], f_ys[:-1])
+    t2 = np.empty(n_iter)
+    row_excess = np.empty(n_iter)  # largest cap excess of row k
+    row_at = np.arange(1, n_iter + 1)  # its record, where it can first win
     rows = trace.ymin_rows
-    for kk in range(1, n_iter + 1):
-        q1, exc1 = scan(Y[kk - 1], float(f_ys[kk - 1]), kk - 1, kk)
-        r = int(rows[kk - 1])
-        carry = kk > 1 and r == rows[kk - 2]
-        start = kk - 1 if carry else 0
-        if not carry:
-            # a row of Y has its value in f_ys; a best point that is a
-            # rejected trial point needs its own
-            u = trace.point(r)
-            f_u = float(f_ys[r]) if r >= 0 \
-                else float(problem.smooth.value(u))
-        terms, exc = scan(u, f_u, start, kk)
-        t2 = float(np.max(terms))
-        i2 = int(np.argmax(exc))
-        row_excess = float(exc[i2])
-        if carry:
-            # the earlier part of the row already lost to cap_excess, so a
-            # row maximum above it can only come from record k
-            t2 = float(np.max((t2_prev, t2)))
-            row_excess = float(np.max((excess_prev, row_excess)))
-        t2_prev, excess_prev = t2, row_excess
-        L_prev = L_replay[kk - 1] = max(float(q1[0]), t2, L_prev, 0.0)
+    edges = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(),
+             n_iter]
+    for s, e in zip(edges[:-1], edges[1:]):
+        r = int(rows[s])
+        # a row of Y has its value in f_ys; a best point that is a rejected
+        # trial point needs its own
+        u = trace.point(r)
+        f_u = float(f_ys[r]) if r >= 0 else float(problem.smooth.value(u))
+        terms, exc = scan(e, u, f_u)
+        t2[s:e] = np.maximum.accumulate(terms)[s:e]
+        # row s+1 spans records 1..s+1; a later row k of the segment is the
+        # running maximum with record k, so it first wins only at record k
+        i = int(np.argmax(exc[:s + 1]))  # the first NaN, if there is one
+        exc[s] = exc[i]
+        row_at[s] = i + 1
+        row_excess[s:e] = np.maximum.accumulate(exc[s:e])
 
-        for cand, loc in ((row_excess, (kk, start + i2 + 1)),
-                          (float(exc1[0]), (kk, kk))):
-            if cand > cap_excess:
-                cap_excess = cand
-                cap_loc = loc
+    L_replay = []
+    L_prev = 0.0
+    for a1, a2 in zip(q1.tolist(), t2.tolist()):
+        L_prev = max(a1, a2, L_prev, 0.0)  # Python's max, for its NaN order
+        L_replay.append(L_prev)
 
-    add_unless("lower-curvature-replay", L_replay != L,
+    # candidates in scan order: row k, then y_{k-1} against record k
+    cand = np.column_stack((row_excess, exc1))
+    j = _kernels.first_max(cand.ravel(), -math.inf)
+    cap_excess, cap_loc = -math.inf, (0, 0)
+    if j >= 0:
+        k, side = divmod(j, 2)
+        cap_excess = float(cand[k, side])
+        cap_loc = (k + 1, k + 1 if side else int(row_at[k]))
+
+    add_unless("lower-curvature-replay", np.array(L_replay) != L,
                "recorded L matches a full recomputation bit for bit",
                "mismatch")
     kL = int(np.argmax(L)) + 1

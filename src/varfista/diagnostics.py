@@ -33,7 +33,8 @@ class ModelFunction:
     y_k; ``minorant`` is its tangent expansion at y_k plus the same strong
     convexity term, so minorant <= surrogate everywhere with equality at y_k.
     ``x_tilde``, ``f_at`` and ``grad_at`` are the iteration's linearization
-    record, as ``HistoryLedger.record_arrays`` returns it.
+    record, as ``HistoryLedger.record_arrays`` returns its first three
+    arrays.
     """
 
     x_tilde: Array
@@ -172,22 +173,25 @@ class DriftReport:
 
 def check_xk_drift(xs: Array, x0: Array,
                    bounds: TheoreticalBounds) -> DriftReport:
-    """Check ||x_k - x0|| <= C * k for the anchors x_1..x_K, one per row.
+    """Check ||x_k - x0|| <= C * k for the anchors x_1..x_K, a sequence of
+    rows, in row blocks (``_kernels.row_blocks``); the worst ratio is the
+    first largest, as a scan in k finds it.
 
     C = 0 (a one-point domain) allows no drift: a zero drift passes with
     ratio 0, any other fails with ratio inf.
     """
+    xs = np.asarray(xs)
     worst = 0.0
     worst_k = 0
-    for i, xk in enumerate(xs):
-        k = i + 1
-        drift = float(np.linalg.norm(xk - x0))
+    for s, e in _kernels.row_blocks(len(xs), np.size(x0)):
+        drift = _kernels.row_norms(xs[s:e] - x0)
         if bounds.C > 0:
-            r = drift / (bounds.C * k)
+            r = drift / (bounds.C * np.arange(s + 1, e + 1))
         else:
-            r = math.inf if drift > 0.0 else 0.0
-        if r > worst:
-            worst = r
-            worst_k = k
+            r = np.where(drift > 0.0, math.inf, 0.0)
+        i = _kernels.first_max(r, worst)
+        if i >= 0:
+            worst = float(r[i])
+            worst_k = s + i + 1
     return DriftReport(passed=worst <= 1.0, worst_ratio=worst,
                        worst_k=worst_k, C=bounds.C)

@@ -145,7 +145,9 @@ class HistoryLedger:
                            start: int = 0) -> Tuple[Array, Array, Array]:
         """Gap rows of u against records start+1..count (audit replay).
 
-        Returns ``(quotients, den, gd)`` with, per record i and
+        ``u`` is one point, with ``f_u`` its value, or one point per record
+        (rows of a (count - start) x n array), with ``f_u`` one value per
+        record.  Returns ``(quotients, den, gd)`` with, per record i and
         d = u - x_tilde_i: the guarded gap quotient, den = ||d||^2 and
         gd = grad f(x_tilde_i) . d.  The quotients are the internal cache's
         expression, so a full-replay maximum matches the cached one bit for
@@ -156,10 +158,12 @@ class HistoryLedger:
         return self._gap_terms(start, count, u, f_u)
 
     def record_arrays(self, count: int):
-        """Read-only views (X, F, G) of records 1..count, for vectorized audits."""
+        """Read-only views (X, F, G, XN2) of records 1..count, for vectorized
+        audits; XN2 holds the stored ||x_tilde_i||^2."""
         if not 0 <= count <= self._n_rec:
             raise IndexError(f"ledger holds {self._n_rec} records")
-        return self._X[:count], self._F[:count], self._G[:count]
+        return (self._X[:count], self._F[:count], self._G[:count],
+                self._XN2[:count])
 
     # -- lower-curvature gap cache ------------------------------------------
 
@@ -168,7 +172,7 @@ class HistoryLedger:
         X = self._X[start:stop]
         G = self._G[start:stop]
         F = self._F[start:stop]
-        d = u[None, :] - X
+        d = u - X  # a 1-D u broadcasts; a 2-D u pairs row i with record i
         gd = np.einsum("ij,ij->i", G, d)
         num = 2.0 * (F + gd - f_u)
         den = np.einsum("ij,ij->i", d, d)

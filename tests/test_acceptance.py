@@ -250,7 +250,7 @@ def test_criterion_09_anchor_subproblem_optimality():
         _, trace, ledger = solve(prob, cfg, y0)
         a, xs = replay_anchors(prob, trace)
         x_prev = y0
-        X, F, G = ledger.record_arrays(len(trace))
+        X, F, G, _ = ledger.record_arrays(len(trace))
         for i in range(len(trace)):
             model = ModelFunction(x_tilde=X[i], f_at=float(F[i]),
                                   grad_at=G[i], y_k=trace.Y[i + 1],

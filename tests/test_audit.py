@@ -206,16 +206,30 @@ def _unchanged(trace, j):
 
 @pytest.fixture
 def gap_scans(monkeypatch):
-    """(count, start) of every ledger gap scan made while the test runs."""
+    """(count, start, u) of every ledger gap scan made while the test runs."""
     calls = []
     scan = HistoryLedger.linearization_gaps
 
     def counted(self, count, u, f_u, start=0):
-        calls.append((count, start))
+        calls.append((count, start, np.array(u)))
         return scan(self, count, u, f_u, start=start)
 
     monkeypatch.setattr(HistoryLedger, "linearization_gaps", counted)
     return calls
+
+
+def _records_scanned_for(gap_scans, point):
+    """(first, last) 1-based records of each gap scan of this one point."""
+    return [(start + 1, count) for count, start, u in gap_scans
+            if u.shape == point.shape and np.array_equal(u, point)]
+
+
+def _concave_point(prob, ledger):
+    """Half-way from the first record (the box midpoint) to the box face
+    along the most negative curvature direction: its gap quotient against
+    that record is the smallest eigenvalue in magnitude."""
+    v = np.linalg.eigh(prob.smooth.Q)[1][:, 0]
+    return ledger.record_arrays(1)[0][0] + 0.5 * v / np.max(np.abs(v))
 
 
 def test_replay_flags_one_ulp_of_L_where_the_best_point_is_unchanged():
@@ -233,24 +247,31 @@ def test_replay_rescans_a_replaced_best_point_instead_of_carrying(gap_scans):
     prob, cfg, cert, trace, ledger, y0 = _audited_run(ROUGH)
     j = next(j for j in range(1, len(trace) - 1)
              if _unchanged(trace, j) and _unchanged(trace, j + 1))
-    # the first record is the box midpoint; half-way from it to the box face
-    # along the most negative curvature direction, the gap quotient against
-    # it is |eig_lo| = 1, above every L the run recorded
+    # the gap quotient of this point against the first record is
+    # |eig_lo| = 1, above every L the run recorded
     lo, hi = prob.regularizer.domain_box
-    v = np.linalg.eigh(prob.smooth.Q)[1][:, 0]
-    x1 = ledger.record_arrays(1)[0][0]
-    tampered = x1 + 0.5 * v / np.max(np.abs(v))
+    tampered = _concave_point(prob, ledger)
     assert np.all((lo <= tampered) & (tampered <= hi))
     assert max(trace.L) < 0.9
+    # the best point of iterations j .. j + 2 (0-based j - 1 .. j + 1)
+    held = trace.point(trace.ymin_rows[j]).copy()
 
     gap_scans.clear()
     audit_run(prob, cfg, cert, trace, ledger, y0)
-    assert (j + 1, 0) not in gap_scans and (j + 2, 0) not in gap_scans
+    assert _records_scanned_for(gap_scans, tampered) == []
+    (first, last), = _records_scanned_for(gap_scans, held)
+    assert first == 1 and last >= j + 2
     gap_scans.clear()
     trace.side_rows.append(tampered)
     trace.ymin_rows[j] = ~(len(trace.side_rows) - 1)
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
-    assert (j + 1, 0) in gap_scans and (j + 2, 0) in gap_scans
+    # iteration j + 1 scans the tampered point against records 1..j+1, and
+    # the point it replaced is scanned afresh from record 1 after it,
+    # through at least record j + 2, instead of carrying its earlier maxima
+    assert _records_scanned_for(gap_scans, tampered) == [(1, j + 1)]
+    (first, last), (again, last_again) = _records_scanned_for(gap_scans,
+                                                              held)
+    assert (first, last) == (1, j) and again == 1 and last_again >= j + 2
     replay = {c.name: c for c in report.checks}["lower-curvature-replay"]
     assert not replay.passed
     assert replay.detail == f"first mismatch at k={j + 1}"
@@ -265,7 +286,9 @@ def test_replay_scans_records_in_proportion_to_best_point_changes(gap_scans):
     assert audit_run(prob, cfg, cert, trace, ledger, y0).passed
     K = len(trace)
     changes = sum(not _unchanged(trace, j) for j in range(1, K))
-    scanned = sum(count - start for count, start in gap_scans)
+    # one paired scan of the previous iterates, one scan per best point
+    assert len(gap_scans) <= 1 + (1 + changes)
+    scanned = sum(count - start for count, start, _ in gap_scans)
     assert scanned <= 2 * K + K * changes
     # the full replay scanned K (K + 1) / 2 records for ymin plus K for y
     assert scanned < (K * (K + 1) // 2 + K) / 2
@@ -289,7 +312,7 @@ def _quotients_and_envelopes(u, f_u, X, F, G):
 
 def test_upper_curvature_bound_fails_just_above_its_envelope():
     prob, cfg, cert, trace, ledger, y0 = _audited_run(CONVEX)
-    X, F, G = ledger.record_arrays(len(trace))
+    X, F, G, _ = ledger.record_arrays(len(trace))
     # U_k is minus the quotient of y_k against record k
     f_y = np.array([prob.smooth.value(y) for y in trace.Y[1:]])
     q, env = _quotients_and_envelopes(trace.Y[1:], f_y, X, F, G)
@@ -308,33 +331,75 @@ def test_upper_curvature_bound_fails_just_above_its_envelope():
     assert check.detail == f"first violation at k={j + 1}"
 
 
+def _replay_details(prob, trace, ledger):
+    """The lower-curvature-replay and -cap details of a direct scan at every
+    iteration k: the best point against records 1..k, then y_{k-1} against
+    record k, in the order the audit scores them.  The cap excesses use the
+    quotient arithmetic above; the L recursion uses the ledger's quotients,
+    which the solver's L matches bit for bit."""
+    K = len(trace)
+    X, F, G, _ = ledger.record_arrays(K)
+    m = prob.smooth.audit_curvature
+    best, where, mismatch, L_prev = -np.inf, None, None, 0.0
+    for k in range(1, K + 1):
+        ymin = trace.point(trace.ymin_rows[k - 1])
+        rows = []
+        for u, lo in ((ymin, 0), (trace.Y[k - 1], k - 1)):
+            f_u = prob.smooth.value(u)
+            q, env = _quotients_and_envelopes(u, f_u, X[lo:k], F[lo:k],
+                                              G[lo:k])
+            excess = np.where(q != 0.0, q - env - m * (1.0 + 1e-9), -np.inf)
+            i = int(np.argmax(excess))  # a row's first NaN never wins
+            if excess[i] > best:
+                best, where = float(excess[i]), (k, lo + i + 1)
+            rows.append(ledger.linearization_gaps(k, u, f_u, start=lo)[0])
+        L_prev = max(float(rows[1][0]), float(np.max(rows[0])), L_prev, 0.0)
+        if mismatch is None and L_prev != trace.L[k - 1]:
+            mismatch = k
+    replay = ("recorded L matches a full recomputation bit for bit"
+              if mismatch is None else f"first mismatch at k={mismatch}")
+    if best <= 1e-12:
+        kL = int(np.argmax(trace.L)) + 1
+        cap = f"max L = {trace.L[kL - 1]:.6g} at k={kL} vs m = {m:g}"
+    else:
+        cap = (f"gap quotient exceeds m by {best:.3e} at k={where[0]}, "
+               f"i={where[1]}")
+    return replay, cap
+
+
+def _tamper(how, prob, trace, ledger):
+    K = len(trace)
+    _, F, G, _ = ledger.record_arrays(K)
+    # records 2 and 6 hold the largest excess of the seed 1 and 9 runs
+    if how == "nan-F":
+        F[1] = np.nan
+    elif how == "nan-G":
+        G[5, 3] = np.nan
+    elif how == "side-row":
+        # a rejected trial point as the best point inside a segment
+        j = next(j for j in range(K // 2, K) if _unchanged(trace, j))
+        trace.side_rows.append(_concave_point(prob, ledger))
+        trace.ymin_rows[j] = ~(len(trace.side_rows) - 1)
+
+
 # indefinite corpus instances (audit_corpus(2, s)[1] has seed s + 1): the
 # largest excess is a best-point pair (k=9, i=2) at seed 1 and a
 # previous-iterate pair (k=6, i=6) at seed 9
-@pytest.mark.parametrize("seed", [1, 9])
+@pytest.mark.parametrize("seed, tamper", [
+    pytest.param(s, how, id=f"{s}-{how}" if how else str(s))
+    for how in (None, "nan-F", "nan-G", "side-row") for s in (1, 9)])
 def test_lower_curvature_cap_reports_the_largest_excess_of_a_direct_scan(
-        seed):
+        seed, tamper):
     prob, cfg, cert, trace, ledger, y0 = _audited_run(
         QuadraticSpec(n=20, eig_lo=-1.0, eig_hi=10.0, seed=seed))
     prob.smooth.audit_curvature = 0.0
-    K = len(trace)
-    X, F, G = ledger.record_arrays(K)
-    best, where = -np.inf, None
-    for k in range(1, K + 1):
-        # the best point against records 1..k, then the previous iterate
-        # against record k, in the order the audit scores them
-        ymin = trace.point(trace.ymin_rows[k - 1])
-        for u, lo in ((ymin, 0), (trace.Y[k - 1], k - 1)):
-            q, env = _quotients_and_envelopes(
-                u, prob.smooth.value(u), X[lo:k], F[lo:k], G[lo:k])
-            excess = np.where(q != 0.0, q - env, -np.inf)
-            i = int(np.argmax(excess))
-            if excess[i] > best:
-                best, where = float(excess[i]), (k, lo + i + 1)
-    assert best > 0.0
+    _tamper(tamper, prob, trace, ledger)
+    replay, cap = _replay_details(prob, trace, ledger)
 
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
-    cap = {c.name: c for c in report.checks}["lower-curvature-cap"]
-    assert not cap.passed
-    assert cap.detail == (f"gap quotient exceeds m by {best:.3e} at "
-                          f"k={where[0]}, i={where[1]}")
+    checks = {c.name: c for c in report.checks}
+    assert checks["lower-curvature-replay"].detail == replay
+    assert checks["lower-curvature-cap"].detail == cap
+    assert (tamper is None) == checks["lower-curvature-replay"].passed
+    if tamper is None:
+        assert not checks["lower-curvature-cap"].passed

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from varfista import _kernels
 from varfista.diagnostics import (DriftReport, ModelFunction,
                                   TheoreticalBounds, check_xk_drift,
                                   check_xk_optimality)
-from varfista.audit import audit_run
+from varfista.audit import audit_corpus, audit_run
 from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
 from varfista.problems import CompositeProblem, SmoothOracle
@@ -23,7 +24,7 @@ def _run(prob, iters=40, rho=1e-30, lambda0=1.0):
 
 
 def _model_at(trace, ledger, prob, i):
-    X, F, G = ledger.record_arrays(i + 1)
+    X, F, G, _ = ledger.record_arrays(i + 1)
     return ModelFunction(x_tilde=X[i], f_at=float(F[i]), grad_at=G[i],
                          y_k=trace.Y[i + 1], lam_k=trace.lam[i],
                          tau_k=trace.tau[i], regularizer=prob.regularizer)
@@ -242,3 +243,31 @@ def test_drift_holds_on_solver_run():
                          bounds)
     assert rep.passed
     assert isinstance(rep, DriftReport)
+
+
+def _golden_corpus_starts():
+    """The clean audit corpus with the starts ``run_audit_suite`` draws."""
+    rng = np.random.default_rng(0 ^ 0x5eed)
+    for prob in audit_corpus(20, 0):
+        lo, hi = prob.regularizer.domain_box
+        yield prob, lo + rng.random(prob.dimension) * (hi - lo)
+
+
+def test_blocked_drift_norms_equal_linalg_norm_bit_for_bit():
+    # the corpus runs fit one block of rows; 40 anchors at n = 1000 take five
+    big = generate_qp(QuadraticSpec(n=1000, eig_lo=-1.0, eig_hi=100.0,
+                                    seed=0))
+    runs = [(prob, y0, 10_000) for prob, y0 in _golden_corpus_starts()]
+    runs.append((big, default_start(big), 40))
+    for prob, y0, iters in runs:
+        cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=iters)
+        _, trace, _ = solve(prob, cfg, y0)
+        X = replay_anchors(prob, trace)[1]
+        norms = np.array([np.linalg.norm(x - y0) for x in X])
+        assert np.array_equal(_kernels.row_norms(X - y0).view(np.int64),
+                              norms.view(np.int64))
+        bounds = TheoreticalBounds.from_problem(prob, cfg)
+        ratios = norms / (bounds.C * np.arange(1, len(X) + 1))
+        k = int(np.argmax(ratios)) + 1
+        rep = check_xk_drift(X, y0, bounds)
+        assert (rep.worst_ratio, rep.worst_k) == (float(ratios[k - 1]), k)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varfista import _kernels
 from varfista._kernels import grid_1d
@@ -38,6 +40,24 @@ def _history_margin_loop(lam_hist, tau_hist, L_arr, xi_arr):
                 best = m
                 k_arg = k
                 i_arg = i
+    return best, k_arg, i_arg
+
+
+def _history_margin_rows(lam_hist, tau_hist, L_arr, xi_arr):
+    """The same margin with one numpy expression per k: row k's first
+    minimum over i <= k, kept when it is strictly below the best so far, so
+    a row holding a NaN margin loses whole."""
+    best = math.inf
+    k_arg = 0
+    i_arg = 0
+    for k in range(1, tau_hist.shape[0] + 1):
+        margins = (xi_arr[k - 1] * lam_hist[:k] - L_arr[k - 1]
+                   * lam_hist[1:k + 1] - tau_hist[:k])
+        i = int(np.argmin(margins))
+        if margins[i] < best:
+            best = float(margins[i])
+            k_arg = k
+            i_arg = i + 1
     return best, k_arg, i_arg
 
 
@@ -169,6 +189,27 @@ def test_history_margin_matches_reference():
         xi = rng.uniform(0.0, 2.0, size=n)
         assert (_kernels.history_margin(lam, tau, L, xi)
                 == _history_margin_loop(lam, tau, L, xi))
+
+
+# up to 3 isqrt(block) rows: at least three row blocks of the margin scan
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3 * math.isqrt(_kernels._ROW_BLOCK)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       nan_in=st.sampled_from([None, "L", "xi"]),
+       nan_at=st.floats(0.0, 1.0, exclude_max=True))
+def test_history_margin_matches_a_per_k_scan(n, seed, nan_in, nan_at):
+    # few distinct values, so that many margins tie and the first (k, i)
+    # must win; a NaN in L_k or xi_k makes all of row k NaN
+    rng = np.random.default_rng(seed)
+    lam = rng.choice([0.25, 0.5, 1.0], size=n + 1)
+    tau = rng.choice([0.0, 0.125, 0.5], size=n)
+    L = rng.choice([0.0, 0.5, 1.0], size=n)
+    xi = rng.choice([0.0, 1.0, 2.0], size=n)
+    if nan_in is not None:
+        (L if nan_in == "L" else xi)[int(nan_at * n)] = np.nan
+    got = _kernels.history_margin(lam, tau, L, xi)
+    want = _history_margin_rows(lam, tau, L, xi)
+    assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:])
 
 
 def _cases(n):

@@ -358,9 +358,9 @@ def test_ledger_records_round_trip():
     g = np.array([3.0, 4.0])
     idx = ledger.append_linearization(x, 5.0, g)
     assert idx == 1
-    X, F, G = ledger.record_arrays(1)
+    X, F, G, XN2 = ledger.record_arrays(1)
     assert np.array_equal(X, [x]) and np.array_equal(F, [5.0])
-    assert np.array_equal(G, [g])
+    assert np.array_equal(G, [g]) and np.array_equal(XN2, [5.0])
     assert ledger.x_tilde_norm2(1) == 5.0
     with pytest.raises(IndexError):
         ledger.record_arrays(2)
@@ -392,8 +392,9 @@ def test_ledger_buffers_grow_past_initial_capacity():
                                     np.array([float(-i)]))
         y = np.array([float(i)])
         _append(trace, 1.0 / (i + 1), 0.0, y, y)
-    X, F, G = ledger.record_arrays(200)
+    X, F, G, XN2 = ledger.record_arrays(200)
     assert F[136] == 136.0 and X[136, 0] == 136.0 and G[136, 0] == -136.0
+    assert XN2[136] == 136.0 ** 2
     assert trace.stepsizes.shape == (201,) and trace.Y.shape == (201, 1)
     assert trace.stepsizes[137] == 1.0 / 137 and trace.Y[137, 0] == 136.0
     assert trace.Y[0, 0] == -1.0 and np.array_equal(trace.ymin_rows,
@@ -592,8 +593,9 @@ def test_ledger_slice_queries_validate_bounds():
         ledger.linearization_gaps(1, np.array([0.0]), 0.0, start=2)
     with pytest.raises(IndexError):
         ledger.record_arrays(5)
-    X, F, G = ledger.record_arrays(1)
+    X, F, G, XN2 = ledger.record_arrays(1)
     assert X.shape == (1, 1) and F.shape == (1,) and G.shape == (1, 1)
+    assert XN2.shape == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +649,7 @@ def test_solve_traces_match_op_recomputation():
     cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=2000)
     cert, trace, ledger = solve(prob, cfg, default_start(prob))
     assert cert.converged
-    X, F, G = ledger.record_arrays(len(trace))
+    X, F, G, _ = ledger.record_arrays(len(trace))
     for i in range(len(trace)):
         y = trace.Y[i + 1]
         U = compute_U(y, prob.smooth.value(y), X[i], float(F[i]), G[i],
