@@ -25,8 +25,9 @@ from .gallery import QuadraticSpec, generate_qp
 from .momentum import check_schedule_bounds
 from .problems import (Array, Certificate, CompositeProblem, SmoothOracle,
                        verify_certificate)
-from .solver import (DENOM_EPSILON, HistoryLedger, IterationTrace,
-                     NumericalFailure, SolverConfig, replay_anchors, solve)
+from .solver import (DENOM_EPSILON, NOISE_MULT, HistoryLedger,
+                     IterationTrace, NumericalFailure, SolverConfig,
+                     replay_anchors, solve)
 
 __all__ = [
     "CheckResult", "AuditReport", "audit_run", "corrupt_gradient_oracle",
@@ -63,23 +64,24 @@ class AuditReport:
 
 _REL = 1e-9  # relative slack for float comparisons against analytic constants
 
-# Curvature estimates are difference quotients; when the two points nearly
-# coincide the numerator cancels catastrophically and the computed quotient
-# carries roundoff of order eps * (value scale) / distance^2.  The curvature
-# cap checks allow that envelope, scaled by this safety factor.
-_NOISE_MULT = 64.0
 
-
-def _envelope(f_u, F, gd, den, xn2):
+def _envelope(f_u, abs_F, gd, den, floor):
     """Roundoff allowance of the curvature quotients of u against records i.
 
-    64 eps 2 (|f(u)| + |F_i| + |g_i . d_i|) / max(||d_i||^2, e (1 +
+    Curvature estimates are difference quotients; when the two points nearly
+    coincide the numerator cancels catastrophically and the computed
+    quotient carries roundoff of order eps * (value scale) / distance^2.
+    The curvature cap checks allow NOISE_MULT (64, the multiple of the
+    solver's zero rule) times
+
+    eps 2 (|f(u)| + |F_i| + |g_i . d_i|) / max(||d_i||^2, e (1 +
     ||x_tilde_i||^2)) with d_i = u - x_tilde_i and e = DENOM_EPSILON; F_i,
-    g_i are f and grad f at x_tilde_i.  Elementwise over numpy arrays.
+    g_i are f and grad f at x_tilde_i.  Elementwise over numpy arrays;
+    ``abs_F`` is |F_i| and ``floor`` is e (1 + ||x_tilde_i||^2), which the
+    caller forms once for every scan.
     """
-    return _NOISE_MULT * float(np.finfo(np.float64).eps) * 2.0 \
-        * (np.abs(f_u) + np.abs(F) + np.abs(gd)) \
-        / np.maximum(den, DENOM_EPSILON * (1.0 + xn2))
+    return NOISE_MULT * float(np.finfo(np.float64).eps) * 2.0 \
+        * (np.abs(f_u) + abs_F + np.abs(gd)) / np.maximum(den, floor)
 
 
 def audit_run(problem: CompositeProblem, config: SolverConfig,
@@ -191,11 +193,16 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
 
     # U_k against M, with a per-iteration roundoff envelope for the quotient
     X, F, G, xn2 = ledger.record_arrays(n_iter)
+    abs_F, floor = np.abs(F), DENOM_EPSILON * (1.0 + xn2)
     Y = trace.Y
     f_ys = np.array([problem.smooth.value(yk) for yk in Y])  # y_0..y_K
+    # their value-roundoff scales, by the formula the solver used
+    s_ys = np.empty_like(f_ys)
+    for s, e in _kernels.row_blocks(n_iter + 1, problem.dimension):
+        s_ys[s:e] = problem.smooth.value_scale(Y[s:e], f_ys[s:e])
     D = Y[1:] - X
-    env = _envelope(f_ys[1:], F, np.einsum("ij,ij->i", G, D),
-                    np.einsum("ij,ij->i", D, D), xn2)
+    env = _envelope(f_ys[1:], abs_F, np.einsum("ij,ij->i", G, D),
+                    np.einsum("ij,ij->i", D, D), floor)
     del D
     # U == 0 marks a guarded (degenerate-distance) quotient and always passes
     kU = int(np.argmax(U)) + 1
@@ -210,16 +217,21 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     # record i.  All q_k come from one paired scan.  Within a segment of
     # iterations s+1..e with the same best point, the row maxima over
     # records 1..k are running maxima of one scan of that point against
-    # records 1..e; np.maximum.accumulate carries a NaN as np.max would.
+    # records 1..e; np.maximum.accumulate carries a NaN quotient into L as
+    # np.max would.  The cap reports the largest finite excess: a NaN
+    # excess counts as none, so it hides no other row's excess.
     cap = bounds.m_under * (1.0 + slack)
 
-    def scan(count, u, f_u):
-        """Gap quotients of u against records 1..count, and cap excesses."""
-        q, den, gd = ledger.linearization_gaps(count, u, f_u)
-        env = _envelope(f_u, F[:count], gd, den, xn2[:count])
-        return q, np.where(q != 0.0, q - env - cap, -np.inf)
+    def scan(count, u, f_u, s_u):
+        """Gap quotients of u against records 1..count, and cap excesses.
 
-    q1, exc1 = scan(n_iter, Y[:-1], f_ys[:-1])
+        A guarded or zeroed quotient reads 0 and its excess is at most 0,
+        so it can win only where no quotient fails the cap."""
+        q, den, gd = ledger.linearization_gaps(count, u, f_u, s_u)
+        env = _envelope(f_u, abs_F[:count], gd, den, floor[:count])
+        return q, np.fmax(q - env - cap, -np.inf)  # fmax: NaN reads -inf
+
+    q1, exc1 = scan(n_iter, Y[:-1], f_ys[:-1], s_ys[:-1])
     t2 = np.empty(n_iter)
     row_excess = np.empty(n_iter)  # largest cap excess of row k
     row_at = np.arange(1, n_iter + 1)  # its record, where it can first win
@@ -228,15 +240,19 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
              n_iter]
     for s, e in zip(edges[:-1], edges[1:]):
         r = int(rows[s])
-        # a row of Y has its value in f_ys; a best point that is a rejected
-        # trial point needs its own
+        # a row of Y has its value and scale in f_ys and s_ys; a best point
+        # that is a rejected trial point needs its own
         u = trace.point(r)
-        f_u = float(f_ys[r]) if r >= 0 else float(problem.smooth.value(u))
-        terms, exc = scan(e, u, f_u)
+        if r >= 0:
+            f_u, s_u = float(f_ys[r]), float(s_ys[r])
+        else:
+            f_u = float(problem.smooth.value(u))
+            s_u = problem.smooth.value_scale(u, f_u)
+        terms, exc = scan(e, u, f_u, s_u)
         t2[s:e] = np.maximum.accumulate(terms)[s:e]
         # row s+1 spans records 1..s+1; a later row k of the segment is the
         # running maximum with record k, so it first wins only at record k
-        i = int(np.argmax(exc[:s + 1]))  # the first NaN, if there is one
+        i = int(np.argmax(exc[:s + 1]))
         exc[s] = exc[i]
         row_at[s] = i + 1
         row_excess[s:e] = np.maximum.accumulate(exc[s:e])

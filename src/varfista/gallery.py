@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -68,6 +69,10 @@ class QuadraticOracle:
     at the same momentum point and for grad f at the accepted trial point
     it just evaluated, makes one product with Q per evaluated point.  The
     memo is unguarded state: do not share one oracle across threads.
+
+    ``value_scale`` is s(u) = 0.5 ||Q||_inf ||u||^2 + ||c||_2 ||u||_2, which
+    bounds |f(u)| and the magnitude of both of its terms; where they cancel,
+    the rounding error of f(u) scales with s(u), not with |f(u)|.
     """
 
     def __init__(self, Q: Array, c: Array,
@@ -106,6 +111,26 @@ class QuadraticOracle:
 
     def grad(self, u: Array) -> Array:
         return self._Qu(u) + self.c
+
+    @cached_property
+    def _scale_coefficients(self) -> Tuple[float, float]:
+        """(0.5 ||Q||_inf, ||c||_2) for ``value_scale``, on first use.
+        ||Q||_inf is the largest absolute row sum, taken a block of rows at
+        a time so that no n x n temporary is made."""
+        n = self.Q.shape[0]
+        q_inf = max(float(np.abs(self.Q[a:b]).sum(axis=1).max())
+                    for a, b in _kernels.row_blocks(n, n))
+        return 0.5 * q_inf, float(np.linalg.norm(self.c))
+
+    def value_scale(self, u: Array, f_u):
+        """s(u) of one point, or of each row of a 2-D ``u``, bit for bit
+        alike: a row's ||u||^2 is one dot product either way."""
+        half_q_inf, c_norm = self._scale_coefficients
+        if u.ndim == 1:
+            uu = float(u @ u)
+            return half_q_inf * uu + c_norm * math.sqrt(uu)
+        uu = np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0]
+        return half_q_inf * uu + c_norm * np.sqrt(uu)
 
 
 def generate_qp(spec: QuadraticSpec) -> CompositeProblem:

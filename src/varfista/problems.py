@@ -30,6 +30,16 @@ class SmoothOracle:
     constant of grad f over the regularizer's domain, and an upper bound on
     the weak-convexity modulus (the smallest m >= 0 with
     f(u) >= f(w) + <grad f(w), u - w> - (m/2)||u - w||^2); zero means convex.
+
+    ``value_scale`` is the value-roundoff scale s(u): the magnitude whose
+    eps-multiples bound the rounding error of a computed f(u).  The solver's
+    curvature gaps read it to tell cancellation from concavity.  By default
+    it is |f(u)|; an oracle whose value is a sum of cancelling terms should
+    give a bound on their magnitude instead.  It takes one point or the rows
+    of a 2-D array (with one value per row), and a row's scale must equal
+    the scale of that row alone bit for bit: the solver scales trial points
+    one at a time and its records as rows, and the audit scales the trace's
+    points as rows.
     """
 
     value_fn: Callable[[Array], float]
@@ -42,6 +52,11 @@ class SmoothOracle:
 
     def grad(self, u: Array) -> Array:
         return np.asarray(self.grad_fn(u), dtype=np.float64)
+
+    def value_scale(self, u: Array, f_u):
+        """s(u) = |f(u)|; ``u`` may be rows of points with ``f_u`` their
+        values, and the scales come out elementwise."""
+        return abs(f_u)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,13 @@ decides from observed value/gradient data whether that step is trustworthy:
   gaps at all committed momentum points.
 
 On convex inputs every lower-curvature gap is non-positive, so L and xi stay
-exactly zero and the method reduces to a constant-extrapolation scheme.  The
+exactly zero and the method reduces to a constant-extrapolation scheme.
+This holds in floating point too: a gap's numerator 2[lin_f(u; x_tilde_i) -
+f(u)] is formed from values whose terms can be far larger than the values
+themselves, so a numerator that is positive but within
+2 NOISE_MULT eps (s(u) + s(x_tilde_i) + |grad f(x_tilde_i) . d|) is
+roundoff, not concavity, and scores 0.  Here s is the oracle's
+value-roundoff scale (``value_scale``), which bounds those terms.  The
 committed history is append-only; it feeds both the L recursion and post-run
 auditing, which makes memory grow linearly with the iteration count (bounded
 by the iteration cap).
@@ -32,12 +38,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._kernels import row_blocks
 from .momentum import A0_DEFAULT, advance, extrapolate, schedule
 from .problems import Array, Certificate, CompositeProblem
 
 __all__ = [
     "SolverConfig", "NumericalFailure", "RepeatCapExhausted", "HistoryLedger",
-    "IterationTrace", "TRACE_HEADER", "DENOM_EPSILON", "solve",
+    "IterationTrace", "TRACE_HEADER", "DENOM_EPSILON", "NOISE_MULT", "solve",
     "compute_candidate", "compute_U", "compute_x", "replay_anchors",
     "compute_v", "history_inequality_violated",
 ]
@@ -47,6 +54,10 @@ TRACE_HEADER = "k,lambda,xi,tau,U,L,residual,phi_y,phi_ymin,inner_repeats"
 # a curvature quotient over d = u - x_tilde reads 0 when
 # ||d||^2 <= DENOM_EPSILON * (1 + ||x_tilde||^2)
 DENOM_EPSILON = 1e-12
+# a positive gap numerator within 2 NOISE_MULT eps of its value-roundoff
+# scale reads 0; the audit's roundoff envelope takes the same multiple
+NOISE_MULT = 64.0
+_ZERO_BAND = 2.0 * NOISE_MULT * float(np.finfo(np.float64).eps)
 _MAX_INNER_REPEATS = 1_000_000  # trials per outer iteration
 _CAPACITY = 64  # initial rows of the history buffers; they double when full
 _BLOCK_ROWS = 256  # rows per block of replay_anchors' temporaries
@@ -98,29 +109,42 @@ def _double(owner, names) -> None:
 class HistoryLedger:
     """Append-only linearization records of the run, one per iteration.
 
-    Record i holds x_tilde_i, f and grad f there, and ||x_tilde_i||^2, in
-    doubling buffers.  The expensive part of the lower-curvature recursion,
-    max over i <= k of the linearization gap of the incumbent best point
-    against record i, is cached.  The cache is keyed like the oracle's
-    Q @ u memo: it hits only when the best point is the cached array itself
-    (``is``, no copy kept) with unchanged ``tobytes()``.  On a hit each
-    newly appended record is folded in through the one-record
-    ``_gap_term``, at O(n) cost per record.  A miss rescans every record
-    with ``_gap_terms``.  Both forms evaluate the same per-record expression
-    and guard, so their quotients agree bit-for-bit, NaN included, and so do
-    cached and rescanned maxima: like ``np.max``, the fold carries a NaN.
+    Record i holds x_tilde_i, f and grad f there, ||x_tilde_i||^2, its
+    quotient guard DENOM_EPSILON (1 + ||x_tilde_i||^2) and the
+    value-roundoff scale s(x_tilde_i), in doubling buffers.  s comes from
+    ``value_scale(u, f_u)``, the smooth oracle's; records are scaled in
+    order, as rows, when a gap first needs one.  The expensive part of the
+    lower-curvature recursion, max over i <= k of the linearization gap of
+    the incumbent best point against record i, is cached.  The cache is
+    keyed like the oracle's Q @ u memo: it hits only when the best point is
+    the cached array itself (``is``, no copy kept) with unchanged
+    ``tobytes()``.  On a hit each newly appended record is folded in
+    through the one-record ``_record_gap``, at O(n) cost per record.  A
+    miss rescans every record with ``_gap_terms`` and applies the zero rule
+    where it can move the maximum.  Both forms evaluate the same
+    per-record expression, guard and zero rule, so their quotients agree
+    bit-for-bit, NaN included, and so do cached and rescanned maxima: like
+    ``np.max``, the fold carries a NaN.  Both take the scale of the point
+    scored as a function ``scale(u, f_u)`` and call it only for a positive
+    numerator; s of the best point is computed at most once and kept with
+    the cache.
     """
 
-    _BUFFERS = ("_X", "_F", "_G", "_XN2")
+    _BUFFERS = ("_X", "_F", "_G", "_XN2", "_FLOOR", "_S")
 
-    def __init__(self, dimension: int):
+    def __init__(self, dimension: int, value_scale):
         self._X = np.empty((_CAPACITY, dimension))
         self._F = np.empty(_CAPACITY)
         self._G = np.empty((_CAPACITY, dimension))
         self._XN2 = np.empty(_CAPACITY)
+        self._FLOOR = np.empty(_CAPACITY)
+        self._S = np.empty(_CAPACITY)
         self._n_rec = 0
+        self._value_scale = value_scale
+        self._scaled_upto = 0  # records 1..this hold their scale
         self.cached_ymin: Optional[Array] = None
         self._cached_bytes = b""
+        self._cached_scale: Optional[float] = None
         self.cached_ymin_ratio_max = -math.inf
         self._cached_upto = 0
 
@@ -134,28 +158,37 @@ class HistoryLedger:
         self._X[i] = x_tilde
         self._F[i] = f_at
         self._G[i] = grad_at
-        self._XN2[i] = float(np.einsum("i,i->", x_tilde, x_tilde))
+        xn2 = float(np.einsum("i,i->", x_tilde, x_tilde))
+        self._XN2[i] = xn2
+        self._FLOOR[i] = DENOM_EPSILON * (1.0 + xn2)
         self._n_rec += 1
         return i + 1
 
     def x_tilde_norm2(self, index: int) -> float:
         return float(self._XN2[index - 1])
 
-    def linearization_gaps(self, count: int, u: Array, f_u: float,
+    def linearization_gaps(self, count: int, u: Array, f_u: float, s_u,
                            start: int = 0) -> Tuple[Array, Array, Array]:
         """Gap rows of u against records start+1..count (audit replay).
 
-        ``u`` is one point, with ``f_u`` its value, or one point per record
-        (rows of a (count - start) x n array), with ``f_u`` one value per
-        record.  Returns ``(quotients, den, gd)`` with, per record i and
-        d = u - x_tilde_i: the guarded gap quotient, den = ||d||^2 and
-        gd = grad f(x_tilde_i) . d.  The quotients are the internal cache's
-        expression, so a full-replay maximum matches the cached one bit for
-        bit.
+        ``u`` is one point, with ``f_u`` its value and ``s_u`` its
+        value-roundoff scale s(u), or one point per record (rows of a
+        (count - start) x n array), with ``f_u`` and ``s_u`` one value per
+        record.  The scales must equal the solver's bit for bit, so that
+        the zero rule zeroes the same quotients.  Returns
+        ``(quotients, den, gd)`` with, per record i and d = u - x_tilde_i:
+        the guarded gap quotient after the zero rule, den = ||d||^2 and
+        gd = grad f(x_tilde_i) . d.  Each quotient equals ``_record_gap``'s
+        bit for bit, so a full-replay maximum matches the cached one.
         """
         if not 0 <= start <= count <= self._n_rec:
             raise IndexError(f"ledger holds {self._n_rec} records")
-        return self._gap_terms(start, count, u, f_u)
+        q, num, den, gd = self._gap_terms(start, count, u, f_u)
+        if q.size and not q.max() <= 0.0:  # the zero rule of _zero_band
+            band = _ZERO_BAND * (s_u + self._record_scales(start, count)
+                                 + np.abs(gd))
+            q = np.where((q > 0.0) & (num <= band), 0.0, q)
+        return q, den, gd
 
     def record_arrays(self, count: int):
         """Read-only views (X, F, G, XN2) of records 1..count, for vectorized
@@ -165,10 +198,33 @@ class HistoryLedger:
         return (self._X[:count], self._F[:count], self._G[:count],
                 self._XN2[:count])
 
-    # -- lower-curvature gap cache ------------------------------------------
+    # -- the zero rule -------------------------------------------------------
+
+    def _record_scales(self, start: int, stop: int) -> Array:
+        """s(x_tilde) of records start+1..stop.  Records not yet scaled up
+        to ``stop`` are scaled as rows, a block at a time."""
+        lo = self._scaled_upto
+        for a, b in row_blocks(stop - lo, self._X.shape[1]):
+            rows = slice(lo + a, lo + b)
+            self._S[rows] = self._value_scale(self._X[rows], self._F[rows])
+        self._scaled_upto = max(lo, stop)
+        return self._S[start:stop]
+
+    def _zero_band(self, i: int, gd: float, u: Array, f_u: float,
+                   scale) -> float:
+        """2 NOISE_MULT eps (s(u) + s(x_tilde_i) + |gd|): the roundoff that a
+        gap numerator of u against 0-based record i can carry.  A numerator
+        num with 0 < num <= this scores 0; callers test 0 < num first, so a
+        scale is computed only for a positive numerator."""
+        s_x = float(self._record_scales(i, i + 1)[0])
+        return _ZERO_BAND * (scale(u, f_u) + s_x + abs(gd))
+
+    # -- lower-curvature gaps and their cache --------------------------------
 
     def _gap_terms(self, start: int, stop: int, u: Array, f_u: float
-                   ) -> Tuple[Array, Array, Array]:
+                   ) -> Tuple[Array, Array, Array, Array]:
+        """(quotients before the zero rule, numerators, den, gd) of u
+        against records start+1..stop."""
         X = self._X[start:stop]
         G = self._G[start:stop]
         F = self._F[start:stop]
@@ -176,35 +232,71 @@ class HistoryLedger:
         gd = np.einsum("ij,ij->i", G, d)
         num = 2.0 * (F + gd - f_u)
         den = np.einsum("ij,ij->i", d, d)
-        ok = ~(den <= DENOM_EPSILON * (1.0 + self._XN2[start:stop]))
+        ok = ~(den <= self._FLOOR[start:stop])
         safe = np.where(ok, den, 1.0)
-        return np.where(ok, num / safe, 0.0), den, gd
+        return np.where(ok, num / safe, 0.0), num, den, gd
 
-    def _record_gap(self, index: int, u: Array, f_u: float) -> float:
-        """Gap quotient of u against 1-based record ``index``, in O(n)."""
+    def _record_gap(self, index: int, u: Array, f_u: float, scale) -> float:
+        """2[lin_f(u; x_tilde_i) - f(u)]/||u - x_tilde_i||^2 against 1-based
+        record ``index``, in O(n), with the guard and the zero rule.
+
+        The one-record shape of ``linearization_gaps``: the same expression
+        for a single record, equal bit for bit to a one-row call and
+        cheaper.  The t1 term of L in ``solve`` and the cache's fold use
+        it; ``scale(u, f_u)`` gives s(u).
+        """
         i = index - 1
-        return _gap_term(self._X[i], float(self._F[i]), self._G[i],
-                         float(self._XN2[i]), u, f_u)
+        d = u - self._X[i]
+        den = float(np.einsum("i,i->", d, d))
+        if den <= self._FLOOR[i]:
+            return 0.0
+        gd = float(np.einsum("i,i->", self._G[i], d))
+        num = 2.0 * (float(self._F[i]) + gd - f_u)
+        if 0.0 < num <= self._zero_band(i, gd, u, f_u, scale):
+            return 0.0
+        return num / den
 
     def _is_cached(self, ymin: Array) -> bool:
         return (ymin is self.cached_ymin
                 and ymin.tobytes() == self._cached_bytes)
 
+    def _cached_ymin_scale(self, ymin: Array, f_ymin: float) -> float:
+        """s of the cached best point, computed on first use."""
+        if self._cached_scale is None:
+            self._cached_scale = self._value_scale(ymin, f_ymin)
+        return self._cached_scale
+
     def ymin_ratio_max(self, ymin: Array, f_ymin: float) -> float:
-        """Max linearization gap of ymin against every record so far."""
+        """Max linearization gap of ymin against every record so far.
+
+        A rescan applies the zero rule only where it can move the maximum:
+        while the largest quotient is positive and its numerator lies in
+        its zero band, that quotient is zeroed and the maximum taken again.
+        This gives the maximum of ``linearization_gaps`` bit for bit.
+        """
         n = self._n_rec
         if n == 0:
             return -math.inf
+        scale = self._cached_ymin_scale
         if self._is_cached(ymin):
             best = self.cached_ymin_ratio_max
             for i in range(self._cached_upto + 1, n + 1):
-                m = self._record_gap(i, ymin, f_ymin)
+                m = self._record_gap(i, ymin, f_ymin, scale)
                 if m > best or m != m:  # a NaN carries, as in np.max
                     best = m
         else:
-            best = float(np.max(self._gap_terms(0, n, ymin, f_ymin)[0]))
             self.cached_ymin = ymin
             self._cached_bytes = ymin.tobytes()
+            self._cached_scale = None
+            q, num, _, gd = self._gap_terms(0, n, ymin, f_ymin)
+            best = float(np.max(q))
+            while best > 0.0:
+                j = int(np.argmax(q))
+                if not num[j] <= self._zero_band(j, float(gd[j]), ymin,
+                                                 f_ymin, scale):
+                    break
+                q[j] = 0.0
+                best = float(np.max(q))
         self.cached_ymin_ratio_max = best
         self._cached_upto = n
         return best
@@ -319,23 +411,6 @@ def compute_U(y: Array, f_y: float, x_tilde: Array, f_xt: float, g_xt: Array,
     # RuntimeWarning that the matmul ufunc raises; the two agree bit for bit
     lin = f_xt + float(np.vdot(g_xt, d))
     return 2.0 * (f_y - lin) / den
-
-
-def _gap_term(record_x: Array, record_f: float, record_g: Array,
-              record_xn2: float, u: Array, f_u: float) -> float:
-    """2[lin_f(u; x_tilde_i) - f(u)]/||u - x_tilde_i||^2 with the usual guard.
-
-    The one-record shape of ``HistoryLedger._gap_terms``: the same expression
-    for a single record, equal bit for bit to a one-row ``_gap_terms`` call
-    and cheaper.  The t1 term of L in ``solve`` and the ledger's one-record
-    fold use it.
-    """
-    d = u - record_x
-    den = float(np.einsum("i,i->", d, d))
-    if den <= DENOM_EPSILON * (1.0 + record_xn2):
-        return 0.0
-    lin = record_f + float(np.einsum("i,i->", record_g, d))
-    return 2.0 * (lin - f_u) / den
 
 
 def _committed_pairs_violated(xi: float, L: float, lam_hist: Array,
@@ -498,8 +573,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     y0, f_y, phi0 = _start(problem, config, y0)
     smooth = problem.smooth
     reg = problem.regularizer
+    value_scale = smooth.value_scale
 
-    ledger = HistoryLedger(problem.dimension)
+    ledger = HistoryLedger(problem.dimension, value_scale)
     trace = IterationTrace(y0, config.lambda0)
 
     # carried across outer iterations: the last accepted values
@@ -543,7 +619,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             # against this record, the incumbent's max gap over all records,
             # the previous L, and 0
             L_cand = max(
-                ledger._record_gap(idx, y_prev, f_y_prev),
+                ledger._record_gap(idx, y_prev, f_y_prev, value_scale),
                 ledger.ymin_ratio_max(ymin, f_ymin),
                 L, 0.0)
             # one check per trial; f(y) comes first, so a non-finite f(y)

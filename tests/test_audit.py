@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varfista.audit import (AuditReport, CheckResult, audit_corpus, audit_run,
                             corrupt_gradient_oracle, run_audit_suite)
@@ -174,12 +176,12 @@ def test_audit_suite_names_first_failure_under_fault_injection():
     assert all("instance[" in ln for ln in named)
 
 
-# sha256 over the joined report lines of a clean corpus suite, a
-# gradient-fault suite and a convex run whose best point moves on almost
-# every iteration (its audit fails the curvature and escalation caps).  Any
-# change to a verdict or a detail string changes it.
+# sha256 over the joined report lines of a clean corpus suite and a
+# gradient-fault suite.  Any change to a verdict or a detail string changes
+# it.  The value-roundoff zero rule of the curvature gaps left these lines
+# byte-identical, so the hash is the one of the audit before that rule.
 AUDIT_REPORT_SHA256 = \
-    "6d6f5b384640b29ef8ef961dd72e7157b85e5e50b0bfd23fbd906d2cb113a8fd"
+    "a2e4014bdc424eed8ed82bde4a046fe52fdfa6685791b7f2c51e1a4f6914a991"
 
 
 def test_audit_reports_match_golden_hash():
@@ -187,16 +189,73 @@ def test_audit_reports_match_golden_hash():
     _, faulty = run_audit_suite(
         max_iterations=500,
         problems=[corrupt_gradient_oracle(p) for p in audit_corpus(6, 0)])
+    text = "\n".join(clean + faulty)
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_REPORT_SHA256
+
+
+def test_wide_box_convex_run_keeps_its_convex_invariants():
+    # box +-1000: the terms of f(u) are ~1e7 and cancel, so without the
+    # zero rule a gap numerator of -8e-10 came out positive, L turned
+    # positive at k=1162 and xi escalated to 1
     prob = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,
                                      box=(-1000.0, 1000.0), seed=0))
     lo, hi = prob.regularizer.domain_box
     y0 = lo + np.random.default_rng(0).random(20) * (hi - lo)
     cfg = SolverConfig(rho_hat=1e-2, max_outer_iterations=2000)
     cert, trace, ledger = solve(prob, cfg, y0)
+    checks = {c.name: c for c in audit_run(prob, cfg, cert, trace, ledger,
+                                           y0).checks}
+    for name in ("convex-stays-zero", "escalation-cap",
+                 "lower-curvature-cap"):
+        assert checks[name].passed, checks[name].line()
+    assert not np.any(trace.L)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 20),
+       eig_lo=st.one_of(st.just(0.0),
+                        st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e)),
+       half_width=st.floats(0.0, 4.0).map(lambda e: 10.0 ** e),
+       seed=st.integers(0, 2 ** 16))
+def test_convex_runs_keep_xi_tau_and_L_zero_on_wide_boxes(n, eig_lo,
+                                                          half_width, seed):
+    # convex f, boxes up to +-1e4: the terms of f(u) grow like the box
+    # squared and their roundoff must not pass for concavity.  Without the
+    # zero rule about one draw in eight escalated here
+    prob = generate_qp(QuadraticSpec(n=n, eig_lo=eig_lo, eig_hi=100.0,
+                                     box=(-half_width, half_width),
+                                     seed=seed))
+    lo, hi = prob.regularizer.domain_box
+    y0 = lo + np.random.default_rng(seed).random(n) * (hi - lo)
+    cfg = SolverConfig(rho_hat=1e-5 * half_width, max_outer_iterations=2000)
+    cert, trace, ledger = solve(prob, cfg, y0)
+    assert not (trace.xi.any() or trace.tau.any() or trace.L.any())
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
-    assert not report.passed
-    text = "\n".join(clean + faulty + report.lines())
-    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_REPORT_SHA256
+    assert report.passed, "\n".join(c.line() for c in report.failures())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 20), m_exp=st.floats(-3.0, 0.0),
+       centre_exp=st.floats(2.0, 4.0), sign=st.sampled_from([-1.0, 1.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_zero_rule_leaves_real_concavity_visible(n, m_exp, centre_exp, sign,
+                                                 seed):
+    # every eigenvalue lies in [-m, -m/2], so every gap quotient is at
+    # least m/2 in exact arithmetic.  The box (centre +-1, centre up to
+    # 1e4) makes |u| far larger than the steps, so s(u) is 1e4 to 1e8 times
+    # a gap numerator: a zero band wide enough to hide concavity (a
+    # multiple of 1e12 in place of 64) keeps L at 0 on every draw.  The
+    # smallest L/m measured over 300 such draws was 0.5001
+    m = 10.0 ** m_exp
+    centre = sign * 10.0 ** centre_exp
+    prob = generate_qp(QuadraticSpec(n=n, eig_lo=-m, eig_hi=-0.5 * m,
+                                     box=(centre - 1.0, centre + 1.0),
+                                     seed=seed))
+    lo, hi = prob.regularizer.domain_box
+    y0 = lo + np.random.default_rng(seed).random(n) * (hi - lo)
+    _, trace, _ = solve(prob, SolverConfig(rho_hat=1e-9,
+                                           max_outer_iterations=200), y0)
+    assert trace.L.max() >= 0.45 * m
 
 
 def _unchanged(trace, j):
@@ -210,9 +269,9 @@ def gap_scans(monkeypatch):
     calls = []
     scan = HistoryLedger.linearization_gaps
 
-    def counted(self, count, u, f_u, start=0):
+    def counted(self, count, u, f_u, s_u, start=0):
         calls.append((count, start, np.array(u)))
-        return scan(self, count, u, f_u, start=start)
+        return scan(self, count, u, f_u, s_u, start=start)
 
     monkeypatch.setattr(HistoryLedger, "linearization_gaps", counted)
     return calls
@@ -349,10 +408,13 @@ def _replay_details(prob, trace, ledger):
             q, env = _quotients_and_envelopes(u, f_u, X[lo:k], F[lo:k],
                                               G[lo:k])
             excess = np.where(q != 0.0, q - env - m * (1.0 + 1e-9), -np.inf)
-            i = int(np.argmax(excess))  # a row's first NaN never wins
+            # a NaN quotient has no excess; the largest finite one wins
+            excess = np.where(np.isnan(excess), -np.inf, excess)
+            i = int(np.argmax(excess))
             if excess[i] > best:
                 best, where = float(excess[i]), (k, lo + i + 1)
-            rows.append(ledger.linearization_gaps(k, u, f_u, start=lo)[0])
+            rows.append(ledger.linearization_gaps(
+                k, u, f_u, prob.smooth.value_scale(u, f_u), start=lo)[0])
         L_prev = max(float(rows[1][0]), float(np.max(rows[0])), L_prev, 0.0)
         if mismatch is None and L_prev != trace.L[k - 1]:
             mismatch = k
@@ -401,5 +463,5 @@ def test_lower_curvature_cap_reports_the_largest_excess_of_a_direct_scan(
     assert checks["lower-curvature-replay"].detail == replay
     assert checks["lower-curvature-cap"].detail == cap
     assert (tamper is None) == checks["lower-curvature-replay"].passed
-    if tamper is None:
-        assert not checks["lower-curvature-cap"].passed
+    # m = 0 on an indefinite instance: a NaN record hides no excess
+    assert not checks["lower-curvature-cap"].passed

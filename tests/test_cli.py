@@ -98,6 +98,18 @@ def test_solve_with_audit_passes_on_rough_instance(capsys):
     assert "stepsize-floor" in names
 
 
+def test_solve_wide_box_convex_instance_passes_its_audit(capsys):
+    # the terms of f are ~1e7 on this box; roundoff must not read as
+    # concavity (L > 0 and xi = 1 made this run exit 3)
+    code, out, _ = _run(capsys, [
+        "solve", "--instance", "qp:n=20,eig_lo=0.001,eig_hi=100,"
+        "box_lo=-1000,box_hi=1000,seed=0", "--rho", "1e-2", "--audit"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["audit"]["passed"] is True
+    assert doc["certificate"]["iterations"] == 1382
+
+
 def test_solve_iteration_cap_exits_two(capsys):
     code, out, _ = _run(capsys, ["solve", "--instance", ROUGH,
                                  "--rho", "1e-14", "--max-iter", "5"])

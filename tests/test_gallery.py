@@ -330,3 +330,25 @@ def test_solve_takes_one_product_per_evaluated_point(which):
     assert cert.converged
     assert cert.prox_calls > cert.iterations  # some trials were rejected
     assert Q.products == 1 + cert.iterations + cert.prox_calls
+
+
+@pytest.mark.parametrize("n", [1, 3, 20, 200, 1000])
+def test_value_scale_of_rows_equals_one_point_at_a_time_bit_for_bit(n):
+    # the audit computes s(y_k) for all rows of Y at once, and the ledger
+    # fills missing record scales as rows; the solver computes s one point
+    # at a time, and the zero rule needs both to agree bit for bit
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n))
+    oracle = QuadraticOracle(A + A.T, rng.normal(size=n))
+    rows = 8 if n == 1000 else 500
+    P = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-6, 7, (rows, 1))
+    f = np.array([oracle.value(p) for p in P])
+    together = oracle.value_scale(P, f)
+    alone = [oracle.value_scale(p, float(fp)) for p, fp in zip(P, f)]
+    assert together.tobytes() == np.array(alone).tobytes()
+    q_inf = np.max(np.sum(np.abs(oracle.Q), axis=1))
+    uu = np.sum(P * P, axis=1)
+    assert np.allclose(together, 0.5 * q_inf * uu
+                       + np.linalg.norm(oracle.c) * np.sqrt(uu),
+                       rtol=1e-12)
+    assert np.all(together >= np.abs(f) * (1.0 - 1e-12))

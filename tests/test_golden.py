@@ -3,17 +3,18 @@
 Covers the adaptive solver on the clean audit corpus (starts drawn as
 ``run_audit_suite`` draws them) and on four n=200 indefinite instances, plus
 both constant-step baselines on the first six corpus instances.  A second
-hash covers one run whose lower-curvature estimate L grows (from 0 at
-k=1162), the path on which the history check rescans committed pairs.  Each
-run contributes its trace CSV bytes, ``y_hat``, ``v_hat`` and the
-certificate counters.  A refactor that keeps every output bit for bit keeps
-the hashes.
+hash covers one nonconvex run whose lower-curvature estimate L grows (from
+0 at k=20, through six positive values), the path on which the history
+check rescans committed pairs.  Each run contributes its trace CSV bytes,
+``y_hat``, ``v_hat`` and the certificate counters.  A refactor that keeps
+every output bit for bit keeps the hashes.
 """
 
 import hashlib
 
 import numpy as np
 
+import varfista.solver as solver_mod
 from varfista.audit import audit_corpus
 from varfista.baselines import run_fista_constant, run_prox_gradient
 from varfista.gallery import QuadraticSpec, default_start, generate_qp
@@ -22,7 +23,7 @@ from varfista.solver import SolverConfig, solve
 SOLVE_TRACE_SHA256 = \
     "9644f6d2000b76e55a4aff131fad8297747ce6cc8030de7dfc2727016026a4db"
 L_GROWTH_SHA256 = \
-    "6cbf26fad030c31659d0e181a1923f2bfdaf329120e849b4cc67a7bed24de20a"
+    "6fded4508b249a5145d93043ae4afcd52966739bdce4851b0088ec6ef23f804a"
 
 
 def _feed(h, path, cert, trace):
@@ -61,15 +62,24 @@ def test_solve_traces_match_golden_hash(tmp_path):
     assert h.hexdigest() == SOLVE_TRACE_SHA256
 
 
-def test_l_growth_trace_matches_golden_hash(tmp_path):
-    # strictly convex, but roundoff makes L positive at k=1162 and it then
-    # grows a few more times; each growth rescans the committed pairs
-    problem = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,
-                                        box=(-1000.0, 1000.0), seed=0))
-    cfg = SolverConfig(rho_hat=1e-2, max_outer_iterations=2000)
+def test_l_growth_trace_matches_golden_hash(tmp_path, monkeypatch):
+    # curvature down to -1: L turns positive at k=20 and grows five more
+    # times; each growth rescans the committed pairs
+    scans = []
+    original = solver_mod._committed_pairs_violated
+
+    def counted(*args):
+        scans.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver_mod, "_committed_pairs_violated", counted)
+    problem = generate_qp(QuadraticSpec(n=20, eig_lo=-1.0, eig_hi=10.0,
+                                        seed=3))
+    cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=2000)
     cert, trace, _ = solve(problem, cfg, default_start(problem))
-    assert trace.L[1160] == 0.0 < trace.L[1161]
-    assert len(set(trace.L)) > 2
+    assert trace.L[18] == 0.0 < trace.L[19]
+    assert len(set(trace.L)) >= 3
+    assert scans
     h = hashlib.sha256()
     _feed(h, tmp_path / "trace.csv", cert, trace)
     assert h.hexdigest() == L_GROWTH_SHA256

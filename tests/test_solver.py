@@ -114,8 +114,13 @@ def test_update_best_tie_keeps_incumbent():
     assert trace.ymin_rows[0] == 0 and trace.side_rows == []
 
 
+def _abs_scale(u, f_u):
+    """The default value-roundoff scale |f(u)|."""
+    return abs(f_u)
+
+
 def _one_record_ledger(x, f_x, g):
-    ledger = HistoryLedger(1)
+    ledger = HistoryLedger(1, _abs_scale)
     ledger.append_linearization(np.array([x]), f_x, np.array([g]))
     return ledger
 
@@ -134,7 +139,7 @@ def test_compute_L_gap_of_concave_function():
     # against the record and the best point's max gap, are 2*2/4 = 1
     ledger = _one_record_ledger(0.0, 0.0, 0.0)
     u = np.array([2.0])
-    assert ledger._record_gap(1, u, -2.0) == 1.0
+    assert ledger._record_gap(1, u, -2.0, _abs_scale) == 1.0
     assert ledger.ymin_ratio_max(u, -2.0) == 1.0
     # inside solve, L picks the curvature up at the first moving step
     _, trace, _ = solve(_concave_1d(), SolverConfig(max_outer_iterations=3),
@@ -147,15 +152,16 @@ def test_compute_L_never_negative():
     ledger = _one_record_ledger(0.0, 0.0, 0.0)
     u = np.array([2.0])
     # f(u) = u^2/2 -> f(2) = 2, gap = 2*(0 - 2)/4 = -1
-    assert ledger._record_gap(1, u, 2.0) == -1.0
+    assert ledger._record_gap(1, u, 2.0, _abs_scale) == -1.0
     assert ledger.ymin_ratio_max(u, 2.0) == -1.0
     # inside solve, on f(u) = u^2/2 the best point's gaps are negative
     prob = _free_1d()
     _, trace, ledger = solve(prob, SolverConfig(max_outer_iterations=5),
                              np.array([3.0]))
     ymin = trace.point(trace.ymin_rows[-1])
-    gaps, _, _ = ledger.linearization_gaps(len(trace), ymin,
-                                           prob.smooth.value(ymin))
+    f_ymin = prob.smooth.value(ymin)
+    gaps, _, _ = ledger.linearization_gaps(len(trace), ymin, f_ymin,
+                                           abs(f_ymin))
     assert np.all(gaps < 0.0)
     assert np.all(trace.L == 0.0)
 
@@ -353,7 +359,7 @@ def test_compute_v_hand_value():
 # ---------------------------------------------------------------------------
 
 def test_ledger_records_round_trip():
-    ledger = HistoryLedger(2)
+    ledger = HistoryLedger(2, _abs_scale)
     x = np.array([1.0, 2.0])
     g = np.array([3.0, 4.0])
     idx = ledger.append_linearization(x, 5.0, g)
@@ -385,7 +391,7 @@ def test_trace_records_the_stepsize_and_tau_histories():
 
 
 def test_ledger_buffers_grow_past_initial_capacity():
-    ledger = HistoryLedger(1)
+    ledger = HistoryLedger(1, _abs_scale)
     trace = IterationTrace(np.array([-1.0]), 1.0)
     for i in range(200):
         ledger.append_linearization(np.array([float(i)]), float(i),
@@ -404,7 +410,7 @@ def test_ledger_buffers_grow_past_initial_capacity():
 def test_ledger_gap_cache_matches_full_replay():
     rng = np.random.default_rng(2)
     dim = 3
-    ledger = HistoryLedger(dim)
+    ledger = HistoryLedger(dim, _abs_scale)
 
     def add(n):
         for _ in range(n):
@@ -416,17 +422,17 @@ def test_ledger_gap_cache_matches_full_replay():
     f_u = -1.3
     add(2)
     got = ledger.ymin_ratio_max(u, f_u)
-    want = float(np.max(ledger.linearization_gaps(2, u, f_u)[0]))
+    want = float(np.max(ledger.linearization_gaps(2, u, f_u, abs(f_u))[0]))
     assert got == want
     # incremental fold-in of new records only
     add(3)
     got = ledger.ymin_ratio_max(u, f_u)
-    want = float(np.max(ledger.linearization_gaps(5, u, f_u)[0]))
+    want = float(np.max(ledger.linearization_gaps(5, u, f_u, abs(f_u))[0]))
     assert got == want
     # new best point triggers a full rescan
     u2 = rng.normal(size=dim)
     got = ledger.ymin_ratio_max(u2, 0.4)
-    want = float(np.max(ledger.linearization_gaps(5, u2, 0.4)[0]))
+    want = float(np.max(ledger.linearization_gaps(5, u2, 0.4, 0.4)[0]))
     assert got == want
 
 
@@ -444,7 +450,7 @@ def _scan_log(monkeypatch):
 
 
 def _filled_ledger(rng, dim, count):
-    ledger = HistoryLedger(dim)
+    ledger = HistoryLedger(dim, _abs_scale)
     for _ in range(count):
         ledger.append_linearization(rng.normal(size=dim), float(rng.normal()),
                                     rng.normal(size=dim))
@@ -460,7 +466,8 @@ def test_ledger_cache_rescans_a_best_point_mutated_in_place(monkeypatch):
     u[2] += 0.25  # same array object, new bytes
     got = ledger.ymin_ratio_max(u, -0.7)
     assert scans[0] == (0, 6)
-    assert got == float(np.max(ledger.linearization_gaps(6, u, -0.7)[0]))
+    assert got == float(np.max(ledger.linearization_gaps(6, u, -0.7,
+                                                         0.7)[0]))
 
 
 def test_ledger_cache_distinct_equal_array_gives_same_maximum():
@@ -469,7 +476,7 @@ def test_ledger_cache_distinct_equal_array_gives_same_maximum():
     u = rng.normal(size=4)
     first = ledger.ymin_ratio_max(u, 0.2)
     again = ledger.ymin_ratio_max(u.copy(), 0.2)
-    want = float(np.max(ledger.linearization_gaps(6, u, 0.2)[0]))
+    want = float(np.max(ledger.linearization_gaps(6, u, 0.2, 0.2)[0]))
     assert first == again == want
 
 
@@ -480,12 +487,15 @@ def _as_bits(value) -> bytes:
 @settings(max_examples=400, deadline=None)
 @given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
        guarded=st.booleans(), d_exp=st.integers(-8, 8),
-       nan_in=st.sampled_from([None, "u", "g", "f_u"]))
+       nan_in=st.sampled_from([None, "u", "g", "f_u"]),
+       in_band=st.booleans())
 def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
-                                                       d_exp, nan_in):
-    # the solver's one-record fold and t1 term use _gap_term, the audit's
+                                                       d_exp, nan_in,
+                                                       in_band):
+    # the solver's one-record fold and t1 term use _record_gap, the audit's
     # replay a one-row _gap_terms; both must give the same bits, also when
-    # a NaN in u, in the record's gradient or in f(u) reaches the quotient
+    # a NaN in u, in the record's gradient or in f(u) reaches the quotient,
+    # and when the numerator lies in the zero band of the value scales
     rng = np.random.default_rng(seed)
     eps = solver_mod.DENOM_EPSILON
 
@@ -493,11 +503,11 @@ def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
         return rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
 
     x, g, f_x, f_u = draw(n), draw(n), float(draw()), float(draw())
+    # scales at least |f(x)|, so the band spans 128 ulps of f(x) or more
+    s_x, s_u = abs(f_x) + abs(draw()), abs(f_x) + abs(draw())
     if nan_in == "g":
         g[rng.integers(n)] = math.nan
-    if nan_in == "f_u":
-        f_u = math.nan
-    ledger = HistoryLedger(n)
+    ledger = HistoryLedger(n, lambda *_: s_x)
     ledger.append_linearization(x, f_x, g)
     xn2 = ledger.x_tilde_norm2(1)
     d = draw(n) * 10.0 ** d_exp
@@ -505,17 +515,70 @@ def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
         d *= rng.random() * math.sqrt(eps * (1.0 + xn2)) / (
             math.sqrt(float(d @ d)) * 2.0)
     u = x + d
+    gd = float(np.einsum("i,i->", g, u - x))
+    band = 2.0 * 64.0 * np.finfo(np.float64).eps * (s_u + s_x + abs(gd))
+    if in_band:  # aim the numerator 2 (f(x) + gd - f(u)) into (0, band]
+        f_u = f_x + gd - 0.5 * band * rng.uniform(-0.2, 1.2)
+    if nan_in == "f_u":
+        f_u = math.nan
     if nan_in == "u":
         u[rng.integers(n)] = math.nan
-    want, den, _ = ledger.linearization_gaps(1, u, f_u)
+    want, den, _ = ledger.linearization_gaps(1, u, f_u, s_u)
+    num = 2.0 * (f_x + gd - f_u)
     if den[0] <= eps * (1.0 + xn2):
         assert want[0] == 0.0
     else:
         assert not guarded or nan_in == "u"
         assert math.isnan(want[0]) == (nan_in is not None)
-    got = solver_mod._gap_term(x, f_x, g, xn2, u, f_u)
-    assert _as_bits(got) == want[0].tobytes()
-    assert _as_bits(ledger._record_gap(1, u, f_u)) == want[0].tobytes()
+        if nan_in is None:
+            assert want[0] == (0.0 if 0.0 < num <= band else num / den[0])
+    assert _as_bits(ledger._record_gap(1, u, f_u, lambda *_: s_u)) \
+        == want[0].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 24), n=st.integers(1, 6), split=st.integers(1, 24),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rescan_and_fold_maxima_equal_the_zeroed_rows_bit_for_bit(k, n, split,
+                                                                  seed):
+    # a rescan zeroes only the quotients that could be the maximum, a fold
+    # scores one record at a time; both must give the maximum of the fully
+    # zeroed rows of linearization_gaps.  The numerators are drawn inside
+    # the zero band, just above it or negative
+    rng = np.random.default_rng(seed)
+
+    def scale(u, f_u):  # some s(u) >= |f(u)|, one point or rows alike
+        return 3.0 * np.abs(f_u) + 1.0
+
+    u = rng.normal(size=n)
+    f_u = float(rng.normal())
+    records = []
+    for _ in range(k):
+        x, g = rng.normal(size=n), rng.normal(size=n)
+        gd = float(np.einsum("i,i->", g, u - x))
+        f_x = float(rng.normal())  # sets s(x_tilde), then moved below
+        band = 2.0 * 64.0 * np.finfo(np.float64).eps * (
+            scale(u, f_u) + scale(x, f_x) + abs(gd))
+        kind = rng.integers(3)
+        target = (band * rng.uniform(0.05, 0.95), band * rng.uniform(2, 5),
+                  -rng.random())[kind]
+        records.append((x, f_u - gd + 0.5 * target, g))
+
+    def ledger_with(count):
+        ledger = HistoryLedger(n, scale)
+        for x, f_x, g in records[:count]:
+            ledger.append_linearization(x, f_x, g)
+        return ledger
+
+    want = np.max(ledger_with(k).linearization_gaps(k, u, f_u,
+                                                    scale(u, f_u))[0])
+    rescanned = ledger_with(k).ymin_ratio_max(u, f_u)
+    folded = ledger_with(min(split, k))
+    folded.ymin_ratio_max(u, f_u)
+    for x, f_x, g in records[min(split, k):]:
+        folded.append_linearization(x, f_x, g)
+    assert _as_bits(rescanned) == want.tobytes()
+    assert _as_bits(folded.ymin_ratio_max(u, f_u)) == want.tobytes()
 
 
 def _golden_corpus_runs():
@@ -561,7 +624,7 @@ def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
     for problem, y0 in _golden_corpus_runs():
         solve(problem, GOLDEN_CFG, y0)
     assert folds[0] > len(misses) > 0
-    # this run changes best point on all but two of its 2003 calls
+    # this run changes best point on all but one of its 1384 calls
     growth = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,
                                        box=(-1000.0, 1000.0), seed=0))
     solve(growth, SolverConfig(rho_hat=1e-2, max_outer_iterations=2000),
@@ -573,24 +636,24 @@ def test_ledger_fold_carries_a_nan_quotient_like_a_rescan():
     # the second record's gradient is NaN, so its quotient at ymin is NaN;
     # the fold must carry it as np.max over a full rescan does, also past
     # a later finite record
-    ledger = HistoryLedger(2)
+    ledger = HistoryLedger(2, _abs_scale)
     ymin = np.array([1.0, 1.0])
     for k, g in enumerate(([0.0, 0.0], [math.nan, 0.0], [0.0, 0.0]), 1):
         ledger.append_linearization(np.zeros(2), 0.0, np.array(g))
         folded = ledger.ymin_ratio_max(ymin, -0.5)
-        rescan = np.max(ledger.linearization_gaps(k, ymin, -0.5)[0])
+        rescan = np.max(ledger.linearization_gaps(k, ymin, -0.5, 0.5)[0])
         assert _as_bits(folded) == rescan.tobytes()
         assert (folded == 0.5) if k == 1 else math.isnan(folded)
     assert ledger.cached_ymin is ymin  # every call after the first folded
 
 
 def test_ledger_slice_queries_validate_bounds():
-    ledger = HistoryLedger(1)
+    ledger = HistoryLedger(1, _abs_scale)
     ledger.append_linearization(np.array([0.0]), 0.0, np.array([0.0]))
     with pytest.raises(IndexError):
-        ledger.linearization_gaps(2, np.array([0.0]), 0.0)
+        ledger.linearization_gaps(2, np.array([0.0]), 0.0, 0.0)
     with pytest.raises(IndexError):
-        ledger.linearization_gaps(1, np.array([0.0]), 0.0, start=2)
+        ledger.linearization_gaps(1, np.array([0.0]), 0.0, 0.0, start=2)
     with pytest.raises(IndexError):
         ledger.record_arrays(5)
     X, F, G, XN2 = ledger.record_arrays(1)
