@@ -1,4 +1,4 @@
-"""Numpy kernels for the dense-grid oracles and the audit's blocked scans.
+"""Numpy kernels for the dense-grid oracles and the audit's scans.
 
 The grid kernels share one blocked evaluator, ``grid_blocks``: it walks the
 grid over a box in blocks of about two million points and hands each block
@@ -46,11 +46,12 @@ def grid_blocks(lo, hi, resolution):
 
 
 # ---------------------------------------------------------------------------
-# blocked scans of the audit
+# scans of the audit
 # ---------------------------------------------------------------------------
 # The audit's scans over rows of the history run in blocks of at most
 # _ROW_BLOCK elements (one row when a row is longer), so they cost a few
 # numpy calls per block rather than per row and hold a small temporary.
+# ``history_margin`` instead takes one margin vector per (xi, L) run: O(K S).
 
 _ROW_BLOCK = 8192
 
@@ -82,31 +83,26 @@ def history_margin(lam_hist, tau_hist, L_arr, xi_arr):
     lam_hist has length N+1 (lam_0..lam_N); the other arrays have length N.
     Returns (min_margin, k_arg, i_arg) with 1-based k and i: the first
     strict minimum in row-major order, where a row k holding a NaN margin
-    loses whole.  Rows are evaluated in lower-triangular blocks of at most
-    _ROW_BLOCK elements (one row when a row is longer).
+    loses whole.  Every margin is evaluated, in one vector per (xi, L) run:
+    the rows of a run have bitwise-equal (xi_k, L_k) (-0.0 and 0.0 differ)
+    and are prefixes of one margin vector, whose first strict minimum goes
+    to the run's first row that holds it.  O(N S) work for S runs.
     """
     n = tau_hist.shape[0]
-    best = math.inf
-    k_arg = 0
-    i_arg = 0
-    prev = lam_hist[:-1]
-    curr = lam_hist[1:]
-    k0 = 0
-    while k0 < n:
-        # the most rows r with r (k0 + r) <= _ROW_BLOCK
-        r = (math.isqrt(k0 * k0 + 4 * _ROW_BLOCK) - k0) // 2
-        k1 = min(n, k0 + max(1, r))
-        margins = (xi_arr[k0:k1, None] * prev[:k1]
-                   - L_arr[k0:k1, None] * curr[:k1] - tau_hist[:k1])
-        margins[np.arange(k1) > np.arange(k0, k1)[:, None]] = np.inf  # i > k
-        cols = np.argmin(margins, axis=1)  # a row's first NaN, if it has one
-        mins = margins[np.arange(k1 - k0), cols]
-        row = int(np.argmin(np.where(np.isnan(mins), np.inf, mins)))
-        if mins[row] < best:
-            best = float(mins[row])
-            k_arg = k0 + row + 1
-            i_arg = int(cols[row]) + 1
-        k0 = k1
+    best, k_arg, i_arg = math.inf, 0, 0
+    xv, Lv = xi_arr.view(np.int64), L_arr.view(np.int64)
+    first = np.ones(n, dtype=bool)  # rows that start a run
+    first[1:] = (xv[1:] != xv[:-1]) | (Lv[1:] != Lv[:-1])
+    starts = np.flatnonzero(first).tolist()
+    for s, e in zip(starts, starts[1:] + [n]):
+        m = xi_arr[s] * lam_hist[:e] - L_arr[s] * lam_hist[1:e + 1] \
+            - tau_hist[:e]
+        bad = np.flatnonzero(np.isnan(m))
+        stop = int(bad[0]) if bad.size else e  # rows from stop on hold a NaN
+        if stop > s:
+            j = int(np.argmin(m[:stop]))
+            if m[j] < best:
+                best, k_arg, i_arg = float(m[j]), max(s, j) + 1, j + 1
     return best, k_arg, i_arg
 
 

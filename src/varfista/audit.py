@@ -92,14 +92,15 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     Cost for K iterations in dimension n: O(K n) work in O(S) numpy calls,
     where S counts the segments (maximal runs of iterations with the same
     best point), plus O(k n) per segment that ends at iteration k (the
-    lower-curvature replay scans its best point once), plus the O(K^2)
-    history-inequality scan, which stays exhaustive on purpose and runs in
-    blocks.  The replay reads only the committed records and shares no
-    state with the solver's gap cache.  The checks read trace columns as
-    views, and ``replay_anchors`` rebuilds a_k and x_k.  Beside the run's
-    trace and ledger, the audit holds one K x n temporary at a time: the
-    anchors, then the differences of y_k, y_{k-1} or one best point with
-    the records.
+    lower-curvature replay scans its best point once), plus O(K S') for
+    the history inequality, whose every margin is evaluated in one vector
+    per (xi, L) run, a maximal run of bitwise-equal (xi_k, L_k).  The
+    replay reads only the committed records and shares no state with the
+    solver's gap cache.  The checks read trace columns as views, and
+    ``replay_anchors`` rebuilds a_k and x_k.  Beside the run's trace and
+    ledger, the audit holds one K x n temporary at a time: the anchors,
+    then the differences of y_k, y_{k-1} or one best point with the
+    records.
     """
     checks: List[CheckResult] = []
     lam, xi, tau, U, L = trace.lam, trace.xi, trace.tau, trace.U, trace.L

@@ -603,7 +603,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
 
         lam_hist, tau_hist = trace.stepsizes, trace.tau
         y_prev = y
-        f_y_prev = f_y
+        # the gap of the previous iterate against this record, fixed
+        # across the trials of this iteration
+        t1 = ledger._record_gap(idx, y_prev, f_y, value_scale)
         repeats = 0
 
         while True:
@@ -615,13 +617,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             if phi_y < phi_ymin:  # ties keep the incumbent
                 phi_ymin, ymin, f_ymin = phi_y, y, f_y
 
-            # lower-curvature recursion: the gap of the previous iterate
-            # against this record, the incumbent's max gap over all records,
-            # the previous L, and 0
-            L_cand = max(
-                ledger._record_gap(idx, y_prev, f_y_prev, value_scale),
-                ledger.ymin_ratio_max(ymin, f_ymin),
-                L, 0.0)
+            # lower-curvature recursion: t1, the incumbent's max gap over
+            # all records, the previous L, and 0
+            L_cand = max(t1, ledger.ymin_ratio_max(ymin, f_ymin), L, 0.0)
             # one check per trial; f(y) comes first, so a non-finite f(y)
             # is named rather than the U or L it spoils
             _require_finite(

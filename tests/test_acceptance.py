@@ -208,11 +208,21 @@ def test_criterion_07_inner_work_budget(corpus_runs):
             f"within={within}/20 tightest slack={worst_slack:.2f} repeats")
 
 
+# The solver is deterministic, so a ladder's slope repeats bit for bit; the
+# margin admits small changes in its retry sequence and nothing more.
+_SLOPE_MARGIN = 0.05
+
+
 def test_criterion_08_tolerance_ladder_rates():
+    """The slope of log N against log(1/rho) stays within _SLOPE_MARGIN
+    of its measured value: 0.225 on the strongly convex ladder and 0.163
+    on the indefinite one."""
     ladder = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
     cases = (
-        ("convex", QuadraticSpec(n=20, eig_lo=1.0, eig_hi=10.0, seed=0), 0.9),
-        ("rough", QuadraticSpec(n=20, eig_lo=-1.0, eig_hi=10.0, seed=1), 2.2),
+        ("convex", QuadraticSpec(n=20, eig_lo=1.0, eig_hi=10.0, seed=0),
+         0.225 + _SLOPE_MARGIN),
+        ("rough", QuadraticSpec(n=20, eig_lo=-1.0, eig_hi=10.0, seed=1),
+         0.163 + _SLOPE_MARGIN),
     )
     t0 = time.perf_counter()
     ok = True
@@ -228,7 +238,7 @@ def test_criterion_08_tolerance_ladder_rates():
             iters.append(cert.iterations)
         slope = fit_slope(ladder, iters)
         ok = ok and slope is not None and slope <= cap
-        details.append(f"{label} slope={slope:.3f}<= {cap}")
+        details.append(f"{label} slope={slope:.3f}<= {cap:.3f}")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0
     _report(8, "tolerance-ladder-rates", ok,
@@ -282,14 +292,19 @@ def test_criterion_10_iterate_drift_bound(corpus_runs):
 def test_criterion_11_convex_adaptivity():
     """On convex f, VAR-FISTA keeps the constant-step method's iteration
     count: L and xi stay 0, so its only cost over FISTA at step 0.99/M is
-    its adaptive stepsize.  That stepsize ends between gamma/(theta M) and
-    gamma/M; for an accelerated method the iterations to a residual grow
-    like lam^(-1/2), and the measured ratios (1.16, 1.17, 1.02, 1.01, 1.00
-    on seeds 0-4) equal sqrt(0.99/M / min lam) to two digits.  The factor
-    1.25 leaves room above them and sits far below the 4.1-5.6x that an
-    escalation to xi = 1 costs on these instances.  The wide box (+-1000)
-    makes the terms of f(u) about 1e7 while the gap numerators are about
-    1e-9, the case where roundoff can pass for concavity."""
+    its adaptive stepsize.  For an accelerated method the iterations to a
+    residual grow like lam^(-1/2), and the measured ratios (1.16, 1.17,
+    1.02, 1.01, 1.00 on seeds 0-4) equal sqrt(0.99/M / min lam) to two
+    digits.  The stepsize only shrinks, to min(lam/theta, gamma/U) once
+    U lam > gamma, and U <= M, so lam_K M > gamma/theta: on these runs
+    lam_K M lies in (gamma/theta, gamma] = (0.495, 0.99] (0.73-0.99), and
+    where it lands there is luck of the instance.  The factor 1.25
+    therefore belongs to these five seeds, not to the method: convex least
+    squares 0.5 ||Au - b||^2 on a +-1000 box reached 1.51.  It sits far
+    below the 4.1-5.6x that an escalation to xi = 1 costs on these
+    instances.  The wide box (+-1000) makes the terms of f(u) about 1e7
+    while the gap numerators are about 1e-9, the case where roundoff can
+    pass for concavity."""
     ratios = []
     for seed in range(5):
         prob = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,

@@ -7,6 +7,7 @@ bit; the grids are kept small enough for the loops to run quickly.
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -191,25 +192,78 @@ def test_history_margin_matches_reference():
                 == _history_margin_loop(lam, tau, L, xi))
 
 
-# up to 3 isqrt(block) rows: at least three row blocks of the margin scan
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 3 * math.isqrt(_kernels._ROW_BLOCK)),
+def _run_starts(L, xi):
+    """First rows of the runs of bitwise-equal (xi_k, L_k)."""
+    return [k for k in range(len(L)) if k == 0
+            or (L[k].tobytes(), xi[k].tobytes())
+            != (L[k - 1].tobytes(), xi[k - 1].tobytes())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60),
        seed=st.integers(0, 2 ** 32 - 1),
-       nan_in=st.sampled_from([None, "L", "xi"]),
-       nan_at=st.floats(0.0, 1.0, exclude_max=True))
-def test_history_margin_matches_a_per_k_scan(n, seed, nan_in, nan_at):
+       steps=st.booleans(),
+       edit=st.sampled_from([None, "nan-row", "nan-edge", "signed-zero",
+                             "inf"]),
+       at=st.floats(0.0, 1.0, exclude_max=True))
+def test_history_margin_matches_a_per_k_scan(n, seed, steps, edit, at):
     # few distinct values, so that many margins tie and the first (k, i)
-    # must win; a NaN in L_k or xi_k makes all of row k NaN
+    # must win; with steps, xi and L are nondecreasing as in a run, so rows
+    # come in long runs of equal (xi, L), else the runs are short
     rng = np.random.default_rng(seed)
     lam = rng.choice([0.25, 0.5, 1.0], size=n + 1)
     tau = rng.choice([0.0, 0.125, 0.5], size=n)
     L = rng.choice([0.0, 0.5, 1.0], size=n)
     xi = rng.choice([0.0, 1.0, 2.0], size=n)
-    if nan_in is not None:
-        (L if nan_in == "L" else xi)[int(nan_at * n)] = np.nan
-    got = _kernels.history_margin(lam, tau, L, xi)
-    want = _history_margin_rows(lam, tau, L, xi)
+    if steps:
+        L.sort()
+        xi.sort()
+    r = int(at * n)
+    if edit == "nan-row":  # all of row r is NaN
+        (L if seed % 2 else xi)[r] = np.nan
+    elif edit == "nan-edge":  # a NaN margin at i = a run's first row,
+        # or one before or after it: rows from i on hold a NaN
+        starts = _run_starts(L, xi)
+        i = starts[int(at * len(starts))] + seed % 3 - 1
+        tau[min(max(i, 0), n - 1)] = np.nan
+    elif edit == "signed-zero" and n > 1:  # -0.0 and 0.0 in two runs
+        r = min(r, n - 2)
+        xi[r:r + 2] = [-0.0, 0.0]
+        L[r:r + 2] = 0.0
+    elif edit == "inf":
+        [lam, tau, L, xi][seed % 4][r] = np.inf if seed % 8 < 4 else -np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
+        got = _kernels.history_margin(lam, tau, L, xi)
+        want = _history_margin_rows(lam, tau, L, xi)
     assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:])
+
+
+def test_history_margin_keeps_signed_zero_runs_apart():
+    # rows 1 and 2 differ only in the sign of xi = 0; the worst margin is
+    # row 2's at i = 2, which is +0.0 as row 2 computes it and -0.0 as
+    # row 1 would
+    got = _kernels.history_margin(np.ones(3), np.array([-1.0, 0.0]),
+                                  np.zeros(2), np.array([-0.0, 0.0]))
+    assert (got[0].hex(), got[1:]) == ((0.0).hex(), (2, 2))
+
+
+def test_history_margin_of_an_empty_history():
+    empty = np.array([])
+    assert _kernels.history_margin(np.ones(1), empty, empty, empty) \
+        == (math.inf, 0, 0)
+
+
+def test_history_margin_scans_one_run_in_linear_time():
+    # one run of 100000 rows: 5e9 margins row by row; the worst is the one
+    # large tau, at its own row
+    n = 100_000
+    tau = np.full(n, 0.25)
+    tau[70_000] = 2.0
+    start = time.perf_counter()
+    got = _kernels.history_margin(np.ones(n + 1), tau, np.full(n, 0.5),
+                                  np.ones(n))
+    assert time.perf_counter() - start < 0.5
+    assert got == (-1.5, 70_001, 70_001)
 
 
 def _cases(n):
