@@ -156,19 +156,6 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     add_unless("iterates-in-domain", ~np.isfinite(phi_y),
                "phi(y_k) finite for all k")
 
-    drift_anchor = 0.0
-    anchor_k = 0
-    for s, e in _kernels.row_blocks(n_iter, problem.dimension):
-        B = anchors[s:e]
-        moved = _kernels.row_norms(problem.omega.project(B) - B)
-        i = _kernels.first_max(moved, drift_anchor)
-        if i >= 0:
-            drift_anchor = float(moved[i])
-            anchor_k = s + i + 1
-    add("anchor-in-region", drift_anchor <= 1e-9,
-        f"max projection displacement {drift_anchor:.3e}"
-        + (f" at k={anchor_k}" if anchor_k else ""))
-
     # certificate
     if cert.converged:
         ok = (cert.residual_norm <= config.rho_hat
@@ -190,7 +177,7 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     bounds = TheoreticalBounds.from_problem(problem, config)
     slack = _REL
     drift = check_xk_drift(anchors, y0, bounds)  # reported last
-    del anchors, B  # B views the last block, so it keeps them all alive
+    del anchors
 
     # U_k against M, with a per-iteration roundoff envelope for the quotient
     X, F, G, xn2 = ledger.record_arrays(n_iter)

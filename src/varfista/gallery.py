@@ -15,8 +15,10 @@ patterns, which is exact up to linear-solve precision.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Tuple
@@ -299,7 +301,14 @@ def global_min_phi(problem: CompositeProblem,
 def save_instance(problem: CompositeProblem, path: str,
                   seed: Optional[int] = None) -> None:
     """Write a box or L1-plus-box QP over Omega = R^n as a self-describing
-    instance document (exact float round-trip); others raise TypeError."""
+    JSON instance document; others raise TypeError.
+
+    Each array field (``Q``, ``c``, ``box_lo``, ``box_hi``) is one base64
+    string of the array's little-endian float64 (``<f8``) bytes in C order,
+    so the round trip through ``load_instance`` is bit-exact, signed zeros,
+    subnormals and non-finite entries included.  ``seed`` must be an integer
+    (numpy integers are stored as ``int``).  The document is serialized
+    before the file is opened, so a failure writes nothing."""
     smooth, reg, wl1 = _box_qp_parts(problem, "instance files")
     omega = problem.omega
     if not (np.all(omega.lo == -np.inf) and np.all(omega.hi == np.inf)):
@@ -308,38 +317,101 @@ def save_instance(problem: CompositeProblem, path: str,
     doc = {
         "format": "varfista-qp-instance",
         "n": problem.dimension,
-        "Q": [float(v) for v in smooth.Q.ravel(order="C")],
-        "c": [float(v) for v in smooth.c],
-        "box_lo": [float(v) for v in lo],
-        "box_hi": [float(v) for v in hi],
+        "Q": _encode_array(smooth.Q),
+        "c": _encode_array(smooth.c),
+        "box_lo": _encode_array(lo),
+        "box_hi": _encode_array(hi),
         "l1_weight": float(wl1),
         "lipschitz": float(smooth.audit_lipschitz),
         "curvature": float(smooth.audit_curvature),
-        "seed": seed,
+        "seed": None if seed is None else operator.index(seed),
     }
+    text = json.dumps(doc, indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_instance(path: str) -> CompositeProblem:
-    """Read an instance document written by save_instance."""
+    """Read an instance document written by save_instance.
+
+    Array fields are base64 strings of ``<f8`` bytes in C order, read back
+    bit for bit; a plain JSON list of numbers (the form of older files) is
+    read too.  A malformed document raises ValueError naming the path and
+    the field."""
     with open(path) as fh:
         doc = json.load(fh)
     return _problem_from_document(doc, path)
 
 
+_REQUIRED_FIELDS = ("n", "Q", "c", "box_lo", "box_hi", "lipschitz",
+                    "curvature")
+
+
+def _encode_array(a: Array) -> str:
+    """base64 of the little-endian float64 bytes of ``a``, in C order."""
+    raw = np.asarray(a, dtype="<f8").tobytes(order="C")
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def _decode_array(doc: dict, key: str, size: int, path: str) -> Array:
+    """Field ``key`` as a flat float64 array of ``size`` entries.
+
+    A base64 string is viewed in place (``np.frombuffer``, read-only, no
+    copy).  ``binascii`` drops characters outside the base64 alphabet, so
+    the string's own length is checked too: with both lengths right, no
+    character was dropped or added."""
+    value = doc[key]
+    if isinstance(value, str):
+        nbytes = 8 * size
+        try:
+            raw = binascii.a2b_base64(value)
+        except ValueError as exc:  # binascii.Error is a ValueError
+            raise ValueError(f"{path}: field {key!r} is not valid base64 "
+                             f"({exc})") from None
+        if len(raw) != nbytes or len(value) != 4 * -(-nbytes // 3):
+            raise ValueError(f"{path}: field {key!r} is not the base64 of "
+                             f"{size} float64 entries")
+        return np.frombuffer(raw, dtype="<f8")
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: field {key!r} must be a base64 string "
+                         "or a list of numbers")
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: field {key!r} is not a flat list of "
+                         "numbers") from None
+    if arr.shape != (size,):
+        raise ValueError(f"{path}: field {key!r} must be a flat list of "
+                         f"{size} numbers, not of shape {arr.shape}")
+    return arr
+
+
+def _number(doc: dict, key: str, path: str, default=None) -> float:
+    """Field ``key`` (or ``default`` when absent) as a float; a JSON
+    number is required."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path}: field {key!r} must be a number")
+    return float(value)
+
+
 def _problem_from_document(doc: dict, path: str) -> CompositeProblem:
     """The problem a parsed instance document describes (path for errors)."""
-    if doc.get("format") != "varfista-qp-instance":
+    if (not isinstance(doc, dict)
+            or doc.get("format") != "varfista-qp-instance"):
         raise ValueError(f"{path}: not a recognized instance document")
-    n = int(doc["n"])
-    Q = np.array(doc["Q"], dtype=np.float64).reshape(n, n)
-    c = np.array(doc["c"], dtype=np.float64)
-    lo = np.array(doc["box_lo"], dtype=np.float64)
-    hi = np.array(doc["box_hi"], dtype=np.float64)
-    wl1 = float(doc.get("l1_weight", 0.0))
+    for key in _REQUIRED_FIELDS:
+        if key not in doc:
+            raise ValueError(f"{path}: missing field {key!r}")
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"{path}: field 'n' must be a positive integer")
+    Q = _decode_array(doc, "Q", n * n, path).reshape(n, n)
+    c = _decode_array(doc, "c", n, path)
+    lo = _decode_array(doc, "box_lo", n, path)
+    hi = _decode_array(doc, "box_hi", n, path)
     # keep the stored audit constants (they may be analytic, not recomputed)
-    return make_qp_problem(Q, c, lo, hi, l1_weight=wl1,
-                           audit_lipschitz=float(doc["lipschitz"]),
-                           audit_curvature=float(doc["curvature"]))
+    return make_qp_problem(
+        Q, c, lo, hi, l1_weight=_number(doc, "l1_weight", path, 0.0),
+        audit_lipschitz=_number(doc, "lipschitz", path),
+        audit_curvature=_number(doc, "curvature", path))

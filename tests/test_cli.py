@@ -70,6 +70,19 @@ def test_malformed_instance_file_exits_one(capsys, tmp_path):
     assert "error" in err
 
 
+def test_instance_file_with_a_short_q_exits_one(capsys, tmp_path):
+    p = tmp_path / "short.json"
+    save_instance(generate_qp(QuadraticSpec(n=3, eig_lo=1.0, eig_hi=4.0)),
+                  str(p))
+    doc = json.loads(p.read_text())
+    doc["Q"] = [0.0] * 8
+    p.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["solve", "--instance", str(p),
+                                 "--rho", "1e-6"])
+    assert code == 1
+    assert str(p) in err and "'Q'" in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

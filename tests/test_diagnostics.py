@@ -176,7 +176,7 @@ def test_anchor_check_accepts_runs_whose_box_region_binds(seed):
     # Omega = [-1.2, 1.2]^2 around dom h = [-1, 1]^2: the anchor update
     # projects onto a face of Omega in the first iterations, so compute_x's
     # projection, check_xk_optimality's clamped search window and the
-    # audit's anchor-in-region check all run on a region that binds
+    # audit's anchor-drift check all run on a region that binds
     base = generate_qp(QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0,
                                      c_scale=3.0, seed=seed))
     prob = CompositeProblem(base.smooth, base.regularizer,
@@ -202,7 +202,7 @@ def test_anchor_check_accepts_runs_whose_box_region_binds(seed):
                                a[i]) is False
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
     assert report.passed, report.lines()
-    assert any(line.startswith("anchor-in-region: PASS")
+    assert any(line.startswith("anchor-drift: PASS")
                for line in report.lines())
 
 

@@ -1,5 +1,8 @@
 """Instance generation, dense-grid oracles, active-set enumeration, files."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -189,21 +192,134 @@ def test_dense_grid_oracles_reject_bad_problems():
         active_set_stationary(nonquad)
 
 
-def test_instance_file_round_trip(tmp_path):
+def _signed_zero_subnormal_instance():
+    """A generated n=7 instance whose Q and c hold a -0.0 and a subnormal,
+    which only a bit-exact round trip keeps."""
     prob = generate_qp(QuadraticSpec(n=7, eig_lo=-1.0, eig_hi=10.0, seed=3))
+    Q, c = prob.smooth.Q.copy(), prob.smooth.c.copy()
+    Q[0, 1] = Q[1, 0] = -0.0
+    Q[2, 3] = Q[3, 2] = 5e-324
+    c[0], c[1] = -0.0, 5e-324
+    lo, hi = prob.regularizer.domain_box
+    return make_qp_problem(Q, c, lo, hi,
+                           audit_lipschitz=prob.smooth.audit_lipschitz,
+                           audit_curvature=prob.smooth.audit_curvature)
+
+
+def test_instance_file_round_trip(tmp_path):
+    prob = _signed_zero_subnormal_instance()
     path = tmp_path / "inst.json"
     save_instance(prob, str(path), seed=3)
     back = load_instance(str(path))
-    assert np.array_equal(back.smooth.Q, prob.smooth.Q)
-    assert np.array_equal(back.smooth.c, prob.smooth.c)
+    assert back.smooth.Q.tobytes() == prob.smooth.Q.tobytes()
+    assert back.smooth.c.tobytes() == prob.smooth.c.tobytes()
     lo_a, hi_a = prob.regularizer.domain_box
     lo_b, hi_b = back.regularizer.domain_box
-    assert np.array_equal(lo_a, lo_b) and np.array_equal(hi_a, hi_b)
+    assert lo_a.tobytes() == lo_b.tobytes()
+    assert hi_a.tobytes() == hi_b.tobytes()
     # stored analytic constants survive, not recomputed ones
     assert back.smooth.audit_lipschitz == prob.smooth.audit_lipschitz
     assert back.smooth.audit_curvature == prob.smooth.audit_curvature
     u = default_start(prob)
     assert phi(back, u) == phi(prob, u)
+
+
+def _list_form_document(prob, seed):
+    """The document as files written before the base64 encoding hold it:
+    every array field a flat JSON list of floats, Q in C order."""
+    lo, hi = prob.regularizer.domain_box
+    return {
+        "format": "varfista-qp-instance",
+        "n": prob.dimension,
+        "Q": [float(v) for v in prob.smooth.Q.ravel(order="C")],
+        "c": [float(v) for v in prob.smooth.c],
+        "box_lo": [float(v) for v in lo],
+        "box_hi": [float(v) for v in hi],
+        "l1_weight": 0.0,
+        "lipschitz": float(prob.smooth.audit_lipschitz),
+        "curvature": float(prob.smooth.audit_curvature),
+        "seed": seed,
+    }
+
+
+def test_list_form_and_base64_form_load_alike(tmp_path):
+    prob = _signed_zero_subnormal_instance()
+    listed, encoded = tmp_path / "list.json", tmp_path / "b64.json"
+    listed.write_text(json.dumps(_list_form_document(prob, 3), indent=1))
+    save_instance(prob, str(encoded), seed=3)
+    assert isinstance(json.loads(encoded.read_text())["Q"], str)
+    a, b = load_instance(str(listed)), load_instance(str(encoded))
+    assert a.smooth.Q.tobytes() == b.smooth.Q.tobytes()
+    assert a.smooth.c.tobytes() == b.smooth.c.tobytes()
+    for x, y in zip(a.regularizer.domain_box, b.regularizer.domain_box):
+        assert x.tobytes() == y.tobytes()
+    cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
+    cert_a, _, _ = solve(a, cfg, default_start(a))
+    cert_b, _, _ = solve(b, cfg, default_start(b))
+    assert cert_a.converged and cert_b.converged
+    assert cert_a.iterations == cert_b.iterations
+    assert cert_a.y_hat.tobytes() == cert_b.y_hat.tobytes()
+    assert cert_a.v_hat.tobytes() == cert_b.v_hat.tobytes()
+    assert cert_a.residual_norm == cert_b.residual_norm
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def _corrupt(text):
+    return text[:5] + "!" + text[6:]
+
+
+_BAD_DOCUMENTS = [
+    ("Q", "short Q list", lambda d: d.update(Q=[0.0] * 8)),
+    ("Q", "short Q base64", lambda d: d.update(Q=_b64(np.zeros(8)))),
+    ("c", "long c list", lambda d: d.update(c=[0.0] * 4)),
+    ("c", "long c base64", lambda d: d.update(c=_b64(np.zeros(4)))),
+    ("box_lo", "short box_lo list", lambda d: d.update(box_lo=[0.0] * 2)),
+    ("box_hi", "short box_hi base64",
+     lambda d: d.update(box_hi=_b64(np.zeros(2)))),
+    ("Q", "corrupt Q base64", lambda d: d.update(Q=_corrupt(d["Q"]))),
+    ("c", "corrupt c base64", lambda d: d.update(c=_corrupt(d["c"]))),
+    ("n", "fractional n", lambda d: d.update(n=3.5)),
+    ("lipschitz", "null lipschitz", lambda d: d.update(lipschitz=None)),
+    ("l1_weight", "text l1_weight", lambda d: d.update(l1_weight="0.3")),
+] + [(key, f"missing {key}", lambda d, key=key: d.pop(key))
+     for key in ("n", "Q", "c", "box_lo", "box_hi", "lipschitz",
+                 "curvature")]
+
+
+@pytest.mark.parametrize("key, edit", [(k, e) for k, _, e in _BAD_DOCUMENTS],
+                         ids=[i for _, i, _ in _BAD_DOCUMENTS])
+def test_load_names_the_path_and_field_of_a_bad_document(tmp_path, key,
+                                                         edit):
+    prob = generate_qp(QuadraticSpec(n=3, eig_lo=1.0, eig_hi=4.0, seed=0))
+    path = tmp_path / "inst.json"
+    save_instance(prob, str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_instance(str(path))
+    assert str(path) in str(exc.value)
+    assert f"'{key}'" in str(exc.value)
+
+
+def test_save_instance_stores_a_numpy_integer_seed_as_an_int(tmp_path):
+    prob = generate_qp(QuadraticSpec(n=2, eig_lo=1.0, eig_hi=4.0, seed=0))
+    path = tmp_path / "inst.json"
+    save_instance(prob, str(path), seed=np.int64(3))
+    seed = json.loads(path.read_text())["seed"]
+    assert seed == 3 and type(seed) is int
+
+
+@pytest.mark.parametrize("seed", [3.5, np.float64(3.0), "3"])
+def test_save_instance_with_a_bad_seed_writes_no_file(tmp_path, seed):
+    prob = generate_qp(QuadraticSpec(n=2, eig_lo=1.0, eig_hi=4.0, seed=0))
+    path = tmp_path / "inst.json"
+    with pytest.raises(TypeError):
+        save_instance(prob, str(path), seed=seed)
+    assert not path.exists()
 
 
 def test_instance_load_keeps_stored_constants_without_a_spectrum(
