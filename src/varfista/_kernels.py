@@ -48,9 +48,9 @@ def grid_blocks(lo, hi, resolution):
 # ---------------------------------------------------------------------------
 # scans of the audit
 # ---------------------------------------------------------------------------
-# The audit's scans over rows of the history run in blocks of at most
-# _ROW_BLOCK elements (one row when a row is longer), so they cost a few
-# numpy calls per block rather than per row and hold a small temporary.
+# The audit scans rows of the history, or best-point segments, in blocks of
+# at most _ROW_BLOCK elements (one row or segment if larger): a few numpy
+# calls per block, not per row or segment, and a small temporary.
 # ``history_margin`` instead takes one margin vector per (xi, L) run: O(K S).
 
 _ROW_BLOCK = 8192
@@ -60,6 +60,18 @@ def row_blocks(rows, width):
     """(start, stop) of consecutive blocks of rows of the given width."""
     step = max(1, _ROW_BLOCK // max(width, 1))
     return ((s, min(s + step, rows)) for s in range(0, rows, step))
+
+
+def segment_blocks(ends, width):
+    """(first, stop) indices of consecutive blocks of segments, where
+    segment j spans records 1..ends[j]: b segments whose last ends at e
+    hold b e width elements, at most _ROW_BLOCK unless b is 1."""
+    first = 0
+    for j, e in enumerate(ends.tolist()):
+        if j > first and (j - first + 1) * e * width > _ROW_BLOCK:
+            yield first, j
+            first = j
+    yield first, len(ends)
 
 
 def row_norms(P):

@@ -89,18 +89,21 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
               ledger: HistoryLedger, y0: Array) -> AuditReport:
     """Audit one finished run; every check covers all accepted iterations.
 
-    Cost for K iterations in dimension n: O(K n) work in O(S) numpy calls,
-    where S counts the segments (maximal runs of iterations with the same
-    best point), plus O(k n) per segment that ends at iteration k (the
-    lower-curvature replay scans its best point once), plus O(K S') for
-    the history inequality, whose every margin is evaluated in one vector
-    per (xi, L) run, a maximal run of bitwise-equal (xi_k, L_k).  The
-    replay reads only the committed records and shares no state with the
-    solver's gap cache.  The checks read trace columns as views, and
-    ``replay_anchors`` rebuilds a_k and x_k.  Beside the run's trace and
-    ledger, the audit holds one K x n temporary at a time: the anchors,
-    then the differences of y_k, y_{k-1} or one best point with the
-    records.
+    Cost for K iterations in dimension n: O(K n) work in O(B) numpy calls
+    plus O(k n) per segment (a maximal run of iterations with the same
+    best point) that ends at iteration k, plus O(K S') for the history
+    inequality, whose every margin is evaluated in one vector per (xi, L)
+    run, a maximal run of bitwise-equal (xi_k, L_k).  The lower-curvature
+    replay scans each best point once against records 1..e, e the end of
+    its segment, in B blocks of consecutive segments: b segments whose
+    last ends at e make one b x e x n scan of at most ``_ROW_BLOCK``
+    elements, unless b is 1.  f(y_k) and s(y_k) are taken as rows, a block
+    at a time.  The replay reads only the committed records and shares no
+    state with the solver's gap cache.  The checks read trace columns as
+    views, and ``replay_anchors`` rebuilds a_k and x_k.  No temporary
+    holds more than max(_ROW_BLOCK, K n) elements; the largest, one at a
+    time, are the anchors, the differences of y_k or y_{k-1} with the
+    records, and those of a one-segment block's best point.
     """
     checks: List[CheckResult] = []
     lam, xi, tau, U, L = trace.lam, trace.xi, trace.tau, trace.U, trace.L
@@ -183,10 +186,10 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     X, F, G, xn2 = ledger.record_arrays(n_iter)
     abs_F, floor = np.abs(F), DENOM_EPSILON * (1.0 + xn2)
     Y = trace.Y
-    f_ys = np.array([problem.smooth.value(yk) for yk in Y])  # y_0..y_K
-    # their value-roundoff scales, by the formula the solver used
-    s_ys = np.empty_like(f_ys)
+    # f(y_0..y_K) and their value-roundoff scales, by the solver's formulas
+    f_ys, s_ys = np.empty(n_iter + 1), np.empty(n_iter + 1)
     for s, e in _kernels.row_blocks(n_iter + 1, problem.dimension):
+        f_ys[s:e] = problem.smooth.value(Y[s:e])
         s_ys[s:e] = problem.smooth.value_scale(Y[s:e], f_ys[s:e])
     D = Y[1:] - X
     env = _envelope(f_ys[1:], abs_F, np.einsum("ij,ij->i", G, D),
@@ -206,8 +209,9 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     # iterations s+1..e with the same best point, the row maxima over
     # records 1..k are running maxima of one scan of that point against
     # records 1..e; np.maximum.accumulate carries a NaN quotient into L as
-    # np.max would.  The cap reports the largest finite excess: a NaN
-    # excess counts as none, so it hides no other row's excess.
+    # np.max would.  Consecutive segments are scanned together in blocks
+    # (see _kernels.segment_blocks).  The cap reports the largest finite
+    # excess: a NaN excess counts as none, so it hides no other row's.
     cap = bounds.m_under * (1.0 + slack)
 
     def scan(count, u, f_u, s_u):
@@ -224,26 +228,28 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     row_excess = np.empty(n_iter)  # largest cap excess of row k
     row_at = np.arange(1, n_iter + 1)  # its record, where it can first win
     rows = trace.ymin_rows
-    edges = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(),
-             n_iter]
-    for s, e in zip(edges[:-1], edges[1:]):
-        r = int(rows[s])
-        # a row of Y has its value and scale in f_ys and s_ys; a best point
-        # that is a rejected trial point needs its own
-        u = trace.point(r)
-        if r >= 0:
-            f_u, s_u = float(f_ys[r]), float(s_ys[r])
-        else:
-            f_u = float(problem.smooth.value(u))
-            s_u = problem.smooth.value_scale(u, f_u)
-        terms, exc = scan(e, u, f_u, s_u)
-        t2[s:e] = np.maximum.accumulate(terms)[s:e]
-        # row s+1 spans records 1..s+1; a later row k of the segment is the
-        # running maximum with record k, so it first wins only at record k
-        i = int(np.argmax(exc[:s + 1]))
-        exc[s] = exc[i]
-        row_at[s] = i + 1
-        row_excess[s:e] = np.maximum.accumulate(exc[s:e])
+    first = np.diff(rows, prepend=rows[0] - 1) != 0  # rows that start one
+    seg_of = np.cumsum(first) - 1  # the segment of each row
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], n_iter)
+    for j0, j1 in _kernels.segment_blocks(ends, problem.dimension):
+        s0, e, lead = int(starts[j0]), int(ends[j1 - 1]), starts[j0:j1]
+        # rows of Y have their value and scale in f_ys and s_ys; a best
+        # point that is a rejected trial point (r < 0) needs its own
+        r = rows[lead]
+        U, f_u, s_u = Y[r], f_ys[r], s_ys[r]
+        for i in np.flatnonzero(r < 0):
+            U[i] = trace.point(int(r[i]))
+            f_u[i] = problem.smooth.value(U[i])
+            s_u[i] = problem.smooth.value_scale(U[i], float(f_u[i]))
+        terms, exc = scan(e, U[:, None, :], f_u[:, None], s_u[:, None])
+        # row k of segment j reads row j's running maxima at record k.  Row
+        # s+1 first wins at the first record holding its maximum, a later
+        # row k, the running maximum with record k, only at record k
+        at = (seg_of[s0:e] - j0, np.arange(s0, e))
+        t2[s0:e] = np.maximum.accumulate(terms, axis=1)[at]
+        row_excess[s0:e] = np.maximum.accumulate(exc, axis=1)[at]
+        row_at[lead] = np.argmax(exc == row_excess[lead, None], axis=1) + 1
 
     L_replay = []
     L_prev = 0.0

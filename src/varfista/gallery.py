@@ -108,8 +108,14 @@ class QuadraticOracle:
         self._memo_u, self._memo_bytes, self._memo_Qu = u, u.tobytes(), Qu
         return Qu
 
-    def value(self, u: Array) -> float:
-        return float(0.5 * (u @ self._Qu(u)) + self.c @ u)
+    def value(self, u: Array):
+        """f(u) of one point, or of each row of a 2-D ``u`` without the
+        memo, bit for bit alike: per row one gemv and two dot products."""
+        if u.ndim == 1:
+            return float(0.5 * (u @ self._Qu(u)) + self.c @ u)
+        col = u[:, :, None]
+        uQu = np.matmul(u[:, None, :], np.matmul(self.Q, col))[:, 0, 0]
+        return 0.5 * uQu + np.matmul(self.c, col)[:, 0]
 
     def grad(self, u: Array) -> Array:
         return self._Qu(u) + self.c
@@ -306,7 +312,7 @@ def save_instance(problem: CompositeProblem, path: str,
     Each array field (``Q``, ``c``, ``box_lo``, ``box_hi``) is one base64
     string of the array's little-endian float64 (``<f8``) bytes in C order,
     so the round trip through ``load_instance`` is bit-exact, signed zeros,
-    subnormals and non-finite entries included.  ``seed`` must be an integer
+    subnormals and infinite box bounds included.  ``seed`` must be an integer
     (numpy integers are stored as ``int``).  The document is serialized
     before the file is opened, so a failure writes nothing."""
     smooth, reg, wl1 = _box_qp_parts(problem, "instance files")
@@ -336,8 +342,8 @@ def load_instance(path: str) -> CompositeProblem:
 
     Array fields are base64 strings of ``<f8`` bytes in C order, read back
     bit for bit; a plain JSON list of numbers (the form of older files) is
-    read too.  A malformed document raises ValueError naming the path and
-    the field."""
+    read too.  A malformed document (a non-finite ``Q`` or ``c`` entry and
+    a NaN box bound included) raises ValueError naming path and field."""
     with open(path) as fh:
         doc = json.load(fh)
     return _problem_from_document(doc, path)
@@ -410,6 +416,14 @@ def _problem_from_document(doc: dict, path: str) -> CompositeProblem:
     c = _decode_array(doc, "c", n, path)
     lo = _decode_array(doc, "box_lo", n, path)
     hi = _decode_array(doc, "box_hi", n, path)
+    # Q and c must be finite; a box bound may be infinite, but not NaN
+    for key, a, bad in (("Q", Q, ~np.isfinite(Q)), ("c", c, ~np.isfinite(c)),
+                        ("box_lo", lo, np.isnan(lo)),
+                        ("box_hi", hi, np.isnan(hi))):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{path}: field {key!r} has a non-finite entry "
+                             f"({a.flat[i]}) at index {i}")
     # keep the stored audit constants (they may be analytic, not recomputed)
     return make_qp_problem(
         Q, c, lo, hi, l1_weight=_number(doc, "l1_weight", path, 0.0),

@@ -35,11 +35,12 @@ class SmoothOracle:
     eps-multiples bound the rounding error of a computed f(u).  The solver's
     curvature gaps read it to tell cancellation from concavity.  By default
     it is |f(u)|; an oracle whose value is a sum of cancelling terms should
-    give a bound on their magnitude instead.  It takes one point or the rows
-    of a 2-D array (with one value per row), and a row's scale must equal
-    the scale of that row alone bit for bit: the solver scales trial points
-    one at a time and its records as rows, and the audit scales the trace's
-    points as rows.
+    give a bound on their magnitude instead.  ``value`` and ``value_scale``
+    take one point or the rows of a 2-D array (``value_scale`` with one
+    value per row), and a row's result must equal that of the row alone bit
+    for bit: the solver evaluates trial points one at a time and scales its
+    records as rows, and the audit evaluates and scales the trace's points
+    as rows.
     """
 
     value_fn: Callable[[Array], float]
@@ -47,7 +48,9 @@ class SmoothOracle:
     audit_lipschitz: Optional[float] = None
     audit_curvature: Optional[float] = None
 
-    def value(self, u: Array) -> float:
+    def value(self, u: Array):
+        if np.ndim(u) == 2:  # one value_fn call per row
+            return np.array([float(self.value_fn(row)) for row in u])
         return float(self.value_fn(u))
 
     def grad(self, u: Array) -> Array:

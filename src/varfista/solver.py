@@ -172,14 +172,17 @@ class HistoryLedger:
         """Gap rows of u against records start+1..count (audit replay).
 
         ``u`` is one point, with ``f_u`` its value and ``s_u`` its
-        value-roundoff scale s(u), or one point per record (rows of a
+        value-roundoff scale s(u); or one point per record (rows of a
         (count - start) x n array), with ``f_u`` and ``s_u`` one value per
-        record.  The scales must equal the solver's bit for bit, so that
-        the zero rule zeroes the same quotients.  Returns
+        record; or a block of b points, each scored against every record
+        (a b x 1 x n array), with ``f_u`` and ``s_u`` of shape b x 1, which
+        gives b rows of results.  The scales must equal the solver's bit
+        for bit, so that the zero rule zeroes the same quotients.  Returns
         ``(quotients, den, gd)`` with, per record i and d = u - x_tilde_i:
         the guarded gap quotient after the zero rule, den = ||d||^2 and
         gd = grad f(x_tilde_i) . d.  Each quotient equals ``_record_gap``'s
-        bit for bit, so a full-replay maximum matches the cached one.
+        bit for bit, in every shape, so a full-replay maximum matches the
+        cached one.
         """
         if not 0 <= start <= count <= self._n_rec:
             raise IndexError(f"ledger holds {self._n_rec} records")
@@ -224,14 +227,15 @@ class HistoryLedger:
     def _gap_terms(self, start: int, stop: int, u: Array, f_u: float
                    ) -> Tuple[Array, Array, Array, Array]:
         """(quotients before the zero rule, numerators, den, gd) of u
-        against records start+1..stop."""
+        against records start+1..stop, in the shapes of
+        ``linearization_gaps``."""
         X = self._X[start:stop]
         G = self._G[start:stop]
         F = self._F[start:stop]
         d = u - X  # a 1-D u broadcasts; a 2-D u pairs row i with record i
-        gd = np.einsum("ij,ij->i", G, d)
+        gd = np.einsum("...j,...j->...", G, d)
         num = 2.0 * (F + gd - f_u)
-        den = np.einsum("ij,ij->i", d, d)
+        den = np.einsum("...j,...j->...", d, d)
         ok = ~(den <= self._FLOOR[start:stop])
         safe = np.where(ok, den, 1.0)
         return np.where(ok, num / safe, 0.0), num, den, gd

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varfista import _kernels
 from varfista.audit import (AuditReport, CheckResult, audit_corpus, audit_run,
                             corrupt_gradient_oracle, run_audit_suite)
 from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
@@ -194,6 +195,46 @@ def test_audit_reports_match_golden_hash():
     assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_REPORT_SHA256
 
 
+# sha256 over the audit_run report lines of runs whose best-point segments
+# the lower-curvature replay groups in different ways: the wide-box convex
+# run (1219 segments in 1276 iterations; early ones are short enough to
+# share a block of the replay, late ones fill a block alone), the four
+# n=200 indefinite runs of tests/test_golden.py and one L1-plus-box run.
+# Each has a best point that is a rejected trial point.
+AUDIT_REPLAY_SHA256 = \
+    "bb22cd5bd51875976039332909fa2a4b9e8b9439e7c98304296dc5b3799c8bfe"
+
+
+def _replay_golden_runs():
+    wide = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,
+                                     box=(-1000.0, 1000.0), seed=0))
+    lo, hi = wide.regularizer.domain_box
+    yield (wide, SolverConfig(rho_hat=1e-2, max_outer_iterations=2000),
+           lo + np.random.default_rng(0).random(20) * (hi - lo))
+    for seed in range(4):
+        prob = generate_qp(QuadraticSpec(n=200, eig_lo=-1.0, eig_hi=100.0,
+                                         seed=seed))
+        yield prob, SolverConfig(rho_hat=1e-6), default_start(prob)
+    base = generate_qp(QuadraticSpec(n=20, eig_lo=-1.0, eig_hi=10.0, seed=3))
+    lo, hi = base.regularizer.domain_box
+    prob = make_qp_problem(base.smooth.Q, base.smooth.c, lo, hi,
+                           l1_weight=0.3,
+                           audit_lipschitz=base.smooth.audit_lipschitz,
+                           audit_curvature=base.smooth.audit_curvature)
+    yield (prob, SolverConfig(rho_hat=1e-7, max_outer_iterations=5000),
+           lo + np.random.default_rng(3).random(20) * (hi - lo))
+
+
+def test_audit_replay_reports_match_golden_hash():
+    h = hashlib.sha256()
+    for prob, cfg, y0 in _replay_golden_runs():
+        cert, trace, ledger = solve(prob, cfg, y0)
+        report = audit_run(prob, cfg, cert, trace, ledger, y0)
+        assert report.passed, "\n".join(c.line() for c in report.failures())
+        h.update("\n".join(report.lines()).encode() + b"\n\n")
+    assert h.hexdigest() == AUDIT_REPLAY_SHA256
+
+
 def test_wide_box_convex_run_keeps_its_convex_invariants():
     # box +-1000: the terms of f(u) are ~1e7 and cancel, so without the
     # zero rule a gap numerator of -8e-10 came out positive, L turned
@@ -266,12 +307,15 @@ def _unchanged(trace, j):
 
 @pytest.fixture
 def gap_scans(monkeypatch):
-    """(count, start, u) of every ledger gap scan made while the test runs."""
+    """(count, start, u) of every ledger gap scan made while the test runs;
+    each point of a block scan (a b x 1 x n u) counts as one scan of that
+    point against records start+1..count."""
     calls = []
     scan = HistoryLedger.linearization_gaps
 
     def counted(self, count, u, f_u, s_u, start=0):
-        calls.append((count, start, np.array(u)))
+        points = u[:, 0] if np.ndim(u) == 3 else [u]
+        calls.extend((count, start, np.array(p)) for p in points)
         return scan(self, count, u, f_u, s_u, start=start)
 
     monkeypatch.setattr(HistoryLedger, "linearization_gaps", counted)
@@ -282,6 +326,23 @@ def _records_scanned_for(gap_scans, point):
     """(first, last) 1-based records of each gap scan of this one point."""
     return [(start + 1, count) for count, start, u in gap_scans
             if u.shape == point.shape and np.array_equal(u, point)]
+
+
+def _segment_windows(trace, n):
+    """The (first, last) records each best-point segment's point is scanned
+    against, segment by segment.  Consecutive segments share a block while
+    b of them, the last ending at iteration e, hold b e n elements at most
+    _ROW_BLOCK (a block takes at least one); every point of a block is
+    scanned against records 1..e."""
+    rows = trace.ymin_rows.tolist()
+    ends = [k for k in range(1, len(rows)) if rows[k] != rows[k - 1]]
+    windows, block = [], []
+    for e in ends + [len(rows)]:
+        if block and (len(block) + 1) * e * n > _kernels._ROW_BLOCK:
+            windows += [(1, block[-1])] * len(block)
+            block = []
+        block.append(e)
+    return windows + [(1, block[-1])] * len(block)
 
 
 def _concave_point(prob, ledger):
@@ -316,22 +377,33 @@ def test_replay_rescans_a_replaced_best_point_instead_of_carrying(gap_scans):
     # the best point of iterations j .. j + 2 (0-based j - 1 .. j + 1)
     held = trace.point(trace.ymin_rows[j]).copy()
 
+    # the segment of 0-based iteration j, counted from 0
+    seg = sum(not _unchanged(trace, i) for i in range(1, j + 1))
+
     gap_scans.clear()
     audit_run(prob, cfg, cert, trace, ledger, y0)
     assert _records_scanned_for(gap_scans, tampered) == []
+    windows = _segment_windows(trace, prob.dimension)
+    # one scan per segment, in order, each over its block's window
+    assert [(start + 1, count) for count, start, u in gap_scans
+            if u.ndim == 1] == windows
     (first, last), = _records_scanned_for(gap_scans, held)
-    assert first == 1 and last >= j + 2
+    assert (first, last) == windows[seg] and last >= j + 2
     gap_scans.clear()
     trace.side_rows.append(tampered)
     trace.ymin_rows[j] = ~(len(trace.side_rows) - 1)
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
-    # iteration j + 1 scans the tampered point against records 1..j+1, and
-    # the point it replaced is scanned afresh from record 1 after it,
-    # through at least record j + 2, instead of carrying its earlier maxima
-    assert _records_scanned_for(gap_scans, tampered) == [(1, j + 1)]
-    (first, last), (again, last_again) = _records_scanned_for(gap_scans,
-                                                              held)
-    assert (first, last) == (1, j) and again == 1 and last_again >= j + 2
+    # iteration j + 1 is a segment of its own, which scans the tampered
+    # point against records 1..j+1 or, when its block holds later
+    # segments, up to the end of the block's last one; the point it
+    # replaced is scanned afresh from record 1 after it, through at least
+    # record j + 2, instead of carrying its earlier maxima
+    windows = _segment_windows(trace, prob.dimension)
+    assert _records_scanned_for(gap_scans, tampered) == [windows[seg + 1]]
+    assert _records_scanned_for(gap_scans, held) == [windows[seg],
+                                                     windows[seg + 2]]
+    assert windows[seg][1] >= j and windows[seg + 1][1] >= j + 1
+    assert windows[seg + 2][1] >= j + 2
     replay = {c.name: c for c in report.checks}["lower-curvature-replay"]
     assert not replay.passed
     assert replay.detail == f"first mismatch at k={j + 1}"

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report layout, trace determinism."""
 
+import base64
 import json
 
 import numpy as np
@@ -81,6 +82,50 @@ def test_instance_file_with_a_short_q_exits_one(capsys, tmp_path):
                                  "--rho", "1e-6"])
     assert code == 1
     assert str(p) in err and "'Q'" in err
+
+
+def _base64(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def _c_list_holding(entry):
+    return lambda doc: doc.update(c=[entry, 0.0, 1.0])
+
+
+def _set_base64(key, index, entry):
+    def edit(doc):
+        a = np.frombuffer(base64.b64decode(doc[key]), "<f8").copy()
+        a[index] = entry
+        doc[key] = _base64(a)
+    return edit
+
+
+# each form a non-finite entry can take in a file: a list-form null (which
+# numpy reads as NaN), a JSON NaN or Infinity literal, and a base64 NaN
+@pytest.mark.parametrize("key, edit", [
+    ("c", _c_list_holding(None)),
+    ("c", _c_list_holding(float("nan"))),
+    ("c", _c_list_holding(float("inf"))),
+    ("c", _set_base64("c", 1, np.nan)),
+    ("Q", _set_base64("Q", 4, np.nan)),
+    ("Q", _set_base64("Q", 0, -np.inf)),
+    ("box_lo", _set_base64("box_lo", 2, np.nan)),
+    ("box_hi", _set_base64("box_hi", 0, np.nan)),
+], ids=["c-null", "c-json-nan", "c-json-infinity", "c-base64-nan",
+        "q-base64-nan", "q-base64-inf", "box-lo-base64-nan",
+        "box-hi-base64-nan"])
+def test_instance_file_with_a_non_finite_entry_exits_one(capsys, tmp_path,
+                                                         key, edit):
+    p = tmp_path / "bad.json"
+    save_instance(generate_qp(QuadraticSpec(n=3, eig_lo=1.0, eig_hi=4.0)),
+                  str(p))
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["solve", "--instance", str(p),
+                                 "--rho", "1e-6"])
+    assert code == 1
+    assert str(p) in err and f"'{key}'" in err and "non-finite" in err
 
 
 # ---------------------------------------------------------------------------

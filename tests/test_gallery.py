@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from varfista import _kernels
 from varfista.gallery import (QuadraticOracle, QuadraticSpec,
                               active_set_stationary, brute_force_stationary,
                               default_start, generate_qp, global_min_phi,
                               load_instance, make_qp_problem, save_instance)
 from varfista.audit import audit_corpus
-from varfista.problems import CompositeProblem, phi
+from varfista.problems import CompositeProblem, SmoothOracle, phi
 from varfista.prox import L1PlusBox, Projector
 from varfista.solver import SolverConfig, solve
 
@@ -267,6 +268,20 @@ def _b64(values):
     return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
 
 
+def test_infinite_box_bounds_load_bit_for_bit(tmp_path):
+    # Q and c must be finite, but a box bound may be infinite (not NaN)
+    path = tmp_path / "halfline.json"
+    save_instance(generate_qp(QuadraticSpec(n=3, eig_lo=1.0, eig_hi=4.0)),
+                  str(path))
+    doc = json.loads(path.read_text())
+    lo, hi = np.array([-np.inf, -1.0, -np.inf]), np.array([np.inf, 1.0, 1.0])
+    doc.update(box_lo=_b64(lo), box_hi=_b64(hi))
+    path.write_text(json.dumps(doc))
+    back = load_instance(str(path)).regularizer.domain_box
+    assert back[0].tobytes() == lo.tobytes()
+    assert back[1].tobytes() == hi.tobytes()
+
+
 def _corrupt(text):
     return text[:5] + "!" + text[6:]
 
@@ -468,3 +483,58 @@ def test_value_scale_of_rows_equals_one_point_at_a_time_bit_for_bit(n):
                        + np.linalg.norm(oracle.c) * np.sqrt(uu),
                        rtol=1e-12)
     assert np.all(together >= np.abs(f) * (1.0 - 1e-12))
+
+
+# ---------------------------------------------------------------------------
+# the row contract of value
+# ---------------------------------------------------------------------------
+
+def _row_oracle(kind, n, rng):
+    A = rng.normal(size=(n, n))
+    oracle = QuadraticOracle(A + A.T, rng.normal(size=n))
+    if kind == "quadratic":
+        return oracle
+    Q, c = oracle.Q, oracle.c
+    return SmoothOracle(lambda u: 0.5 * (u @ (Q @ u)) + c @ u,
+                        lambda u: Q @ u + c)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "smooth"])
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 200, 1000])
+def test_value_of_rows_equals_one_point_at_a_time_bit_for_bit(kind, n):
+    # the audit evaluates f at the trace's points as rows, a row_blocks
+    # slice at a time, and the solver one point at a time; the replay of L
+    # needs both to agree bit for bit.  Rows span scales 1e-3..1e3 and one
+    # row is -0.0
+    rng = np.random.default_rng(n)
+    oracle = _row_oracle(kind, n, rng)
+    rows = 2 * (_kernels._ROW_BLOCK // n) + 3
+    P = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0,
+                                                           (rows, 1))
+    P[1] = -0.0
+    alone = np.array([oracle.value(p) for p in P])
+    blocks = [oracle.value(P[s:e])
+              for s, e in _kernels.row_blocks(rows, n)]
+    assert len(blocks) == 3
+    assert np.concatenate(blocks).tobytes() == alone.tobytes()
+    assert oracle.value(P).tobytes() == alone.tobytes()
+    if kind == "quadratic":  # and the rows hold f, up to roundoff
+        direct = 0.5 * np.einsum("ij,jk,ik->i", P, oracle.Q, P) \
+            + P @ oracle.c
+        assert np.all(np.abs(alone - direct)
+                      <= 1e-12 * (1.0 + oracle.value_scale(P, alone)))
+
+
+def test_value_of_rows_leaves_the_memo_alone():
+    oracle, rng = _oracle()
+    Q = _counted(oracle)
+    u = rng.standard_normal(Q.shape[0])
+    P = rng.standard_normal((5, Q.shape[0]))
+    f = oracle.value(u)
+    rows = oracle.value(P)  # bypasses the memo and its product counter
+    assert Q.products == 1
+    assert oracle.value(u) == f and Q.products == 1  # still a hit
+    g = oracle.grad(u)
+    assert Q.products == 1
+    assert np.array_equal(g, np.asarray(Q) @ u + oracle.c)
+    assert oracle.value(P[2]) == rows[2] and Q.products == 2  # a miss

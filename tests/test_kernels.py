@@ -316,3 +316,32 @@ def test_qp_stationary_scan_raises_past_max_hits():
     assert _kernels.qp_stationary_scan(*args, 201).shape == (201, 1)
     with pytest.raises(RuntimeError, match="hit cap"):
         _kernels.qp_stationary_scan(*args, 5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(steps=st.lists(st.integers(1, 300), min_size=1, max_size=60),
+       width=st.sampled_from([1, 2, 8, 20, 200, 1000]))
+def test_segment_blocks_fill_each_block_up_to_the_budget(steps, width):
+    # the audit scans the best points of a block of b segments, the last
+    # ending at e, as one b x e x width temporary
+    ends = np.cumsum(steps)
+    blocks = list(_kernels.segment_blocks(ends, width))
+    assert [j0 for j0, _ in blocks] == [0] + [j1 for _, j1 in blocks[:-1]]
+    assert blocks[-1][1] == len(ends)
+    for (j0, j1), nxt in zip(blocks, blocks[1:] + [None]):
+        b, e = j1 - j0, int(ends[j1 - 1])
+        assert b >= 1
+        assert b == 1 or b * e * width <= _kernels._ROW_BLOCK
+        if nxt is not None:  # the next segment would not have fitted
+            assert (b + 1) * int(ends[j1]) * width > _kernels._ROW_BLOCK
+
+
+def test_segment_blocks_at_the_budget_edge():
+    # 2 x 512 x 8 elements are exactly _ROW_BLOCK: one block; one more
+    # record is too many, and a segment larger than the budget stands alone
+    assert _kernels._ROW_BLOCK == 8192
+    assert list(_kernels.segment_blocks(np.array([1, 512]), 8)) == [(0, 2)]
+    assert list(_kernels.segment_blocks(np.array([1, 513]), 8)) \
+        == [(0, 1), (1, 2)]
+    assert list(_kernels.segment_blocks(np.array([2000, 2001]), 8)) \
+        == [(0, 1), (1, 2)]
