@@ -25,9 +25,8 @@ from .gallery import QuadraticSpec, generate_qp
 from .momentum import check_schedule_bounds
 from .problems import (Array, Certificate, CompositeProblem, SmoothOracle,
                        verify_certificate)
-from .solver import (DENOM_EPSILON, NOISE_MULT, HistoryLedger,
-                     IterationTrace, NumericalFailure, SolverConfig,
-                     replay_anchors, solve)
+from .solver import (NOISE_MULT, HistoryLedger, IterationTrace,
+                     NumericalFailure, SolverConfig, replay_anchors, solve)
 
 __all__ = [
     "CheckResult", "AuditReport", "audit_run", "corrupt_gradient_oracle",
@@ -77,8 +76,8 @@ def _envelope(f_u, abs_F, gd, den, floor):
     eps 2 (|f(u)| + |F_i| + |g_i . d_i|) / max(||d_i||^2, e (1 +
     ||x_tilde_i||^2)) with d_i = u - x_tilde_i and e = DENOM_EPSILON; F_i,
     g_i are f and grad f at x_tilde_i.  Elementwise over numpy arrays;
-    ``abs_F`` is |F_i| and ``floor`` is e (1 + ||x_tilde_i||^2), which the
-    caller forms once for every scan.
+    ``abs_F`` is |F_i| and ``floor`` is e (1 + ||x_tilde_i||^2), the
+    quotient guard each ledger record holds.
     """
     return NOISE_MULT * float(np.finfo(np.float64).eps) * 2.0 \
         * (np.abs(f_u) + abs_F + np.abs(gd)) / np.maximum(den, floor)
@@ -183,8 +182,8 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     del anchors
 
     # U_k against M, with a per-iteration roundoff envelope for the quotient
-    X, F, G, xn2 = ledger.record_arrays(n_iter)
-    abs_F, floor = np.abs(F), DENOM_EPSILON * (1.0 + xn2)
+    X, F, G, floor = ledger.record_arrays(n_iter)
+    abs_F = np.abs(F)
     Y = trace.Y
     # f(y_0..y_K) and their value-roundoff scales, by the solver's formulas
     f_ys, s_ys = np.empty(n_iter + 1), np.empty(n_iter + 1)

@@ -27,8 +27,9 @@ import numpy as np
 
 from .momentum import A0_DEFAULT, advance, extrapolate
 from .problems import Array, Certificate, CompositeProblem
-from .solver import (IterationTrace, SolverConfig, _require_finite, _start,
-                     compute_candidate, compute_U, compute_v, compute_x)
+from .solver import (DENOM_EPSILON, IterationTrace, SolverConfig,
+                     _require_finite, _start, compute_candidate, compute_U,
+                     compute_v, compute_x)
 
 __all__ = ["run_fista_constant", "run_prox_gradient"]
 
@@ -65,7 +66,7 @@ def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
         f_y = smooth.value(y_next)
         phi_y = f_y + reg.value(y_next)
         U = compute_U(y_next, f_y, x_tilde, f_xt, g_xt,
-                      float(x_tilde @ x_tilde))
+                      DENOM_EPSILON * (1.0 + float(x_tilde @ x_tilde)))
         _require_finite(k, None, ("f(x_tilde)", f_xt), ("f(y)", f_y),
                         ("phi(y)", phi_y), ("residual", resid))
         if phi_y < phi_min:

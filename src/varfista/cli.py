@@ -154,14 +154,6 @@ def _load_problem(text: str) -> Tuple[CompositeProblem, Optional[int]]:
     return _problem_from_document(doc, text), doc.get("seed")
 
 
-def _start_point(problem: CompositeProblem, seed: Optional[int]):
-    if seed is None:
-        return default_start(problem)
-    lo, hi = problem.regularizer.domain_box
-    rng = np.random.default_rng(seed)
-    return lo + rng.random(problem.dimension) * (hi - lo)
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -171,7 +163,7 @@ def _cmd_solve(args) -> int:
     if args.inject_gradient_fault is not None:
         problem = corrupt_gradient_oracle(problem,
                                           args.inject_gradient_fault)
-    y0 = _start_point(problem, args.seed)
+    y0 = default_start(problem, args.seed)
 
     config = SolverConfig(lambda0=args.lambda0, theta=args.theta,
                           gamma=args.gamma, rho_hat=args.rho,
@@ -247,7 +239,7 @@ def _cmd_slope(args) -> int:
         raise ValueError(f"bad --rho-list: {exc}") from None
     if not rhos:
         raise ValueError("--rho-list is empty")
-    y0 = _start_point(problem, args.seed)
+    y0 = default_start(problem, args.seed)
 
     rows = []
     fit_rho, fit_n = [], []

@@ -184,10 +184,21 @@ def make_qp_problem(Q: Array, c: Array, lo: Array, hi: Array,
     return CompositeProblem(oracle, reg, Projector(), n)
 
 
-def default_start(problem: CompositeProblem) -> Array:
-    """Deterministic feasible start: the domain-box midpoint."""
+def default_start(problem: CompositeProblem,
+                  seed: Optional[int] = None) -> Array:
+    """Feasible start in the domain box: its midpoint, or lo + r (hi - lo)
+    with r drawn by ``np.random.default_rng(seed)`` when a seed is given.
+
+    A coordinate whose box midpoint or width is not finite (an infinite
+    bound, or a width that overflows) starts at clip(0, lo, hi) instead.
+    """
     lo, hi = problem.regularizer.domain_box
-    return 0.5 * (lo + hi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        mid, width = 0.5 * (lo + hi), hi - lo
+        start = mid if seed is None else \
+            lo + np.random.default_rng(seed).random(problem.dimension) * width
+    return np.where(np.isfinite(mid) & np.isfinite(width), start,
+                    np.clip(0.0, lo, hi))
 
 
 def _box_qp_parts(problem: CompositeProblem, use: str):
@@ -342,8 +353,9 @@ def load_instance(path: str) -> CompositeProblem:
 
     Array fields are base64 strings of ``<f8`` bytes in C order, read back
     bit for bit; a plain JSON list of numbers (the form of older files) is
-    read too.  A malformed document (a non-finite ``Q`` or ``c`` entry and
-    a NaN box bound included) raises ValueError naming path and field."""
+    read too.  A malformed document (a non-finite ``Q`` or ``c`` entry, a
+    NaN box bound, and a boolean or a string in a list included) raises
+    ValueError naming path and field."""
     with open(path) as fh:
         doc = json.load(fh)
     return _problem_from_document(doc, path)
@@ -378,7 +390,8 @@ def _decode_array(doc: dict, key: str, size: int, path: str) -> Array:
             raise ValueError(f"{path}: field {key!r} is not the base64 of "
                              f"{size} float64 entries")
         return np.frombuffer(raw, dtype="<f8")
-    if not isinstance(value, list):
+    if not isinstance(value, list) or any(isinstance(v, (bool, str))
+                                          for v in value):
         raise ValueError(f"{path}: field {key!r} must be a base64 string "
                          "or a list of numbers")
     try:

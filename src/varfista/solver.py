@@ -60,7 +60,6 @@ NOISE_MULT = 64.0
 _ZERO_BAND = 2.0 * NOISE_MULT * float(np.finfo(np.float64).eps)
 _MAX_INNER_REPEATS = 1_000_000  # trials per outer iteration
 _CAPACITY = 64  # initial rows of the history buffers; they double when full
-_BLOCK_ROWS = 256  # rows per block of replay_anchors' temporaries
 
 
 @dataclass
@@ -109,42 +108,40 @@ def _double(owner, names) -> None:
 class HistoryLedger:
     """Append-only linearization records of the run, one per iteration.
 
-    Record i holds x_tilde_i, f and grad f there, ||x_tilde_i||^2, its
-    quotient guard DENOM_EPSILON (1 + ||x_tilde_i||^2) and the
-    value-roundoff scale s(x_tilde_i), in doubling buffers.  s comes from
-    ``value_scale(u, f_u)``, the smooth oracle's; records are scaled in
-    order, as rows, when a gap first needs one.  The expensive part of the
-    lower-curvature recursion, max over i <= k of the linearization gap of
+    Record i holds x_tilde_i, f and grad f there, its quotient guard
+    DENOM_EPSILON (1 + ||x_tilde_i||^2) and the value-roundoff scale
+    s(x_tilde_i), in doubling buffers.  s is ``value_scale(u, f_u)``, the
+    smooth oracle's; records are scaled in order, as rows, when a gap first
+    needs one.  A gap quotient of u against record i reads 0 when
+    ||u - x_tilde_i||^2 is within the record's guard, and, by the zero
+    rule, when its numerator is positive but at most 2 NOISE_MULT eps
+    (s(u) + s(x_tilde_i) + |grad f(x_tilde_i) . d|).  ``_zero_rule``
+    applies the rule to quotient arrays, ``_record_gap`` to one record in
+    O(n); their quotients agree bit for bit, NaN included, and both compute
+    s(u) only where a positive (or NaN) quotient needs it.  The expensive
+    part of the lower-curvature recursion, max over i <= k of the gap of
     the incumbent best point against record i, is cached.  The cache is
     keyed like the oracle's Q @ u memo: it hits only when the best point is
     the cached array itself (``is``, no copy kept) with unchanged
     ``tobytes()``.  On a hit each newly appended record is folded in
-    through the one-record ``_record_gap``, at O(n) cost per record.  A
-    miss rescans every record with ``_gap_terms`` and applies the zero rule
-    where it can move the maximum.  Both forms evaluate the same
-    per-record expression, guard and zero rule, so their quotients agree
-    bit-for-bit, NaN included, and so do cached and rescanned maxima: like
-    ``np.max``, the fold carries a NaN.  Both take the scale of the point
-    scored as a function ``scale(u, f_u)`` and call it only for a positive
-    numerator; s of the best point is computed at most once and kept with
-    the cache.
+    through ``_record_gap``; a miss rescans every record with
+    ``_gap_terms`` and ``_zero_rule``.  Like ``np.max``, the fold carries a
+    NaN, so cached and rescanned maxima agree bit for bit.
     """
 
-    _BUFFERS = ("_X", "_F", "_G", "_XN2", "_FLOOR", "_S")
+    _BUFFERS = ("_X", "_F", "_G", "_FLOOR", "_S")
 
     def __init__(self, dimension: int, value_scale):
         self._X = np.empty((_CAPACITY, dimension))
         self._F = np.empty(_CAPACITY)
         self._G = np.empty((_CAPACITY, dimension))
-        self._XN2 = np.empty(_CAPACITY)
         self._FLOOR = np.empty(_CAPACITY)
         self._S = np.empty(_CAPACITY)
         self._n_rec = 0
-        self._value_scale = value_scale
+        self.value_scale = value_scale
         self._scaled_upto = 0  # records 1..this hold their scale
         self.cached_ymin: Optional[Array] = None
         self._cached_bytes = b""
-        self._cached_scale: Optional[float] = None
         self.cached_ymin_ratio_max = -math.inf
         self._cached_upto = 0
 
@@ -158,96 +155,89 @@ class HistoryLedger:
         self._X[i] = x_tilde
         self._F[i] = f_at
         self._G[i] = grad_at
-        xn2 = float(np.einsum("i,i->", x_tilde, x_tilde))
-        self._XN2[i] = xn2
-        self._FLOOR[i] = DENOM_EPSILON * (1.0 + xn2)
+        self._FLOOR[i] = DENOM_EPSILON * (
+            1.0 + float(np.einsum("i,i->", x_tilde, x_tilde)))
         self._n_rec += 1
         return i + 1
 
-    def x_tilde_norm2(self, index: int) -> float:
-        return float(self._XN2[index - 1])
-
-    def linearization_gaps(self, count: int, u: Array, f_u: float, s_u,
-                           start: int = 0) -> Tuple[Array, Array, Array]:
-        """Gap rows of u against records start+1..count (audit replay).
+    def linearization_gaps(self, count: int, u: Array, f_u: float, s_u
+                           ) -> Tuple[Array, Array, Array]:
+        """Gap rows of u against records 1..count (audit replay).
 
         ``u`` is one point, with ``f_u`` its value and ``s_u`` its
         value-roundoff scale s(u); or one point per record (rows of a
-        (count - start) x n array), with ``f_u`` and ``s_u`` one value per
-        record; or a block of b points, each scored against every record
-        (a b x 1 x n array), with ``f_u`` and ``s_u`` of shape b x 1, which
-        gives b rows of results.  The scales must equal the solver's bit
-        for bit, so that the zero rule zeroes the same quotients.  Returns
+        count x n array), with ``f_u`` and ``s_u`` one value per record; or
+        a block of b points, each scored against every record (a b x 1 x n
+        array), with ``f_u`` and ``s_u`` of shape b x 1, which gives b rows
+        of results.  The scales must equal the solver's bit for bit, so
+        that the zero rule zeroes the same quotients.  Returns
         ``(quotients, den, gd)`` with, per record i and d = u - x_tilde_i:
         the guarded gap quotient after the zero rule, den = ||d||^2 and
         gd = grad f(x_tilde_i) . d.  Each quotient equals ``_record_gap``'s
         bit for bit, in every shape, so a full-replay maximum matches the
         cached one.
         """
-        if not 0 <= start <= count <= self._n_rec:
+        if not 0 <= count <= self._n_rec:
             raise IndexError(f"ledger holds {self._n_rec} records")
-        q, num, den, gd = self._gap_terms(start, count, u, f_u)
-        if q.size and not q.max() <= 0.0:  # the zero rule of _zero_band
-            band = _ZERO_BAND * (s_u + self._record_scales(start, count)
-                                 + np.abs(gd))
-            q = np.where((q > 0.0) & (num <= band), 0.0, q)
-        return q, den, gd
+        q, num, den, gd = self._gap_terms(count, u, f_u)
+        return self._zero_rule(count, q, num, gd, lambda: s_u), den, gd
 
     def record_arrays(self, count: int):
-        """Read-only views (X, F, G, XN2) of records 1..count, for vectorized
-        audits; XN2 holds the stored ||x_tilde_i||^2."""
+        """Read-only views (X, F, G, FLOOR) of records 1..count, for
+        vectorized audits; FLOOR holds each record's quotient guard."""
         if not 0 <= count <= self._n_rec:
             raise IndexError(f"ledger holds {self._n_rec} records")
         return (self._X[:count], self._F[:count], self._G[:count],
-                self._XN2[:count])
+                self._FLOOR[:count])
 
     # -- the zero rule -------------------------------------------------------
 
-    def _record_scales(self, start: int, stop: int) -> Array:
-        """s(x_tilde) of records start+1..stop.  Records not yet scaled up
-        to ``stop`` are scaled as rows, a block at a time."""
+    def _record_scales(self, stop: int) -> Array:
+        """s(x_tilde) of records 1..stop.  Records not yet scaled up to
+        ``stop`` are scaled as rows, a block at a time."""
         lo = self._scaled_upto
         for a, b in row_blocks(stop - lo, self._X.shape[1]):
             rows = slice(lo + a, lo + b)
-            self._S[rows] = self._value_scale(self._X[rows], self._F[rows])
+            self._S[rows] = self.value_scale(self._X[rows], self._F[rows])
         self._scaled_upto = max(lo, stop)
-        return self._S[start:stop]
+        return self._S[:stop]
 
-    def _zero_band(self, i: int, gd: float, u: Array, f_u: float,
-                   scale) -> float:
-        """2 NOISE_MULT eps (s(u) + s(x_tilde_i) + |gd|): the roundoff that a
-        gap numerator of u against 0-based record i can carry.  A numerator
-        num with 0 < num <= this scores 0; callers test 0 < num first, so a
-        scale is computed only for a positive numerator."""
-        s_x = float(self._record_scales(i, i + 1)[0])
-        return _ZERO_BAND * (scale(u, f_u) + s_x + abs(gd))
+    def _zero_rule(self, count: int, q: Array, num: Array, gd: Array,
+                   s_u) -> Array:
+        """Quotients ``q`` of u against records 1..count, with numerators
+        ``num``, after the zero rule: 0 < num <= 2 NOISE_MULT eps (s(u) +
+        s(x_tilde_i) + |gd|) reads 0.  ``s_u()`` gives s(u); it is called
+        only when some quotient is positive or NaN."""
+        if not q.size or q.max() <= 0.0:
+            return q
+        band = _ZERO_BAND * (s_u() + self._record_scales(count) + np.abs(gd))
+        return np.where((q > 0.0) & (num <= band), 0.0, q)
 
     # -- lower-curvature gaps and their cache --------------------------------
 
-    def _gap_terms(self, start: int, stop: int, u: Array, f_u: float
+    def _gap_terms(self, stop: int, u: Array, f_u: float
                    ) -> Tuple[Array, Array, Array, Array]:
         """(quotients before the zero rule, numerators, den, gd) of u
-        against records start+1..stop, in the shapes of
-        ``linearization_gaps``."""
-        X = self._X[start:stop]
-        G = self._G[start:stop]
-        F = self._F[start:stop]
+        against records 1..stop, in the shapes of ``linearization_gaps``."""
+        X = self._X[:stop]
+        G = self._G[:stop]
+        F = self._F[:stop]
         d = u - X  # a 1-D u broadcasts; a 2-D u pairs row i with record i
         gd = np.einsum("...j,...j->...", G, d)
         num = 2.0 * (F + gd - f_u)
         den = np.einsum("...j,...j->...", d, d)
-        ok = ~(den <= self._FLOOR[start:stop])
+        ok = ~(den <= self._FLOOR[:stop])
         safe = np.where(ok, den, 1.0)
         return np.where(ok, num / safe, 0.0), num, den, gd
 
-    def _record_gap(self, index: int, u: Array, f_u: float, scale) -> float:
+    def _record_gap(self, index: int, u: Array, f_u: float) -> float:
         """2[lin_f(u; x_tilde_i) - f(u)]/||u - x_tilde_i||^2 against 1-based
         record ``index``, in O(n), with the guard and the zero rule.
 
         The one-record shape of ``linearization_gaps``: the same expression
         for a single record, equal bit for bit to a one-row call and
         cheaper.  The t1 term of L in ``solve`` and the cache's fold use
-        it; ``scale(u, f_u)`` gives s(u).
+        it.
         """
         i = index - 1
         d = u - self._X[i]
@@ -256,7 +246,9 @@ class HistoryLedger:
             return 0.0
         gd = float(np.einsum("i,i->", self._G[i], d))
         num = 2.0 * (float(self._F[i]) + gd - f_u)
-        if 0.0 < num <= self._zero_band(i, gd, u, f_u, scale):
+        if 0.0 < num <= _ZERO_BAND * (self.value_scale(u, f_u)
+                                      + float(self._record_scales(index)[i])
+                                      + abs(gd)):
             return 0.0
         return num / den
 
@@ -264,43 +256,24 @@ class HistoryLedger:
         return (ymin is self.cached_ymin
                 and ymin.tobytes() == self._cached_bytes)
 
-    def _cached_ymin_scale(self, ymin: Array, f_ymin: float) -> float:
-        """s of the cached best point, computed on first use."""
-        if self._cached_scale is None:
-            self._cached_scale = self._value_scale(ymin, f_ymin)
-        return self._cached_scale
-
     def ymin_ratio_max(self, ymin: Array, f_ymin: float) -> float:
-        """Max linearization gap of ymin against every record so far.
-
-        A rescan applies the zero rule only where it can move the maximum:
-        while the largest quotient is positive and its numerator lies in
-        its zero band, that quotient is zeroed and the maximum taken again.
-        This gives the maximum of ``linearization_gaps`` bit for bit.
-        """
+        """Max linearization gap of ymin against every record so far, the
+        maximum of ``linearization_gaps`` bit for bit."""
         n = self._n_rec
         if n == 0:
             return -math.inf
-        scale = self._cached_ymin_scale
         if self._is_cached(ymin):
             best = self.cached_ymin_ratio_max
             for i in range(self._cached_upto + 1, n + 1):
-                m = self._record_gap(i, ymin, f_ymin, scale)
+                m = self._record_gap(i, ymin, f_ymin)
                 if m > best or m != m:  # a NaN carries, as in np.max
                     best = m
         else:
             self.cached_ymin = ymin
             self._cached_bytes = ymin.tobytes()
-            self._cached_scale = None
-            q, num, _, gd = self._gap_terms(0, n, ymin, f_ymin)
-            best = float(np.max(q))
-            while best > 0.0:
-                j = int(np.argmax(q))
-                if not num[j] <= self._zero_band(j, float(gd[j]), ymin,
-                                                 f_ymin, scale):
-                    break
-                q[j] = 0.0
-                best = float(np.max(q))
+            q, num, _, gd = self._gap_terms(n, ymin, f_ymin)
+            best = float(np.max(self._zero_rule(
+                n, q, num, gd, lambda: self.value_scale(ymin, f_ymin))))
         self.cached_ymin_ratio_max = best
         self._cached_upto = n
         return best
@@ -398,17 +371,18 @@ def compute_candidate(problem: CompositeProblem, x_tilde: Array, lam: float,
 
 
 def compute_U(y: Array, f_y: float, x_tilde: Array, f_xt: float, g_xt: Array,
-              xn2: float) -> float:
+              guard: float) -> float:
     """Local upper-curvature estimate 2[f(y) - lin_f(y; x_tilde)]/||y-x_tilde||^2.
 
-    ``f_xt`` and ``g_xt`` are f and grad f at x_tilde, ``xn2`` is
-    ||x_tilde||^2.  Returns 0 when y is too close to x_tilde for the ratio to
-    be meaningful (squared distance <= DENOM_EPSILON * (1 + xn2)), before
-    the gradient enters, so a non-finite one cannot reach a guarded quotient.
+    ``f_xt`` and ``g_xt`` are f and grad f at x_tilde, ``guard`` is its
+    quotient guard DENOM_EPSILON (1 + ||x_tilde||^2), the one its ledger
+    record holds.  Returns 0 when y is too close to x_tilde for the ratio
+    to be meaningful (squared distance <= guard), before the gradient
+    enters, so a non-finite one cannot reach a guarded quotient.
     """
     d = y - x_tilde
     den = float(d @ d)
-    if den <= DENOM_EPSILON * (1.0 + xn2):
+    if den <= guard:
         return 0.0
     # vdot, not @: an infinite gradient entry facing a zero entry of d (a
     # coordinate the box pinned) gives NaN, and NaN reaches U without the
@@ -486,16 +460,16 @@ def replay_anchors(problem: CompositeProblem, trace: IterationTrace
     """(a, X): the weights a_1..a_K and the anchors x_1..x_K of a run from
     ``solve`` or ``run_fista_constant``, equal to the run's own bit for bit.
 
-    ``schedule`` replays a_k; ``compute_x`` on column vectors rebuilds x_k,
-    one block of iterations at a time, so only X outgrows O(K) memory.
+    ``schedule`` replays a_k; ``compute_x`` on column vectors rebuilds x_k
+    row by row, one ``row_blocks`` block of iterations at a time, so only X
+    outgrows O(K) memory.
     """
     K = len(trace)
     a, A_next = schedule(K)
     a, A = a[:, None], np.r_[A0_DEFAULT, A_next][:, None]
     tau, Y = trace.tau[:, None], trace.Y
     X = np.empty((K, Y.shape[1]))
-    for s in range(0, K, _BLOCK_ROWS):
-        e = min(s + _BLOCK_ROWS, K)
+    for s, e in row_blocks(K, Y.shape[1]):
         X[s:e] = compute_x(problem, A[s:e], A[s + 1:e + 1], a[s:e], tau[s:e],
                            Y[s + 1:e + 1], Y[s:e])
     return a[:, 0], X
@@ -577,9 +551,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     y0, f_y, phi0 = _start(problem, config, y0)
     smooth = problem.smooth
     reg = problem.regularizer
-    value_scale = smooth.value_scale
 
-    ledger = HistoryLedger(problem.dimension, value_scale)
+    ledger = HistoryLedger(problem.dimension, smooth.value_scale)
     trace = IterationTrace(y0, config.lambda0)
 
     # carried across outer iterations: the last accepted values
@@ -603,20 +576,20 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         _require_finite(k, None, ("f(x_tilde)", f_xt))
         g_xt = smooth.grad(x_tilde)
         idx = ledger.append_linearization(x_tilde, f_xt, g_xt)
-        xn2 = ledger.x_tilde_norm2(idx)
+        guard = float(ledger._FLOOR[idx - 1])
 
         lam_hist, tau_hist = trace.stepsizes, trace.tau
         y_prev = y
         # the gap of the previous iterate against this record, fixed
         # across the trials of this iteration
-        t1 = ledger._record_gap(idx, y_prev, f_y, value_scale)
+        t1 = ledger._record_gap(idx, y_prev, f_y)
         repeats = 0
 
         while True:
             y, tau = compute_candidate(problem, x_tilde, lam, xi, a, g_xt)
             f_y = smooth.value(y)
             phi_y = f_y + reg.value(y)
-            U = compute_U(y, f_y, x_tilde, f_xt, g_xt, xn2)
+            U = compute_U(y, f_y, x_tilde, f_xt, g_xt, guard)
 
             if phi_y < phi_ymin:  # ties keep the incumbent
                 phi_ymin, ymin, f_ymin = phi_y, y, f_y

@@ -1,6 +1,7 @@
 """Invariant auditing of finished runs, and fault injection against it."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from varfista.audit import (AuditReport, CheckResult, audit_corpus, audit_run,
 from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
 from varfista.solver import (DENOM_EPSILON, HistoryLedger, IterationTrace,
-                             SolverConfig, solve)
+                             SolverConfig, replay_anchors, solve)
 
 
 def _audited_run(spec, rho=1e-7, iters=5000, lambda0=1.0):
@@ -111,6 +112,56 @@ def test_tampered_stepsize_monotonicity_is_flagged():
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
     byname = {c.name: c for c in report.checks}
     assert not byname["stepsize-positive-nonincreasing"].passed
+
+
+def _set(column, index, value):
+    """An edit that writes one entry of a trace column."""
+    def edit(prob, cert, trace):
+        getattr(trace, column)[index] = value(trace)
+        return cert
+    return edit
+
+
+def _off_ladder_xi(prob, cert, trace):
+    # xi 1.25, 1.5 and 1.75 lie off the ladder 0, 1, 2, 4 and under the
+    # cap 4, and tau = 2 xi lam / a still holds: five distinct xi values
+    # where four are allowed
+    a = replay_anchors(prob, trace)[0]
+    trace.xi[-3:] = [1.25, 1.5, 1.75]
+    trace.tau[-3:] = 2.0 * trace.xi[-3:] * trace.lam[-3:] / a[-3:]
+    return cert
+
+
+def _extra_prox_calls(prob, cert, trace):
+    return replace(cert, prox_calls=cert.prox_calls + len(trace))
+
+
+# (check, run, edit): one minimal edit of a clean run's trace or
+# certificate that the named check must catch
+_BROKEN_RUNS = [
+    ("escalation-nonnegative-nondecreasing", ROUGH,
+     _set("xi", -1, lambda t: 0.5 * t.xi[-2])),
+    ("lower-curvature-nonnegative-nondecreasing", ROUGH,
+     _set("L", -1, lambda t: 0.5 * t.L[-2])),
+    ("stepsize-curvature-product", CONVEX,
+     _set("U", -1, lambda t: 2.0 / t.lam[-1])),
+    ("best-point-monotone", CONVEX,
+     _set("phi_ymin", -1, lambda t: t.phi_ymin[-2] + 1.0)),
+    ("iterates-in-domain", CONVEX, _set("phi_y", -1, lambda t: np.inf)),
+    ("escalation-distinct-count", ROUGH, _off_ladder_xi),
+    ("inner-repeat-budget", CONVEX, _extra_prox_calls),
+    ("history-inequality", ROUGH, _set("tau", -1, lambda t: 10.0)),
+]
+
+
+@pytest.mark.parametrize("name, spec, edit", _BROKEN_RUNS,
+                         ids=[name for name, _, _ in _BROKEN_RUNS])
+def test_each_check_fails_on_a_minimally_broken_run(name, spec, edit):
+    prob, cfg, cert, trace, ledger, y0 = _audited_run(spec)
+    cert = edit(prob, cert, trace)
+    checks = {c.name: c for c in audit_run(prob, cfg, cert, trace, ledger,
+                                           y0).checks}
+    assert not checks[name].passed, checks[name].line()
 
 
 def test_corrupted_gradient_fails_metadata_checks():
@@ -307,16 +358,16 @@ def _unchanged(trace, j):
 
 @pytest.fixture
 def gap_scans(monkeypatch):
-    """(count, start, u) of every ledger gap scan made while the test runs;
-    each point of a block scan (a b x 1 x n u) counts as one scan of that
-    point against records start+1..count."""
+    """(count, u) of every ledger gap scan made while the test runs; each
+    point of a block scan (a b x 1 x n u) counts as one scan of that point
+    against records 1..count."""
     calls = []
     scan = HistoryLedger.linearization_gaps
 
-    def counted(self, count, u, f_u, s_u, start=0):
+    def counted(self, count, u, f_u, s_u):
         points = u[:, 0] if np.ndim(u) == 3 else [u]
-        calls.extend((count, start, np.array(p)) for p in points)
-        return scan(self, count, u, f_u, s_u, start=start)
+        calls.extend((count, np.array(p)) for p in points)
+        return scan(self, count, u, f_u, s_u)
 
     monkeypatch.setattr(HistoryLedger, "linearization_gaps", counted)
     return calls
@@ -324,7 +375,7 @@ def gap_scans(monkeypatch):
 
 def _records_scanned_for(gap_scans, point):
     """(first, last) 1-based records of each gap scan of this one point."""
-    return [(start + 1, count) for count, start, u in gap_scans
+    return [(1, count) for count, u in gap_scans
             if u.shape == point.shape and np.array_equal(u, point)]
 
 
@@ -385,7 +436,7 @@ def test_replay_rescans_a_replaced_best_point_instead_of_carrying(gap_scans):
     assert _records_scanned_for(gap_scans, tampered) == []
     windows = _segment_windows(trace, prob.dimension)
     # one scan per segment, in order, each over its block's window
-    assert [(start + 1, count) for count, start, u in gap_scans
+    assert [(1, count) for count, u in gap_scans
             if u.ndim == 1] == windows
     (first, last), = _records_scanned_for(gap_scans, held)
     assert (first, last) == windows[seg] and last >= j + 2
@@ -420,7 +471,7 @@ def test_replay_scans_records_in_proportion_to_best_point_changes(gap_scans):
     changes = sum(not _unchanged(trace, j) for j in range(1, K))
     # one paired scan of the previous iterates, one scan per best point
     assert len(gap_scans) <= 1 + (1 + changes)
-    scanned = sum(count - start for count, start, _ in gap_scans)
+    scanned = sum(count for count, _ in gap_scans)
     assert scanned <= 2 * K + K * changes
     # the full replay scanned K (K + 1) / 2 records for ymin plus K for y
     assert scanned < (K * (K + 1) // 2 + K) / 2
@@ -487,7 +538,7 @@ def _replay_details(prob, trace, ledger):
             if excess[i] > best:
                 best, where = float(excess[i]), (k, lo + i + 1)
             rows.append(ledger.linearization_gaps(
-                k, u, f_u, prob.smooth.value_scale(u, f_u), start=lo)[0])
+                k, u, f_u, prob.smooth.value_scale(u, f_u))[0][lo:])
         L_prev = max(float(rows[1][0]), float(np.max(rows[0])), L_prev, 0.0)
         if mismatch is None and L_prev != trace.L[k - 1]:
             mismatch = k

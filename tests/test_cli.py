@@ -128,6 +128,26 @@ def test_instance_file_with_a_non_finite_entry_exits_one(capsys, tmp_path,
     assert str(p) in err and f"'{key}'" in err and "non-finite" in err
 
 
+# a box bound may be infinite: that coordinate starts at clip(0, lo, hi),
+# with or without --seed, so the run starts from a finite point
+@pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (-np.inf, 0.5),
+                                    (-0.5, np.inf)])
+@pytest.mark.parametrize("seed", [None, "3"])
+def test_instance_file_with_an_infinite_box_bound_solves(capsys, tmp_path,
+                                                         lo, hi, seed):
+    p = tmp_path / "halfline.json"
+    save_instance(generate_qp(QuadraticSpec(n=3, eig_lo=1.0, eig_hi=4.0)),
+                  str(p))
+    doc = json.loads(p.read_text())
+    _set_base64("box_lo", 1, lo)(doc)
+    _set_base64("box_hi", 1, hi)(doc)
+    p.write_text(json.dumps(doc))
+    argv = ["solve", "--instance", str(p), "--rho", "1e-6"]
+    code, out, err = _run(capsys, argv + (["--seed", seed] if seed else []))
+    assert code in (0, 2), err
+    assert json.loads(out)["instance"]["n"] == 3
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

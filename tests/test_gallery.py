@@ -66,6 +66,18 @@ def test_default_start_is_box_midpoint():
     assert np.array_equal(default_start(prob), [0.5])
 
 
+def test_default_start_is_zero_clipped_where_midpoint_or_width_overflow():
+    # an infinite bound, or a width past the float64 range: clip(0, lo, hi)
+    # there, and no RuntimeWarning; a finite coordinate keeps its midpoint
+    # or its seeded draw lo + r (hi - lo)
+    lo = np.array([0.0, -np.inf, -np.inf, 3.0, -1e308])
+    hi = np.array([1.0, np.inf, -2.0, np.inf, 1e308])
+    prob = make_qp_problem(np.eye(5), np.zeros(5), lo, hi)
+    assert np.array_equal(default_start(prob), [0.5, 0.0, -2.0, 3.0, 0.0])
+    r = np.random.default_rng(7).random(5)
+    assert np.array_equal(default_start(prob, 7), [r[0], 0.0, -2.0, 3.0, 0.0])
+
+
 def _face_instance():
     # f(u) = u^2 - 4u on [0, 1]: the only stationary point is u = 1
     return make_qp_problem(np.array([[2.0]]), np.array([-4.0]),
@@ -299,6 +311,10 @@ _BAD_DOCUMENTS = [
     ("n", "fractional n", lambda d: d.update(n=3.5)),
     ("lipschitz", "null lipschitz", lambda d: d.update(lipschitz=None)),
     ("l1_weight", "text l1_weight", lambda d: d.update(l1_weight="0.3")),
+    ("c", "boolean in c list", lambda d: d.update(c=[True, 0.0, 0.0])),
+    ("c", "text in c list", lambda d: d.update(c=[0.0, "1.5", 0.0])),
+    ("box_hi", "boolean in box_hi list",
+     lambda d: d.update(box_hi=[1.0, False, 1.0])),
 ] + [(key, f"missing {key}", lambda d, key=key: d.pop(key))
      for key in ("n", "Q", "c", "box_lo", "box_hi", "lipschitz",
                  "curvature")]

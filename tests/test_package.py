@@ -89,6 +89,35 @@ def test_only_the_finiteness_helper_constructs_numerical_failure():
     assert total == _numerical_failures_built(helper) == 1
 
 
+def _readers(name):
+    """The innermost function of src/ around each read of ``name``, as a
+    name or an attribute; "<module>" for a read outside any function."""
+    readers = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if (getattr(node, "id", None) == name
+                or getattr(node, "attr", None) == name) \
+                and isinstance(getattr(node, "ctx", None), ast.Load):
+            readers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for tree in _trees("src/varfista/*.py"):
+        visit(tree, "<module>")
+    return sorted(readers)
+
+
+def test_the_zero_band_and_the_quotient_guard_are_formed_in_one_place():
+    # the zero rule's band has a vector form and the O(n) one-record form;
+    # the quotient guard is formed where a record is stored, and by the
+    # one baseline that keeps no ledger
+    assert _readers("_ZERO_BAND") == ["_record_gap", "_zero_rule"]
+    assert _readers("DENOM_EPSILON") == ["append_linearization",
+                                         "run_fista_constant"]
+
+
 def test_benchmark_tracer_wraps_the_package_and_restores_it(monkeypatch):
     # perfbench/tracing.py wraps internals by name (solver.solve,
     # prox.BoxIndicator.prox, HistoryLedger.ymin_ratio_max, ...); removing

@@ -93,12 +93,12 @@ def test_compute_U_quadratic_recovers_curvature():
     x_tilde = np.array([0.0])
     f_xt = prob.smooth.value(x_tilde)
     g_xt = prob.smooth.grad(x_tilde)
-    xn2 = float(x_tilde @ x_tilde)
+    guard = solver_mod.DENOM_EPSILON * (1.0 + float(x_tilde @ x_tilde))
     y = np.array([2.0])
     assert compute_U(y, prob.smooth.value(y), x_tilde, f_xt, g_xt,
-                     xn2) == 2.0
+                     guard) == 2.0
     # guard: candidate equal to the momentum point
-    assert compute_U(x_tilde, f_xt, x_tilde, f_xt, g_xt, xn2) == 0.0
+    assert compute_U(x_tilde, f_xt, x_tilde, f_xt, g_xt, guard) == 0.0
 
 
 def test_update_best_tie_keeps_incumbent():
@@ -139,7 +139,7 @@ def test_compute_L_gap_of_concave_function():
     # against the record and the best point's max gap, are 2*2/4 = 1
     ledger = _one_record_ledger(0.0, 0.0, 0.0)
     u = np.array([2.0])
-    assert ledger._record_gap(1, u, -2.0, _abs_scale) == 1.0
+    assert ledger._record_gap(1, u, -2.0) == 1.0
     assert ledger.ymin_ratio_max(u, -2.0) == 1.0
     # inside solve, L picks the curvature up at the first moving step
     _, trace, _ = solve(_concave_1d(), SolverConfig(max_outer_iterations=3),
@@ -152,7 +152,7 @@ def test_compute_L_never_negative():
     ledger = _one_record_ledger(0.0, 0.0, 0.0)
     u = np.array([2.0])
     # f(u) = u^2/2 -> f(2) = 2, gap = 2*(0 - 2)/4 = -1
-    assert ledger._record_gap(1, u, 2.0, _abs_scale) == -1.0
+    assert ledger._record_gap(1, u, 2.0) == -1.0
     assert ledger.ymin_ratio_max(u, 2.0) == -1.0
     # inside solve, on f(u) = u^2/2 the best point's gaps are negative
     prob = _free_1d()
@@ -364,10 +364,10 @@ def test_ledger_records_round_trip():
     g = np.array([3.0, 4.0])
     idx = ledger.append_linearization(x, 5.0, g)
     assert idx == 1
-    X, F, G, XN2 = ledger.record_arrays(1)
+    X, F, G, FLOOR = ledger.record_arrays(1)
     assert np.array_equal(X, [x]) and np.array_equal(F, [5.0])
-    assert np.array_equal(G, [g]) and np.array_equal(XN2, [5.0])
-    assert ledger.x_tilde_norm2(1) == 5.0
+    assert np.array_equal(G, [g])
+    assert np.array_equal(FLOOR, [solver_mod.DENOM_EPSILON * (1.0 + 5.0)])
     with pytest.raises(IndexError):
         ledger.record_arrays(2)
     with pytest.raises(IndexError):
@@ -398,9 +398,9 @@ def test_ledger_buffers_grow_past_initial_capacity():
                                     np.array([float(-i)]))
         y = np.array([float(i)])
         _append(trace, 1.0 / (i + 1), 0.0, y, y)
-    X, F, G, XN2 = ledger.record_arrays(200)
+    X, F, G, FLOOR = ledger.record_arrays(200)
     assert F[136] == 136.0 and X[136, 0] == 136.0 and G[136, 0] == -136.0
-    assert XN2[136] == 136.0 ** 2
+    assert FLOOR[136] == solver_mod.DENOM_EPSILON * (1.0 + 136.0 ** 2)
     assert trace.stepsizes.shape == (201,) and trace.Y.shape == (201, 1)
     assert trace.stepsizes[137] == 1.0 / 137 and trace.Y[137, 0] == 136.0
     assert trace.Y[0, 0] == -1.0 and np.array_equal(trace.ymin_rows,
@@ -437,13 +437,13 @@ def test_ledger_gap_cache_matches_full_replay():
 
 
 def _scan_log(monkeypatch):
-    """Record the (start, stop) of every ``_gap_terms`` call."""
+    """Record the stop (records 1..stop) of every ``_gap_terms`` call."""
     scans = []
     original = HistoryLedger._gap_terms
 
-    def logged(self, start, stop, *rest):
-        scans.append((start, stop))
-        return original(self, start, stop, *rest)
+    def logged(self, stop, *rest):
+        scans.append(stop)
+        return original(self, stop, *rest)
 
     monkeypatch.setattr(HistoryLedger, "_gap_terms", logged)
     return scans
@@ -465,7 +465,7 @@ def test_ledger_cache_rescans_a_best_point_mutated_in_place(monkeypatch):
     scans = _scan_log(monkeypatch)
     u[2] += 0.25  # same array object, new bytes
     got = ledger.ymin_ratio_max(u, -0.7)
-    assert scans[0] == (0, 6)
+    assert scans[0] == 6
     assert got == float(np.max(ledger.linearization_gaps(6, u, -0.7,
                                                          0.7)[0]))
 
@@ -497,7 +497,6 @@ def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
     # a NaN in u, in the record's gradient or in f(u) reaches the quotient,
     # and when the numerator lies in the zero band of the value scales
     rng = np.random.default_rng(seed)
-    eps = solver_mod.DENOM_EPSILON
 
     def draw(size=None):
         return rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
@@ -507,12 +506,13 @@ def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
     s_x, s_u = abs(f_x) + abs(draw()), abs(f_x) + abs(draw())
     if nan_in == "g":
         g[rng.integers(n)] = math.nan
-    ledger = HistoryLedger(n, lambda *_: s_x)
+    # s is s_x for the record, which is scaled as a row, and s_u for u
+    ledger = HistoryLedger(n, lambda v, _: s_x if v.ndim == 2 else s_u)
     ledger.append_linearization(x, f_x, g)
-    xn2 = ledger.x_tilde_norm2(1)
+    guard = float(ledger.record_arrays(1)[3][0])
     d = draw(n) * 10.0 ** d_exp
     if guarded:  # shrink d inside the guard radius
-        d *= rng.random() * math.sqrt(eps * (1.0 + xn2)) / (
+        d *= rng.random() * math.sqrt(guard) / (
             math.sqrt(float(d @ d)) * 2.0)
     u = x + d
     gd = float(np.einsum("i,i->", g, u - x))
@@ -525,14 +525,14 @@ def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
         u[rng.integers(n)] = math.nan
     want, den, _ = ledger.linearization_gaps(1, u, f_u, s_u)
     num = 2.0 * (f_x + gd - f_u)
-    if den[0] <= eps * (1.0 + xn2):
+    if den[0] <= guard:
         assert want[0] == 0.0
     else:
         assert not guarded or nan_in == "u"
         assert math.isnan(want[0]) == (nan_in is not None)
         if nan_in is None:
             assert want[0] == (0.0 if 0.0 < num <= band else num / den[0])
-    assert _as_bits(ledger._record_gap(1, u, f_u, lambda *_: s_u)) \
+    assert _as_bits(ledger._record_gap(1, u, f_u)) \
         == want[0].tobytes()
 
 
@@ -615,7 +615,7 @@ def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
         folds[0] += hit and self._cached_upto == k - 1
         before = len(scans)
         out = original(self, ymin, f_ymin)
-        assert scans[before:] == ([] if hit else [(0, k)])
+        assert scans[before:] == ([] if hit else [k])
         if not hit:
             misses.append(k)
         return out
@@ -629,7 +629,7 @@ def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
                                        box=(-1000.0, 1000.0), seed=0))
     solve(growth, SolverConfig(rho_hat=1e-2, max_outer_iterations=2000),
           default_start(growth))
-    assert sum(stop - start for start, stop in scans) == sum(misses)
+    assert sum(scans) == sum(misses)
 
 
 def test_ledger_fold_carries_a_nan_quotient_like_a_rescan():
@@ -653,12 +653,12 @@ def test_ledger_slice_queries_validate_bounds():
     with pytest.raises(IndexError):
         ledger.linearization_gaps(2, np.array([0.0]), 0.0, 0.0)
     with pytest.raises(IndexError):
-        ledger.linearization_gaps(1, np.array([0.0]), 0.0, 0.0, start=2)
+        ledger.linearization_gaps(-1, np.array([0.0]), 0.0, 0.0)
     with pytest.raises(IndexError):
         ledger.record_arrays(5)
-    X, F, G, XN2 = ledger.record_arrays(1)
+    X, F, G, FLOOR = ledger.record_arrays(1)
     assert X.shape == (1, 1) and F.shape == (1,) and G.shape == (1, 1)
-    assert XN2.shape == (1,)
+    assert FLOOR.shape == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +716,7 @@ def test_solve_traces_match_op_recomputation():
     for i in range(len(trace)):
         y = trace.Y[i + 1]
         U = compute_U(y, prob.smooth.value(y), X[i], float(F[i]), G[i],
-                      float(X[i] @ X[i]))
+                      solver_mod.DENOM_EPSILON * (1.0 + float(X[i] @ X[i])))
         assert U == trace.U[i]
 
 
