@@ -97,9 +97,12 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     its segment, in B blocks of consecutive segments: b segments whose
     last ends at e make one b x e x n scan of at most ``_ROW_BLOCK``
     elements, unless b is 1.  f(y_k) and s(y_k) are taken as rows, a block
-    at a time.  The replay reads only the committed records and shares no
-    state with the solver's gap cache.  The checks read trace columns as
-    views, and ``replay_anchors`` rebuilds a_k and x_k.  No temporary
+    at a time; for a quadratic past ``gallery._Q_BLOCK`` elements of Q, a
+    row block of f(y_k) reads each cache-sized block of Q's rows once for
+    all its rows, so Q is read once per row block, not once per row.  The
+    replay reads only the committed records and shares no state with the
+    solver's gap cache.  The checks read trace columns as views, and
+    ``replay_anchors`` rebuilds a_k and x_k.  No temporary
     holds more than max(_ROW_BLOCK, K n) elements; the largest, one at a
     time, are the anchors, the differences of y_k or y_{k-1} with the
     records, and those of a one-segment block's best point.

@@ -56,6 +56,11 @@ class QuadraticSpec:
             raise ValueError("box must satisfy hi > lo")
 
 
+# elements of Q (1 MB, half a core's 2 MB L2 cache) applied in one BLAS
+# call; a larger Q is applied a block of rows of at most this size at a time
+_Q_BLOCK = 131072
+
+
 class QuadraticOracle:
     """Smooth oracle f(u) = 0.5 u'Qu + c'u with its structure exposed.
 
@@ -72,6 +77,21 @@ class QuadraticOracle:
     it just evaluated, makes one product with Q per evaluated point.  The
     memo is unguarded state: do not share one oracle across threads.
 
+    Every product with Q, of one point or of the rows of a 2-D ``u``, is
+    made by ``_products``.  A Q of at most ``_Q_BLOCK`` elements (1 MB,
+    n <= 362) takes one BLAS call.  A larger Q is cut into blocks of
+    ``step`` rows, the largest multiple of 8 whose block fits the budget
+    (128 at n = 1000), plus a tail block of the last n mod step rows; the
+    blocks are views of Q, which is stored C-contiguous, so no copy of it
+    is made.  One point takes one stacked call over the blocks and one for
+    the tail; rows take one call in which each block meets every row while
+    it is in cache, so a row block of f(y_k) in the audit reads Q once,
+    not once per row.  Both paths block alike: each then makes the same
+    gemv on the same block for every vector, so a row's product equals the
+    one-point product bit for bit.  Blocking only the rows would not: at
+    n = 1001 a blocked product can differ in its last bits from one call
+    over all of Q.
+
     ``value_scale`` is s(u) = 0.5 ||Q||_inf ||u||^2 + ||c||_2 ||u||_2, which
     bounds |f(u)| and the magnitude of both of its terms; where they cancel,
     the rounding error of f(u) scales with s(u), not with |f(u)|.
@@ -80,7 +100,7 @@ class QuadraticOracle:
     def __init__(self, Q: Array, c: Array,
                  audit_lipschitz: Optional[float] = None,
                  audit_curvature: Optional[float] = None):
-        Q = np.asarray(Q, dtype=np.float64)
+        Q = np.ascontiguousarray(Q, dtype=np.float64)
         c = np.asarray(c, dtype=np.float64)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or c.shape != (Q.shape[0],):
             raise ValueError("Q must be square and c must match its size")
@@ -100,21 +120,46 @@ class QuadraticOracle:
         self._memo_bytes = b""
         self._memo_Qu: Optional[Array] = None
 
+    def _products(self, u: Array) -> Array:
+        """Q @ u of one point, or of each row of a 2-D ``u``, in the shape
+        of ``u``, bit for bit alike; blocked as the class describes."""
+        Q = self.Q
+        n = Q.shape[0]
+        if n * n <= _Q_BLOCK:
+            if u.ndim == 1:
+                return Q @ u
+            return np.matmul(Q, u[:, :, None])[:, :, 0]
+        step = max(8, _Q_BLOCK // n // 8 * 8)
+        nb = n // step
+        m = nb * step
+        blocks, tail = Q[:m].reshape(nb, step, n), Q[m:]
+        out = np.empty(u.shape)
+        if u.ndim == 1:
+            np.matmul(blocks, u, out=out[:m].reshape(nb, step))
+            np.matmul(tail, u, out=out[m:])
+        else:  # block b against every row, then block b + 1
+            head = np.matmul(blocks[:, None], u[None, :, :, None])
+            out[:, :m] = head.transpose(1, 0, 2, 3).reshape(len(u), m)
+            np.matmul(tail, u[:, :, None], out=out[:, m:, None])
+        return out
+
     def _Qu(self, u: Array) -> Array:
         """Q @ u, reused when u is the previous call's array, unmutated."""
         if u is self._memo_u and u.tobytes() == self._memo_bytes:
             return self._memo_Qu
-        Qu = self.Q @ u
+        Qu = self._products(u)
         self._memo_u, self._memo_bytes, self._memo_Qu = u, u.tobytes(), Qu
         return Qu
 
     def value(self, u: Array):
         """f(u) of one point, or of each row of a 2-D ``u`` without the
-        memo, bit for bit alike: per row one gemv and two dot products."""
+        memo, bit for bit alike: per row one product with Q and two dot
+        products."""
         if u.ndim == 1:
             return float(0.5 * (u @ self._Qu(u)) + self.c @ u)
         col = u[:, :, None]
-        uQu = np.matmul(u[:, None, :], np.matmul(self.Q, col))[:, 0, 0]
+        Qu = self._products(u)[:, :, None]
+        uQu = np.matmul(u[:, None, :], Qu)[:, 0, 0]
         return 0.5 * uQu + np.matmul(self.c, col)[:, 0]
 
     def grad(self, u: Array) -> Array:

@@ -180,7 +180,7 @@ class HistoryLedger:
         if not 0 <= count <= self._n_rec:
             raise IndexError(f"ledger holds {self._n_rec} records")
         q, num, den, gd = self._gap_terms(count, u, f_u)
-        return self._zero_rule(count, q, num, gd, lambda: s_u), den, gd
+        return self._zero_rule(count, q, num, gd, lambda: s_u)[0], den, gd
 
     def record_arrays(self, count: int):
         """Read-only views (X, F, G, FLOOR) of records 1..count, for
@@ -203,15 +203,22 @@ class HistoryLedger:
         return self._S[:stop]
 
     def _zero_rule(self, count: int, q: Array, num: Array, gd: Array,
-                   s_u) -> Array:
+                   s_u) -> Tuple[Array, float]:
         """Quotients ``q`` of u against records 1..count, with numerators
-        ``num``, after the zero rule: 0 < num <= 2 NOISE_MULT eps (s(u) +
-        s(x_tilde_i) + |gd|) reads 0.  ``s_u()`` gives s(u); it is called
-        only when some quotient is positive or NaN."""
-        if not q.size or q.max() <= 0.0:
-            return q
+        ``num``, after the zero rule, and their maximum: 0 < num <= 2
+        NOISE_MULT eps (s(u) + s(x_tilde_i) + |gd|) reads 0, in place.
+        ``s_u()`` gives s(u); it is called only when some quotient is
+        positive or NaN.  The maximum is the gate's, taken again only when
+        a quotient was zeroed."""
+        top = q.max(initial=-math.inf)
+        if top <= 0.0:
+            return q, top
         band = _ZERO_BAND * (s_u() + self._record_scales(count) + np.abs(gd))
-        return np.where((q > 0.0) & (num <= band), 0.0, q)
+        zero = (q > 0.0) & (num <= band)
+        if not zero.any():
+            return q, top
+        q[zero] = 0.0
+        return q, q.max()
 
     # -- lower-curvature gaps and their cache --------------------------------
 
@@ -272,8 +279,8 @@ class HistoryLedger:
             self.cached_ymin = ymin
             self._cached_bytes = ymin.tobytes()
             q, num, _, gd = self._gap_terms(n, ymin, f_ymin)
-            best = float(np.max(self._zero_rule(
-                n, q, num, gd, lambda: self.value_scale(ymin, f_ymin))))
+            best = float(self._zero_rule(
+                n, q, num, gd, lambda: self.value_scale(ymin, f_ymin))[1])
         self.cached_ymin_ratio_max = best
         self._cached_upto = n
         return best

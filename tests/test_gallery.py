@@ -406,24 +406,38 @@ def test_load_rejects_foreign_documents(tmp_path):
 # ---------------------------------------------------------------------------
 
 class _CountingMatrix(np.ndarray):
-    """A view of Q that counts the products taken with it."""
+    """A view of Q that counts the oracle's calls of ``_products``, the one
+    function that multiplies by Q: ``products`` those of one point,
+    ``row_products`` those of rows."""
 
     products = 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return np.asarray(self) @ other
+    row_products = 0
 
 
 def _counted(oracle):
-    oracle.Q = oracle.Q.view(_CountingMatrix)
-    return oracle.Q
+    Q = oracle.Q.view(_CountingMatrix)
+    products = oracle._products
+
+    def counted(u):
+        if u.ndim == 1:
+            Q.products += 1
+        else:
+            Q.row_products += 1
+        return products(u)
+
+    oracle._products = counted
+    return Q
 
 
 def _oracle(n=300, seed=0):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     return QuadraticOracle(M + M.T, rng.standard_normal(n), 1.0, 0.0), rng
+
+
+# the dense instance past the single-call budget of _products: its rows of
+# Q are applied a block at a time
+DENSE_SPEC = QuadraticSpec(n=1000, eig_lo=0.01, eig_hi=100.0, seed=0)
 
 
 def test_memo_recomputes_after_in_place_mutation():
@@ -462,21 +476,25 @@ def test_memo_results_equal_a_memo_free_evaluation_bit_for_bit():
             assert oracle.grad(u) is not g  # the stored product stays inside
 
 
-@pytest.mark.parametrize("which", ["corpus", "n200"])
+@pytest.mark.parametrize("which", ["corpus", "n200", "n1000"])
 def test_solve_takes_one_product_per_evaluated_point(which):
     # the call sequence without the memo takes 2 + 3K + prox_calls products
     if which == "corpus":
         problem = audit_corpus(2, 0)[1]
         cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
-    else:
+    elif which == "n200":
         problem = generate_qp(QuadraticSpec(n=200, eig_lo=-1.0, eig_hi=100.0,
                                             seed=1))
+        cfg = SolverConfig(rho_hat=1e-6)
+    else:  # run to convergence (1681 iterations), not capped
+        problem = generate_qp(DENSE_SPEC)
         cfg = SolverConfig(rho_hat=1e-6)
     Q = _counted(problem.smooth)
     cert, _, _ = solve(problem, cfg, default_start(problem))
     assert cert.converged
     assert cert.prox_calls > cert.iterations  # some trials were rejected
     assert Q.products == 1 + cert.iterations + cert.prox_calls
+    assert Q.row_products == 0
 
 
 @pytest.mark.parametrize("n", [1, 3, 20, 200, 1000])
@@ -516,12 +534,14 @@ def _row_oracle(kind, n, rng):
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "smooth"])
-@pytest.mark.parametrize("n", [1, 2, 3, 20, 200, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 200, 362, 363, 1000, 1001,
+                               1024])
 def test_value_of_rows_equals_one_point_at_a_time_bit_for_bit(kind, n):
     # the audit evaluates f at the trace's points as rows, a row_blocks
     # slice at a time, and the solver one point at a time; the replay of L
     # needs both to agree bit for bit.  Rows span scales 1e-3..1e3 and one
-    # row is -0.0
+    # row is -0.0.  n = 362 is the last n whose products with Q are one
+    # call; 363 is blocked with a tail block, 1001 too, and 1024 has none
     rng = np.random.default_rng(n)
     oracle = _row_oracle(kind, n, rng)
     rows = 2 * (_kernels._ROW_BLOCK // n) + 3
@@ -542,15 +562,18 @@ def test_value_of_rows_equals_one_point_at_a_time_bit_for_bit(kind, n):
 
 
 def test_value_of_rows_leaves_the_memo_alone():
-    oracle, rng = _oracle()
-    Q = _counted(oracle)
-    u = rng.standard_normal(Q.shape[0])
-    P = rng.standard_normal((5, Q.shape[0]))
-    f = oracle.value(u)
-    rows = oracle.value(P)  # bypasses the memo and its product counter
-    assert Q.products == 1
-    assert oracle.value(u) == f and Q.products == 1  # still a hit
-    g = oracle.grad(u)
-    assert Q.products == 1
-    assert np.array_equal(g, np.asarray(Q) @ u + oracle.c)
-    assert oracle.value(P[2]) == rows[2] and Q.products == 2  # a miss
+    # n = 300 takes one call per product, the dense n = 1000 blocks
+    for oracle, rng in (_oracle(), (generate_qp(DENSE_SPEC).smooth,
+                                    np.random.default_rng(0))):
+        Q = _counted(oracle)
+        u = rng.standard_normal(Q.shape[0])
+        P = rng.standard_normal((5, Q.shape[0]))
+        f = oracle.value(u)
+        rows = oracle.value(P)  # bypasses the memo: one product of rows
+        assert Q.row_products == 1
+        assert Q.products == 1
+        assert oracle.value(u) == f and Q.products == 1  # still a hit
+        g = oracle.grad(u)
+        assert Q.products == 1
+        assert np.array_equal(g, np.asarray(Q) @ u + oracle.c)
+        assert oracle.value(P[2]) == rows[2] and Q.products == 2  # a miss

@@ -5,9 +5,10 @@ Covers the adaptive solver on the clean audit corpus (starts drawn as
 both constant-step baselines on the first six corpus instances.  A second
 hash covers one nonconvex run whose lower-curvature estimate L grows (from
 0 at k=20, through six positive values), the path on which the history
-check rescans committed pairs.  Each run contributes its trace CSV bytes,
-``y_hat``, ``v_hat`` and the certificate counters.  A refactor that keeps
-every output bit for bit keeps the hashes.
+check rescans committed pairs.  A third covers a capped n=1000 run, whose
+products with Q are made a block of rows at a time.  Each run contributes
+its trace CSV bytes, ``y_hat``, ``v_hat`` and the certificate counters.  A
+refactor that keeps every output bit for bit keeps the hashes.
 """
 
 import hashlib
@@ -24,6 +25,8 @@ SOLVE_TRACE_SHA256 = \
     "9644f6d2000b76e55a4aff131fad8297747ce6cc8030de7dfc2727016026a4db"
 L_GROWTH_SHA256 = \
     "6fded4508b249a5145d93043ae4afcd52966739bdce4851b0088ec6ef23f804a"
+DENSE_N1000_SHA256 = \
+    "4e990ed6a29010ce41884f023683c5e3b9cd96d890e4986634d0572afd16ad92"
 
 
 def _feed(h, path, cert, trace):
@@ -83,3 +86,16 @@ def test_l_growth_trace_matches_golden_hash(tmp_path, monkeypatch):
     h = hashlib.sha256()
     _feed(h, tmp_path / "trace.csv", cert, trace)
     assert h.hexdigest() == L_GROWTH_SHA256
+
+
+def test_capped_dense_n1000_trace_matches_golden_hash(tmp_path):
+    # pinned when every product with Q was one unblocked BLAS call: the
+    # blocked one-point products keep the solver's bits
+    problem = generate_qp(QuadraticSpec(n=1000, eig_lo=0.01, eig_hi=100.0,
+                                        seed=0))
+    cfg = SolverConfig(rho_hat=1e-6, max_outer_iterations=300)
+    cert, trace, _ = solve(problem, cfg, default_start(problem))
+    assert cert.iterations == 300
+    h = hashlib.sha256()
+    _feed(h, tmp_path / "trace.csv", cert, trace)
+    assert h.hexdigest() == DENSE_N1000_SHA256

@@ -118,6 +118,37 @@ def test_the_zero_band_and_the_quotient_guard_are_formed_in_one_place():
                                          "run_fista_constant"]
 
 
+_PRODUCT_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+
+
+def _has_product(node):
+    """Whether ``node`` holds an ``@`` or a call of a numpy product."""
+    return any((isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult))
+               or (isinstance(sub, ast.Call)
+                   and getattr(sub.func, "attr", getattr(sub.func, "id", None))
+                   in _PRODUCT_CALLS)
+               for sub in ast.walk(node))
+
+
+def test_products_with_q_are_made_in_one_place():
+    # every product with Q, of one point or of rows, goes through
+    # QuadraticOracle._products, so one- and many-point products stay one
+    # implementation; _scale_coefficients reads Q for its absolute row sums,
+    # which are no product
+    oracle, = [node for tree in _trees("src/varfista/gallery.py")
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "QuadraticOracle"]
+    readers = {method.name: method for method in oracle.body
+               if isinstance(method, ast.FunctionDef)
+               and any(isinstance(node, ast.Attribute) and node.attr == "Q"
+                       and getattr(node.value, "id", None) == "self"
+                       and isinstance(node.ctx, ast.Load)
+                       for node in ast.walk(method))}
+    assert "_products" in readers
+    assert [name for name, method in readers.items()
+            if name != "_products" and _has_product(method)] == []
+
+
 def test_benchmark_tracer_wraps_the_package_and_restores_it(monkeypatch):
     # perfbench/tracing.py wraps internals by name (solver.solve,
     # prox.BoxIndicator.prox, HistoryLedger.ymin_ratio_max, ...); removing

@@ -581,6 +581,44 @@ def test_rescan_and_fold_maxima_equal_the_zeroed_rows_bit_for_bit(k, n, split,
     assert _as_bits(folded.ymin_ratio_max(u, f_u)) == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 24), n=st.integers(1, 6), b=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_zero_rule_of_point_blocks_equals_one_point_scans_bit_for_bit(
+        k, n, b, seed):
+    # the audit scans a block of b best points (b x 1 x n) and the previous
+    # iterates paired with their records (k x n) in one call each; every
+    # row must zero what a scan of its point alone zeroes.  The rows hold
+    # one point u with per-row scales s(u), and numerators are drawn inside
+    # the zero band, just above it or negative, so each row's band decides
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n)
+    f_u = float(rng.normal())
+    ledger = HistoryLedger(n, lambda v, f_v: 3.0 * np.abs(f_v) + 1.0)
+    for _ in range(k):
+        x, g = rng.normal(size=n), rng.normal(size=n)
+        gd = float(np.einsum("i,i->", g, u - x))
+        f_x = float(rng.normal())
+        band = 2.0 * 64.0 * np.finfo(np.float64).eps * (
+            2.0 + 3.0 * abs(f_u) + 3.0 * abs(f_x) + abs(gd))
+        target = (band * rng.uniform(0.05, 0.95), band * rng.uniform(1, 3),
+                  -rng.random())[rng.integers(3)]
+        ledger.append_linearization(x, f_u - gd + 0.5 * target, g)
+
+    def alone(s_u):
+        return ledger.linearization_gaps(k, u, f_u, s_u)[0]
+
+    s_b = rng.uniform(0.0, 3.0, b)
+    block = ledger.linearization_gaps(k, np.tile(u, (b, 1, 1)),
+                                      np.full((b, 1), f_u), s_b[:, None])[0]
+    assert block.tobytes() == np.array([alone(s) for s in s_b]).tobytes()
+    s_k = rng.uniform(0.0, 3.0, k)
+    paired = ledger.linearization_gaps(k, np.tile(u, (k, 1)),
+                                       np.full(k, f_u), s_k)[0]
+    assert paired.tobytes() == np.array(
+        [alone(s)[i] for i, s in enumerate(s_k)]).tobytes()
+
+
 def _golden_corpus_runs():
     """The clean audit corpus with the starts ``run_audit_suite`` draws."""
     rng = np.random.default_rng(0 ^ 0x5eed)
