@@ -106,6 +106,18 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     holds more than max(_ROW_BLOCK, K n) elements; the largest, one at a
     time, are the anchors, the differences of y_k or y_{k-1} with the
     records, and those of a one-segment block's best point.
+
+    ``inner-repeat-budget`` allows K + lam_term + 1 + xi_term prox calls,
+    with lam_term = log_theta(lambda0 / lambda_floor) and xi_term =
+    log2(xi_bar), or 0 when xi_bar = 0.  Every retry shrinks lam, escalates
+    xi, or both, so a run's retries are at most its shrinks plus its
+    escalations.  A shrink divides lam by theta or more, and lam stays at
+    or above lambda_floor (``stepsize-floor``), so there are at most
+    lam_term shrinks.  An escalation takes xi from 0 to 1 or doubles it,
+    and xi stays at or below xi_bar (``escalation-cap``), so there are at
+    most 1 + xi_term escalations.  Both terms are non-negative, since
+    lambda_floor <= lambda0 and xi_bar is 0 or at least 1.  The budget adds
+    them; their maximum would undercount a run that needs both.
     """
     checks: List[CheckResult] = []
     lam, xi, tau, U, L = trace.lam, trace.xi, trace.tau, trace.U, trace.L
@@ -194,8 +206,8 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         f_ys[s:e] = problem.smooth.value(Y[s:e])
         s_ys[s:e] = problem.smooth.value_scale(Y[s:e], f_ys[s:e])
     D = Y[1:] - X
-    env = _envelope(f_ys[1:], abs_F, np.einsum("ij,ij->i", G, D),
-                    np.einsum("ij,ij->i", D, D), floor)
+    env = _envelope(f_ys[1:], abs_F, _kernels.c_einsum("ij,ij->i", G, D),
+                    _kernels.c_einsum("ij,ij->i", D, D), floor)
     del D
     # U == 0 marks a guarded (degenerate-distance) quotient and always passes
     kU = int(np.argmax(U)) + 1
@@ -299,7 +311,7 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     lam_term = math.log(config.lambda0 / bounds.lambda_floor) \
         / math.log(config.theta)
     xi_term = math.log2(bounds.xi_bar) if bounds.xi_bar > 0.0 else 0.0
-    budget = n_iter + max(lam_term, xi_term, 0.0) + 2.0
+    budget = n_iter + lam_term + 1.0 + xi_term
     add("inner-repeat-budget", cert.prox_calls <= budget,
         f"{cert.prox_calls} prox calls vs budget {budget:.2f}")
 

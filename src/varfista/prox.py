@@ -75,6 +75,20 @@ class BoxIndicator:
         inside = (u >= self.lo).all() and (u <= self.hi).all()
         return 0.0 if inside else np.inf
 
+    def value_at_prox(self, y: Array) -> float:
+        """h(y) at a point y that ``prox`` returned, with no membership scan.
+
+        A clamp's output lies in the box, so h there is 0.  The one
+        exception is an output that holds a NaN, which ``value`` reads as
+        outside.  ``solve`` relies on that exception being harmless: a
+        trial point y with a NaN raises NumericalFailure in its own trial,
+        through f(y) or else through U, whose squared distance
+        ||y - x_tilde||^2 is NaN, so not within the guard, and whose
+        quotient is NaN.  Before the raise, only the best point can have
+        taken the NaN y, and a run that raises returns nothing.
+        """
+        return 0.0
+
     def prox(self, z: Array, s: float) -> Array:
         if not s > 0.0:
             raise ValueError("prox stepsize must be positive")
@@ -119,7 +133,13 @@ class L1PlusBox:
         inside = (u >= self.lo).all() and (u <= self.hi).all()
         if not inside:
             return np.inf
-        return self.weight * float(np.sum(np.abs(u)))
+        return self.value_at_prox(u)
+
+    def value_at_prox(self, y: Array) -> float:
+        """h(y) at a point y that ``prox`` returned, with no membership
+        scan: the clamp puts y in the box, as ``BoxIndicator.value_at_prox``
+        argues, so h(y) is the weighted l1 norm.  A NaN in y gives NaN."""
+        return self.weight * float(np.sum(np.abs(y)))
 
     def prox(self, z: Array, s: float) -> Array:
         if not s > 0.0:

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import row_blocks
+from ._kernels import c_einsum, row_blocks
 from .momentum import A0_DEFAULT, advance, extrapolate, schedule
 from .problems import Array, Certificate, CompositeProblem
 
@@ -126,7 +126,10 @@ class HistoryLedger:
     ``tobytes()``.  On a hit each newly appended record is folded in
     through ``_record_gap``; a miss rescans every record with
     ``_gap_terms`` and ``_zero_rule``.  Like ``np.max``, the fold carries a
-    NaN, so cached and rescanned maxima agree bit for bit.
+    NaN, so cached and rescanned maxima agree bit for bit.  Every dot
+    product here is an einsum taken through ``_kernels.c_einsum``, einsum's
+    C entry: the bits of ``np.einsum`` without its Python wrapper, which
+    at n = 20 costs about as much as the product.
     """
 
     _BUFFERS = ("_X", "_F", "_G", "_FLOOR", "_S")
@@ -156,7 +159,7 @@ class HistoryLedger:
         self._F[i] = f_at
         self._G[i] = grad_at
         self._FLOOR[i] = DENOM_EPSILON * (
-            1.0 + float(np.einsum("i,i->", x_tilde, x_tilde)))
+            1.0 + float(c_einsum("i,i->", x_tilde, x_tilde)))
         self._n_rec += 1
         return i + 1
 
@@ -230,9 +233,9 @@ class HistoryLedger:
         G = self._G[:stop]
         F = self._F[:stop]
         d = u - X  # a 1-D u broadcasts; a 2-D u pairs row i with record i
-        gd = np.einsum("...j,...j->...", G, d)
+        gd = c_einsum("...j,...j->...", G, d)
         num = 2.0 * (F + gd - f_u)
-        den = np.einsum("...j,...j->...", d, d)
+        den = c_einsum("...j,...j->...", d, d)
         ok = ~(den <= self._FLOOR[:stop])
         safe = np.where(ok, den, 1.0)
         return np.where(ok, num / safe, 0.0), num, den, gd
@@ -248,10 +251,10 @@ class HistoryLedger:
         """
         i = index - 1
         d = u - self._X[i]
-        den = float(np.einsum("i,i->", d, d))
+        den = float(c_einsum("i,i->", d, d))
         if den <= self._FLOOR[i]:
             return 0.0
-        gd = float(np.einsum("i,i->", self._G[i], d))
+        gd = float(c_einsum("i,i->", self._G[i], d))
         num = 2.0 * (float(self._F[i]) + gd - f_u)
         if 0.0 < num <= _ZERO_BAND * (self.value_scale(u, f_u)
                                       + float(self._record_scales(index)[i])
@@ -369,7 +372,9 @@ def compute_candidate(problem: CompositeProblem, x_tilde: Array, lam: float,
     Minimizes  lin_f(u; x_tilde) + h(u) + ((1+tau)/(2 lam)) ||u - x_tilde||^2
     with tau = 2 xi lam / a, which collapses to one prox call at stepsize
     s = lam / (1 + tau), with ``grad_x_tilde`` = grad f(x_tilde).
-    Returns (y, tau).
+    Returns (y, tau).  This ``regularizer.prox`` call is the one prox call
+    of a trial; ``solve`` then takes h(y) from the regularizer's
+    ``value_at_prox``, which skips ``value``'s membership scan.
     """
     tau = 2.0 * xi * lam / a
     s = lam / (1.0 + tau)
@@ -405,13 +410,17 @@ def _committed_pairs_violated(xi: float, L: float, lam_hist: Array,
 
 
 def history_inequality_violated(xi: float, lam: float, tau: float, L: float,
-                                lam_hist: Array, tau_hist: Array,
-                                L_committed: float) -> bool:
+                                lam_prev: float, L_committed: float,
+                                committed: Callable[[], Tuple[Array, Array]]
+                                ) -> bool:
     """True when xi * lam_{i-1} < L * lam_i + tau_i fails somewhere.
 
     The current trial (lam, tau) plays the role of index k against the last
-    committed stepsize; committed pairs cover i = 1..k-1.  Comparisons are
-    strict, in exact floating point.
+    committed stepsize ``lam_prev`` = lam_{k-1}; committed pairs cover
+    i = 1..k-1.  ``committed()`` returns them as the views (lam_0..lam_{k-1},
+    tau_1..tau_{k-1}); it is called only for a scan of the committed pairs,
+    so a trial that needs none builds no view.  Comparisons are strict, in
+    exact floating point.
 
     ``L_committed`` is the L every committed pair passed with, together with
     an xi no larger than this one (in ``solve``: the last accepted L and xi,
@@ -421,15 +430,16 @@ def history_inequality_violated(xi: float, lam: float, tau: float, L: float,
     only the trial pair is checked, in O(1).  Any other L, NaN included (no
     such certificate), scans every committed pair.
     """
-    if xi * lam_hist[-1] < L * lam + tau:
+    if xi * lam_prev < L * lam + tau:
         return True
-    if tau_hist.shape[0] and L != L_committed:
-        return _committed_pairs_violated(xi, L, lam_hist, tau_hist)
+    if L != L_committed:
+        return _committed_pairs_violated(xi, L, *committed())
     return False
 
 
 def _retry_step(U: float, lam: float, xi: float, tau: float, L: float,
-                lam_hist: Array, tau_hist: Array, L_committed: float,
+                lam_prev: float, L_committed: float,
+                committed: Callable[[], Tuple[Array, Array]],
                 theta: float, gamma: float) -> Optional[Tuple[float, float]]:
     """None to accept the trial, else the (xi, lam) to retry it with.
 
@@ -441,8 +451,8 @@ def _retry_step(U: float, lam: float, xi: float, tau: float, L: float,
     shrink = U * lam > gamma
     if shrink:
         lam = min(lam / theta, gamma / U)
-    if history_inequality_violated(xi, lam, tau, L, lam_hist, tau_hist,
-                                   L_committed):
+    if history_inequality_violated(xi, lam, tau, L, lam_prev, L_committed,
+                                   committed):
         xi = 1.0 if xi == 0.0 else 2.0 * xi
     elif not shrink:
         return None
@@ -499,8 +509,9 @@ def _require_finite(k: int, trial: Optional[int], *named: tuple) -> None:
     "start point" for k = 0, else "iteration k", plus ", trial <trial>"
     when a trial is given.  A pair may carry a third item, a cause, which
     follows after ``; ``.  This is the one place that raises
-    NumericalFailure.  It formats a message only on failure, since the
-    solve loop calls it on every trial.
+    NumericalFailure.  It formats a message only on failure; ``solve``
+    calls it only once a ``math.isfinite`` test has failed, since it checks
+    every trial.
     """
     for pair in named:
         if not math.isfinite(pair[1]):
@@ -562,6 +573,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     ledger = HistoryLedger(problem.dimension, smooth.value_scale)
     trace = IterationTrace(y0, config.lambda0)
 
+    def committed():  # the committed pairs, for a history scan
+        return trace.stepsizes, trace.tau
+
     # carried across outer iterations: the last accepted values
     A = A0_DEFAULT
     y = y0
@@ -580,12 +594,15 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         a, A_next = advance(A)
         x_tilde = extrapolate(A, A_next, a, y, x)
         f_xt = smooth.value(x_tilde)
-        _require_finite(k, None, ("f(x_tilde)", f_xt))
+        # each finiteness check is a math.isfinite test first; the one
+        # raising helper runs only when a value fails it
+        if not math.isfinite(f_xt):
+            _require_finite(k, None, ("f(x_tilde)", f_xt))
         g_xt = smooth.grad(x_tilde)
         idx = ledger.append_linearization(x_tilde, f_xt, g_xt)
         guard = float(ledger._FLOOR[idx - 1])
 
-        lam_hist, tau_hist = trace.stepsizes, trace.tau
+        lam_prev = lam  # lam_{k-1}, the last committed stepsize
         y_prev = y
         # the gap of the previous iterate against this record, fixed
         # across the trials of this iteration
@@ -595,7 +612,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         while True:
             y, tau = compute_candidate(problem, x_tilde, lam, xi, a, g_xt)
             f_y = smooth.value(y)
-            phi_y = f_y + reg.value(y)
+            # h(y) = 0 on the box, plus the l1 term; a NaN in y raises below
+            phi_y = f_y + reg.value_at_prox(y)
             U = compute_U(y, f_y, x_tilde, f_xt, g_xt, guard)
 
             if phi_y < phi_ymin:  # ties keep the incumbent
@@ -606,13 +624,15 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             L_cand = max(t1, ledger.ymin_ratio_max(ymin, f_ymin), L, 0.0)
             # one check per trial; f(y) comes first, so a non-finite f(y)
             # is named rather than the U or L it spoils
-            _require_finite(
-                k, repeats, ("f(y)", f_y),
-                ("U", U, "grad f at the momentum point is non-finite"),
-                ("L", L_cand, "a recorded gradient is non-finite"))
+            if not (math.isfinite(f_y) and math.isfinite(U)
+                    and math.isfinite(L_cand)):
+                _require_finite(
+                    k, repeats, ("f(y)", f_y),
+                    ("U", U, "grad f at the momentum point is non-finite"),
+                    ("L", L_cand, "a recorded gradient is non-finite"))
 
-            retry = _retry_step(U, lam, xi, tau, L_cand, lam_hist, tau_hist,
-                                L, config.theta, config.gamma)
+            retry = _retry_step(U, lam, xi, tau, L_cand, lam_prev, L,
+                                committed, config.theta, config.gamma)
             if retry is None:
                 break
             if repeats >= _MAX_INNER_REPEATS:
@@ -628,9 +648,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         g_y = smooth.grad(y)
         v = compute_v(x_tilde, y, g_y, g_xt, lam, tau)
         resid = math.sqrt(float(v @ v))
-        _require_finite(k, None, (
-            "residual", resid, "grad f at the momentum point or the "
-            "accepted trial point is non-finite"))
+        if not math.isfinite(resid):
+            _require_finite(k, None, (
+                "residual", resid, "grad f at the momentum point or the "
+                "accepted trial point is non-finite"))
 
         trace.append(lam, xi, tau, U, L_cand, resid, phi_y, phi_ymin,
                      repeats, y, ymin)

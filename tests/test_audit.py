@@ -199,6 +199,56 @@ def test_corrupt_oracle_preserves_values_and_metadata():
     assert bad.smooth.audit_lipschitz == prob.smooth.audit_lipschitz
 
 
+def test_history_margin_reads_the_solvers_comparison():
+    # n = 1, strongly concave: at k = 1 the solver compares xi lam_0 = 4
+    # with L lam_1 + tau = (2 + 2^-51) + 2, which rounds to 4 (a tie, to
+    # even), so the step passes.  Subtracting tau after xi lam - L lam
+    # re-associates the sum and reads -4.4e-16 there, a false alarm
+    prob = make_qp_problem([[-2.0]], [0.1], [-1.0], [1.0])
+    cfg = SolverConfig(rho_hat=1e-6)
+    y0 = default_start(prob, seed=1)
+    cert, trace, ledger = solve(prob, cfg, y0)
+    xi, L, tau, lam = trace.xi[0], trace.L[0], trace.tau[0], trace.stepsizes
+    assert xi * lam[0] == L * lam[1] + tau
+    assert xi * lam[0] - L * lam[1] - tau < 0.0
+    checks = {c.name: c for c in audit_run(prob, cfg, cert, trace, ledger,
+                                           y0).checks}
+    assert checks["history-inequality"].passed, \
+        checks["history-inequality"].line()
+    assert all(c.passed for c in checks.values())
+
+
+def _small_indefinite_qp(n, seed):
+    """Q = V diag(U(-3, 3)) V' with V from the QR of a normal matrix,
+    c = 0.3 N(0, 1), box [-1, 1]."""
+    rng = np.random.default_rng(seed + 1000 * n)
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = V @ np.diag(rng.uniform(-3.0, 3.0, n)) @ V.T
+    c = 0.3 * rng.standard_normal(n)
+    return make_qp_problem(0.5 * (Q + Q.T), c, -np.ones(n), np.ones(n))
+
+
+def test_inner_repeat_budget_adds_shrinks_and_escalations():
+    # retries are at most shrinks plus escalations; a budget of K +
+    # max(lam_term, xi_term) + 2 failed 9 of these 300 clean runs, e.g.
+    # n = 2, seed 6: 31 prox calls in 26 iterations against 30.48
+    cfg = SolverConfig(rho_hat=1e-8, max_outer_iterations=5000)
+    failed = []
+    for n in (2, 3):
+        for seed in range(150):
+            prob = _small_indefinite_qp(n, seed)
+            y0 = default_start(prob, seed)
+            cert, trace, ledger = solve(prob, cfg, y0)
+            report = audit_run(prob, cfg, cert, trace, ledger, y0)
+            failed += [(n, seed, c.line()) for c in report.failures()]
+    assert failed == []
+    # the gradient-fault runs still blow through the budget
+    _, lines = run_audit_suite(
+        max_iterations=500,
+        problems=[corrupt_gradient_oracle(p) for p in audit_corpus(6, 0)])
+    assert sum("inner-repeat-budget: FAIL" in ln for ln in lines) == 6
+
+
 def test_audit_corpus_layout():
     corpus = audit_corpus(6, seed=40)
     assert len(corpus) == 6
@@ -231,10 +281,11 @@ def test_audit_suite_names_first_failure_under_fault_injection():
 # sha256 over the joined report lines of a clean corpus suite and a
 # gradient-fault suite.  Any change to a verdict or a detail string changes
 # it.  The value-roundoff zero rule of the curvature gaps left these lines
-# byte-identical.  The last re-pin removed only the 26 anchor-in-region
-# lines, a check that could not fail; every other line is unchanged.
+# byte-identical.  The last re-pin changed only the 26 inner-repeat-budget
+# budgets, from K + max(lam_term, xi_term) + 2 to the sum bound K +
+# lam_term + 1 + xi_term; every verdict and every other line is unchanged.
 AUDIT_REPORT_SHA256 = \
-    "6404f10539ae06c008eaa4ac69fcb715b60960249d60bdb9ff6996ae7e480331"
+    "3156d30318673fc97ab7be4da43aac816515f99675b84388b664de664a301ad5"
 
 
 def test_audit_reports_match_golden_hash():
@@ -251,9 +302,10 @@ def test_audit_reports_match_golden_hash():
 # run (1219 segments in 1276 iterations; early ones are short enough to
 # share a block of the replay, late ones fill a block alone), the four
 # n=200 indefinite runs of tests/test_golden.py and one L1-plus-box run.
-# Each has a best point that is a rejected trial point.
+# Each has a best point that is a rejected trial point.  The last re-pin
+# changed only the six inner-repeat-budget budgets, to the sum bound.
 AUDIT_REPLAY_SHA256 = \
-    "bb22cd5bd51875976039332909fa2a4b9e8b9439e7c98304296dc5b3799c8bfe"
+    "86de97249bb47dd7f520794dc6267c8fcaa9510e9cdbb85a3239ccadcd9db598"
 
 
 def _replay_golden_runs():

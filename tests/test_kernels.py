@@ -23,7 +23,8 @@ from varfista._kernels import grid_1d
 # ---------------------------------------------------------------------------
 
 def _history_margin_loop(lam_hist, tau_hist, L_arr, xi_arr):
-    """Worst margin of xi_k*lam_{i-1} - L_k*lam_i - tau_i over 1<=i<=k<=N.
+    """Worst margin of xi_k*lam_{i-1} - (L_k*lam_i + tau_i) over
+    1<=i<=k<=N: the two sides the solver compares, subtracted.
 
     lam_hist has length N+1 (lam_0..lam_N); the other arrays have length N.
     Returns (min_margin, k_arg, i_arg) with 1-based k and i.
@@ -36,7 +37,7 @@ def _history_margin_loop(lam_hist, tau_hist, L_arr, xi_arr):
         xi = xi_arr[k - 1]
         L = L_arr[k - 1]
         for i in range(1, k + 1):
-            m = xi * lam_hist[i - 1] - L * lam_hist[i] - tau_hist[i - 1]
+            m = xi * lam_hist[i - 1] - (L * lam_hist[i] + tau_hist[i - 1])
             if m < best:
                 best = m
                 k_arg = k
@@ -52,8 +53,8 @@ def _history_margin_rows(lam_hist, tau_hist, L_arr, xi_arr):
     k_arg = 0
     i_arg = 0
     for k in range(1, tau_hist.shape[0] + 1):
-        margins = (xi_arr[k - 1] * lam_hist[:k] - L_arr[k - 1]
-                   * lam_hist[1:k + 1] - tau_hist[:k])
+        margins = (xi_arr[k - 1] * lam_hist[:k]
+                   - (L_arr[k - 1] * lam_hist[1:k + 1] + tau_hist[:k]))
         i = int(np.argmin(margins))
         if margins[i] < best:
             best = float(margins[i])

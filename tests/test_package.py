@@ -118,7 +118,8 @@ def test_the_zero_band_and_the_quotient_guard_are_formed_in_one_place():
                                          "run_fista_constant"]
 
 
-_PRODUCT_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+_PRODUCT_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum",
+                  "c_einsum"}
 
 
 def _has_product(node):
@@ -147,6 +148,23 @@ def test_products_with_q_are_made_in_one_place():
     assert "_products" in readers
     assert [name for name, method in readers.items()
             if name != "_products" and _has_product(method)] == []
+
+
+def test_einsum_is_called_through_the_one_kernels_alias():
+    # np.einsum without optimize returns c_einsum(*operands) from Python;
+    # src/ calls _kernels.c_einsum, its C entry, and imports it from numpy
+    # in that one place, so no einsum pays for the wrapper
+    numpy_imports = []
+    for path in sorted(ROOT.glob("src/varfista/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert getattr(node, "attr", None) != "einsum", path.name
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert "einsum" not in names, path.name
+                if "c_einsum" in names and node.module.startswith("numpy"):
+                    numpy_imports.append((path.name, node.module))
+    assert numpy_imports == [("_kernels.py", "numpy._core.multiarray"),
+                             ("_kernels.py", "numpy.core.multiarray")]
 
 
 def test_benchmark_tracer_wraps_the_package_and_restores_it(monkeypatch):

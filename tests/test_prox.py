@@ -135,6 +135,32 @@ def test_box_proxes_match_the_projection_bytes_on_nonfinite_inputs(seed):
             l1.prox(z, bad)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_value_at_a_prox_output_skips_only_the_membership_scan(seed):
+    # a prox output lies in the box, so h there needs no scan: the value
+    # equals ``value``'s bit for bit, infinite entries on open faces
+    # included, and only a NaN entry, which ``value`` reads as outside,
+    # tells the two apart
+    rng = np.random.default_rng(seed)
+    n = 64
+    lo = rng.normal(size=n) - 1.0
+    hi = lo + rng.random(n) * 2.0
+    lo[:3], hi[3:6] = -np.inf, np.inf
+    z = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    z[rng.choice(n, size=8, replace=False)] = rng.choice([np.inf, -np.inf],
+                                                         size=8)
+    s = float(rng.random()) + 0.1
+    for reg in (BoxIndicator(lo, hi), L1PlusBox(float(rng.random()), lo,
+                                                  hi)):
+        y = reg.prox(z, s)
+        assert np.float64(reg.value_at_prox(y)).tobytes() == \
+            np.float64(reg.value(y)).tobytes()
+        z_nan = z.copy()
+        z_nan[7] = np.nan
+        y = reg.prox(z_nan, s)
+        assert reg.value(y) == np.inf and reg.value_at_prox(y) != np.inf
+
+
 def test_l1_plus_box_value():
     reg = L1PlusBox.uniform(2, 0.5, -1.0, 1.0)
     assert reg.value(np.array([0.5, -0.5])) == pytest.approx(0.5)

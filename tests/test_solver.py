@@ -1,6 +1,7 @@
 """Step operations, committed-history ledger, and the solve driver."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -166,23 +167,27 @@ def test_compute_L_never_negative():
     assert np.all(trace.L == 0.0)
 
 
+def _violated(xi, lam, tau, L, lam_hist, tau_hist, L_committed):
+    """``history_inequality_violated`` with the committed pairs given as
+    arrays: lam_{k-1} is the last entry of lam_hist."""
+    return history_inequality_violated(xi, lam, tau, L, lam_hist[-1],
+                                       L_committed,
+                                       lambda: (lam_hist, tau_hist))
+
+
 def test_history_inequality_strict_comparisons():
     lam_hist = np.array([1.0])
     empty = np.array([])
     # 0 * 1 < 1 * 0.5 + 0 -> violated
-    assert history_inequality_violated(0.0, 0.5, 0.0, 1.0, lam_hist, empty,
-                                       math.nan)
+    assert _violated(0.0, 0.5, 0.0, 1.0, lam_hist, empty, math.nan)
     # equality is not a violation: 1 * 1 < 2 * 0.5 + 0 is false
-    assert not history_inequality_violated(1.0, 0.5, 0.0, 2.0, lam_hist,
-                                           empty, math.nan)
+    assert not _violated(1.0, 0.5, 0.0, 2.0, lam_hist, empty, math.nan)
     # committed pairs are rechecked against the trial L (NaN: no L they
     # are known to pass with, so every committed pair is scanned)
     lam_hist2 = np.array([1.0, 0.5])
     tau_hist2 = np.array([0.2])
-    assert history_inequality_violated(0.5, 0.5, 0.0, 1.0, lam_hist2,
-                                       tau_hist2, math.nan)
-    assert not history_inequality_violated(2.0, 0.5, 0.0, 1.0, lam_hist2,
-                                           tau_hist2, math.nan)
+    assert _violated(0.5, 0.5, 0.0, 1.0, lam_hist2, tau_hist2, math.nan)
+    assert not _violated(2.0, 0.5, 0.0, 1.0, lam_hist2, tau_hist2, math.nan)
 
 
 def _full_scan(xi, lam, tau, L, lam_hist, tau_hist):
@@ -213,11 +218,9 @@ def test_history_shortcut_agrees_with_full_scan(data, lams, L_c, growth,
         xi_c = float(np.nextafter(xi_c, np.inf))
     xi = xi_c * (1.0 + bump)
     L = L_c + growth  # equal to L_c, or grown so committed pairs may fail
-    got = history_inequality_violated(xi, lam, tau, L, lam_hist, tau_hist,
-                                      L_c)
+    got = _violated(xi, lam, tau, L, lam_hist, tau_hist, L_c)
     assert got == _full_scan(xi, lam, tau, L, lam_hist, tau_hist)
-    assert got == history_inequality_violated(xi, lam, tau, L, lam_hist,
-                                              tau_hist, math.nan)
+    assert got == _violated(xi, lam, tau, L, lam_hist, tau_hist, math.nan)
 
 
 def _shadow_solves():
@@ -238,8 +241,10 @@ def test_history_shortcut_matches_full_scan_inside_solve(monkeypatch):
     checked = history_inequality_violated
     calls = {"all": 0, "shortcut": 0}
 
-    def shadow(xi, lam, tau, L, lam_hist, tau_hist, L_committed):
-        got = checked(xi, lam, tau, L, lam_hist, tau_hist, L_committed)
+    def shadow(xi, lam, tau, L, lam_prev, L_committed, committed):
+        got = checked(xi, lam, tau, L, lam_prev, L_committed, committed)
+        lam_hist, tau_hist = committed()
+        assert lam_prev == lam_hist[-1]
         assert got == _full_scan(xi, lam, tau, L, lam_hist, tau_hist)
         calls["all"] += 1
         calls["shortcut"] += int(L == L_committed and tau_hist.shape[0] > 0)
@@ -273,8 +278,8 @@ def test_convex_runs_scan_no_committed_pair(monkeypatch):
 
 def _retry(U, lam, xi, L, theta=2.0, gamma=0.99):
     """``_retry_step`` on a first iteration (lam_0 = 1, no committed pair)."""
-    return _retry_step(U, lam, xi, 0.0, L, np.array([1.0]), np.array([]),
-                       math.nan, theta, gamma)
+    return _retry_step(U, lam, xi, 0.0, L, 1.0, math.nan,
+                       lambda: (np.array([1.0]), np.array([])), theta, gamma)
 
 
 def test_step_k3_conditions_overshoot_triggers_retry():
@@ -703,6 +708,33 @@ def test_ledger_slice_queries_validate_bounds():
 # driver
 # ---------------------------------------------------------------------------
 
+# Python and C calls per accepted iteration of the fixed n = 20 run below,
+# as sys.setprofile counts them: 93.4 before einsum went through its C
+# entry, h was taken at the prox output without a membership scan, the
+# history views were built only for a scan, and finiteness got a
+# math.isfinite fast path; 49.4 after (numpy 2.4, Python 3.11).  The
+# count is deterministic for given numpy and Python versions.  Raise the
+# pin only with the reason logged.
+CALLS_PER_ITERATION = 50.0
+
+
+def test_an_n20_iteration_stays_within_its_call_budget():
+    problem, y0 = next(_golden_corpus_runs())
+    events = [0]
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            events[0] += 1
+
+    sys.setprofile(count)
+    try:
+        cert, _, _ = solve(problem, GOLDEN_CFG, y0)
+    finally:
+        sys.setprofile(None)
+    assert cert.iterations == 178
+    assert events[0] / cert.iterations <= CALLS_PER_ITERATION
+
+
 def test_solve_convex_box_instance(monkeypatch):
     # the certificate's call counts come from the trace; count the calls
     calls = {"grad": 0, "prox": 0}
@@ -841,6 +873,20 @@ def test_solve_raises_on_a_nan_gradient_at_the_accepted_point():
     with pytest.raises(solver_mod.NumericalFailure,
                        match=r"iteration 1: residual = nan;"):
         solve(problem, SolverConfig(), default_start(problem))
+
+
+def test_a_nan_trial_point_raises_in_its_trial_through_U():
+    # h at a trial point is taken without a membership scan, which would
+    # read a NaN entry as outside the box.  Here f ignores NaN entries, so
+    # f(y) stays finite at the NaN trial point of iteration 1; the trial
+    # must still raise, through U
+    f = SmoothOracle(lambda u: 0.5 * float(np.nansum(u * u)),
+                     lambda u: np.array([np.nan, u[1]]))
+    prob = CompositeProblem(f, BoxIndicator.uniform(2, -1.0, 1.0),
+                            Projector(), 2)
+    with pytest.raises(solver_mod.NumericalFailure,
+                       match=r"iteration 1, trial 0: U = nan;"):
+        solve(prob, SolverConfig(), np.array([0.5, 0.5]))
 
 
 def test_solve_hits_outer_cap_without_convergence():
