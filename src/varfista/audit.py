@@ -103,9 +103,11 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     replay reads only the committed records and shares no state with the
     solver's gap cache.  The checks read trace columns as views, and
     ``replay_anchors`` rebuilds a_k and x_k.  No temporary
-    holds more than max(_ROW_BLOCK, K n) elements; the largest, one at a
-    time, are the anchors, the differences of y_k or y_{k-1} with the
-    records, and those of a one-segment block's best point.
+    holds more than max(_SCAN_BLOCK, K n) elements; the largest, one at a
+    time, are the anchors and the differences of y_k with the records.
+    The gap scans of the replay, of y_{k-1} against record k and of each
+    block's best points, form their differences a block of records at a
+    time, at most ``_SCAN_BLOCK`` elements (``HistoryLedger._gap_terms``).
 
     ``inner-repeat-budget`` allows K + lam_term + 1 + xi_term prox calls,
     with lam_term = log_theta(lambda0 / lambda_floor) and xi_term =

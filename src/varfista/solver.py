@@ -38,6 +38,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import c_einsum, row_blocks
 from .momentum import A0_DEFAULT, advance, extrapolate, schedule
 from .problems import Array, Certificate, CompositeProblem
@@ -60,6 +61,10 @@ NOISE_MULT = 64.0
 _ZERO_BAND = 2.0 * NOISE_MULT * float(np.finfo(np.float64).eps)
 _MAX_INNER_REPEATS = 1_000_000  # trials per outer iteration
 _CAPACITY = 64  # initial rows of the history buffers; they double when full
+# the best-point screen's range: it skips a record only when |F| +
+# ||grad f||^2 + ||x_tilde||^2 and |f(u)| + ||u||^2 are at most
+# _SCREEN_RANGE**2, where no product or sum of its error bound can overflow
+_SCREEN_RANGE = 2.0 ** 500
 
 
 @dataclass
@@ -124,15 +129,20 @@ class HistoryLedger:
     keyed like the oracle's Q @ u memo: it hits only when the best point is
     the cached array itself (``is``, no copy kept) with unchanged
     ``tobytes()``.  On a hit each newly appended record is folded in
-    through ``_record_gap``; a miss rescans every record with
-    ``_gap_terms`` and ``_zero_rule``.  Like ``np.max``, the fold carries a
-    NaN, so cached and rescanned maxima agree bit for bit.  Every dot
-    product here is an einsum taken through ``_kernels.c_einsum``, einsum's
-    C entry: the bits of ``np.einsum`` without its Python wrapper, which
-    at n = 20 costs about as much as the product.
+    through ``_record_gap``; a miss rescans the records with ``_gap_terms``
+    and ``_zero_rule``.  Above one row block (k n > ``_kernels._ROW_BLOCK``)
+    a miss first screens the records with one product G u and rescans only
+    those whose numerator it cannot prove negative (``ymin_ratio_max``);
+    each record keeps two scalars for the screen, filled when a screen
+    first needs them.  Like ``np.max``, the fold carries a NaN, so cached
+    and rescanned maxima agree bit for bit, except that of +0.0 and -0.0
+    among the quotients the two may keep different ones.  Every einsum
+    here is taken through ``_kernels.c_einsum``, einsum's C entry: the
+    bits of ``np.einsum`` without its Python wrapper, which at n = 20
+    costs about as much as the product.
     """
 
-    _BUFFERS = ("_X", "_F", "_G", "_FLOOR", "_S")
+    _BUFFERS = ("_X", "_F", "_G", "_FLOOR", "_S", "_P", "_GN")
 
     def __init__(self, dimension: int, value_scale):
         self._X = np.empty((_CAPACITY, dimension))
@@ -140,13 +150,20 @@ class HistoryLedger:
         self._G = np.empty((_CAPACITY, dimension))
         self._FLOOR = np.empty(_CAPACITY)
         self._S = np.empty(_CAPACITY)
+        self._P = np.empty(_CAPACITY)  # the screen's a_i plus record margin
+        self._GN = np.empty(_CAPACITY)  # ||grad f(x_tilde_i)||
         self._n_rec = 0
         self.value_scale = value_scale
         self._scaled_upto = 0  # records 1..this hold their scale
+        self._screen_upto = 0  # records 1..this hold _P and _GN
+        self._kappa = (dimension + 8) * 2.0 ** -51  # the screen's 4(n + 8) u
         self.cached_ymin: Optional[Array] = None
         self._cached_bytes = b""
         self.cached_ymin_ratio_max = -math.inf
         self._cached_upto = 0
+        self._miss_upto = 0  # records 1..this were rescanned at the last miss
+        self._skipped = False  # the cached maximum left screened records out
+        self._signed_zero = False  # a -0.0 quotient has been returned
 
     # -- storage ------------------------------------------------------------
 
@@ -206,17 +223,21 @@ class HistoryLedger:
         return self._S[:stop]
 
     def _zero_rule(self, count: int, q: Array, num: Array, gd: Array,
-                   s_u) -> Tuple[Array, float]:
+                   s_u, rows=None) -> Tuple[Array, float]:
         """Quotients ``q`` of u against records 1..count, with numerators
         ``num``, after the zero rule, and their maximum: 0 < num <= 2
         NOISE_MULT eps (s(u) + s(x_tilde_i) + |gd|) reads 0, in place.
-        ``s_u()`` gives s(u); it is called only when some quotient is
-        positive or NaN.  The maximum is the gate's, taken again only when
-        a quotient was zeroed."""
+        ``rows`` (0-based indices below count) names the records of ``q``
+        when it holds only those.  ``s_u()`` gives s(u); it is called only
+        when some quotient is positive or NaN.  The maximum is the gate's,
+        taken again only when a quotient was zeroed."""
         top = q.max(initial=-math.inf)
         if top <= 0.0:
             return q, top
-        band = _ZERO_BAND * (s_u() + self._record_scales(count) + np.abs(gd))
+        scales = self._record_scales(count)
+        if rows is not None:
+            scales = scales[rows]
+        band = _ZERO_BAND * (s_u() + scales + np.abs(gd))
         zero = (q > 0.0) & (num <= band)
         if not zero.any():
             return q, top
@@ -225,18 +246,30 @@ class HistoryLedger:
 
     # -- lower-curvature gaps and their cache --------------------------------
 
-    def _gap_terms(self, stop: int, u: Array, f_u: float
+    def _gap_terms(self, stop: int, u: Array, f_u: float, rows=None
                    ) -> Tuple[Array, Array, Array, Array]:
         """(quotients before the zero rule, numerators, den, gd) of u
-        against records 1..stop, in the shapes of ``linearization_gaps``."""
-        X = self._X[:stop]
-        G = self._G[:stop]
-        F = self._F[:stop]
-        d = u - X  # a 1-D u broadcasts; a 2-D u pairs row i with record i
-        gd = c_einsum("...j,...j->...", G, d)
+        against records 1..stop, in the shapes of ``linearization_gaps``;
+        or, for one point u, against the records ``rows`` alone (0-based
+        indices below stop), with each record's bits unchanged.  When the
+        differences d = u - x_tilde_i hold more than ``_kernels._SCAN_BLOCK``
+        elements, ``_blocked_products`` forms them a block of records at a
+        time instead of all at once, with the same bits."""
+        if rows is None:
+            X, G, F = self._X[:stop], self._G[:stop], self._F[:stop]
+            floor = self._FLOOR[:stop]
+        else:
+            X, G, F, floor = (self._X[rows], self._G[rows], self._F[rows],
+                              self._FLOOR[rows])
+        width = u.shape[1] if u.ndim == 2 else u.size  # d's elements a record
+        if X.shape[0] * width <= _kernels._SCAN_BLOCK:
+            d = u - X  # a 1-D u broadcasts; a 2-D u pairs row i with record i
+            gd = c_einsum("...j,...j->...", G, d)
+            den = c_einsum("...j,...j->...", d, d)
+        else:
+            gd, den = _blocked_products(u, X, G, width)
         num = 2.0 * (F + gd - f_u)
-        den = c_einsum("...j,...j->...", d, d)
-        ok = ~(den <= self._FLOOR[:stop])
+        ok = ~(den <= floor)
         safe = np.where(ok, den, 1.0)
         return np.where(ok, num / safe, 0.0), num, den, gd
 
@@ -247,7 +280,8 @@ class HistoryLedger:
         The one-record shape of ``linearization_gaps``: the same expression
         for a single record, equal bit for bit to a one-row call and
         cheaper.  The t1 term of L in ``solve`` and the cache's fold use
-        it.
+        it.  A -0.0 quotient (an underflowing or infinite ratio) is noted
+        for ``ymin_ratio_max``, since it can reach L.
         """
         i = index - 1
         d = u - self._X[i]
@@ -260,33 +294,217 @@ class HistoryLedger:
                                       + float(self._record_scales(index)[i])
                                       + abs(gd)):
             return 0.0
-        return num / den
+        q = num / den
+        if q == 0.0 and math.copysign(1.0, q) < 0.0:
+            self._signed_zero = True
+        return q
+
+    # -- the best-point screen -----------------------------------------------
+
+    def _screen_terms(self, stop: int) -> Tuple[Array, Array]:
+        """(P, GN) of records 1..stop for the screen, by ``_screen_pair``.
+        Records not yet filled up to ``stop`` are filled as rows, a block
+        at a time, or, when only one is missing, as floats: a rescan
+        usually finds one new record, and one record costs fewer numpy
+        calls that way."""
+        lo, kappa = self._screen_upto, self._kappa
+        if stop - lo == 1:
+            x, g = self._X[lo], self._G[lo]
+            p, gn, fits = _screen_pair(
+                kappa, float(self._F[lo]), float(c_einsum("i,i->", x, x)),
+                float(c_einsum("i,i->", g, g)), float(c_einsum("i,i->", g, x)))
+            self._P[lo], self._GN[lo] = (p if fits else math.nan), gn
+        else:
+            for a, b in row_blocks(stop - lo, self._X.shape[1]):
+                rows = slice(lo + a, lo + b)
+                X, G = self._X[rows], self._G[rows]
+                # a record out of range may overflow or meet inf * 0; its
+                # P reads NaN
+                with np.errstate(over="ignore", invalid="ignore"):
+                    p, gn, fits = _screen_pair(
+                        kappa, self._F[rows], c_einsum("ij,ij->i", X, X),
+                        c_einsum("ij,ij->i", G, G),
+                        c_einsum("ij,ij->i", G, X))
+                self._P[rows] = np.where(fits, p, np.nan)
+                self._GN[rows] = gn
+        self._screen_upto = max(lo, stop)
+        return self._P[:stop], self._GN[:stop]
+
+    def _screen(self, stop: int, u: Array, f_u: float) -> Optional[Array]:
+        """0-based indices of the records 1..stop that the screen keeps:
+        those whose t_i (see ``ymin_ratio_max``) is not < 0, NaN included;
+        None when |f(u)| + ||u||^2 > R^2, a non-finite one included."""
+        uu = float(c_einsum("i,i->", u, u))
+        if not abs(f_u) + uu <= _SCREEN_RANGE ** 2:
+            return None
+        P, GN = self._screen_terms(stop)
+        kappa = self._kappa
+        # a record out of range may overflow or meet inf * 0 here too; its
+        # P is NaN, so its t is
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = self._G[:stop] @ u
+            t += P
+            t += GN * (2.0 * kappa * math.sqrt(uu))
+        t += (kappa * abs(f_u) + (1.0 + uu) / _SCREEN_RANGE ** 2) - f_u
+        return np.flatnonzero(~(t < 0.0))
+
+    def _screened_max(self, stop: int, u: Array, f_u: float
+                      ) -> Optional[float]:
+        """The maximum of the records the screen keeps, after the zero
+        rule, or -inf when it keeps none; None when the full scan must
+        decide: the screen could not run or skipped nothing, or the
+        maximum is a zero and a kept quotient is -0.0."""
+        keep = self._screen(stop, u, f_u)
+        if keep is None or keep.size == stop:
+            return None
+        self._skipped = True
+        if keep.size == 0:
+            return -math.inf
+        q, num, _, gd = self._gap_terms(stop, u, f_u, keep)
+        q, best = self._zero_rule(stop, q, num, gd,
+                                  lambda: self.value_scale(u, f_u), keep)
+        if best == 0.0 and np.signbit(q[q == 0.0]).any():
+            return None
+        return float(best)
 
     def _is_cached(self, ymin: Array) -> bool:
         return (ymin is self.cached_ymin
                 and ymin.tobytes() == self._cached_bytes)
 
     def ymin_ratio_max(self, ymin: Array, f_ymin: float) -> float:
-        """Max linearization gap of ymin against every record so far, the
-        maximum of ``linearization_gaps`` bit for bit."""
+        """Max linearization gap of ymin against every record so far.
+
+        The maximum of ``linearization_gaps`` bit for bit whenever it is
+        positive or NaN, and on every rescan within one row block
+        (k n <= ``_kernels._ROW_BLOCK``).  Otherwise it is a value <= 0
+        that gives L the same bits (below).
+
+        **The screen.**  Above one row block a miss takes one product G u
+        over the k records and, with kappa = 4(n + 8) u (u = 2^-53, half
+        of eps) and R = ``_SCREEN_RANGE``, forms per record the half
+        numerator bound
+        t_i = fl(g_i . u + P_i + 2 kappa ||g_i|| ||u||
+                 + (kappa |f(u)| + (1 + ||u||^2) / R^2) - f(u)),
+        with P_i from ``_screen_terms``.  Records with t_i < 0 are skipped;
+        NaN fails the test.  The range is |F| + ||g||^2 + ||x||^2 <= R^2
+        for a record, whose P_i is NaN outside it, and |f(u)| + ||u||^2
+        <= R^2 for u, which is not screened outside it; non-finite values
+        lie outside.  The kept records are rescanned with ``_gap_terms``
+        and ``_zero_rule`` on their rows alone.
+
+        **Why a skipped quotient is < 0 or +0.0.**  Let x, g, F be the
+        record, d = u - x, N = F + g . d - f(u) the exact half numerator,
+        S = |F| + |f(u)| + 2 ||g|| (||u|| + ||x||), theta = (1 + ||u||^2
+        + ||x||^2) / R^2 and gamma_j = j u / (1 - j u).  Inside the range
+        no sum or product below overflows, and underflowing products err
+        by at most 5n 2^-1074 in all, less than theta / 4.
+        (1) The full path rounds d once and sums g_j d_j in some order,
+        FMA or not, so |fl(g . d) - g . d| <= gamma_(n+1) sum |g_j||d_j|
+        <= gamma_(n+1) ||g|| ||d|| (Cauchy-Schwarz), with ||d|| <= ||u||
+        + ||x||; two more roundings give a half numerator h with
+        |h - N| <= gamma_(n+3) S.  (2) a_i = fl(F - fl(g . x)) and the
+        gemv's fl(g . u), in any order, put a_i + fl(g . u) - f(u) within
+        gamma_(n+1) S of N.  (3) Forming P_i and t_i adds seven roundings
+        of partial sums below 1.01 S, and the margin terms as computed are
+        at least (1 - gamma_(2n+8)) of their exact values kappa S and
+        theta.  So fl(t_i) < 0, which makes the exact sum of its last
+        addition negative, gives h < gamma_(2n+12) S - (1 - gamma_(2n+8))
+        (kappa S + theta) + theta / 4, and for n < 2^40 kappa (1 -
+        gamma_(2n+8)) > gamma_(2n+12), so h < -theta / 2.  As den <= 2.01
+        (1 + ||u||^2 + ||x||^2), the full numerator 2h is < 0 and its
+        quotient is negative, far above the underflow to -0.0, or +0.0
+        where the guard holds; the zero rule touches only positive
+        quotients.
+
+        **Same bits of L.**  The full maximum is the larger of the kept
+        rows' maximum and the skipped quotients, which are < 0 or +0.0, so
+        it equals the returned value when positive or NaN; otherwise both
+        are <= 0, and the returned value is +0.0 only when the full one
+        is.  ``solve`` forms L_cand = max(t1, r, L, 0.0) with Python's
+        max, which keeps the first of equal values: when L_cand is 0, it is
+        the first zero among t1, r, L, 0.0, and L >= 0, so r decides its
+        sign only when t1 < 0, r is a zero and L is a zero.  With no -0.0
+        anywhere all those zeros are +0.0, and the same holds for every
+        later fold, which only takes larger quotients in.  A -0.0 reaches
+        L only from a -0.0 quotient that ``_record_gap`` or a rescan
+        returned; the ledger then notes it and screens no more.  A cached
+        maximum the screen formed is then formed again as it would have
+        been with no screen: the full scan's ``np.max`` over the records of
+        its miss, then the records appended since, folded in order, since
+        ``np.max`` and the fold may keep different ones of equal zeros.  A
+        kept -0.0 under a zero maximum also falls back to the full scan.
+        """
         n = self._n_rec
         if n == 0:
             return -math.inf
+        best = None
         if self._is_cached(ymin):
             best = self.cached_ymin_ratio_max
             for i in range(self._cached_upto + 1, n + 1):
                 m = self._record_gap(i, ymin, f_ymin)
                 if m > best or m != m:  # a NaN carries, as in np.max
                     best = m
+            if self._skipped and self._signed_zero:
+                best = None  # formed again below, as with no screen
         else:
             self.cached_ymin = ymin
             self._cached_bytes = ymin.tobytes()
-            q, num, _, gd = self._gap_terms(n, ymin, f_ymin)
+            self._miss_upto = n
+            if (n * self._X.shape[1] > _kernels._ROW_BLOCK
+                    and not self._signed_zero):
+                best = self._screened_max(n, ymin, f_ymin)
+        if best is None:
+            # the full scan of the last miss's records, then, after a
+            # screened miss, the fold of the records appended since
+            stop = self._miss_upto
+            q, num, _, gd = self._gap_terms(stop, ymin, f_ymin)
             best = float(self._zero_rule(
-                n, q, num, gd, lambda: self.value_scale(ymin, f_ymin))[1])
+                stop, q, num, gd, lambda: self.value_scale(ymin, f_ymin))[1])
+            self._skipped = False
+            for i in range(stop + 1, n + 1):
+                m = self._record_gap(i, ymin, f_ymin)
+                if m > best or m != m:
+                    best = m
+            if best == 0.0 and math.copysign(1.0, best) < 0.0:
+                self._signed_zero = True
         self.cached_ymin_ratio_max = best
         self._cached_upto = n
         return best
+
+
+def _screen_pair(kappa: float, f, xx, gg, gx):
+    """(P, GN, fits) of records with values f, ||x||^2 = xx, ||g||^2 = gg
+    and g . x = gx, as floats or as arrays alike: GN = ||g||, P = a +
+    kappa (|f| + 2 ||g|| ||x||) + ||x||^2 / R^2 with a = f - g . x, and
+    fits = |f| + ||g||^2 + ||x||^2 <= R^2 (R = ``_SCREEN_RANGE``), false
+    for a non-finite record; where it is false, P is not used."""
+    gn = gg ** 0.5
+    fits = abs(f) + gg + xx <= _SCREEN_RANGE ** 2
+    return ((f - gx) + kappa * (abs(f) + 2.0 * gn * xx ** 0.5)
+            + xx / _SCREEN_RANGE ** 2), gn, fits
+
+
+def _blocked_products(u: Array, X: Array, G: Array, width: int
+                      ) -> Tuple[Array, Array]:
+    """(gd, den) of ``HistoryLedger._gap_terms`` for records X, G, with d
+    formed in one reused buffer a block of records at a time, at most
+    ``_kernels._SCAN_BLOCK`` elements: d = u - X[a:b] (u[a:b] for paired
+    rows), then the block's gd and den written in place by einsum, which
+    forms each record's products as it does for the whole array.
+    ``width`` is d's elements per record: n, or b n for a b x 1 x n block
+    of points."""
+    lead = u.shape[:-2]  # (b,) for a b x 1 x n block of points, else ()
+    k, n = X.shape
+    gd, den = np.empty(lead + (k,)), np.empty(lead + (k,))
+    buf = None
+    for a, b in row_blocks(k, width, _kernels._SCAN_BLOCK):
+        if buf is None:  # the first block is the largest
+            buf = np.empty((b - a) * width)
+        d = buf[:(b - a) * width].reshape(lead + (b - a, n))
+        np.subtract(u[a:b] if u.ndim == 2 else u, X[a:b], out=d)
+        c_einsum("...j,...j->...", G[a:b], d, out=gd[..., a:b])
+        c_einsum("...j,...j->...", d, d, out=den[..., a:b])
+    return gd, den
 
 
 def _rows(block: str, j=slice(None), first: int = 1) -> property:

@@ -1,13 +1,15 @@
 """Step operations, committed-history ledger, and the solve driver."""
 
+import contextlib
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import varfista._kernels as kernels_mod
 import varfista.solver as solver_mod
 from varfista.audit import audit_corpus
 from varfista.gallery import generate_qp, QuadraticSpec, default_start
@@ -624,6 +626,238 @@ def test_zero_rule_of_point_blocks_equals_one_point_scans_bit_for_bit(
         [alone(s)[i] for i, s in enumerate(s_k)]).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# the best-point screen and the blocked gap scans
+# ---------------------------------------------------------------------------
+
+_KINDS = ("far", "near", "guarded", "zero", "nan", "inf", "tiny")
+
+
+@contextlib.contextmanager
+def _blocks(**sizes):
+    """Set _kernels' block sizes (``_ROW_BLOCK``, ``_SCAN_BLOCK``) for a
+    while: a row block of 0 screens every rescan, a huge one none."""
+    old = {name: getattr(kernels_mod, name) for name in sizes}
+    for name, size in sizes.items():
+        setattr(kernels_mod, name, size)
+    try:
+        yield
+    finally:
+        for name, size in old.items():
+            setattr(kernels_mod, name, size)
+
+
+def _screen_record(rng, kind, u, f_u, sx, sg):
+    """(x, F, g) of one record of the given kind around u.  Coordinates are
+    of size sx, gradients of size sg; the numerator F + g . (u - x) - f(u)
+    is random ("far", and "guarded", which lies inside its quotient guard),
+    a small curvature term ("near"), of a few ulps or exactly 0 ("zero"),
+    or a few subnormals ("tiny", whose quotient can round to -0.0); "nan"
+    and "inf" hold one such entry in g, or NaN in F or x."""
+    n = u.shape[0]
+    g = rng.normal(size=n) * sg
+    d = rng.normal(size=n) * sx
+    if kind == "near":
+        d *= 1e-6
+    elif kind == "guarded":  # ||d||^2 = 0.09e-12 (1 + ||u||^2) < the guard
+        d *= 0.3e-6 * math.sqrt(1.0 + float(u @ u)) / math.sqrt(float(d @ d))
+    elif kind == "tiny":
+        g[:] = 0.0
+    x = u - d
+    gd = float(np.einsum("i,i->", g, u - x))
+    F = f_u - gd
+    if kind in ("far", "guarded"):
+        F += float(rng.normal()) * sx * sg * math.sqrt(n)
+    elif kind == "near":
+        F -= abs(float(rng.normal())) * sg / sx * float(d @ d)
+    elif kind == "tiny":
+        F = f_u + float(rng.integers(-3, 4)) * 5e-324
+    elif kind in ("nan", "inf"):
+        where = rng.integers(3) if kind == "nan" else 0
+        bad = math.nan if kind == "nan" else math.inf * rng.choice([-1, 1])
+        if where == 0:
+            g[rng.integers(n)] = bad
+        elif where == 1:
+            F = bad
+        else:
+            x[rng.integers(n)] = bad
+    return x, F, g
+
+
+def _screen_scale(v, f_v):
+    return 3.0 * np.abs(f_v) + 1.0
+
+
+_screen_draws = dict(
+    n=st.sampled_from([1, 20, 1000]), seed=st.integers(0, 2 ** 32 - 1),
+    # coordinates, gradients and values of size 1e-150 to 1e150
+    e_x=st.integers(-150, 150), e_g=st.integers(-150, 150),
+    zero_f=st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=12),
+       **_screen_draws)
+def test_the_screen_skips_only_records_whose_numerator_is_negative(
+        kinds, n, seed, e_x, e_g, zero_f):
+    # the full scan's numerator of every record the screen skips is < 0,
+    # so its quotient is < 0 or, where guarded, +0.0, never -0.0; a record
+    # with a NaN or an infinity is never skipped
+    e_g = max(-150 - e_x, min(150 - e_x, e_g))  # values of size <= 1e150
+    rng = np.random.default_rng(seed)
+    sx, sg = 10.0 ** e_x, 10.0 ** e_g
+    u = rng.normal(size=n) * sx
+    f_u = 0.0 if zero_f else float(rng.normal()) * sx * sg
+    ledger = HistoryLedger(n, _screen_scale)
+    for kind in kinds:
+        ledger.append_linearization(*_screen_record(rng, kind, u, f_u, sx, sg))
+    k = len(kinds)
+    keep = ledger._screen(k, u, f_u)
+    if keep is None:  # u out of the screen's range: nothing is skipped
+        assert abs(f_u) + float(np.einsum("i,i->", u, u)) \
+            > solver_mod._SCREEN_RANGE ** 2
+        return
+    q, num, _, gd = ledger._gap_terms(k, u, f_u)
+    q = ledger._zero_rule(k, q, num, gd, lambda: _screen_scale(u, f_u))[0]
+    skipped = np.setdiff1d(np.arange(k), keep)
+    assert np.all(num[skipped] < 0.0)
+    assert np.all(q[skipped] <= 0.0)
+    assert not np.any(np.signbit(q[skipped]) & (q[skipped] == 0.0))
+    for i, kind in enumerate(kinds):
+        assert kind not in ("nan", "inf") or i in keep
+
+
+def test_the_screen_keeps_a_record_whose_bound_is_exactly_zero():
+    # at u = 0 with f(u) = 0, a record with g = 0 has t = P + 1/R^2, so
+    # P = -1/R^2 makes t exactly 0: kept, since only t < 0 is skipped
+    ledger = HistoryLedger(3, _abs_scale)
+    for _ in range(3):
+        ledger.append_linearization(np.ones(3), -1.0, np.zeros(3))
+    P, _ = ledger._screen_terms(3)
+    P[:] = -solver_mod._SCREEN_RANGE ** -2 * np.array([1.0, 2.0, 0.5])
+    assert ledger._screen(3, np.zeros(3), 0.0).tolist() == [0, 2]
+
+
+def test_a_kept_negative_zero_under_a_zero_maximum_takes_the_full_scan():
+    # at u = 0 with f(u) = 0, a record with g = 0 and F = -5e-324 at
+    # distance 4 has the quotient -1e-323 / 16, which rounds to -0.0; its
+    # bound is positive, so the screen keeps it, and skips the records with
+    # F = -1.  The kept maximum is then a zero, so the full scan decides,
+    # and the ledger notes the -0.0 it returns
+    ledger = HistoryLedger(2, _abs_scale)
+    for f_x in (-1.0, -5e-324, -1.0):
+        ledger.append_linearization(np.array([4.0, 0.0]), f_x, np.zeros(2))
+    u = np.zeros(2)
+    assert ledger._screen(3, u, 0.0).tolist() == [1]
+    with _blocks(_ROW_BLOCK=0):
+        got = ledger.ymin_ratio_max(u, 0.0)
+    want = np.max(ledger.linearization_gaps(3, u, 0.0, 0.0)[0])
+    assert _as_bits(got) == want.tobytes() == _as_bits(-0.0)
+    assert ledger._signed_zero and not ledger._skipped
+
+
+@pytest.mark.parametrize("bad", ["u", "f_u", "huge_u"])
+def test_the_screen_stands_down_for_a_point_out_of_its_range(bad):
+    ledger = _filled_ledger(np.random.default_rng(3), 4, 5)
+    u, f_u = np.ones(4), 1.0
+    if bad == "u":
+        u[1] = math.nan
+    elif bad == "f_u":
+        f_u = math.inf
+    else:
+        u[0] = 2.0 * solver_mod._SCREEN_RANGE
+    assert ledger._screen(5, u, f_u) is None
+
+
+def _lower_curvature_run(ledger, steps, rng_seed, u, f_u, sx, sg):
+    """The (t1, r, L) a solve-like sequence gives: per step, append a
+    record of the step's kind around the best point, take t1 of the
+    previous step's best point against it and r, the best point's maximum,
+    fold them into L as ``solve`` does, then keep or move the best point (a
+    new array near it, of a lower value unless the value is 0)."""
+    rng = np.random.default_rng(rng_seed)
+    L, out = 0.0, []
+    y_prev, f_prev = ymin, f_min = u, f_u
+    for kind, move in steps:
+        idx = ledger.append_linearization(
+            *_screen_record(rng, kind, ymin, f_min, sx, sg))
+        t1 = ledger._record_gap(idx, y_prev, f_prev)
+        r = ledger.ymin_ratio_max(ymin, f_min)
+        L = max(t1, r, L, 0.0)
+        out.append((t1, r, L))
+        y_prev, f_prev = ymin, f_min
+        if move:
+            ymin = ymin + rng.normal(size=ymin.shape[0]) * sx * 1e-3
+            f_min -= abs(float(rng.normal())) * 1e-3 * abs(f_min)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(_KINDS[:4] + _KINDS[-1:]),
+                                st.booleans()), min_size=1, max_size=16),
+       **_screen_draws)
+# a screened miss, then a -0.0 folded in on a hit: the cached maximum is
+# formed again as an unscreened miss and its folds would have formed it,
+# which keeps a skipped guarded record's +0.0 (first example) and np.max's
+# choice among equal zeros (second)
+@example(steps=[("guarded", False), ("tiny", False)], n=20, seed=0, e_x=0,
+         e_g=0, zero_f=True)
+@example(steps=[("far", True), ("far", True), ("guarded", False),
+                ("tiny", False)], n=1000, seed=2281471, e_x=0, e_g=0,
+         zero_f=True)
+def test_screened_and_full_rescans_give_l_the_same_bits(steps, n, seed, e_x,
+                                                       e_g, zero_f):
+    # every rescan screened (row block 0) against none (a huge row block),
+    # each followed by folds: L, signed zeros included, has the same bits
+    # at every step, and so does a positive or NaN maximum
+    e_g = max(-150 - e_x, min(150 - e_x, e_g))
+    sx, sg = 10.0 ** e_x, 10.0 ** e_g
+    u = np.random.default_rng(seed).normal(size=n) * sx
+    f_u = 0.0 if zero_f else sx * sg
+    runs = []
+    for row_block in (0, 10 ** 12):
+        with _blocks(_ROW_BLOCK=row_block):
+            runs.append(_lower_curvature_run(HistoryLedger(n, _screen_scale),
+                                             steps, seed, u, f_u, sx, sg))
+    for (t1, r, L), (t1_full, r_full, L_full) in zip(*runs):
+        assert _as_bits(t1) == _as_bits(t1_full)
+        assert _as_bits(L) == _as_bits(L_full)
+        if r_full > 0.0 or r_full != r_full:
+            assert _as_bits(r) == _as_bits(r_full)
+        else:  # a zero only where the full maximum is the same zero
+            assert r <= 0.0
+            assert r != 0.0 or _as_bits(r) == _as_bits(r_full)
+
+
+@pytest.mark.parametrize("n", [1, 20, 362, 363, 1000, 1001])
+def test_blocked_gap_terms_equal_the_one_shot_form_bit_for_bit(n):
+    # one point, one point per record and a block of 3 points, each past
+    # one _SCAN_BLOCK and in blocks of 2 rows, against the unblocked form;
+    # a subset of rows gives the same bits as the same rows of the whole
+    rng = np.random.default_rng(n)
+    k = kernels_mod._SCAN_BLOCK // n + 5
+    ledger = HistoryLedger(n, _screen_scale)
+    for _ in range(k):
+        ledger.append_linearization(rng.normal(size=n), float(rng.normal()),
+                                    rng.normal(size=n))
+    shapes = [(rng.normal(size=n), 0.5),
+              (rng.normal(size=(k, n)), rng.normal(size=k)),
+              (rng.normal(size=(3, 1, n)), rng.normal(size=(3, 1)))]
+    for u, f_u in shapes:
+        width = n if u.ndim < 3 else 3 * n
+        with _blocks(_SCAN_BLOCK=10 ** 12):
+            want = ledger._gap_terms(k, u, f_u)
+        for block in (kernels_mod._SCAN_BLOCK, 2 * width + 1):
+            with _blocks(_SCAN_BLOCK=block):
+                got = ledger._gap_terms(k, u, f_u)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    u, f_u = shapes[0]
+    rows = np.flatnonzero(rng.random(k) < 0.3)
+    got = ledger._gap_terms(k, u, f_u, rows)
+    assert [a.tobytes() for a in got] \
+        == [a[rows].tobytes() for a in ledger._gap_terms(k, u, f_u)]
+
+
 def _golden_corpus_runs():
     """The clean audit corpus with the starts ``run_audit_suite`` draws."""
     rng = np.random.default_rng(0 ^ 0x5eed)
@@ -640,12 +874,27 @@ def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
     # in solve a new best point is a new array with strictly smaller phi,
     # so keying by identity + bytes hits exactly where comparing the values
     # with a kept copy did, and the rescan counts stay the same.  A hit
-    # folds its new records in O(n) each without _gap_terms; a miss scans
-    # records 1..k once, so rows scanned = sum of k over misses
-    scans = _scan_log(monkeypatch)
+    # folds its new records in O(n) each with no screen and no _gap_terms;
+    # a miss covers records 1..k exactly once, each either skipped by the
+    # screen or scanned by _gap_terms
+    scanned, screened = [], []
+    gap_terms, screen = HistoryLedger._gap_terms, HistoryLedger._screen
+
+    def log_scan(self, stop, u, f_u, rows=None):
+        scanned.append(np.arange(stop) if rows is None else rows)
+        return gap_terms(self, stop, u, f_u, rows)
+
+    def log_screen(self, stop, u, f_u):
+        keep = screen(self, stop, u, f_u)
+        screened.append(keep)
+        return keep
+
+    monkeypatch.setattr(HistoryLedger, "_gap_terms", log_scan)
+    monkeypatch.setattr(HistoryLedger, "_screen", log_screen)
     original = HistoryLedger.ymin_ratio_max
     misses = []
     folds = [0]
+    rows = {"screened": 0, "scanned": 0}  # on misses that ran the screen
 
     def watched(self, ymin, f_ymin):
         k = self._n_rec
@@ -656,23 +905,39 @@ def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
         assert hit == by_value
         self._shadow_copy = ymin.copy()
         folds[0] += hit and self._cached_upto == k - 1
-        before = len(scans)
+        scans, screens = len(scanned), len(screened)
         out = original(self, ymin, f_ymin)
-        assert scans[before:] == ([] if hit else [k])
-        if not hit:
+        new_scans, new_screens = scanned[scans:], screened[screens:]
+        if hit:
+            assert new_scans == [] and new_screens == []
+        else:
             misses.append(k)
+            covered = list(new_scans)
+            if new_screens:
+                keep, = new_screens
+                assert keep is not None
+                if keep.size < k:  # the screen skipped the others
+                    covered.append(np.setdiff1d(np.arange(k), keep))
+                rows["screened"] += k
+                rows["scanned"] += sum(map(len, new_scans))
+            assert np.array_equal(np.sort(np.concatenate(covered)),
+                                  np.arange(k))
         return out
 
     monkeypatch.setattr(HistoryLedger, "ymin_ratio_max", watched)
     for problem, y0 in _golden_corpus_runs():
         solve(problem, GOLDEN_CFG, y0)
     assert folds[0] > len(misses) > 0
-    # this run changes best point on all but one of its 1384 calls
+    # this run changes best point on all but one of its 1384 calls; above
+    # one row block (k > 409 at n = 20) every miss is screened, and the
+    # screen leaves under 1 % of the rows to scan
     growth = generate_qp(QuadraticSpec(n=20, eig_lo=0.001, eig_hi=100.0,
                                        box=(-1000.0, 1000.0), seed=0))
+    rows["screened"] = rows["scanned"] = 0
     solve(growth, SolverConfig(rho_hat=1e-2, max_outer_iterations=2000),
           default_start(growth))
-    assert sum(scans) == sum(misses)
+    assert rows["screened"] > 0
+    assert rows["scanned"] <= 0.01 * rows["screened"]
 
 
 def test_ledger_fold_carries_a_nan_quotient_like_a_rescan():
