@@ -270,7 +270,8 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     L_replay = []
     L_prev = 0.0
     for a1, a2 in zip(q1.tolist(), t2.tolist()):
-        L_prev = max(a1, a2, L_prev, 0.0)  # Python's max, for its NaN order
+        # Python's max, for its NaN order, and + 0.0 as in the solver
+        L_prev = max(a1, a2, L_prev, 0.0) + 0.0
         L_replay.append(L_prev)
 
     # candidates in scan order: row k, then y_{k-1} against record k
@@ -282,7 +283,8 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         cap_excess = float(cand[k, side])
         cap_loc = (k + 1, k + 1 if side else int(row_at[k]))
 
-    add_unless("lower-curvature-replay", np.array(L_replay) != L,
+    add_unless("lower-curvature-replay",
+               np.array(L_replay).view(np.int64) != L.view(np.int64),
                "recorded L matches a full recomputation bit for bit",
                "mismatch")
     kL = int(np.argmax(L)) + 1

@@ -134,9 +134,9 @@ class HistoryLedger:
     a miss first screens the records with one product G u and rescans only
     those whose numerator it cannot prove negative (``ymin_ratio_max``);
     each record keeps two scalars for the screen, filled when a screen
-    first needs them.  Like ``np.max``, the fold carries a NaN, so cached
-    and rescanned maxima agree bit for bit, except that of +0.0 and -0.0
-    among the quotients the two may keep different ones.  Every einsum
+    first needs them.  Like ``np.max``, the fold carries a NaN, so a
+    cached maximum equals a full rescan's bit for bit whenever that is
+    positive or NaN; otherwise both are <= 0.  Every einsum
     here is taken through ``_kernels.c_einsum``, einsum's C entry: the
     bits of ``np.einsum`` without its Python wrapper, which at n = 20
     costs about as much as the product.
@@ -161,9 +161,6 @@ class HistoryLedger:
         self._cached_bytes = b""
         self.cached_ymin_ratio_max = -math.inf
         self._cached_upto = 0
-        self._miss_upto = 0  # records 1..this were rescanned at the last miss
-        self._skipped = False  # the cached maximum left screened records out
-        self._signed_zero = False  # a -0.0 quotient has been returned
 
     # -- storage ------------------------------------------------------------
 
@@ -280,8 +277,7 @@ class HistoryLedger:
         The one-record shape of ``linearization_gaps``: the same expression
         for a single record, equal bit for bit to a one-row call and
         cheaper.  The t1 term of L in ``solve`` and the cache's fold use
-        it.  A -0.0 quotient (an underflowing or infinite ratio) is noted
-        for ``ymin_ratio_max``, since it can reach L.
+        it.
         """
         i = index - 1
         d = u - self._X[i]
@@ -294,10 +290,7 @@ class HistoryLedger:
                                       + float(self._record_scales(index)[i])
                                       + abs(gd)):
             return 0.0
-        q = num / den
-        if q == 0.0 and math.copysign(1.0, q) < 0.0:
-            self._signed_zero = True
-        return q
+        return num / den
 
     # -- the best-point screen -----------------------------------------------
 
@@ -348,25 +341,6 @@ class HistoryLedger:
         t += (kappa * abs(f_u) + (1.0 + uu) / _SCREEN_RANGE ** 2) - f_u
         return np.flatnonzero(~(t < 0.0))
 
-    def _screened_max(self, stop: int, u: Array, f_u: float
-                      ) -> Optional[float]:
-        """The maximum of the records the screen keeps, after the zero
-        rule, or -inf when it keeps none; None when the full scan must
-        decide: the screen could not run or skipped nothing, or the
-        maximum is a zero and a kept quotient is -0.0."""
-        keep = self._screen(stop, u, f_u)
-        if keep is None or keep.size == stop:
-            return None
-        self._skipped = True
-        if keep.size == 0:
-            return -math.inf
-        q, num, _, gd = self._gap_terms(stop, u, f_u, keep)
-        q, best = self._zero_rule(stop, q, num, gd,
-                                  lambda: self.value_scale(u, f_u), keep)
-        if best == 0.0 and np.signbit(q[q == 0.0]).any():
-            return None
-        return float(best)
-
     def _is_cached(self, ymin: Array) -> bool:
         return (ymin is self.cached_ymin
                 and ymin.tobytes() == self._cached_bytes)
@@ -374,15 +348,14 @@ class HistoryLedger:
     def ymin_ratio_max(self, ymin: Array, f_ymin: float) -> float:
         """Max linearization gap of ymin against every record so far.
 
-        The maximum of ``linearization_gaps`` bit for bit whenever it is
-        positive or NaN, and on every rescan within one row block
-        (k n <= ``_kernels._ROW_BLOCK``).  Otherwise it is a value <= 0
-        that gives L the same bits (below).
+        The maximum of ``linearization_gaps`` bit for bit whenever that is
+        positive or NaN; otherwise some value <= 0, which gives L the same
+        bits (below).
 
-        **The screen.**  Above one row block a miss takes one product G u
-        over the k records and, with kappa = 4(n + 8) u (u = 2^-53, half
-        of eps) and R = ``_SCREEN_RANGE``, forms per record the half
-        numerator bound
+        **The screen.**  Above one row block (k n > ``_kernels._ROW_BLOCK``)
+        a miss takes one product G u over the k records and, with kappa =
+        4(n + 8) u (u = 2^-53, half of eps) and R = ``_SCREEN_RANGE``,
+        forms per record the half numerator bound
         t_i = fl(g_i . u + P_i + 2 kappa ||g_i|| ||u||
                  + (kappa |f(u)| + (1 + ||u||^2) / R^2) - f(u)),
         with P_i from ``_screen_terms``.  Records with t_i < 0 are skipped;
@@ -417,56 +390,34 @@ class HistoryLedger:
         quotients.
 
         **Same bits of L.**  The full maximum is the larger of the kept
-        rows' maximum and the skipped quotients, which are < 0 or +0.0, so
-        it equals the returned value when positive or NaN; otherwise both
-        are <= 0, and the returned value is +0.0 only when the full one
-        is.  ``solve`` forms L_cand = max(t1, r, L, 0.0) with Python's
-        max, which keeps the first of equal values: when L_cand is 0, it is
-        the first zero among t1, r, L, 0.0, and L >= 0, so r decides its
-        sign only when t1 < 0, r is a zero and L is a zero.  With no -0.0
-        anywhere all those zeros are +0.0, and the same holds for every
-        later fold, which only takes larger quotients in.  A -0.0 reaches
-        L only from a -0.0 quotient that ``_record_gap`` or a rescan
-        returned; the ledger then notes it and screens no more.  A cached
-        maximum the screen formed is then formed again as it would have
-        been with no screen: the full scan's ``np.max`` over the records of
-        its miss, then the records appended since, folded in order, since
-        ``np.max`` and the fold may keep different ones of equal zeros.  A
-        kept -0.0 under a zero maximum also falls back to the full scan.
+        rows' maximum and the skipped quotients, which are < 0 or +0.0,
+        and a fold takes the same quotients into both, so the two agree
+        when positive or NaN and are both <= 0 otherwise.  ``solve`` forms
+        L_cand = max(t1, r, L, 0.0) + 0.0, in which an r <= 0 can decide
+        only the sign of a zero.  Adding +0.0 turns -0.0 into +0.0 and
+        leaves every other value's bits, so L has the same bits either way.
         """
         n = self._n_rec
         if n == 0:
             return -math.inf
-        best = None
         if self._is_cached(ymin):
             best = self.cached_ymin_ratio_max
             for i in range(self._cached_upto + 1, n + 1):
                 m = self._record_gap(i, ymin, f_ymin)
                 if m > best or m != m:  # a NaN carries, as in np.max
                     best = m
-            if self._skipped and self._signed_zero:
-                best = None  # formed again below, as with no screen
         else:
             self.cached_ymin = ymin
             self._cached_bytes = ymin.tobytes()
-            self._miss_upto = n
-            if (n * self._X.shape[1] > _kernels._ROW_BLOCK
-                    and not self._signed_zero):
-                best = self._screened_max(n, ymin, f_ymin)
-        if best is None:
-            # the full scan of the last miss's records, then, after a
-            # screened miss, the fold of the records appended since
-            stop = self._miss_upto
-            q, num, _, gd = self._gap_terms(stop, ymin, f_ymin)
+            rows = None  # every record, unless the screen skipped some
+            if n * self._X.shape[1] > _kernels._ROW_BLOCK:
+                keep = self._screen(n, ymin, f_ymin)
+                if keep is not None and keep.size < n:
+                    rows = keep
+            q, num, _, gd = self._gap_terms(n, ymin, f_ymin, rows)
             best = float(self._zero_rule(
-                stop, q, num, gd, lambda: self.value_scale(ymin, f_ymin))[1])
-            self._skipped = False
-            for i in range(stop + 1, n + 1):
-                m = self._record_gap(i, ymin, f_ymin)
-                if m > best or m != m:
-                    best = m
-            if best == 0.0 and math.copysign(1.0, best) < 0.0:
-                self._signed_zero = True
+                n, q, num, gd, lambda: self.value_scale(ymin, f_ymin),
+                rows)[1])
         self.cached_ymin_ratio_max = best
         self._cached_upto = n
         return best
@@ -838,8 +789,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
                 phi_ymin, ymin, f_ymin = phi_y, y, f_y
 
             # lower-curvature recursion: t1, the incumbent's max gap over
-            # all records, the previous L, and 0
-            L_cand = max(t1, ledger.ymin_ratio_max(ymin, f_ymin), L, 0.0)
+            # all records, the previous L, and 0; adding +0.0 makes a zero
+            # L +0.0
+            L_cand = max(t1, ledger.ymin_ratio_max(ymin, f_ymin), L, 0.0) + 0.0
             # one check per trial; f(y) comes first, so a non-finite f(y)
             # is named rather than the U or L it spoils
             if not (math.isfinite(f_y) and math.isfinite(U)

@@ -151,6 +151,7 @@ _BROKEN_RUNS = [
     ("escalation-distinct-count", ROUGH, _off_ladder_xi),
     ("inner-repeat-budget", CONVEX, _extra_prox_calls),
     ("history-inequality", ROUGH, _set("tau", -1, lambda t: 10.0)),
+    ("lower-curvature-replay", CONVEX, _set("L", 0, lambda t: -0.0)),
 ]
 
 

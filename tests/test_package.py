@@ -169,20 +169,31 @@ def test_einsum_is_called_through_the_one_kernels_alias():
 
 def test_benchmark_tracer_wraps_the_package_and_restores_it(monkeypatch):
     # perfbench/tracing.py wraps internals by name (solver.solve,
-    # prox.BoxIndicator.prox, HistoryLedger.ymin_ratio_max, ...); removing
-    # or renaming one in src/ fails here rather than in a benchmark run
+    # prox.BoxIndicator.prox, HistoryLedger.ymin_ratio_max, ...) and its
+    # rescan classifier reads HistoryLedger.cached_ymin during a solve;
+    # removing or renaming one in src/ fails here rather than in a
+    # benchmark run.  This run changes best point and keeps it, so it
+    # makes full and incremental rescans
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracing
 
     import varfista.prox as prox
     import varfista.solver as solver
+    from varfista.audit import audit_corpus
+    from varfista.gallery import default_start
 
     solve, box_prox = solver.solve, prox.BoxIndicator.prox
-    restore = tracing.install(tracing.Tracer())
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
     try:
         assert solver.solve is not solve
         assert prox.BoxIndicator.prox is not box_prox
+        problem = audit_corpus(2, 0)[1]
+        solver.solve(problem, solver.SolverConfig(rho_hat=1e-7),
+                     default_start(problem))
     finally:
         restore()
+    spans = {tracer.labels[i] for i in tracer.name}
+    assert {"solver.rescan_full", "solver.rescan_incremental"} <= spans
     assert solver.solve is solve
     assert prox.BoxIndicator.prox is box_prox
