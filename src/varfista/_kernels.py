@@ -66,14 +66,16 @@ def grid_blocks(lo, hi, resolution):
 # ``history_margin`` instead takes one margin vector per (xi, L) run: O(K S).
 
 _ROW_BLOCK = 8192
-# The solver's gap scans (``HistoryLedger._gap_terms``) form their
-# differences u - x_tilde_i in blocks of at most this many elements, 512 KB,
-# which stays within a core's L2 cache.  Measured per scan on a 2-vCPU Xeon
-# VM, min of 15 x 5 calls, against _ROW_BLOCK-sized blocks and unblocked:
-# 4.5 ms, 5.8 ms and 7.4 ms for one point at n = 1000, k = 1600; 7.9 ms,
-# 12.3 ms and 17.8 ms for 8 points at n = 1000, k = 400; at n = 20,
-# within the noise of unblocked, where _ROW_BLOCK-sized blocks cost up to
-# 1.5 times as much.
+# Gap scans (``HistoryLedger._gap_terms``) form their differences
+# u - x_tilde_i in blocks of at most this many elements, 512 KB, which stays
+# within a core's L2 cache.  Their main user is the audit (its paired scan
+# and a best-point segment that fills a block alone): a solver rescan above
+# one row block is screened down to a few rows first, 1411 kept over 204
+# misses per dense-n1000 pass.  Timed per scan on a 2-vCPU Xeon VM, min of
+# 15 x 5 calls, against _ROW_BLOCK-sized blocks and unblocked: 4.5, 5.8
+# and 7.4 ms for one point at n = 1000, k = 1600; 7.9, 12.3 and 17.8 ms
+# for 8 points at n = 1000, k = 400; at n = 20, within the noise of
+# unblocked, where _ROW_BLOCK-sized blocks cost up to 1.5 times as much.
 _SCAN_BLOCK = 65536
 
 

@@ -102,12 +102,16 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     all its rows, so Q is read once per row block, not once per row.  The
     replay reads only the committed records and shares no state with the
     solver's gap cache.  The checks read trace columns as views, and
-    ``replay_anchors`` rebuilds a_k and x_k.  No temporary
-    holds more than max(_SCAN_BLOCK, K n) elements; the largest, one at a
-    time, are the anchors and the differences of y_k with the records.
-    The gap scans of the replay, of y_{k-1} against record k and of each
-    block's best points, form their differences a block of records at a
-    time, at most ``_SCAN_BLOCK`` elements (``HistoryLedger._gap_terms``).
+    ``replay_anchors`` rebuilds a_k and x_k.  No temporary holds more than
+    max(_SCAN_BLOCK, K n) elements; the largest, one at a time, are the
+    anchors, the domain test's masks and the differences of y_k with the
+    records.  The gap scans of the replay, of y_{k-1} against record k and
+    of each block's best points, form their differences a block of records
+    at a time, at most ``_SCAN_BLOCK`` elements (``HistoryLedger._gap_terms``).
+
+    Kept checks imply three invariants with no check of their own (proofs
+    in README.md, "Audit checks"): at most floor(log2 xi_bar) + 2 distinct
+    xi, xi == tau == 0 when m = 0, and a non-negative, nondecreasing L.
 
     ``inner-repeat-budget`` allows K + lam_term + 1 + xi_term prox calls,
     with lam_term = log_theta(lambda0 / lambda_floor) and xi_term =
@@ -145,12 +149,12 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         [lam[0] <= 0.0 or lam[0] > config.lambda0],
         (np.diff(lam) > 0.0) | (lam[1:] <= 0.0))),
         f"lam in [{lam.min():.3e}, {lam.max():.3e}]")
+    # xi_k is 0 or 2^j, j >= 0, as the solver makes it; a NaN fails
+    mant, expo = np.frexp(xi)
     add_unless("escalation-nonnegative-nondecreasing",
-               np.concatenate(([xi[0] < 0.0], np.diff(xi) < 0.0)),
+               np.concatenate(([False], np.diff(xi) < 0.0))
+               | ~((xi == 0.0) | ((mant == 0.5) & (expo >= 1))),
                f"final xi = {xi[-1]:g}")
-    add_unless("lower-curvature-nonnegative-nondecreasing",
-               np.concatenate(([L[0] < 0.0], np.diff(L) < 0.0)),
-               f"final L = {L[-1]:.6g}")
 
     # acceptance conditions, re-stated on the committed columns
     a, anchors = replay_anchors(problem, trace)
@@ -172,8 +176,11 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
                np.concatenate(([False], np.diff(phi_ymin) > 0.0))
                | (phi_ymin > np.minimum.accumulate(phi_y)),
                "phi(best) non-increasing and <= every accepted phi(y)")
-    add_unless("iterates-in-domain", ~np.isfinite(phi_y),
-               "phi(y_k) finite for all k")
+    Y, (lo, hi) = trace.Y, problem.regularizer.domain_box
+    add_unless("iterates-in-domain",
+               ~((Y[1:] >= lo) & (Y[1:] <= hi)).all(axis=1)
+               | ~np.isfinite(phi_y),
+               "y_k in dom h and phi(y_k) finite for all k")
 
     # certificate
     if cert.converged:
@@ -186,36 +193,21 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         add("certificate-membership", True,
             "skipped (run did not converge)")
 
-    # metadata-coupled invariants
-    M = problem.smooth.audit_lipschitz
-    m = problem.smooth.audit_curvature
-    if M is None or m is None:
-        add("analytic-constants", True, "skipped (no audit metadata)")
-        return AuditReport(checks)
-
-    bounds = TheoreticalBounds.from_problem(problem, config)
-    slack = _REL
-    drift = check_xk_drift(anchors, y0, bounds)  # reported last
+    # the L replay needs no analytic constant; the checks after it do
+    bounds = None
+    if None not in (problem.smooth.audit_lipschitz,
+                    problem.smooth.audit_curvature):
+        bounds = TheoreticalBounds.from_problem(problem, config)
+        drift = check_xk_drift(anchors, y0, bounds)  # reported last
     del anchors
 
-    # U_k against M, with a per-iteration roundoff envelope for the quotient
     X, F, G, floor = ledger.record_arrays(n_iter)
     abs_F = np.abs(F)
-    Y = trace.Y
     # f(y_0..y_K) and their value-roundoff scales, by the solver's formulas
     f_ys, s_ys = np.empty(n_iter + 1), np.empty(n_iter + 1)
     for s, e in _kernels.row_blocks(n_iter + 1, problem.dimension):
         f_ys[s:e] = problem.smooth.value(Y[s:e])
         s_ys[s:e] = problem.smooth.value_scale(Y[s:e], f_ys[s:e])
-    D = Y[1:] - X
-    env = _envelope(f_ys[1:], abs_F, _kernels.c_einsum("ij,ij->i", G, D),
-                    _kernels.c_einsum("ij,ij->i", D, D), floor)
-    del D
-    # U == 0 marks a guarded (degenerate-distance) quotient and always passes
-    kU = int(np.argmax(U)) + 1
-    add_unless("upper-curvature-bound",
-               (U > bounds.M_bar * (1.0 + slack) + env + 1e-12) & (U != 0.0),
-               f"max U = {U[kU - 1]:.6g} at k={kU} vs M = {bounds.M_bar:g}")
 
     # replay the lower-curvature recursion from the committed data and bound
     # every contributing gap quotient by m plus its own roundoff envelope:
@@ -228,7 +220,7 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     # np.max would.  Consecutive segments are scanned together in blocks
     # (see _kernels.segment_blocks).  The cap reports the largest finite
     # excess: a NaN excess counts as none, so it hides no other row's.
-    cap = bounds.m_under * (1.0 + slack)
+    cap = math.inf if bounds is None else bounds.m_under * (1.0 + _REL)
 
     def scan(count, u, f_u, s_u):
         """Gap quotients of u against records 1..count, and cap excesses.
@@ -253,12 +245,12 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         # rows of Y have their value and scale in f_ys and s_ys; a best
         # point that is a rejected trial point (r < 0) needs its own
         r = rows[lead]
-        U, f_u, s_u = Y[r], f_ys[r], s_ys[r]
+        P, f_u, s_u = Y[r], f_ys[r], s_ys[r]
         for i in np.flatnonzero(r < 0):
-            U[i] = trace.point(int(r[i]))
-            f_u[i] = problem.smooth.value(U[i])
-            s_u[i] = problem.smooth.value_scale(U[i], float(f_u[i]))
-        terms, exc = scan(e, U[:, None, :], f_u[:, None], s_u[:, None])
+            P[i] = trace.point(int(r[i]))
+            f_u[i] = problem.smooth.value(P[i])
+            s_u[i] = problem.smooth.value_scale(P[i], float(f_u[i]))
+        terms, exc = scan(e, P[:, None, :], f_u[:, None], s_u[:, None])
         # row k of segment j reads row j's running maxima at record k.  Row
         # s+1 first wins at the first record holding its maximum, a later
         # row k, the running maximum with record k, only at record k
@@ -274,6 +266,24 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         L_prev = max(a1, a2, L_prev, 0.0) + 0.0
         L_replay.append(L_prev)
 
+    add_unless("lower-curvature-replay",
+               np.array(L_replay).view(np.int64) != L.view(np.int64),
+               "recorded L matches a full recomputation bit for bit",
+               "mismatch")
+    if bounds is None:
+        return AuditReport(checks)
+
+    # U_k against M, with a per-iteration roundoff envelope for the quotient
+    D = Y[1:] - X
+    env = _envelope(f_ys[1:], abs_F, _kernels.c_einsum("ij,ij->i", G, D),
+                    _kernels.c_einsum("ij,ij->i", D, D), floor)
+    del D
+    # U == 0 marks a guarded (degenerate-distance) quotient and always passes
+    kU = int(np.argmax(U)) + 1
+    add_unless("upper-curvature-bound",
+               (U > bounds.M_bar * (1.0 + _REL) + env + 1e-12) & (U != 0.0),
+               f"max U = {U[kU - 1]:.6g} at k={kU} vs M = {bounds.M_bar:g}")
+
     # candidates in scan order: row k, then y_{k-1} against record k
     cand = np.column_stack((row_excess, exc1))
     j = _kernels.first_max(cand.ravel(), -math.inf)
@@ -283,10 +293,6 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         cap_excess = float(cand[k, side])
         cap_loc = (k + 1, k + 1 if side else int(row_at[k]))
 
-    add_unless("lower-curvature-replay",
-               np.array(L_replay).view(np.int64) != L.view(np.int64),
-               "recorded L matches a full recomputation bit for bit",
-               "mismatch")
     kL = int(np.argmax(L)) + 1
     add("lower-curvature-cap", cap_excess <= 1e-12,
         f"max L = {L[kL - 1]:.6g} at k={kL} vs m = {bounds.m_under:g}"
@@ -295,22 +301,13 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
              f"i={cap_loc[1]}")
     klam = int(np.argmin(lam)) + 1
     add("stepsize-floor",
-        bool(lam[klam - 1] >= bounds.lambda_floor * (1.0 - slack)),
+        bool(lam[klam - 1] >= bounds.lambda_floor * (1.0 - _REL)),
         f"min lam = {lam[klam - 1]:.6g} at k={klam} vs floor = "
         f"{bounds.lambda_floor:.6g}")
     kxi = int(np.argmax(xi)) + 1
     add("escalation-cap",
-        bool(xi[kxi - 1] <= bounds.xi_bar * (1.0 + slack)),
+        bool(xi[kxi - 1] <= bounds.xi_bar * (1.0 + _REL)),
         f"max xi = {xi[kxi - 1]:g} at k={kxi} vs cap = {bounds.xi_bar:g}")
-
-    if bounds.m_under == 0.0:
-        add_unless("convex-stays-zero", (xi != 0.0) | (tau != 0.0),
-                   "xi and tau identically zero on a convex instance")
-
-    distinct = len(set(xi.tolist()))
-    allowed = math.ceil(math.log2(max(4.0 * bounds.m_under, 1.0))) + 2
-    add("escalation-distinct-count", distinct <= allowed,
-        f"{distinct} distinct xi values, allowed {allowed}")
 
     lam_term = math.log(config.lambda0 / bounds.lambda_floor) \
         / math.log(config.theta)

@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
 from varfista.solver import (DENOM_EPSILON, HistoryLedger, IterationTrace,
                              SolverConfig, replay_anchors, solve)
+from test_package import audit_check_names
 
 
 def _audited_run(spec, rho=1e-7, iters=5000, lambda0=1.0):
@@ -46,10 +48,13 @@ def test_clean_convex_run_passes_every_check():
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
     assert report.passed, "\n".join(c.line() for c in report.failures())
     names = [c.name for c in report.checks]
-    # the convex-only guarantee is asserted, not skipped
-    assert "convex-stays-zero" in names
-    assert "certificate-membership" in names
-    assert "lower-curvature-replay" in names
+    # the convex zero: the cap xi_bar = 0 with the ladder gives xi == 0, and
+    # the offset identity then gives tau == 0
+    assert not (trace.xi.any() or trace.tau.any())
+    for name in ("escalation-cap", "escalation-nonnegative-nondecreasing",
+                 "momentum-offset-identity", "certificate-membership",
+                 "lower-curvature-replay"):
+        assert name in names
 
 
 def test_clean_nonconvex_run_passes_every_check():
@@ -57,7 +62,6 @@ def test_clean_nonconvex_run_passes_every_check():
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
     assert report.passed, "\n".join(c.line() for c in report.failures())
     names = [c.name for c in report.checks]
-    assert "convex-stays-zero" not in names
     assert "escalation-cap" in names
     assert "stepsize-floor" in names
 
@@ -79,12 +83,21 @@ def test_audit_without_metadata_skips_constant_checks():
     prob, cfg, cert, trace, ledger, y0 = _audited_run(CONVEX)
     prob.smooth.audit_lipschitz = None
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
-    lines = report.lines()
-    assert any("analytic-constants" in ln and "skipped" in ln
-               for ln in lines)
     names = [c.name for c in report.checks]
+    # the L replay needs no analytic constant and runs last
+    assert names[-1] == "lower-curvature-replay"
     assert "stepsize-floor" not in names
+    assert "upper-curvature-bound" not in names
     assert report.passed
+
+
+def test_replay_without_metadata_flags_one_ulp_of_L():
+    prob, cfg, cert, trace, ledger, y0 = _audited_run(ROUGH)
+    prob.smooth.audit_lipschitz = prob.smooth.audit_curvature = None
+    trace.L[-1] = np.nextafter(trace.L[-1], np.inf)
+    report = audit_run(prob, cfg, cert, trace, ledger, y0)
+    assert [c.line() for c in report.failures()] == [
+        f"lower-curvature-replay: FAIL  (first mismatch at k={len(trace)})"]
 
 
 def test_audit_rejects_empty_run():
@@ -116,53 +129,147 @@ def test_tampered_stepsize_monotonicity_is_flagged():
 
 def _set(column, index, value):
     """An edit that writes one entry of a trace column."""
-    def edit(prob, cert, trace):
-        getattr(trace, column)[index] = value(trace)
-        return cert
+    def edit(run):
+        getattr(run.trace, column)[index] = value(run.trace)
     return edit
 
 
-def _off_ladder_xi(prob, cert, trace):
-    # xi 1.25, 1.5 and 1.75 lie off the ladder 0, 1, 2, 4 and under the
-    # cap 4, and tau = 2 xi lam / a still holds: five distinct xi values
-    # where four are allowed
-    a = replay_anchors(prob, trace)[0]
-    trace.xi[-3:] = [1.25, 1.5, 1.75]
-    trace.tau[-3:] = 2.0 * trace.xi[-3:] * trace.lam[-3:] / a[-3:]
-    return cert
+def _xi_with_offsets(index, value):
+    """An edit that writes entries of xi and the tau = 2 xi lam / a they
+    imply, so that the momentum offset identity still holds."""
+    def edit(run):
+        t = run.trace
+        a = replay_anchors(run.prob, t)[0]
+        t.xi[index] = value
+        t.tau[index] = 2.0 * t.xi[index] * t.lam[index] / a[index]
+    return edit
 
 
-def _extra_prox_calls(prob, cert, trace):
-    return replace(cert, prox_calls=cert.prox_calls + len(trace))
+def _empty_trace(run):
+    run.trace = IterationTrace(run.y0, run.cfg.lambda0)
 
 
-# (check, run, edit): one minimal edit of a clean run's trace or
-# certificate that the named check must catch
+def _unescalated_first_step(run):
+    # xi_k = 0 (and tau_k = 0) at the first escalation, where L_k > 0:
+    # the ladder, the offsets and the cap still hold
+    k = int(np.argmax(run.trace.xi > 0.0))
+    run.trace.xi[k] = run.trace.tau[k] = 0.0
+
+
+def _half_step_with_large_U(run):
+    # U = 1.5 M at half the step keeps U lam below gamma
+    run.trace.lam[-1] *= 0.5
+    run.trace.U[-1] = 1.5 * run.prob.smooth.audit_lipschitz
+
+
+def _y_outside_the_box(run):
+    run.trace.Y[len(run.trace) // 2, 0] = 5.0  # the box is [-1, 1]
+
+
+def _lower_curvature_metadata(run):
+    # the run's gap quotients reach 0.56; a recorded L that the replay
+    # matches bounds them all, so no edit of the trace or ledger alone
+    # fails the cap without the replay, and this row lowers m instead
+    run.prob.smooth.audit_curvature = 0.25
+
+
+def _large_residual(run):
+    run.cert = replace(run.cert, residual_norm=2.0 * run.cfg.rho_hat)
+
+
+def _extra_prox_calls(run):
+    run.cert = replace(run.cert, prox_calls=run.cert.prox_calls
+                       + len(run.trace))
+
+
+def _far_start(run):
+    run.y0 = run.y0 + 1e3
+
+
+def _one_ulp(column, index, direction):
+    """An edit that moves one entry of a trace column by one ulp."""
+    return _set(column, index,
+                lambda t: np.nextafter(getattr(t, column)[index], direction))
+
+
+# The tamper matrix, (id, run, edit, failed): one minimal edit of a clean
+# run's trace, certificate or start y0 (or, for lower-curvature-cap, of the
+# instance's m), and the exact set of checks that fail on it; every other
+# check passes.  Each check fails in some row, and alone in one
+# (test_every_check_fails_in_some_row guards the first).  ROUGH escalates
+# once, xi 0 -> 1 at k = 5; CONVEX keeps xi = tau = L = 0; lam M > gamma
+# on both runs, so a U above M needs a smaller step.
 _BROKEN_RUNS = [
+    ("non-empty-run", CONVEX, _empty_trace, {"non-empty-run"}),
+    ("stepsize-positive-nonincreasing", CONVEX, _one_ulp("lam", -1, np.inf),
+     {"stepsize-positive-nonincreasing"}),
     ("escalation-nonnegative-nondecreasing", ROUGH,
-     _set("xi", -1, lambda t: 0.5 * t.xi[-2])),
-    ("lower-curvature-nonnegative-nondecreasing", ROUGH,
-     _set("L", -1, lambda t: 0.5 * t.L[-2])),
-    ("stepsize-curvature-product", CONVEX,
-     _set("U", -1, lambda t: 2.0 / t.lam[-1])),
+     _set("xi", -1, lambda t: 0.5 * t.xi[-2]),
+     {"escalation-nonnegative-nondecreasing", "momentum-offset-identity",
+      "history-inequality"}),
+    # xi 1.25, 1.5, 1.75 lie off the ladder and under the cap 4
+    ("off-ladder-xi", ROUGH,
+     _xi_with_offsets(slice(-3, None), [1.25, 1.5, 1.75]),
+     {"escalation-nonnegative-nondecreasing"}),
+    # 2^-2 and 2^-1 before the escalation to 1: powers of two, off the
+    # ladder, which starts at 2^0
+    ("sub-unit-xi", ROUGH, _xi_with_offsets(slice(2, 4), [0.25, 0.5]),
+     {"escalation-nonnegative-nondecreasing"}),
+    ("stepsize-curvature-product", ROUGH,
+     _set("U", -1, lambda t: 0.995 / t.lam[-1]),
+     {"stepsize-curvature-product"}),
+    ("momentum-offset-identity", ROUGH, _one_ulp("tau", -1, -np.inf),
+     {"momentum-offset-identity"}),
+    ("history-inequality", ROUGH, _unescalated_first_step,
+     {"history-inequality"}),
+    # a convex run's tau > 0 breaks the offset identity and the inequality
+    ("convex-tau", CONVEX, _set("tau", -1, lambda t: 1e-3),
+     {"momentum-offset-identity", "history-inequality"}),
     ("best-point-monotone", CONVEX,
-     _set("phi_ymin", -1, lambda t: t.phi_ymin[-2] + 1.0)),
-    ("iterates-in-domain", CONVEX, _set("phi_y", -1, lambda t: np.inf)),
-    ("escalation-distinct-count", ROUGH, _off_ladder_xi),
-    ("inner-repeat-budget", CONVEX, _extra_prox_calls),
-    ("history-inequality", ROUGH, _set("tau", -1, lambda t: 10.0)),
-    ("lower-curvature-replay", CONVEX, _set("L", 0, lambda t: -0.0)),
+     _set("phi_ymin", -1, lambda t: t.phi_ymin[-2] + 1.0),
+     {"best-point-monotone"}),
+    ("iterates-in-domain", CONVEX, _set("phi_y", -1, lambda t: np.inf),
+     {"iterates-in-domain"}),
+    ("y-outside-box", CONVEX, _y_outside_the_box, {"iterates-in-domain"}),
+    ("certificate-membership", CONVEX, _large_residual,
+     {"certificate-membership"}),
+    ("lower-curvature-replay", CONVEX, _set("L", 0, lambda t: -0.0),
+     {"lower-curvature-replay"}),
+    ("halved-L", ROUGH, _set("L", -1, lambda t: 0.5 * t.L[-2]),
+     {"lower-curvature-replay"}),
+    ("upper-curvature-bound", CONVEX, _half_step_with_large_U,
+     {"upper-curvature-bound"}),
+    ("lower-curvature-cap", ROUGH, _lower_curvature_metadata,
+     {"lower-curvature-cap"}),
+    ("stepsize-floor", CONVEX, _set("lam", -1, lambda t: 0.02),
+     {"stepsize-floor"}),
+    # a convex run's xi = 1 with its own tau: only the cap xi_bar = 0
+    ("escalation-cap", CONVEX, _xi_with_offsets(-1, 1.0),
+     {"escalation-cap"}),
+    ("inner-repeat-budget", CONVEX, _extra_prox_calls,
+     {"inner-repeat-budget"}),
+    ("anchor-drift", CONVEX, _far_start, {"anchor-drift"}),
 ]
 
 
-@pytest.mark.parametrize("name, spec, edit", _BROKEN_RUNS,
-                         ids=[name for name, _, _ in _BROKEN_RUNS])
-def test_each_check_fails_on_a_minimally_broken_run(name, spec, edit):
-    prob, cfg, cert, trace, ledger, y0 = _audited_run(spec)
-    cert = edit(prob, cert, trace)
-    checks = {c.name: c for c in audit_run(prob, cfg, cert, trace, ledger,
-                                           y0).checks}
-    assert not checks[name].passed, checks[name].line()
+@pytest.mark.parametrize("spec, edit, failed",
+                         [row[1:] for row in _BROKEN_RUNS],
+                         ids=[row[0] for row in _BROKEN_RUNS])
+def test_each_check_fails_on_a_minimally_broken_run(spec, edit, failed):
+    run = SimpleNamespace(**dict(zip(
+        ("prob", "cfg", "cert", "trace", "ledger", "y0"),
+        _audited_run(spec))))
+    edit(run)
+    report = audit_run(run.prob, run.cfg, run.cert, run.trace, run.ledger,
+                       run.y0)
+    assert {c.name for c in report.failures()} == failed, report.lines()
+
+
+def test_every_check_fails_in_some_row():
+    # a check that no row fails cannot be told apart from one that never
+    # fails, or from one that others imply
+    assert set().union(*(row[-1] for row in _BROKEN_RUNS)) \
+        == audit_check_names()
 
 
 def test_corrupted_gradient_fails_metadata_checks():
@@ -186,9 +293,11 @@ def test_corrupted_gradient_on_convex_instance_breaks_zero_invariant():
     cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=500)
     y0 = default_start(bad)
     cert, trace, ledger = solve(bad, cfg, y0)
+    assert trace.xi.any() and trace.tau.any()
     report = audit_run(bad, cfg, cert, trace, ledger, y0)
     failed = {c.name for c in report.failures()}
-    assert "convex-stays-zero" in failed or "stepsize-floor" in failed
+    # xi_bar = 0 on a convex instance, so any escalation breaks the cap
+    assert "escalation-cap" in failed
 
 
 def test_corrupt_oracle_preserves_values_and_metadata():
@@ -282,11 +391,14 @@ def test_audit_suite_names_first_failure_under_fault_injection():
 # sha256 over the joined report lines of a clean corpus suite and a
 # gradient-fault suite.  Any change to a verdict or a detail string changes
 # it.  The value-roundoff zero rule of the curvature gaps left these lines
-# byte-identical.  The last re-pin changed only the 26 inner-repeat-budget
-# budgets, from K + max(lam_term, xi_term) + 2 to the sum bound K +
-# lam_term + 1 + xi_term; every verdict and every other line is unchanged.
+# byte-identical.  The last re-pin deleted the lines of four checks that
+# others imply or that could not fail (convex-stays-zero,
+# escalation-distinct-count, lower-curvature-nonnegative-nondecreasing,
+# analytic-constants), moved lower-curvature-replay ahead of
+# upper-curvature-bound and reworded the iterates-in-domain detail; every
+# verdict and every "FAILED first at" line is unchanged.
 AUDIT_REPORT_SHA256 = \
-    "3156d30318673fc97ab7be4da43aac816515f99675b84388b664de664a301ad5"
+    "cd1b386adb084f0a64f557b3e774a46be2ba01f32b161ca6b89fd60d874da093"
 
 
 def test_audit_reports_match_golden_hash():
@@ -304,9 +416,9 @@ def test_audit_reports_match_golden_hash():
 # share a block of the replay, late ones fill a block alone), the four
 # n=200 indefinite runs of tests/test_golden.py and one L1-plus-box run.
 # Each has a best point that is a rejected trial point.  The last re-pin
-# changed only the six inner-repeat-budget budgets, to the sum bound.
+# made the same three kinds of change as AUDIT_REPORT_SHA256's.
 AUDIT_REPLAY_SHA256 = \
-    "86de97249bb47dd7f520794dc6267c8fcaa9510e9cdbb85a3239ccadcd9db598"
+    "56ee119ab27521612571f862ddd6cd1400c8ca912c23f8d958e9c48b0072d76e"
 
 
 def _replay_golden_runs():
@@ -349,12 +461,12 @@ def test_wide_box_convex_run_keeps_its_convex_invariants():
     y0 = lo + np.random.default_rng(0).random(20) * (hi - lo)
     cfg = SolverConfig(rho_hat=1e-2, max_outer_iterations=2000)
     cert, trace, ledger = solve(prob, cfg, y0)
+    assert not (trace.xi.any() or trace.tau.any() or trace.L.any())
     checks = {c.name: c for c in audit_run(prob, cfg, cert, trace, ledger,
                                            y0).checks}
-    for name in ("convex-stays-zero", "escalation-cap",
-                 "lower-curvature-cap"):
+    for name in ("escalation-cap", "momentum-offset-identity",
+                 "lower-curvature-replay", "lower-curvature-cap"):
         assert checks[name].passed, checks[name].line()
-    assert not np.any(trace.L)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -522,10 +634,11 @@ def test_replay_scans_records_in_proportion_to_best_point_changes(gap_scans):
     assert audit_run(prob, cfg, cert, trace, ledger, y0).passed
     K = len(trace)
     changes = sum(not _unchanged(trace, j) for j in range(1, K))
-    # one paired scan of the previous iterates, one scan per best point
-    assert len(gap_scans) <= 1 + (1 + changes)
+    # a paired scan each of the previous iterates (the replay) and of the
+    # iterates (the U envelope), one scan per best point
+    assert len(gap_scans) <= 2 + (1 + changes)
     scanned = sum(count for count, _ in gap_scans)
-    assert scanned <= 2 * K + K * changes
+    assert scanned <= 3 * K + K * changes
     # the full replay scanned K (K + 1) / 2 records for ymin plus K for y
     assert scanned < (K * (K + 1) // 2 + K) / 2
 

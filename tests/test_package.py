@@ -69,6 +69,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused == set(UNUSED_ALLOWED)
 
 
+def audit_check_names():
+    """The check names that ``audit_run`` passes to ``add`` and
+    ``add_unless``: string literals, except where ``add_unless`` passes its
+    own ``name`` on to ``add``."""
+    tree, = _trees("src/varfista/audit.py")
+    names = [node.args[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("add", "add_unless")]
+    assert all(isinstance(name, ast.Constant)
+               or getattr(name, "id", None) == "name" for name in names)
+    return {name.value for name in names if isinstance(name, ast.Constant)}
+
+
+def test_the_readme_table_names_every_audit_check():
+    table = re.findall(r"^\| `([a-z-]+)` \|", README, re.M)
+    assert len(table) == len(set(table))
+    assert set(table) == audit_check_names()
+
+
 def _numerical_failures_built(tree):
     """Calls of NumericalFailure, and bare ``raise NumericalFailure``."""
     def named(node):
