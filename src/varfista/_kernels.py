@@ -1,9 +1,11 @@
-"""Numpy kernels for the dense-grid oracles and the audit's scans.
+"""Numpy kernels for the audit's scans and the stationarity oracles.
 
-The grid kernels share one blocked evaluator, ``grid_blocks``: it walks the
-grid over a box in blocks of about two million points and hands each block
-out as an open mesh, so a kernel's expression broadcasts over the block
-without materializing coordinates, in any dimension.
+The audit scans history rows and best-point segments in bounded blocks
+(``row_blocks``, ``segment_blocks``) and takes the worst history margin in
+one vector per run (``history_margin``).  ``_interval_dist`` is the one
+stationarity kernel: the coordinatewise distance from a vector to the
+subdifferential of a box-plus-l1 regularizer, which the exact oracles of
+``gallery`` and the anchor check of ``diagnostics`` both measure with.
 """
 
 from __future__ import annotations
@@ -23,38 +25,6 @@ try:
     from numpy._core.multiarray import c_einsum
 except ImportError:  # numpy 1.x
     from numpy.core.multiarray import c_einsum
-
-
-def grid_1d(lo: float, hi: float, resolution: float) -> np.ndarray:
-    """Uniform grid covering [lo, hi] with spacing <= resolution.
-
-    Endpoints are exact so that box-boundary kinks land on the grid.
-    """
-    if not hi > lo:
-        raise ValueError("grid requires hi > lo")
-    if not resolution > 0.0:
-        raise ValueError("grid resolution must be positive")
-    n = int(math.ceil((hi - lo) / resolution)) + 1
-    return np.linspace(lo, hi, n)
-
-
-_BLOCK_POINTS = 2_000_000
-
-
-def grid_blocks(lo, hi, resolution):
-    """Open-mesh blocks of the grid over the box [lo, hi].
-
-    Coordinate i runs over ``grid_1d(lo[i], hi[i], resolution)``, or over the
-    single point lo[i] when hi[i] == lo[i].  The first axis is cut so that a
-    block holds about two million points; each block is the ``np.ix_`` open
-    mesh of its axis pieces, in row-major grid order.
-    """
-    axes = [np.array([l]) if l == h else grid_1d(l, h, resolution)
-            for l, h in zip(map(float, lo), map(float, hi))]
-    rest = math.prod(len(ax) for ax in axes[1:])
-    block = max(1, _BLOCK_POINTS // rest)
-    for start in range(0, len(axes[0]), block):
-        yield np.ix_(axes[0][start:start + block], *axes[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -151,76 +121,25 @@ def history_margin(lam_hist, tau_hist, L_arr, xi_arr):
 
 
 # ---------------------------------------------------------------------------
-# dense-grid kernels for box/L1 quadratics
+# the stationarity kernel
 # ---------------------------------------------------------------------------
-# phi(u) = 0.5 u'Qu + c'u + w ||u||_1 + indicator of the box [lo, hi].  Both
-# kernels walk the grid block by block (see grid_blocks) and evaluate their
-# expression on each block's open mesh, so any dimension takes the same code.
-#
-# A point u is stationary when -grad f(u) lies in the subdifferential of h at
-# u, which is an interval per component: w * [sub-gradient of |.|] plus the
-# normal cone of the box.  The scan keeps every grid point whose Euclidean
-# distance from -grad to that interval is <= tol.  Coordinates within
-# snap = resolution / 4 of the L1 kink at 0 are treated as sitting on the
-# kink so float dust in grid construction cannot hide a genuine stationary
-# point; box faces land on the grid exactly.
+# h(u) = w ||u||_1 + indicator of the box [lo, hi].  Its subdifferential at
+# a point u of the box is an interval per coordinate: w times the
+# subgradient of |.| (w sign(u_i), or [-w, w] at u_i = 0), plus the normal
+# cone of the box ((-inf, 0] at u_i = lo_i, [0, inf) at u_i = hi_i, both at
+# a zero-width coordinate).  A point u is stationary for f + h exactly when
+# -grad f(u) lies in these intervals, so the distance is 0 in every
+# coordinate.
 
-def _interval_dist(mg, u, lo, hi, wl1, snap):
-    """Distance from mg to the interval at u (u, lo, hi broadcast to mg)."""
+def _interval_dist(mg, u, lo, hi, wl1):
+    """Distance from mg to the interval of the subdifferential of h at u,
+    per coordinate (u, lo, hi broadcast to mg); an infinite bound is never
+    reached."""
     if wl1 > 0.0:
-        on_kink = np.abs(u) <= snap
-        sgn = np.where(u > snap, wl1, -wl1)
-        a = np.where(on_kink, -wl1, sgn)
-        b = np.where(on_kink, wl1, sgn)
+        a = np.where(u > 0.0, wl1, -wl1)
+        b = np.where(u < 0.0, -wl1, wl1)
     else:
         a = b = 0.0
-    a = np.where(u <= lo + snap, -np.inf, a)
-    b = np.where(u >= hi - snap, np.inf, b)
+    a = np.where(u <= lo, -np.inf, a)
+    b = np.where(u >= hi, np.inf, b)
     return np.maximum(np.maximum(a - mg, mg - b), 0.0)
-
-
-def qp_grid_argmin(Q, c, w, lo, hi, resolution):
-    """Grid argmin of 0.5 u'Qu + c'u + w ||u||_1 over the box [lo, hi].
-
-    Returns (u, value); ties go to the first point in row-major grid order.
-    """
-    n = len(c)
-    best = math.inf
-    arg = np.array(lo, dtype=np.float64)
-    for u in grid_blocks(lo, hi, resolution):
-        v = 0.5 * sum((Q[i, i] if i == j else Q[i, j] + Q[j, i]) * u[i] * u[j]
-                      for i in range(n) for j in range(i, n))
-        for i in range(n):
-            v = v + c[i] * u[i]
-        v = v + w * sum(np.abs(ui) for ui in u)
-        at = np.unravel_index(np.argmin(v), v.shape)
-        if v[at] < best:
-            best = float(v[at])
-            arg = np.array([ui.ravel()[j] for ui, j in zip(u, at)])
-    return arg, best
-
-
-def qp_stationary_scan(Q, c, w, lo, hi, resolution, tol, max_hits):
-    """Grid points whose stationarity residual is <= tol, as an (m, n) array.
-
-    Points come in row-major grid order.  Raises RuntimeError as soon as more
-    than max_hits points have passed.
-    """
-    n = len(c)
-    snap = 0.25 * resolution
-    hits = []
-    found = 0
-    for u in grid_blocks(lo, hi, resolution):
-        dd = 0.0
-        for i in range(n):
-            mg = -(sum(Q[i, j] * u[j] for j in range(n)) + c[i])
-            d = _interval_dist(mg, u[i], lo[i], hi[i], w, snap)
-            dd = dd + d * d
-        mask = np.sqrt(dd) <= tol
-        found += int(np.count_nonzero(mask))
-        if found > max_hits:
-            raise RuntimeError("stationarity scan exceeded the hit cap; "
-                               "the residual tolerance admits too many points")
-        hits.append(np.stack([np.broadcast_to(ui, mask.shape)[mask]
-                              for ui in u], axis=1))
-    return np.concatenate(hits)

@@ -185,10 +185,14 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     # certificate
     if cert.converged:
         ok = (cert.residual_norm <= config.rho_hat
-              and verify_certificate(problem, cert, s=1.0, tol=1e-8))
+              and verify_certificate(problem, cert, s=1.0, tol=1e-8,
+                                     rho_hat=config.rho_hat))
         add("certificate-membership", ok,
             f"residual {cert.residual_norm:.3e} <= rho_hat "
-            f"{config.rho_hat:g}, prox fixed point at 1e-8")
+            f"{config.rho_hat:g}, prox fixed point at 1e-8" if ok else
+            f"||v_hat|| {np.linalg.norm(cert.v_hat):.3e}, recorded residual "
+            f"{cert.residual_norm:.3e}, rho_hat {config.rho_hat:g}, prox "
+            "fixed point at 1e-8")
     else:
         add("certificate-membership", True,
             "skipped (run did not converge)")

@@ -180,7 +180,8 @@ def _cmd_solve(args) -> int:
         cert, trace = runner(problem, config, y0)
         if args.audit:
             ok = (not cert.converged
-                  or verify_certificate(problem, cert, s=1.0, tol=1e-8))
+                  or verify_certificate(problem, cert, s=1.0, tol=1e-8,
+                                        rho_hat=args.rho))
             audit_section = AuditReport([CheckResult(
                 "certificate-membership", ok,
                 "baseline run: certificate check only")])

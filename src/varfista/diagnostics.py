@@ -2,16 +2,16 @@
 
 Everything here re-derives properties of a finished run from recorded data;
 nothing feeds back into the solver.  The anchor-point check rebuilds each
-iteration's anchor subproblem and minimizes it by dense grid search (or
-projected gradient when a grid is impractical), giving a route to the anchor
-that shares no code with the solver's closed-form update.
+iteration's anchor subproblem from the model and tests the recorded anchor
+by its KKT residual through the stationarity kernel
+``_kernels._interval_dist``, a route to the anchor that shares no code with
+the solver's closed-form update.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -90,77 +90,42 @@ class TheoreticalBounds:
 
 def _anchor_quadratic(model: ModelFunction, x_prev: Array, a: float):
     """The anchor subproblem  a * minorant(u) + ||u - x_prev||^2 / (2 lam)
-    as 0.5 * kappa ||u||^2 + b.u (constant dropped)."""
+    as 0.5 * kappa ||u||^2 + b.u (constant dropped), with the magnitudes of
+    the terms of b, coordinatewise."""
     lam = model.lam_k
     tau = model.tau_k
     kappa = (a * tau + 1.0) / lam
     b = ((a / lam) * (model.x_tilde - model.y_k)
          - (a * tau / lam) * model.y_k - x_prev / lam)
-    return kappa, b
-
-
-def _grid_argmin(kappa: float, b: Array, lo: Array, hi: Array,
-                 resolution: float) -> Array:
-    """Coarse-to-fine grid argmin of the strongly convex quadratic.
-
-    Exact for the final grid because the objective is unimodal along each
-    axis, so every refinement window brackets the coarse argmin.
-    """
-    Q = kappa * np.eye(b.shape[0])
-    while True:
-        span = float(np.max(hi - lo))
-        res = max(span / 400.0, resolution)
-        best, _ = _kernels.qp_grid_argmin(Q, b, 0.0, lo, hi, res)
-        if res <= resolution:
-            return best
-        lo = np.maximum(lo, best - 3.0 * res)
-        hi = np.minimum(hi, best + 3.0 * res)
+    b_size = ((a / lam) * (np.abs(model.x_tilde) + np.abs(model.y_k))
+              + (a * tau / lam) * np.abs(model.y_k) + np.abs(x_prev) / lam)
+    return kappa, b, b_size
 
 
 def check_xk_optimality(problem: CompositeProblem, model: ModelFunction,
-                        x_k: Array, x_prev: Array, a: float,
-                        grid_resolution: float = 1e-4) -> Optional[bool]:
+                        x_k: Array, x_prev: Array, a: float) -> bool:
     """Does x_k minimize the anchor subproblem over Omega?
 
-    Minimizes by dense grid over a search window clamped into the box Omega
-    (dimension <= 2) or by projected gradient otherwise; True/False when the
-    independent minimizer lands within / outside max(grid_resolution, 1e-6)
-    of x_k, None when the search is inconclusive (argmin pinned to an
-    artificial window edge).
+    The subproblem 0.5 kappa ||u||^2 + b.u (``_anchor_quadratic``) is
+    strongly convex, so x_k minimizes it over the box Omega exactly when x_k
+    lies in Omega and -(kappa x_k + b) lies in the normal cone of Omega at
+    x_k, that is, when the stationarity kernel ``_kernels._interval_dist``
+    (l1 weight 0) reads 0.  Its norm passes at 16 eps sqrt(n) times the
+    norm of kappa |x_k| plus the magnitudes of the terms of b: each
+    coordinate of the residual is a sum of those terms, and x_k itself
+    comes from a difference of multiples of y_k and y_{k-1} about a_k times
+    larger than x_k, so its rounding scales with a_k |y_k| / lam, the size
+    of the terms of b, not with |b|.  On solver runs of n = 1 to 20 up to
+    K = 780 the accepted anchors read at most 0.6 eps sqrt(n).
     """
-    kappa, b = _anchor_quadratic(model, x_prev, a)
-    tol = max(grid_resolution, 1e-6)
-    if problem.dimension <= 2:
-        pts = [x_prev, x_k, model.y_k, model.x_tilde, -b / kappa]
-        stack = np.stack(pts)
-        margin = max(1.0, float(np.max(np.abs(stack)))) * 0.5
-        w_lo = np.min(stack, axis=0) - margin
-        w_hi = np.max(stack, axis=0) + margin
-        for _ in range(4):
-            # clamp the window into Omega; a face of Omega is a genuine
-            # boundary, an unclamped window face is artificial
-            lo = problem.omega.project(w_lo)
-            hi = problem.omega.project(w_hi)
-            best = _grid_argmin(kappa, b, lo, hi, grid_resolution)
-            on_artificial = (((best - lo < 2.0 * grid_resolution)
-                              & (lo == w_lo))
-                             | ((hi - best < 2.0 * grid_resolution)
-                                & (hi == w_hi)))
-            if not np.any(on_artificial):
-                return bool(np.linalg.norm(best - x_k) <= tol)
-            span = w_hi - w_lo
-            w_lo = w_lo - span
-            w_hi = w_hi + span
-        return None
-    # projected-gradient fallback for higher dimension
-    u = x_k.copy()
-    eta = 1.0 / kappa
-    for _ in range(100_000):
-        u_next = problem.omega.project(u - eta * (kappa * u + b))
-        if np.linalg.norm(u_next - u) <= 1e-12 * (1.0 + np.linalg.norm(u)):
-            return bool(np.linalg.norm(u_next - x_k) <= tol)
-        u = u_next
-    return None
+    kappa, b, b_size = _anchor_quadratic(model, x_prev, a)
+    lo, hi = problem.omega.lo, problem.omega.hi
+    if not np.all((lo <= x_k) & (x_k <= hi)):
+        return False
+    resid = _kernels._interval_dist(-(kappa * x_k + b), x_k, lo, hi, 0.0)
+    scale = np.linalg.norm(kappa * np.abs(x_k) + b_size)
+    return bool(np.linalg.norm(resid) <= 16.0 * np.finfo(float).eps
+                * math.sqrt(x_k.shape[0]) * scale)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,20 @@
-"""Seeded quadratic test instances and exhaustive low-dimensional oracles.
+"""Seeded quadratic test instances, exact low-dimensional oracles, files.
 
 ``generate_qp`` builds box-constrained quadratics with a prescribed spectrum:
 the diagonal of chosen eigenvalues is conjugated by a product of random
 Householder reflections, so the curvature constants reported for auditing
-are exact by construction rather than estimated.  ``brute_force_stationary``
-and ``global_min_phi`` are the independent dense-grid oracles (dimension at
-most 2) that the test suite checks solver output against.  Both call one
-kernel each, ``_kernels.qp_stationary_scan`` and ``_kernels.qp_grid_argmin``,
-which evaluate the quadratic over ``_kernels.grid_blocks``; a zero-width
-box coordinate is the single grid point lo.  For pure box instances the
-stationary-point oracle additionally enumerates all 3^n active-set sign
-patterns, which is exact up to linear-solve precision.
+are exact by construction rather than estimated.  ``active_set_stationary``
+and ``global_min_phi`` are the independent oracles (dimension at most 6)
+that the test suite checks solver output against: an enumeration of the
+active sets of a box or l1-plus-box quadratic, whose candidates are
+accepted by the stationarity kernel ``_kernels._interval_dist``, and the
+least phi over the points it returns.
 """
 
 from __future__ import annotations
 
 import binascii
+import itertools
 import json
 import math
 import operator
@@ -26,12 +25,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .problems import Array, CompositeProblem
+from .problems import Array, CompositeProblem, phi
 from .prox import BoxIndicator, L1PlusBox, Projector
 
 __all__ = [
     "QuadraticSpec", "QuadraticOracle", "generate_qp", "make_qp_problem",
-    "brute_force_stationary", "active_set_stationary", "global_min_phi",
+    "active_set_stationary", "global_min_phi",
     "save_instance", "load_instance", "default_start",
 ]
 
@@ -64,8 +63,8 @@ _Q_BLOCK = 131072
 class QuadraticOracle:
     """Smooth oracle f(u) = 0.5 u'Qu + c'u with its structure exposed.
 
-    Exposing Q and c lets the dense-grid oracles evaluate millions of grid
-    points without going through the scalar callables.
+    Exposing Q and c lets the exact oracles solve for stationary points
+    instead of going through the scalar callables.
 
     ``value`` and ``grad`` share a one-slot memo of the product Q @ u: a
     call reuses the stored product when ``u`` is the very array object of
@@ -261,99 +260,81 @@ def _box_qp_parts(problem: CompositeProblem, use: str):
     raise TypeError(f"{use} need a box or L1-plus-box regularizer")
 
 
-def _require_grid_problem(problem: CompositeProblem):
-    if problem.dimension > 2:
-        raise ValueError("dense-grid oracles support dimension <= 2 only")
-    return _box_qp_parts(problem, "dense-grid oracles")
-
-
-_SCAN_CAP = 6_000_000
-
-
-def brute_force_stationary(problem: CompositeProblem,
-                           grid_resolution: float = 1e-4) -> List[Array]:
-    """Every grid point whose exact stationarity residual is grid-small.
-
-    The residual at u is the Euclidean distance from -grad f(u) to the
-    closed-form subdifferential of h at u; points pass when it is below
-    (lipschitz + 1) * resolution * sqrt(n).  For pure box instances the
-    exact active-set enumeration solutions are appended as well.
-    """
-    smooth, reg, wl1 = _require_grid_problem(problem)
-    lo, hi = reg.domain_box
-    tol = (smooth.audit_lipschitz + 1.0) * grid_resolution * math.sqrt(
-        problem.dimension)
-    pts: List[Array] = list(_kernels.qp_stationary_scan(
-        smooth.Q, smooth.c, wl1, lo, hi, grid_resolution, tol, _SCAN_CAP))
-    if wl1 == 0.0:
-        pts.extend(active_set_stationary(problem))
-    return pts
-
-
 def active_set_stationary(problem: CompositeProblem) -> List[Array]:
-    """Exact stationary points of a box-constrained quadratic.
+    """Exact stationary points of a box or L1-plus-box quadratic, n <= 6.
 
-    Enumerates all 3^n patterns assigning each coordinate to its lower bound,
-    its upper bound, or the free set; solves the free block and keeps
-    solutions that are primal feasible with a consistent gradient sign on
-    the active coordinates.
+    A brute-force enumeration of active sets: each coordinate sits at lo,
+    at hi or (when the l1 weight w > 0) at the kink 0, or it is free with a
+    sign sigma (+-1 when w > 0, else 0).  A free block F solves
+    Q_FF u_F = -(c_F + Q_FA u_A + w sigma_F) by ``lstsq``, which also takes
+    a singular block.  A candidate inside the box is kept when the kernel
+    ``_kernels._interval_dist``, the distance from -grad f(u) to the
+    subdifferential of h at u, has norm at most
+    16 eps sqrt(n) (||Q||_inf ||u||_inf + ||c||_inf + w).  Each coordinate
+    of that residual sums at most n + 2 terms, each bounded by the bracket,
+    so evaluating it rounds by at most (n + 2) eps times the bracket, and
+    the lstsq solve (backward stable, singular values under n eps of the
+    largest dropped) leaves a residual of about n eps times it more: the
+    constant 16 covers 2n + 2 for n <= 6, the dimensions whose 5^n patterns
+    the enumeration can afford; larger n raises ValueError.  Points within
+    1e-9 of a kept one are dropped.
     """
-    if not isinstance(problem.smooth, QuadraticOracle):
-        raise TypeError("active-set enumeration needs a QuadraticOracle")
-    if not isinstance(problem.regularizer, BoxIndicator):
-        raise TypeError("active-set enumeration needs a pure box regularizer")
-    Q = problem.smooth.Q
-    c = problem.smooth.c
-    lo, hi = problem.regularizer.domain_box
+    smooth, reg, w = _box_qp_parts(problem, "active-set oracles")
     n = problem.dimension
-    tol = 1e-10
+    if n > 6:
+        raise ValueError("the active-set enumeration supports dimension "
+                         "<= 6 only")
+    Q, c = smooth.Q, smooth.c
+    lo, hi = reg.domain_box
+    size_q, size_c = np.abs(Q).sum(axis=1).max(), np.abs(c).max()
+    tol = 16.0 * np.finfo(float).eps * math.sqrt(n)
+    # per coordinate, (fixed value, sign) pairs; a NaN value marks it free
+    kinks, signs = ((0.0,), (-1.0, 1.0)) if w > 0.0 else ((), (0.0,))
+    options = []
+    for l, h in zip(lo.tolist(), hi.tolist()):
+        fixed = [v for v in dict.fromkeys((l, h) + kinks)
+                 if math.isfinite(v) and l <= v <= h]
+        options.append([(v, 0.0) for v in fixed]
+                       + [(math.nan, s) for s in signs])
     sols: List[Array] = []
-    for code in range(3 ** n):
-        pattern = []
-        z = code
-        for _ in range(n):
-            pattern.append(z % 3)  # 0: at lo, 1: free, 2: at hi
-            z //= 3
-        free = [i for i, p in enumerate(pattern) if p == 1]
-        u = np.where(np.array(pattern) == 0, lo, hi).astype(np.float64)
-        if free:
-            F = np.array(free)
-            act = np.array([i for i in range(n) if i not in free], dtype=int)
-            rhs = -(c[F] + (Q[np.ix_(F, act)] @ u[act] if act.size else 0.0))
-            QFF = Q[np.ix_(F, F)]
-            try:
-                uf = np.linalg.solve(QFF, rhs)
-            except np.linalg.LinAlgError:
-                uf, *_ = np.linalg.lstsq(QFF, rhs, rcond=None)
-            if np.linalg.norm(QFF @ uf - rhs) > tol * (1.0 + np.abs(rhs).max()):
-                continue
-            u[F] = uf
-            if np.any(uf < lo[F] - tol) or np.any(uf > hi[F] + tol):
-                continue
-            u[F] = np.clip(uf, lo[F], hi[F])
-        g = Q @ u + c
-        ok = True
-        for i, p in enumerate(pattern):
-            if p == 0 and g[i] < -tol:
-                ok = False
-                break
-            if p == 2 and g[i] > tol:
-                ok = False
-                break
-        if not ok:
+    for pattern in itertools.product(*options):
+        u, sigma = np.array(pattern).T
+        free = np.isnan(u)
+        if free.any():
+            act = ~free
+            rhs = -(c[free] + Q[np.ix_(free, act)] @ u[act] + w * sigma[free])
+            u[free] = np.linalg.lstsq(Q[np.ix_(free, free)], rhs,
+                                      rcond=None)[0]
+        if not np.all((lo <= u) & (u <= hi)):
+            continue
+        resid = _kernels._interval_dist(-(Q @ u + c), u, lo, hi, w)
+        if np.linalg.norm(resid) > tol * (size_q * np.abs(u).max()
+                                          + size_c + w):
             continue
         if all(np.linalg.norm(u - s) > 1e-9 for s in sols):
             sols.append(u)
     return sols
 
 
-def global_min_phi(problem: CompositeProblem,
-                   grid_resolution: float = 1e-4) -> Tuple[Array, float]:
-    """Dense-grid minimizer of phi over dom h (dimension <= 2)."""
-    smooth, reg, wl1 = _require_grid_problem(problem)
-    lo, hi = reg.domain_box
-    return _kernels.qp_grid_argmin(smooth.Q, smooth.c, wl1, lo, hi,
-                                   grid_resolution)
+def global_min_phi(problem: CompositeProblem) -> Tuple[Array, float]:
+    """(u, phi(u)) at the first of the ``active_set_stationary`` points
+    with the least phi: the global minimum of phi over a bounded box.
+
+    phi is continuous on the compact box, so it attains its minimum, and a
+    minimizer is stationary.  Take a minimizer u* with the fewest free
+    coordinates; its pattern's lstsq point u' solves the same free system.
+    On that face phi is a quadratic in u_F whose gradient vanishes on the
+    solution set, so phi is constant there, along the segment from u* to
+    u'.  Had the segment left the face (a coordinate reaching a bound or
+    0), the exit point would be a minimizer with fewer free coordinates;
+    so u' lies in the face, is a minimizer, is stationary, and is kept.
+    Raises ValueError for a box with an infinite bound.
+    """
+    lo, hi = problem.regularizer.domain_box
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("global_min_phi needs a bounded box")
+    return min(((u, phi(problem, u)) for u in active_set_stationary(problem)),
+               key=operator.itemgetter(1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ test also emits a ``CRITERION NN <name>: PASS|FAIL`` line on stdout
 The shared corpus is 20 seeded box-constrained quadratics, alternating
 strongly convex and indefinite curvature, each solved once from a seeded
 random start and audited.  Criteria that need fresh runs (tolerance
-sweeps, baseline equivalence, grid scans) build their own instances.
+sweeps, baseline equivalence, exact stationary points) build their own
+instances.
 """
 
 import math
@@ -29,7 +30,7 @@ from varfista.diagnostics import (
 )
 from varfista.gallery import (
     QuadraticSpec,
-    brute_force_stationary,
+    active_set_stationary,
     default_start,
     generate_qp,
     make_qp_problem,
@@ -135,8 +136,8 @@ def test_criterion_04_certificates_verify_across_tolerances():
             f"verified={checks}/{total} worst resid/rho={worst:.2e}")
 
 
-def _scan_instances():
-    """1-D and 2-D instances small enough for a dense grid scan."""
+def _small_instances():
+    """1-D and 2-D instances: faces, kinks, concave and l1 cases."""
     def one_d(q, c, lo, hi, w=0.0):
         return make_qp_problem(np.array([[q]]), np.array([c]),
                                np.array([lo]), np.array([hi]), l1_weight=w)
@@ -161,18 +162,18 @@ def _scan_instances():
     ]
 
 
-def test_criterion_05_brute_force_agreement():
+def test_criterion_05_exact_stationary_agreement():
     cfg = SolverConfig(rho_hat=1e-8, max_outer_iterations=20_000)
     worst = 0.0
     hits = 0
-    instances = _scan_instances()
+    instances = _small_instances()
     for prob in instances:
         cert, _, _ = solve(prob, cfg, default_start(prob))
-        points = brute_force_stationary(prob, 1e-4)
+        points = active_set_stationary(prob)
         dist = min(float(np.linalg.norm(cert.y_hat - p)) for p in points)
         worst = max(worst, dist)
         hits += bool(cert.converged and dist <= 2e-4)
-    _report(5, "brute-force-agreement", hits == len(instances),
+    _report(5, "exact-stationary-agreement", hits == len(instances),
             f"matched={hits}/{len(instances)} worst_dist={worst:.2e}")
 
 

@@ -338,6 +338,30 @@ def test_baseline_solvers_run(capsys, solver):
     assert doc["audit"]["checks"][0]["name"] == "certificate-membership"
 
 
+def test_baseline_certificate_check_measures_v_hat(capsys, monkeypatch):
+    # v_hat + 10 outward at a coordinate of y_hat on the box stays in
+    # grad f + the normal cone there, so only ||v_hat|| <= rho_hat fails
+    import varfista.cli as cli
+    from dataclasses import replace
+    run = cli.run_fista_constant
+
+    def outward(problem, config, y0):
+        cert, trace = run(problem, config, y0)
+        y, (lo, hi) = cert.y_hat, problem.regularizer.domain_box
+        i = int(np.flatnonzero((y == lo) | (y == hi))[0])
+        v = cert.v_hat.copy()
+        v[i] += 10.0 if y[i] == hi[i] else -10.0
+        return replace(cert, v_hat=v), trace
+
+    monkeypatch.setattr(cli, "run_fista_constant", outward)
+    code, out, _ = _run(capsys, ["solve", "--instance", ROUGH, "--solver",
+                                 "fista", "--rho", "1e-6", "--lambda0",
+                                 "0.099", "--audit"])
+    doc = json.loads(out)
+    assert doc["certificate"]["converged"] is True
+    assert doc["audit"]["passed"] is False and code == 3
+
+
 # ---------------------------------------------------------------------------
 # slope
 # ---------------------------------------------------------------------------

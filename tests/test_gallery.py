@@ -1,16 +1,18 @@
-"""Instance generation, dense-grid oracles, active-set enumeration, files."""
+"""Instance generation, the exact active-set oracles, instance files."""
 
 import base64
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varfista import _kernels
 from varfista.gallery import (QuadraticOracle, QuadraticSpec,
-                              active_set_stationary, brute_force_stationary,
-                              default_start, generate_qp, global_min_phi,
-                              load_instance, make_qp_problem, save_instance)
+                              active_set_stationary, default_start,
+                              generate_qp, global_min_phi, load_instance,
+                              make_qp_problem, save_instance)
 from varfista.audit import audit_corpus
 from varfista.problems import CompositeProblem, SmoothOracle, phi
 from varfista.prox import L1PlusBox, Projector
@@ -91,11 +93,9 @@ def test_global_min_on_face_instance():
 
 
 def test_brute_force_on_face_instance():
-    pts = brute_force_stationary(_face_instance())
-    assert len(pts) >= 1
-    assert all(abs(p[0] - 1.0) <= 2e-4 for p in pts)
-    # the active-set enumeration contributes the exact face point
-    assert any(p[0] == 1.0 for p in pts)
+    # the enumeration finds the face point, exactly, and nothing else
+    pts = active_set_stationary(_face_instance())
+    assert [p.tolist() for p in pts] == [[1.0]]
 
 
 def _concave_instance():
@@ -105,10 +105,12 @@ def _concave_instance():
 
 
 def test_brute_force_on_concave_instance():
-    pts = brute_force_stationary(_concave_instance())
-    clusters = np.unique(np.round([p[0] for p in pts], 3))
-    assert np.array_equal(clusters, [-1.0, -0.0, 1.0]) or \
-        np.array_equal(clusters, [-1.0, 0.0, 1.0])
+    # an l1 weight 0.25 adds the kink 0 and moves the interior points to
+    # +-0.25, where -grad f(u) = u meets 0.25 sign(u)
+    prob = make_qp_problem(np.array([[-1.0]]), np.array([0.0]),
+                           np.array([-1.0]), np.array([1.0]), l1_weight=0.25)
+    sols = sorted(s[0] for s in active_set_stationary(prob))
+    assert sols == [-1.0, -0.25, 0.0, 0.25, 1.0]
 
 
 def test_active_set_on_concave_instance():
@@ -133,30 +135,30 @@ def test_active_set_on_2d_saddle():
 
 
 def test_brute_force_2d_matches_active_set():
+    # phi on a 201 x 201 grid of the saddle's box: no grid point beats the
+    # exact minimum, and the best ones lie on exact stationary points
     prob = make_qp_problem(np.diag([2.0, -1.0]), np.zeros(2),
                            np.full(2, -1.0), np.full(2, 1.0))
-    pts = brute_force_stationary(prob, grid_resolution=1e-3)
+    axis = np.linspace(-1.0, 1.0, 201)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    grid_phi = prob.smooth.value(grid)
+    _, val = global_min_phi(prob)
+    assert val == -0.5 and grid_phi.min() == val
     exact = active_set_stationary(prob)
-    for s in exact:
-        assert min(np.linalg.norm(s - p) for p in pts) <= 1e-9
-    for p in pts:
-        assert min(np.linalg.norm(s - p) for s in exact) <= 2e-3 * 3.0
+    for u in grid[grid_phi == val]:
+        assert any(np.array_equal(u, s) for s in exact)
 
 
-def test_grid_oracles_on_a_zero_width_coordinate():
+def test_exact_oracles_on_a_zero_width_coordinate():
     # u1 is pinned to 0.25; along u0, f = u0^2 + 0.175 u0 + const has its
     # interior minimizer at -0.0875
     prob = make_qp_problem(np.array([[2.0, 0.3], [0.3, -1.0]]),
                            np.array([0.1, -0.2]), [-1.0, 0.25], [1.0, 0.25])
     exact = active_set_stationary(prob)
-    assert len(exact) == 1
-    arg, val = global_min_phi(prob, grid_resolution=1e-3)
-    assert arg[1] == 0.25 and abs(arg[0] - exact[0][0]) <= 1e-3
-    assert val == pytest.approx(phi(prob, exact[0]), abs=1e-6)
-    pts = brute_force_stationary(prob, grid_resolution=1e-3)
-    assert all(p[1] == 0.25 for p in pts)
-    for p in pts:
-        assert np.linalg.norm(p - exact[0]) <= 2e-3 * 3.0
+    assert len(exact) == 1 and exact[0][1] == 0.25
+    assert exact[0][0] == pytest.approx(-0.0875, abs=1e-15)
+    arg, val = global_min_phi(prob)
+    assert np.array_equal(arg, exact[0]) and val == phi(prob, exact[0])
 
 
 def test_l1_instance_shrinks_minimizer():
@@ -165,34 +167,42 @@ def test_l1_instance_shrinks_minimizer():
                            np.array([-1.0]), np.array([1.0]), l1_weight=0.3)
     assert isinstance(prob.regularizer, L1PlusBox)
     arg, val = global_min_phi(prob)
-    assert arg[0] == pytest.approx(0.35, abs=1e-4)
-    assert val == pytest.approx(-0.1225, abs=1e-6)
-    pts = brute_force_stationary(prob)
-    assert len(pts) >= 1
-    assert all(abs(p[0] - 0.35) <= 2e-4 for p in pts)
+    assert arg[0] == pytest.approx(0.35, abs=1e-15)
+    assert val == pytest.approx(-0.1225, abs=1e-15)
+    pts = active_set_stationary(prob)
+    assert len(pts) == 1 and pts[0][0] == pytest.approx(0.35, abs=1e-15)
 
 
 def test_l1_kink_is_captured_as_stationary():
     # c inside the subdifferential at 0: stationary exactly at the kink
     prob = make_qp_problem(np.array([[2.0]]), np.array([-0.2]),
                            np.array([-1.0]), np.array([1.0]), l1_weight=0.5)
-    pts = brute_force_stationary(prob)
-    assert any(abs(p[0]) <= 1e-4 for p in pts)
+    assert [p.tolist() for p in active_set_stationary(prob)] == [[0.0]]
     arg, _ = global_min_phi(prob)
-    assert abs(arg[0]) <= 1e-4
+    assert arg[0] == 0.0
 
 
 def test_flat_instance_every_point_stationary():
+    # f = 0: the kernel reads 0 at every point of [-1, 1], faces included;
+    # the enumeration returns the faces and lstsq's least-norm point 0
     prob = make_qp_problem(np.array([[0.0]]), np.array([0.0]),
                            np.array([-1.0]), np.array([1.0]))
-    pts = brute_force_stationary(prob, grid_resolution=1e-2)
-    assert len(pts) >= 201  # the whole grid, plus active-set extras
+    for u in np.linspace(-1.0, 1.0, 201):
+        x = np.array([u])
+        assert _kernels._interval_dist(-prob.smooth.grad(x), x, -1.0, 1.0,
+                                       0.0)[0] == 0.0
+    pts = active_set_stationary(prob)
+    assert sorted(p[0] for p in pts) == [-1.0, 0.0, 1.0]
+    assert global_min_phi(prob)[1] == 0.0
 
 
-def test_dense_grid_oracles_reject_bad_problems():
-    with pytest.raises(ValueError):
-        brute_force_stationary(generate_qp(
-            QuadraticSpec(n=3, eig_lo=1.0, eig_hi=2.0)))
+def test_exact_oracles_reject_bad_problems():
+    with pytest.raises(ValueError, match="dimension <= 6"):
+        active_set_stationary(generate_qp(
+            QuadraticSpec(n=7, eig_lo=1.0, eig_hi=2.0)))
+    with pytest.raises(ValueError, match="bounded box"):
+        global_min_phi(make_qp_problem(np.eye(1), np.zeros(1), [-np.inf],
+                                       [1.0]))
     from varfista.problems import SmoothOracle
     from varfista.prox import BoxIndicator
     nonquad = CompositeProblem(
@@ -203,6 +213,59 @@ def test_dense_grid_oracles_reject_bad_problems():
         global_min_phi(nonquad)
     with pytest.raises(TypeError):
         active_set_stationary(nonquad)
+
+
+def _random_box_qp(n, seed, l1, pinned):
+    """Q = V diag(U(-3, 3)) V' (indefinite as a rule), c = N(0, 1), a box
+    of random sides around 0, coordinate 0 pinned to a point when asked,
+    and an l1 weight of 0.3 when asked."""
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = V @ np.diag(rng.uniform(-3.0, 3.0, n)) @ V.T
+    lo, hi = -rng.uniform(0.2, 1.5, n), rng.uniform(0.2, 1.5, n)
+    if pinned:
+        lo[0] = hi[0] = rng.uniform(-0.5, 0.5)
+    return make_qp_problem(0.5 * (Q + Q.T), rng.standard_normal(n), lo, hi,
+                           l1_weight=0.3 if l1 else 0.0)
+
+
+def _same_points(a, b):
+    return len(a) == len(b) and all(
+        min(np.linalg.norm(p - q) for q in b) <= 1e-9 for p in a)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       l1=st.booleans(), pinned=st.booleans())
+def test_exact_oracle_properties(n, seed, l1, pinned):
+    prob = _random_box_qp(n, seed, l1, pinned)
+    Q, c = prob.smooth.Q, prob.smooth.c
+    lo, hi = prob.regularizer.domain_box
+    w = 0.3 if l1 else 0.0
+    pts = active_set_stationary(prob)
+    assert pts  # a continuous phi on a compact box has a minimizer
+    # every point lies in the box and passes the kernel
+    for u in pts:
+        assert np.all((lo <= u) & (u <= hi))
+        r = _kernels._interval_dist(-(Q @ u + c), u, lo, hi, w)
+        scale = np.abs(Q).sum(axis=1).max() * np.abs(u).max() \
+            + np.abs(c).max() + w
+        assert np.linalg.norm(r) <= 16 * 2.0 ** -52 * np.sqrt(n) * scale
+    # the least phi lies below phi at random points of the box and at y_hat
+    _, val = global_min_phi(prob)
+    rng = np.random.default_rng(seed ^ 1)
+    for u in lo + rng.random((50, n)) * (hi - lo):
+        assert val <= phi(prob, u) + 1e-12
+    cert, _, _ = solve(prob, SolverConfig(rho_hat=1e-8,
+                                          max_outer_iterations=5000),
+                       default_start(prob))
+    assert val <= phi(prob, cert.y_hat) + 1e-12
+    # permuting the coordinates permutes the returned set
+    perm = rng.permutation(n)
+    swapped = make_qp_problem(Q[np.ix_(perm, perm)], c[perm], lo[perm],
+                              hi[perm], l1_weight=w)
+    assert _same_points(active_set_stationary(swapped),
+                        [u[perm] for u in pts])
 
 
 def _signed_zero_subnormal_instance():

@@ -28,8 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 UNUSED_ALLOWED = {
     "check_xk_optimality": "README-documented test oracle (anchor step)",
     "ModelFunction.minorant": "README-documented test oracle (model bound)",
-    "brute_force_stationary": "README-documented test oracle (grid scan)",
-    "global_min_phi": "README-documented test oracle (grid minimum)",
+    "global_min_phi": "README-documented test oracle (exact minimum)",
 }
 
 
