@@ -100,6 +100,13 @@ def test_replay_without_metadata_flags_one_ulp_of_L():
         f"lower-curvature-replay: FAIL  (first mismatch at k={len(trace)})"]
 
 
+def test_audit_rejects_empty_run():
+    prob, cfg, cert, trace, ledger, y0 = _audited_run(CONVEX)
+    report = audit_run(prob, cfg, cert, IterationTrace(y0, cfg.lambda0),
+                       ledger, y0)
+    assert not report.passed
+
+
 def test_tampered_trace_is_flagged_with_iteration_index():
     prob, cfg, cert, trace, ledger, y0 = _audited_run(ROUGH)
     k_bad = min(3, len(trace) - 1)
@@ -109,6 +116,15 @@ def test_tampered_trace_is_flagged_with_iteration_index():
     offset = {c.name: c for c in report.checks}["momentum-offset-identity"]
     assert not offset.passed
     assert f"k={k_bad + 1}" in offset.detail
+
+
+def test_tampered_stepsize_monotonicity_is_flagged():
+    prob, cfg, cert, trace, ledger, y0 = _audited_run(CONVEX)
+    if len(trace) >= 2:
+        trace.lam[-1] = trace.lam[-2] * 1.5
+    report = audit_run(prob, cfg, cert, trace, ledger, y0)
+    byname = {c.name: c for c in report.checks}
+    assert not byname["stepsize-positive-nonincreasing"].passed
 
 
 def _set(column, index, value):

@@ -135,8 +135,7 @@ def test_anchor_formula_matches_subproblem_argmin_unconstrained():
 
 def test_anchor_check_accepts_solver_runs():
     for spec in (QuadraticSpec(n=1, eig_lo=2.0, eig_hi=2.0, seed=3),
-                 QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0, seed=6),
-                 QuadraticSpec(n=3, eig_lo=1.0, eig_hi=5.0, seed=1)):
+                 QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0, seed=6)):
         # a long run: x_k's rounding grows with a_k |y_k| / lam, not |b|
         prob = generate_qp(spec)
         _, (cert, trace, ledger) = _run(prob, iters=300)
@@ -161,6 +160,23 @@ def test_anchor_check_flags_wrong_point():
     # one part in a billion is far above the roundoff the check allows
     assert check_xk_optimality(prob, model, xs[i] * (1.0 + 1e-9), x_prev,
                                a[i]) is False
+
+
+def test_anchor_check_projected_gradient_fallback():
+    # dimension 3, where the anchor check once iterated: the same KKT
+    # residual as n = 1 and 2 accepts each x_k and flags a moved one
+    prob = generate_qp(QuadraticSpec(n=3, eig_lo=1.0, eig_hi=5.0, seed=1))
+    _, (cert, trace, ledger) = _run(prob, iters=300)
+    a, xs = replay_anchors(prob, trace)
+    x_prev = default_start(prob)
+    for i in range(len(trace)):
+        model = _model_at(trace, ledger, prob, i)
+        ok = check_xk_optimality(prob, model, xs[i], x_prev, a[i])
+        assert ok is True, f"iteration {i + 1}"
+        x_prev = xs[i]
+    i = len(trace) - 1
+    assert check_xk_optimality(prob, _model_at(trace, ledger, prob, i),
+                               xs[i] + 0.05, xs[i - 1], a[i]) is False
 
 
 @pytest.mark.parametrize("seed", range(4))
