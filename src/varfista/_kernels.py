@@ -5,7 +5,8 @@ The audit scans history rows and best-point segments in bounded blocks
 one vector per run (``history_margin``).  ``_interval_dist`` is the one
 stationarity kernel: the coordinatewise distance from a vector to the
 subdifferential of a box-plus-l1 regularizer, which the exact oracles of
-``gallery`` and the anchor check of ``diagnostics`` both measure with.
+``gallery``, the anchor check of ``diagnostics`` and the certificate check
+of ``problems`` all measure with.
 """
 
 from __future__ import annotations

@@ -23,12 +23,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .audit import AuditReport, CheckResult, audit_run, \
+from .audit import AuditReport, audit_run, certificate_check, \
     corrupt_gradient_oracle, run_audit_suite
 from .baselines import run_fista_constant, run_prox_gradient
 from .gallery import (QuadraticSpec, _problem_from_document, default_start,
                       generate_qp)
-from .problems import CompositeProblem, phi, verify_certificate
+from .problems import CompositeProblem, phi
 from .solver import (NumericalFailure, RepeatCapExhausted, SolverConfig,
                      solve)
 
@@ -179,12 +179,8 @@ def _cmd_solve(args) -> int:
             else run_prox_gradient
         cert, trace = runner(problem, config, y0)
         if args.audit:
-            ok = (not cert.converged
-                  or verify_certificate(problem, cert, s=1.0, tol=1e-8,
-                                        rho_hat=args.rho))
-            audit_section = AuditReport([CheckResult(
-                "certificate-membership", ok,
-                "baseline run: certificate check only")])
+            audit_section = AuditReport([certificate_check(problem, cert,
+                                                           args.rho)])
 
     if args.trace:
         trace.write_csv(args.trace)

@@ -1,8 +1,8 @@
-"""Post-run diagnostics: model functions, analytic bounds, independent checks.
+"""Post-run diagnostics: analytic bounds and independent checks.
 
 Everything here re-derives properties of a finished run from recorded data;
 nothing feeds back into the solver.  The anchor-point check rebuilds each
-iteration's anchor subproblem from the model and tests the recorded anchor
+iteration's anchor subproblem from its record and tests the recorded anchor
 by its KKT residual through the stationarity kernel
 ``_kernels._interval_dist``, a route to the anchor that shares no code with
 the solver's closed-form update.
@@ -20,43 +20,9 @@ from .problems import Array, CompositeProblem
 from .solver import SolverConfig
 
 __all__ = [
-    "ModelFunction", "TheoreticalBounds", "DriftReport",
-    "check_xk_optimality", "check_xk_drift",
+    "TheoreticalBounds", "DriftReport", "check_xk_optimality",
+    "check_xk_drift",
 ]
-
-
-@dataclass(frozen=True)
-class ModelFunction:
-    """The two per-iteration models of phi around one accepted step.
-
-    ``surrogate`` is the regularized linearization whose prox minimizer is
-    y_k; ``minorant`` is its tangent expansion at y_k plus the same strong
-    convexity term, so minorant <= surrogate everywhere with equality at y_k.
-    ``x_tilde``, ``f_at`` and ``grad_at`` are the iteration's linearization
-    record, as ``HistoryLedger.record_arrays`` returns its first three
-    arrays.
-    """
-
-    x_tilde: Array
-    f_at: float
-    grad_at: Array
-    y_k: Array
-    lam_k: float
-    tau_k: float
-    regularizer: object
-
-    def surrogate(self, u: Array) -> float:
-        d = u - self.x_tilde
-        lin = self.f_at + float(self.grad_at @ d)
-        quad = (self.tau_k / (2.0 * self.lam_k)) * float(d @ d)
-        return lin + self.regularizer.value(u) + quad
-
-    def minorant(self, u: Array) -> float:
-        base = self.surrogate(self.y_k)
-        d = u - self.y_k
-        inner = float((self.x_tilde - self.y_k) @ d) / self.lam_k
-        quad = (self.tau_k / (2.0 * self.lam_k)) * float(d @ d)
-        return base + inner + quad
 
 
 @dataclass(frozen=True)
@@ -88,37 +54,41 @@ class TheoreticalBounds:
                    D_h=D_h, C=float(C))
 
 
-def _anchor_quadratic(model: ModelFunction, x_prev: Array, a: float):
-    """The anchor subproblem  a * minorant(u) + ||u - x_prev||^2 / (2 lam)
-    as 0.5 * kappa ||u||^2 + b.u (constant dropped), with the magnitudes of
-    the terms of b, coordinatewise."""
-    lam = model.lam_k
-    tau = model.tau_k
+def _anchor_quadratic(x_tilde: Array, y_k: Array, lam: float, tau: float,
+                      x_prev: Array, a: float):
+    """The anchor subproblem  a * m(u) + ||u - x_prev||^2 / (2 lam)  of the
+    iteration with record x_tilde, prox point y_k, stepsize lam and offset
+    tau, where m(u) = <x_tilde - y_k, u - y_k> / lam
+    + (tau / (2 lam)) ||u - y_k||^2 is the iteration's model of phi at y_k
+    up to a constant, as 0.5 * kappa ||u||^2 + b.u (constant dropped), with
+    the magnitudes of the terms of b, coordinatewise."""
     kappa = (a * tau + 1.0) / lam
-    b = ((a / lam) * (model.x_tilde - model.y_k)
-         - (a * tau / lam) * model.y_k - x_prev / lam)
-    b_size = ((a / lam) * (np.abs(model.x_tilde) + np.abs(model.y_k))
-              + (a * tau / lam) * np.abs(model.y_k) + np.abs(x_prev) / lam)
+    b = (a / lam) * (x_tilde - y_k) - (a * tau / lam) * y_k - x_prev / lam
+    b_size = ((a / lam) * (np.abs(x_tilde) + np.abs(y_k))
+              + (a * tau / lam) * np.abs(y_k) + np.abs(x_prev) / lam)
     return kappa, b, b_size
 
 
-def check_xk_optimality(problem: CompositeProblem, model: ModelFunction,
-                        x_k: Array, x_prev: Array, a: float) -> bool:
+def check_xk_optimality(problem: CompositeProblem, x_tilde: Array,
+                        y_k: Array, lam_k: float, tau_k: float, x_k: Array,
+                        x_prev: Array, a: float) -> bool:
     """Does x_k minimize the anchor subproblem over Omega?
 
-    The subproblem 0.5 kappa ||u||^2 + b.u (``_anchor_quadratic``) is
-    strongly convex, so x_k minimizes it over the box Omega exactly when x_k
-    lies in Omega and -(kappa x_k + b) lies in the normal cone of Omega at
-    x_k, that is, when the stationarity kernel ``_kernels._interval_dist``
-    (l1 weight 0) reads 0.  Its norm passes at 16 eps sqrt(n) times the
-    norm of kappa |x_k| plus the magnitudes of the terms of b: each
-    coordinate of the residual is a sum of those terms, and x_k itself
-    comes from a difference of multiples of y_k and y_{k-1} about a_k times
-    larger than x_k, so its rounding scales with a_k |y_k| / lam, the size
-    of the terms of b, not with |b|.  On solver runs of n = 1 to 20 up to
+    The iteration is given by its record x_tilde, prox point y_k, stepsize
+    lam_k and offset tau_k.  The subproblem 0.5 kappa ||u||^2 + b.u
+    (``_anchor_quadratic``) is strongly convex, so x_k minimizes it over
+    the box Omega exactly when x_k lies in Omega and -(kappa x_k + b) lies
+    in the normal cone of Omega at x_k, that is, when the stationarity
+    kernel ``_kernels._interval_dist`` (l1 weight 0) reads 0.  Its norm
+    passes at 16 eps sqrt(n) times the norm of kappa |x_k| plus the
+    magnitudes of the terms of b: each coordinate of the residual is a sum
+    of those terms, and x_k itself comes from a difference of multiples of
+    y_k and y_{k-1} about a_k times larger than x_k, so its rounding scales
+    with a_k |y_k| / lam, the size of the terms of b, not with |b|.  On solver runs of n = 1 to 20 up to
     K = 780 the accepted anchors read at most 0.6 eps sqrt(n).
     """
-    kappa, b, b_size = _anchor_quadratic(model, x_prev, a)
+    kappa, b, b_size = _anchor_quadratic(x_tilde, y_k, lam_k, tau_k, x_prev,
+                                         a)
     lo, hi = problem.omega.lo, problem.omega.hi
     if not np.all((lo <= x_k) & (x_k <= hi)):
         return False

@@ -246,18 +246,15 @@ def default_start(problem: CompositeProblem,
 
 
 def _box_qp_parts(problem: CompositeProblem, use: str):
-    """(oracle, regularizer, l1 weight) of a box or L1-plus-box quadratic.
+    """(oracle, regularizer) of a box or L1-plus-box quadratic.
 
     Raises TypeError, naming ``use``, for any other problem.
     """
     if not isinstance(problem.smooth, QuadraticOracle):
         raise TypeError(f"{use} need a QuadraticOracle")
-    reg = problem.regularizer
-    if isinstance(reg, L1PlusBox):
-        return problem.smooth, reg, reg.weight
-    if isinstance(reg, BoxIndicator):
-        return problem.smooth, reg, 0.0
-    raise TypeError(f"{use} need a box or L1-plus-box regularizer")
+    if not isinstance(problem.regularizer, (BoxIndicator, L1PlusBox)):
+        raise TypeError(f"{use} need a box or L1-plus-box regularizer")
+    return problem.smooth, problem.regularizer
 
 
 def active_set_stationary(problem: CompositeProblem) -> List[Array]:
@@ -279,7 +276,8 @@ def active_set_stationary(problem: CompositeProblem) -> List[Array]:
     the enumeration can afford; larger n raises ValueError.  Points within
     1e-9 of a kept one are dropped.
     """
-    smooth, reg, w = _box_qp_parts(problem, "active-set oracles")
+    smooth, reg = _box_qp_parts(problem, "active-set oracles")
+    w = reg.weight
     n = problem.dimension
     if n > 6:
         raise ValueError("the active-set enumeration supports dimension "
@@ -352,7 +350,7 @@ def save_instance(problem: CompositeProblem, path: str,
     subnormals and infinite box bounds included.  ``seed`` must be an integer
     (numpy integers are stored as ``int``).  The document is serialized
     before the file is opened, so a failure writes nothing."""
-    smooth, reg, wl1 = _box_qp_parts(problem, "instance files")
+    smooth, reg = _box_qp_parts(problem, "instance files")
     omega = problem.omega
     if not (np.all(omega.lo == -np.inf) and np.all(omega.hi == np.inf)):
         raise TypeError("instance files need Omega = R^n")
@@ -364,7 +362,7 @@ def save_instance(problem: CompositeProblem, path: str,
         "c": _encode_array(smooth.c),
         "box_lo": _encode_array(lo),
         "box_hi": _encode_array(hi),
-        "l1_weight": float(wl1),
+        "l1_weight": float(reg.weight),
         "lipschitz": float(smooth.audit_lipschitz),
         "curvature": float(smooth.audit_curvature),
         "seed": None if seed is None else operator.index(seed),

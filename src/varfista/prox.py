@@ -54,6 +54,7 @@ class BoxIndicator:
 
     lo: Array
     hi: Array
+    weight = 0.0  # the l1 weight, as ``L1PlusBox.weight``; not a field
 
     def __post_init__(self):
         box = Projector(self.lo, self.hi)  # float64 bounds, lo <= hi

@@ -283,6 +283,33 @@ def test_every_check_fails_in_some_row():
         == audit_check_names()
 
 
+@pytest.mark.parametrize("factor", [1.0, 1e8, 1e150, 1e-20, 1e-50])
+def test_audit_verdicts_keep_under_scaling_f_and_rho_hat(factor):
+    # Q, c, rho_hat and the audit constants times one factor: a correct run
+    # passes at every scale.  At 1e-20 and 1e-50 the first step
+    # lam grad f is below half an ulp of the start, so y_1 = y_0 and
+    # v_hat = 0, and solve reports converged at a point that is not
+    # stationary; the audit fails such a run on its certificate alone
+    for seed in range(10):
+        base = generate_qp(QuadraticSpec(n=20, eig_lo=-1.0, eig_hi=10.0,
+                                         seed=seed))
+        lo, hi = base.regularizer.domain_box
+        prob = make_qp_problem(
+            factor * base.smooth.Q, factor * base.smooth.c, lo, hi,
+            audit_lipschitz=factor * base.smooth.audit_lipschitz,
+            audit_curvature=factor * base.smooth.audit_curvature)
+        cfg = SolverConfig(rho_hat=1e-6 * factor)
+        y0 = default_start(prob, seed=0)
+        cert, trace, ledger = solve(prob, cfg, y0)
+        report = audit_run(prob, cfg, cert, trace, ledger, y0)
+        failed = {c.name for c in report.failures()}
+        if factor >= 1.0:
+            assert cert.converged and not failed, (seed, report.lines())
+        elif cert.converged:
+            assert failed == {"certificate-membership"}, (seed,
+                                                         report.lines())
+
+
 def test_corrupted_gradient_fails_metadata_checks():
     prob = generate_qp(ROUGH)
     bad = corrupt_gradient_oracle(prob, factor=1.6)
@@ -402,14 +429,12 @@ def test_audit_suite_names_first_failure_under_fault_injection():
 # sha256 over the joined report lines of a clean corpus suite and a
 # gradient-fault suite.  Any change to a verdict or a detail string changes
 # it.  The value-roundoff zero rule of the curvature gaps left these lines
-# byte-identical.  The last re-pin deleted the lines of four checks that
-# others imply or that could not fail (convex-stays-zero,
-# escalation-distinct-count, lower-curvature-nonnegative-nondecreasing,
-# analytic-constants), moved lower-curvature-replay ahead of
-# upper-curvature-bound and reworded the iterates-in-domain detail; every
-# verdict and every "FAILED first at" line is unchanged.
+# byte-identical.  The last re-pin reworded the certificate-membership
+# detail of a pass, "prox fixed point at 1e-8" to "least-norm subgradient
+# within rho_hat" (20 lines); every verdict and every "FAILED first at"
+# line is unchanged.
 AUDIT_REPORT_SHA256 = \
-    "cd1b386adb084f0a64f557b3e774a46be2ba01f32b161ca6b89fd60d874da093"
+    "06a87340e039e6b9fcc643a691324ffe5d06fa2db876cd2626752f692927bf79"
 
 
 def test_audit_reports_match_golden_hash():
@@ -427,9 +452,9 @@ def test_audit_reports_match_golden_hash():
 # share a block of the replay, late ones fill a block alone), the four
 # n=200 indefinite runs of tests/test_golden.py and one L1-plus-box run.
 # Each has a best point that is a rejected trial point.  The last re-pin
-# made the same three kinds of change as AUDIT_REPORT_SHA256's.
+# made the same rewording as AUDIT_REPORT_SHA256's (6 lines).
 AUDIT_REPLAY_SHA256 = \
-    "56ee119ab27521612571f862ddd6cd1400c8ca912c23f8d958e9c48b0072d76e"
+    "a61d24f4b5d2e3cf8e8dc5150f9ec52e90964288f8ef00243fe8fb96163b1b90"
 
 
 def _replay_golden_runs():

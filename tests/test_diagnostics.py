@@ -1,4 +1,4 @@
-"""Model functions, analytic run constants, anchor and drift rechecks."""
+"""Analytic run constants, anchor and drift rechecks."""
 
 import math
 
@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from varfista import _kernels
-from varfista.diagnostics import (DriftReport, ModelFunction,
-                                  TheoreticalBounds, check_xk_drift,
-                                  check_xk_optimality)
+from varfista.diagnostics import (DriftReport, TheoreticalBounds,
+                                  check_xk_drift, check_xk_optimality)
 from varfista.audit import audit_corpus, audit_run
-from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
-                              make_qp_problem)
+from varfista.gallery import QuadraticSpec, default_start, generate_qp
 from varfista.problems import CompositeProblem, SmoothOracle
 from varfista.prox import BoxIndicator, Projector
 from varfista.solver import SolverConfig, replay_anchors, solve
@@ -23,49 +21,34 @@ def _run(prob, iters=40, rho=1e-30, lambda0=1.0):
     return cfg, solve(prob, cfg, default_start(prob))
 
 
-def _model_at(trace, ledger, prob, i):
-    X, F, G, _ = ledger.record_arrays(i + 1)
-    return ModelFunction(x_tilde=X[i], f_at=float(F[i]), grad_at=G[i],
-                         y_k=trace.Y[i + 1], lam_k=trace.lam[i],
-                         tau_k=trace.tau[i], regularizer=prob.regularizer)
+def _record(trace, ledger, i):
+    """(x_tilde, y_k, lam_k, tau_k) of the iteration k = i + 1."""
+    return (ledger.record_arrays(i + 1)[0][i], trace.Y[i + 1], trace.lam[i],
+            trace.tau[i])
 
 
 # ---------------------------------------------------------------------------
-# model functions
+# the prox step
 # ---------------------------------------------------------------------------
-
-def test_minorant_supports_surrogate():
-    prob = generate_qp(QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0, seed=6))
-    _, (cert, trace, ledger) = _run(prob, iters=25)
-    rng = np.random.default_rng(0)
-    lo, hi = prob.regularizer.domain_box
-    for i in range(len(trace)):
-        model = _model_at(trace, ledger, prob, i)
-        # tangency at y_k is exact by construction
-        y = trace.Y[i + 1]
-        assert model.minorant(y) == model.surrogate(y)
-        for _ in range(20):
-            u = lo + rng.random(2) * (hi - lo)
-            s = model.surrogate(u)
-            m = model.minorant(u)
-            assert m <= s + 1e-9 * max(1.0, abs(s))
-
 
 def test_candidate_minimizes_surrogate_plus_prox_term():
-    # y_k is the prox point, so it minimizes
-    # surrogate(u) + ||u - x_tilde||^2 / (2 lam) over dom h
+    # y_k is the prox point, so it minimizes the surrogate
+    # f(x_tilde) + <grad f(x_tilde), d> + h(u) + (tau / (2 lam)) ||d||^2
+    # plus ||d||^2 / (2 lam), d = u - x_tilde, over dom h
     prob = generate_qp(QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0, seed=6))
     _, (cert, trace, ledger) = _run(prob, iters=25)
+    X, F, G, _ = ledger.record_arrays(len(trace))
     rng = np.random.default_rng(1)
     lo, hi = prob.regularizer.domain_box
     for i in range(0, len(trace), 5):
-        model = _model_at(trace, ledger, prob, i)
-        xt = model.x_tilde
-        lam = model.lam_k
+        lam, tau = trace.lam[i], trace.tau[i]
 
         def obj(u):
-            d = u - xt
-            return model.surrogate(u) + float(d @ d) / (2.0 * lam)
+            d = u - X[i]
+            lin = F[i] + float(G[i] @ d)
+            quad = (tau / (2.0 * lam)) * float(d @ d)
+            return (lin + prob.regularizer.value(u) + quad
+                    + float(d @ d) / (2.0 * lam))
 
         best = obj(trace.Y[i + 1])
         for _ in range(50):
@@ -125,8 +108,8 @@ def test_anchor_formula_matches_subproblem_argmin_unconstrained():
     a, xs = replay_anchors(prob, trace)
     x_prev = default_start(prob)
     for i in range(len(trace)):
-        model = _model_at(trace, ledger, prob, i)
-        kappa, b, _ = _anchor_quadratic(model, x_prev, a[i])
+        kappa, b, _ = _anchor_quadratic(*_record(trace, ledger, i), x_prev,
+                                        a[i])
         closed = -b / kappa
         assert np.linalg.norm(closed - xs[i]) <= 1e-9 * (
             1.0 + np.linalg.norm(xs[i]))
@@ -142,8 +125,8 @@ def test_anchor_check_accepts_solver_runs():
         a, xs = replay_anchors(prob, trace)
         x_prev = default_start(prob)
         for i in range(len(trace)):
-            model = _model_at(trace, ledger, prob, i)
-            ok = check_xk_optimality(prob, model, xs[i], x_prev, a[i])
+            ok = check_xk_optimality(prob, *_record(trace, ledger, i), xs[i],
+                                     x_prev, a[i])
             assert ok is True, f"iteration {i + 1}"
             x_prev = xs[i]
 
@@ -153,12 +136,12 @@ def test_anchor_check_flags_wrong_point():
     _, (cert, trace, ledger) = _run(prob, iters=10)
     a, xs = replay_anchors(prob, trace)
     i = len(trace) - 1
-    model = _model_at(trace, ledger, prob, i)
+    record = _record(trace, ledger, i)
     x_prev = xs[i - 1]
     wrong = xs[i] + 0.05
-    assert check_xk_optimality(prob, model, wrong, x_prev, a[i]) is False
+    assert check_xk_optimality(prob, *record, wrong, x_prev, a[i]) is False
     # one part in a billion is far above the roundoff the check allows
-    assert check_xk_optimality(prob, model, xs[i] * (1.0 + 1e-9), x_prev,
+    assert check_xk_optimality(prob, *record, xs[i] * (1.0 + 1e-9), x_prev,
                                a[i]) is False
 
 
@@ -170,12 +153,12 @@ def test_anchor_check_projected_gradient_fallback():
     a, xs = replay_anchors(prob, trace)
     x_prev = default_start(prob)
     for i in range(len(trace)):
-        model = _model_at(trace, ledger, prob, i)
-        ok = check_xk_optimality(prob, model, xs[i], x_prev, a[i])
+        ok = check_xk_optimality(prob, *_record(trace, ledger, i), xs[i],
+                                 x_prev, a[i])
         assert ok is True, f"iteration {i + 1}"
         x_prev = xs[i]
     i = len(trace) - 1
-    assert check_xk_optimality(prob, _model_at(trace, ledger, prob, i),
+    assert check_xk_optimality(prob, *_record(trace, ledger, i),
                                xs[i] + 0.05, xs[i - 1], a[i]) is False
 
 
@@ -199,14 +182,14 @@ def test_anchor_check_accepts_runs_whose_box_region_binds(seed):
     assert 1 <= len(on_face) <= 4
     x_prev = y0
     for i in range(len(trace)):
-        model = _model_at(trace, ledger, prob, i)
-        ok = check_xk_optimality(prob, model, xs[i], x_prev, a[i])
+        ok = check_xk_optimality(prob, *_record(trace, ledger, i), xs[i],
+                                 x_prev, a[i])
         assert ok is True, f"iteration {i + 1}"
         x_prev = xs[i]
     i = on_face[0]
     for step in (-0.05, 0.05):  # inward, and out of Omega
         moved = xs[i] + step * np.sign(xs[i])
-        assert check_xk_optimality(prob, _model_at(trace, ledger, prob, i),
+        assert check_xk_optimality(prob, *_record(trace, ledger, i),
                                    moved, xs[i - 1] if i else y0,
                                    a[i]) is False
     report = audit_run(prob, cfg, cert, trace, ledger, y0)

@@ -27,7 +27,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # Public names that nothing in src/ or perfbench/ uses, kept on purpose.
 UNUSED_ALLOWED = {
     "check_xk_optimality": "README-documented test oracle (anchor step)",
-    "ModelFunction.minorant": "README-documented test oracle (model bound)",
     "global_min_phi": "README-documented test oracle (exact minimum)",
 }
 
@@ -69,13 +68,14 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 
 def audit_check_names():
-    """The check names that ``audit_run`` passes to ``add`` and
-    ``add_unless``: string literals, except where ``add_unless`` passes its
-    own ``name`` on to ``add``."""
+    """The check names that ``audit.py`` passes to ``add``, ``add_unless``
+    and ``CheckResult``: string literals, except where ``add_unless`` and
+    ``add`` pass their own ``name`` on."""
     tree, = _trees("src/varfista/audit.py")
     names = [node.args[0] for node in ast.walk(tree)
              if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) in ("add", "add_unless")]
+             and getattr(node.func, "id", None) in ("add", "add_unless",
+                                                    "CheckResult")]
     assert all(isinstance(name, ast.Constant)
                or getattr(name, "id", None) == "name" for name in names)
     return {name.value for name in names if isinstance(name, ast.Constant)}
@@ -134,6 +134,16 @@ def test_the_zero_band_and_the_quotient_guard_are_formed_in_one_place():
     assert _readers("_ZERO_BAND") == ["_record_gap", "_zero_rule"]
     assert _readers("DENOM_EPSILON") == ["append_linearization",
                                          "run_fista_constant"]
+
+
+def test_the_prox_step_and_the_stationarity_kernel_have_one_copy_each():
+    # the solver's candidate is the one prox step in src/; the exact
+    # oracles, the anchor check and the certificate check all measure
+    # stationarity through the one kernel
+    assert _readers("prox") == ["compute_candidate"]
+    assert _readers("_interval_dist") == ["active_set_stationary",
+                                          "check_xk_optimality",
+                                          "verify_certificate"]
 
 
 _PRODUCT_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum",

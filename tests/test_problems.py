@@ -119,28 +119,29 @@ def test_verify_certificate_accepts_true_stationary_point():
     prob = _box_problem()
     # grad f(1) = -2 lies in -N_{[0,1]}(1), so v = 0 is valid at u = 1
     good = _cert([1.0], [0.0])
-    assert verify_certificate(prob, good)
+    assert verify_certificate(prob, good, 1e-6)
     assert verify_certificate(prob, good, rho_hat=1e-12)
 
 
 def test_verify_certificate_rejects_false_claims():
     prob = _box_problem()
-    assert not verify_certificate(prob, _cert([0.5], [0.0]))
-    # v must match the actual gradient excess, not just be small
-    assert not verify_certificate(prob, _cert([0.5], [1e-3]))
-    assert verify_certificate(prob, _cert([0.5], [-3.0]))  # 2(0.5) - 4
+    # at u = 0.5 the least-norm element of grad f + dh is grad f = -3
+    assert not verify_certificate(prob, _cert([0.5], [0.0]), 1e-6)
+    # a small v does not make a point stationary
+    assert not verify_certificate(prob, _cert([0.5], [1e-3]), 1e-2)
+    assert verify_certificate(prob, _cert([0.5], [-3.0]), 3.0)  # 2(0.5) - 4
     assert not verify_certificate(prob, _cert([0.5], [-3.0]), rho_hat=1.0)
+    # a point outside the box fails, whatever v claims
+    assert not verify_certificate(prob, _cert([1.5], [0.0]), 1e6)
 
 
-def test_verify_certificate_stepsize_independent():
-    prob = _box_problem()
-    good = _cert([1.0], [0.0])
-    bad = _cert([0.25], [0.0])
-    for s in (0.1, 1.0, 10.0):
-        assert verify_certificate(prob, good, s=s)
-        assert not verify_certificate(prob, bad, s=s)
-    with pytest.raises(ValueError):
-        verify_certificate(prob, good, s=0.0)
+def test_verify_certificate_needs_a_box_regularizer():
+    class Zero:
+        domain_box = (np.array([0.0]), np.array([1.0]))
+
+    prob = CompositeProblem(_quad_1d(), Zero(), Projector(), 1)
+    with pytest.raises(TypeError):
+        verify_certificate(prob, _cert([1.0], [0.0]), 1e-6)
 
 
 def test_problem_repr_names_region():
