@@ -5,10 +5,6 @@ rechecked here from the recorded trace, the committed history, and (when the
 instance carries analytic curvature metadata) the implied run constants.
 Each check is named; reports list them one per line, which is also the
 format the command-line audit suite prints.
-
-``corrupt_gradient_oracle`` is a fault-injection helper for negative tests:
-it scales the gradient oracle while keeping values and metadata, which the
-metadata-coupled checks are expected to flag.
 """
 
 from __future__ import annotations
@@ -23,14 +19,14 @@ from . import _kernels
 from .diagnostics import TheoreticalBounds, check_xk_drift
 from .gallery import QuadraticSpec, generate_qp
 from .momentum import check_schedule_bounds
-from .problems import (Array, Certificate, CompositeProblem, SmoothOracle,
+from .problems import (Array, Certificate, CompositeProblem,
                        verify_certificate)
 from .solver import (NOISE_MULT, HistoryLedger, IterationTrace,
                      NumericalFailure, SolverConfig, replay_anchors, solve)
 
 __all__ = [
     "CheckResult", "AuditReport", "certificate_check", "audit_run",
-    "corrupt_gradient_oracle", "audit_corpus", "run_audit_suite",
+    "audit_corpus", "run_audit_suite",
 ]
 
 
@@ -332,19 +328,6 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         f"at k={drift.worst_k} (C = {drift.C:.3g})")
 
     return AuditReport(checks)
-
-
-def corrupt_gradient_oracle(problem: CompositeProblem,
-                            factor: float = 1.6) -> CompositeProblem:
-    """Fault-injection fixture: scale the gradient, keep values and metadata."""
-    orig = problem.smooth
-    bad = SmoothOracle(
-        value_fn=orig.value,
-        grad_fn=lambda u: factor * np.asarray(orig.grad(u)),
-        audit_lipschitz=orig.audit_lipschitz,
-        audit_curvature=orig.audit_curvature)
-    return CompositeProblem(bad, problem.regularizer, problem.omega,
-                            problem.dimension)
 
 
 def audit_corpus(n_instances: int, seed: int) -> List[CompositeProblem]:

@@ -19,12 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .audit import AuditReport, audit_run, certificate_check, \
-    corrupt_gradient_oracle, run_audit_suite
+    run_audit_suite
 from .baselines import run_fista_constant, run_prox_gradient
 from .gallery import (QuadraticSpec, _problem_from_document, default_start,
                       generate_qp)
@@ -78,8 +79,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--seed", type=int, default=None,
                     help="seed for a random feasible start "
                          "(default: box midpoint)")
-    ps.add_argument("--inject-gradient-fault", type=float, default=None,
-                    help=argparse.SUPPRESS)
 
     pl = sub.add_parser("slope",
                         help="fit iterations vs tolerance on a log-log scale")
@@ -100,8 +99,6 @@ def _build_parser() -> _Parser:
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--iters", type=int, default=10_000)
     pa.add_argument("--rho", type=float, default=1e-6)
-    pa.add_argument("--inject-gradient-fault", type=float, default=None,
-                    help=argparse.SUPPRESS)
 
     return parser
 
@@ -134,15 +131,8 @@ def _parse_genspec(text: str) -> Tuple[CompositeProblem, Optional[int]]:
                               float(fields["box_hi"])),
                          seed=int(fields["seed"]))
     problem = generate_qp(spec)
-    l1 = float(fields["l1"])
-    if l1 > 0.0:
-        from .gallery import make_qp_problem
-        lo, hi = problem.regularizer.domain_box
-        sm = problem.smooth
-        problem = make_qp_problem(sm.Q, sm.c, lo, hi, l1_weight=l1,
-                                  audit_lipschitz=sm.audit_lipschitz,
-                                  audit_curvature=sm.audit_curvature)
-    return problem, spec.seed
+    reg = replace(problem.regularizer, weight=float(fields["l1"]))
+    return CompositeProblem(problem.smooth, reg), spec.seed
 
 
 def _load_problem(text: str) -> Tuple[CompositeProblem, Optional[int]]:
@@ -160,9 +150,6 @@ def _load_problem(text: str) -> Tuple[CompositeProblem, Optional[int]]:
 
 def _cmd_solve(args) -> int:
     problem, inst_seed = _load_problem(args.instance)
-    if args.inject_gradient_fault is not None:
-        problem = corrupt_gradient_oracle(problem,
-                                          args.inject_gradient_fault)
     y0 = default_start(problem, args.seed)
 
     config = SolverConfig(lambda0=args.lambda0, theta=args.theta,
@@ -273,14 +260,9 @@ def _cmd_slope(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_audit(args) -> int:
-    problems = None
-    if args.inject_gradient_fault is not None:
-        from .audit import audit_corpus
-        problems = [corrupt_gradient_oracle(p, args.inject_gradient_fault)
-                    for p in audit_corpus(args.n_instances, args.seed)]
     passed, lines = run_audit_suite(
         n_instances=args.n_instances, seed=args.seed,
-        max_iterations=args.iters, rho_hat=args.rho, problems=problems)
+        max_iterations=args.iters, rho_hat=args.rho)
     for line in lines:
         print(line)
     print(f"audit suite: {'PASS' if passed else 'FAIL'}")

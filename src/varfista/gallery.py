@@ -6,7 +6,8 @@ Householder reflections, so the curvature constants reported for auditing
 are exact by construction rather than estimated.  ``active_set_stationary``
 and ``global_min_phi`` are the independent oracles (dimension at most 6)
 that the test suite checks solver output against: an enumeration of the
-active sets of a box or l1-plus-box quadratic, whose candidates are
+active sets of a quadratic plus a ``BoxIndicator`` (an l1 term of any
+weight plus a box), whose candidates are
 accepted by the stationarity kernel ``_kernels._interval_dist``, and the
 least phi over the points it returns.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .problems import Array, CompositeProblem, phi
-from .prox import BoxIndicator, L1PlusBox, Projector
+from .prox import BoxIndicator
 
 __all__ = [
     "QuadraticSpec", "QuadraticOracle", "generate_qp", "make_qp_problem",
@@ -202,8 +203,7 @@ def generate_qp(spec: QuadraticSpec) -> CompositeProblem:
         audit_lipschitz=float(np.max(np.abs(eigs))),
         audit_curvature=float(max(0.0, -np.min(eigs))))
     lo, hi = spec.box
-    reg = BoxIndicator.uniform(spec.n, lo, hi)
-    return CompositeProblem(oracle, reg, Projector(), spec.n)
+    return CompositeProblem(oracle, BoxIndicator.uniform(spec.n, lo, hi))
 
 
 def make_qp_problem(Q: Array, c: Array, lo: Array, hi: Array,
@@ -211,21 +211,17 @@ def make_qp_problem(Q: Array, c: Array, lo: Array, hi: Array,
                     audit_lipschitz: Optional[float] = None,
                     audit_curvature: Optional[float] = None
                     ) -> CompositeProblem:
-    """Box QP over Omega = R^n from explicit data (tests, file loading).
+    """Box QP plus l1_weight ||u||_1 over Omega = R^n from explicit data
+    (tests, file loading).
 
-    Audit constants left as None are computed from the spectrum of Q.
+    Audit constants left as None are computed from the spectrum of Q.  A
+    negative or non-finite l1 weight raises ValueError.
     """
-    Q = np.asarray(Q, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    n = c.shape[0]
     oracle = QuadraticOracle(Q, c, audit_lipschitz, audit_curvature)
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if l1_weight > 0.0:
-        reg = L1PlusBox(float(l1_weight), lo, hi)
-    else:
-        reg = BoxIndicator(lo, hi)
-    return CompositeProblem(oracle, reg, Projector(), n)
+    reg = BoxIndicator(lo, hi, l1_weight)
+    if reg.lo.shape != oracle.c.shape:
+        raise ValueError("box bounds must match the size of c")
+    return CompositeProblem(oracle, reg)
 
 
 def default_start(problem: CompositeProblem,
@@ -246,19 +242,20 @@ def default_start(problem: CompositeProblem,
 
 
 def _box_qp_parts(problem: CompositeProblem, use: str):
-    """(oracle, regularizer) of a box or L1-plus-box quadratic.
+    """(oracle, regularizer) of a quadratic plus a ``BoxIndicator``.
 
     Raises TypeError, naming ``use``, for any other problem.
     """
     if not isinstance(problem.smooth, QuadraticOracle):
         raise TypeError(f"{use} need a QuadraticOracle")
-    if not isinstance(problem.regularizer, (BoxIndicator, L1PlusBox)):
-        raise TypeError(f"{use} need a box or L1-plus-box regularizer")
+    if not isinstance(problem.regularizer, BoxIndicator):
+        raise TypeError(f"{use} need a BoxIndicator regularizer")
     return problem.smooth, problem.regularizer
 
 
 def active_set_stationary(problem: CompositeProblem) -> List[Array]:
-    """Exact stationary points of a box or L1-plus-box quadratic, n <= 6.
+    """Exact stationary points of a quadratic plus a ``BoxIndicator``,
+    n <= 6.
 
     A brute-force enumeration of active sets: each coordinate sits at lo,
     at hi or (when the l1 weight w > 0) at the kink 0, or it is free with a
@@ -341,8 +338,8 @@ def global_min_phi(problem: CompositeProblem) -> Tuple[Array, float]:
 
 def save_instance(problem: CompositeProblem, path: str,
                   seed: Optional[int] = None) -> None:
-    """Write a box or L1-plus-box QP over Omega = R^n as a self-describing
-    JSON instance document; others raise TypeError.
+    """Write a quadratic plus a ``BoxIndicator`` over Omega = R^n as a
+    self-describing JSON instance document; others raise TypeError.
 
     Each array field (``Q``, ``c``, ``box_lo``, ``box_hi``) is one base64
     string of the array's little-endian float64 (``<f8``) bytes in C order,
@@ -378,8 +375,8 @@ def load_instance(path: str) -> CompositeProblem:
     Array fields are base64 strings of ``<f8`` bytes in C order, read back
     bit for bit; a plain JSON list of numbers (the form of older files) is
     read too.  A malformed document (a non-finite ``Q`` or ``c`` entry, a
-    NaN box bound, and a boolean or a string in a list included) raises
-    ValueError naming path and field."""
+    NaN box bound, a negative or non-finite ``l1_weight``, and a boolean or
+    a string in a list included) raises ValueError naming path and field."""
     with open(path) as fh:
         doc = json.load(fh)
     return _problem_from_document(doc, path)
@@ -461,8 +458,12 @@ def _problem_from_document(doc: dict, path: str) -> CompositeProblem:
             i = int(np.argmax(bad))
             raise ValueError(f"{path}: field {key!r} has a non-finite entry "
                              f"({a.flat[i]}) at index {i}")
+    l1_weight = _number(doc, "l1_weight", path, 0.0)
+    if not 0.0 <= l1_weight < math.inf:
+        raise ValueError(f"{path}: field 'l1_weight' must be finite and "
+                         f"non-negative, not {l1_weight}")
     # keep the stored audit constants (they may be analytic, not recomputed)
     return make_qp_problem(
-        Q, c, lo, hi, l1_weight=_number(doc, "l1_weight", path, 0.0),
+        Q, c, lo, hi, l1_weight=l1_weight,
         audit_lipschitz=_number(doc, "lipschitz", path),
         audit_curvature=_number(doc, "curvature", path))

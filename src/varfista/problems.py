@@ -1,8 +1,9 @@
 """Composite problem abstraction: phi(u) = f(u) + h(u) over a region Omega.
 
 The smooth term f is given by value/gradient callables, the regularizer h by
-value/prox callables with a box bound on its domain, and Omega by a
-``prox.Projector``, a box that holds dom h.
+value/prox callables with a box bound on its domain (in this library
+``prox.BoxIndicator``, h = w ||u||_1 + the indicator of a box), and Omega by
+a ``prox.Projector``, a box that holds dom h, R^n unless one is given.
 A solver run on such a problem produces a :class:`Certificate` holding an
 approximate stationary pair (y_hat, v_hat) with v_hat in grad f(y_hat) +
 sub-diff h(y_hat); ``verify_certificate`` rechecks one through the
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .prox import BoxIndicator, L1PlusBox, Projector
+from .prox import BoxIndicator, Projector
 
 Array = np.ndarray
 
@@ -85,24 +86,27 @@ class Certificate:
 
 
 class CompositeProblem:
-    """Bundle of smooth oracle, proximable regularizer, projector, dimension.
+    """Bundle of smooth oracle, proximable regularizer and projector.
 
-    Construction checks that the regularizer's domain box sits inside the
-    box Omega.  Projection onto a box is separable, so the vertex of dom h
-    that moves furthest moves by ||max(P(lo) - lo, hi - P(hi))||; the
-    problem is rejected when that exceeds 1e-9.
+    The dimension n is that of the regularizer's domain box, whose bounds
+    must be 1-D arrays of one shape; Omega defaults to R^n.  Construction
+    checks that the domain box sits inside the box Omega.  Projection onto
+    a box is separable, so the vertex of dom h that moves furthest moves by
+    ||max(P(lo) - lo, hi - P(hi))||; the problem is rejected when that
+    exceeds 1e-9.
     """
 
-    def __init__(self, smooth, regularizer, omega: Projector, dimension: int):
+    def __init__(self, smooth, regularizer, omega: Projector = Projector()):
         self.smooth = smooth
         self.regularizer = regularizer
         self.omega = omega
-        self.dimension = int(dimension)
         lo, hi = regularizer.domain_box
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        if lo.shape != (self.dimension,) or hi.shape != (self.dimension,):
-            raise ValueError("regularizer domain box does not match dimension")
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError("regularizer domain box must have 1-D bounds "
+                             "of one shape")
+        self.dimension = lo.shape[0]
         if np.broadcast(omega.lo, omega.hi, lo).shape != lo.shape:
             raise ValueError("projection region does not match dimension")
         moved = np.linalg.norm(np.maximum(_moved(omega.project(lo), lo),
@@ -146,11 +150,11 @@ def verify_certificate(problem: CompositeProblem, cert: Certificate,
     rho_hat together.  v_hat is measured by its norm only: its membership
     holds up to the roundoff of the prox step that formed it, which grows
     with |y_hat| / lam and has no scale-free bound.  Raises TypeError for
-    a regularizer other than a box or an L1-plus-box.
+    a regularizer other than a ``BoxIndicator``.
     """
     reg = problem.regularizer
-    if not isinstance(reg, (BoxIndicator, L1PlusBox)):
-        raise TypeError("certificates need a box or L1-plus-box regularizer")
+    if not isinstance(reg, BoxIndicator):
+        raise TypeError("certificates need a BoxIndicator regularizer")
     y = np.asarray(cert.y_hat, dtype=np.float64)
     lo, hi = reg.domain_box
     if not (np.all((lo <= y) & (y <= hi))

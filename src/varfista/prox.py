@@ -1,4 +1,4 @@
-"""Proximal operators, the box projection, and the box regularizers."""
+"""Proximal operators, the box projection, and the box-plus-l1 regularizer."""
 
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ def soft_threshold(z: Array, t: float) -> Array:
 
 
 def _clamp(u: Array, lo: Array, hi: Array) -> Array:
-    # no lo <= hi check: the projector and the box regularizers validate
-    # their bounds once, at construction, and call this on every use
+    # no lo <= hi check: the projector and the regularizer validate their
+    # bounds once, at construction, and call this on every use
     return np.minimum(np.maximum(u, lo), hi)
 
 
@@ -50,22 +50,37 @@ class Projector:
 
 @dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class BoxIndicator:
-    """h(u) = indicator of the box [lo, hi]; prox is the clamp."""
+    """h(u) = weight * ||u||_1 + indicator of the box [lo, hi].
+
+    The weight is finite and non-negative, 0 by default.  The prox is
+    exact: the objective separates per component, and on each component
+    the clamp of the unconstrained soft-threshold minimizes the strictly
+    convex 1-D function over the interval whether or not the interval
+    contains 0.  At weight 0 the prox is the clamp alone, which keeps a
+    signed zero that ``soft_threshold(z, 0)`` would turn into +0.0.
+    """
 
     lo: Array
     hi: Array
-    weight = 0.0  # the l1 weight, as ``L1PlusBox.weight``; not a field
+    weight: float = 0.0
 
     def __post_init__(self):
+        weight = float(self.weight)
+        if not 0.0 <= weight < np.inf:
+            raise ValueError(f"l1 weight must be finite and non-negative, "
+                             f"not {weight}")
         box = Projector(self.lo, self.hi)  # float64 bounds, lo <= hi
         if box.lo.shape != box.hi.shape or box.lo.ndim != 1:
             raise ValueError("lo and hi must be 1-D arrays of equal shape")
         object.__setattr__(self, "lo", box.lo)
         object.__setattr__(self, "hi", box.hi)
+        object.__setattr__(self, "weight", weight)
 
     @classmethod
-    def uniform(cls, dimension: int, lo: float, hi: float) -> "BoxIndicator":
-        return cls(np.full(dimension, float(lo)), np.full(dimension, float(hi)))
+    def uniform(cls, dimension: int, lo: float, hi: float,
+                weight: float = 0.0) -> "BoxIndicator":
+        return cls(np.full(dimension, float(lo)), np.full(dimension, float(hi)),
+                   weight)
 
     @property
     def domain_box(self) -> Tuple[Array, Array]:
@@ -74,75 +89,29 @@ class BoxIndicator:
     def value(self, u: Array) -> float:
         u = np.asarray(u, dtype=np.float64)
         inside = (u >= self.lo).all() and (u <= self.hi).all()
-        return 0.0 if inside else np.inf
+        return self.value_at_prox(u) if inside else np.inf
 
     def value_at_prox(self, y: Array) -> float:
         """h(y) at a point y that ``prox`` returned, with no membership scan.
 
-        A clamp's output lies in the box, so h there is 0.  The one
-        exception is an output that holds a NaN, which ``value`` reads as
-        outside.  ``solve`` relies on that exception being harmless: a
-        trial point y with a NaN raises NumericalFailure in its own trial,
-        through f(y) or else through U, whose squared distance
-        ||y - x_tilde||^2 is NaN, so not within the guard, and whose
-        quotient is NaN.  Before the raise, only the best point can have
-        taken the NaN y, and a run that raises returns nothing.
+        A clamp's output lies in the box, so h there is the weighted l1
+        norm, and 0 at weight 0.  The one exception is an output that holds
+        a NaN, which ``value`` reads as outside; here it gives NaN at a
+        positive weight and 0 at weight 0.  ``solve`` relies on that
+        exception being harmless: a trial point y with a NaN raises
+        NumericalFailure in its own trial, through f(y) or else through U,
+        whose squared distance ||y - x_tilde||^2 is NaN, so not within the
+        guard, and whose quotient is NaN.  Before the raise, only the best
+        point can have taken the NaN y, and a run that raises returns
+        nothing.
         """
-        return 0.0
-
-    def prox(self, z: Array, s: float) -> Array:
-        if not s > 0.0:
-            raise ValueError("prox stepsize must be positive")
-        return _clamp(z, self.lo, self.hi)
-
-
-@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
-class L1PlusBox:
-    """h(u) = weight * ||u||_1 + indicator of [lo, hi].
-
-    The prox is exact: the objective separates per component, and on each
-    component the clamp of the unconstrained soft-threshold minimizes the
-    strictly convex 1-D function over the interval regardless of whether the
-    interval contains 0.
-    """
-
-    weight: float
-    lo: Array
-    hi: Array
-
-    def __post_init__(self):
-        if self.weight < 0.0:
-            raise ValueError("L1 weight must be non-negative")
-        box = Projector(self.lo, self.hi)  # float64 bounds, lo <= hi
-        if box.lo.shape != box.hi.shape or box.lo.ndim != 1:
-            raise ValueError("lo and hi must be 1-D arrays of equal shape")
-        object.__setattr__(self, "lo", box.lo)
-        object.__setattr__(self, "hi", box.hi)
-
-    @classmethod
-    def uniform(cls, dimension: int, weight: float, lo: float,
-                hi: float) -> "L1PlusBox":
-        return cls(float(weight), np.full(dimension, float(lo)),
-                   np.full(dimension, float(hi)))
-
-    @property
-    def domain_box(self) -> Tuple[Array, Array]:
-        return self.lo, self.hi
-
-    def value(self, u: Array) -> float:
-        u = np.asarray(u, dtype=np.float64)
-        inside = (u >= self.lo).all() and (u <= self.hi).all()
-        if not inside:
-            return np.inf
-        return self.value_at_prox(u)
-
-    def value_at_prox(self, y: Array) -> float:
-        """h(y) at a point y that ``prox`` returned, with no membership
-        scan: the clamp puts y in the box, as ``BoxIndicator.value_at_prox``
-        argues, so h(y) is the weighted l1 norm.  A NaN in y gives NaN."""
+        if self.weight == 0.0:
+            return 0.0
         return self.weight * float(np.sum(np.abs(y)))
 
     def prox(self, z: Array, s: float) -> Array:
         if not s > 0.0:
             raise ValueError("prox stepsize must be positive")
+        if self.weight == 0.0:
+            return _clamp(z, self.lo, self.hi)
         return _clamp(soft_threshold(z, s * self.weight), self.lo, self.hi)

@@ -1,4 +1,6 @@
-"""One oracle fault injector for the solver and baseline tests."""
+"""Oracle fault injectors for the solver, baseline, audit and CLI tests."""
+
+import numpy as np
 
 from varfista.problems import CompositeProblem, SmoothOracle
 
@@ -30,5 +32,16 @@ def faulty(problem, which, call, fault, entry=0):
     grad = spoiled(orig.grad) if which == "grad" else orig.grad
     bad = SmoothOracle(value, grad, orig.audit_lipschitz,
                        orig.audit_curvature)
-    return CompositeProblem(bad, problem.regularizer, problem.omega,
-                            problem.dimension), fired
+    return CompositeProblem(bad, problem.regularizer, problem.omega), fired
+
+
+def corrupt_gradient_oracle(problem, factor=1.6):
+    """``problem`` with its gradient scaled by ``factor``, its values and
+    audit metadata kept, which the metadata-coupled checks must flag."""
+    orig = problem.smooth
+    bad = SmoothOracle(
+        value_fn=orig.value,
+        grad_fn=lambda u: factor * np.asarray(orig.grad(u)),
+        audit_lipschitz=orig.audit_lipschitz,
+        audit_curvature=orig.audit_curvature)
+    return CompositeProblem(bad, problem.regularizer, problem.omega)

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from varfista import _kernels
 from varfista.audit import (AuditReport, CheckResult, audit_corpus, audit_run,
-                            corrupt_gradient_oracle, run_audit_suite)
+                            run_audit_suite)
 from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
 from varfista.solver import (DENOM_EPSILON, HistoryLedger, IterationTrace,
                              SolverConfig, replay_anchors, solve)
+from oracle_faults import corrupt_gradient_oracle
 from test_package import audit_check_names
 
 
@@ -310,6 +311,30 @@ def test_audit_verdicts_keep_under_scaling_f_and_rho_hat(factor):
                                                          report.lines())
 
 
+@pytest.mark.parametrize("weight", [0.0, 0.3])
+def test_runs_keep_their_verdicts_under_a_coordinate_permutation(weight):
+    # relabelling the coordinates (Q[P][:, P], c[P], box[P], y0[P]) poses
+    # the same problem: the run must keep its stop, its audit verdict and
+    # its iteration count
+    rng = np.random.default_rng(0)
+    for base in audit_corpus(10, 0):
+        Q, c = base.smooth.Q, base.smooth.c
+        lo, hi = base.regularizer.domain_box
+        y0 = default_start(base, seed=0)
+        outcomes = []
+        for p in (np.arange(len(c)), rng.permutation(len(c))):
+            prob = make_qp_problem(
+                Q[p][:, p], c[p], lo[p], hi[p], l1_weight=weight,
+                audit_lipschitz=base.smooth.audit_lipschitz,
+                audit_curvature=base.smooth.audit_curvature)
+            cfg = SolverConfig(rho_hat=1e-6)
+            cert, trace, ledger = solve(prob, cfg, y0[p])
+            report = audit_run(prob, cfg, cert, trace, ledger, y0[p])
+            outcomes.append((cert.converged, report.passed, cert.iterations))
+        assert outcomes[0][:2] == (True, True), outcomes
+        assert outcomes[1] == outcomes[0]
+
+
 def test_corrupted_gradient_fails_metadata_checks():
     prob = generate_qp(ROUGH)
     bad = corrupt_gradient_oracle(prob, factor=1.6)
@@ -450,7 +475,7 @@ def test_audit_reports_match_golden_hash():
 # the lower-curvature replay groups in different ways: the wide-box convex
 # run (1219 segments in 1276 iterations; early ones are short enough to
 # share a block of the replay, late ones fill a block alone), the four
-# n=200 indefinite runs of tests/test_golden.py and one L1-plus-box run.
+# n=200 indefinite runs of tests/test_golden.py and one box-plus-l1 run.
 # Each has a best point that is a rejected trial point.  The last re-pin
 # made the same rewording as AUDIT_REPORT_SHA256's (6 lines).
 AUDIT_REPLAY_SHA256 = \

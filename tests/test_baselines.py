@@ -83,7 +83,7 @@ def test_baseline_certificate_counts_every_oracle_and_prox_call(
 
     monkeypatch.setattr(baselines_mod, "compute_candidate", trial)
     counted = CompositeProblem(SmoothOracle(prob.smooth.value, grad),
-                               prob.regularizer, prob.omega, prob.dimension)
+                               prob.regularizer, prob.omega)
     cert, _ = runner(counted, SolverConfig(lambda0=step, rho_hat=1e-7),
                      default_start(prob))
     assert cert.converged

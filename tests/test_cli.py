@@ -2,12 +2,16 @@
 
 import base64
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
+from varfista import cli
+from varfista.audit import audit_corpus, run_audit_suite
 from varfista.cli import fit_slope, main
 from varfista.gallery import QuadraticSpec, generate_qp, save_instance
+from oracle_faults import corrupt_gradient_oracle
 
 CONVEX_1D = "qp:n=1,eig_lo=2,eig_hi=2,seed=0"
 ROUGH = "qp:n=6,eig_lo=-1,eig_hi=10,seed=11"
@@ -197,10 +201,28 @@ def test_solve_iteration_cap_exits_two(capsys):
     assert doc["certificate"]["iterations"] == 5
 
 
-def test_solve_audit_fault_exits_three(capsys):
+def _corrupt_solved_instance(monkeypatch, factor):
+    load = cli._load_problem
+
+    def corrupted(text):
+        problem, seed = load(text)
+        return corrupt_gradient_oracle(problem, factor), seed
+
+    monkeypatch.setattr(cli, "_load_problem", corrupted)
+
+
+def _corrupt_audit_corpus(monkeypatch, factor, n_instances, seed=0):
+    problems = [corrupt_gradient_oracle(p, factor)
+                for p in audit_corpus(n_instances, seed)]
+    monkeypatch.setattr(cli, "run_audit_suite",
+                        partial(run_audit_suite, problems=problems))
+
+
+def test_solve_audit_fault_exits_three(capsys, monkeypatch):
+    _corrupt_solved_instance(monkeypatch, 1.6)
     code, out, _ = _run(capsys, ["solve", "--instance", ROUGH,
                                  "--rho", "1e-6", "--max-iter", "500",
-                                 "--audit", "--inject-gradient-fault", "1.6"])
+                                 "--audit"])
     assert code == 3
     doc = json.loads(out)
     assert doc["audit"]["passed"] is False
@@ -260,11 +282,11 @@ def test_solve_repeat_cap_exhausted_exits_five(capsys, monkeypatch):
     assert "repeat cap exhausted: iteration 1: inner repeat cap 1" in err
 
 
-def test_audit_suite_reports_a_nonfinite_run_as_failed(capsys):
+def test_audit_suite_reports_a_nonfinite_run_as_failed(capsys, monkeypatch):
     # a NaN gradient factor makes every trial point NaN
+    _corrupt_audit_corpus(monkeypatch, np.nan, 2)
     code, out, _ = _run(capsys, ["audit", "--n-instances", "2",
-                                 "--iters", "50", "--rho", "1e-6",
-                                 "--inject-gradient-fault", "nan"])
+                                 "--iters", "50", "--rho", "1e-6"])
     assert code == 3
     assert "instance[0] run: FAIL  (iteration 1, trial 0: f(y) = nan" in out
 
@@ -322,6 +344,17 @@ def test_solve_l1_genspec(capsys):
                                  "--rho", "1e-6", "--audit"])
     assert code == 0
     assert json.loads(out)["audit"]["passed"] is True
+
+
+@pytest.mark.parametrize("weight", ["-0.5", "nan", "inf"])
+def test_solve_bad_l1_weight_exits_one(capsys, weight):
+    # a negative or NaN weight must not run as the plain box
+    code, out, err = _run(capsys, ["solve", "--instance",
+                                   f"qp:n=3,eig_lo=1,eig_hi=5,seed=0,"
+                                   f"l1={weight}", "--rho", "1e-6"])
+    assert code == 1
+    assert out == ""
+    assert "l1 weight must be finite and non-negative" in err
 
 
 @pytest.mark.parametrize("solver", ["fista", "proxgrad"])
@@ -428,10 +461,10 @@ def test_audit_command_passes_small_corpus(capsys):
     assert "schedule-growth-envelope: PASS" in out
 
 
-def test_audit_command_fault_injection_exits_three(capsys):
+def test_audit_command_fault_injection_exits_three(capsys, monkeypatch):
+    _corrupt_audit_corpus(monkeypatch, 1.6, 2)
     code, out, _ = _run(capsys, ["audit", "--n-instances", "2",
-                                 "--iters", "500", "--rho", "1e-7",
-                                 "--inject-gradient-fault", "1.6"])
+                                 "--iters", "500", "--rho", "1e-7"])
     assert code == 3
     assert "audit suite: FAIL" in out
     assert "FAILED first at:" in out

@@ -88,8 +88,7 @@ def test_bounds_small_lambda0_keeps_floor_at_lambda0():
 def test_bounds_require_metadata_or_estimation():
     f = SmoothOracle(lambda u: float(u[0] ** 2),
                      lambda u: np.array([2.0 * u[0]]))
-    prob = CompositeProblem(f, BoxIndicator.uniform(1, -1.0, 1.0),
-                            Projector(), 1)
+    prob = CompositeProblem(f, BoxIndicator.uniform(1, -1.0, 1.0))
     with pytest.raises(ValueError):
         TheoreticalBounds.from_problem(prob, SolverConfig())
 
@@ -171,8 +170,7 @@ def test_anchor_check_accepts_runs_whose_box_region_binds(seed):
     base = generate_qp(QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0,
                                      c_scale=3.0, seed=seed))
     prob = CompositeProblem(base.smooth, base.regularizer,
-                            Projector(np.full(2, -1.2), np.full(2, 1.2)),
-                            2)
+                            Projector(np.full(2, -1.2), np.full(2, 1.2)))
     cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
     y0 = default_start(prob)
     cert, trace, ledger = solve(prob, cfg, y0)

@@ -15,7 +15,7 @@ from varfista.gallery import (QuadraticOracle, QuadraticSpec,
                               make_qp_problem, save_instance)
 from varfista.audit import audit_corpus
 from varfista.problems import CompositeProblem, SmoothOracle, phi
-from varfista.prox import L1PlusBox, Projector
+from varfista.prox import BoxIndicator, Projector
 from varfista.solver import SolverConfig, solve
 
 
@@ -165,12 +165,21 @@ def test_l1_instance_shrinks_minimizer():
     # min u^2 - u + 0.3|u| on [-1, 1]: minimizer (1 - 0.3)/2 = 0.35
     prob = make_qp_problem(np.array([[2.0]]), np.array([-1.0]),
                            np.array([-1.0]), np.array([1.0]), l1_weight=0.3)
-    assert isinstance(prob.regularizer, L1PlusBox)
+    assert prob.regularizer.weight == 0.3
     arg, val = global_min_phi(prob)
     assert arg[0] == pytest.approx(0.35, abs=1e-15)
     assert val == pytest.approx(-0.1225, abs=1e-15)
     pts = active_set_stationary(prob)
     assert len(pts) == 1 and pts[0][0] == pytest.approx(0.35, abs=1e-15)
+
+
+def test_make_qp_problem_rejects_a_bad_l1_weight_or_box_size():
+    Q, c, lo, hi = np.eye(2), np.zeros(2), -np.ones(2), np.ones(2)
+    for w in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="l1 weight"):
+            make_qp_problem(Q, c, lo, hi, l1_weight=w)
+    with pytest.raises(ValueError, match="size of c"):
+        make_qp_problem(Q, c, -np.ones(3), np.ones(3))
 
 
 def test_l1_kink_is_captured_as_stationary():
@@ -203,12 +212,10 @@ def test_exact_oracles_reject_bad_problems():
     with pytest.raises(ValueError, match="bounded box"):
         global_min_phi(make_qp_problem(np.eye(1), np.zeros(1), [-np.inf],
                                        [1.0]))
-    from varfista.problems import SmoothOracle
-    from varfista.prox import BoxIndicator
     nonquad = CompositeProblem(
         SmoothOracle(lambda u: float(np.cos(u[0])),
                      lambda u: np.array([-np.sin(u[0])])),
-        BoxIndicator.uniform(1, -1.0, 1.0), Projector(), 1)
+        BoxIndicator.uniform(1, -1.0, 1.0))
     with pytest.raises(TypeError):
         global_min_phi(nonquad)
     with pytest.raises(TypeError):
@@ -374,6 +381,12 @@ _BAD_DOCUMENTS = [
     ("n", "fractional n", lambda d: d.update(n=3.5)),
     ("lipschitz", "null lipschitz", lambda d: d.update(lipschitz=None)),
     ("l1_weight", "text l1_weight", lambda d: d.update(l1_weight="0.3")),
+    ("l1_weight", "negative l1_weight",
+     lambda d: d.update(l1_weight=-0.5)),
+    ("l1_weight", "NaN l1_weight",
+     lambda d: d.update(l1_weight=float("nan"))),
+    ("l1_weight", "infinite l1_weight",
+     lambda d: d.update(l1_weight=float("inf"))),
     ("c", "boolean in c list", lambda d: d.update(c=[True, 0.0, 0.0])),
     ("c", "text in c list", lambda d: d.update(c=[0.0, "1.5", 0.0])),
     ("box_hi", "boolean in box_hi list",
@@ -437,7 +450,7 @@ def test_instance_file_round_trip_with_l1(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(prob, str(path))
     back = load_instance(str(path))
-    assert isinstance(back.regularizer, L1PlusBox)
+    assert isinstance(back.regularizer, BoxIndicator)
     assert back.regularizer.weight == 0.3
 
 
@@ -446,13 +459,13 @@ def test_save_instance_refuses_a_box_region(tmp_path):
     base = generate_qp(QuadraticSpec(n=2, eig_lo=-1.0, eig_hi=8.0, seed=0))
     path = tmp_path / "inst.json"
     boxed = CompositeProblem(base.smooth, base.regularizer,
-                             Projector(-1.2, 1.2), 2)
+                             Projector(-1.2, 1.2))
     with pytest.raises(TypeError, match=r"instance files need Omega = R\^n"):
         save_instance(boxed, str(path))
     assert not path.exists()
     whole = CompositeProblem(base.smooth, base.regularizer,
                              Projector(np.full(2, -np.inf),
-                                       np.full(2, np.inf)), 2)
+                                       np.full(2, np.inf)))
     save_instance(whole, str(path))
     assert load_instance(str(path)).dimension == 2
 

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 UNUSED_ALLOWED = {
     "check_xk_optimality": "README-documented test oracle (anchor step)",
     "global_min_phi": "README-documented test oracle (exact minimum)",
+    "SmoothOracle": "README-documented smooth term given by callables",
 }
 
 
@@ -144,6 +145,20 @@ def test_the_prox_step_and_the_stationarity_kernel_have_one_copy_each():
     assert _readers("_interval_dist") == ["active_set_stationary",
                                           "check_xk_optimality",
                                           "verify_certificate"]
+
+
+def test_one_regularizer_class_reads_the_soft_threshold():
+    # h = w ||u||_1 + the indicator of a box is one class, and its prox is
+    # the one reader of soft_threshold in src/
+    tree, = _trees("src/varfista/prox.py")
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    assert sorted(classes) == ["BoxIndicator", "Projector"]
+    prox, = [node for node in classes["BoxIndicator"].body
+             if isinstance(node, ast.FunctionDef) and node.name == "prox"]
+    assert _readers("soft_threshold") == ["prox"]
+    assert any(getattr(node, "id", None) == "soft_threshold"
+               for node in ast.walk(prox))
 
 
 _PRODUCT_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum",

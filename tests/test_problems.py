@@ -1,5 +1,7 @@
 """Problem bundle construction, objective helpers, certificate rechecking."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ def _quad_1d():
 
 def _box_problem():
     reg = BoxIndicator(np.array([0.0]), np.array([1.0]))
-    return CompositeProblem(_quad_1d(), reg, Projector(), 1)
+    return CompositeProblem(_quad_1d(), reg)
 
 
 def test_smooth_oracle_coerces_types():
@@ -34,14 +36,14 @@ def test_domain_must_sit_inside_region():
     reg = BoxIndicator.uniform(2, -1.0, 1.0)
     f = SmoothOracle(lambda u: 0.0, lambda u: np.zeros(2))
     # a wider box contains the domain; one that cuts a corner off does not
-    CompositeProblem(f, reg, Projector(np.full(2, -2.0), np.full(2, 2.0)), 2)
+    CompositeProblem(f, reg, Projector(np.full(2, -2.0), np.full(2, 2.0)))
     with pytest.raises(ValueError):
         CompositeProblem(f, reg, Projector(np.array([-1.0, -1.0]),
-                                           np.array([1.0, 0.9])), 2)
+                                           np.array([1.0, 0.9])))
     with pytest.raises(ValueError):
-        CompositeProblem(f, reg, Projector(np.zeros(2), np.ones(2)), 2)
+        CompositeProblem(f, reg, Projector(np.zeros(2), np.ones(2)))
     with pytest.raises(ValueError):
-        CompositeProblem(f, reg, Projector(np.full(3, -2.0), 2.0), 2)
+        CompositeProblem(f, reg, Projector(np.full(3, -2.0), 2.0))
 
 
 def test_domain_whose_faces_touch_the_region_faces_is_accepted():
@@ -51,12 +53,12 @@ def test_domain_whose_faces_touch_the_region_faces_is_accepted():
     lo[1], hi[2] = -np.inf, np.inf  # unbounded faces on unbounded faces
     f = SmoothOracle(lambda u: 0.0, lambda u: np.zeros(n))
     reg = BoxIndicator(lo, hi)
-    CompositeProblem(f, reg, Projector(lo, hi), n)
-    CompositeProblem(f, reg, Projector(lo, np.inf), n)
+    CompositeProblem(f, reg, Projector(lo, hi))
+    CompositeProblem(f, reg, Projector(lo, np.inf))
     cut = hi.copy()
     cut[2] = 9.0  # a bounded Omega cannot hold an unbounded face
     with pytest.raises(ValueError, match="moved by inf"):
-        CompositeProblem(f, reg, Projector(lo, cut), n)
+        CompositeProblem(f, reg, Projector(lo, cut))
 
 
 def test_domain_sticking_out_only_at_a_mixed_vertex_is_rejected():
@@ -74,14 +76,20 @@ def test_domain_sticking_out_only_at_a_mixed_vertex_is_rejected():
         moved = np.linalg.norm(omega.project(corner) - corner)
         assert 0.72e-9 < moved < 0.74e-9
     with pytest.raises(ValueError, match="vertex moved by 1.029e-09"):
-        CompositeProblem(f, reg, omega, n)
+        CompositeProblem(f, reg, omega)
 
 
 def test_dimension_mismatch_rejected():
-    reg = BoxIndicator.uniform(2, -1.0, 1.0)
+    # the dimension is read from the regularizer's box, so its bounds must
+    # be 1-D arrays of one shape
     f = SmoothOracle(lambda u: 0.0, lambda u: np.zeros(2))
-    with pytest.raises(ValueError):
-        CompositeProblem(f, reg, Projector(), 3)
+    assert CompositeProblem(f, BoxIndicator.uniform(2, -1.0, 1.0)) \
+        .dimension == 2
+    for lo, hi in ((np.zeros(2), np.ones(3)), (np.zeros((2, 1)),
+                                               np.ones((2, 1))),
+                   (np.zeros(()), np.ones(()))):
+        with pytest.raises(ValueError, match="1-D bounds of one shape"):
+            CompositeProblem(f, SimpleNamespace(domain_box=(lo, hi)))
 
 
 def test_phi_values_and_infinity():
@@ -139,7 +147,7 @@ def test_verify_certificate_needs_a_box_regularizer():
     class Zero:
         domain_box = (np.array([0.0]), np.array([1.0]))
 
-    prob = CompositeProblem(_quad_1d(), Zero(), Projector(), 1)
+    prob = CompositeProblem(_quad_1d(), Zero())
     with pytest.raises(TypeError):
         verify_certificate(prob, _cert([1.0], [0.0]), 1e-6)
 
@@ -148,5 +156,5 @@ def test_problem_repr_names_region():
     assert "omega=Projector(lo=array(-inf), hi=array(inf))" in \
         repr(_box_problem())
     wide = CompositeProblem(_quad_1d(), BoxIndicator.uniform(1, 0.0, 1.0),
-                            Projector(-2.0, 3.0), 1)
+                            Projector(-2.0, 3.0))
     assert "omega=Projector(lo=array(-2.), hi=array(3.))" in repr(wide)

@@ -1,6 +1,6 @@
 """Proximal operator and projector properties.
 
-The L1-plus-box prox is checked against a dense 1-D grid minimization first;
+The box-plus-l1 prox is checked against a dense 1-D grid minimization first;
 the algebraic properties (variational inequality, non-expansiveness) are
 property-based.
 """
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varfista.prox import BoxIndicator, L1PlusBox, Projector, soft_threshold
+from varfista.prox import BoxIndicator, Projector, soft_threshold
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -92,14 +92,33 @@ def test_box_indicator_rejects_bad_bounds():
     with pytest.raises(ValueError):
         BoxIndicator(np.array([np.nan]), np.array([0.0]))
     with pytest.raises(ValueError):
-        L1PlusBox(0.5, np.array([0.0]), np.array([np.nan]))
+        BoxIndicator(np.array([0.0]), np.array([np.nan]), 0.5)
+
+
+@pytest.mark.parametrize("weight", [-0.5, -np.inf, np.nan, np.inf])
+def test_box_indicator_rejects_a_negative_or_nonfinite_weight(weight):
+    # a NaN or negative weight must not read as a plain box, and an
+    # infinite one would make h(0) = inf * 0 = NaN
+    with pytest.raises(ValueError, match="l1 weight"):
+        BoxIndicator(np.zeros(1), np.ones(1), weight)
+    with pytest.raises(ValueError, match="l1 weight"):
+        BoxIndicator.uniform(1, 0.0, 1.0, weight)
+
+
+def test_weight_zero_prox_keeps_signed_zeros():
+    # at weight 0 the prox is the clamp alone; soft_threshold(z, 0) would
+    # give sign(-0.0) * 0.0 = +0.0
+    reg = BoxIndicator.uniform(2, -1.0, 1.0)
+    out = reg.prox(np.array([-0.0, 0.0]), 1.0)
+    assert np.signbit(out[0]) and not np.signbit(out[1])
+    assert not np.signbit(soft_threshold(np.array([-0.0]), 0.0)[0])
 
 
 @pytest.mark.parametrize("make", [
     lambda: BoxIndicator.uniform(2, -1.0, 1.0),
-    lambda: L1PlusBox.uniform(2, 0.5, -1.0, 1.0),
+    lambda: BoxIndicator.uniform(2, -1.0, 1.0, 0.5),
     lambda: Projector(np.zeros(2), np.ones(2)),
-], ids=["BoxIndicator", "L1PlusBox", "Projector"])
+], ids=["BoxIndicator", "BoxIndicator-weighted", "Projector"])
 def test_box_classes_compare_and_hash_by_identity(make):
     # generated __eq__ over array fields would raise "truth value of an
     # array ... is ambiguous", and a generated __hash__ would raise TypeError
@@ -123,7 +142,7 @@ def test_box_proxes_match_the_projection_bytes_on_nonfinite_inputs(seed):
     z[special] = rng.choice([np.nan, np.inf, -np.inf], size=12)
     s = float(rng.random()) + 0.1
     w = float(rng.random())
-    box, l1, omega = BoxIndicator(lo, hi), L1PlusBox(w, lo, hi), \
+    box, l1, omega = BoxIndicator(lo, hi), BoxIndicator(lo, hi, w), \
         Projector(lo, hi)
     assert box.prox(z, s).tobytes() == omega.project(z).tobytes()
     assert l1.prox(z, s).tobytes() == \
@@ -150,8 +169,8 @@ def test_value_at_a_prox_output_skips_only_the_membership_scan(seed):
     z[rng.choice(n, size=8, replace=False)] = rng.choice([np.inf, -np.inf],
                                                          size=8)
     s = float(rng.random()) + 0.1
-    for reg in (BoxIndicator(lo, hi), L1PlusBox(float(rng.random()), lo,
-                                                  hi)):
+    for reg in (BoxIndicator(lo, hi), BoxIndicator(lo, hi,
+                                                   float(rng.random()))):
         y = reg.prox(z, s)
         assert np.float64(reg.value_at_prox(y)).tobytes() == \
             np.float64(reg.value(y)).tobytes()
@@ -162,13 +181,13 @@ def test_value_at_a_prox_output_skips_only_the_membership_scan(seed):
 
 
 def test_l1_plus_box_value():
-    reg = L1PlusBox.uniform(2, 0.5, -1.0, 1.0)
+    reg = BoxIndicator.uniform(2, -1.0, 1.0, 0.5)
     assert reg.value(np.array([0.5, -0.5])) == pytest.approx(0.5)
     assert reg.value(np.array([2.0, 0.0])) == np.inf
 
 
 def _l1_box_prox_grid(z, s, w, lo, hi):
-    """Dense-grid oracle for the scalar L1-plus-interval prox."""
+    """Dense-grid oracle for the scalar l1-plus-interval prox."""
     grid = np.linspace(lo, hi, 200_001)
     obj = w * np.abs(grid) + (grid - z) ** 2 / (2.0 * s)
     return grid[int(np.argmin(obj))]
@@ -183,7 +202,7 @@ def _l1_box_prox_grid(z, s, w, lo, hi):
     (0.0, 1.0, 0.0, -2.0, 2.0),   # no shrinkage
 ])
 def test_l1_plus_box_prox_matches_grid_oracle(z, s, w, lo, hi):
-    reg = L1PlusBox(w, np.array([lo]), np.array([hi]))
+    reg = BoxIndicator(np.array([lo]), np.array([hi]), w)
     got = float(reg.prox(np.array([z]), s)[0])
     want = _l1_box_prox_grid(z, s, w, lo, hi)
     assert abs(got - want) <= (hi - lo) / 200_000 + 1e-12
@@ -195,7 +214,7 @@ def test_l1_plus_box_prox_matches_grid_oracle(z, s, w, lo, hi):
 
 def _regs(dim):
     return [BoxIndicator.uniform(dim, -1.0, 1.0),
-            L1PlusBox.uniform(dim, 0.3, -1.0, 1.0)]
+            BoxIndicator.uniform(dim, -1.0, 1.0, 0.3)]
 
 
 @given(st.integers(0, 1), st.integers(0, 10_000),

@@ -14,7 +14,7 @@ import varfista.solver as solver_mod
 from varfista.audit import audit_corpus, audit_run
 from varfista.gallery import generate_qp, QuadraticSpec, default_start
 from varfista.problems import CompositeProblem, SmoothOracle, phi
-from varfista.prox import BoxIndicator, Projector
+from varfista.prox import BoxIndicator
 from varfista.momentum import A0_DEFAULT, advance, extrapolate
 from varfista.solver import (TRACE_HEADER, HistoryLedger, IterationTrace,
                              SolverConfig, _retry_step, compute_candidate,
@@ -30,15 +30,14 @@ def _box_1d():
                      lambda u: np.array([2.0 * u[0] - 4.0]),
                      audit_lipschitz=2.0, audit_curvature=0.0)
     reg = BoxIndicator(np.array([0.0]), np.array([1.0]))
-    return CompositeProblem(f, reg, Projector(), 1)
+    return CompositeProblem(f, reg)
 
 
 def _free_1d():
     # f(u) = ||u||^2 / 2 on a box wide enough never to bind here
     f = SmoothOracle(lambda u: 0.5 * float(u @ u), lambda u: u.copy(),
                      audit_lipschitz=1.0, audit_curvature=0.0)
-    return CompositeProblem(f, BoxIndicator.uniform(1, -1e8, 1e8),
-                            Projector(), 1)
+    return CompositeProblem(f, BoxIndicator.uniform(1, -1e8, 1e8))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ def test_compute_U_quadratic_recovers_curvature():
     prob = CompositeProblem(
         SmoothOracle(lambda u: float(u[0] ** 2),
                      lambda u: np.array([2.0 * u[0]])),
-        BoxIndicator.uniform(1, -10.0, 10.0), Projector(), 1)
+        BoxIndicator.uniform(1, -10.0, 10.0))
     x_tilde = np.array([0.0])
     f_xt = prob.smooth.value(x_tilde)
     g_xt = prob.smooth.grad(x_tilde)
@@ -108,8 +107,7 @@ def test_update_best_tie_keeps_incumbent():
     # f(u) = -u on [0, 1] from y0 = 1: the prox step returns a new array
     # equal to y0, so phi ties and the best point stays y0 itself
     f = SmoothOracle(lambda u: -float(u[0]), lambda u: np.array([-1.0]))
-    prob = CompositeProblem(f, BoxIndicator.uniform(1, 0.0, 1.0),
-                            Projector(), 1)
+    prob = CompositeProblem(f, BoxIndicator.uniform(1, 0.0, 1.0))
     y0 = np.array([1.0])
     cert, trace, _ = solve(prob, SolverConfig(), y0)
     assert cert.converged and cert.iterations == 1
@@ -132,8 +130,7 @@ def _concave_1d():
     # f(u) = -u^2 / 2 on [-1, 1]: every gap quotient is the curvature 1
     f = SmoothOracle(lambda u: -0.5 * float(u @ u), lambda u: -u,
                      audit_lipschitz=1.0, audit_curvature=1.0)
-    return CompositeProblem(f, BoxIndicator.uniform(1, -1.0, 1.0),
-                            Projector(), 1)
+    return CompositeProblem(f, BoxIndicator.uniform(1, -1.0, 1.0))
 
 
 def test_compute_L_gap_of_concave_function():
@@ -1017,7 +1014,7 @@ def test_solve_convex_box_instance(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "compute_candidate", trial)
     prob = CompositeProblem(SmoothOracle(f.value_fn, grad),
-                            _box_1d().regularizer, Projector(), 1)
+                            _box_1d().regularizer)
     cfg = SolverConfig(rho_hat=1e-8)
     cert, trace, ledger = solve(prob, cfg, np.array([0.25]))
     assert cert.converged
@@ -1082,8 +1079,7 @@ def test_solve_wrong_sign_gradient_is_absorbed_by_quotient_guard(
     # reads 0 and the run proceeds instead of spinning in the inner loop.
     # With a zero guard only that bitwise coincidence trips it
     f = SmoothOracle(lambda u: 0.5 * float(u @ u), lambda u: -u)
-    prob = CompositeProblem(f, BoxIndicator.uniform(1, -1e8, 1e8),
-                            Projector(), 1)
+    prob = CompositeProblem(f, BoxIndicator.uniform(1, -1e8, 1e8))
     monkeypatch.setattr(solver_mod, "DENOM_EPSILON", 0.0)
     cert, trace, _ = solve(prob, SolverConfig(max_outer_iterations=3),
                            np.array([1.0]))
@@ -1125,8 +1121,7 @@ def test_solve_raises_on_an_infinite_first_gradient():
 
     f = SmoothOracle(lambda u: 0.5 * float((u - target) @ (u - target)),
                      grad)
-    prob = CompositeProblem(f, BoxIndicator.uniform(2, 0.0, 1.0),
-                            Projector(), 2)
+    prob = CompositeProblem(f, BoxIndicator.uniform(2, 0.0, 1.0))
     with pytest.raises(solver_mod.NumericalFailure,
                        match=r"iteration 1: residual = (inf|nan);"):
         solve(prob, SolverConfig(), np.array([0.0, 0.5]))
@@ -1148,8 +1143,7 @@ def test_a_nan_trial_point_raises_in_its_trial_through_U():
     # must still raise, through U
     f = SmoothOracle(lambda u: 0.5 * float(np.nansum(u * u)),
                      lambda u: np.array([np.nan, u[1]]))
-    prob = CompositeProblem(f, BoxIndicator.uniform(2, -1.0, 1.0),
-                            Projector(), 2)
+    prob = CompositeProblem(f, BoxIndicator.uniform(2, -1.0, 1.0))
     with pytest.raises(solver_mod.NumericalFailure,
                        match=r"iteration 1, trial 0: U = nan;"):
         solve(prob, SolverConfig(), np.array([0.5, 0.5]))
