@@ -173,7 +173,7 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
                f"final xi = {xi[-1]:g}")
 
     # acceptance conditions, re-stated on the committed columns
-    a, anchors = replay_anchors(problem, trace)
+    a, anchors = replay_anchors(trace)
     prod = U * lam
     worst_k = int(np.argmax(prod)) + 1
     worst = float(prod[worst_k - 1])

@@ -58,7 +58,7 @@ def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
         f_xt = smooth.value(x_tilde)
         y_next, tau = compute_candidate(problem, x_tilde, step, 0.0, a,
                                         grad_x_tilde=g_xt)
-        x_next = compute_x(problem, A, A_next, a, tau, y_next, y)
+        x_next = compute_x(A, A_next, a, tau, y_next, y)
         g_y = smooth.grad(y_next)
         v = compute_v(x_tilde, y_next, g_y, g_xt, step, tau)
         resid = math.sqrt(float(v @ v))

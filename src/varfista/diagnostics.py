@@ -3,9 +3,8 @@
 Everything here re-derives properties of a finished run from recorded data;
 nothing feeds back into the solver.  The anchor-point check rebuilds each
 iteration's anchor subproblem from its record and tests the recorded anchor
-by its KKT residual through the stationarity kernel
-``_kernels._interval_dist``, a route to the anchor that shares no code with
-the solver's closed-form update.
+by the gradient of that subproblem, a route to the anchor that shares no
+code with the solver's closed-form update.
 """
 
 from __future__ import annotations
@@ -69,32 +68,28 @@ def _anchor_quadratic(x_tilde: Array, y_k: Array, lam: float, tau: float,
     return kappa, b, b_size
 
 
-def check_xk_optimality(problem: CompositeProblem, x_tilde: Array,
-                        y_k: Array, lam_k: float, tau_k: float, x_k: Array,
-                        x_prev: Array, a: float) -> bool:
-    """Does x_k minimize the anchor subproblem over Omega?
+def check_xk_optimality(x_tilde: Array, y_k: Array, lam_k: float,
+                        tau_k: float, x_k: Array, x_prev: Array,
+                        a: float) -> bool:
+    """Does x_k minimize the anchor subproblem over R^n?
 
     The iteration is given by its record x_tilde, prox point y_k, stepsize
     lam_k and offset tau_k.  The subproblem 0.5 kappa ||u||^2 + b.u
     (``_anchor_quadratic``) is strongly convex, so x_k minimizes it over
-    the box Omega exactly when x_k lies in Omega and -(kappa x_k + b) lies
-    in the normal cone of Omega at x_k, that is, when the stationarity
-    kernel ``_kernels._interval_dist`` (l1 weight 0) reads 0.  Its norm
+    R^n exactly when its gradient kappa x_k + b is 0.  The gradient's norm
     passes at 16 eps sqrt(n) times the norm of kappa |x_k| plus the
-    magnitudes of the terms of b: each coordinate of the residual is a sum
+    magnitudes of the terms of b: each coordinate of the gradient is a sum
     of those terms, and x_k itself comes from a difference of multiples of
     y_k and y_{k-1} about a_k times larger than x_k, so its rounding scales
-    with a_k |y_k| / lam, the size of the terms of b, not with |b|.  On solver runs of n = 1 to 20 up to
-    K = 780 the accepted anchors read at most 0.6 eps sqrt(n).
+    with a_k |y_k| / lam, the size of the terms of b, not with |b|.  On
+    solver runs of n = 1 to 20 up to K = 780 the accepted anchors read at
+    most 0.6 eps sqrt(n).  A NaN anchor fails.
     """
     kappa, b, b_size = _anchor_quadratic(x_tilde, y_k, lam_k, tau_k, x_prev,
                                          a)
-    lo, hi = problem.omega.lo, problem.omega.hi
-    if not np.all((lo <= x_k) & (x_k <= hi)):
-        return False
-    resid = _kernels._interval_dist(-(kappa * x_k + b), x_k, lo, hi, 0.0)
+    grad = kappa * x_k + b
     scale = np.linalg.norm(kappa * np.abs(x_k) + b_size)
-    return bool(np.linalg.norm(resid) <= 16.0 * np.finfo(float).eps
+    return bool(np.linalg.norm(grad) <= 16.0 * np.finfo(float).eps
                 * math.sqrt(x_k.shape[0]) * scale)
 
 

@@ -38,7 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadraticSpec:
-    """Generation recipe for a box-constrained quadratic instance."""
+    """Generation recipe for a box-constrained quadratic instance.
+
+    ``eig_lo``, ``eig_hi`` and ``c_scale`` must be finite; a ValueError
+    names the first that is not.
+    """
 
     n: int
     eig_lo: float
@@ -50,6 +54,10 @@ class QuadraticSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be at least 1")
+        for name in ("eig_lo", "eig_hi", "c_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not "
+                                 f"{getattr(self, name)}")
         if self.eig_hi < self.eig_lo:
             raise ValueError("eig_hi must be >= eig_lo")
         if not self.box[1] > self.box[0]:
@@ -211,8 +219,8 @@ def make_qp_problem(Q: Array, c: Array, lo: Array, hi: Array,
                     audit_lipschitz: Optional[float] = None,
                     audit_curvature: Optional[float] = None
                     ) -> CompositeProblem:
-    """Box QP plus l1_weight ||u||_1 over Omega = R^n from explicit data
-    (tests, file loading).
+    """Box QP plus l1_weight ||u||_1 from explicit data (tests, file
+    loading).
 
     Audit constants left as None are computed from the spectrum of Q.  A
     negative or non-finite l1 weight raises ValueError.
@@ -244,12 +252,10 @@ def default_start(problem: CompositeProblem,
 def _box_qp_parts(problem: CompositeProblem, use: str):
     """(oracle, regularizer) of a quadratic plus a ``BoxIndicator``.
 
-    Raises TypeError, naming ``use``, for any other problem.
+    Raises TypeError, naming ``use``, for any other smooth term.
     """
     if not isinstance(problem.smooth, QuadraticOracle):
         raise TypeError(f"{use} need a QuadraticOracle")
-    if not isinstance(problem.regularizer, BoxIndicator):
-        raise TypeError(f"{use} need a BoxIndicator regularizer")
     return problem.smooth, problem.regularizer
 
 
@@ -338,8 +344,8 @@ def global_min_phi(problem: CompositeProblem) -> Tuple[Array, float]:
 
 def save_instance(problem: CompositeProblem, path: str,
                   seed: Optional[int] = None) -> None:
-    """Write a quadratic plus a ``BoxIndicator`` over Omega = R^n as a
-    self-describing JSON instance document; others raise TypeError.
+    """Write a quadratic plus a ``BoxIndicator`` as a self-describing JSON
+    instance document; other smooth terms raise TypeError.
 
     Each array field (``Q``, ``c``, ``box_lo``, ``box_hi``) is one base64
     string of the array's little-endian float64 (``<f8``) bytes in C order,
@@ -348,9 +354,6 @@ def save_instance(problem: CompositeProblem, path: str,
     (numpy integers are stored as ``int``).  The document is serialized
     before the file is opened, so a failure writes nothing."""
     smooth, reg = _box_qp_parts(problem, "instance files")
-    omega = problem.omega
-    if not (np.all(omega.lo == -np.inf) and np.all(omega.hi == np.inf)):
-        raise TypeError("instance files need Omega = R^n")
     lo, hi = reg.domain_box
     doc = {
         "format": "varfista-qp-instance",
@@ -375,8 +378,9 @@ def load_instance(path: str) -> CompositeProblem:
     Array fields are base64 strings of ``<f8`` bytes in C order, read back
     bit for bit; a plain JSON list of numbers (the form of older files) is
     read too.  A malformed document (a non-finite ``Q`` or ``c`` entry, a
-    NaN box bound, a negative or non-finite ``l1_weight``, and a boolean or
-    a string in a list included) raises ValueError naming path and field."""
+    NaN box bound, a negative or non-finite ``l1_weight``, ``lipschitz`` or
+    ``curvature``, and a boolean or a string in a list included) raises
+    ValueError naming path and field."""
     with open(path) as fh:
         doc = json.load(fh)
     return _problem_from_document(doc, path)
@@ -427,11 +431,14 @@ def _decode_array(doc: dict, key: str, size: int, path: str) -> Array:
 
 
 def _number(doc: dict, key: str, path: str, default=None) -> float:
-    """Field ``key`` (or ``default`` when absent) as a float; a JSON
-    number is required."""
+    """Field ``key`` (or ``default`` when absent) as a float; a finite,
+    non-negative JSON number is required."""
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path}: field {key!r} must be a number")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{path}: field {key!r} must be finite and "
+                         f"non-negative, not {float(value)}")
     return float(value)
 
 
@@ -458,12 +465,8 @@ def _problem_from_document(doc: dict, path: str) -> CompositeProblem:
             i = int(np.argmax(bad))
             raise ValueError(f"{path}: field {key!r} has a non-finite entry "
                              f"({a.flat[i]}) at index {i}")
-    l1_weight = _number(doc, "l1_weight", path, 0.0)
-    if not 0.0 <= l1_weight < math.inf:
-        raise ValueError(f"{path}: field 'l1_weight' must be finite and "
-                         f"non-negative, not {l1_weight}")
     # keep the stored audit constants (they may be analytic, not recomputed)
     return make_qp_problem(
-        Q, c, lo, hi, l1_weight=l1_weight,
+        Q, c, lo, hi, l1_weight=_number(doc, "l1_weight", path, 0.0),
         audit_lipschitz=_number(doc, "lipschitz", path),
         audit_curvature=_number(doc, "curvature", path))

@@ -1,9 +1,7 @@
-"""Composite problem abstraction: phi(u) = f(u) + h(u) over a region Omega.
+"""Composite problem abstraction: phi(u) = f(u) + h(u) over R^n.
 
-The smooth term f is given by value/gradient callables, the regularizer h by
-value/prox callables with a box bound on its domain (in this library
-``prox.BoxIndicator``, h = w ||u||_1 + the indicator of a box), and Omega by
-a ``prox.Projector``, a box that holds dom h, R^n unless one is given.
+The smooth term f is given by value/gradient callables, the regularizer h
+is a ``prox.BoxIndicator``, h = w ||u||_1 + the indicator of a box.
 A solver run on such a problem produces a :class:`Certificate` holding an
 approximate stationary pair (y_hat, v_hat) with v_hat in grad f(y_hat) +
 sub-diff h(y_hat); ``verify_certificate`` rechecks one through the
@@ -19,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .prox import BoxIndicator, Projector
+from .prox import BoxIndicator
 
 Array = np.ndarray
 
@@ -86,44 +84,22 @@ class Certificate:
 
 
 class CompositeProblem:
-    """Bundle of smooth oracle, proximable regularizer and projector.
+    """The problem min over R^n of f + h: a smooth oracle and a
+    ``BoxIndicator`` regularizer, whose box sets the dimension n.
 
-    The dimension n is that of the regularizer's domain box, whose bounds
-    must be 1-D arrays of one shape; Omega defaults to R^n.  Construction
-    checks that the domain box sits inside the box Omega.  Projection onto
-    a box is separable, so the vertex of dom h that moves furthest moves by
-    ||max(P(lo) - lo, hi - P(hi))||; the problem is rejected when that
-    exceeds 1e-9.
+    Raises TypeError for any other regularizer.
     """
 
-    def __init__(self, smooth, regularizer, omega: Projector = Projector()):
+    def __init__(self, smooth, regularizer: BoxIndicator):
+        if not isinstance(regularizer, BoxIndicator):
+            raise TypeError("the regularizer must be a BoxIndicator, not "
+                            f"{type(regularizer).__name__}")
         self.smooth = smooth
         self.regularizer = regularizer
-        self.omega = omega
-        lo, hi = regularizer.domain_box
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ValueError("regularizer domain box must have 1-D bounds "
-                             "of one shape")
-        self.dimension = lo.shape[0]
-        if np.broadcast(omega.lo, omega.hi, lo).shape != lo.shape:
-            raise ValueError("projection region does not match dimension")
-        moved = np.linalg.norm(np.maximum(_moved(omega.project(lo), lo),
-                                          _moved(hi, omega.project(hi))))
-        if moved > 1e-9:
-            raise ValueError(
-                "regularizer domain is not contained in the projection "
-                f"region (a vertex moved by {moved:.3e})")
+        self.dimension = regularizer.lo.shape[0]
 
     def __repr__(self) -> str:
-        return (f"CompositeProblem(dimension={self.dimension}, "
-                f"omega={self.omega!r})")
-
-
-def _moved(a: Array, b: Array) -> Array:
-    """a - b, with 0 where a == b, so equal infinite bounds give 0, not NaN."""
-    return np.subtract(a, b, out=np.zeros_like(b), where=a != b)
+        return f"CompositeProblem(dimension={self.dimension})"
 
 
 def phi(problem: CompositeProblem, u: Array) -> float:
@@ -149,12 +125,9 @@ def verify_certificate(problem: CompositeProblem, cert: Certificate,
     needs no roundoff constant, and it is invariant under scaling f and
     rho_hat together.  v_hat is measured by its norm only: its membership
     holds up to the roundoff of the prox step that formed it, which grows
-    with |y_hat| / lam and has no scale-free bound.  Raises TypeError for
-    a regularizer other than a ``BoxIndicator``.
+    with |y_hat| / lam and has no scale-free bound.
     """
     reg = problem.regularizer
-    if not isinstance(reg, BoxIndicator):
-        raise TypeError("certificates need a BoxIndicator regularizer")
     y = np.asarray(cert.y_hat, dtype=np.float64)
     lo, hi = reg.domain_box
     if not (np.all((lo <= y) & (y <= hi))

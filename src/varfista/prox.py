@@ -1,4 +1,4 @@
-"""Proximal operators, the box projection, and the box-plus-l1 regularizer."""
+"""Proximal operators and the box-plus-l1 regularizer."""
 
 from __future__ import annotations
 
@@ -19,39 +19,17 @@ def soft_threshold(z: Array, t: float) -> Array:
 
 
 def _clamp(u: Array, lo: Array, hi: Array) -> Array:
-    # no lo <= hi check: the projector and the regularizer validate their
-    # bounds once, at construction, and call this on every use
+    # no lo <= hi check: the regularizer validates its bounds once, at
+    # construction, and calls this on every use
     return np.minimum(np.maximum(u, lo), hi)
-
-
-@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
-class Projector:
-    """Projection onto the box region Omega = [lo, hi], the anchor region.
-
-    The bounds are scalars or arrays of the problem's dimension; the
-    defaults give Omega = R^n.  A clamp against -inf and +inf returns every
-    finite, signed-zero and infinite entry bit for bit, and keeps NaN.
-    """
-
-    lo: Array = -np.inf
-    hi: Array = np.inf
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        if not np.all(lo <= hi):
-            raise ValueError("box has lo > hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def project(self, u: Array) -> Array:
-        return _clamp(u, self.lo, self.hi)
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class BoxIndicator:
     """h(u) = weight * ||u||_1 + indicator of the box [lo, hi].
 
+    The bounds are 1-D float64 arrays of one shape with lo <= hi, so a NaN
+    bound is rejected; an infinite one leaves its side of the box open.
     The weight is finite and non-negative, 0 by default.  The prox is
     exact: the objective separates per component, and on each component
     the clamp of the unconstrained soft-threshold minimizes the strictly
@@ -69,11 +47,14 @@ class BoxIndicator:
         if not 0.0 <= weight < np.inf:
             raise ValueError(f"l1 weight must be finite and non-negative, "
                              f"not {weight}")
-        box = Projector(self.lo, self.hi)  # float64 bounds, lo <= hi
-        if box.lo.shape != box.hi.shape or box.lo.ndim != 1:
+        lo = np.asarray(self.lo, dtype=np.float64)
+        hi = np.asarray(self.hi, dtype=np.float64)
+        if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be 1-D arrays of equal shape")
-        object.__setattr__(self, "lo", box.lo)
-        object.__setattr__(self, "hi", box.hi)
+        if not np.all(lo <= hi):  # a NaN bound fails too
+            raise ValueError("box has lo > hi")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "weight", weight)
 
     @classmethod

@@ -628,21 +628,19 @@ def _retry_step(U: float, lam: float, xi: float, tau: float, L: float,
     return xi, lam
 
 
-def compute_x(problem: CompositeProblem, A_prev: float, A_next: float,
-              a: float, tau: float, y: Array, y_prev: Array) -> Array:
-    """Projected anchor update; the unique minimizer of the anchor subproblem.
+def compute_x(A_prev: float, A_next: float, a: float, tau: float, y: Array,
+              y_prev: Array) -> Array:
+    """Anchor update; the unique minimizer over R^n of the anchor subproblem.
 
-    x = P_Omega( ((1+tau) A_next)/(a (tau a + 1)) * y
-                 - A_prev/(a (tau a + 1)) * y_prev ).  The scalars may also be
-    column vectors, one row per iteration, with y and y_prev as rows.
+    x = ((1+tau) A_next)/(a (tau a + 1)) * y - A_prev/(a (tau a + 1)) * y_prev,
+    an affine combination of y and y_prev.  The scalars may also be column
+    vectors, one row per iteration, with y and y_prev as rows.
     """
     denom = a * (tau * a + 1.0)
-    z = ((1.0 + tau) * A_next / denom) * y - (A_prev / denom) * y_prev
-    return problem.omega.project(z)
+    return ((1.0 + tau) * A_next / denom) * y - (A_prev / denom) * y_prev
 
 
-def replay_anchors(problem: CompositeProblem, trace: IterationTrace
-                   ) -> Tuple[Array, Array]:
+def replay_anchors(trace: IterationTrace) -> Tuple[Array, Array]:
     """(a, X): the weights a_1..a_K and the anchors x_1..x_K of a run from
     ``solve`` or ``run_fista_constant``, equal to the run's own bit for bit.
 
@@ -656,7 +654,7 @@ def replay_anchors(problem: CompositeProblem, trace: IterationTrace
     tau, Y = trace.tau[:, None], trace.Y
     X = np.empty((K, Y.shape[1]))
     for s, e in row_blocks(K, Y.shape[1]):
-        X[s:e] = compute_x(problem, A[s:e], A[s + 1:e + 1], a[s:e], tau[s:e],
+        X[s:e] = compute_x(A[s:e], A[s + 1:e + 1], a[s:e], tau[s:e],
                            Y[s + 1:e + 1], Y[s:e])
     return a[:, 0], X
 
@@ -814,7 +812,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             repeats += 1
 
         # commit the accepted iteration
-        x = compute_x(problem, A, A_next, a, tau, y, y_prev)
+        x = compute_x(A, A_next, a, tau, y, y_prev)
         g_y = smooth.grad(y)
         v = compute_v(x_tilde, y, g_y, g_xt, lam, tau)
         resid = math.sqrt(float(v @ v))

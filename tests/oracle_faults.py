@@ -32,7 +32,7 @@ def faulty(problem, which, call, fault, entry=0):
     grad = spoiled(orig.grad) if which == "grad" else orig.grad
     bad = SmoothOracle(value, grad, orig.audit_lipschitz,
                        orig.audit_curvature)
-    return CompositeProblem(bad, problem.regularizer, problem.omega), fired
+    return CompositeProblem(bad, problem.regularizer), fired
 
 
 def corrupt_gradient_oracle(problem, factor=1.6):
@@ -44,4 +44,4 @@ def corrupt_gradient_oracle(problem, factor=1.6):
         grad_fn=lambda u: factor * np.asarray(orig.grad(u)),
         audit_lipschitz=orig.audit_lipschitz,
         audit_curvature=orig.audit_curvature)
-    return CompositeProblem(bad, problem.regularizer, problem.omega)
+    return CompositeProblem(bad, problem.regularizer)

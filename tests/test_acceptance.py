@@ -257,13 +257,12 @@ def test_criterion_09_anchor_subproblem_optimality():
     for prob in probes:
         y0 = default_start(prob)
         _, trace, ledger = solve(prob, cfg, y0)
-        a, xs = replay_anchors(prob, trace)
+        a, xs = replay_anchors(trace)
         x_prev = y0
         X = ledger.record_arrays(len(trace))[0]
         for i in range(len(trace)):
-            verdict = check_xk_optimality(prob, X[i], trace.Y[i + 1],
-                                          trace.lam[i], trace.tau[i], xs[i],
-                                          x_prev, a[i])
+            verdict = check_xk_optimality(X[i], trace.Y[i + 1], trace.lam[i],
+                                          trace.tau[i], xs[i], x_prev, a[i])
             checked += 1
             confirmed += verdict is True
             x_prev = xs[i]
@@ -278,8 +277,7 @@ def test_criterion_10_iterate_drift_bound(corpus_runs):
     worst = 0.0
     for r in runs:
         bounds = TheoreticalBounds.from_problem(r.problem, CORPUS_CONFIG)
-        drift = check_xk_drift(replay_anchors(r.problem, r.trace)[1], r.y0,
-                               bounds)
+        drift = check_xk_drift(replay_anchors(r.trace)[1], r.y0, bounds)
         bounded += bool(drift.passed)
         worst = max(worst, drift.worst_ratio)
     _report(10, "iterate-drift-bound", bounded == 20,

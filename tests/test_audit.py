@@ -140,7 +140,7 @@ def _xi_with_offsets(index, value):
     imply, so that the momentum offset identity still holds."""
     def edit(run):
         t = run.trace
-        a = replay_anchors(run.prob, t)[0]
+        a = replay_anchors(t)[0]
         t.xi[index] = value
         t.tau[index] = 2.0 * t.xi[index] * t.lam[index] / a[index]
     return edit
@@ -333,6 +333,50 @@ def test_runs_keep_their_verdicts_under_a_coordinate_permutation(weight):
             outcomes.append((cert.converged, report.passed, cert.iterations))
         assert outcomes[0][:2] == (True, True), outcomes
         assert outcomes[1] == outcomes[0]
+
+
+def _converges_and_passes(prob, y0):
+    cfg = SolverConfig(rho_hat=1e-6)
+    cert, trace, ledger = solve(prob, cfg, y0)
+    report = audit_run(prob, cfg, cert, trace, ledger, y0)
+    return cert.converged and report.passed, report.lines()
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.3])
+def test_runs_with_zero_width_coordinates_converge_and_pass(weight):
+    # the first three coordinates pinned at the start, lo = hi: their
+    # subdifferential is all of R, so they are stationary wherever f points
+    for base in audit_corpus(10, 0):
+        y0 = default_start(base, seed=0)
+        lo, hi = (b.copy() for b in base.regularizer.domain_box)
+        lo[:3] = hi[:3] = y0[:3]
+        prob = make_qp_problem(base.smooth.Q, base.smooth.c, lo, hi,
+                               l1_weight=weight,
+                               audit_lipschitz=base.smooth.audit_lipschitz,
+                               audit_curvature=base.smooth.audit_curvature)
+        ok, lines = _converges_and_passes(prob, y0)
+        assert ok, lines
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_runs_with_a_rank_deficient_q_converge_and_pass(seed):
+    # a zero eigenvalue: f is convex but not strongly convex
+    prob = generate_qp(QuadraticSpec(n=20, eig_lo=0.0, eig_hi=10.0,
+                                     seed=seed))
+    ok, lines = _converges_and_passes(prob, default_start(prob, seed=0))
+    assert ok, lines
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_convex_runs_in_the_unbounded_box_converge_and_pass(seed):
+    # dom h = R^n: the box never binds, every start coordinate is 0, and
+    # the drift constant C is infinite
+    prob = generate_qp(QuadraticSpec(n=20, eig_lo=1.0, eig_hi=10.0,
+                                     box=(-np.inf, np.inf), seed=seed))
+    y0 = default_start(prob, seed=0)
+    assert not y0.any()
+    ok, lines = _converges_and_passes(prob, y0)
+    assert ok, lines
 
 
 def test_corrupted_gradient_fails_metadata_checks():

@@ -83,7 +83,7 @@ def test_baseline_certificate_counts_every_oracle_and_prox_call(
 
     monkeypatch.setattr(baselines_mod, "compute_candidate", trial)
     counted = CompositeProblem(SmoothOracle(prob.smooth.value, grad),
-                               prob.regularizer, prob.omega)
+                               prob.regularizer)
     cert, _ = runner(counted, SolverConfig(lambda0=step, rho_hat=1e-7),
                      default_start(prob))
     assert cert.converged
@@ -119,8 +119,7 @@ def test_adaptive_reduces_to_fista_when_stepsize_never_adapts():
     cert_b, tr_b = run_fista_constant(prob, cfg, y0)
     assert len(tr_a) == len(tr_b) == 50
     assert np.array_equal(tr_a.Y, tr_b.Y)
-    assert np.array_equal(replay_anchors(prob, tr_a)[1],
-                          replay_anchors(prob, tr_b)[1])
+    assert np.array_equal(replay_anchors(tr_a)[1], replay_anchors(tr_b)[1])
     assert np.array_equal(tr_a.residual, tr_b.residual)
     assert all(x == 0.0 for x in tr_a.xi)
 

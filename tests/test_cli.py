@@ -357,6 +357,22 @@ def test_solve_bad_l1_weight_exits_one(capsys, weight):
     assert "l1 weight must be finite and non-negative" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("eig_lo", "nan"), ("eig_hi", "inf"), ("eig_lo", "-inf"),
+    ("c_scale", "nan"), ("c_scale", "inf")])
+def test_solve_non_finite_generator_field_exits_one(capsys, field, value):
+    # an input error, named by its field: not "Q must be symmetric", and
+    # not a numerical failure at the start point (exit 4)
+    fields = dict(n="3", eig_lo="1", eig_hi="5", seed="0")
+    fields[field] = value
+    spec = "qp:" + ",".join(f"{k}={v}" for k, v in fields.items())
+    code, out, err = _run(capsys, ["solve", "--instance", spec,
+                                   "--rho", "1e-6"])
+    assert code == 1
+    assert out == ""
+    assert f"{field} must be finite" in err
+
+
 @pytest.mark.parametrize("solver", ["fista", "proxgrad"])
 def test_baseline_solvers_run(capsys, solver):
     code, out, _ = _run(capsys, ["solve", "--instance",

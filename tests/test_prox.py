@@ -1,4 +1,4 @@
-"""Proximal operator and projector properties.
+"""Proximal operator properties.
 
 The box-plus-l1 prox is checked against a dense 1-D grid minimization first;
 the algebraic properties (variational inequality, non-expansiveness) are
@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varfista.prox import BoxIndicator, Projector, soft_threshold
+from varfista.prox import BoxIndicator, soft_threshold
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
 # ---------------------------------------------------------------------------
-# soft threshold / box projection
+# soft threshold / box bounds
 # ---------------------------------------------------------------------------
 
 def test_soft_threshold_hand_values():
@@ -46,27 +46,14 @@ def test_soft_threshold_is_prox_of_l1(z, t):
     assert t * abs(p) + 0.5 * (p - z) ** 2 <= obj.min() + 1e-9
 
 
-def test_projector_hand_values_on_a_box():
-    box = Projector(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
-    assert np.array_equal(box.project(np.array([2.0, -3.0])),
-                          np.array([1.0, -1.0]))
-    assert np.array_equal(box.project(np.array([0.5, 0.0])),
-                          np.array([0.5, 0.0]))
-
-
 def test_projector_rejects_crossed_bounds():
-    with pytest.raises(ValueError):
-        Projector(np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        Projector(hi=np.array([0.0, np.nan]))
-
-
-def test_default_projector_returns_every_entry_bit_for_bit():
-    u = np.array([-0.0, 0.0, np.inf, -np.inf, 1.5, -2.0e-310, 1e308,
-                  np.nan])
-    out = Projector().project(u)
-    assert out.tobytes() == u.tobytes()
-    assert np.signbit(out[0]) and not np.signbit(out[1])
+    # the box checks its own bounds: lo <= hi, which a NaN bound fails
+    with pytest.raises(ValueError, match="lo > hi"):
+        BoxIndicator(np.array([1.0]), np.array([0.0]))
+    for lo, hi in ((np.array([0.0, np.nan]), np.ones(2)),
+                   (np.zeros(2), np.array([0.0, np.nan]))):
+        with pytest.raises(ValueError, match="lo > hi"):
+            BoxIndicator(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +104,7 @@ def test_weight_zero_prox_keeps_signed_zeros():
 @pytest.mark.parametrize("make", [
     lambda: BoxIndicator.uniform(2, -1.0, 1.0),
     lambda: BoxIndicator.uniform(2, -1.0, 1.0, 0.5),
-    lambda: Projector(np.zeros(2), np.ones(2)),
-], ids=["BoxIndicator", "BoxIndicator-weighted", "Projector"])
+], ids=["BoxIndicator", "BoxIndicator-weighted"])
 def test_box_classes_compare_and_hash_by_identity(make):
     # generated __eq__ over array fields would raise "truth value of an
     # array ... is ambiguous", and a generated __hash__ would raise TypeError
@@ -129,8 +115,8 @@ def test_box_classes_compare_and_hash_by_identity(make):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_box_proxes_match_the_projection_bytes_on_nonfinite_inputs(seed):
-    # a box prox is the projection onto its domain box, so its bytes must
-    # equal the projector's, NaN and infinite entries included
+    # a box prox is the clamp onto its domain box, so its bytes must equal
+    # the clamp's, NaN and infinite entries included
     rng = np.random.default_rng(seed)
     n = 64
     lo = rng.normal(size=n) - 1.0
@@ -142,11 +128,14 @@ def test_box_proxes_match_the_projection_bytes_on_nonfinite_inputs(seed):
     z[special] = rng.choice([np.nan, np.inf, -np.inf], size=12)
     s = float(rng.random()) + 0.1
     w = float(rng.random())
-    box, l1, omega = BoxIndicator(lo, hi), BoxIndicator(lo, hi, w), \
-        Projector(lo, hi)
-    assert box.prox(z, s).tobytes() == omega.project(z).tobytes()
+    box, l1 = BoxIndicator(lo, hi), BoxIndicator(lo, hi, w)
+
+    def clamp(u):
+        return np.minimum(np.maximum(u, lo), hi)
+
+    assert box.prox(z, s).tobytes() == clamp(z).tobytes()
     assert l1.prox(z, s).tobytes() == \
-        omega.project(soft_threshold(z, s * w)).tobytes()
+        clamp(soft_threshold(z, s * w)).tobytes()
     for bad in (0.0, -s, np.nan):
         with pytest.raises(ValueError):
             box.prox(z, bad)
@@ -236,7 +225,6 @@ def test_prox_and_projector_nonexpansive_on_1000_pairs():
     rng = np.random.default_rng(7)
     dim = 5
     regs = _regs(dim)
-    projs = [Projector(), Projector(np.full(dim, -1.0), np.full(dim, 1.0))]
     for _ in range(1000):
         z1 = rng.normal(scale=3.0, size=dim)
         z2 = rng.normal(scale=3.0, size=dim)
@@ -245,17 +233,4 @@ def test_prox_and_projector_nonexpansive_on_1000_pairs():
         for reg in regs:
             d = np.linalg.norm(reg.prox(z1, s) - reg.prox(z2, s))
             assert d <= gap * (1.0 + 1e-12) + 1e-15
-        for proj in projs:
-            d = np.linalg.norm(proj.project(z1) - proj.project(z2))
-            assert d <= gap * (1.0 + 1e-12) + 1e-15
 
-
-def test_projector_kinds():
-    # R^n is the default box; scalar bounds apply to every coordinate
-    whole = Projector()
-    assert whole.lo == -np.inf and whole.hi == np.inf
-    u = np.array([-3.0, 0.25, 3.0])
-    assert np.array_equal(Projector(0.0, 1.0).project(u),
-                          np.array([0.0, 0.25, 1.0]))
-    assert np.array_equal(Projector(np.zeros(3), np.ones(3)).project(u),
-                          Projector(0.0, 1.0).project(u))
