@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class AuditReport:
 
     def failures(self) -> List[CheckResult]:
         return [c for c in self.checks if not c.passed]
-
-    def lines(self) -> List[str]:
-        return [c.line() for c in self.checks]
 
 
 _REL = 1e-9  # relative slack for float comparisons against analytic constants
@@ -120,10 +117,10 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     solver's gap cache.  The checks read trace columns as views, and
     ``replay_anchors`` rebuilds a_k and x_k.  No temporary holds more than
     max(_SCAN_BLOCK, K n) elements; the largest, one at a time, are the
-    anchors, the domain test's masks and the differences of y_k with the
-    records.  The gap scans of the replay, of y_{k-1} against record k and
-    of each block's best points, form their differences a block of records
-    at a time, at most ``_SCAN_BLOCK`` elements (``HistoryLedger._gap_terms``).
+    anchors and the domain test's masks.  The gap scans, of y_{k-1} and of
+    y_k against record k and of each block's best points, form their
+    differences a block of records at a time, at most ``_SCAN_BLOCK``
+    elements (``HistoryLedger._gap_terms``).
 
     Kept checks imply three invariants with no check of their own (proofs
     in README.md, "Audit checks"): at most floor(log2 xi_bar) + 2 distinct
@@ -201,14 +198,12 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
     checks.append(certificate_check(problem, cert, config.rho_hat))
 
     # the L replay needs no analytic constant; the checks after it do
-    bounds = None
-    if None not in (problem.smooth.audit_lipschitz,
-                    problem.smooth.audit_curvature):
-        bounds = TheoreticalBounds.from_problem(problem, config)
+    bounds = TheoreticalBounds.from_problem(problem, config)
+    if bounds is not None:
         drift = check_xk_drift(anchors, y0, bounds)  # reported last
     del anchors
 
-    X, F, G, floor = ledger.record_arrays(n_iter)
+    _, F, _, floor = ledger.record_arrays(n_iter)
     abs_F = np.abs(F)
     # f(y_0..y_K) and their value-roundoff scales, by the solver's formulas
     f_ys, s_ys = np.empty(n_iter + 1), np.empty(n_iter + 1)
@@ -281,10 +276,8 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
         return AuditReport(checks)
 
     # U_k against M, with a per-iteration roundoff envelope for the quotient
-    D = Y[1:] - X
-    env = _envelope(f_ys[1:], abs_F, _kernels.c_einsum("ij,ij->i", G, D),
-                    _kernels.c_einsum("ij,ij->i", D, D), floor)
-    del D
+    _, den, gd = ledger.linearization_gaps(n_iter, Y[1:], f_ys[1:], s_ys[1:])
+    env = _envelope(f_ys[1:], abs_F, gd, den, floor)
     # U == 0 marks a guarded (degenerate-distance) quotient and always passes
     kU = int(np.argmax(U)) + 1
     add_unless("upper-curvature-bound",
@@ -325,7 +318,7 @@ def audit_run(problem: CompositeProblem, config: SolverConfig,
 
     add("anchor-drift", drift.passed,
         f"worst ||x_k - x_0||/(C k) = {drift.worst_ratio:.3e} "
-        f"at k={drift.worst_k} (C = {drift.C:.3g})")
+        f"at k={drift.worst_k} (C = {bounds.C:.3g})")
 
     return AuditReport(checks)
 
@@ -345,13 +338,11 @@ def audit_corpus(n_instances: int, seed: int) -> List[CompositeProblem]:
 
 
 def run_audit_suite(n_instances: int = 20, seed: int = 0,
-                    max_iterations: int = 10_000, rho_hat: float = 1e-7,
-                    problems: Optional[List[CompositeProblem]] = None):
-    """Audit the schedule plus a corpus of runs.
+                    max_iterations: int = 10_000, rho_hat: float = 1e-7):
+    """Audit the schedule plus the ``audit_corpus`` of runs.
 
     Returns (passed, lines) where lines carry one entry per check per
-    instance, plus the schedule scan.  ``problems`` overrides the generated
-    corpus (used by fault-injection tests).
+    instance, plus the schedule scan.
     """
     lines: List[str] = []
     passed = True
@@ -365,10 +356,8 @@ def run_audit_suite(n_instances: int = 20, seed: int = 0,
                  f"{sched.max_rel_gap:.3e})")
     passed &= sched.passed
 
-    if problems is None:
-        problems = audit_corpus(n_instances, seed)
     rng = np.random.default_rng(seed ^ 0x5eed)
-    for idx, problem in enumerate(problems):
+    for idx, problem in enumerate(audit_corpus(n_instances, seed)):
         lo, hi = problem.regularizer.domain_box
         y0 = lo + rng.random(problem.dimension) * (hi - lo)
         config = SolverConfig(rho_hat=rho_hat,

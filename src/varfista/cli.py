@@ -67,11 +67,12 @@ def _build_parser() -> _Parser:
                     default="var-fista")
     ps.add_argument("--rho", type=float, default=None,
                     help="target residual norm (required)")
-    ps.add_argument("--lambda0", type=float, default=1.0,
+    ps.add_argument("--lambda0", type=float, default=SolverConfig.lambda0,
                     help="initial stepsize; fixed step for the baselines")
-    ps.add_argument("--theta", type=float, default=2.0)
-    ps.add_argument("--gamma", type=float, default=0.99)
-    ps.add_argument("--max-iter", type=int, default=100_000)
+    ps.add_argument("--theta", type=float, default=SolverConfig.theta)
+    ps.add_argument("--gamma", type=float, default=SolverConfig.gamma)
+    ps.add_argument("--max-iter", type=int,
+                    default=SolverConfig.max_outer_iterations)
     ps.add_argument("--trace", default=None, metavar="PATH",
                     help="write the iteration trace as delimited text")
     ps.add_argument("--audit", action="store_true",
@@ -87,18 +88,19 @@ def _build_parser() -> _Parser:
                     help="comma-separated tolerance ladder")
     pl.add_argument("--out", default=None, metavar="PATH",
                     help="write the JSON table here as well as stdout")
-    pl.add_argument("--lambda0", type=float, default=1.0)
-    pl.add_argument("--theta", type=float, default=2.0)
-    pl.add_argument("--gamma", type=float, default=0.99)
+    pl.add_argument("--lambda0", type=float, default=SolverConfig.lambda0)
+    pl.add_argument("--theta", type=float, default=SolverConfig.theta)
+    pl.add_argument("--gamma", type=float, default=SolverConfig.gamma)
     pl.add_argument("--max-iter", type=int, default=200_000)
     pl.add_argument("--seed", type=int, default=None)
 
+    # an audit flag left out stays None: run_audit_suite's default applies
     pa = sub.add_parser("audit",
                         help="run the invariant audit suite on a corpus")
-    pa.add_argument("--n-instances", type=int, default=20)
-    pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--iters", type=int, default=10_000)
-    pa.add_argument("--rho", type=float, default=1e-6)
+    pa.add_argument("--n-instances", type=int)
+    pa.add_argument("--seed", type=int)
+    pa.add_argument("--iters", type=int)
+    pa.add_argument("--rho", type=float)
 
     return parser
 
@@ -260,9 +262,11 @@ def _cmd_slope(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_audit(args) -> int:
-    passed, lines = run_audit_suite(
-        n_instances=args.n_instances, seed=args.seed,
-        max_iterations=args.iters, rho_hat=args.rho)
+    given = {key: value for key, value in (
+        ("n_instances", args.n_instances), ("seed", args.seed),
+        ("max_iterations", args.iters), ("rho_hat", args.rho))
+        if value is not None}
+    passed, lines = run_audit_suite(**given)
     for line in lines:
         print(line)
     print(f"audit suite: {'PASS' if passed else 'FAIL'}")

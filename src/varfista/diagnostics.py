@@ -32,25 +32,26 @@ class TheoreticalBounds:
     m_under: float
     lambda_floor: float
     xi_bar: float
-    D_h: float
     C: float
 
     @classmethod
     def from_problem(cls, problem: CompositeProblem, config: SolverConfig):
+        """The constants of ``problem`` under ``config``, or None when the
+        problem carries no audit metadata (either constant is None)."""
         M = problem.smooth.audit_lipschitz
         m = problem.smooth.audit_curvature
         if M is None or m is None:
-            raise ValueError("problem carries no audit metadata")
+            return None
         lam_floor = config.lambda0
         if M > 0.0:
             lam_floor = min(config.gamma / (config.theta * M), config.lambda0)
         xi_bar = max(4.0 * m, 1.0) if m > 0.0 else 0.0
         lo, hi = problem.regularizer.domain_box
-        D_h = float(np.linalg.norm(hi - lo))
-        C = 2.0 * (2.0 + xi_bar * config.lambda0) * D_h
+        C = 2.0 * (2.0 + xi_bar * config.lambda0) \
+            * float(np.linalg.norm(hi - lo))
         return cls(M_bar=float(M), m_under=float(m),
                    lambda_floor=float(lam_floor), xi_bar=float(xi_bar),
-                   D_h=D_h, C=float(C))
+                   C=float(C))
 
 
 def _anchor_quadratic(x_tilde: Array, y_k: Array, lam: float, tau: float,
@@ -98,7 +99,6 @@ class DriftReport:
     passed: bool
     worst_ratio: float
     worst_k: int
-    C: float
 
 
 def check_xk_drift(xs: Array, x0: Array,
@@ -124,4 +124,4 @@ def check_xk_drift(xs: Array, x0: Array,
             worst = float(r[i])
             worst_k = s + i + 1
     return DriftReport(passed=worst <= 1.0, worst_ratio=worst,
-                       worst_k=worst_k, C=bounds.C)
+                       worst_k=worst_k)

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .problems import Array, CompositeProblem, phi
+from .problems import Array, CompositeProblem, _check_audit_constants, phi
 from .prox import BoxIndicator
 
 __all__ = [
@@ -112,6 +112,9 @@ class QuadraticOracle:
         c = np.asarray(c, dtype=np.float64)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or c.shape != (Q.shape[0],):
             raise ValueError("Q must be square and c must match its size")
+        for name, a in (("Q", Q), ("c", c)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
         self.Q = Q
@@ -124,6 +127,7 @@ class QuadraticOracle:
                 audit_curvature = float(max(0.0, -np.min(eigs)))
         self.audit_lipschitz = audit_lipschitz
         self.audit_curvature = audit_curvature
+        _check_audit_constants(self)
         self._memo_u: Optional[Array] = None
         self._memo_bytes = b""
         self._memo_Qu: Optional[Array] = None
@@ -223,7 +227,8 @@ def make_qp_problem(Q: Array, c: Array, lo: Array, hi: Array,
     loading).
 
     Audit constants left as None are computed from the spectrum of Q.  A
-    negative or non-finite l1 weight raises ValueError.
+    non-finite entry of Q or c, or a negative or non-finite audit constant
+    or l1 weight, raises ValueError naming it.
     """
     oracle = QuadraticOracle(Q, c, audit_lipschitz, audit_curvature)
     reg = BoxIndicator(lo, hi, l1_weight)

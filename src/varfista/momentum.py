@@ -56,19 +56,11 @@ class ScheduleBoundsReport:
     ``max_rel_gap`` is the largest relative violation of A_k = a_{k-1}^2.
     """
 
-    k_max: int
     lower_margin: float
-    lower_argk: int
     upper_margin: float
-    upper_argk: int
     sum_margin: float
-    sum_argk: int
     ratio_margin: float
-    ratio_argk: int
     max_rel_gap: float
-    gap_argk: int
-    a_last: float
-    A_last: float
     passed: bool
 
 
@@ -87,24 +79,16 @@ def check_schedule_bounds(k_max: int) -> ScheduleBoundsReport:
     k = np.arange(1, k_max + 1)
     sum_A = np.cumsum(A_next)  # cumsum adds in order, as a running sum does
 
-    def worst(margin):  # the smallest margin and its first 1-based k
-        i = int(np.argmin(margin))
-        return float(margin[i]), i + 1
+    def worst(margin):  # the smallest margin
+        return float(margin[np.argmin(margin)])
 
-    lower, lower_k = worst(a - 0.5 * k)
-    upper, upper_k = worst(4.0 * k - a)
-    total, total_k = worst(sum_A - (k * k * k) / 12.0)
-    ratio, ratio_k = worst(4.0 / k - np.cumsum(a) / sum_A)
-    gap = np.abs(A_next - a * a) / A_next
-    gap_k = int(np.argmax(gap)) + 1 if gap.max() > 0.0 else 0
-    max_gap = float(gap[gap_k - 1]) if gap_k else 0.0
+    lower = worst(a - 0.5 * k)
+    upper = worst(4.0 * k - a)
+    total = worst(sum_A - (k * k * k) / 12.0)
+    ratio = worst(4.0 / k - np.cumsum(a) / sum_A)
+    max_gap = float((np.abs(A_next - a * a) / A_next).max())
     passed = (lower >= 0.0 and upper >= 0.0 and total >= 0.0
               and ratio >= 0.0 and max_gap <= _IDENTITY_TOL)
     return ScheduleBoundsReport(
-        k_max=k_max,
-        lower_margin=lower, lower_argk=lower_k,
-        upper_margin=upper, upper_argk=upper_k,
-        sum_margin=total, sum_argk=total_k,
-        ratio_margin=ratio, ratio_argk=ratio_k,
-        max_rel_gap=max_gap, gap_argk=gap_k,
-        a_last=float(a[-1]), A_last=float(A_next[-1]), passed=passed)
+        lower_margin=lower, upper_margin=upper, sum_margin=total,
+        ratio_margin=ratio, max_rel_gap=max_gap, passed=passed)

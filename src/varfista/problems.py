@@ -22,6 +22,16 @@ from .prox import BoxIndicator
 Array = np.ndarray
 
 
+def _check_audit_constants(oracle) -> None:
+    """ValueError, naming the field, for a set audit constant of ``oracle``
+    that is not finite and non-negative."""
+    for name in ("audit_lipschitz", "audit_curvature"):
+        value = getattr(oracle, name)
+        if value is not None and not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and non-negative, "
+                             f"not {value}")
+
+
 @dataclass(frozen=True)
 class SmoothOracle:
     """Smooth term f, given by a value callable and a gradient callable.
@@ -31,6 +41,7 @@ class SmoothOracle:
     constant of grad f over the regularizer's domain, and an upper bound on
     the weak-convexity modulus (the smallest m >= 0 with
     f(u) >= f(w) + <grad f(w), u - w> - (m/2)||u - w||^2); zero means convex.
+    A set constant must be finite and non-negative (ValueError otherwise).
 
     ``value_scale`` is the value-roundoff scale s(u): the magnitude whose
     eps-multiples bound the rounding error of a computed f(u).  The solver's
@@ -48,6 +59,9 @@ class SmoothOracle:
     grad_fn: Callable[[Array], Array]
     audit_lipschitz: Optional[float] = None
     audit_curvature: Optional[float] = None
+
+    def __post_init__(self):
+        _check_audit_constants(self)
 
     def value(self, u: Array):
         if np.ndim(u) == 2:  # one value_fn call per row

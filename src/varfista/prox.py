@@ -58,10 +58,9 @@ class BoxIndicator:
         object.__setattr__(self, "weight", weight)
 
     @classmethod
-    def uniform(cls, dimension: int, lo: float, hi: float,
-                weight: float = 0.0) -> "BoxIndicator":
-        return cls(np.full(dimension, float(lo)), np.full(dimension, float(hi)),
-                   weight)
+    def uniform(cls, dimension: int, lo: float, hi: float) -> "BoxIndicator":
+        return cls(np.full(dimension, float(lo)),
+                   np.full(dimension, float(hi)))
 
     @property
     def domain_box(self) -> Tuple[Array, Array]:

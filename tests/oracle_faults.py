@@ -45,3 +45,12 @@ def corrupt_gradient_oracle(problem, factor=1.6):
         audit_lipschitz=orig.audit_lipschitz,
         audit_curvature=orig.audit_curvature)
     return CompositeProblem(bad, problem.regularizer)
+
+
+def corrupt_audit_corpus(monkeypatch, factor=1.6):
+    """Make ``audit_corpus``, and so ``run_audit_suite`` and ``varfista
+    audit``, give its instances with every gradient scaled by ``factor``."""
+    import varfista.audit as audit
+    clean = audit.audit_corpus
+    monkeypatch.setattr(audit, "audit_corpus", lambda n_instances, seed: [
+        corrupt_gradient_oracle(p, factor) for p in clean(n_instances, seed)])

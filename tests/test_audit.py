@@ -16,7 +16,7 @@ from varfista.gallery import (QuadraticSpec, default_start, generate_qp,
                               make_qp_problem)
 from varfista.solver import (DENOM_EPSILON, HistoryLedger, IterationTrace,
                              SolverConfig, replay_anchors, solve)
-from oracle_faults import corrupt_gradient_oracle
+from oracle_faults import corrupt_audit_corpus, corrupt_gradient_oracle
 from test_package import audit_check_names
 
 
@@ -41,7 +41,6 @@ def test_check_result_line_format():
     rep = AuditReport([ok, bad])
     assert not rep.passed
     assert rep.failures() == [bad]
-    assert rep.lines() == [ok.line(), bad.line()]
 
 
 def test_clean_convex_run_passes_every_check():
@@ -274,7 +273,8 @@ def test_each_check_fails_on_a_minimally_broken_run(spec, edit, failed):
     edit(run)
     report = audit_run(run.prob, run.cfg, run.cert, run.trace, run.ledger,
                        run.y0)
-    assert {c.name for c in report.failures()} == failed, report.lines()
+    assert {c.name for c in report.failures()} == failed, \
+        [c.line() for c in report.checks]
 
 
 def test_every_check_fails_in_some_row():
@@ -304,11 +304,11 @@ def test_audit_verdicts_keep_under_scaling_f_and_rho_hat(factor):
         cert, trace, ledger = solve(prob, cfg, y0)
         report = audit_run(prob, cfg, cert, trace, ledger, y0)
         failed = {c.name for c in report.failures()}
+        lines = [c.line() for c in report.checks]
         if factor >= 1.0:
-            assert cert.converged and not failed, (seed, report.lines())
+            assert cert.converged and not failed, (seed, lines)
         elif cert.converged:
-            assert failed == {"certificate-membership"}, (seed,
-                                                         report.lines())
+            assert failed == {"certificate-membership"}, (seed, lines)
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.3])
@@ -339,7 +339,8 @@ def _converges_and_passes(prob, y0):
     cfg = SolverConfig(rho_hat=1e-6)
     cert, trace, ledger = solve(prob, cfg, y0)
     report = audit_run(prob, cfg, cert, trace, ledger, y0)
-    return cert.converged and report.passed, report.lines()
+    return (cert.converged and report.passed,
+            [c.line() for c in report.checks])
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.3])
@@ -445,7 +446,7 @@ def _small_indefinite_qp(n, seed):
     return make_qp_problem(0.5 * (Q + Q.T), c, -np.ones(n), np.ones(n))
 
 
-def test_inner_repeat_budget_adds_shrinks_and_escalations():
+def test_inner_repeat_budget_adds_shrinks_and_escalations(monkeypatch):
     # retries are at most shrinks plus escalations; a budget of K +
     # max(lam_term, xi_term) + 2 failed 9 of these 300 clean runs, e.g.
     # n = 2, seed 6: 31 prox calls in 26 iterations against 30.48
@@ -460,9 +461,8 @@ def test_inner_repeat_budget_adds_shrinks_and_escalations():
             failed += [(n, seed, c.line()) for c in report.failures()]
     assert failed == []
     # the gradient-fault runs still blow through the budget
-    _, lines = run_audit_suite(
-        max_iterations=500,
-        problems=[corrupt_gradient_oracle(p) for p in audit_corpus(6, 0)])
+    corrupt_audit_corpus(monkeypatch)
+    _, lines = run_audit_suite(6, 0, max_iterations=500)
     assert sum("inner-repeat-budget: FAIL" in ln for ln in lines) == 6
 
 
@@ -484,11 +484,10 @@ def test_audit_suite_passes_on_clean_corpus():
     assert sum("certificate-membership: PASS" in ln for ln in lines) == 4
 
 
-def test_audit_suite_names_first_failure_under_fault_injection():
-    corpus = [corrupt_gradient_oracle(p)
-              for p in audit_corpus(2, seed=0)]
-    passed, lines = run_audit_suite(max_iterations=500, rho_hat=1e-7,
-                                    problems=corpus)
+def test_audit_suite_names_first_failure_under_fault_injection(
+        monkeypatch):
+    corrupt_audit_corpus(monkeypatch)
+    passed, lines = run_audit_suite(2, 0, max_iterations=500, rho_hat=1e-7)
     assert not passed
     named = [ln for ln in lines if "FAILED first at:" in ln]
     assert len(named) == 2
@@ -506,11 +505,10 @@ AUDIT_REPORT_SHA256 = \
     "06a87340e039e6b9fcc643a691324ffe5d06fa2db876cd2626752f692927bf79"
 
 
-def test_audit_reports_match_golden_hash():
+def test_audit_reports_match_golden_hash(monkeypatch):
     _, clean = run_audit_suite(20, 0)
-    _, faulty = run_audit_suite(
-        max_iterations=500,
-        problems=[corrupt_gradient_oracle(p) for p in audit_corpus(6, 0)])
+    corrupt_audit_corpus(monkeypatch)
+    _, faulty = run_audit_suite(6, 0, max_iterations=500)
     text = "\n".join(clean + faulty)
     assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_REPORT_SHA256
 
@@ -552,7 +550,8 @@ def test_audit_replay_reports_match_golden_hash():
         cert, trace, ledger = solve(prob, cfg, y0)
         report = audit_run(prob, cfg, cert, trace, ledger, y0)
         assert report.passed, "\n".join(c.line() for c in report.failures())
-        h.update("\n".join(report.lines()).encode() + b"\n\n")
+        h.update("\n".join(c.line() for c in report.checks).encode()
+                 + b"\n\n")
     assert h.hexdigest() == AUDIT_REPLAY_SHA256
 
 
@@ -783,6 +782,49 @@ def test_upper_curvature_bound_fails_just_above_its_envelope():
     check = upper(M * (1.0 + 1e-9) + 2.0 * env[j])
     assert not check.passed
     assert check.detail == f"first violation at k={j + 1}"
+
+
+def _envelope_term_runs():
+    """Six corpus runs, two n = 200 runs, a long n = 20 run (K = 5225) and
+    the dense n = 1000 run (K = 1681); the last four form their
+    differences a block of records at a time."""
+    rng = np.random.default_rng(0 ^ 0x5eed)
+    for prob in audit_corpus(6, 0):
+        lo, hi = prob.regularizer.domain_box
+        yield (prob, SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000),
+               lo + rng.random(prob.dimension) * (hi - lo))
+    for seed in range(2):
+        prob = generate_qp(QuadraticSpec(n=200, eig_lo=-1.0, eig_hi=100.0,
+                                         seed=seed))
+        yield prob, SolverConfig(rho_hat=1e-6), default_start(prob)
+    prob = generate_qp(QuadraticSpec(n=20, eig_lo=0.01, eig_hi=100.0,
+                                     box=(-300.0, 300.0), seed=2))
+    yield (prob, SolverConfig(rho_hat=1e-6, max_outer_iterations=20_000),
+           default_start(prob))
+    prob = generate_qp(QuadraticSpec(n=1000, eig_lo=0.01, eig_hi=100.0,
+                                     seed=0))
+    yield (prob, SolverConfig(rho_hat=1e-6, max_outer_iterations=10_000),
+           default_start(prob))
+
+
+def test_upper_curvature_envelope_terms_equal_a_direct_difference_form():
+    # the U envelope reads ||d||^2 and g.d, d = y_k - x_tilde_k, from the
+    # ledger's gap scan; they equal the terms of one K x n difference array
+    # bit for bit, blocked or not
+    blocked = 0
+    for prob, cfg, y0 in _envelope_term_runs():
+        _, trace, ledger = solve(prob, cfg, y0)
+        K = len(trace)
+        X, _, G, _ = ledger.record_arrays(K)
+        Y = trace.Y[1:]
+        f_y = prob.smooth.value(Y)
+        _, den, gd = ledger.linearization_gaps(
+            K, Y, f_y, prob.smooth.value_scale(Y, f_y))
+        D = Y - X
+        assert den.tobytes() == _kernels.c_einsum("ij,ij->i", D, D).tobytes()
+        assert gd.tobytes() == _kernels.c_einsum("ij,ij->i", G, D).tobytes()
+        blocked += K * prob.dimension > _kernels._SCAN_BLOCK
+    assert blocked == 4
 
 
 def _replay_details(prob, trace, ledger):

@@ -2,16 +2,16 @@
 
 import base64
 import json
-from functools import partial
 
 import numpy as np
 import pytest
 
 from varfista import cli
-from varfista.audit import audit_corpus, run_audit_suite
+from varfista.audit import run_audit_suite
 from varfista.cli import fit_slope, main
 from varfista.gallery import QuadraticSpec, generate_qp, save_instance
-from oracle_faults import corrupt_gradient_oracle
+from varfista.solver import SolverConfig
+from oracle_faults import corrupt_audit_corpus, corrupt_gradient_oracle
 
 CONVEX_1D = "qp:n=1,eig_lo=2,eig_hi=2,seed=0"
 ROUGH = "qp:n=6,eig_lo=-1,eig_hi=10,seed=11"
@@ -211,13 +211,6 @@ def _corrupt_solved_instance(monkeypatch, factor):
     monkeypatch.setattr(cli, "_load_problem", corrupted)
 
 
-def _corrupt_audit_corpus(monkeypatch, factor, n_instances, seed=0):
-    problems = [corrupt_gradient_oracle(p, factor)
-                for p in audit_corpus(n_instances, seed)]
-    monkeypatch.setattr(cli, "run_audit_suite",
-                        partial(run_audit_suite, problems=problems))
-
-
 def test_solve_audit_fault_exits_three(capsys, monkeypatch):
     _corrupt_solved_instance(monkeypatch, 1.6)
     code, out, _ = _run(capsys, ["solve", "--instance", ROUGH,
@@ -284,7 +277,7 @@ def test_solve_repeat_cap_exhausted_exits_five(capsys, monkeypatch):
 
 def test_audit_suite_reports_a_nonfinite_run_as_failed(capsys, monkeypatch):
     # a NaN gradient factor makes every trial point NaN
-    _corrupt_audit_corpus(monkeypatch, np.nan, 2)
+    corrupt_audit_corpus(monkeypatch, np.nan)
     code, out, _ = _run(capsys, ["audit", "--n-instances", "2",
                                  "--iters", "50", "--rho", "1e-6"])
     assert code == 3
@@ -477,8 +470,31 @@ def test_audit_command_passes_small_corpus(capsys):
     assert "schedule-growth-envelope: PASS" in out
 
 
+def test_solve_and_slope_take_their_defaults_from_solver_config(
+        monkeypatch):
+    # a new SolverConfig default reaches both commands; slope keeps its
+    # own iteration cap
+    for name, value in (("lambda0", 0.5), ("theta", 1.5), ("gamma", 0.9),
+                        ("max_outer_iterations", 777)):
+        monkeypatch.setattr(SolverConfig, name, value)
+    parser = cli._build_parser()
+    for command, max_iter in (("solve", 777), ("slope", 200_000)):
+        args = parser.parse_args([command, "--instance", ROUGH])
+        assert (args.lambda0, args.theta, args.gamma, args.max_iter) \
+            == (0.5, 1.5, 0.9, max_iter)
+
+
+def test_audit_command_without_flags_prints_the_suite_defaults(capsys):
+    # the command states no default of its own: ``varfista audit`` is
+    # ``run_audit_suite()`` with its summary line
+    passed, lines = run_audit_suite()
+    code, out, _ = _run(capsys, ["audit"])
+    assert code == 0 and passed
+    assert out.splitlines() == lines + ["audit suite: PASS"]
+
+
 def test_audit_command_fault_injection_exits_three(capsys, monkeypatch):
-    _corrupt_audit_corpus(monkeypatch, 1.6, 2)
+    corrupt_audit_corpus(monkeypatch)
     code, out, _ = _run(capsys, ["audit", "--n-instances", "2",
                                  "--iters", "500", "--rho", "1e-7"])
     assert code == 3

@@ -67,15 +67,15 @@ def test_bounds_from_analytic_metadata():
     assert b.M_bar == 10.0 and b.m_under == 1.0
     assert b.lambda_floor == pytest.approx(0.99 / 20.0)
     assert b.xi_bar == 4.0  # max(4 * 1, 1)
-    assert b.D_h == pytest.approx(2.0 * np.sqrt(4))
-    assert b.C == pytest.approx(2.0 * (2.0 + 4.0 * 1.0) * b.D_h)
+    # C = 2 (2 + xi_bar lambda0) ||hi - lo||, the box [-1, 1]^4
+    assert b.C == pytest.approx(2.0 * (2.0 + 4.0 * 1.0) * 2.0 * np.sqrt(4))
 
 
 def test_bounds_convex_case_zeroes_escalation():
     prob = generate_qp(QuadraticSpec(n=4, eig_lo=1.0, eig_hi=10.0))
     b = TheoreticalBounds.from_problem(prob, SolverConfig())
     assert b.m_under == 0.0 and b.xi_bar == 0.0
-    assert b.C == pytest.approx(4.0 * b.D_h)
+    assert b.C == pytest.approx(4.0 * 2.0 * np.sqrt(4))
 
 
 def test_bounds_small_lambda0_keeps_floor_at_lambda0():
@@ -86,11 +86,13 @@ def test_bounds_small_lambda0_keeps_floor_at_lambda0():
 
 
 def test_bounds_require_metadata_or_estimation():
-    f = SmoothOracle(lambda u: float(u[0] ** 2),
-                     lambda u: np.array([2.0 * u[0]]))
-    prob = CompositeProblem(f, BoxIndicator.uniform(1, -1.0, 1.0))
-    with pytest.raises(ValueError):
-        TheoreticalBounds.from_problem(prob, SolverConfig())
+    # without both audit constants, from_problem gives no bounds (None)
+    box = BoxIndicator.uniform(1, -1.0, 1.0)
+    for M, m in ((None, None), (2.0, None), (None, 0.0)):
+        f = SmoothOracle(lambda u: float(u[0] ** 2),
+                         lambda u: np.array([2.0 * u[0]]), M, m)
+        prob = CompositeProblem(f, box)
+        assert TheoreticalBounds.from_problem(prob, SolverConfig()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,7 @@ def test_anchor_check_projected_gradient_fallback():
 
 def test_drift_report_hand_case():
     bounds = TheoreticalBounds(M_bar=1.0, m_under=0.0, lambda_floor=0.1,
-                               xi_bar=0.0, D_h=1.0, C=4.0)
+                               xi_bar=0.0, C=4.0)
     x0 = np.zeros(1)
     rep = check_xk_drift([np.array([2.0]), np.array([7.0])], x0, bounds)
     assert rep.passed  # 2 <= 4*1 and 7 <= 4*2
@@ -180,7 +182,7 @@ def test_drift_report_hand_case():
 def test_drift_with_zero_C_allows_only_zero_drift():
     # a one-point domain gives C = 0: staying put passes, moving fails
     bounds = TheoreticalBounds(M_bar=1.0, m_under=0.0, lambda_floor=0.1,
-                               xi_bar=0.0, D_h=0.0, C=0.0)
+                               xi_bar=0.0, C=0.0)
     x0 = np.array([0.5, 0.5])
     ok = check_xk_drift([x0.copy(), x0.copy()], x0, bounds)
     assert ok.passed and ok.worst_ratio == 0.0

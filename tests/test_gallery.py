@@ -71,6 +71,35 @@ def test_quadratic_oracle_validation():
         QuadraticOracle(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
 
 
+@pytest.mark.parametrize("name", ["Q", "c"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_quadratic_oracle_names_a_non_finite_q_or_c(name, value):
+    # checked before the symmetry test, which a NaN in Q would fail
+    data = {"Q": np.eye(2), "c": np.zeros(2)}
+    data[name].flat[0] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        QuadraticOracle(data["Q"], data["c"])
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        make_qp_problem(data["Q"], data["c"], -np.ones(2), np.ones(2))
+
+
+_BAD_AUDIT_CONSTANTS = [np.nan, np.inf, -np.inf, -3.0]
+
+
+@pytest.mark.parametrize("field", ["audit_lipschitz", "audit_curvature"])
+@pytest.mark.parametrize("value", _BAD_AUDIT_CONSTANTS)
+def test_oracles_reject_a_bad_audit_constant_by_name(field, value):
+    # one rule for both oracles: a set constant is finite and >= 0
+    match = f"{field} must be finite and non-negative"
+    with pytest.raises(ValueError, match=match):
+        SmoothOracle(lambda u: 0.0, lambda u: np.zeros(1), **{field: value})
+    with pytest.raises(ValueError, match=match):
+        QuadraticOracle(np.eye(1), np.zeros(1), **{field: value})
+    with pytest.raises(ValueError, match=match):
+        make_qp_problem(np.diag([1.0, -1.0]), [0.3, 0.2], -np.ones(2),
+                        np.ones(2), **{field: value})
+
+
 def test_default_start_is_box_midpoint():
     prob = make_qp_problem(np.array([[2.0]]), np.array([-4.0]),
                            np.array([0.0]), np.array([1.0]))

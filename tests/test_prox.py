@@ -88,8 +88,6 @@ def test_box_indicator_rejects_a_negative_or_nonfinite_weight(weight):
     # infinite one would make h(0) = inf * 0 = NaN
     with pytest.raises(ValueError, match="l1 weight"):
         BoxIndicator(np.zeros(1), np.ones(1), weight)
-    with pytest.raises(ValueError, match="l1 weight"):
-        BoxIndicator.uniform(1, 0.0, 1.0, weight)
 
 
 def test_weight_zero_prox_keeps_signed_zeros():
@@ -103,7 +101,7 @@ def test_weight_zero_prox_keeps_signed_zeros():
 
 @pytest.mark.parametrize("make", [
     lambda: BoxIndicator.uniform(2, -1.0, 1.0),
-    lambda: BoxIndicator.uniform(2, -1.0, 1.0, 0.5),
+    lambda: BoxIndicator(-np.ones(2), np.ones(2), 0.5),
 ], ids=["BoxIndicator", "BoxIndicator-weighted"])
 def test_box_classes_compare_and_hash_by_identity(make):
     # generated __eq__ over array fields would raise "truth value of an
@@ -170,7 +168,7 @@ def test_value_at_a_prox_output_skips_only_the_membership_scan(seed):
 
 
 def test_l1_plus_box_value():
-    reg = BoxIndicator.uniform(2, -1.0, 1.0, 0.5)
+    reg = BoxIndicator(-np.ones(2), np.ones(2), 0.5)
     assert reg.value(np.array([0.5, -0.5])) == pytest.approx(0.5)
     assert reg.value(np.array([2.0, 0.0])) == np.inf
 
@@ -203,7 +201,7 @@ def test_l1_plus_box_prox_matches_grid_oracle(z, s, w, lo, hi):
 
 def _regs(dim):
     return [BoxIndicator.uniform(dim, -1.0, 1.0),
-            BoxIndicator.uniform(dim, -1.0, 1.0, 0.3)]
+            BoxIndicator(-np.ones(dim), np.ones(dim), 0.3)]
 
 
 @given(st.integers(0, 1), st.integers(0, 10_000),
