@@ -20,8 +20,8 @@ import numpy as np
 # wrapper and its dispatcher, about 1 us a call: the solver takes several
 # einsum products per iteration at n = 20.  The package takes every einsum
 # through this one name.  No other dot form is bit-equal to einsum: ``@``,
-# dot, vdot, inner and vecdot each differ from it on 350 of 500 random
-# pairs of n = 20 vectors (numpy 2.4).
+# dot, inner, vecdot and the conjugating dot each differ from it on 350 of
+# 500 random pairs of n = 20 vectors (numpy 2.4).
 try:
     from numpy._core.multiarray import c_einsum
 except ImportError:  # numpy 1.x

@@ -342,8 +342,14 @@ def run_audit_suite(n_instances: int = 20, seed: int = 0,
     """Audit the schedule plus the ``audit_corpus`` of runs.
 
     Returns (passed, lines) where lines carry one entry per check per
-    instance, plus the schedule scan.
+    instance, plus the schedule scan.  Raises ValueError, before any run,
+    when there is nothing to audit (n_instances < 1) or the runs'
+    configuration is bad (``SolverConfig.validate``).
     """
+    if n_instances < 1:
+        raise ValueError("n_instances must be at least 1")
+    config = SolverConfig(rho_hat=rho_hat, max_outer_iterations=max_iterations)
+    config.validate()
     lines: List[str] = []
     passed = True
 
@@ -360,8 +366,6 @@ def run_audit_suite(n_instances: int = 20, seed: int = 0,
     for idx, problem in enumerate(audit_corpus(n_instances, seed)):
         lo, hi = problem.regularizer.domain_box
         y0 = lo + rng.random(problem.dimension) * (hi - lo)
-        config = SolverConfig(rho_hat=rho_hat,
-                              max_outer_iterations=max_iterations)
         tag = f"instance[{idx}]"
         try:
             cert, trace, ledger = solve(problem, config, y0)

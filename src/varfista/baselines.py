@@ -25,11 +25,12 @@ import math
 
 import numpy as np
 
+from ._kernels import c_einsum
 from .momentum import A0_DEFAULT, advance, extrapolate
 from .problems import Array, Certificate, CompositeProblem
 from .solver import (DENOM_EPSILON, IterationTrace, SolverConfig,
-                     _require_finite, _start, compute_candidate, compute_U,
-                     compute_v, compute_x)
+                     _gap_quotient, _require_finite, _start,
+                     compute_candidate, compute_v, compute_x)
 
 __all__ = ["run_fista_constant", "run_prox_gradient"]
 
@@ -56,8 +57,7 @@ def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
         x_tilde = extrapolate(A, A_next, a, y, x)
         g_xt = smooth.grad(x_tilde)
         f_xt = smooth.value(x_tilde)
-        y_next, tau = compute_candidate(problem, x_tilde, step, 0.0, a,
-                                        grad_x_tilde=g_xt)
+        y_next, tau = compute_candidate(problem, x_tilde, step, 0.0, a, g_xt)
         x_next = compute_x(A, A_next, a, tau, y_next, y)
         g_y = smooth.grad(y_next)
         v = compute_v(x_tilde, y_next, g_y, g_xt, step, tau)
@@ -65,8 +65,9 @@ def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
 
         f_y = smooth.value(y_next)
         phi_y = f_y + reg.value(y_next)
-        U = compute_U(y_next, f_y, x_tilde, f_xt, g_xt,
-                      DENOM_EPSILON * (1.0 + float(x_tilde @ x_tilde)))
+        guard = DENOM_EPSILON * (
+            1.0 + float(c_einsum("i,i->", x_tilde, x_tilde)))
+        U = 0.0 - _gap_quotient(y_next, f_y, x_tilde, f_xt, g_xt, guard)[0]
         _require_finite(k, None, ("f(x_tilde)", f_xt), ("f(y)", f_y),
                         ("phi(y)", phi_y), ("residual", resid))
         if phi_y < phi_min:
@@ -105,8 +106,7 @@ def run_prox_gradient(problem: CompositeProblem, config: SolverConfig,
     k = 0
 
     for k in range(1, config.max_outer_iterations + 1):
-        u_next, _ = compute_candidate(problem, u, step, 0.0, 1.0,
-                                      grad_x_tilde=g_u)
+        u_next, _ = compute_candidate(problem, u, step, 0.0, 1.0, g_u)
         g_next = smooth.grad(u_next)
         v = compute_v(u, u_next, g_next, g_u, step, 0.0)
         resid = math.sqrt(float(v @ v))

@@ -12,6 +12,10 @@ decides from observed value/gradient data whether that step is trustworthy:
   where L is a running lower-curvature estimate built from linearization
   gaps at all committed momentum points.
 
+One kernel, ``_gap_quotient``, forms each gap 2[lin_f(u; x_tilde_i) -
+f(u)]/||u - x_tilde_i||^2: U is minus the trial point's gap against the
+newest record, taken before the zero rule below, which L's gaps pass.
+
 On convex inputs every lower-curvature gap is non-positive, so L and xi stay
 exactly zero and the method reduces to a constant-extrapolation scheme.
 This holds in floating point too: a gap's numerator 2[lin_f(u; x_tilde_i) -
@@ -46,7 +50,7 @@ from .problems import Array, Certificate, CompositeProblem
 __all__ = [
     "SolverConfig", "NumericalFailure", "RepeatCapExhausted", "HistoryLedger",
     "IterationTrace", "TRACE_HEADER", "DENOM_EPSILON", "NOISE_MULT", "solve",
-    "compute_candidate", "compute_U", "compute_x", "replay_anchors",
+    "compute_candidate", "compute_x", "replay_anchors",
     "compute_v", "history_inequality_violated",
 ]
 
@@ -110,6 +114,24 @@ def _double(owner, names) -> None:
         setattr(owner, name, new)
 
 
+def _gap_quotient(u: Array, f_u: float, x: Array, f_x: float, g: Array,
+                  guard: float) -> Tuple[float, float, float]:
+    """(q, num, gd) of u against the linearization at x, with f_x and g =
+    f and grad f there and guard = DENOM_EPSILON (1 + ||x||^2): d = u - x,
+    gd = g . d, num = 2 (f_x + gd - f(u)), q = num / ||d||^2, both products
+    by ``c_einsum``, so with the bits of ``_gap_terms``' rows (and an inf
+    * 0 term gives NaN without ``@``'s RuntimeWarning).  (0.0, 0.0, 0.0)
+    when ||d||^2 <= guard, before g is read.  No zero rule; U = 0.0 - q
+    keeps a zero U at +0.0."""
+    d = u - x
+    den = float(c_einsum("i,i->", d, d))
+    if den <= guard:
+        return 0.0, 0.0, 0.0
+    gd = float(c_einsum("i,i->", g, d))
+    num = 2.0 * (f_x + gd - f_u)
+    return num / den, num, gd
+
+
 class HistoryLedger:
     """Append-only linearization records of the run, one per iteration.
 
@@ -121,15 +143,16 @@ class HistoryLedger:
     ||u - x_tilde_i||^2 is within the record's guard, and, by the zero
     rule, when its numerator is positive but at most 2 NOISE_MULT eps
     (s(u) + s(x_tilde_i) + |grad f(x_tilde_i) . d|).  ``_zero_rule``
-    applies the rule to quotient arrays, ``_record_gap`` to one record in
-    O(n); their quotients agree bit for bit, NaN included, and both compute
+    applies the rule to quotient arrays, ``record_gap`` to one record's
+    ``_gap_quotient``, whose negation before the rule is ``solve``'s U;
+    their quotients agree bit for bit, NaN included, and both compute
     s(u) only where a positive (or NaN) quotient needs it.  The expensive
     part of the lower-curvature recursion, max over i <= k of the gap of
     the incumbent best point against record i, is cached.  The cache is
     keyed like the oracle's Q @ u memo: it hits only when the best point is
     the cached array itself (``is``, no copy kept) with unchanged
     ``tobytes()``.  On a hit each newly appended record is folded in
-    through ``_record_gap``; a miss rescans the records with ``_gap_terms``
+    through ``record_gap``; a miss rescans the records with ``_gap_terms``
     and ``_zero_rule``.  Above one row block (k n > ``_kernels._ROW_BLOCK``)
     a miss first screens the records with one product G u and rescans only
     those whose numerator it cannot prove negative (``ymin_ratio_max``);
@@ -165,17 +188,19 @@ class HistoryLedger:
     # -- storage ------------------------------------------------------------
 
     def append_linearization(self, x_tilde: Array, f_at: float,
-                             grad_at: Array) -> int:
+                             grad_at: Array) -> Tuple[int, float]:
+        """Store the record; returns its 1-based index and its guard."""
         if self._n_rec == self._F.shape[0]:
             _double(self, self._BUFFERS)
         i = self._n_rec
         self._X[i] = x_tilde
         self._F[i] = f_at
         self._G[i] = grad_at
-        self._FLOOR[i] = DENOM_EPSILON * (
+        guard = DENOM_EPSILON * (
             1.0 + float(c_einsum("i,i->", x_tilde, x_tilde)))
+        self._FLOOR[i] = guard
         self._n_rec += 1
-        return i + 1
+        return i + 1, guard
 
     def linearization_gaps(self, count: int, u: Array, f_u: float, s_u
                            ) -> Tuple[Array, Array, Array]:
@@ -190,7 +215,7 @@ class HistoryLedger:
         that the zero rule zeroes the same quotients.  Returns
         ``(quotients, den, gd)`` with, per record i and d = u - x_tilde_i:
         the guarded gap quotient after the zero rule, den = ||d||^2 and
-        gd = grad f(x_tilde_i) . d.  Each quotient equals ``_record_gap``'s
+        gd = grad f(x_tilde_i) . d.  Each quotient equals ``record_gap``'s
         bit for bit, in every shape, so a full-replay maximum matches the
         cached one.
         """
@@ -270,27 +295,19 @@ class HistoryLedger:
         safe = np.where(ok, den, 1.0)
         return np.where(ok, num / safe, 0.0), num, den, gd
 
-    def _record_gap(self, index: int, u: Array, f_u: float) -> float:
-        """2[lin_f(u; x_tilde_i) - f(u)]/||u - x_tilde_i||^2 against 1-based
-        record ``index``, in O(n), with the guard and the zero rule.
-
-        The one-record shape of ``linearization_gaps``: the same expression
-        for a single record, equal bit for bit to a one-row call and
-        cheaper.  The t1 term of L in ``solve`` and the cache's fold use
-        it.
-        """
+    def record_gap(self, index: int, u: Array, f_u: float) -> float:
+        """``_gap_quotient`` of u against 1-based record ``index`` plus the
+        zero rule, in O(n): the one-record shape of ``linearization_gaps``,
+        equal bit for bit to a one-row call.  ``solve``'s t1 term of L and
+        the cache's fold use it."""
         i = index - 1
-        d = u - self._X[i]
-        den = float(c_einsum("i,i->", d, d))
-        if den <= self._FLOOR[i]:
-            return 0.0
-        gd = float(c_einsum("i,i->", self._G[i], d))
-        num = 2.0 * (float(self._F[i]) + gd - f_u)
+        q, num, gd = _gap_quotient(u, f_u, self._X[i], float(self._F[i]),
+                                   self._G[i], self._FLOOR[i])
         if 0.0 < num <= _ZERO_BAND * (self.value_scale(u, f_u)
                                       + float(self._record_scales(index)[i])
                                       + abs(gd)):
             return 0.0
-        return num / den
+        return q
 
     # -- the best-point screen -----------------------------------------------
 
@@ -340,10 +357,6 @@ class HistoryLedger:
             t += GN * (2.0 * kappa * math.sqrt(uu))
         t += (kappa * abs(f_u) + (1.0 + uu) / _SCREEN_RANGE ** 2) - f_u
         return np.flatnonzero(~(t < 0.0))
-
-    def _is_cached(self, ymin: Array) -> bool:
-        return (ymin is self.cached_ymin
-                and ymin.tobytes() == self._cached_bytes)
 
     def ymin_ratio_max(self, ymin: Array, f_ymin: float) -> float:
         """Max linearization gap of ymin against every record so far.
@@ -400,10 +413,10 @@ class HistoryLedger:
         n = self._n_rec
         if n == 0:
             return -math.inf
-        if self._is_cached(ymin):
+        if ymin is self.cached_ymin and ymin.tobytes() == self._cached_bytes:
             best = self.cached_ymin_ratio_max
             for i in range(self._cached_upto + 1, n + 1):
-                m = self._record_gap(i, ymin, f_ymin)
+                m = self.record_gap(i, ymin, f_ymin)
                 if m > best or m != m:  # a NaN carries, as in np.max
                     best = m
         else:
@@ -549,27 +562,6 @@ def compute_candidate(problem: CompositeProblem, x_tilde: Array, lam: float,
     s = lam / (1.0 + tau)
     y = problem.regularizer.prox(x_tilde - s * grad_x_tilde, s)
     return y, tau
-
-
-def compute_U(y: Array, f_y: float, x_tilde: Array, f_xt: float, g_xt: Array,
-              guard: float) -> float:
-    """Local upper-curvature estimate 2[f(y) - lin_f(y; x_tilde)]/||y-x_tilde||^2.
-
-    ``f_xt`` and ``g_xt`` are f and grad f at x_tilde, ``guard`` is its
-    quotient guard DENOM_EPSILON (1 + ||x_tilde||^2), the one its ledger
-    record holds.  Returns 0 when y is too close to x_tilde for the ratio
-    to be meaningful (squared distance <= guard), before the gradient
-    enters, so a non-finite one cannot reach a guarded quotient.
-    """
-    d = y - x_tilde
-    den = float(d @ d)
-    if den <= guard:
-        return 0.0
-    # vdot, not @: an infinite gradient entry facing a zero entry of d (a
-    # coordinate the box pinned) gives NaN, and NaN reaches U without the
-    # RuntimeWarning that the matmul ufunc raises; the two agree bit for bit
-    lin = f_xt + float(np.vdot(g_xt, d))
-    return 2.0 * (f_y - lin) / den
 
 
 def _committed_pairs_violated(xi: float, L: float, lam_hist: Array,
@@ -766,14 +758,13 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
         if not math.isfinite(f_xt):
             _require_finite(k, None, ("f(x_tilde)", f_xt))
         g_xt = smooth.grad(x_tilde)
-        idx = ledger.append_linearization(x_tilde, f_xt, g_xt)
-        guard = float(ledger._FLOOR[idx - 1])
+        idx, guard = ledger.append_linearization(x_tilde, f_xt, g_xt)
 
         lam_prev = lam  # lam_{k-1}, the last committed stepsize
         y_prev = y
         # the gap of the previous iterate against this record, fixed
         # across the trials of this iteration
-        t1 = ledger._record_gap(idx, y_prev, f_y)
+        t1 = ledger.record_gap(idx, y_prev, f_y)
         repeats = 0
 
         while True:
@@ -781,7 +772,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             f_y = smooth.value(y)
             # h(y) = 0 on the box, plus the l1 term; a NaN in y raises below
             phi_y = f_y + reg.value_at_prox(y)
-            U = compute_U(y, f_y, x_tilde, f_xt, g_xt, guard)
+            U = 0.0 - _gap_quotient(y, f_y, x_tilde, f_xt, g_xt, guard)[0]
 
             if phi_y < phi_ymin:  # ties keep the incumbent
                 phi_ymin, ymin, f_ymin = phi_y, y, f_y
@@ -790,10 +781,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
             # all records, the previous L, and 0; adding +0.0 makes a zero
             # L +0.0
             L_cand = max(t1, ledger.ymin_ratio_max(ymin, f_ymin), L, 0.0) + 0.0
-            # one check per trial; f(y) comes first, so a non-finite f(y)
-            # is named rather than the U or L it spoils
-            if not (math.isfinite(f_y) and math.isfinite(U)
-                    and math.isfinite(L_cand)):
+            # one check per trial, of the sum; the helper names the first
+            # non-finite term, f(y) before the U or L it spoils
+            if not math.isfinite(f_y + U + L_cand):
                 _require_finite(
                     k, repeats, ("f(y)", f_y),
                     ("U", U, "grad f at the momentum point is non-finite"),

@@ -121,6 +121,8 @@ def test_adaptive_reduces_to_fista_when_stepsize_never_adapts():
     assert np.array_equal(tr_a.Y, tr_b.Y)
     assert np.array_equal(replay_anchors(tr_a)[1], replay_anchors(tr_b)[1])
     assert np.array_equal(tr_a.residual, tr_b.residual)
+    # both take U from the one quotient kernel, with the same guard
+    assert tr_a.U.tobytes() == tr_b.U.tobytes()
     assert all(x == 0.0 for x in tr_a.xi)
 
 

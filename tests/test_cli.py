@@ -262,13 +262,20 @@ def test_baseline_nonfinite_oracle_value_exits_four(capsys, monkeypatch,
     assert f"numerical failure: {where}: f(y) = nan" in err
 
 
-def test_solve_repeat_cap_exhausted_exits_five(capsys, monkeypatch):
-    # this instance's first iteration needs two repeats (stepsize shrink
-    # plus escalation), so a cap of one trips
+def test_solve_repeat_cap_exhausted_exits_five(capsys, monkeypatch,
+                                              tmp_path):
+    # this instance's first iteration escalates twice, each with a wide
+    # margin (as in test_solve_exhausts_repeat_cap_when_set_too_tight), so
+    # a cap of one trips; its trace at the default cap shows the repeats
     import varfista.solver as solver_mod
+    spec = "qp:n=5,eig_lo=-10,eig_hi=10,seed=0"
+    path = tmp_path / "trace.csv"
+    code, _, _ = _run(capsys, ["solve", "--instance", spec, "--rho", "1e-6",
+                               "--max-iter", "1", "--trace", str(path)])
+    assert code == 2
+    assert int(path.read_text().splitlines()[1].split(",")[-1]) >= 2
     monkeypatch.setattr(solver_mod, "_MAX_INNER_REPEATS", 1)
-    code, out, err = _run(capsys, ["solve", "--instance",
-                                   "qp:n=4,eig_lo=-1,eig_hi=10,seed=7",
+    code, out, err = _run(capsys, ["solve", "--instance", spec,
                                    "--rho", "1e-6"])
     assert code == 5
     assert out == ""
@@ -468,6 +475,24 @@ def test_audit_command_passes_small_corpus(capsys):
     assert code == 0
     assert "audit suite: PASS" in out
     assert "schedule-growth-envelope: PASS" in out
+
+
+@pytest.mark.parametrize("flags", [["--n-instances", "-3"],
+                                   ["--n-instances", "0"], ["--rho", "-1"]])
+def test_audit_command_refuses_to_audit_nothing(capsys, monkeypatch, flags):
+    # no instance, or a configuration no run could start with, is a usage
+    # error raised before the schedule scan or the corpus, not a PASS
+    import varfista.audit as audit_mod
+
+    def unreachable(*args):
+        raise AssertionError("the suite went past its argument check")
+
+    monkeypatch.setattr(audit_mod, "audit_corpus", unreachable)
+    monkeypatch.setattr(audit_mod, "check_schedule_bounds", unreachable)
+    code, out, err = _run(capsys, ["audit", *flags])
+    assert code == 1
+    assert out == ""
+    assert "varfista: error: " in err
 
 
 def test_solve_and_slope_take_their_defaults_from_solver_config(

@@ -151,9 +151,32 @@ def test_the_zero_band_and_the_quotient_guard_are_formed_in_one_place():
     # the zero rule's band has a vector form and the O(n) one-record form;
     # the quotient guard is formed where a record is stored, and by the
     # one baseline that keeps no ledger
-    assert _readers("_ZERO_BAND") == ["_record_gap", "_zero_rule"]
+    assert _readers("_ZERO_BAND") == ["_zero_rule", "record_gap"]
     assert _readers("DENOM_EPSILON") == ["append_linearization",
                                          "run_fista_constant"]
+
+
+def test_the_curvature_quotient_has_one_kernel():
+    # U (in solve and the fista baseline), t1 and the cache's fold all take
+    # the one-point gap quotient from _gap_quotient; the row form
+    # (_gap_terms, _zero_rule) is its vector shape.  The retired U
+    # function and its BLAS dot product are gone from src/
+    assert _readers("_gap_quotient") == ["record_gap", "run_fista_constant",
+                                         "solve"]
+    for path in sorted(ROOT.glob("src/varfista/*.py")):
+        text = path.read_text()
+        assert "compute_U" not in text and "vdot" not in text, path.name
+
+
+def test_solve_reads_no_private_name_of_the_ledger():
+    solve, = [node for tree in _trees("src/varfista/solver.py")
+              for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "solve"]
+    read = {node.attr for node in ast.walk(solve)
+            if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "ledger"}
+    assert {"append_linearization", "record_gap", "ymin_ratio_max"} <= read
+    assert [name for name in read if name.startswith("_")] == []
 
 
 def test_the_prox_step_and_the_stationarity_kernel_have_one_copy_each():

@@ -17,8 +17,8 @@ from varfista.problems import CompositeProblem, SmoothOracle, phi
 from varfista.prox import BoxIndicator
 from varfista.momentum import A0_DEFAULT, advance, extrapolate
 from varfista.solver import (TRACE_HEADER, HistoryLedger, IterationTrace,
-                             SolverConfig, _retry_step, compute_candidate,
-                             compute_U, compute_v, compute_x,
+                             SolverConfig, _gap_quotient, _retry_step,
+                             compute_candidate, compute_v, compute_x,
                              history_inequality_violated, replay_anchors,
                              solve)
 from oracle_faults import faulty
@@ -88,6 +88,8 @@ def test_compute_candidate_respects_box():
 
 
 def test_compute_U_quadratic_recovers_curvature():
+    # U is the negated gap quotient: f(u) = u^2 at x_tilde = 0 and y = 2
+    # overshoots its linearization by 4, so the quotient reads -2, U 2
     prob = CompositeProblem(
         SmoothOracle(lambda u: float(u[0] ** 2),
                      lambda u: np.array([2.0 * u[0]])),
@@ -97,10 +99,14 @@ def test_compute_U_quadratic_recovers_curvature():
     g_xt = prob.smooth.grad(x_tilde)
     guard = solver_mod.DENOM_EPSILON * (1.0 + float(x_tilde @ x_tilde))
     y = np.array([2.0])
-    assert compute_U(y, prob.smooth.value(y), x_tilde, f_xt, g_xt,
-                     guard) == 2.0
-    # guard: candidate equal to the momentum point
-    assert compute_U(x_tilde, f_xt, x_tilde, f_xt, g_xt, guard) == 0.0
+    q, num, gd = _gap_quotient(y, prob.smooth.value(y), x_tilde, f_xt, g_xt,
+                               guard)
+    assert (q, num, gd) == (-2.0, -8.0, 0.0)
+    assert 0.0 - q == 2.0
+    # guard: candidate equal to the momentum point, before the gradient is
+    # read, so even a NaN one gives a zero quotient
+    assert _gap_quotient(x_tilde, f_xt, x_tilde, f_xt, np.array([math.nan]),
+                         guard) == (0.0, 0.0, 0.0)
 
 
 def test_update_best_tie_keeps_incumbent():
@@ -139,7 +145,7 @@ def test_compute_L_gap_of_concave_function():
     # against the record and the best point's max gap, are 2*2/4 = 1
     ledger = _one_record_ledger(0.0, 0.0, 0.0)
     u = np.array([2.0])
-    assert ledger._record_gap(1, u, -2.0) == 1.0
+    assert ledger.record_gap(1, u, -2.0) == 1.0
     assert ledger.ymin_ratio_max(u, -2.0) == 1.0
     # inside solve, L picks the curvature up at the first moving step
     _, trace, _ = solve(_concave_1d(), SolverConfig(max_outer_iterations=3),
@@ -152,7 +158,7 @@ def test_compute_L_never_negative():
     ledger = _one_record_ledger(0.0, 0.0, 0.0)
     u = np.array([2.0])
     # f(u) = u^2/2 -> f(2) = 2, gap = 2*(0 - 2)/4 = -1
-    assert ledger._record_gap(1, u, 2.0) == -1.0
+    assert ledger.record_gap(1, u, 2.0) == -1.0
     assert ledger.ymin_ratio_max(u, 2.0) == -1.0
     # inside solve, on f(u) = u^2/2 the best point's gaps are negative
     prob = _free_1d()
@@ -365,8 +371,8 @@ def test_ledger_records_round_trip():
     ledger = HistoryLedger(2, _abs_scale)
     x = np.array([1.0, 2.0])
     g = np.array([3.0, 4.0])
-    idx = ledger.append_linearization(x, 5.0, g)
-    assert idx == 1
+    idx, guard = ledger.append_linearization(x, 5.0, g)
+    assert (idx, guard) == (1, solver_mod.DENOM_EPSILON * (1.0 + 5.0))
     X, F, G, FLOOR = ledger.record_arrays(1)
     assert np.array_equal(X, [x]) and np.array_equal(F, [5.0])
     assert np.array_equal(G, [g])
@@ -495,7 +501,7 @@ def _as_bits(value) -> bytes:
 def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
                                                        d_exp, nan_in,
                                                        in_band):
-    # the solver's one-record fold and t1 term use _record_gap, the audit's
+    # the solver's one-record fold and t1 term use record_gap, the audit's
     # replay a one-row _gap_terms; both must give the same bits, also when
     # a NaN in u, in the record's gradient or in f(u) reaches the quotient,
     # and when the numerator lies in the zero band of the value scales
@@ -535,8 +541,12 @@ def test_gap_term_equals_one_row_gap_terms_bit_for_bit(n, seed, guarded,
         assert math.isnan(want[0]) == (nan_in is not None)
         if nan_in is None:
             assert want[0] == (0.0 if 0.0 < num <= band else num / den[0])
-    assert _as_bits(ledger._record_gap(1, u, f_u)) \
+    assert _as_bits(ledger.record_gap(1, u, f_u)) \
         == want[0].tobytes()
+    # before the zero rule too: the kernel's quotient, whose negation is
+    # solve's U, has the bits of the row form's
+    q, _, _ = _gap_quotient(u, f_u, x, f_x, g, guard)
+    assert _as_bits(q) == ledger._gap_terms(1, u, f_u)[0][0].tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -739,13 +749,13 @@ def test_a_negative_zero_quotient_leaves_l_positive_zero(monkeypatch):
     # offers L a -0.0 through t1 and the cache's folds at every iteration
     # of a convex run; solve's + 0.0 keeps every L +0.0, and the audit's
     # bitwise replay agrees
-    record_gap = HistoryLedger._record_gap
+    record_gap = HistoryLedger.record_gap
 
     def negative_zero(self, index, u, f_u):
         q = record_gap(self, index, u, f_u)
         return -0.0 if q <= 0.0 else q
 
-    monkeypatch.setattr(HistoryLedger, "_record_gap", negative_zero)
+    monkeypatch.setattr(HistoryLedger, "record_gap", negative_zero)
     problem = audit_corpus(1, 0)[0]
     y0 = default_start(problem)
     cert, trace, ledger = solve(problem, GOLDEN_CFG, y0)
@@ -777,9 +787,9 @@ def _lower_curvature_run(ledger, steps, rng_seed, u, f_u, sx, sg):
     L, out = 0.0, []
     y_prev, f_prev = ymin, f_min = u, f_u
     for kind, move in steps:
-        idx = ledger.append_linearization(
+        idx, _ = ledger.append_linearization(
             *_screen_record(rng, kind, ymin, f_min, sx, sg))
-        t1 = ledger._record_gap(idx, y_prev, f_prev)
+        t1 = ledger.record_gap(idx, y_prev, f_prev)
         r = ledger.ymin_ratio_max(ymin, f_min)
         L = max(t1, r, L, 0.0) + 0.0
         out.append((t1, r, L))
@@ -895,7 +905,8 @@ def test_cache_hits_where_the_value_compare_did_and_scans_only_misses(
 
     def watched(self, ymin, f_ymin):
         k = self._n_rec
-        hit = self._is_cached(ymin)
+        hit = ymin is self.cached_ymin \
+            and ymin.tobytes() == self._cached_bytes
         kept = getattr(self, "_shadow_copy", None)
         by_value = (kept is not None and kept.shape == ymin.shape
                     and bool(np.all(kept == ymin)))
@@ -976,7 +987,10 @@ def test_ledger_slice_queries_validate_bounds():
 # history views were built only for a scan, and finiteness got a
 # math.isfinite fast path; 49.52 before the anchor update stopped
 # clamping x_k against the region Omega = R^n (two calls: the projection
-# and its clamp), 47.52 now (numpy 2.4, Python 3.11).  The count is
+# and its clamp); 47.52 before U went through the gap-quotient kernel (one
+# more einsum a trial, one more Python call a one-record gap) as the cache
+# key was inlined and a trial's finiteness tests became one, 47.38 now
+# (numpy 2.4, Python 3.11).  The count is
 # deterministic for given numpy and Python versions.  Raise the pin only
 # with the reason logged.
 CALLS_PER_ITERATION = 48.0
@@ -1046,12 +1060,12 @@ def test_solve_traces_match_op_recomputation():
     cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=2000)
     cert, trace, ledger = solve(prob, cfg, default_start(prob))
     assert cert.converged
-    X, F, G, _ = ledger.record_arrays(len(trace))
+    X, F, G, FLOOR = ledger.record_arrays(len(trace))
     for i in range(len(trace)):
         y = trace.Y[i + 1]
-        U = compute_U(y, prob.smooth.value(y), X[i], float(F[i]), G[i],
-                      solver_mod.DENOM_EPSILON * (1.0 + float(X[i] @ X[i])))
-        assert U == trace.U[i]
+        q, _, _ = _gap_quotient(y, prob.smooth.value(y), X[i], float(F[i]),
+                                G[i], FLOOR[i])
+        assert _as_bits(0.0 - q) == _as_bits(trace.U[i])
 
 
 def test_solve_rejects_bad_start():
@@ -1065,9 +1079,16 @@ def test_solve_rejects_bad_start():
 
 
 def test_solve_exhausts_repeat_cap_when_set_too_tight(monkeypatch):
-    # this run needs two repeats in its first iteration (stepsize shrink
-    # plus escalation), so a cap of one must abort with a clear error
-    prob = generate_qp(QuadraticSpec(n=4, eig_lo=-1.0, eig_hi=10.0, seed=7))
+    # curvature down to -10: the first trial point's gap makes L about 3.6,
+    # so iteration 1 escalates xi 0 -> 1 -> 2 -> 4 -> 8; the first two
+    # escalations, which a cap of one needs, miss the history inequality by
+    # over 75 % of its larger side, so the cap must abort with a clear
+    # error.  The premise is checked at the default cap first, so a change
+    # that loses the repeats fails here
+    prob = generate_qp(QuadraticSpec(n=5, eig_lo=-10.0, eig_hi=10.0, seed=0))
+    _, trace, _ = solve(prob, SolverConfig(max_outer_iterations=1),
+                        default_start(prob))
+    assert trace.inner_repeats[0] >= 2 and trace.xi[0] >= 2.0
     monkeypatch.setattr(solver_mod, "_MAX_INNER_REPEATS", 1)
     with pytest.raises(solver_mod.RepeatCapExhausted, match="repeat cap"):
         solve(prob, SolverConfig(), default_start(prob))
