@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .diagnostics import TheoreticalBounds, check_xk_drift
-from .gallery import QuadraticSpec, generate_qp
+from .gallery import QuadraticSpec, _check_seed, generate_qp
 from .momentum import check_schedule_bounds
 from .problems import (Array, Certificate, CompositeProblem,
                        verify_certificate)
@@ -343,11 +343,12 @@ def run_audit_suite(n_instances: int = 20, seed: int = 0,
 
     Returns (passed, lines) where lines carry one entry per check per
     instance, plus the schedule scan.  Raises ValueError, before any run,
-    when there is nothing to audit (n_instances < 1) or the runs'
-    configuration is bad (``SolverConfig.validate``).
+    when there is nothing to audit (n_instances < 1), the seed is negative
+    or the runs' configuration is bad (``SolverConfig.validate``).
     """
     if n_instances < 1:
         raise ValueError("n_instances must be at least 1")
+    _check_seed(seed)
     config = SolverConfig(rho_hat=rho_hat, max_outer_iterations=max_iterations)
     config.validate()
     lines: List[str] = []

@@ -4,7 +4,8 @@
 weight schedule, extrapolation, prox step, anchor update, and residual as the
 adaptive solver, with the stepsize frozen and the concavity weight at zero.
 It calls the same step functions as the adaptive ``solve`` (candidate prox
-step, U quotient, anchor update, residual), so whenever the adaptive run
+step, U quotient, anchor update, residual) and combines its momentum
+points' oracle records as ``solve`` does, so whenever the adaptive run
 never shrinks its stepsize and never escalates (convex input, small enough
 lambda0), the two iterate sequences agree bit-for-bit.
 
@@ -26,11 +27,11 @@ import math
 import numpy as np
 
 from ._kernels import c_einsum
-from .momentum import A0_DEFAULT, advance, extrapolate
+from .momentum import A0_DEFAULT, advance, extrapolate, momentum_weights
 from .problems import Array, Certificate, CompositeProblem
 from .solver import (DENOM_EPSILON, IterationTrace, SolverConfig,
                      _gap_quotient, _require_finite, _start,
-                     compute_candidate, compute_v, compute_x)
+                     anchor_weights, compute_candidate, compute_v, compute_x)
 
 __all__ = ["run_fista_constant", "run_prox_gradient"]
 
@@ -38,7 +39,8 @@ __all__ = ["run_fista_constant", "run_prox_gradient"]
 def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
                        y0: Array):
     """Accelerated method with frozen stepsize; returns (certificate, trace)."""
-    y0, _, phi_min = _start(problem, config, y0)
+    start, phi_min = _start(problem, config, y0)
+    y0 = start.u
     smooth = problem.smooth
     reg = problem.regularizer
     step = config.lambda0
@@ -46,6 +48,10 @@ def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
     A = A0_DEFAULT
     y = y0
     x = y0.copy()
+    # records of y_{k-1} and y_{k-2}, and x_{k-1}'s anchor weights, as in
+    # solve
+    point = point_prev = start
+    c1, c2 = 1.0, 0.0
     y_best = y0
     trace = IterationTrace(y0, step)
     v = np.zeros_like(y0)
@@ -55,15 +61,19 @@ def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
     for k in range(1, config.max_outer_iterations + 1):
         a, A_next = advance(A)
         x_tilde = extrapolate(A, A_next, a, y, x)
-        g_xt = smooth.grad(x_tilde)
-        f_xt = smooth.value(x_tilde)
+        p, q = momentum_weights(A, A_next, a, c1, c2)
+        x_tilde_point = smooth.combine(x_tilde, p, point, q, point_prev)
+        f_xt = x_tilde_point.f
+        g_xt = smooth.gradient(x_tilde_point)
         y_next, tau = compute_candidate(problem, x_tilde, step, 0.0, a, g_xt)
         x_next = compute_x(A, A_next, a, tau, y_next, y)
-        g_y = smooth.grad(y_next)
+        c1, c2 = anchor_weights(A, A_next, a, tau)
+        point_prev, point = point, smooth.point(y_next)
+        g_y = smooth.gradient(point)
         v = compute_v(x_tilde, y_next, g_y, g_xt, step, tau)
         resid = math.sqrt(float(v @ v))
 
-        f_y = smooth.value(y_next)
+        f_y = point.f
         phi_y = f_y + reg.value(y_next)
         guard = DENOM_EPSILON * (
             1.0 + float(c_einsum("i,i->", x_tilde, x_tilde)))
@@ -92,13 +102,13 @@ def run_fista_constant(problem: CompositeProblem, config: SolverConfig,
 def run_prox_gradient(problem: CompositeProblem, config: SolverConfig,
                       y0: Array):
     """Forward-backward splitting; returns (certificate, trace)."""
-    y0, _, phi_min = _start(problem, config, y0)
+    start, phi_min = _start(problem, config, y0)
     smooth = problem.smooth
     reg = problem.regularizer
     step = config.lambda0
 
-    u = y0
-    g_u = smooth.grad(u)
+    u = y0 = start.u
+    g_u = smooth.gradient(start)
     u_best = y0
     trace = IterationTrace(y0, step)
     v = np.zeros_like(y0)
@@ -107,10 +117,11 @@ def run_prox_gradient(problem: CompositeProblem, config: SolverConfig,
 
     for k in range(1, config.max_outer_iterations + 1):
         u_next, _ = compute_candidate(problem, u, step, 0.0, 1.0, g_u)
-        g_next = smooth.grad(u_next)
+        point = smooth.point(u_next)
+        g_next = smooth.gradient(point)
         v = compute_v(u, u_next, g_next, g_u, step, 0.0)
         resid = math.sqrt(float(v @ v))
-        f_u = smooth.value(u_next)
+        f_u = point.f
         phi_u = f_u + reg.value(u_next)
         _require_finite(k, None, ("f(y)", f_u), ("phi(y)", phi_u),
                         ("residual", resid))

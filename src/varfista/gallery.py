@@ -26,7 +26,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .problems import Array, CompositeProblem, _check_audit_constants, phi
+from .problems import (Array, CompositeProblem, OraclePoint,
+                       _check_audit_constants, phi)
 from .prox import BoxIndicator
 
 __all__ = [
@@ -40,8 +41,9 @@ __all__ = [
 class QuadraticSpec:
     """Generation recipe for a box-constrained quadratic instance.
 
-    ``eig_lo``, ``eig_hi`` and ``c_scale`` must be finite; a ValueError
-    names the first that is not.
+    ``eig_lo``, ``eig_hi`` and ``c_scale`` must be finite and ``seed``
+    non-negative, as ``np.random.default_rng`` takes it; a ValueError names
+    the first field that is not.
     """
 
     n: int
@@ -62,6 +64,13 @@ class QuadraticSpec:
             raise ValueError("eig_hi must be >= eig_lo")
         if not self.box[1] > self.box[0]:
             raise ValueError("box must satisfy hi > lo")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    """ValueError, naming the seed, for a seed ``default_rng`` refuses."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed}")
 
 
 # elements of Q (1 MB, half a core's 2 MB L2 cache) applied in one BLAS
@@ -75,15 +84,19 @@ class QuadraticOracle:
     Exposing Q and c lets the exact oracles solve for stationary points
     instead of going through the scalar callables.
 
-    ``value`` and ``grad`` share a one-slot memo of the product Q @ u: a
-    call reuses the stored product when ``u`` is the very array object of
-    the previous call and its bytes are unchanged, and computes it afresh
-    otherwise.  A reused product therefore comes from the same memory as a
-    fresh one and equals it bit for bit, and a caller that mutates ``u`` in
-    place gets a fresh product.  So ``solve``, which asks for f and grad f
-    at the same momentum point and for grad f at the accepted trial point
-    it just evaluated, makes one product with Q per evaluated point.  The
-    memo is unguarded state: do not share one oracle across threads.
+    The solvers evaluate it through its records (see ``SmoothOracle``).
+    ``point(u)`` makes one product with Q, and its ``OraclePoint`` keeps
+    that product as its private part, so f and grad f at one point share
+    it: ``gradient`` adds c to it.  ``combine(u, p, first, q, second)``
+    forms Q u = p Q first.u - q Q second.u from the two records' products
+    with no product of its own; ``solve`` and ``run_fista_constant`` so
+    form the momentum point's record from those of the last two accepted
+    trial points, and a run makes one product with Q at y0 and one per
+    trial.  The combined Q u differs from a fresh product by roundoff, and
+    f of any record is formed from its Q u as ``value`` forms it, so the
+    f of a ``point`` equals ``value(u)`` bit for bit.  ``value`` and
+    ``grad`` make a fresh product on every call; the oracle holds no state
+    between calls.
 
     Every product with Q, of one point or of the rows of a 2-D ``u``, is
     made by ``_products``.  A Q of at most ``_Q_BLOCK`` elements (1 MB,
@@ -128,9 +141,6 @@ class QuadraticOracle:
         self.audit_lipschitz = audit_lipschitz
         self.audit_curvature = audit_curvature
         _check_audit_constants(self)
-        self._memo_u: Optional[Array] = None
-        self._memo_bytes = b""
-        self._memo_Qu: Optional[Array] = None
 
     def _products(self, u: Array) -> Array:
         """Q @ u of one point, or of each row of a 2-D ``u``, in the shape
@@ -155,27 +165,37 @@ class QuadraticOracle:
             np.matmul(tail, u[:, :, None], out=out[:, m:, None])
         return out
 
-    def _Qu(self, u: Array) -> Array:
-        """Q @ u, reused when u is the previous call's array, unmutated."""
-        if u is self._memo_u and u.tobytes() == self._memo_bytes:
-            return self._memo_Qu
-        Qu = self._products(u)
-        self._memo_u, self._memo_bytes, self._memo_Qu = u, u.tobytes(), Qu
-        return Qu
+    def _record(self, u: Array, Qu: Array) -> OraclePoint:
+        """The record of u with Q u = ``Qu``: f(u) from one dot product
+        with ``Qu`` and one with c."""
+        return OraclePoint(u, float(0.5 * (u @ Qu) + self.c @ u), Qu)
+
+    def point(self, u: Array) -> OraclePoint:
+        """The record of one point u, from one product with Q."""
+        return self._record(u, self._products(u))
+
+    def combine(self, u: Array, p: float, first: OraclePoint, q: float,
+                second: OraclePoint) -> OraclePoint:
+        """The record of u = p first.u - q second.u (in exact arithmetic),
+        with Q u = p Q first.u - q Q second.u from the records' products:
+        no product with Q.  ``u`` keeps the caller's bits."""
+        return self._record(u, p * first.part - q * second.part)
+
+    def gradient(self, point: OraclePoint) -> Array:
+        return point.part + self.c
 
     def value(self, u: Array):
-        """f(u) of one point, or of each row of a 2-D ``u`` without the
-        memo, bit for bit alike: per row one product with Q and two dot
-        products."""
+        """f(u) of one point, or of each row of a 2-D ``u``, bit for bit
+        alike: per row one product with Q and two dot products."""
         if u.ndim == 1:
-            return float(0.5 * (u @ self._Qu(u)) + self.c @ u)
+            return self.point(u).f
         col = u[:, :, None]
         Qu = self._products(u)[:, :, None]
         uQu = np.matmul(u[:, None, :], Qu)[:, 0, 0]
         return 0.5 * uQu + np.matmul(self.c, col)[:, 0]
 
     def grad(self, u: Array) -> Array:
-        return self._Qu(u) + self.c
+        return self._products(u) + self.c
 
     @cached_property
     def _scale_coefficients(self) -> Tuple[float, float]:
@@ -244,7 +264,10 @@ def default_start(problem: CompositeProblem,
 
     A coordinate whose box midpoint or width is not finite (an infinite
     bound, or a width that overflows) starts at clip(0, lo, hi) instead.
+    A negative seed raises ValueError naming it.
     """
+    if seed is not None:
+        _check_seed(seed)
     lo, hi = problem.regularizer.domain_box
     with np.errstate(invalid="ignore", over="ignore"):
         mid, width = 0.5 * (lo + hi), hi - lo

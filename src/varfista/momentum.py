@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -46,6 +47,15 @@ def extrapolate(A_prev: float, A_next: float, a: float, y_prev: Array,
     if not A_next > 0.0:
         raise RuntimeError("schedule weight A_next must be positive")
     return (A_prev * y_prev + a * x_prev) / A_next
+
+
+def momentum_weights(A_prev: float, A_next: float, a: float, c1: float,
+                     c2: float) -> Tuple[float, float]:
+    """(p, q) with ``extrapolate``'s momentum point equal to
+    p y_prev - q y_prev2 in exact arithmetic, when x_prev = c1 y_prev -
+    c2 y_prev2 (c1, c2 the anchor weights of ``solver.anchor_weights``):
+    p = (A_prev + a c1) / A_next and q = a c2 / A_next."""
+    return (A_prev + a * c1) / A_next, a * c2 / A_next
 
 
 @dataclass(frozen=True)

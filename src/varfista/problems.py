@@ -1,7 +1,9 @@
 """Composite problem abstraction: phi(u) = f(u) + h(u) over R^n.
 
-The smooth term f is given by value/gradient callables, the regularizer h
-is a ``prox.BoxIndicator``, h = w ||u||_1 + the indicator of a box.
+The smooth term f is an oracle that the solvers evaluate through its
+records (:class:`OraclePoint`; the protocol is in :class:`SmoothOracle`,
+which gives f by value/gradient callables), the regularizer h is a
+``prox.BoxIndicator``, h = w ||u||_1 + the indicator of a box.
 A solver run on such a problem produces a :class:`Certificate` holding an
 approximate stationary pair (y_hat, v_hat) with v_hat in grad f(y_hat) +
 sub-diff h(y_hat); ``verify_certificate`` rechecks one through the
@@ -12,7 +14,7 @@ solver found it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -32,9 +34,31 @@ def _check_audit_constants(oracle) -> None:
                              f"not {value}")
 
 
+@dataclass(slots=True)
+class OraclePoint:
+    """One evaluated point of a smooth oracle: u, f(u), and a part private
+    to the oracle from which its ``gradient`` forms grad f(u) on request
+    (Q u for a ``gallery.QuadraticOracle``, None for a ``SmoothOracle``).
+    A slotted class, not a named tuple: building one is a single Python
+    call, and the solvers build one per trial."""
+
+    u: Array
+    f: float
+    part: Any
+
+
 @dataclass(frozen=True)
 class SmoothOracle:
     """Smooth term f, given by a value callable and a gradient callable.
+
+    The solvers evaluate a smooth oracle through three record methods:
+    ``point(u)``, the ``OraclePoint`` of u, whose f equals ``value(u)``
+    bit for bit; ``gradient(point)``, grad f at a record's point; and
+    ``combine(u, p, first, q, second)``, the record of a point u that
+    equals p first.u - q second.u in exact arithmetic, which an oracle may
+    form from the two records without a fresh evaluation.  Here it
+    evaluates at u: ``point(u)``.  The audit calls ``value`` and
+    ``value_scale`` directly.
 
     ``audit_lipschitz`` and ``audit_curvature``, when set, declare analytic
     constants used only by invariant auditing: an upper bound on the Lipschitz
@@ -75,6 +99,16 @@ class SmoothOracle:
         """s(u) = |f(u)|; ``u`` may be rows of points with ``f_u`` their
         values, and the scales come out elementwise."""
         return abs(f_u)
+
+    def point(self, u: Array) -> OraclePoint:
+        return OraclePoint(u, self.value(u), None)
+
+    def combine(self, u: Array, p: float, first: OraclePoint, q: float,
+                second: OraclePoint) -> OraclePoint:
+        return self.point(u)
+
+    def gradient(self, point: OraclePoint) -> Array:
+        return self.grad(point.u)
 
 
 @dataclass(frozen=True)

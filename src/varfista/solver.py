@@ -16,6 +16,16 @@ One kernel, ``_gap_quotient``, forms each gap 2[lin_f(u; x_tilde_i) -
 f(u)]/||u - x_tilde_i||^2: U is minus the trial point's gap against the
 newest record, taken before the zero rule below, which L's gaps pass.
 
+f and grad f come from the smooth oracle's records (``OraclePoint``):
+``point`` evaluates each trial point y once, and ``gradient`` reads grad f
+from a record.  The momentum point x_tilde_k, formed by ``extrapolate``,
+equals p y_{k-1} - q y_{k-2} in exact arithmetic, with (p, q) =
+``momentum_weights`` of x_{k-1}'s ``anchor_weights``; ``combine`` forms
+its record from those of the last two accepted trial points, which a
+quadratic does with no product (Q x_tilde_k = p Q y_{k-1} - q Q y_{k-2}),
+so a run makes one product with Q at y0 and one per trial.  The oracle,
+not the solver, decides whether a record is combined or evaluated.
+
 On convex inputs every lower-curvature gap is non-positive, so L and xi stay
 exactly zero and the method reduces to a constant-extrapolation scheme.
 This holds in floating point too: a gap's numerator 2[lin_f(u; x_tilde_i) -
@@ -44,13 +54,14 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import c_einsum, row_blocks
-from .momentum import A0_DEFAULT, advance, extrapolate, schedule
-from .problems import Array, Certificate, CompositeProblem
+from .momentum import (A0_DEFAULT, advance, extrapolate, momentum_weights,
+                       schedule)
+from .problems import Array, Certificate, CompositeProblem, OraclePoint
 
 __all__ = [
     "SolverConfig", "NumericalFailure", "RepeatCapExhausted", "HistoryLedger",
     "IterationTrace", "TRACE_HEADER", "DENOM_EPSILON", "NOISE_MULT", "solve",
-    "compute_candidate", "compute_x", "replay_anchors",
+    "compute_candidate", "anchor_weights", "compute_x", "replay_anchors",
     "compute_v", "history_inequality_violated",
 ]
 
@@ -148,20 +159,19 @@ class HistoryLedger:
     their quotients agree bit for bit, NaN included, and both compute
     s(u) only where a positive (or NaN) quotient needs it.  The expensive
     part of the lower-curvature recursion, max over i <= k of the gap of
-    the incumbent best point against record i, is cached.  The cache is
-    keyed like the oracle's Q @ u memo: it hits only when the best point is
-    the cached array itself (``is``, no copy kept) with unchanged
-    ``tobytes()``.  On a hit each newly appended record is folded in
-    through ``record_gap``; a miss rescans the records with ``_gap_terms``
-    and ``_zero_rule``.  Above one row block (k n > ``_kernels._ROW_BLOCK``)
-    a miss first screens the records with one product G u and rescans only
-    those whose numerator it cannot prove negative (``ymin_ratio_max``);
-    each record keeps two scalars for the screen, filled when a screen
-    first needs them.  Like ``np.max``, the fold carries a NaN, so a
-    cached maximum equals a full rescan's bit for bit whenever that is
-    positive or NaN; otherwise both are <= 0.  Every einsum
-    here is taken through ``_kernels.c_einsum``, einsum's C entry: the
-    bits of ``np.einsum`` without its Python wrapper, which at n = 20
+    the incumbent best point against record i, is cached.  The cache hits
+    only when the best point is the cached array itself (``is``, no copy
+    kept) with unchanged ``tobytes()``.  On a hit each newly appended
+    record is folded in through ``record_gap``; a miss rescans the records
+    with ``_gap_terms`` and ``_zero_rule``.  Above one row block (k n >
+    ``_kernels._ROW_BLOCK``) a miss first screens the records with one
+    product G u and rescans only those whose numerator it cannot prove
+    negative (``ymin_ratio_max``); each record keeps two scalars for the
+    screen, filled when a screen first needs them.  Like ``np.max``, the
+    fold carries a NaN, so a cached maximum equals a full rescan's bit for
+    bit whenever that is positive or NaN; otherwise both are <= 0.  Every
+    einsum here is taken through ``_kernels.c_einsum``, einsum's C entry:
+    the bits of ``np.einsum`` without its Python wrapper, which at n = 20
     costs about as much as the product.
     """
 
@@ -620,16 +630,24 @@ def _retry_step(U: float, lam: float, xi: float, tau: float, L: float,
     return xi, lam
 
 
+def anchor_weights(A_prev: float, A_next: float, a: float, tau: float):
+    """(c1, c2) = ((1+tau) A_next / (a (tau a + 1)), A_prev / (a (tau a +
+    1))), the weights of the anchor x = c1 y - c2 y_prev that ``compute_x``
+    applies; scalars, or column vectors alike."""
+    denom = a * (tau * a + 1.0)
+    return (1.0 + tau) * A_next / denom, A_prev / denom
+
+
 def compute_x(A_prev: float, A_next: float, a: float, tau: float, y: Array,
               y_prev: Array) -> Array:
     """Anchor update; the unique minimizer over R^n of the anchor subproblem.
 
-    x = ((1+tau) A_next)/(a (tau a + 1)) * y - A_prev/(a (tau a + 1)) * y_prev,
-    an affine combination of y and y_prev.  The scalars may also be column
-    vectors, one row per iteration, with y and y_prev as rows.
+    x = c1 y - c2 y_prev with (c1, c2) = ``anchor_weights``, an affine
+    combination of y and y_prev.  The scalars may also be column vectors,
+    one row per iteration, with y and y_prev as rows.
     """
-    denom = a * (tau * a + 1.0)
-    return ((1.0 + tau) * A_next / denom) * y - (A_prev / denom) * y_prev
+    c1, c2 = anchor_weights(A_prev, A_next, a, tau)
+    return c1 * y - c2 * y_prev
 
 
 def replay_anchors(trace: IterationTrace) -> Tuple[Array, Array]:
@@ -683,8 +701,9 @@ def _require_finite(k: int, trial: Optional[int], *named: tuple) -> None:
 
 
 def _start(problem: CompositeProblem, config: SolverConfig, y0: Array
-           ) -> Tuple[Array, float, float]:
-    """Validated (y0, f(y0), phi(y0)), with one value call at y0.
+           ) -> Tuple[OraclePoint, float]:
+    """The oracle record of the validated y0 and phi(y0), from one
+    ``point`` call.
 
     Raises ValueError for a bad configuration or a y0 of the wrong shape,
     with a non-finite entry or outside dom h, before any oracle call, and
@@ -699,9 +718,9 @@ def _start(problem: CompositeProblem, config: SolverConfig, y0: Array
     h0 = problem.regularizer.value(y0)
     if not math.isfinite(h0):
         raise ValueError("y0 lies outside dom h")
-    f0 = problem.smooth.value(y0)
-    _require_finite(0, None, ("f(y0)", f0))
-    return y0, f0, f0 + h0
+    start = problem.smooth.point(y0)
+    _require_finite(0, None, ("f(y0)", start.f))
+    return start, start.f + h0
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +744,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     accepted y_k, enters v_k, so a non-finite one surfaces in the iteration
     where it occurs.
     """
-    y0, f_y, phi0 = _start(problem, config, y0)
+    start, phi0 = _start(problem, config, y0)
+    y0, f_y = start.u, start.f
     smooth = problem.smooth
     reg = problem.regularizer
 
@@ -739,6 +759,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     A = A0_DEFAULT
     y = y0
     x = y0.copy()
+    # the oracle records of y_{k-1} and y_{k-2}, and x_{k-1}'s anchor
+    # weights over them: x_0 = 1 y_0 - 0 y_{-1}, with y_{-1} taken as y_0
+    point = point_prev = start
+    c1, c2 = 1.0, 0.0
     ymin = y0
     phi_ymin = phi0
     f_ymin = f_y
@@ -752,12 +776,14 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
     for k in range(1, config.max_outer_iterations + 1):
         a, A_next = advance(A)
         x_tilde = extrapolate(A, A_next, a, y, x)
-        f_xt = smooth.value(x_tilde)
+        p, q = momentum_weights(A, A_next, a, c1, c2)
+        x_tilde_point = smooth.combine(x_tilde, p, point, q, point_prev)
+        f_xt = x_tilde_point.f
         # each finiteness check is a math.isfinite test first; the one
         # raising helper runs only when a value fails it
         if not math.isfinite(f_xt):
             _require_finite(k, None, ("f(x_tilde)", f_xt))
-        g_xt = smooth.grad(x_tilde)
+        g_xt = smooth.gradient(x_tilde_point)
         idx, guard = ledger.append_linearization(x_tilde, f_xt, g_xt)
 
         lam_prev = lam  # lam_{k-1}, the last committed stepsize
@@ -769,7 +795,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
 
         while True:
             y, tau = compute_candidate(problem, x_tilde, lam, xi, a, g_xt)
-            f_y = smooth.value(y)
+            trial = smooth.point(y)
+            f_y = trial.f
             # h(y) = 0 on the box, plus the l1 term; a NaN in y raises below
             phi_y = f_y + reg.value_at_prox(y)
             U = 0.0 - _gap_quotient(y, f_y, x_tilde, f_xt, g_xt, guard)[0]
@@ -803,7 +830,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, y0: Array,
 
         # commit the accepted iteration
         x = compute_x(A, A_next, a, tau, y, y_prev)
-        g_y = smooth.grad(y)
+        c1, c2 = anchor_weights(A, A_next, a, tau)
+        point_prev, point = point, trial
+        g_y = smooth.gradient(trial)
         v = compute_v(x_tilde, y, g_y, g_xt, lam, tau)
         resid = math.sqrt(float(v @ v))
         if not math.isfinite(resid):

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -223,16 +224,26 @@ def test_solve_audit_fault_exits_three(capsys, monkeypatch):
     assert len(failed) >= 1
 
 
-def test_solve_nonfinite_oracle_value_exits_four(capsys, monkeypatch):
+def _spoil_records(monkeypatch, method, call):
+    """Make the ``call``-th record that ``QuadraticOracle.<method>`` returns
+    carry f = NaN: the solvers take f from the records they ask for."""
     from varfista.gallery import QuadraticOracle
-    value = QuadraticOracle.value
+    make = getattr(QuadraticOracle, method)
     calls = [0]
 
-    def spoiled(self, u):
+    def spoiled(self, *args):
         calls[0] += 1
-        return np.nan if calls[0] == 49 else value(self, u)
+        point = make(self, *args)
+        if calls[0] == call:
+            point.f = np.nan
+        return point
 
-    monkeypatch.setattr(QuadraticOracle, "value", spoiled)
+    monkeypatch.setattr(QuadraticOracle, method, spoiled)
+
+
+def test_solve_nonfinite_oracle_value_exits_four(capsys, monkeypatch):
+    # the record of x_tilde_k is the k-th combined one
+    _spoil_records(monkeypatch, "combine", 22)
     code, out, err = _run(capsys, ["solve", "--instance", ROUGH,
                                    "--rho", "1e-6", "--audit"])
     assert code == 4
@@ -244,15 +255,9 @@ def test_solve_nonfinite_oracle_value_exits_four(capsys, monkeypatch):
                                           ("proxgrad", "iteration 4")])
 def test_baseline_nonfinite_oracle_value_exits_four(capsys, monkeypatch,
                                                     solver, where):
-    from varfista.gallery import QuadraticOracle
-    value = QuadraticOracle.value
-    calls = [0]
-
-    def spoiled(self, u):
-        calls[0] += 1
-        return np.nan if calls[0] == 5 else value(self, u)
-
-    monkeypatch.setattr(QuadraticOracle, "value", spoiled)
+    # a baseline evaluates one point at y0 and one per iteration, so the
+    # record of y_k is the (k + 1)-th
+    _spoil_records(monkeypatch, "point", int(where.split()[1]) + 1)
     code, out, err = _run(capsys, ["solve", "--instance",
                                    "qp:n=4,eig_lo=1,eig_hi=10,seed=3",
                                    "--solver", solver, "--rho", "1e-6",
@@ -493,6 +498,33 @@ def test_audit_command_refuses_to_audit_nothing(capsys, monkeypatch, flags):
     assert code == 1
     assert out == ""
     assert "varfista: error: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--n-instances", "2", "--seed", "-1"],
+    ["solve", "--instance", "qp:n=3,eig_lo=1,eig_hi=5,seed=0",
+     "--rho", "1e-6", "--seed", "-1"],
+    ["solve", "--instance", "qp:n=3,eig_lo=1,eig_hi=5,seed=-2",
+     "--rho", "1e-6"],
+])
+def test_a_negative_seed_is_refused_naming_the_seed(capsys, monkeypatch,
+                                                    argv):
+    # the audit suite's seed, a start seed and an instance seed are each
+    # checked before any run, not left to numpy's message, which names no
+    # field
+    import varfista.audit as audit_mod
+
+    def unreachable(*args):
+        raise AssertionError("a run started despite a negative seed")
+
+    monkeypatch.setattr(audit_mod, "audit_corpus", unreachable)
+    monkeypatch.setattr(audit_mod, "check_schedule_bounds", unreachable)
+    monkeypatch.setattr(cli, "solve", unreachable)
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert re.search(r"varfista: error: seed must be a non-negative "
+                     r"integer, not -[12]\n", err)
 
 
 def test_solve_and_slope_take_their_defaults_from_solver_config(

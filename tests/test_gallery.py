@@ -14,6 +14,7 @@ from varfista.gallery import (QuadraticOracle, QuadraticSpec,
                               generate_qp, global_min_phi, load_instance,
                               make_qp_problem, save_instance)
 from varfista.audit import audit_corpus
+from varfista.baselines import run_fista_constant, run_prox_gradient
 from varfista.problems import CompositeProblem, SmoothOracle, phi
 from varfista.prox import BoxIndicator
 from varfista.solver import SolverConfig, solve
@@ -505,7 +506,7 @@ def test_load_rejects_foreign_documents(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the one-slot Q @ u memo of QuadraticOracle
+# the oracle records of QuadraticOracle
 # ---------------------------------------------------------------------------
 
 class _CountingMatrix(np.ndarray):
@@ -543,45 +544,81 @@ def _oracle(n=300, seed=0):
 DENSE_SPEC = QuadraticSpec(n=1000, eig_lo=0.01, eig_hi=100.0, seed=0)
 
 
-def test_memo_recomputes_after_in_place_mutation():
-    oracle, rng = _oracle()
-    Q, c = oracle.Q.copy(), oracle.c
-    u = rng.standard_normal(Q.shape[0])
-    oracle.value(u)
-    u[3] += 1.0
-    assert np.array_equal(oracle.grad(u), Q @ u + c)
-    u[7] -= 2.0
-    assert oracle.value(u) == float(0.5 * (u @ (Q @ u)) + c @ u)
+def _oracles():
+    """n = 300 takes one call per product, the dense n = 1000 blocks."""
+    return [_oracle(), (generate_qp(DENSE_SPEC).smooth,
+                        np.random.default_rng(0))]
 
 
-def test_memo_keys_on_identity_not_on_bytes():
-    oracle, rng = _oracle()
-    Q = _counted(oracle)
-    u = rng.standard_normal(Q.shape[0])
-    oracle.value(u)
-    oracle.grad(u)
-    assert Q.products == 1
-    oracle.grad(u.copy())  # equal bytes, another array: a fresh product
-    assert Q.products == 2
-    oracle.value(u)  # the slot now holds the copy
-    assert Q.products == 3
+def test_a_record_shares_one_product_between_f_and_grad():
+    for oracle, rng in _oracles():
+        Q = _counted(oracle)
+        u = rng.standard_normal(Q.shape[0])
+        point = oracle.point(u)
+        g = oracle.gradient(point)
+        assert Q.products == 1
+        assert point.u is u
+        assert point.f == oracle.value(u)
+        assert g.tobytes() == oracle.grad(u).tobytes()
+        assert np.array_equal(g, np.asarray(Q) @ u + oracle.c)
 
 
-def test_memo_results_equal_a_memo_free_evaluation_bit_for_bit():
-    oracle, rng = _oracle()
-    Q, c = oracle.Q.copy(), oracle.c
-    points = [rng.standard_normal(Q.shape[0]) for _ in range(3)]
-    for u in points + points[::-1]:
-        for _ in range(2):  # a miss, then a hit
-            g = oracle.grad(u)
-            assert np.array_equal(g, Q @ u + c)
-            assert oracle.value(u) == float(0.5 * (u @ (Q @ u)) + c @ u)
-            assert oracle.grad(u) is not g  # the stored product stays inside
+def test_value_and_grad_alone_each_make_a_fresh_product():
+    # the oracle holds no state between calls: a point mutated in place,
+    # or evaluated again, is multiplied again
+    for oracle, rng in _oracles():
+        Q = _counted(oracle)
+        Qc, c = np.asarray(Q).copy(), oracle.c
+        u = rng.standard_normal(Q.shape[0])
+        f = oracle.value(u)
+        assert oracle.value(u) == f and Q.products == 2
+        oracle.grad(u)
+        assert Q.products == 3
+        u[3] += 1.0
+        assert np.allclose(oracle.grad(u), Qc @ u + c, rtol=1e-12)
+        assert oracle.value(u) == oracle.point(u).f != f
+        assert Q.products == 6
+        P = rng.standard_normal((5, Q.shape[0]))
+        rows = oracle.value(P)  # one product of rows
+        assert Q.row_products == 1 and Q.products == 6
+        assert oracle.value(P[2]) == rows[2] and Q.products == 7
 
 
-@pytest.mark.parametrize("which", ["corpus", "n200", "n1000"])
-def test_solve_takes_one_product_per_evaluated_point(which):
-    # the call sequence without the memo takes 2 + 3K + prox_calls products
+def test_combine_forms_the_record_without_a_product():
+    # Q u of the combination is p Q y1 - q Q y2, within roundoff of Q @ u,
+    # and its f and gradient are formed from it as a point's are
+    for oracle, rng in _oracles():
+        Q = _counted(oracle)
+        Qc = np.asarray(Q).copy()
+        y1, y2 = rng.standard_normal((2, Q.shape[0]))
+        first, second = oracle.point(y1), oracle.point(y2)
+        p, q = 1.75, 0.75
+        u = p * y1 - q * y2
+        point = oracle.combine(u, p, first, q, second)
+        assert Q.products == 2 and point.u is u
+        assert point.part.tobytes() == (p * first.part
+                                        - q * second.part).tobytes()
+        assert point.f == float(0.5 * (u @ point.part) + oracle.c @ u)
+        assert oracle.gradient(point).tobytes() == \
+            (point.part + oracle.c).tobytes()
+        eps, q_inf = np.finfo(float).eps, np.abs(Qc).sum(axis=1).max()
+        scale = max(np.abs(u).max(), np.abs(y1).max(), np.abs(y2).max())
+        assert np.abs(point.part - Qc @ u).max() <= 4 * eps * q_inf * scale
+
+
+def test_smooth_oracle_records_call_each_callable_once():
+    # a SmoothOracle keeps no product: combine evaluates at u
+    calls = []
+    f = SmoothOracle(lambda u: calls.append("value") or float(u @ u),
+                     lambda u: calls.append("grad") or 2.0 * u)
+    u = np.array([1.0, -2.0])
+    point = f.combine(u, 2.0, f.point(np.ones(2)), 1.0, f.point(np.ones(2)))
+    assert point.u is u and point.f == 5.0 and point.part is None
+    assert np.array_equal(f.gradient(point), 2.0 * u)
+    assert calls == ["value", "value", "value", "grad"]
+
+
+def _product_count_case(which):
     if which == "corpus":
         problem = audit_corpus(2, 0)[1]
         cfg = SolverConfig(rho_hat=1e-7, max_outer_iterations=10_000)
@@ -592,11 +629,33 @@ def test_solve_takes_one_product_per_evaluated_point(which):
     else:  # run to convergence (1681 iterations), not capped
         problem = generate_qp(DENSE_SPEC)
         cfg = SolverConfig(rho_hat=1e-6)
+    return problem, cfg
+
+
+@pytest.mark.parametrize("which", ["corpus", "n200", "n1000"])
+def test_solve_takes_one_product_per_evaluated_point(which):
+    # re-pinned from 1 + K + prox_calls when the momentum point's record
+    # came to be combined from the last two accepted trial points' records:
+    # one product at y0 and one per trial point
+    problem, cfg = _product_count_case(which)
     Q = _counted(problem.smooth)
     cert, _, _ = solve(problem, cfg, default_start(problem))
     assert cert.converged
     assert cert.prox_calls > cert.iterations  # some trials were rejected
-    assert Q.products == 1 + cert.iterations + cert.prox_calls
+    assert Q.products == 1 + cert.prox_calls
+    assert Q.row_products == 0
+
+
+@pytest.mark.parametrize("runner", [run_fista_constant, run_prox_gradient])
+def test_baselines_take_one_product_per_evaluated_point(runner):
+    # one product at y0 and one per iteration's trial point; the fista
+    # baseline combines its momentum points as solve does
+    problem = audit_corpus(2, 0)[1]
+    cfg = SolverConfig(lambda0=0.05, rho_hat=1e-7, max_outer_iterations=3000)
+    Q = _counted(problem.smooth)
+    cert, _ = runner(problem, cfg, default_start(problem))
+    assert cert.converged
+    assert Q.products == 1 + cert.iterations
     assert Q.row_products == 0
 
 
@@ -662,21 +721,3 @@ def test_value_of_rows_equals_one_point_at_a_time_bit_for_bit(kind, n):
             + P @ oracle.c
         assert np.all(np.abs(alone - direct)
                       <= 1e-12 * (1.0 + oracle.value_scale(P, alone)))
-
-
-def test_value_of_rows_leaves_the_memo_alone():
-    # n = 300 takes one call per product, the dense n = 1000 blocks
-    for oracle, rng in (_oracle(), (generate_qp(DENSE_SPEC).smooth,
-                                    np.random.default_rng(0))):
-        Q = _counted(oracle)
-        u = rng.standard_normal(Q.shape[0])
-        P = rng.standard_normal((5, Q.shape[0]))
-        f = oracle.value(u)
-        rows = oracle.value(P)  # bypasses the memo: one product of rows
-        assert Q.row_products == 1
-        assert Q.products == 1
-        assert oracle.value(u) == f and Q.products == 1  # still a hit
-        g = oracle.grad(u)
-        assert Q.products == 1
-        assert np.array_equal(g, np.asarray(Q) @ u + oracle.c)
-        assert oracle.value(P[2]) == rows[2] and Q.products == 2  # a miss

@@ -20,19 +20,22 @@ import numpy as np
 import varfista.solver as solver_mod
 from varfista.audit import audit_corpus
 from varfista.baselines import run_fista_constant, run_prox_gradient
-from varfista.gallery import QuadraticSpec, default_start, generate_qp
+from varfista.gallery import (QuadraticOracle, QuadraticSpec, default_start,
+                              generate_qp)
 from varfista.solver import SolverConfig, solve
 
-# Last re-pinned when U's two dot products moved from BLAS to c_einsum,
-# the kernel of the ledger's gap quotients: all 38 runs kept their
-# iteration counts, and the prox-gradient runs, which form no U, their
-# bits (the per-run trace diff is logged in CHANGES.md).
+# Last re-pinned when the momentum point's product with Q came to be
+# combined from the last two trial points' products (p Q y_{k-1} - q Q
+# y_{k-2}) instead of made afresh: all 38 runs kept their iteration counts
+# and their lam, xi, tau and inner_repeats bits, and the prox-gradient
+# runs, which form no momentum point, all their bits (the per-run trace
+# diff is logged in CHANGES.md).
 SOLVE_TRACE_SHA256 = \
-    "d7bfb3148ddcd875ad9959d25c2f954b6235b1ed31d0000b7a3fbbe9259acf4d"
+    "bc54c8a38810ea656213696da0157f0e11166822d54e7a84079ef4991179c70a"
 L_GROWTH_SHA256 = \
-    "1844fa2c849333515c2258ff19cb0a81f531d1a2c60f2db02030427bdbb6a7d1"
+    "2da2d4bfc155b490aae3ff53bce79ec561983a5723ff07bbcdf226064265a6b6"
 DENSE_N1000_SHA256 = \
-    "01e52a3f3566d975b0e10f600c50207d8f65f96837adfe735d1f83d2baf4507e"
+    "c5ac7f1592d75b53c7940796b139fc531985127b24e077b2b3c694d475a36990"
 
 
 def _feed(h, path, cert, trace):
@@ -122,10 +125,70 @@ def test_l_growth_trace_matches_golden_hash(tmp_path, monkeypatch):
 
 
 def test_capped_dense_n1000_trace_matches_golden_hash(tmp_path):
-    # pinned when every product with Q was one unblocked BLAS call: the
-    # blocked one-point products keep the solver's bits
+    # the trial points' products with Q are made a block of rows at a
+    # time; the momentum points' are combined from them
     _, cert, trace = dense_n1000_run()
     assert cert.iterations == 300
     h = hashlib.sha256()
     _feed(h, tmp_path / "trace.csv", cert, trace)
     assert h.hexdigest() == DENSE_N1000_SHA256
+
+
+# the combined product's roundoff bound, in units of eps ||Q||_inf
+# max(||x_tilde_k||, ||y_{k-1}||, ||y_{k-2}||) (infinity norms).  Both the
+# combined and the direct product err by about that much, and p Q y_{k-1}
+# - q Q y_{k-2} weighs two products by p + q < 3.  Over the 32 golden runs
+# that combine, the largest measured is 1.59 (median per run 0.13 to
+# 0.59), so 4 leaves room and still fails a wrong weight, which errs by
+# O(1) relative
+COMBINED_ROUNDOFF_MULT = 4.0
+
+
+def test_combined_momentum_products_are_within_roundoff(monkeypatch):
+    # replays one convex corpus run, one indefinite n = 200 run and the
+    # capped dense n = 1000 run; each momentum point's record is combined
+    # from the records of the last two accepted trial points, not made by
+    # a product, and the convex runs keep L = xi = tau = 0
+    combined = []
+    combine = QuadraticOracle.combine
+
+    def recorded(self, u, p, first, q, second):
+        point = combine(self, u, p, first, q, second)
+        combined.append((self.Q, first.u, second.u, point))
+        return point
+
+    monkeypatch.setattr(QuadraticOracle, "combine", recorded)
+
+    def taken(run):  # the run with the combine calls it made
+        calls = combined[:]
+        combined.clear()
+        return run, calls
+
+    runs = solve_trace_runs()
+    picked = [taken(next(runs))]  # corpus-00, convex
+    for run in runs:
+        if run[0] == "n200-seed0":
+            picked.append(taken(run))
+            break
+        combined.clear()
+    picked.append(taken(dense_n1000_run()))
+    eps = np.finfo(float).eps
+    for ((name, cert, trace), calls), convex in zip(picked,
+                                                    (True, False, True)):
+        assert len(calls) == len(trace) == cert.iterations, name
+        Q = calls[0][0]
+        q_inf = np.abs(Q).sum(axis=1).max()
+        for k, (_, y1, y2, point) in enumerate(calls, start=1):
+            assert np.array_equal(y1, trace.Y[k - 1]), (name, k)
+            assert np.array_equal(y2, trace.Y[max(k - 2, 0)]), (name, k)
+            if k < 2:
+                continue
+            scale = max(np.abs(point.u).max(), np.abs(y1).max(),
+                        np.abs(y2).max())
+            err = np.abs(point.part - Q @ point.u).max()
+            assert err <= COMBINED_ROUNDOFF_MULT * eps * q_inf * scale, \
+                (name, k, err / (eps * q_inf * scale))
+        if convex:
+            assert not (trace.L.any() or trace.xi.any() or trace.tau.any())
+        else:
+            assert trace.L.any()

@@ -249,6 +249,59 @@ def test_products_with_q_are_made_in_one_place():
             if name != "_products" and _has_product(method)] == []
 
 
+def test_the_momentum_point_record_is_combined_in_one_place():
+    # the solvers evaluate f only through oracle records: a product with Q
+    # for each point (QuadraticOracle.point, and value and grad called
+    # alone), and for the momentum point the combination of the last two
+    # trial points' records, with weights from the one implementation of
+    # the anchor weights.  The combination makes no product
+    assert _readers("_products") == ["grad", "point", "value"]
+    assert _readers("combine") == ["run_fista_constant", "solve"]
+    assert _readers("momentum_weights") == ["run_fista_constant", "solve"]
+    assert _readers("anchor_weights") == ["compute_x", "run_fista_constant",
+                                          "solve"]
+    oracle, = [node for tree in _trees("src/varfista/gallery.py")
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "QuadraticOracle"]
+    combine, = [method for method in oracle.body
+                if isinstance(method, ast.FunctionDef)
+                and method.name == "combine"]
+    assert not _has_product(combine)
+
+
+def test_the_oracle_keeps_no_memo():
+    # f and grad f at one point share the product through the point's
+    # record, so the oracle holds no state between calls
+    text = (ROOT / "src/varfista/gallery.py").read_text()
+    for name in ("_Qu", "_memo_u", "_memo_bytes", "_memo_Qu"):
+        assert name not in text, name
+    oracle, = [node for node in ast.parse(text).body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "QuadraticOracle"]
+    assert "tobytes" not in {getattr(node, "attr", None)
+                             for node in ast.walk(oracle)}
+
+
+def test_the_solvers_evaluate_f_through_records_with_no_type_branch():
+    # solve and the baselines ask the oracle for records (point, combine,
+    # gradient), never for value or grad, and leave to the oracle whether
+    # a combination is formed or evaluated
+    for tree in _trees("src/varfista/solver.py", "src/varfista/baselines.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in ("value", "grad"):
+                owner = node.value
+                assert "smooth" not in (getattr(owner, "id", None),
+                                        getattr(owner, "attr", None)), \
+                    node.lineno
+            if isinstance(node, ast.Call):
+                assert getattr(node.func, "id", None) not in (
+                    "isinstance", "issubclass", "hasattr", "type"), \
+                    node.lineno
+            assert getattr(node, "id", None) not in (
+                "QuadraticOracle", "SmoothOracle"), node.lineno
+
+
 def test_einsum_is_called_through_the_one_kernels_alias():
     # np.einsum without optimize returns c_einsum(*operands) from Python;
     # src/ calls _kernels.c_einsum, its C entry, and imports it from numpy
